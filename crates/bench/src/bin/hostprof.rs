@@ -12,9 +12,9 @@
 //! ```
 //!
 //! Each (dataset, variant) run gets a wall-clock [`HostProfiler`] wrapped
-//! in a `run` span; the per-launch buckets (dispatch, parallel plan,
-//! serial commit, arena, scheduler wait, transfers) accumulated by the
-//! execution engine are rolled up per phase and printed host-vs-sim.
+//! in a `run` span; the per-launch buckets (dispatch, serial commit,
+//! arena, transfers, fused step) accumulated by the execution engine are
+//! rolled up per phase and printed host-vs-sim.
 //! Output lands in `results/table_host.json` and `results/table_host.txt`,
 //! the latter naming the top host overhead buckets across the whole sweep.
 //!

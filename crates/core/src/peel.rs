@@ -141,9 +141,9 @@ pub(crate) fn run_scan_loop(
     // (cascading k-shell discovery), so it uses the lockstep stepped
     // launch: every wave advances each live block by one barrier-delimited
     // iteration, matching concurrent hardware blocks. The fast path splits
-    // each iteration into a parallel plan and a wave-ordered commit; the
-    // fused path additionally runs the scan step and the stepped loop
-    // inside one engine entry — bit-identical traces all three ways.
+    // each iteration into a plan and a commit run back to back in wave
+    // order; the fused path additionally runs the scan step and the stepped
+    // loop inside one engine entry — bit-identical traces all three ways.
     ctx.set_phase("Scan");
     match cfg.exec_path {
         ExecPath::Fused => ctx.launch_fused(
@@ -951,12 +951,13 @@ fn process_vertex(
 }
 
 // ---------------------------------------------------------------------------
-// Fast path: the loop kernel split into a parallel plan + wave-ordered commit
+// Fast path: the loop kernel split into a plan + commit
 // ---------------------------------------------------------------------------
 //
-// `launch_stepped_phased` runs every live block's *plan* on the rayon pool,
-// then *commits* serially in the exact xorshift wave order. The split obeys
-// the determinism contract (DESIGN.md "Fast-path cost accounting"):
+// `launch_stepped_phased` runs every live block's *plan* and then its
+// *commit* in the exact xorshift wave order, on the calling thread. The
+// split obeys the determinism contract (DESIGN.md "Fast-path cost
+// accounting"):
 //
 // * plan touches only launch-immutable device buffers (`offset`), the
 //   block's own private buffer region (`buf[b]` positions below this wave's

@@ -222,8 +222,8 @@ pub struct BlockCtx<'a> {
     shared: Vec<u32>,
     shared_capacity_bytes: u64,
     /// True when the engine guarantees no other block is executing
-    /// concurrently on this device (serial launch path, stepped waves, the
-    /// commit phase of a phased launch). Lets the global-atomic helpers use
+    /// concurrently on this device (serial launch path, stepped, phased
+    /// and fused waves). Lets the global-atomic helpers use
     /// plain load/store instead of lock-prefixed RMWs — same values, same
     /// charges, less host time.
     exclusive: bool,
@@ -500,15 +500,13 @@ impl<'a> BlockCtx<'a> {
 }
 
 /// Scratch buffers reused across stepped and fused launches — the wave
-/// order, per-block liveness, retired-counter slots, and carried
-/// shared-memory backings — so steady-state peel rounds allocate nothing
-/// per dispatch (the hostprof `arena`/`dispatch` buckets' remaining
-/// per-launch allocations).
+/// order, per-block liveness, and carried shared-memory backings — so
+/// steady-state peel rounds allocate nothing per dispatch (the hostprof
+/// `arena`/`dispatch` buckets' remaining per-launch allocations).
 #[derive(Default)]
 struct StepScratch {
     order: Vec<usize>,
     alive: Vec<bool>,
-    done: Vec<Option<Counters>>,
     /// Per-block shared-memory backings carried across the fused launch's
     /// step boundary (scan → loop) and across rounds, indexed by block.
     carry: Vec<Vec<u32>>,
@@ -521,9 +519,52 @@ impl StepScratch {
         self.order.extend(0..blocks);
         self.alive.clear();
         self.alive.resize(blocks, true);
-        self.done.clear();
-        self.done.resize(blocks, None);
     }
+}
+
+/// The wave loop of the phased and fused engines. Every wave reshuffles
+/// `order` with the xorshift stream seeded by `seed` (the stream
+/// [`GpuContext::launch_stepped`] draws) and then runs each live block's
+/// plan and commit on this thread, in that order, at every rayon width.
+/// A block retires when its commit returns `false`. Each wave is one
+/// serial lane, booked to [`HostBucket::CommitSerial`].
+fn run_waves<S, P>(
+    seed: u64,
+    order: &mut [usize],
+    alive: &mut [bool],
+    blocks: &mut [(BlockCtx<'_>, S)],
+    lap: &mut Lap,
+    plan: impl Fn(&mut BlockCtx<'_>, &mut S) -> Result<P, KernelError>,
+    commit: impl Fn(&mut BlockCtx<'_>, &mut S, P) -> Result<bool, KernelError>,
+) -> Result<(), SimError> {
+    let mut rng = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut live = blocks.len();
+    while live > 0 {
+        // Fisher–Yates with the xorshift stream
+        for i in (1..order.len()).rev() {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            let j = (rng % (i as u64 + 1)) as usize;
+            order.swap(i, j);
+        }
+        for &i in order.iter() {
+            if !alive[i] {
+                continue;
+            }
+            let (blk, st) = &mut blocks[i];
+            match plan(blk, st).and_then(|p| commit(blk, st, p)) {
+                Ok(true) => {}
+                Ok(false) => {
+                    alive[i] = false;
+                    live -= 1;
+                }
+                Err(e) => return Err(SimError::Kernel(e)),
+            }
+        }
+        lap.lap(HostBucket::CommitSerial);
+    }
+    Ok(())
 }
 
 /// The simulated GPU program context: device + cost model + simulated clock.
@@ -868,12 +909,14 @@ impl GpuContext {
     /// aggregates the counters, and advances the simulated clock.
     ///
     /// When the effective rayon fan-out is one thread (or the grid has one
-    /// block) the blocks run inline on this thread with recycled scratch —
-    /// no per-launch allocation, no parallel-map machinery, and
-    /// exclusive-execution atomics. The order-preserving parallel path and
-    /// the serial path produce bit-identical counters for any kernel that
-    /// is deterministic under block concurrency (the golden pool-size tests
-    /// pin this).
+    /// block) the blocks run inline on this thread, in index order, with
+    /// recycled scratch — no per-launch allocation, no parallel-map
+    /// machinery, and exclusive-execution atomics. The order-preserving
+    /// parallel path and the serial path produce bit-identical counters for
+    /// any kernel that is deterministic under block concurrency (the golden
+    /// pool-size tests pin this). A kernel whose blocks read device memory
+    /// that other blocks write during the launch is not: call it inside a
+    /// one-thread `install`, or use a stepped engine.
     pub fn launch<F>(
         &mut self,
         name: &'static str,
@@ -909,38 +952,42 @@ impl GpuContext {
                 }
             }
         } else {
+            let threads = rayon::current_num_threads() as u32;
             if let Some(p) = lap.profiler() {
-                let pool = rayon::current_num_threads() as u32;
-                p.sample_util(self.phase, cfg.blocks.min(pool), pool);
+                p.sample_util(self.phase, cfg.blocks.min(threads), threads);
             }
-            let pool = &self.shared_pool;
-            let results: Vec<Result<Counters, KernelError>> = (0..cfg.blocks)
+            // One contiguous run of blocks per thread, each run reusing one
+            // shared-memory backing: the arena lock is taken per run, not
+            // per block. A run stops at its first error; runs are
+            // concatenated in block order, so the first error returned is
+            // the first in block order.
+            let per_run = cfg.blocks.div_ceil(threads);
+            let this = &*self;
+            let runs: Vec<(Vec<Counters>, Option<KernelError>)> = (0..cfg.blocks.div_ceil(per_run))
                 .into_par_iter()
-                .map(|b| {
-                    let shared = pool
-                        .lock()
-                        .map(|mut p| p.pop().unwrap_or_default())
-                        .unwrap_or_default();
-                    let mut blk = BlockCtx::with_shared(device, b, cfg, shared_cap, shared);
-                    let r = kernel(&mut blk);
-                    let mut v = std::mem::take(&mut blk.shared);
-                    v.clear();
-                    if let Ok(mut p) = pool.lock() {
-                        if p.len() < 256 {
-                            p.push(v);
+                .map(|run| {
+                    let blocks = run * per_run..((run + 1) * per_run).min(cfg.blocks);
+                    let mut counters = Vec::with_capacity(blocks.len());
+                    let mut shared = this.pooled_shared();
+                    for b in blocks {
+                        let mut blk = BlockCtx::with_shared(device, b, cfg, shared_cap, shared);
+                        let r = kernel(&mut blk);
+                        shared = std::mem::take(&mut blk.shared);
+                        if let Err(e) = r {
+                            return (counters, Some(e));
                         }
+                        counters.push(blk.counters);
                     }
-                    r.map(|()| blk.counters)
+                    this.recycle_shared(shared);
+                    (counters, None)
                 })
                 .collect();
-            for r in results {
-                match r {
-                    Ok(c) => per_block.push(c),
-                    Err(e) => {
-                        self.counters_scratch = per_block;
-                        self.counters_scratch.clear();
-                        return Err(SimError::Kernel(e));
-                    }
+            for (counters, err) in runs {
+                per_block.extend(counters);
+                if let Some(e) = err {
+                    self.counters_scratch = per_block;
+                    self.counters_scratch.clear();
+                    return Err(SimError::Kernel(e));
                 }
             }
         }
@@ -1085,28 +1132,19 @@ impl GpuContext {
         self.finish_launch(name, cfg, per_block)
     }
 
-    /// Two-phase variant of [`GpuContext::launch_stepped`] that can run each
-    /// wave's live blocks on the rayon pool **without changing a single
-    /// observable bit** relative to the serial wave loop.
+    /// Variant of [`GpuContext::launch_stepped`] whose block step is split
+    /// into a **plan** and a **commit**, run back to back for each live
+    /// block in the xorshift wave order, on the calling thread at every
+    /// rayon width. Observably it is `launch_stepped(init, |blk, st| {
+    /// let p = plan(blk, st)?; commit(blk, st, p) })`: the same
+    /// interleaving, counters, fingerprints and results.
     ///
-    /// Each wave is split into:
-    ///
-    /// * **plan** — runs once per live block, *in parallel* when the rayon
-    ///   fan-out allows. The determinism contract (DESIGN.md "Fast-path
-    ///   cost accounting"): a plan may read device buffers that are
-    ///   immutable for the whole launch, read/write its own block's shared
-    ///   memory and state, and charge counters — it must **not** read or
-    ///   write any device memory that any block mutates during the launch.
-    /// * **commit** — runs serially in the exact xorshift wave order,
-    ///   performing every mutable-device-memory access (with
-    ///   exclusive-execution atomics, since the commit lane is serial).
-    ///
-    /// Because every access to mutable device state happens in commit, in
-    /// wave order, the interleaving — and therefore every counter, golden
-    /// fingerprint, and result — is identical to running
-    /// `launch_stepped(init, |blk, st| { let p = plan(blk, st)?;
-    /// commit(blk, st, p) })`. With a fan-out of one the phases are fused
-    /// exactly like that, with zero scheduling overhead.
+    /// The split is the kernels' determinism contract (DESIGN.md
+    /// "Fast-path cost accounting"): a plan reads only device buffers that
+    /// are immutable for the launch, its own block's shared memory and
+    /// state, and charges counters; every access to device memory that
+    /// blocks mutate during the launch happens in commit. Blocks run with
+    /// exclusive-execution atomics, since no two ever run at once.
     pub fn launch_stepped_phased<S, P, FI, FP, FC>(
         &mut self,
         name: &'static str,
@@ -1116,10 +1154,8 @@ impl GpuContext {
         commit: FC,
     ) -> Result<(), SimError>
     where
-        S: Send,
-        P: Send,
         FI: Fn(&mut BlockCtx<'_>) -> Result<S, KernelError>,
-        FP: Fn(&mut BlockCtx<'_>, &mut S) -> Result<P, KernelError> + Sync,
+        FP: Fn(&mut BlockCtx<'_>, &mut S) -> Result<P, KernelError>,
         FC: Fn(&mut BlockCtx<'_>, &mut S, P) -> Result<bool, KernelError>,
     {
         self.check_limit()?;
@@ -1130,106 +1166,33 @@ impl GpuContext {
         let mut lap = Lap::start(self.hostprof.clone(), self.phase);
         let mut scratch = std::mem::take(&mut self.step_scratch);
         scratch.reset(cfg.blocks as usize);
-        let StepScratch {
-            ref mut order,
-            ref mut alive,
-            ref mut done,
-            ..
-        } = scratch;
         let device = &self.device;
         let shared_cap = self.shared_capacity_bytes;
-        let parallel = rayon::current_num_threads() > 1;
 
-        let mut slots: Vec<Option<(BlockCtx<'_>, S)>> = Vec::with_capacity(cfg.blocks as usize);
+        let mut blocks: Vec<(BlockCtx<'_>, S)> = Vec::with_capacity(cfg.blocks as usize);
         for b in 0..cfg.blocks {
             let mut blk = BlockCtx::with_shared(device, b, cfg, shared_cap, self.pooled_shared());
             blk.exclusive = true;
             let state = init(&mut blk).map_err(SimError::Kernel)?;
-            slots.push(Some((blk, state)));
+            blocks.push((blk, state));
         }
         lap.lap(HostBucket::Dispatch);
-        // identical xorshift wave shuffle to `launch_stepped`
-        let mut rng = self.schedule_seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut live = slots.len();
-        while live > 0 {
-            for i in (1..order.len()).rev() {
-                rng ^= rng << 13;
-                rng ^= rng >> 7;
-                rng ^= rng << 17;
-                let j = (rng % (i as u64 + 1)) as usize;
-                order.swap(i, j);
-            }
-            if parallel && live > 1 {
-                // Phase 1: pull the wave's live blocks out in wave order and
-                // plan them on the pool (order-preserving map).
-                let wave: Vec<(usize, BlockCtx<'_>, S)> = order
-                    .iter()
-                    .filter(|&&i| alive[i])
-                    .map(|&i| {
-                        let (blk, st) = slots[i].take().expect("live block present");
-                        (i, blk, st)
-                    })
-                    .collect();
-                // shuffle + wave extraction is scheduler orchestration
-                lap.lap(HostBucket::SchedulerWait);
-                if let Some(p) = lap.profiler() {
-                    let pool = rayon::current_num_threads() as u32;
-                    p.sample_util(self.phase, (live as u32).min(pool), pool);
-                }
-                let planned: Vec<(usize, BlockCtx<'_>, S, Result<P, KernelError>)> = wave
-                    .into_par_iter()
-                    .map(|(i, mut blk, mut st)| {
-                        blk.exclusive = false; // plans genuinely run concurrently
-                        let p = plan(&mut blk, &mut st);
-                        (i, blk, st, p)
-                    })
-                    .collect();
-                lap.lap(HostBucket::PlanParallel);
-                // Phase 2: commit serially in the same wave order.
-                for (i, mut blk, mut st, p) in planned {
-                    blk.exclusive = true;
-                    match p.and_then(|p| commit(&mut blk, &mut st, p)) {
-                        Ok(true) => {
-                            slots[i] = Some((blk, st));
-                        }
-                        Ok(false) => {
-                            alive[i] = false;
-                            live -= 1;
-                            done[i] = Some(blk.counters);
-                            self.recycle_shared(std::mem::take(&mut blk.shared));
-                        }
-                        Err(e) => return Err(SimError::Kernel(e)),
-                    }
-                }
-                lap.lap(HostBucket::CommitSerial);
-            } else {
-                // Serial specialization: fuse plan+commit per block, exactly
-                // the `launch_stepped` wave loop.
-                for &i in order.iter() {
-                    if !alive[i] {
-                        continue;
-                    }
-                    let (blk, st) = slots[i].as_mut().expect("live block present");
-                    match plan(blk, st).and_then(|p| commit(blk, st, p)) {
-                        Ok(true) => {}
-                        Ok(false) => {
-                            alive[i] = false;
-                            live -= 1;
-                            let (mut blk, _) = slots[i].take().expect("live block present");
-                            done[i] = Some(blk.counters);
-                            self.recycle_shared(std::mem::take(&mut blk.shared));
-                        }
-                        Err(e) => return Err(SimError::Kernel(e)),
-                    }
-                }
-                // the fused wave (shuffle + plan + commit) is one serial lane
-                lap.lap(HostBucket::CommitSerial);
-            }
-        }
-        drop(slots); // release the device borrow before the &mut epilogue
+        run_waves(
+            self.schedule_seed,
+            &mut scratch.order,
+            &mut scratch.alive,
+            &mut blocks,
+            &mut lap,
+            plan,
+            commit,
+        )?;
         let mut per_block = std::mem::take(&mut self.counters_scratch);
         per_block.clear();
-        per_block.extend(done.drain(..).map(|c| c.expect("all blocks retired")));
+        for (blk, _) in &mut blocks {
+            per_block.push(blk.counters);
+            self.recycle_shared(std::mem::take(&mut blk.shared));
+        }
+        drop(blocks); // release the device borrow before the &mut epilogue
         self.step_scratch = scratch;
         lap.lap(HostBucket::ArenaAlloc);
         self.finish_launch(name, cfg, per_block)
@@ -1273,11 +1236,9 @@ impl GpuContext {
         commit: FC,
     ) -> Result<(), SimError>
     where
-        S: Send,
-        P: Send,
         FK: Fn(&mut BlockCtx<'_>) -> Result<(), KernelError> + Sync,
         FI: Fn(&mut BlockCtx<'_>) -> Result<S, KernelError>,
-        FP: Fn(&mut BlockCtx<'_>, &mut S) -> Result<P, KernelError> + Sync,
+        FP: Fn(&mut BlockCtx<'_>, &mut S) -> Result<P, KernelError>,
         FC: Fn(&mut BlockCtx<'_>, &mut S, P) -> Result<bool, KernelError>,
     {
         self.check_limit()?;
@@ -1365,101 +1326,35 @@ impl GpuContext {
         // ---- step 2: loop (the wave schedule of `launch_stepped_phased`)
         let mut lap = Lap::start(self.hostprof.clone(), self.phase);
         let mut scratch = std::mem::take(&mut self.step_scratch);
-        let StepScratch {
-            ref mut order,
-            ref mut alive,
-            ref mut done,
-            ref mut carry,
-        } = scratch;
         let device = &self.device;
         let shared_cap = self.shared_capacity_bytes;
-        let parallel = rayon::current_num_threads() > 1;
 
-        let mut slots: Vec<Option<(BlockCtx<'_>, S)>> = Vec::with_capacity(n);
+        let mut blocks: Vec<(BlockCtx<'_>, S)> = Vec::with_capacity(n);
         for b in 0..cfg.blocks {
-            let shared = std::mem::take(&mut carry[b as usize]);
+            let shared = std::mem::take(&mut scratch.carry[b as usize]);
             let mut blk = BlockCtx::with_shared(device, b, cfg, shared_cap, shared);
             blk.exclusive = true;
             let state = init(&mut blk).map_err(SimError::Kernel)?;
-            slots.push(Some((blk, state)));
+            blocks.push((blk, state));
         }
         lap.lap(HostBucket::FusedStep);
-        // identical xorshift wave shuffle to `launch_stepped`
-        let mut rng = self.schedule_seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut live = slots.len();
-        while live > 0 {
-            for i in (1..order.len()).rev() {
-                rng ^= rng << 13;
-                rng ^= rng >> 7;
-                rng ^= rng << 17;
-                let j = (rng % (i as u64 + 1)) as usize;
-                order.swap(i, j);
-            }
-            if parallel && live > 1 {
-                let wave: Vec<(usize, BlockCtx<'_>, S)> = order
-                    .iter()
-                    .filter(|&&i| alive[i])
-                    .map(|&i| {
-                        let (blk, st) = slots[i].take().expect("live block present");
-                        (i, blk, st)
-                    })
-                    .collect();
-                lap.lap(HostBucket::SchedulerWait);
-                if let Some(p) = lap.profiler() {
-                    let pool = rayon::current_num_threads() as u32;
-                    p.sample_util(self.phase, (live as u32).min(pool), pool);
-                }
-                let planned: Vec<(usize, BlockCtx<'_>, S, Result<P, KernelError>)> = wave
-                    .into_par_iter()
-                    .map(|(i, mut blk, mut st)| {
-                        blk.exclusive = false; // plans genuinely run concurrently
-                        let p = plan(&mut blk, &mut st);
-                        (i, blk, st, p)
-                    })
-                    .collect();
-                lap.lap(HostBucket::PlanParallel);
-                for (i, mut blk, mut st, p) in planned {
-                    blk.exclusive = true;
-                    match p.and_then(|p| commit(&mut blk, &mut st, p)) {
-                        Ok(true) => {
-                            slots[i] = Some((blk, st));
-                        }
-                        Ok(false) => {
-                            alive[i] = false;
-                            live -= 1;
-                            done[i] = Some(blk.counters);
-                            carry[i] = std::mem::take(&mut blk.shared);
-                        }
-                        Err(e) => return Err(SimError::Kernel(e)),
-                    }
-                }
-                lap.lap(HostBucket::CommitSerial);
-            } else {
-                for &i in order.iter() {
-                    if !alive[i] {
-                        continue;
-                    }
-                    let (blk, st) = slots[i].as_mut().expect("live block present");
-                    match plan(blk, st).and_then(|p| commit(blk, st, p)) {
-                        Ok(true) => {}
-                        Ok(false) => {
-                            alive[i] = false;
-                            live -= 1;
-                            let (mut blk, _) = slots[i].take().expect("live block present");
-                            done[i] = Some(blk.counters);
-                            carry[i] = std::mem::take(&mut blk.shared);
-                        }
-                        Err(e) => return Err(SimError::Kernel(e)),
-                    }
-                }
-                lap.lap(HostBucket::CommitSerial);
-            }
-        }
-        drop(slots); // release the device borrow before the &mut epilogue
-        self.device.set_launch_phase(None);
+        run_waves(
+            self.schedule_seed,
+            &mut scratch.order,
+            &mut scratch.alive,
+            &mut blocks,
+            &mut lap,
+            plan,
+            commit,
+        )?;
         let mut per_block = std::mem::take(&mut self.counters_scratch);
         per_block.clear();
-        per_block.extend(done.drain(..).map(|c| c.expect("all blocks retired")));
+        for ((blk, _), carried) in blocks.iter_mut().zip(&mut scratch.carry) {
+            per_block.push(blk.counters);
+            *carried = std::mem::take(&mut blk.shared);
+        }
+        drop(blocks); // release the device borrow before the &mut epilogue
+        self.device.set_launch_phase(None);
         self.step_scratch = scratch;
         lap.lap(HostBucket::ArenaAlloc);
         self.finish_launch(loop_name, cfg, per_block)

@@ -4,10 +4,9 @@
 //! Everything else in this crate measures *simulated* time — the
 //! deterministic clock the golden traces pin bit-for-bit. This module
 //! measures the opposite thing: where the **host** wall clock goes while the
-//! simulator runs (launch dispatch, the plan-parallel map, the serial commit
-//! lane, arena recycling, PCIe copy loops). That is the number ROADMAP
-//! item 5 optimizes, and it is nondeterministic by nature, so the contract
-//! is strict:
+//! simulator runs (launch dispatch, the serial wave lane, arena recycling,
+//! PCIe copy loops). That is the number ROADMAP item 5 optimizes, and it is
+//! nondeterministic by nature, so the contract is strict:
 //!
 //! * **Observes, never charges.** Attaching a [`HostProfiler`] to a
 //!   [`GpuContext`] changes no counter, no simulated timestamp, no
@@ -19,11 +18,12 @@
 //! * **Deterministic under an injected clock.** All timing goes through the
 //!   [`HostClock`] trait; tests inject [`FakeClock`] (a fixed step per
 //!   reading) so span trees and bucket tables are reproducible wherever the
-//!   underlying call sequence is (i.e. at rayon pool size 1).
+//!   underlying call sequence is (the launch engine reads the clock only on
+//!   the calling thread, at any rayon width).
 //!
 //! Spans are hierarchical RAII guards ([`HostProfiler::span`]) kept in
-//! per-thread buffers (the rayon shim spawns fresh scoped worker threads per
-//! parallel region, so threads self-register) and merged at
+//! per-thread buffers (each thread, including the rayon shim's persistent
+//! workers, registers on its first span) and merged at
 //! [`HostProfiler::profile`] time. Dropping guards out of order is tolerated:
 //! a parent closed before its children closes the children at the same end
 //! timestamp, and the late child drops become no-ops.
@@ -33,12 +33,12 @@ use serde::{Serialize, Value};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, Weak};
 use std::time::Instant;
 
 /// Schema version stamped into every [`HostProfile`] JSON. Bump on any
 /// change to the serialized shape so stale files are recognizable.
-pub const HOSTPROF_SCHEMA_VERSION: u32 = 2;
+pub const HOSTPROF_SCHEMA_VERSION: u32 = 3;
 
 /// Environment variable that opt-ins host profiling for contexts built via
 /// [`crate::SimOptions::context`] and for the global ingestion profiler:
@@ -133,8 +133,8 @@ impl HostClock for WallClock {
 
 /// Deterministic test clock: every reading advances a fixed step, so a
 /// deterministic *call sequence* yields deterministic timestamps and
-/// durations. (Under concurrency the tick assignment races — use it for
-/// byte-stable goldens only at rayon pool size 1.)
+/// durations. (When several threads read it the tick assignment races —
+/// use it for byte-stable goldens only where one thread reads the clock.)
 #[derive(Debug)]
 pub struct FakeClock {
     ticks: AtomicU64,
@@ -171,18 +171,13 @@ pub enum HostBucket {
     /// Per-launch fixed work: block setup/init loops, plain-launch block
     /// execution, counter pricing, and record bookkeeping.
     Dispatch,
-    /// The phased scheduler's parallel plan map (rayon fan-out).
-    PlanParallel,
-    /// The serial commit lane: phased commits in wave order, plus the whole
-    /// fused wave loop of the serial specialization and the reference
-    /// stepped engine (both are serial lanes by construction).
+    /// The serial wave lane of the stepped, phased and fused engines: each
+    /// wave's shuffle plus every live block's plan and commit, in wave
+    /// order, on the calling thread.
     CommitSerial,
     /// Arena traffic: taking/recycling pooled shared-memory and counter
     /// scratch at launch granularity.
     ArenaAlloc,
-    /// Wave orchestration of the phased parallel path: the xorshift
-    /// shuffle and pulling the wave's live blocks into dispatch order.
-    SchedulerWait,
     /// Host↔device copy loops and transfer bookkeeping.
     Transfer,
     /// The fused launch's inter-step handoff: carrying block state (shared
@@ -194,12 +189,10 @@ pub enum HostBucket {
 
 impl HostBucket {
     /// All buckets, in serialization order.
-    pub const ALL: [HostBucket; 7] = [
+    pub const ALL: [HostBucket; 5] = [
         HostBucket::Dispatch,
-        HostBucket::PlanParallel,
         HostBucket::CommitSerial,
         HostBucket::ArenaAlloc,
-        HostBucket::SchedulerWait,
         HostBucket::Transfer,
         HostBucket::FusedStep,
     ];
@@ -208,10 +201,8 @@ impl HostBucket {
     pub fn label(self) -> &'static str {
         match self {
             HostBucket::Dispatch => "dispatch",
-            HostBucket::PlanParallel => "plan_parallel",
             HostBucket::CommitSerial => "commit_serial",
             HostBucket::ArenaAlloc => "arena",
-            HostBucket::SchedulerWait => "scheduler_wait",
             HostBucket::Transfer => "transfer",
             HostBucket::FusedStep => "fused_step",
         }
@@ -220,12 +211,10 @@ impl HostBucket {
     fn idx(self) -> usize {
         match self {
             HostBucket::Dispatch => 0,
-            HostBucket::PlanParallel => 1,
-            HostBucket::CommitSerial => 2,
-            HostBucket::ArenaAlloc => 3,
-            HostBucket::SchedulerWait => 4,
-            HostBucket::Transfer => 5,
-            HostBucket::FusedStep => 6,
+            HostBucket::CommitSerial => 1,
+            HostBucket::ArenaAlloc => 2,
+            HostBucket::Transfer => 3,
+            HostBucket::FusedStep => 4,
         }
     }
 }
@@ -307,10 +296,13 @@ struct Inner {
 static NEXT_PROFILER_ID: AtomicU64 = AtomicU64::new(1);
 
 thread_local! {
-    /// Per-thread cache of this thread's log per profiler (keyed by the
-    /// profiler's process-unique id — the rayon shim's workers are fresh
-    /// scoped threads, so they self-register on first span).
-    static TL_LOGS: RefCell<Vec<(u64, Arc<ThreadLog>)>> = const { RefCell::new(Vec::new()) };
+    /// Per-thread cache of this thread's log per profiler, keyed by the
+    /// profiler's process-unique id. The entries are weak: the profiler's
+    /// `threads` list owns every log, so a log is released when its
+    /// profiler is dropped even on a thread that outlives it (the rayon
+    /// shim's workers live for the whole process), and dead entries are
+    /// pruned on the thread's next lookup.
+    static TL_LOGS: RefCell<Vec<(u64, Weak<ThreadLog>)>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Hierarchical host-side span profiler. Cheap to clone (an [`Arc`]); all
@@ -359,16 +351,21 @@ impl HostProfiler {
     fn thread_log(&self) -> Arc<ThreadLog> {
         TL_LOGS.with(|logs| {
             let mut logs = logs.borrow_mut();
-            if let Some((_, log)) = logs.iter().find(|(id, _)| *id == self.inner.id) {
-                return log.clone();
+            if let Some(log) = logs
+                .iter()
+                .find(|(id, _)| *id == self.inner.id)
+                .and_then(|(_, log)| log.upgrade())
+            {
+                return log;
             }
+            logs.retain(|(_, log)| log.strong_count() > 0);
             let mut threads = self.inner.threads.lock().unwrap();
             let log = Arc::new(ThreadLog {
                 ordinal: threads.len() as u32,
                 state: Mutex::new(ThreadState::default()),
             });
             threads.push(log.clone());
-            logs.push((self.inner.id, log.clone()));
+            logs.push((self.inner.id, Arc::downgrade(&log)));
             log
         })
     }
@@ -453,10 +450,8 @@ impl HostProfiler {
                 launches: acc.launches,
                 allocs: acc.allocs,
                 dispatch_s: acc.bucket_s[HostBucket::Dispatch.idx()],
-                plan_parallel_s: acc.bucket_s[HostBucket::PlanParallel.idx()],
                 commit_serial_s: acc.bucket_s[HostBucket::CommitSerial.idx()],
                 arena_s: acc.bucket_s[HostBucket::ArenaAlloc.idx()],
-                scheduler_wait_s: acc.bucket_s[HostBucket::SchedulerWait.idx()],
                 transfer_s: acc.bucket_s[HostBucket::Transfer.idx()],
                 fused_step_s: acc.bucket_s[HostBucket::FusedStep.idx()],
                 util_samples: acc.util_samples,
@@ -482,6 +477,7 @@ impl HostProfiler {
                         name: s.name.clone(),
                         depth: s.depth,
                         start_s: s.start_s,
+                        end_s: s.end_s,
                         dur_s: (s.end_s - s.start_s).max(0.0),
                         allocs: s.allocs,
                     })
@@ -643,14 +639,10 @@ pub struct HostPhase {
     pub allocs: u64,
     /// [`HostBucket::Dispatch`] seconds.
     pub dispatch_s: f64,
-    /// [`HostBucket::PlanParallel`] seconds.
-    pub plan_parallel_s: f64,
     /// [`HostBucket::CommitSerial`] seconds.
     pub commit_serial_s: f64,
     /// [`HostBucket::ArenaAlloc`] seconds.
     pub arena_s: f64,
-    /// [`HostBucket::SchedulerWait`] seconds.
-    pub scheduler_wait_s: f64,
     /// [`HostBucket::Transfer`] seconds.
     pub transfer_s: f64,
     /// [`HostBucket::FusedStep`] seconds.
@@ -666,23 +658,15 @@ pub struct HostPhase {
 impl HostPhase {
     /// Seconds attributed across all buckets of this phase.
     pub fn attributed_s(&self) -> f64 {
-        self.dispatch_s
-            + self.plan_parallel_s
-            + self.commit_serial_s
-            + self.arena_s
-            + self.scheduler_wait_s
-            + self.transfer_s
-            + self.fused_step_s
+        self.dispatch_s + self.commit_serial_s + self.arena_s + self.transfer_s + self.fused_step_s
     }
 
     /// Bucket value by label order of [`HostBucket::ALL`].
     pub fn bucket_s(&self, b: HostBucket) -> f64 {
         match b {
             HostBucket::Dispatch => self.dispatch_s,
-            HostBucket::PlanParallel => self.plan_parallel_s,
             HostBucket::CommitSerial => self.commit_serial_s,
             HostBucket::ArenaAlloc => self.arena_s,
-            HostBucket::SchedulerWait => self.scheduler_wait_s,
             HostBucket::Transfer => self.transfer_s,
             HostBucket::FusedStep => self.fused_step_s,
         }
@@ -707,7 +691,11 @@ pub struct HostSpan {
     pub depth: u32,
     /// Start, seconds since profiler construction.
     pub start_s: f64,
-    /// Duration, seconds.
+    /// End, seconds since profiler construction: the clock reading taken at
+    /// close, stored as read. A child closed with its parent has the same
+    /// `end_s` bits, which `start_s + dur_s` does not always reproduce.
+    pub end_s: f64,
+    /// Duration, seconds (`end_s - start_s`).
     pub dur_s: f64,
     /// Host allocator calls while the span was open (process-global delta —
     /// informational).
@@ -773,19 +761,22 @@ impl HostProfile {
 
     /// Validates structural well-formedness: within each thread, any two
     /// spans are either disjoint or nested (laminar intervals), and a
-    /// strictly-contained span has strictly greater depth.
+    /// strictly-contained span has strictly greater depth. Intervals are
+    /// compared on the stored clock readings (`start_s`, `end_s`), never on
+    /// `start_s + dur_s`, whose rounding can push a child's end past its
+    /// parent's.
     pub fn check_well_formed(&self) -> Result<(), String> {
         for t in &self.threads {
             for (i, a) in t.spans.iter().enumerate() {
-                if a.dur_s < 0.0 {
+                if a.end_s < a.start_s {
                     return Err(format!(
                         "thread {}: span {} has negative duration",
                         t.thread, a.name
                     ));
                 }
                 for b in t.spans.iter().skip(i + 1) {
-                    let (a0, a1) = (a.start_s, a.start_s + a.dur_s);
-                    let (b0, b1) = (b.start_s, b.start_s + b.dur_s);
+                    let (a0, a1) = (a.start_s, a.end_s);
+                    let (b0, b1) = (b.start_s, b.end_s);
                     let disjoint = a1 <= b0 || b1 <= a0;
                     let a_in_b = b0 <= a0 && a1 <= b1;
                     let b_in_a = a0 <= b0 && b1 <= a1;
@@ -941,8 +932,7 @@ mod tests {
         // fake clock: durations strictly positive, a contains b contains c
         let (a, b, c) = (by_name("a"), by_name("b"), by_name("c"));
         assert!(a.start_s <= b.start_s && b.start_s <= c.start_s);
-        assert!(a.start_s + a.dur_s >= b.start_s + b.dur_s);
-        assert!(b.start_s + b.dur_s >= c.start_s + c.dur_s);
+        assert!(a.end_s >= b.end_s && b.end_s >= c.end_s);
     }
 
     #[test]
@@ -960,10 +950,71 @@ mod tests {
         let child = spans.iter().find(|s| s.name == "child").unwrap();
         assert_eq!(child.depth, 1);
         // both closed at the same instant, child still inside parent
-        let p_end = parent.start_s + parent.dur_s;
-        let c_end = child.start_s + child.dur_s;
-        assert_eq!(p_end, c_end);
+        assert_eq!(parent.end_s, child.end_s);
         prof.check_well_formed().unwrap();
+    }
+
+    #[test]
+    fn a_child_closed_at_its_parents_end_is_nested() {
+        // 3 us per reading; the origin takes tick 0
+        let p = HostProfiler::faked(3);
+        let parent = p.span("parent"); // 3 us
+        p.now_s(); // 6 us
+        let child = p.span("child"); // 9 us
+        for _ in 0..3 {
+            p.now_s(); // 12, 15, 18 us
+        }
+        drop(parent); // 21 us, closing the child too
+        drop(child);
+        let prof = p.profile("t");
+        let spans = &prof.threads[0].spans;
+        let (parent, child) = (&spans[0], &spans[1]);
+        assert_eq!((parent.start_s, parent.end_s), (3e-6, 21e-6));
+        assert_eq!((child.start_s, child.end_s), (9e-6, 21e-6));
+        // rebuilding the ends from durations rounds the parent's end below
+        // the child's, which read as an overlap before ends were stored
+        assert_eq!(parent.start_s + parent.dur_s, 2.0999999999999995e-5);
+        assert!(parent.start_s + parent.dur_s < child.start_s + child.dur_s);
+        prof.check_well_formed().unwrap();
+    }
+
+    #[test]
+    fn thread_logs_are_released_with_their_profiler() {
+        let p = HostProfiler::faked(1);
+        drop(p.span("main"));
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(2)
+            .build()
+            .unwrap();
+        // Two one-item chunks meeting at a barrier: the caller blocks in
+        // the first, so a persistent worker (which outlives `p`) must run
+        // the second.
+        let both = std::sync::Barrier::new(2);
+        pool.install(|| {
+            (0..2).into_par_iter().for_each(|i| {
+                both.wait();
+                drop(p.span(format!("w{i}")));
+            });
+        });
+        let logs: Vec<Weak<ThreadLog>> = p
+            .inner
+            .threads
+            .lock()
+            .unwrap()
+            .iter()
+            .map(Arc::downgrade)
+            .collect();
+        assert!(logs.len() >= 2, "the caller's log and a worker's");
+        assert!(logs.iter().all(|l| l.strong_count() > 0));
+        drop(p);
+        assert!(
+            logs.iter().all(|l| l.strong_count() == 0),
+            "a thread-local cache kept a dropped profiler's log alive"
+        );
+        // the next lookup on this thread prunes the dead cache entry
+        let q = HostProfiler::faked(1);
+        drop(q.span("again"));
+        TL_LOGS.with(|l| assert_eq!(l.borrow().len(), 1));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! graph" — [`peel`] therefore takes the number of rounds as an input
 //! instead of tracking a removal count.
 
-use crate::{FrameworkCosts, SystemRun};
+use crate::{in_block_order, FrameworkCosts, SystemRun};
 use kcore_gpusim::warp::WARP_SIZE;
 use kcore_gpusim::{
     BlockCtx, Coalescing, GpuContext, LaunchConfig, SimError, SimOptions, SizeClass,
@@ -96,7 +96,7 @@ pub fn peel_in(
             // are processed in place (bitmap mode — the autotuner picks
             // dense here because shell candidates are discovered by sweep).
             ctx.set_phase("Fused");
-            ctx.launch("gswitch_fused", launch, |blk| {
+            let fused = |blk: &mut BlockCtx<'_>| {
                 let d = blk.device;
                 let offsets = d.buffer(d_offsets);
                 let neighbors = d.buffer(d_neighbors);
@@ -158,7 +158,9 @@ pub fn peel_in(
                     }
                 }
                 Ok(())
-            })?;
+            };
+            // blocks race on `deg` and `removed` while running
+            in_block_order(|| ctx.launch("gswitch_fused", launch, fused))?;
             ctx.add_overhead_s(costs.gswitch_subiter_s)?;
             ctx.set_phase("Sync");
             let processed = ctx.dtoh_word(d_len, 0);

@@ -14,7 +14,7 @@
 //! edge-capacity frontier scratch that inflates the memory footprint
 //! (Table V).
 
-use crate::{FrameworkCosts, SystemRun};
+use crate::{in_block_order, FrameworkCosts, SystemRun};
 use kcore_gpusim::warp::WARP_SIZE;
 use kcore_gpusim::{
     BlockCtx, Coalescing, GpuContext, KernelError, LaunchConfig, SimError, SimOptions, SizeClass,
@@ -86,7 +86,7 @@ pub fn peel_in(
     while removed < n as u64 {
         // Initial filter over all vertices: deg == k joins the frontier.
         ctx.set_phase("Filter");
-        ctx.launch("gunrock_filter_init", launch, |blk| {
+        let filter_init = |blk: &mut BlockCtx<'_>| {
             let d = blk.device;
             let deg = d.buffer(d_deg);
             let f_in = d.buffer(d_f_in);
@@ -104,7 +104,9 @@ pub fn peel_in(
                 }
             }
             Ok(())
-        })?;
+        };
+        // blocks race on the frontier cursor while running
+        in_block_order(|| ctx.launch("gunrock_filter_init", launch, filter_init))?;
         ctx.set_phase("Sync");
         let mut flen = ctx.dtoh_word(d_len, 0) as u64;
         // Observability: post-filter frontier length (free — charges nothing).
@@ -132,7 +134,7 @@ pub fn peel_in(
             // Advance: visit the arcs of every frontier vertex, load-balanced.
             let flen_now = flen as usize;
             ctx.set_phase("Advance");
-            ctx.launch("gunrock_advance", launch, |blk| {
+            let advance = |blk: &mut BlockCtx<'_>| {
                 let d = blk.device;
                 let offsets = d.buffer(d_offsets);
                 let neighbors = d.buffer(d_neighbors);
@@ -191,7 +193,9 @@ pub fn peel_in(
                     }
                 }
                 Ok(())
-            })?;
+            };
+            // blocks race on `deg` and the frontier cursor while running
+            in_block_order(|| ctx.launch("gunrock_advance", launch, advance))?;
             ctx.set_phase("Sync");
             let out_len = ctx.dtoh_word(d_len, 0) as u64;
             ctx.sample_counter("frontier", out_len as f64);

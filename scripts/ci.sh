@@ -13,6 +13,16 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test =="
 cargo test -q --workspace
 
+echo "== kbench: fmt, clippy, tests =="
+# kbench, the repository benchmark (BENCHMARK.json), is a package with its
+# own workspace, so the stages above do not reach it. Its smoke test runs
+# all four workloads at --check size and asserts, among other things, that
+# the simulated metrics are bit-identical across runs and at 1 and 2
+# threads. About 25 s.
+cargo fmt --manifest-path kbench/Cargo.toml --check
+cargo clippy --manifest-path kbench/Cargo.toml --all-targets -- -D warnings
+cargo test -q --manifest-path kbench/Cargo.toml
+
 echo "== simulator wall-clock smoke budget =="
 # The simulator suite re-runs (already compiled) under a wall-clock ceiling:
 # a blow-up here means a host-side perf regression (e.g. the fused engine or

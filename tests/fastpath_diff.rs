@@ -103,9 +103,9 @@ fn identical_on_randomized_geometries() {
 
 #[test]
 fn identical_across_rayon_pool_sizes() {
-    // Pool size selects the engine's execution strategy (serial fused
-    // waves at 1, parallel plan phases above): the counters and
-    // fingerprints must not notice.
+    // Pool size sets the fan-out of plain launches and the fused scan step
+    // (waves are serial at every width): the counters and fingerprints
+    // must not notice.
     let g = gen::rmat(9, 2_000, gen::RmatParams::graph500(), 7);
     let cfg = small_cfg();
     let reference = run(&g, &cfg.with_exec_path(ExecPath::Reference));

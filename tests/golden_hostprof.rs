@@ -4,14 +4,12 @@
 //! Host profiles measure *wall-clock* time, so their values can never be
 //! golden-pinned directly — instead the tests inject the deterministic
 //! [`FakeClock`], under which every clock read returns the next tick of a
-//! fixed sequence. On a single-threaded rayon pool the engine takes its
-//! serial specializations, the profiler's clock-read sequence is exactly
-//! reproducible, and the full host-track Perfetto export is byte-stable —
-//! which the golden pins via an FNV-1a hash, alongside the span tree and
-//! per-phase launch counts. On larger pools only the *shape* is checked
-//! (span names, well-formedness, host process present): the parallel plan
-//! branch takes a different number of clock reads per wave, so tick values
-//! legitimately differ.
+//! fixed sequence. The engine reads the clock only on the calling thread,
+//! and its wave loop is serial at every rayon width, so the clock-read
+//! sequence is exactly reproducible and the full host-track Perfetto export
+//! is byte-stable — which the golden pins via an FNV-1a hash, alongside the
+//! span tree and per-phase launch counts. The golden is blessed at pool
+//! size 1; pools 2 and 8 must reproduce the same projection.
 //!
 //! After an intentional instrumentation change, regenerate:
 //!
@@ -138,12 +136,21 @@ fn fake_clock_hostprof_matches_checked_in_golden() {
 
 #[test]
 fn hostprof_shape_is_stable_across_pool_sizes() {
+    let mut at_pool_1 = None;
     for threads in [1usize, 2, 8] {
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
             .build()
             .unwrap();
         let (profile, chrome) = pool.install(|| capture("hostprof-pools"));
+        // only the calling thread reads the clock, so even the fake-clock
+        // timestamps match pool 1's
+        let projection = golden_of(&profile, &chrome);
+        assert_eq!(
+            at_pool_1.get_or_insert_with(|| projection.clone()),
+            &projection,
+            "fake-clock projection at pool {threads} differs from pool 1"
+        );
         profile
             .check_well_formed()
             .unwrap_or_else(|e| panic!("malformed span tree at pool {threads}: {e}"));
