@@ -13,7 +13,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kcore_cpu::CoreAlgorithm;
-use kcore_gpu::{decompose, ExecPath, PeelConfig, SimOptions};
+use kcore_gpu::{decompose, decompose_reference_in, PeelConfig, SimOptions};
 use kcore_gpusim::scan::{
     ballot_scan, ballot_scan_offsets, blelloch_exclusive_scan, hs_inclusive_scan,
 };
@@ -197,11 +197,9 @@ fn bench_launch_dispatch(c: &mut Criterion) {
     group.finish();
 }
 
-/// End-to-end host time of the three execution paths on one graph: the
-/// fused single-entry round engine (`launch_fused`, the default), the
-/// two-launch warp-vectorized fast path (two-phase scheduler), and the
-/// retained per-lane reference — all bit-identical in output, differing
-/// only in host-side execution strategy.
+/// End-to-end host time of the production peel and of its per-lane
+/// reference oracle on one graph — bit-identical in output, differing only
+/// in how the host computes the charges.
 fn bench_exec_paths(c: &mut Criterion) {
     let g = gen::rmat(12, 20_000, gen::RmatParams::graph500(), 7);
     let base = PeelConfig {
@@ -215,16 +213,15 @@ fn bench_exec_paths(c: &mut Criterion) {
     };
     let mut group = c.benchmark_group("exec_path_rmat12");
     group.sample_size(10);
-    for (name, path) in [
-        ("fused", ExecPath::Fused),
-        ("fast", ExecPath::Fast),
-        ("reference", ExecPath::Reference),
-    ] {
-        let cfg = base.with_exec_path(path);
-        group.bench_function(name, |b| {
-            b.iter(|| black_box(decompose(&g, &cfg, &SimOptions::default()).unwrap()))
-        });
-    }
+    group.bench_function("production", |b| {
+        b.iter(|| black_box(decompose(&g, &base, &SimOptions::default()).unwrap()))
+    });
+    group.bench_function("reference", |b| {
+        b.iter(|| {
+            let mut ctx = SimOptions::default().context();
+            black_box(decompose_reference_in(&mut ctx, &g, &base).unwrap())
+        })
+    });
     group.finish();
 }
 

@@ -148,8 +148,8 @@ fn main() {
                 peel: e.peel_cfg,
                 ..kcore_gpu::MultiGpuConfig::default()
             };
-            match kcore_gpu::decompose_multi_traced(&e.graph, &cfg, &e.sim) {
-                Ok((run, traces)) => {
+            match kcore_gpu::decompose_multi_fleet(&e.graph, &cfg, &e.sim, name) {
+                Ok(kcore_gpu::FleetRun { run, traces, .. }) => {
                     let mut fp_bytes = Vec::with_capacity(8 * run.worker_fingerprints.len());
                     for fp in &run.worker_fingerprints {
                         fp_bytes.extend_from_slice(&fp.to_le_bytes());

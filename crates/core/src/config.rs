@@ -38,30 +38,6 @@ pub enum Buffering {
     Prefetch,
 }
 
-/// Which host-side execution strategy runs the kernels. All paths produce
-/// **bit-identical** results, counters, and golden fingerprints — the fast
-/// and fused paths change how costs are computed, never what they sum to
-/// (the invariant is pinned by `tests/fastpath_diff.rs`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecPath {
-    /// The fast-path kernels on the fused persistent-style round engine
-    /// ([`kcore_gpusim::GpuContext::launch_fused`]): one engine entry per
-    /// peel round runs the scan step and the stepped loop, paying dispatch
-    /// and arena setup once and carrying block scratch across the step
-    /// boundary. The default.
-    #[default]
-    Fused,
-    /// Warp-vectorized kernels: bulk per-warp charging, allocation-free
-    /// scan/ballot primitives, and the two-phase parallel wave scheduler
-    /// ([`kcore_gpusim::GpuContext::launch_stepped_phased`]) for the loop
-    /// kernel, dispatched as two launches per round. Kept as the
-    /// two-launch oracle for the fused engine.
-    Fast,
-    /// The retained per-lane reference kernels: per-access charging and the
-    /// serial lockstep wave loop. Kept as the differential-testing oracle.
-    Reference,
-}
-
 /// Full configuration of a peeling run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PeelConfig {
@@ -80,8 +56,6 @@ pub struct PeelConfig {
     /// recycled; disabling reverts to the plain fixed array that overflows
     /// once `e` reaches capacity.
     pub ring_buffer: bool,
-    /// Host execution strategy (cost-model-neutral; see [`ExecPath`]).
-    pub exec_path: ExecPath,
 }
 
 impl Default for PeelConfig {
@@ -93,7 +67,6 @@ impl Default for PeelConfig {
             compaction: Compaction::None,
             buffering: Buffering::Global,
             ring_buffer: true,
-            exec_path: ExecPath::Fused,
         }
     }
 }
@@ -157,12 +130,6 @@ impl PeelConfig {
     /// Overrides grid geometry.
     pub fn with_launch(mut self, launch: LaunchConfig) -> Self {
         self.launch = launch;
-        self
-    }
-
-    /// Selects the host execution strategy (builder style).
-    pub fn with_exec_path(mut self, path: ExecPath) -> Self {
-        self.exec_path = path;
         self
     }
 

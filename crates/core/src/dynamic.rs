@@ -21,11 +21,11 @@
 //! self-loops rejected, and the surviving updates grouped (deletes first,
 //! then inserts) and walked with per-edge theorem-backed traversals. The
 //! per-edge traversals are kernelized on [`kcore_gpusim`] with the same
-//! block-granularity frontier buffers, ballot compaction and
-//! plan/commit wave discipline as the peel kernels — traces are
-//! bit-identical at any rayon pool size. Past [`DynamicConfig::crossover`]
-//! net updates the engine falls back to a from-scratch
-//! [`peel::decompose_in`], which is cheaper than massed traversals.
+//! block-granularity frontier buffers, ballot compaction and stepped
+//! wave discipline as the peel kernels — traces are bit-identical at any
+//! rayon pool size. Past [`DynamicConfig::crossover`] net updates the
+//! engine falls back to a from-scratch [`peel::decompose_in`], which is
+//! cheaper than massed traversals.
 //!
 //! MCD counters are maintained device-side: structural kernels apply the
 //! endpoint deltas and every op that changes cores refreshes the counters
@@ -604,23 +604,21 @@ impl DynamicCore {
     fn launch_subcore(&mut self, roots: &[u32], k: u32, seed_mcd: bool) -> Result<(), SimError> {
         let p = self.p;
         let roots = roots.to_vec();
-        self.ctx.launch_stepped_phased(
+        self.ctx.launch_stepped(
             "dyn_subcore",
             self.cfg.launch,
             |blk| bfs_init(blk, &p, &roots, seed_mcd),
-            |blk, st| bfs_plan(blk, st, &p, k),
-            |blk, st, plan| bfs_commit(blk, st, plan, &p, seed_mcd),
+            |blk, st| bfs_step(blk, st, &p, k, seed_mcd),
         )
     }
 
     fn launch_cascade(&mut self, thresh: u32, drop_to: Option<u32>) -> Result<(), SimError> {
         let p = self.p;
-        self.ctx.launch_stepped_phased(
+        self.ctx.launch_stepped(
             "dyn_cascade",
             self.cfg.launch,
             |blk| casc_init(blk, &p, thresh, drop_to),
-            |blk, st| casc_plan(blk, st, &p),
-            |blk, st, plan| casc_commit(blk, st, plan, &p, thresh, drop_to),
+            |blk, st| casc_step(blk, st, &p, thresh, drop_to),
         )
     }
 
@@ -756,17 +754,14 @@ fn build_device_csr(
 // Kernels
 // ---------------------------------------------------------------------------
 //
-// Determinism discipline (DESIGN.md "Fast-path cost accounting" contract):
+// Determinism discipline:
 //
 // * plain `launch` kernels (`k_mcd`, `k_support`, `k_commit`, and the
 //   one-block `k_edge` / `k_prune`) only perform block-disjoint writes —
 //   no shared atomic cursors across concurrent blocks;
 // * list compaction (candidate / changed cursors in `dyn.meta`) happens
 //   only on serial lanes: the stepped launches' init (block order) and
-//   commit (wave order) phases;
-// * stepped plan phases read only launch-immutable buffers (offset / len /
-//   adj / core / mcd / flag as applicable), the block's own frontier below
-//   this wave's floor, and the block's own shared state.
+//   steps (one block at a time, in wave order).
 
 /// MCD counter kernel. Full mode (`list == false`): vertex `i` striped over
 /// blocks. List mode: vertex `dyn.cand[i]`. `mcd(v) = |{u ∈ N(v) :
@@ -948,16 +943,10 @@ fn k_prune(
     Ok(())
 }
 
-/// Per-block state of the stepped traversal kernels: shared `[s, e]` and
-/// the wave's planned appendees.
+/// Per-block state of the stepped traversal kernels: shared `[s, e]`.
 struct TravState {
     se: SharedArray,
-    planned: Vec<u32>,
 }
-
-/// The plan→commit handoff: `None` retires the block, `Some((s, batch))`
-/// consumes `batch` frontier entries from floor `s`.
-type TravPlan = Option<(u64, u64)>;
 
 fn overflow(b: u32, what: &str, cap: usize) -> KernelError {
     KernelError::BufferOverflow {
@@ -965,8 +954,8 @@ fn overflow(b: u32, what: &str, cap: usize) -> KernelError {
     }
 }
 
-/// Subcore search, init phase (serial, block order): stripes the roots over
-/// blocks, test-sets their visited flag, appends them to the candidate list
+/// Subcore search, init (block order): stripes the roots over blocks,
+/// test-sets their visited flag, appends them to the candidate list
 /// (cursor `meta[0]`) and this block's frontier. For deletions
 /// (`seed_mcd`), seeds `sup[r] = mcd[r]` — for a core-`k` vertex MCD *is*
 /// the deletion-cascade support.
@@ -1008,42 +997,48 @@ fn bfs_init(
     }
     blk.sh_write(se, 0, 0);
     blk.sh_write(se, 1, e);
-    Ok(TravState {
-        se,
-        planned: Vec::new(),
-    })
+    Ok(TravState { se })
 }
 
-/// Subcore search, plan phase (parallel): reads this wave's frontier slice
-/// and walks each vertex's adjacency, ballot-compacting the core-`k`
-/// neighbors. Touches only launch-immutable buffers (offset / len / adj /
-/// core) — the visited flags are commit's.
-fn bfs_plan(
+/// One wave of a stepped traversal, shared by the subcore search and the
+/// eviction cascade: each warp takes one frontier vertex and walks its
+/// adjacency in 32-neighbor chunks, gathering `gathered[u]` for every
+/// neighbor `u` and ballot-compacting the neighbors whose word satisfies
+/// `pick`. `visit` handles each compacted neighbor in order and returns
+/// whether it joins this block's frontier (overflow reported as `what`).
+/// Returns `false` once the frontier has drained.
+///
+/// `gathered` must be immutable during the launch (the subcore search
+/// gathers `core`, the cascade `flag`), and appends land past the
+/// frontier's tail, so reads and writes may interleave in any order.
+fn walk_wave(
     blk: &mut BlockCtx<'_>,
     st: &mut TravState,
     p: &DynParams,
-    k: u32,
-) -> Result<TravPlan, KernelError> {
+    gathered: BufferId,
+    pick: impl Fn(u32) -> bool,
+    what: &str,
+    mut visit: impl FnMut(&mut BlockCtx<'_>, usize) -> Result<bool, KernelError>,
+) -> Result<bool, KernelError> {
     let dev = blk.device;
     let b = blk.block_idx as usize;
     let bufb = &dev.buffer(p.d_buf)[b * p.bufcap..(b + 1) * p.bufcap];
     let off = dev.buffer(p.d_off);
     let lenb = dev.buffer(p.d_len);
     let adjb = dev.buffer(p.d_adj);
-    let core = dev.buffer(p.d_core);
+    let words = dev.buffer(gathered);
 
     blk.sync_threads();
     let s = blk.sh_read(st.se, 0) as u64;
-    let e = blk.sh_read(st.se, 1) as u64;
+    let mut e = blk.sh_read(st.se, 1) as u64;
     if s == e {
         blk.sync_threads();
-        return Ok(None);
+        return Ok(false);
     }
     let warps = blk.num_warps() as u64;
     let batch = warps.min(e - s);
     blk.sync_threads();
     blk.charge_instr(warps);
-    st.planned.clear();
     for w in 0..batch {
         let v = blk.gread_dependent(&bufb[(s + w) as usize]) as usize;
         blk.charge_sector(2);
@@ -1059,70 +1054,70 @@ fn bfs_plan(
             let idxs: Vec<usize> = (chunk..cend)
                 .map(|j| adjb[j].load(Ordering::Relaxed) as usize)
                 .collect();
-            let mut cs = [0u32; 32];
-            blk.gather(core, &idxs, &mut cs, Coalescing::Classified);
+            let mut vals = [0u32; 32];
+            blk.gather(words, &idxs, &mut vals, Coalescing::Classified);
             let mut bits = 0u32;
             for t in 0..cnt {
-                if cs[t] == k {
+                if pick(vals[t]) {
                     bits |= 1 << t;
                 }
             }
             let (_offs, total) = ballot_scan_offsets(blk, bits);
             if total > 0 {
                 for t in 0..cnt {
-                    if bits >> t & 1 == 1 {
-                        st.planned.push(idxs[t] as u32);
+                    if bits >> t & 1 == 1 && visit(blk, idxs[t])? {
+                        if e as usize >= p.bufcap {
+                            return Err(overflow(blk.block_idx, what, p.bufcap));
+                        }
+                        blk.gwrite(&bufb[e as usize], idxs[t] as u32);
+                        e += 1;
                     }
                 }
             }
             chunk = cend;
         }
     }
-    Ok(Some((s, batch)))
+    blk.sh_poke(st.se, 1, e as u32);
+    blk.sh_write(st.se, 0, (s + batch) as u32);
+    Ok(true)
 }
 
-/// Subcore search, commit phase (serial, wave order): test-sets each
-/// planned neighbor's flag; first visit appends it to the candidate list
-/// and this block's frontier, seeding support from MCD for deletions.
-fn bfs_commit(
+/// Subcore search, one wave: walks the frontier's core-`k` neighbors and
+/// test-sets each one's flag; a first visit appends it to the candidate
+/// list and this block's frontier, seeding support from MCD for deletions.
+fn bfs_step(
     blk: &mut BlockCtx<'_>,
     st: &mut TravState,
-    plan: TravPlan,
     p: &DynParams,
+    k: u32,
     seed_mcd: bool,
 ) -> Result<bool, KernelError> {
-    let Some((s, batch)) = plan else {
-        return Ok(false);
-    };
     let dev = blk.device;
-    let b = blk.block_idx as usize;
-    let bufb = &dev.buffer(p.d_buf)[b * p.bufcap..(b + 1) * p.bufcap];
     let flag = dev.buffer(p.d_flag);
     let cand = dev.buffer(p.d_cand);
     let sup = dev.buffer(p.d_sup);
     let mcd = dev.buffer(p.d_mcd);
     let meta = dev.buffer(p.d_meta);
-    let mut e = blk.sh_peek(st.se, 1) as u64;
-    for idx in 0..st.planned.len() {
-        let x = st.planned[idx] as usize;
-        let old = blk.atomic_add(&flag[x], 1);
-        if old == 0 {
+    walk_wave(
+        blk,
+        st,
+        p,
+        p.d_core,
+        |c| c == k,
+        "subcore",
+        |blk, x| {
+            if blk.atomic_add(&flag[x], 1) != 0 {
+                return Ok(false);
+            }
             let slot = blk.atomic_add(&meta[0], 1) as usize;
             blk.gwrite(&cand[slot], x as u32);
             if seed_mcd {
                 let m = blk.gread(&mcd[x]);
                 blk.gwrite(&sup[x], m);
             }
-            if e as usize >= p.bufcap {
-                return Err(overflow(blk.block_idx, "subcore", p.bufcap));
-            }
-            blk.gwrite(&bufb[e as usize], x as u32);
-            e += 1;
-        }
-    }
-    blk.sh_poke(st.se, 1, e as u32);
-    blk.sh_write(st.se, 0, (s + batch) as u32);
-    Ok(true)
+            Ok(true)
+        },
+    )
 }
 
 /// Support kernel (insertions): for each candidate `v`,
@@ -1179,11 +1174,10 @@ fn k_support(
     Ok(())
 }
 
-/// Eviction cascade, init phase (serial, block order): stripes the
-/// candidate list over blocks and immediately evicts every candidate whose
-/// support is already below `thresh` — writing `evic`, the changed list
-/// (cursor `meta[1]`), optionally the dropped core value, and this block's
-/// frontier.
+/// Eviction cascade, init (block order): stripes the candidate list over
+/// blocks and immediately evicts every candidate whose support is already
+/// below `thresh` — writing `evic`, the changed list (cursor `meta[1]`),
+/// optionally the dropped core value, and this block's frontier.
 fn casc_init(
     blk: &mut BlockCtx<'_>,
     p: &DynParams,
@@ -1224,127 +1218,52 @@ fn casc_init(
     }
     blk.sh_write(se, 0, 0);
     blk.sh_write(se, 1, e);
-    Ok(TravState {
-        se,
-        planned: Vec::new(),
-    })
+    Ok(TravState { se })
 }
 
-/// Eviction cascade, plan phase (parallel): walks each evicted vertex's
-/// adjacency and ballot-compacts the neighbors inside the candidate set
-/// (`flag`, immutable during the cascade). Support, eviction marks and
-/// cores are commit's.
-fn casc_plan(
+/// Eviction cascade, one wave: walks the evicted frontier's neighbors
+/// inside the candidate set (`flag`) and decrements each un-evicted one's
+/// support; a decrement from exactly `thresh` evicts — mark, changed-list
+/// append, optional core drop, frontier append. An un-evicted candidate
+/// always has `sup >= thresh >= 1`, so the decrement cannot underflow.
+fn casc_step(
     blk: &mut BlockCtx<'_>,
     st: &mut TravState,
-    p: &DynParams,
-) -> Result<TravPlan, KernelError> {
-    let dev = blk.device;
-    let b = blk.block_idx as usize;
-    let bufb = &dev.buffer(p.d_buf)[b * p.bufcap..(b + 1) * p.bufcap];
-    let off = dev.buffer(p.d_off);
-    let lenb = dev.buffer(p.d_len);
-    let adjb = dev.buffer(p.d_adj);
-    let flag = dev.buffer(p.d_flag);
-
-    blk.sync_threads();
-    let s = blk.sh_read(st.se, 0) as u64;
-    let e = blk.sh_read(st.se, 1) as u64;
-    if s == e {
-        blk.sync_threads();
-        return Ok(None);
-    }
-    let warps = blk.num_warps() as u64;
-    let batch = warps.min(e - s);
-    blk.sync_threads();
-    blk.charge_instr(warps);
-    st.planned.clear();
-    for w in 0..batch {
-        let v = blk.gread_dependent(&bufb[(s + w) as usize]) as usize;
-        blk.charge_sector(2);
-        let o = off[v].load(Ordering::Relaxed) as usize;
-        let l = lenb[v].load(Ordering::Relaxed) as usize;
-        let mut chunk = o;
-        let oe = o + l;
-        while chunk < oe {
-            let cend = (chunk + 32).min(oe);
-            let cnt = cend - chunk;
-            blk.sync_warp();
-            blk.charge_tx(BlockCtx::coalesced_tx(cnt as u64));
-            let idxs: Vec<usize> = (chunk..cend)
-                .map(|j| adjb[j].load(Ordering::Relaxed) as usize)
-                .collect();
-            let mut fs = [0u32; 32];
-            blk.gather(flag, &idxs, &mut fs, Coalescing::Classified);
-            let mut bits = 0u32;
-            for t in 0..cnt {
-                if fs[t] != 0 {
-                    bits |= 1 << t;
-                }
-            }
-            let (_offs, total) = ballot_scan_offsets(blk, bits);
-            if total > 0 {
-                for t in 0..cnt {
-                    if bits >> t & 1 == 1 {
-                        st.planned.push(idxs[t] as u32);
-                    }
-                }
-            }
-            chunk = cend;
-        }
-    }
-    Ok(Some((s, batch)))
-}
-
-/// Eviction cascade, commit phase (serial, wave order): decrements each
-/// planned candidate's support; a decrement from exactly `thresh` evicts —
-/// mark, changed-list append, optional core drop, frontier append. An
-/// un-evicted candidate always has `sup >= thresh >= 1`, so the decrement
-/// cannot underflow.
-fn casc_commit(
-    blk: &mut BlockCtx<'_>,
-    st: &mut TravState,
-    plan: TravPlan,
     p: &DynParams,
     thresh: u32,
     drop_to: Option<u32>,
 ) -> Result<bool, KernelError> {
-    let Some((s, batch)) = plan else {
-        return Ok(false);
-    };
     let dev = blk.device;
-    let b = blk.block_idx as usize;
-    let bufb = &dev.buffer(p.d_buf)[b * p.bufcap..(b + 1) * p.bufcap];
     let sup = dev.buffer(p.d_sup);
     let evic = dev.buffer(p.d_evic);
     let core = dev.buffer(p.d_core);
     let chg = dev.buffer(p.d_chg);
     let meta = dev.buffer(p.d_meta);
-    let mut e = blk.sh_peek(st.se, 1) as u64;
-    for idx in 0..st.planned.len() {
-        let x = st.planned[idx] as usize;
-        if blk.gread(&evic[x]) != 0 {
-            continue;
-        }
-        let old = blk.atomic_sub(&sup[x], 1);
-        debug_assert!(old >= thresh, "support underflow on un-evicted candidate");
-        if old == thresh {
+    walk_wave(
+        blk,
+        st,
+        p,
+        p.d_flag,
+        |f| f != 0,
+        "cascade",
+        |blk, x| {
+            if blk.gread(&evic[x]) != 0 {
+                return Ok(false);
+            }
+            let old = blk.atomic_sub(&sup[x], 1);
+            debug_assert!(old >= thresh, "support underflow on un-evicted candidate");
+            if old != thresh {
+                return Ok(false);
+            }
             blk.gwrite(&evic[x], 1);
             if let Some(c) = drop_to {
                 blk.gwrite(&core[x], c);
             }
             let slot = blk.atomic_add(&meta[1], 1) as usize;
             blk.gwrite(&chg[slot], x as u32);
-            if e as usize >= p.bufcap {
-                return Err(overflow(blk.block_idx, "cascade", p.bufcap));
-            }
-            blk.gwrite(&bufb[e as usize], x as u32);
-            e += 1;
-        }
-    }
-    blk.sh_poke(st.se, 1, e as u32);
-    blk.sh_write(st.se, 0, (s + batch) as u32);
-    Ok(true)
+            Ok(true)
+        },
+    )
 }
 
 /// Commit/cleanup kernel: for insertions (`rise`), survivors (un-evicted

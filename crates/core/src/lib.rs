@@ -49,11 +49,11 @@ pub mod mpm_gpu;
 pub mod multi_gpu;
 pub mod peel;
 
-pub use config::{Buffering, Compaction, ExecPath, PeelConfig};
+pub use config::{Buffering, Compaction, PeelConfig};
 pub use dynamic::{BatchPath, BatchReport, DynamicConfig, DynamicCore};
 pub use kcore_gpusim::SimOptions;
 pub use multi_gpu::{
-    decompose_multi, decompose_multi_fleet, decompose_multi_traced, shard_memstats, single_gpu_ms,
-    FleetRun, MultiGpuConfig, MultiGpuRun,
+    decompose_multi, decompose_multi_fleet, shard_memstats, single_gpu_ms, FleetRun,
+    MultiGpuConfig, MultiGpuRun,
 };
-pub use peel::{decompose, decompose_in, GpuRun};
+pub use peel::{decompose, decompose_in, decompose_reference_in, GpuRun};

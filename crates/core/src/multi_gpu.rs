@@ -15,15 +15,14 @@
 //!   ghost table, and its share of the arcs — O(owned + ghosts) residency,
 //!   not the old O(|V|)-per-worker replicated arrays;
 //! * every worker runs the **real scan/loop peel kernels** from [`peel`]
-//!   over its shard, on whichever [`ExecPath`] the config selects, executed
-//!   concurrently on the rayon pool;
+//!   over its shard, executed concurrently on the rayon pool;
 //! * ghost vertices use the **sentinel-accumulator protocol**: their `deg`
-//!   slots are pinned at [`GHOST_BASE`], so the unmodified loop kernel's
-//!   decrement-and-recover arithmetic simply counts border decrements in
-//!   the slot (a ghost can never scan-match `k`, never crosses `k + 1`, and
-//!   never dips below the recover floor). After the local loops drain, the
-//!   host reads each slot's delta, resets it, and ships `(vertex, delta)`
-//!   packets through the master to the owners;
+//!   slots are pinned at the `GHOST_BASE` sentinel, so the unmodified loop
+//!   kernel's decrement-and-recover arithmetic simply counts border
+//!   decrements in the slot (a ghost can never scan-match `k`, never
+//!   crosses `k + 1`, and never dips below the recover floor). After the
+//!   local loops drain, the host reads each slot's delta, resets it, and
+//!   ships `(vertex, delta)` packets through the master to the owners;
 //! * owners apply aggregated border decrements with a floor at `k`; a
 //!   vertex landing exactly on `k` is seeded into the owner's next
 //!   sub-round (the paper's "new border vertices in the k-shell") via a
@@ -40,7 +39,7 @@
 //! `total_ms` and `exchanged_bytes` are bit-identical at any rayon pool
 //! size — `tests/multi_shard.rs` pins this.
 
-use crate::config::{ExecPath, PeelConfig};
+use crate::config::PeelConfig;
 use crate::peel;
 use kcore_gpusim::{
     BlockCtx, BufferId, ExchangeTrace, FleetMemStats, FleetTrace, FlowEdge, GpuContext,
@@ -62,9 +61,7 @@ const GHOST_BASE: u32 = 0x7FFF_FFFF;
 pub struct MultiGpuConfig {
     /// Number of worker GPUs (each gets its own simulated device).
     pub num_gpus: usize,
-    /// Kernel configuration used by every worker (including the
-    /// [`ExecPath`] — workers honor `KCORE_EXEC_PATH` whenever the caller
-    /// parsed it into `peel.exec_path`, as the bench harness does).
+    /// Kernel configuration used by every worker.
     pub peel: PeelConfig,
     /// Vertex-to-shard assignment strategy.
     pub partition: PartitionStrategy,
@@ -99,8 +96,6 @@ pub struct MultiGpuRun {
     /// Total sub-rounds across all rounds (> rounds when k-shells span
     /// partition borders).
     pub sub_rounds: u32,
-    /// Execution path the worker kernels ran on.
-    pub exec_path: ExecPath,
     /// Simulated wall time (max-over-workers per phase + exchanges), ms.
     pub total_ms: f64,
     /// Sum of worker device peaks, bytes.
@@ -126,7 +121,7 @@ pub struct MultiGpuRun {
 pub struct FleetRun {
     /// The decomposition result, bit-identical to [`decompose_multi`].
     pub run: MultiGpuRun,
-    /// Per-worker traces, shard order (same as [`decompose_multi_traced`]).
+    /// Per-worker traces, shard order.
     pub traces: Vec<Trace>,
     /// Per-worker SM timelines, shard order — feed
     /// [`FleetTrace::merged_chrome_json`].
@@ -155,25 +150,15 @@ pub fn decompose_multi(
     cfg: &MultiGpuConfig,
     opts: &SimOptions,
 ) -> Result<MultiGpuRun, SimError> {
-    decompose_multi_traced(g, cfg, opts).map(|(run, _)| run)
-}
-
-/// [`decompose_multi`], also returning each worker's [`Trace`] (in shard
-/// order) for golden pinning and per-device memstats inspection.
-pub fn decompose_multi_traced(
-    g: &Csr,
-    cfg: &MultiGpuConfig,
-    opts: &SimOptions,
-) -> Result<(MultiGpuRun, Vec<Trace>), SimError> {
-    decompose_multi_impl(g, cfg, opts, None).map(|(run, traces, _, _)| (run, traces))
+    decompose_multi_impl(g, cfg, opts, None).map(|(run, ..)| run)
 }
 
 /// [`decompose_multi`] with the full fleet observability layer: the run,
-/// the per-worker traces and timelines, and the [`FleetTrace`] ledger
-/// (exchange flows, sub-round slices, per-round critical path). The run
-/// itself — `total_ms`, fingerprints, `exchanged_bytes`, traces — is
-/// bit-identical to [`decompose_multi_traced`]; the fleet layer only
-/// observes.
+/// the per-worker traces (for golden pinning and per-device memstats) and
+/// timelines, and the [`FleetTrace`] ledger (exchange flows, sub-round
+/// slices, per-round critical path). The run itself — `total_ms`,
+/// fingerprints, `exchanged_bytes` — is bit-identical to
+/// [`decompose_multi`]; the fleet layer only observes.
 pub fn decompose_multi_fleet(
     g: &Csr,
     cfg: &MultiGpuConfig,
@@ -227,7 +212,6 @@ fn decompose_multi_impl(
                 k_max: 0,
                 rounds: 0,
                 sub_rounds: 0,
-                exec_path: cfg.peel.exec_path,
                 total_ms: 0.0,
                 total_peak_mem_bytes: 0,
                 per_device_peak_bytes: Vec::new(),
@@ -383,7 +367,6 @@ fn decompose_multi_impl(
             k_max,
             rounds,
             sub_rounds,
-            exec_path: cfg.peel.exec_path,
             total_ms,
             total_peak_mem_bytes: per_device_peak_bytes.iter().sum(),
             worker_fingerprints: traces.iter().map(|t| t.counters_fingerprint()).collect(),
@@ -882,7 +865,8 @@ mod tests {
         // Tentpole memory contract: each worker's ledger holds only
         // shard-local allocations — no full-|V| arrays on any device.
         let g = gen::erdos_renyi_gnm(1_200, 6_000, 9);
-        let (run, traces) = decompose_multi_traced(&g, &cfg(4), &SimOptions::default()).unwrap();
+        let FleetRun { run, traces, .. } =
+            decompose_multi_fleet(&g, &cfg(4), &SimOptions::default(), "residency").unwrap();
         assert_eq!(run.core, kcore_cpu::bz::Bz.run(&g));
         let part = Partition::build(&g, 4, PartitionStrategy::BalancedArcs);
         assert_eq!(traces.len(), 4);
@@ -915,45 +899,18 @@ mod tests {
     }
 
     #[test]
-    fn exec_paths_agree_on_sharded_run() {
-        let g = gen::web_crawl(1_000, 8, 0.5, 2_000, 3);
-        let base = cfg(2);
-        let runs: Vec<MultiGpuRun> = [ExecPath::Fused, ExecPath::Fast, ExecPath::Reference]
-            .iter()
-            .map(|&ep| {
-                let c = MultiGpuConfig {
-                    peel: base.peel.with_exec_path(ep),
-                    ..base
-                };
-                decompose_multi(&g, &c, &SimOptions::default()).unwrap()
-            })
-            .collect();
-        assert_eq!(runs[0].core, runs[1].core);
-        assert_eq!(runs[1].core, runs[2].core);
-        assert_eq!(runs[0].exchanged_bytes, runs[1].exchanged_bytes);
-        assert_eq!(runs[0].sub_rounds, runs[1].sub_rounds);
-        // Fused ≡ Fast to the bit (the fused engine's record contract);
-        // Reference differs only in kernel-internal counter attribution.
-        assert_eq!(runs[0].worker_fingerprints, runs[1].worker_fingerprints);
-        assert_eq!(runs[0].total_ms.to_bits(), runs[1].total_ms.to_bits());
-    }
-
-    #[test]
     fn fleet_capture_observes_and_never_charges() {
         // The fleet path must return the *same run* — total_ms to the bit,
         // identical fingerprints and exchange volume — while its ledger
         // replays the charged addends exactly (check_well_formed).
         let g = gen::path(400);
-        let (base, base_traces) =
-            decompose_multi_traced(&g, &cfg(4), &SimOptions::default()).unwrap();
+        let base = decompose_multi(&g, &cfg(4), &SimOptions::default()).unwrap();
         let fr = decompose_multi_fleet(&g, &cfg(4), &SimOptions::default(), "path400").unwrap();
         assert_eq!(fr.run.total_ms.to_bits(), base.total_ms.to_bits());
         assert_eq!(fr.run.worker_fingerprints, base.worker_fingerprints);
         assert_eq!(fr.run.exchanged_bytes, base.exchanged_bytes);
-        assert_eq!(fr.traces.len(), base_traces.len());
-        for (a, b) in fr.traces.iter().zip(&base_traces) {
-            assert_eq!(a.counters_fingerprint(), b.counters_fingerprint());
-        }
+        let fleet_fps: Vec<u64> = fr.traces.iter().map(|t| t.counters_fingerprint()).collect();
+        assert_eq!(fleet_fps, base.worker_fingerprints);
         fr.fleet.check_well_formed().unwrap();
         assert_eq!(fr.fleet.rounds.len(), fr.run.rounds as usize);
         // path(400) over 4 shards bounces its 1-shell across borders

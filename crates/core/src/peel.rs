@@ -13,7 +13,7 @@
 //!   (Fig. 6, Cases 1–3);
 //! * termination via the device counter `gpu_count` read back each round.
 
-use crate::config::{Buffering, Compaction, ExecPath, PeelConfig};
+use crate::config::{Buffering, Compaction, PeelConfig};
 use kcore_gpusim::scan::{
     ballot_scan, ballot_scan_offsets, block_two_stage_scan, block_two_stage_scan_charges,
     block_two_stage_scan_into,
@@ -127,9 +127,8 @@ pub(crate) fn load_device(
     })
 }
 
-/// One peel round's device work — the scan launch feeding the stepped loop
-/// launch, on whichever [`ExecPath`] `cfg` selects. Bit-identical traces on
-/// all three paths (the fused path emits the same two launch records).
+/// One peel round's device work: the scan kernel feeding the stepped loop
+/// kernel, as one fused engine entry that emits the two launch records.
 pub(crate) fn run_scan_loop(
     ctx: &mut GpuContext,
     k: u32,
@@ -138,54 +137,24 @@ pub(crate) fn run_scan_loop(
 ) -> Result<(), SimError> {
     let p = st.kparams(cfg);
     // The loop kernel's blocks interact through `deg[]` while running
-    // (cascading k-shell discovery), so it uses the lockstep stepped
-    // launch: every wave advances each live block by one barrier-delimited
-    // iteration, matching concurrent hardware blocks. The fast path splits
-    // each iteration into a plan and a commit run back to back in wave
-    // order; the fused path additionally runs the scan step and the stepped
-    // loop inside one engine entry — bit-identical traces all three ways.
+    // (cascading k-shell discovery), so it is a stepped launch: every wave
+    // advances each live block by one barrier-delimited iteration,
+    // matching concurrent hardware blocks.
     ctx.set_phase("Scan");
-    match cfg.exec_path {
-        ExecPath::Fused => ctx.launch_fused(
-            "scan",
-            cfg.launch,
-            |blk| scan_kernel_fast(blk, k, &p),
-            "Loop",
-            "loop",
-            |blk| loop_init(blk, &p),
-            |blk, st| loop_plan(blk, st, &p),
-            |blk, st, plan| loop_commit(blk, st, plan, k, &p),
-        )?,
-        ExecPath::Fast => {
-            ctx.launch("scan", cfg.launch, |blk| scan_kernel_fast(blk, k, &p))?;
-            ctx.set_phase("Loop");
-            ctx.launch_stepped_phased(
-                "loop",
-                cfg.launch,
-                |blk| loop_init(blk, &p),
-                |blk, st| loop_plan(blk, st, &p),
-                |blk, st, plan| loop_commit(blk, st, plan, k, &p),
-            )?;
-        }
-        ExecPath::Reference => {
-            ctx.launch("scan", cfg.launch, |blk| scan_kernel(blk, k, &p))?;
-            ctx.set_phase("Loop");
-            ctx.launch_stepped(
-                "loop",
-                cfg.launch,
-                |blk| loop_init(blk, &p),
-                |blk, st| loop_step(blk, st, k, &p),
-            )?;
-        }
-    }
-    Ok(())
+    ctx.launch_fused(
+        "scan",
+        cfg.launch,
+        |blk| scan_kernel_fast(blk, k, &p),
+        "Loop",
+        "loop",
+        |blk| loop_init(blk, &p),
+        |blk, st| loop_step_fast(blk, st, k, &p),
+    )
 }
 
 /// A loop-only launch: consumes whatever frontier `buf`/`buf_e` already
 /// hold, without a fresh scan. The sharded engine uses this for border-seed
-/// sub-rounds — re-scanning would re-process the whole shard. With no scan
-/// to fuse against, the fused path degenerates to the fast stepped-phased
-/// launch (identical records by the fused two-record contract).
+/// sub-rounds — re-scanning would re-process the whole shard.
 pub(crate) fn run_loop_only(
     ctx: &mut GpuContext,
     k: u32,
@@ -194,26 +163,12 @@ pub(crate) fn run_loop_only(
 ) -> Result<(), SimError> {
     let p = st.kparams(cfg);
     ctx.set_phase("Loop");
-    match cfg.exec_path {
-        ExecPath::Fused | ExecPath::Fast => {
-            ctx.launch_stepped_phased(
-                "loop",
-                cfg.launch,
-                |blk| loop_init(blk, &p),
-                |blk, st| loop_plan(blk, st, &p),
-                |blk, st, plan| loop_commit(blk, st, plan, k, &p),
-            )?;
-        }
-        ExecPath::Reference => {
-            ctx.launch_stepped(
-                "loop",
-                cfg.launch,
-                |blk| loop_init(blk, &p),
-                |blk, st| loop_step(blk, st, k, &p),
-            )?;
-        }
-    }
-    Ok(())
+    ctx.launch_stepped(
+        "loop",
+        cfg.launch,
+        |blk| loop_init(blk, &p),
+        |blk, st| loop_step_fast(blk, st, k, &p),
+    )
 }
 
 /// Frees the working set (device hygiene; peak accounting is unaffected).
@@ -249,6 +204,40 @@ pub fn decompose_in(
     g: &Csr,
     cfg: &PeelConfig,
 ) -> Result<(Vec<u32>, u32), SimError> {
+    peel_rounds(ctx, g, cfg, run_scan_loop)
+}
+
+/// [`decompose_in`] on the per-lane reference kernels (the scan and loop
+/// kernels as first written, charging every access one lane at a time),
+/// dispatched as two launches per round. It is the differential-testing
+/// oracle of the production kernels: `tests/fastpath_diff.rs` requires the
+/// same core numbers, trace and timeline bytes, and errors.
+pub fn decompose_reference_in(
+    ctx: &mut GpuContext,
+    g: &Csr,
+    cfg: &PeelConfig,
+) -> Result<(Vec<u32>, u32), SimError> {
+    peel_rounds(ctx, g, cfg, |ctx, k, st, cfg| {
+        let p = st.kparams(cfg);
+        ctx.set_phase("Scan");
+        ctx.launch("scan", cfg.launch, |blk| scan_kernel(blk, k, &p))?;
+        ctx.set_phase("Loop");
+        ctx.launch_stepped(
+            "loop",
+            cfg.launch,
+            |blk| loop_init(blk, &p),
+            |blk, st| loop_step(blk, st, k, &p),
+        )
+    })
+}
+
+/// Algorithm 1's host program, with `round` running one round's device work.
+fn peel_rounds(
+    ctx: &mut GpuContext,
+    g: &Csr,
+    cfg: &PeelConfig,
+    round: impl Fn(&mut GpuContext, u32, &DeviceState, &PeelConfig) -> Result<(), SimError>,
+) -> Result<(Vec<u32>, u32), SimError> {
     let n = g.num_vertices() as usize;
     if n == 0 {
         return Ok((Vec::new(), 0));
@@ -267,7 +256,7 @@ pub fn decompose_in(
     let mut k = 0u32;
     let mut rounds = 0u32;
     while (count as usize) < n {
-        run_scan_loop(ctx, k, &st, cfg)?;
+        round(ctx, k, &st, cfg)?;
         // Algorithm 1 line 8: the synchronizing gpu_count readback.
         ctx.set_phase("Sync");
         let prev = count;
@@ -748,9 +737,6 @@ struct LoopState {
     warp_compact: bool,
     warps: u64,
     compute_warps: u64,
-    /// Fast-path plan scratch, reused across waves: this wave's frontier
-    /// entries as `(v, pos_s, pos_e)`.
-    planned: Vec<(u32, u32, u32)>,
 }
 
 /// Lines 1–2 of Algorithm 3: per-block setup (shared s/e, optional SM
@@ -795,7 +781,6 @@ fn loop_init<'a>(blk: &mut BlockCtx<'a>, p: &KParams<'_>) -> Result<LoopState, K
         warp_compact: p.cfg.compaction != Compaction::None,
         warps,
         compute_warps,
-        planned: Vec::new(),
     })
 }
 
@@ -951,47 +936,34 @@ fn process_vertex(
 }
 
 // ---------------------------------------------------------------------------
-// Fast path: the loop kernel split into a plan + commit
+// Fast path: the loop kernel with bulk charging
 // ---------------------------------------------------------------------------
-//
-// `launch_stepped_phased` runs every live block's *plan* and then its
-// *commit* in the exact xorshift wave order, on the calling thread. The
-// split obeys the determinism contract (DESIGN.md "Fast-path cost
-// accounting"):
-//
-// * plan touches only launch-immutable device buffers (`offset`), the
-//   block's own private buffer region (`buf[b]` positions below this wave's
-//   floor `s`, written by earlier waves), and the block's own shared state;
-// * every access to device memory mutated during the launch (`deg`,
-//   appends into `buf[b]`, `gpu_count`) happens in commit, in wave order —
-//   so the cross-block interleaving, and with it every counter and result,
-//   is identical to the serial reference wave loop.
 
-/// The per-wave handoff from [`loop_plan`] to [`loop_commit`]. The planned
-/// frontier entries themselves ride in `LoopState::planned`.
-enum LoopPlan {
-    /// The buffer drained: commit adds `e_final` to `gpu_count` and retires.
-    Retire { e_final: u32 },
-    /// Consume `batch` entries starting at floor `s`.
-    Batch { s: u64, batch: u64 },
-}
-
-/// Plan phase of one loop-kernel iteration: lines 3–12 of Algorithm 3 minus
-/// any mutable-device access — reads this wave's frontier slice and each
-/// vertex's adjacency range, charging exactly what the reference charges for
-/// the same lines.
-fn loop_plan(
+/// Warp-vectorized [`loop_step`]: the same iteration, interleaving, counters
+/// and errors, with the frontier tail `e` mirrored in a local (see
+/// [`Appender`]) and each warp's adjacency chunk charged in bulk (see
+/// [`process_vertex_fast`]). Blocks step one at a time in wave order, so
+/// the launch-immutable `offset` and `neighbors` arrays are read as plain
+/// words.
+fn loop_step_fast(
     blk: &mut BlockCtx<'_>,
     st: &mut LoopState,
+    k: u32,
     p: &KParams<'_>,
-) -> Result<LoopPlan, KernelError> {
+) -> Result<bool, KernelError> {
     let dev = blk.device;
+    let deg = dev.buffer(p.d_deg);
     let offsets = dev.buffer(p.d_offsets);
-    // Plain-word view for the adjacency-range reads: `offset` is
-    // launch-immutable (the plan-side contract above), so the view is sound
-    // and the loads are plain `mov`s the compiler can reorder.
+    let neighbors = dev.buffer(p.d_neighbors);
+    // SAFETY: `AtomicU32` has the size, alignment and bit validity of
+    // `u32`, and no kernel writes `offset` or `neighbors` while a launch
+    // runs, so plain-word views of them never race a write (same pattern
+    // as the scan kernel's `degs`). Their loads are plain `mov`s the
+    // compiler can reorder.
     let offs: &[u32] =
         unsafe { std::slice::from_raw_parts(offsets.as_ptr() as *const u32, offsets.len()) };
+    let nbrs: &[u32] =
+        unsafe { std::slice::from_raw_parts(neighbors.as_ptr() as *const u32, neighbors.len()) };
     let b = blk.block_idx as usize;
     let bufb = &dev.buffer(p.d_buf)[b * p.cap..(b + 1) * p.cap];
     let se = st.bc.se;
@@ -1001,10 +973,11 @@ fn loop_plan(
     let s = blk.sh_read(se, 0) as u64;
     let e = blk.sh_read(se, 1) as u64;
     if s == e {
-        // Line 5 break; the line-26 gpu_count add is commit's.
+        // Line 5 break + line 26: thread 0 adds this round's count.
         blk.sync_threads();
         let e_final = blk.sh_read(se, 1);
-        return Ok(LoopPlan::Retire { e_final });
+        blk.atomic_add(&dev.buffer(p.d_count)[0], e_final);
+        return Ok(false);
     }
     let batch = st.compute_warps.min(e - s);
     // Line 7 barrier.
@@ -1018,60 +991,14 @@ fn loop_plan(
         blk.sync_warp();
     }
 
-    st.planned.clear();
+    let mut ap = Appender { e, s_floor: s };
     for w in 0..batch {
-        // Line 12: v ← buf[i][s'] — positions below the floor, written by
-        // earlier (already committed) waves.
+        // Line 12: v ← buf[i][s'] (translated; prefetched under VP).
         let v = st.bc.read(blk, bufb, s + w, st.prefetch)?;
-        // Line 13: pos_s, pos_e — adjacent words of the immutable offset
-        // array, one sector.
+        // Line 13: pos_s, pos_e — adjacent words, one sector.
         blk.charge_sector(1);
-        let ps = offs[v as usize];
-        let pe = offs[v as usize + 1];
-        st.planned.push((v, ps, pe));
-    }
-    Ok(LoopPlan::Batch { s, batch })
-}
-
-/// Commit phase: lines 13–26 of Algorithm 3 — all `deg[]` traffic, all
-/// appends, the retirement `gpu_count` add, and the end-of-iteration
-/// s-advance. Runs serially in wave order on the exclusive lane.
-fn loop_commit(
-    blk: &mut BlockCtx<'_>,
-    st: &mut LoopState,
-    plan: LoopPlan,
-    k: u32,
-    p: &KParams<'_>,
-) -> Result<bool, KernelError> {
-    let dev = blk.device;
-    let deg = dev.buffer(p.d_deg);
-    let neighbors = dev.buffer(p.d_neighbors);
-    // Plain-word view for the warp-contiguous neighbor reads: the loop
-    // kernel never writes `neighbors`, so the buffer is launch-immutable
-    // and the view is sound (same pattern as the scan kernel's `degs`).
-    let nbrs: &[u32] =
-        unsafe { std::slice::from_raw_parts(neighbors.as_ptr() as *const u32, neighbors.len()) };
-    let b = blk.block_idx as usize;
-    let bufb = &dev.buffer(p.d_buf)[b * p.cap..(b + 1) * p.cap];
-    let se = st.bc.se;
-
-    let (s, batch) = match plan {
-        LoopPlan::Retire { e_final } => {
-            blk.atomic_add(&dev.buffer(p.d_count)[0], e_final);
-            return Ok(false);
-        }
-        LoopPlan::Batch { s, batch } => (s, batch),
-    };
-
-    // Local mirror of the shared e tail: appends advance it here and the
-    // epilogue pokes it back; the per-append shared-atomic charges land in
-    // `append_fast`.
-    let mut ap = Appender {
-        e: blk.sh_peek(se, 1) as u64,
-        s_floor: s,
-    };
-    for i in 0..st.planned.len() {
-        let (_, ps, pe) = st.planned[i];
+        let ps = offs[v as usize] as usize;
+        let pe = offs[v as usize + 1] as usize;
         process_vertex_fast(
             blk,
             &st.bc,
@@ -1080,8 +1007,8 @@ fn loop_commit(
             bufb,
             deg,
             nbrs,
-            ps as usize,
-            pe as usize,
+            ps,
+            pe,
             k,
         )?;
     }
@@ -1091,8 +1018,8 @@ fn loop_commit(
     Ok(true)
 }
 
-/// Commit-side mirror of the shared `[s, e]` buffer tail, so the hot append
-/// path skips the shared-memory plumbing while charging exactly what
+/// Local mirror of the shared `[s, e]` buffer tail, so the hot append path
+/// skips the shared-memory plumbing while charging exactly what
 /// [`BufCtx::append_batch`] charges.
 struct Appender {
     e: u64,
@@ -1151,11 +1078,12 @@ fn append_fast(
     Ok(())
 }
 
-/// Commit-side twin of [`process_vertex`]: per-lane probes and decrements
+/// Bulk-charged twin of [`process_vertex`]: per-lane probes and decrements
 /// become one pass with bulk counter updates; ballot predicates stay packed
-/// as a mask. The recover branch (line 24) cannot fire on the exclusive
-/// commit lane — `deg[u]` cannot change between the probe and the decrement
-/// — matching the reference wave loop, where it also never executes.
+/// as a mask. The recover branch (line 24) cannot fire while blocks step
+/// one at a time — `deg[u]` cannot change between the probe and the
+/// decrement — matching the reference wave loop, where it also never
+/// executes.
 #[allow(clippy::too_many_arguments)]
 fn process_vertex_fast(
     blk: &mut BlockCtx<'_>,
@@ -1434,6 +1362,42 @@ mod tests {
         assert_eq!(run.report.launches as u32, 2 * run.rounds);
         assert!(run.report.peak_mem_bytes > 0);
         assert!(run.report.counters.global_atomics > 0);
+    }
+
+    /// `decompose` on a grid of `blocks` × `threads_per_block` must return
+    /// the typed geometry error at rayon widths 1 and 2.
+    fn assert_rejected(blocks: u32, threads_per_block: u32) {
+        let launch = LaunchConfig {
+            blocks,
+            threads_per_block,
+        };
+        let g = gen::erdos_renyi_gnm(200, 600, 4);
+        for width in [1usize, 2] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(width)
+                .build()
+                .unwrap();
+            let cfg = small_cfg().with_launch(launch);
+            let err = pool
+                .install(|| decompose(&g, &cfg, &SimOptions::default()))
+                .unwrap_err();
+            assert_eq!(err, SimError::InvalidLaunch(launch), "width {width}");
+        }
+    }
+
+    #[test]
+    fn partial_warp_blocks_are_rejected() {
+        assert_rejected(4, 48);
+    }
+
+    #[test]
+    fn zero_thread_blocks_are_rejected() {
+        assert_rejected(4, 0);
+    }
+
+    #[test]
+    fn empty_grid_is_rejected() {
+        assert_rejected(0, 128);
     }
 
     #[test]

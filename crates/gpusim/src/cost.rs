@@ -206,7 +206,7 @@ impl CostParams {
     /// (capacity is configured on the [`crate::Device`], not here), PCIe 3
     /// x16 ≈ 12 GB/s effective. Launch overhead ~5 µs is the commonly
     /// measured null-kernel cost. Atomic costs reflect Pascal's optimized
-    /// atomics (the paper's [11]): shared atomics near register speed,
+    /// atomics (the paper's reference \[11\]): shared atomics near register speed,
     /// global atomics ~1 sector round trip amortized.
     pub fn p100() -> Self {
         CostParams {

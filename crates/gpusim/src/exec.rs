@@ -21,7 +21,6 @@ use crate::device::{BufferId, Device, OomError, SizeClass};
 use crate::hostprof::{self, HostBucket, HostProfile, HostProfiler, Lap};
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Mutex;
 
 /// Simulation environment for a run: device cost constants, memory capacity,
 /// and an optional simulated-time budget.
@@ -60,13 +59,26 @@ impl SimOptions {
 /// Grid geometry of a kernel launch (`<<<BLK_NUM, BLK_DIM>>>`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LaunchConfig {
-    /// Number of thread blocks (`BLK_NUM`).
+    /// Number of thread blocks (`BLK_NUM`), at least 1.
     pub blocks: u32,
-    /// Threads per block (`BLK_DIM`), a multiple of 32.
+    /// Threads per block (`BLK_DIM`), a positive multiple of 32.
     pub threads_per_block: u32,
 }
 
 impl LaunchConfig {
+    /// Checks the geometry every launch entry point requires: at least one
+    /// block, and a positive multiple of the 32-thread warp per block.
+    fn validate(&self) -> Result<(), SimError> {
+        if self.blocks >= 1
+            && self.threads_per_block >= 32
+            && self.threads_per_block.is_multiple_of(32)
+        {
+            Ok(())
+        } else {
+            Err(SimError::InvalidLaunch(*self))
+        }
+    }
+
     /// The paper's configuration: 108 blocks of 1024 threads (§VI).
     pub fn paper() -> Self {
         LaunchConfig {
@@ -135,6 +147,9 @@ pub enum SimError {
         /// The configured limit, ms.
         limit_ms: f64,
     },
+    /// A launch asked for a grid with no blocks, or with a block width that
+    /// is not a positive multiple of the 32-thread warp.
+    InvalidLaunch(LaunchConfig),
 }
 
 impl std::fmt::Display for SimError {
@@ -145,6 +160,12 @@ impl std::fmt::Display for SimError {
             SimError::TimeLimit { limit_ms } => {
                 write!(f, "simulated time limit of {limit_ms} ms exceeded")
             }
+            SimError::InvalidLaunch(cfg) => write!(
+                f,
+                "invalid launch geometry: {} blocks of {} threads (need at least 1 block \
+                 and a positive multiple of 32 threads per block)",
+                cfg.blocks, cfg.threads_per_block
+            ),
         }
     }
 }
@@ -222,22 +243,23 @@ pub struct BlockCtx<'a> {
     shared: Vec<u32>,
     shared_capacity_bytes: u64,
     /// True when the engine guarantees no other block is executing
-    /// concurrently on this device (serial launch path, stepped, phased
-    /// and fused waves). Lets the global-atomic helpers use
+    /// concurrently on this device (the inline path of one-shot launches
+    /// and every stepped wave). Lets the global-atomic helpers use
     /// plain load/store instead of lock-prefixed RMWs — same values, same
     /// charges, less host time.
     exclusive: bool,
 }
 
 impl<'a> BlockCtx<'a> {
-    /// Builds a context, reusing a recycled shared-memory backing vector
-    /// when the arena has one (the capacity survives across launches).
-    fn with_shared(
+    /// Builds a context on a reused shared-memory backing vector (its
+    /// capacity survives across launches).
+    fn new(
         device: &'a Device,
         block_idx: u32,
         cfg: LaunchConfig,
         shared_capacity_bytes: u64,
         mut shared: Vec<u32>,
+        exclusive: bool,
     ) -> Self {
         shared.clear();
         BlockCtx {
@@ -247,7 +269,7 @@ impl<'a> BlockCtx<'a> {
             counters: Counters::default(),
             shared,
             shared_capacity_bytes,
-            exclusive: false,
+            exclusive,
         }
     }
 
@@ -499,44 +521,35 @@ impl<'a> BlockCtx<'a> {
     }
 }
 
-/// Scratch buffers reused across stepped and fused launches — the wave
-/// order, per-block liveness, and carried shared-memory backings — so
-/// steady-state peel rounds allocate nothing per dispatch (the hostprof
-/// `arena`/`dispatch` buckets' remaining per-launch allocations).
+/// Scratch reused across launches, so steady-state launches allocate
+/// nothing per dispatch: the wave order and per-block liveness of stepped
+/// launches, and one shared-memory backing per block index, which every
+/// launch lends to its blocks and takes back.
 #[derive(Default)]
-struct StepScratch {
+struct LaunchScratch {
     order: Vec<usize>,
     alive: Vec<bool>,
-    /// Per-block shared-memory backings carried across the fused launch's
-    /// step boundary (scan → loop) and across rounds, indexed by block.
-    carry: Vec<Vec<u32>>,
+    shared: Vec<Vec<u32>>,
 }
 
-impl StepScratch {
-    /// Resets the wave-scheduling vectors for a `blocks`-block launch.
-    fn reset(&mut self, blocks: usize) {
-        self.order.clear();
-        self.order.extend(0..blocks);
-        self.alive.clear();
-        self.alive.resize(blocks, true);
-    }
-}
-
-/// The wave loop of the phased and fused engines. Every wave reshuffles
-/// `order` with the xorshift stream seeded by `seed` (the stream
-/// [`GpuContext::launch_stepped`] draws) and then runs each live block's
-/// plan and commit on this thread, in that order, at every rayon width.
-/// A block retires when its commit returns `false`. Each wave is one
-/// serial lane, booked to [`HostBucket::CommitSerial`].
-fn run_waves<S, P>(
+/// The wave loop of the stepped engine. Every wave reshuffles `order` with
+/// the xorshift stream seeded by `seed` (see
+/// [`GpuContext::set_schedule_seed`]) and then steps each live block on
+/// this thread, in that order, at every rayon width. A block retires when
+/// its step returns `false`. Each wave is one serial lane, booked to
+/// [`HostBucket::CommitSerial`].
+fn run_waves<S>(
     seed: u64,
-    order: &mut [usize],
-    alive: &mut [bool],
+    order: &mut Vec<usize>,
+    alive: &mut Vec<bool>,
     blocks: &mut [(BlockCtx<'_>, S)],
     lap: &mut Lap,
-    plan: impl Fn(&mut BlockCtx<'_>, &mut S) -> Result<P, KernelError>,
-    commit: impl Fn(&mut BlockCtx<'_>, &mut S, P) -> Result<bool, KernelError>,
+    step: impl Fn(&mut BlockCtx<'_>, &mut S) -> Result<bool, KernelError>,
 ) -> Result<(), SimError> {
+    order.clear();
+    order.extend(0..blocks.len());
+    alive.clear();
+    alive.resize(blocks.len(), true);
     let mut rng = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut live = blocks.len();
     while live > 0 {
@@ -553,7 +566,7 @@ fn run_waves<S, P>(
                 continue;
             }
             let (blk, st) = &mut blocks[i];
-            match plan(blk, st).and_then(|p| commit(blk, st, p)) {
+            match step(blk, st) {
                 Ok(true) => {}
                 Ok(false) => {
                     alive[i] = false;
@@ -589,16 +602,11 @@ pub struct GpuContext {
     /// observability — feeds [`MemStats`](crate::MemStats) extrapolation.
     pub(crate) workload_vertices: u64,
     pub(crate) workload_arcs: u64,
-    /// Arena of recycled shared-memory backing vectors: a retiring block's
-    /// `Vec<u32>` goes back here and the next launch's blocks pop it, so
-    /// steady-state launches allocate nothing for shared memory.
-    shared_pool: Mutex<Vec<Vec<u32>>>,
     /// Recycled per-launch `Vec<Counters>` scratch (reused whenever
     /// per-block profiling is off and the vector isn't retained).
     counters_scratch: Vec<Counters>,
-    /// Recycled stepped/fused launch scratch (wave order, liveness,
-    /// retired counters, carried shared backings).
-    step_scratch: StepScratch,
+    /// Recycled launch scratch (wave order, liveness, shared backings).
+    scratch: LaunchScratch,
     /// Optional host-side wall-clock profiler ([`crate::hostprof`]).
     /// Observes only: attaching one changes no simulated quantity.
     hostprof: Option<HostProfiler>,
@@ -627,9 +635,8 @@ impl GpuContext {
             profile_blocks: false,
             workload_vertices: 0,
             workload_arcs: 0,
-            shared_pool: Mutex::new(Vec::new()),
             counters_scratch: Vec::new(),
-            step_scratch: StepScratch::default(),
+            scratch: LaunchScratch::default(),
             hostprof: hostprof::from_env(),
             host_alloc_mark: hostprof::host_alloc_counts().0,
         }
@@ -661,22 +668,15 @@ impl GpuContext {
         Some(p.profile(label))
     }
 
-    /// Pops a recycled shared-memory backing vector (or a fresh one).
-    fn pooled_shared(&self) -> Vec<u32> {
-        self.shared_pool
-            .lock()
-            .map(|mut p| p.pop().unwrap_or_default())
-            .unwrap_or_default()
-    }
-
-    /// Returns a block's shared-memory backing to the arena.
-    fn recycle_shared(&self, mut v: Vec<u32>) {
-        v.clear();
-        if let Ok(mut p) = self.shared_pool.lock() {
-            if p.len() < 256 {
-                p.push(v);
-            }
+    /// Takes the launch scratch with at least one shared backing per block
+    /// of `cfg`.
+    fn take_scratch(&mut self, cfg: LaunchConfig) -> LaunchScratch {
+        let mut s = std::mem::take(&mut self.scratch);
+        let n = cfg.blocks as usize;
+        if s.shared.len() < n {
+            s.shared.resize_with(n, Vec::new);
         }
+        s
     }
 
     /// Sets the algorithm phase stamped onto subsequent launch and transfer
@@ -910,13 +910,13 @@ impl GpuContext {
     ///
     /// When the effective rayon fan-out is one thread (or the grid has one
     /// block) the blocks run inline on this thread, in index order, with
-    /// recycled scratch — no per-launch allocation, no parallel-map
-    /// machinery, and exclusive-execution atomics. The order-preserving
-    /// parallel path and the serial path produce bit-identical counters for
-    /// any kernel that is deterministic under block concurrency (the golden
-    /// pool-size tests pin this). A kernel whose blocks read device memory
-    /// that other blocks write during the launch is not: call it inside a
-    /// one-thread `install`, or use a stepped engine.
+    /// exclusive-execution atomics and no parallel-map machinery. The
+    /// order-preserving parallel path and the inline path produce
+    /// bit-identical counters for any kernel that is deterministic under
+    /// block concurrency (the golden pool-size tests pin this). A kernel
+    /// whose blocks read device memory that other blocks write during the
+    /// launch is not: call it inside a one-thread `install`, or use
+    /// [`GpuContext::launch_stepped`].
     pub fn launch<F>(
         &mut self,
         name: &'static str,
@@ -926,73 +926,76 @@ impl GpuContext {
     where
         F: Fn(&mut BlockCtx<'_>) -> Result<(), KernelError> + Sync,
     {
+        cfg.validate()?;
         self.check_limit()?;
-        assert!(
-            cfg.threads_per_block.is_multiple_of(32),
-            "BLK_DIM must be a multiple of 32"
-        );
         let mut lap = Lap::start(self.hostprof.clone(), self.phase);
-        let device = &self.device;
-        let shared_cap = self.shared_capacity_bytes;
+        let mut scratch = self.take_scratch(cfg);
         let mut per_block = std::mem::take(&mut self.counters_scratch);
         per_block.clear();
         lap.lap(HostBucket::ArenaAlloc);
-        if rayon::current_num_threads() <= 1 || cfg.blocks == 1 {
-            for b in 0..cfg.blocks {
-                let mut blk =
-                    BlockCtx::with_shared(device, b, cfg, shared_cap, self.pooled_shared());
-                blk.exclusive = true;
+        let err = self.run_blocks(cfg, &mut scratch.shared, &mut per_block, &lap, &kernel);
+        lap.lap(HostBucket::Dispatch);
+        self.scratch = scratch;
+        if let Some(e) = err {
+            per_block.clear();
+            self.counters_scratch = per_block;
+            return Err(SimError::Kernel(e));
+        }
+        self.finish_launch(name, cfg, per_block)
+    }
+
+    /// Runs `kernel` once per block, each on its shared backing from
+    /// `shared`, and appends every block's counters to `per_block` in block
+    /// order. Returns the first error in block order.
+    fn run_blocks<F>(
+        &self,
+        cfg: LaunchConfig,
+        shared: &mut Vec<Vec<u32>>,
+        per_block: &mut Vec<Counters>,
+        lap: &Lap,
+        kernel: &F,
+    ) -> Option<KernelError>
+    where
+        F: Fn(&mut BlockCtx<'_>) -> Result<(), KernelError> + Sync,
+    {
+        let device = &self.device;
+        let cap = self.shared_capacity_bytes;
+        let threads = rayon::current_num_threads() as u32;
+        if threads <= 1 || cfg.blocks == 1 {
+            for (b, backing) in (0..cfg.blocks).zip(shared.iter_mut()) {
+                let mut blk = BlockCtx::new(device, b, cfg, cap, std::mem::take(backing), true);
                 let r = kernel(&mut blk);
-                self.recycle_shared(std::mem::take(&mut blk.shared));
+                *backing = blk.shared;
                 per_block.push(blk.counters);
                 if let Err(e) = r {
-                    self.counters_scratch = per_block;
-                    self.counters_scratch.clear();
-                    return Err(SimError::Kernel(e));
+                    return Some(e);
                 }
             }
-        } else {
-            let threads = rayon::current_num_threads() as u32;
-            if let Some(p) = lap.profiler() {
-                p.sample_util(self.phase, cfg.blocks.min(threads), threads);
-            }
-            // One contiguous run of blocks per thread, each run reusing one
-            // shared-memory backing: the arena lock is taken per run, not
-            // per block. A run stops at its first error; runs are
-            // concatenated in block order, so the first error returned is
-            // the first in block order.
-            let per_run = cfg.blocks.div_ceil(threads);
-            let this = &*self;
-            let runs: Vec<(Vec<Counters>, Option<KernelError>)> = (0..cfg.blocks.div_ceil(per_run))
-                .into_par_iter()
-                .map(|run| {
-                    let blocks = run * per_run..((run + 1) * per_run).min(cfg.blocks);
-                    let mut counters = Vec::with_capacity(blocks.len());
-                    let mut shared = this.pooled_shared();
-                    for b in blocks {
-                        let mut blk = BlockCtx::with_shared(device, b, cfg, shared_cap, shared);
-                        let r = kernel(&mut blk);
-                        shared = std::mem::take(&mut blk.shared);
-                        if let Err(e) = r {
-                            return (counters, Some(e));
-                        }
-                        counters.push(blk.counters);
-                    }
-                    this.recycle_shared(shared);
-                    (counters, None)
-                })
-                .collect();
-            for (counters, err) in runs {
-                per_block.extend(counters);
-                if let Some(e) = err {
-                    self.counters_scratch = per_block;
-                    self.counters_scratch.clear();
-                    return Err(SimError::Kernel(e));
-                }
+            return None;
+        }
+        if let Some(p) = lap.profiler() {
+            p.sample_util(self.phase, cfg.blocks.min(threads), threads);
+        }
+        let inputs: Vec<(u32, Vec<u32>)> = (0..cfg.blocks)
+            .zip(shared.drain(..cfg.blocks as usize))
+            .collect();
+        let results: Vec<(Result<(), KernelError>, Counters, Vec<u32>)> = inputs
+            .into_par_iter()
+            .map(|(b, backing)| {
+                let mut blk = BlockCtx::new(device, b, cfg, cap, backing, false);
+                let r = kernel(&mut blk);
+                (r, blk.counters, blk.shared)
+            })
+            .collect();
+        let mut err = None;
+        for (r, counters, backing) in results {
+            shared.push(backing);
+            per_block.push(counters);
+            if err.is_none() {
+                err = r.err();
             }
         }
-        lap.lap(HostBucket::Dispatch);
-        self.finish_launch(name, cfg, per_block)
+        err
     }
 
     /// Shared launch epilogue: prices the per-block counters with the
@@ -1055,12 +1058,14 @@ impl GpuContext {
     /// each block to completion, which would let early blocks consume work
     /// that concurrent hardware blocks would have shared.)
     ///
-    /// `init` builds each block's persistent state; `step` performs one
-    /// barrier-delimited super-step and returns `false` when the block
-    /// retires. Within a wave, blocks step in a deterministic shuffled order
-    /// derived from [`GpuContext::set_schedule_seed`] — re-running with a
-    /// different seed models hardware scheduling nondeterminism (the
-    /// paper's observed up-to-30% run-to-run variance).
+    /// `init` builds each block's persistent state, in block order; `step`
+    /// performs one barrier-delimited super-step and returns `false` when
+    /// the block retires. Within a wave, blocks step one at a time on the
+    /// calling thread, at every rayon width, in a deterministic shuffled
+    /// order derived from [`GpuContext::set_schedule_seed`] — re-running
+    /// with a different seed models hardware scheduling nondeterminism (the
+    /// paper's observed up-to-30% run-to-run variance). Since no two blocks
+    /// ever run at once, blocks get exclusive-execution atomics.
     pub fn launch_stepped<S, FI, FS>(
         &mut self,
         name: &'static str,
@@ -1072,159 +1077,77 @@ impl GpuContext {
         FI: Fn(&mut BlockCtx<'_>) -> Result<S, KernelError>,
         FS: Fn(&mut BlockCtx<'_>, &mut S) -> Result<bool, KernelError>,
     {
+        cfg.validate()?;
         self.check_limit()?;
-        assert!(
-            cfg.threads_per_block.is_multiple_of(32),
-            "BLK_DIM must be a multiple of 32"
-        );
-        let mut lap = Lap::start(self.hostprof.clone(), self.phase);
-        let device = &self.device;
-        let shared_cap = self.shared_capacity_bytes;
-
-        let mut blocks: Vec<(BlockCtx<'_>, S, bool)> = Vec::with_capacity(cfg.blocks as usize);
-        for b in 0..cfg.blocks {
-            let mut blk = BlockCtx::with_shared(device, b, cfg, shared_cap, self.pooled_shared());
-            // the wave loop below runs on one host thread: no block ever
-            // executes concurrently with another, so atomics can be cheap
-            blk.exclusive = true;
-            let state = init(&mut blk).map_err(SimError::Kernel)?;
-            blocks.push((blk, state, true));
-        }
-        lap.lap(HostBucket::Dispatch);
-        // xorshift-based deterministic wave shuffle
-        let mut rng = self.schedule_seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut order: Vec<usize> = (0..blocks.len()).collect();
-        let mut live = blocks.len();
-        while live > 0 {
-            // Fisher–Yates with the xorshift stream
-            for i in (1..order.len()).rev() {
-                rng ^= rng << 13;
-                rng ^= rng >> 7;
-                rng ^= rng << 17;
-                let j = (rng % (i as u64 + 1)) as usize;
-                order.swap(i, j);
-            }
-            for &i in &order {
-                let (blk, state, alive) = &mut blocks[i];
-                if !*alive {
-                    continue;
-                }
-                match step(blk, state) {
-                    Ok(true) => {}
-                    Ok(false) => {
-                        *alive = false;
-                        live -= 1;
-                    }
-                    Err(e) => return Err(SimError::Kernel(e)),
-                }
-            }
-        }
-        // the reference engine's wave loop is one serial lane end to end
-        lap.lap(HostBucket::CommitSerial);
-
-        let mut per_block = Vec::with_capacity(blocks.len());
-        for (blk, _, _) in &mut blocks {
-            per_block.push(blk.counters);
-            self.recycle_shared(std::mem::take(&mut blk.shared));
-        }
-        drop(blocks); // release the device borrow before the &mut epilogue
-        lap.lap(HostBucket::ArenaAlloc);
-        self.finish_launch(name, cfg, per_block)
+        self.run_stepped(name, cfg, HostBucket::Dispatch, init, step)
     }
 
-    /// Variant of [`GpuContext::launch_stepped`] whose block step is split
-    /// into a **plan** and a **commit**, run back to back for each live
-    /// block in the xorshift wave order, on the calling thread at every
-    /// rayon width. Observably it is `launch_stepped(init, |blk, st| {
-    /// let p = plan(blk, st)?; commit(blk, st, p) })`: the same
-    /// interleaving, counters, fingerprints and results.
-    ///
-    /// The split is the kernels' determinism contract (DESIGN.md
-    /// "Fast-path cost accounting"): a plan reads only device buffers that
-    /// are immutable for the launch, its own block's shared memory and
-    /// state, and charges counters; every access to device memory that
-    /// blocks mutate during the launch happens in commit. Blocks run with
-    /// exclusive-execution atomics, since no two ever run at once.
-    pub fn launch_stepped_phased<S, P, FI, FP, FC>(
+    /// The body of a stepped launch, with the host time of block set-up and
+    /// `init` booked to `init_bucket`.
+    fn run_stepped<S>(
         &mut self,
         name: &'static str,
         cfg: LaunchConfig,
-        init: FI,
-        plan: FP,
-        commit: FC,
-    ) -> Result<(), SimError>
-    where
-        FI: Fn(&mut BlockCtx<'_>) -> Result<S, KernelError>,
-        FP: Fn(&mut BlockCtx<'_>, &mut S) -> Result<P, KernelError>,
-        FC: Fn(&mut BlockCtx<'_>, &mut S, P) -> Result<bool, KernelError>,
-    {
-        self.check_limit()?;
-        assert!(
-            cfg.threads_per_block.is_multiple_of(32),
-            "BLK_DIM must be a multiple of 32"
-        );
+        init_bucket: HostBucket,
+        init: impl Fn(&mut BlockCtx<'_>) -> Result<S, KernelError>,
+        step: impl Fn(&mut BlockCtx<'_>, &mut S) -> Result<bool, KernelError>,
+    ) -> Result<(), SimError> {
         let mut lap = Lap::start(self.hostprof.clone(), self.phase);
-        let mut scratch = std::mem::take(&mut self.step_scratch);
-        scratch.reset(cfg.blocks as usize);
-        let device = &self.device;
-        let shared_cap = self.shared_capacity_bytes;
-
-        let mut blocks: Vec<(BlockCtx<'_>, S)> = Vec::with_capacity(cfg.blocks as usize);
-        for b in 0..cfg.blocks {
-            let mut blk = BlockCtx::with_shared(device, b, cfg, shared_cap, self.pooled_shared());
-            blk.exclusive = true;
-            let state = init(&mut blk).map_err(SimError::Kernel)?;
+        let mut scratch = self.take_scratch(cfg);
+        let mut blocks = Vec::with_capacity(cfg.blocks as usize);
+        for (b, backing) in (0..cfg.blocks).zip(scratch.shared.iter_mut()) {
+            let mut blk = BlockCtx::new(
+                &self.device,
+                b,
+                cfg,
+                self.shared_capacity_bytes,
+                std::mem::take(backing),
+                true,
+            );
+            let state = init(&mut blk)?;
             blocks.push((blk, state));
         }
-        lap.lap(HostBucket::Dispatch);
+        lap.lap(init_bucket);
         run_waves(
             self.schedule_seed,
             &mut scratch.order,
             &mut scratch.alive,
             &mut blocks,
             &mut lap,
-            plan,
-            commit,
+            step,
         )?;
         let mut per_block = std::mem::take(&mut self.counters_scratch);
         per_block.clear();
-        for (blk, _) in &mut blocks {
+        for ((blk, _), backing) in blocks.into_iter().zip(scratch.shared.iter_mut()) {
             per_block.push(blk.counters);
-            self.recycle_shared(std::mem::take(&mut blk.shared));
+            *backing = blk.shared;
         }
-        drop(blocks); // release the device borrow before the &mut epilogue
-        self.step_scratch = scratch;
+        self.scratch = scratch;
         lap.lap(HostBucket::ArenaAlloc);
         self.finish_launch(name, cfg, per_block)
     }
 
-    /// Fused persistent-style round launch: runs a one-shot `scan` kernel
-    /// and a stepped `loop` (init/plan/commit, as in
-    /// [`GpuContext::launch_stepped_phased`]) as the two steps of a single
-    /// engine entry, so per-round dispatch, arena acquisition, and
-    /// scheduler setup are paid once and block scratch (shared-memory
-    /// backings, wave vectors) is carried across the step boundary instead
-    /// of round-tripping through the shared-pool mutex.
+    /// One peel round as a single engine entry: a one-shot `scan_kernel`
+    /// launch, then a stepped loop launch (`init`, `step`) under
+    /// `loop_phase`.
     ///
     /// **Observability contract** (DESIGN.md "Fused execution & the
-    /// single-plan contract"): the fused launch emits exactly what the
+    /// two-record contract"): the fused launch emits exactly what the
     /// two-launch sequence
     ///
     /// ```text
     /// set_phase(scan_phase); launch(scan_name, ..);
-    /// set_phase(loop_phase); launch_stepped_phased(loop_name, ..);
+    /// set_phase(loop_phase); launch_stepped(loop_name, ..);
     /// ```
     ///
     /// would — two [`LaunchRecord`]s with the same names, phases, counters,
     /// timestamps, and roofline splits, the same device phase notes and
     /// ledger stamps, and the same error values — at any rayon pool size.
-    /// The caller sets the scan phase before calling; the engine replays
-    /// the loop-phase transition internally between the steps. Host-profile
-    /// time the two-launch path booked as the loop launch's `dispatch`
-    /// (slot setup + init) is booked under [`HostBucket::FusedStep`], the
-    /// carried-state handoff.
+    /// The caller sets the scan phase before calling. The loop step skips
+    /// the entry checks the scan step just passed, and books its block
+    /// set-up to [`HostBucket::FusedStep`] instead of `dispatch`.
     #[allow(clippy::too_many_arguments)]
-    pub fn launch_fused<S, P, FK, FI, FP, FC>(
+    pub fn launch_fused<S, FK, FI, FS>(
         &mut self,
         scan_name: &'static str,
         cfg: LaunchConfig,
@@ -1232,132 +1155,16 @@ impl GpuContext {
         loop_phase: &'static str,
         loop_name: &'static str,
         init: FI,
-        plan: FP,
-        commit: FC,
+        step: FS,
     ) -> Result<(), SimError>
     where
         FK: Fn(&mut BlockCtx<'_>) -> Result<(), KernelError> + Sync,
         FI: Fn(&mut BlockCtx<'_>) -> Result<S, KernelError>,
-        FP: Fn(&mut BlockCtx<'_>, &mut S) -> Result<P, KernelError>,
-        FC: Fn(&mut BlockCtx<'_>, &mut S, P) -> Result<bool, KernelError>,
+        FS: Fn(&mut BlockCtx<'_>, &mut S) -> Result<bool, KernelError>,
     {
-        self.check_limit()?;
-        assert!(
-            cfg.threads_per_block.is_multiple_of(32),
-            "BLK_DIM must be a multiple of 32"
-        );
-        let n = cfg.blocks as usize;
-
-        // ---- step 1: scan (the block schedule of `launch`) --------------
-        let mut lap = Lap::start(self.hostprof.clone(), self.phase);
-        // while the launch is in flight, ledger entries label with the
-        // active step's phase, not the sticky context label
-        self.device.set_launch_phase(Some(self.phase));
-        let mut scratch = std::mem::take(&mut self.step_scratch);
-        scratch.reset(n);
-        // top up the carried backings to one per block (first round only —
-        // afterwards the loop step leaves exactly one behind per block)
-        while scratch.carry.len() < n {
-            scratch.carry.push(self.pooled_shared());
-        }
-        scratch.carry.truncate(n);
-        let mut per_block = std::mem::take(&mut self.counters_scratch);
-        per_block.clear();
-        lap.lap(HostBucket::ArenaAlloc);
-        let scan_err: Option<KernelError> = {
-            let device = &self.device;
-            let shared_cap = self.shared_capacity_bytes;
-            let mut err = None;
-            if rayon::current_num_threads() <= 1 || cfg.blocks == 1 {
-                for b in 0..cfg.blocks {
-                    let shared = std::mem::take(&mut scratch.carry[b as usize]);
-                    let mut blk = BlockCtx::with_shared(device, b, cfg, shared_cap, shared);
-                    blk.exclusive = true;
-                    let r = scan_kernel(&mut blk);
-                    scratch.carry[b as usize] = std::mem::take(&mut blk.shared);
-                    per_block.push(blk.counters);
-                    if let Err(e) = r {
-                        err = Some(e);
-                        break;
-                    }
-                }
-            } else {
-                if let Some(p) = lap.profiler() {
-                    let pool = rayon::current_num_threads() as u32;
-                    p.sample_util(self.phase, cfg.blocks.min(pool), pool);
-                }
-                let inputs: Vec<(u32, Vec<u32>)> =
-                    (0..cfg.blocks).zip(scratch.carry.drain(..)).collect();
-                let results: Vec<(Result<(), KernelError>, Counters, Vec<u32>)> = inputs
-                    .into_par_iter()
-                    .map(|(b, shared)| {
-                        let mut blk = BlockCtx::with_shared(device, b, cfg, shared_cap, shared);
-                        let r = scan_kernel(&mut blk);
-                        (r, blk.counters, std::mem::take(&mut blk.shared))
-                    })
-                    .collect();
-                for (r, c, shared) in results {
-                    scratch.carry.push(shared);
-                    per_block.push(c);
-                    if let (Err(e), None) = (r, &err) {
-                        err = Some(e);
-                    }
-                }
-            }
-            err
-        };
-        lap.lap(HostBucket::Dispatch);
-        self.device.set_launch_phase(None);
-        self.step_scratch = scratch;
-        if let Some(e) = scan_err {
-            self.counters_scratch = per_block;
-            self.counters_scratch.clear();
-            return Err(SimError::Kernel(e));
-        }
-        self.finish_launch(scan_name, cfg, per_block)?;
-
-        // ---- handoff: replay the loop-phase transition ------------------
+        self.launch(scan_name, cfg, scan_kernel)?;
         self.set_phase(loop_phase);
-        self.device.set_launch_phase(Some(loop_phase));
-        // (the two-launch path re-checks the time limit when entering the
-        // loop launch; time_s is unchanged since finish_launch's trailing
-        // check just passed, so the predicate is identical — skip it)
-
-        // ---- step 2: loop (the wave schedule of `launch_stepped_phased`)
-        let mut lap = Lap::start(self.hostprof.clone(), self.phase);
-        let mut scratch = std::mem::take(&mut self.step_scratch);
-        let device = &self.device;
-        let shared_cap = self.shared_capacity_bytes;
-
-        let mut blocks: Vec<(BlockCtx<'_>, S)> = Vec::with_capacity(n);
-        for b in 0..cfg.blocks {
-            let shared = std::mem::take(&mut scratch.carry[b as usize]);
-            let mut blk = BlockCtx::with_shared(device, b, cfg, shared_cap, shared);
-            blk.exclusive = true;
-            let state = init(&mut blk).map_err(SimError::Kernel)?;
-            blocks.push((blk, state));
-        }
-        lap.lap(HostBucket::FusedStep);
-        run_waves(
-            self.schedule_seed,
-            &mut scratch.order,
-            &mut scratch.alive,
-            &mut blocks,
-            &mut lap,
-            plan,
-            commit,
-        )?;
-        let mut per_block = std::mem::take(&mut self.counters_scratch);
-        per_block.clear();
-        for ((blk, _), carried) in blocks.iter_mut().zip(&mut scratch.carry) {
-            per_block.push(blk.counters);
-            *carried = std::mem::take(&mut blk.shared);
-        }
-        drop(blocks); // release the device borrow before the &mut epilogue
-        self.device.set_launch_phase(None);
-        self.step_scratch = scratch;
-        lap.lap(HostBucket::ArenaAlloc);
-        self.finish_launch(loop_name, cfg, per_block)
+        self.run_stepped(loop_name, cfg, HostBucket::FusedStep, init, step)
     }
 
     /// Sets the wave-scheduling seed used by [`GpuContext::launch_stepped`].
@@ -1755,9 +1562,9 @@ mod tests {
     #[test]
     fn fused_launch_matches_two_launch_sequence() {
         // The fused engine entry must emit exactly what the two-launch
-        // sequence (launch + set_phase + launch_stepped_phased) emits: two
-        // records with the same names, phases, counters, timestamps, and
-        // per-block cycles, plus the same device results.
+        // sequence (launch + set_phase + launch_stepped) emits: two records
+        // with the same names, phases, counters, timestamps, and per-block
+        // cycles, plus the same device results.
         let cfg = LaunchConfig {
             blocks: 4,
             threads_per_block: 32,
@@ -1773,11 +1580,8 @@ mod tests {
                 Ok(())
             };
             let init = move |_blk: &mut BlockCtx<'_>| Ok(0u32);
-            let plan = move |blk: &mut BlockCtx<'_>, _st: &mut u32| {
+            let step = move |blk: &mut BlockCtx<'_>, st: &mut u32| {
                 blk.charge_instr(1);
-                Ok(())
-            };
-            let commit = move |blk: &mut BlockCtx<'_>, st: &mut u32, _p: ()| {
                 let p = &blk.device.buffer(pool)[0];
                 if p.load(Ordering::Relaxed) == 0 {
                     return Ok(false);
@@ -1789,13 +1593,12 @@ mod tests {
             };
             c.set_phase("Scan");
             if fused {
-                c.launch_fused("scan", cfg, scan, "Loop", "loop", init, plan, commit)
+                c.launch_fused("scan", cfg, scan, "Loop", "loop", init, step)
                     .unwrap();
             } else {
                 c.launch("scan", cfg, scan).unwrap();
                 c.set_phase("Loop");
-                c.launch_stepped_phased("loop", cfg, init, plan, commit)
-                    .unwrap();
+                c.launch_stepped("loop", cfg, init, step).unwrap();
             }
             let out = c.dtoh(taken);
             (c, out)
@@ -1836,12 +1639,11 @@ mod tests {
                 "Loop",
                 "loop",
                 |_: &mut BlockCtx<'_>| Ok(0u32),
-                |_: &mut BlockCtx<'_>, _: &mut u32| Ok(()),
-                |_: &mut BlockCtx<'_>, _: &mut u32, _: ()| Ok(false),
+                |_: &mut BlockCtx<'_>, _: &mut u32| Ok(false),
             )
             .unwrap_err();
         assert!(matches!(err, SimError::Kernel(KernelError::Other(_))));
-        // commit-step error mid-wave
+        // loop-step error mid-wave
         let mut c = ctx();
         let err = c
             .launch_fused(
@@ -1851,16 +1653,71 @@ mod tests {
                 "Loop",
                 "loop",
                 |_: &mut BlockCtx<'_>| Ok(0u32),
-                |_: &mut BlockCtx<'_>, _: &mut u32| Ok(()),
-                |blk: &mut BlockCtx<'_>, st: &mut u32, _: ()| {
+                |blk: &mut BlockCtx<'_>, st: &mut u32| {
                     *st += 1;
                     if blk.block_idx == 1 && *st == 3 {
-                        return Err(KernelError::Other("commit boom".into()));
+                        return Err(KernelError::Other("step boom".into()));
                     }
                     Ok(*st < 5)
                 },
             )
             .unwrap_err();
         assert!(matches!(err, SimError::Kernel(KernelError::Other(_))));
+    }
+
+    #[test]
+    fn launch_rejects_an_empty_grid_at_every_width() {
+        let empty = LaunchConfig {
+            blocks: 0,
+            threads_per_block: 32,
+        };
+        for threads in [1usize, 2] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            let mut c = ctx();
+            let err = pool
+                .install(|| c.launch("k", empty, |_| Ok(())))
+                .unwrap_err();
+            assert_eq!(err, SimError::InvalidLaunch(empty), "width {threads}");
+            let err = pool
+                .install(|| c.launch_stepped("k", empty, |_| Ok(()), |_, _| Ok(false)))
+                .unwrap_err();
+            assert_eq!(err, SimError::InvalidLaunch(empty), "width {threads}");
+            assert!(c.launches().is_empty());
+        }
+    }
+
+    #[test]
+    fn launches_reject_block_widths_off_the_warp_grid() {
+        let mut c = ctx();
+        for threads_per_block in [0, 16, 48] {
+            let bad = LaunchConfig {
+                blocks: 2,
+                threads_per_block,
+            };
+            let want = SimError::InvalidLaunch(bad);
+            assert_eq!(c.launch("k", bad, |_| Ok(())), Err(want.clone()));
+            let stepped = c.launch_stepped("k", bad, |_| Ok(()), |_, _| Ok(false));
+            assert_eq!(stepped, Err(want.clone()));
+            let fused = c.launch_fused(
+                "scan",
+                bad,
+                |_| Ok(()),
+                "Loop",
+                "loop",
+                |_| Ok(()),
+                |_, _| Ok(false),
+            );
+            assert_eq!(fused, Err(want));
+        }
+        assert!(c.launches().is_empty());
+        assert!(SimError::InvalidLaunch(LaunchConfig {
+            blocks: 0,
+            threads_per_block: 32
+        })
+        .to_string()
+        .contains("invalid launch geometry: 0 blocks of 32 threads"));
     }
 }

@@ -171,18 +171,18 @@ pub enum HostBucket {
     /// Per-launch fixed work: block setup/init loops, plain-launch block
     /// execution, counter pricing, and record bookkeeping.
     Dispatch,
-    /// The serial wave lane of the stepped, phased and fused engines: each
-    /// wave's shuffle plus every live block's plan and commit, in wave
-    /// order, on the calling thread.
+    /// The serial wave lane of a stepped launch: each wave's shuffle plus
+    /// every live block's step, in wave order, on the calling thread. (The
+    /// label predates the single-closure step; it is kept so the profile
+    /// schema does not change.)
     CommitSerial,
-    /// Arena traffic: taking/recycling pooled shared-memory and counter
-    /// scratch at launch granularity.
+    /// Arena traffic: taking and returning the reused shared-memory and
+    /// counter scratch at launch granularity.
     ArenaAlloc,
     /// Host↔device copy loops and transfer bookkeeping.
     Transfer,
-    /// The fused launch's inter-step handoff: carrying block state (shared
-    /// backings, counters) from the scan step into the loop step and
-    /// replaying the phase transition inside one dispatch
+    /// The fused launch's loop-step set-up: handing the blocks their shared
+    /// backings and running `init` after the scan step
     /// ([`GpuContext::launch_fused`](crate::GpuContext::launch_fused)).
     FusedStep,
 }

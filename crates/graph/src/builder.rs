@@ -14,7 +14,7 @@
 //!
 //! * [`BuildPath::Serial`] — the original single-threaded counting-sort
 //!   construction, retained as the differential oracle (mirroring the
-//!   simulator's `ExecPath::Reference`);
+//!   peel's per-lane reference, `kcore_gpu::decompose_reference_in`);
 //! * [`BuildPath::Parallel`] — a rayon-parallel pipeline: chunked degree
 //!   count → prefix sum → parallel scatter (atomic per-vertex cursors) →
 //!   per-vertex sort/dedup → parallel compaction. The scatter order within

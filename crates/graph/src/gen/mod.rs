@@ -8,7 +8,7 @@
 //! each dataset at reduced scale — see DESIGN.md for the substitution table.
 //!
 //! All generators are deterministic for a fixed seed and produce normalized
-//! simple undirected [`Csr`](crate::Csr) graphs.
+//! simple undirected [`Csr`] graphs.
 
 mod basic;
 mod collab;

@@ -126,8 +126,8 @@ fn rmat_sample_edges(
 /// Self-loops and duplicates are dropped during normalization, so the final
 /// edge count is slightly below `m` — matching how R-MAT is used in practice.
 ///
-/// Edge sampling fans out over [`RMAT_CHUNK`]-sized chunks, each seeded at
-/// its exact position in the serial draw stream (see [`SPLITMIX_PHI`]), so
+/// Edge sampling fans out over fixed-size chunks, each seeded at its exact
+/// position in the serial draw stream (a SplitMix64 jump), so
 /// the output is byte-identical to [`rmat_serial`] and to itself at every
 /// rayon pool size — golden traces pinned on R-MAT inputs stay valid.
 pub fn rmat(scale: u32, m: u64, params: RmatParams, seed: u64) -> Csr {

@@ -187,7 +187,7 @@ fn newline_chunks(buf: &[u8]) -> Vec<&[u8]> {
 }
 
 /// Parses an in-memory edge list, tokenizing newline-bounded chunks in
-/// parallel above [`PAR_PARSE_MIN_BYTES`]. Identical output (graph,
+/// parallel once the input is large enough to pay for it. Identical output (graph,
 /// recoder, and error reporting) to the streaming [`parse_edge_list`] at
 /// every rayon pool size — see the module docs.
 pub fn parse_edge_list_bytes(buf: &[u8]) -> Result<(Csr, Recoder), IoError> {

@@ -1,7 +1,7 @@
 //! Edge updates for the dynamic (streaming) setting.
 //!
 //! A batch of [`EdgeUpdate`]s is the unit of work the dynamic maintenance
-//! engines consume: the CPU oracle ([`kcore-cpu`]'s `incremental` module)
+//! engines consume: the CPU oracle (`kcore-cpu`'s `incremental` module)
 //! applies them one at a time, the GPU engine (`kcore-gpu`'s `dynamic`
 //! module) classifies a whole batch and processes it kernelized. The type
 //! lives here so both sides — and the bench/tests that drive them — share

@@ -14,8 +14,8 @@
 #   KCORE_SMOKE=1 scripts/check_regression.sh --record
 #
 # Baselines: BENCH_0 (pre-fast-path), BENCH_1 (warp-vectorized two-launch
-# fast path), BENCH_2 (fused single-entry round engine, ExecPath::Fused
-# default — identical simulated cells to BENCH_1, lower host_ms). The
+# fast path), BENCH_2 (fused single-entry round engine — identical
+# simulated cells to BENCH_1, lower host_ms), and later snapshots. The
 # differ always diffs against the highest-numbered snapshot.
 #
 # Usage: scripts/check_regression.sh [--record]

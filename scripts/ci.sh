@@ -13,6 +13,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test =="
 cargo test -q --workspace
 
+echo "== rustdoc -D warnings =="
+# Intra-doc links that name deleted or private items fail here; build,
+# clippy and tests all accept them.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
+
 echo "== kbench: fmt, clippy, tests =="
 # kbench, the repository benchmark (BENCHMARK.json), is a package with its
 # own workspace, so the stages above do not reach it. Its smoke test runs
@@ -25,11 +30,11 @@ cargo test -q --manifest-path kbench/Cargo.toml
 
 echo "== simulator wall-clock smoke budget =="
 # The simulator suite re-runs (already compiled) under a wall-clock ceiling:
-# a blow-up here means a host-side perf regression (e.g. the fused engine or
-# fast path silently falling back to per-lane charging) that the
-# simulated-time regression gate below cannot see. The suite takes ~15 s on
-# the reference machine; 120 s absorbs slow-VM phases while still catching
-# any order-of-magnitude host regression.
+# a blow-up here means a host-side perf regression (e.g. the stepped engine
+# allocating per wave, or a bulk-charged helper falling back to per-lane
+# charging) that the simulated-time regression gate below cannot see. The
+# suite takes ~15 s on the reference machine; 120 s absorbs slow-VM phases
+# while still catching any order-of-magnitude host regression.
 SMOKE_BUDGET_S="${KCORE_SMOKE_BUDGET_S:-120}"
 smoke_start=$(date +%s)
 cargo test -q -p kcore-gpusim

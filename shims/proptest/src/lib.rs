@@ -310,7 +310,7 @@ pub mod collection {
     use crate::test_runner::TestRng;
     use std::ops::{Range, RangeInclusive};
 
-    /// Accepted size arguments for [`vec`]: `a..b`, `a..=b`, or an exact
+    /// Accepted size arguments for [`vec()`]: `a..b`, `a..=b`, or an exact
     /// `usize`.
     pub trait IntoSizeRange {
         /// (min, max) with max inclusive.

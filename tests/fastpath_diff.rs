@@ -1,43 +1,42 @@
-//! Differential tests: the three host execution paths against each other
-//! (DESIGN.md "Fast-path cost accounting" and "Fused execution & the
-//! single-plan contract").
+//! Differential tests: the production peel against its per-lane reference
+//! oracle (DESIGN.md "Fast-path cost accounting").
 //!
-//! [`kcore_gpu::ExecPath::Fused`] (the default) runs scan + loop inside one
-//! fused engine entry; [`kcore_gpu::ExecPath::Fast`] dispatches the same
-//! warp-vectorized kernels as two launches per round on the two-phase
-//! parallel wave scheduler; [`kcore_gpu::ExecPath::Reference`] retains the
-//! original per-access kernels on the serial wave loop. The contract is
-//! that the choice is **unobservable**: identical core numbers, identical
-//! per-phase counters, identical trace fingerprints, identical Perfetto
-//! timeline bytes — across every Table II variant, on randomized graphs,
+//! [`kcore_gpu::decompose_in`] runs the warp-vectorized kernels, scan and
+//! loop fused into one engine entry per round;
+//! [`kcore_gpu::decompose_reference_in`] runs the original per-access
+//! kernels as two launches per round. The contract is that the choice is
+//! **unobservable**: identical core numbers, identical per-phase counters,
+//! identical trace fingerprints, identical Perfetto timeline bytes, and
+//! identical errors — across every Table II variant, on randomized graphs,
 //! at every rayon pool size.
 
-use kcore_gpu::{ExecPath, PeelConfig};
-use kcore_gpusim::{LaunchConfig, SimOptions, Trace};
+use kcore_gpu::PeelConfig;
+use kcore_gpusim::{GpuContext, LaunchConfig, SimError, SimOptions, Trace};
 use kcore_graph::{gen, Csr};
+
+/// A peel entry point: production or reference.
+type Peel = fn(&mut GpuContext, &Csr, &PeelConfig) -> Result<(Vec<u32>, u32), SimError>;
+
+const PRODUCTION: Peel = kcore_gpu::decompose_in;
+const REFERENCE: Peel = kcore_gpu::decompose_reference_in;
 
 /// Runs one full decomposition and captures (core, rounds, trace JSON,
 /// Perfetto JSON).
-fn run(g: &Csr, cfg: &PeelConfig) -> (Vec<u32>, u32, String, String) {
+fn run(peel: Peel, g: &Csr, cfg: &PeelConfig) -> (Vec<u32>, u32, String, String) {
     let mut ctx = SimOptions::default().context();
     ctx.set_block_profiling(true);
-    let (core, rounds) = kcore_gpu::decompose_in(&mut ctx, g, cfg).expect("decompose");
+    let (core, rounds) = peel(&mut ctx, g, cfg).expect("decompose");
     let timeline = ctx.timeline("diff").to_chrome_json();
     (core, rounds, ctx.trace("diff").to_json(), timeline)
 }
 
 fn assert_paths_identical(g: &Csr, cfg: &PeelConfig, what: &str) {
-    let reference = run(g, &cfg.with_exec_path(ExecPath::Reference));
-    for path in [ExecPath::Fused, ExecPath::Fast] {
-        let got = run(g, &cfg.with_exec_path(path));
-        assert_eq!(got.0, reference.0, "{what}: {path:?} core numbers diverged");
-        assert_eq!(got.1, reference.1, "{what}: {path:?} round count diverged");
-        assert_eq!(got.2, reference.2, "{what}: {path:?} trace JSON diverged");
-        assert_eq!(
-            got.3, reference.3,
-            "{what}: {path:?} Perfetto timeline diverged"
-        );
-    }
+    let reference = run(REFERENCE, g, cfg);
+    let got = run(PRODUCTION, g, cfg);
+    assert_eq!(got.0, reference.0, "{what}: core numbers diverged");
+    assert_eq!(got.1, reference.1, "{what}: round count diverged");
+    assert_eq!(got.2, reference.2, "{what}: trace JSON diverged");
+    assert_eq!(got.3, reference.3, "{what}: Perfetto timeline diverged");
 }
 
 fn small_cfg() -> PeelConfig {
@@ -108,25 +107,22 @@ fn identical_across_rayon_pool_sizes() {
     // must not notice.
     let g = gen::rmat(9, 2_000, gen::RmatParams::graph500(), 7);
     let cfg = small_cfg();
-    let reference = run(&g, &cfg.with_exec_path(ExecPath::Reference));
+    let reference = run(REFERENCE, &g, &cfg);
     for threads in [1usize, 2, 8] {
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
             .build()
             .unwrap();
-        for path in [ExecPath::Fused, ExecPath::Fast] {
-            let got = pool.install(|| run(&g, &cfg.with_exec_path(path)));
+        for peel in [PRODUCTION, REFERENCE] {
+            let got = pool.install(|| run(peel, &g, &cfg));
             assert_eq!(
                 got.0, reference.0,
-                "{path:?} core numbers diverged at pool size {threads}"
+                "core numbers diverged at pool size {threads}"
             );
-            assert_eq!(
-                got.2, reference.2,
-                "{path:?} trace diverged at pool size {threads}"
-            );
+            assert_eq!(got.2, reference.2, "trace diverged at pool size {threads}");
             assert_eq!(
                 got.3, reference.3,
-                "{path:?} timeline diverged at pool size {threads}"
+                "timeline diverged at pool size {threads}"
             );
         }
     }
@@ -137,22 +133,20 @@ fn counter_fingerprints_match() {
     // Direct fingerprint comparison (the quantity the golden files pin).
     let g = gen::power_law_hubs(2_000, 5_000, 4, 0.25, 11);
     for cfg in [small_cfg(), small_cfg().with_buf_capacity(1_024)] {
-        let fp = |path: ExecPath| -> u64 {
+        let fp = |peel: Peel| -> u64 {
             let mut ctx = SimOptions::default().context();
             ctx.set_block_profiling(true);
-            kcore_gpu::decompose_in(&mut ctx, &g, &cfg.with_exec_path(path)).unwrap();
+            peel(&mut ctx, &g, &cfg).unwrap();
             Trace::counters_fingerprint(&ctx.trace("fp"))
         };
-        let reference = fp(ExecPath::Reference);
-        assert_eq!(fp(ExecPath::Fast), reference);
-        assert_eq!(fp(ExecPath::Fused), reference);
+        assert_eq!(fp(PRODUCTION), fp(REFERENCE));
     }
 }
 
 #[test]
 fn overflow_errors_are_path_invariant() {
-    // The fast path must fail exactly where the reference fails, with the
-    // same error class (no ring buffer + tiny capacity ⇒ overflow).
+    // Production must fail exactly where the reference fails, with the
+    // same error (no ring buffer + tiny capacity ⇒ overflow).
     let g = gen::complete(64);
     let cfg = PeelConfig {
         launch: LaunchConfig {
@@ -163,12 +157,9 @@ fn overflow_errors_are_path_invariant() {
         ring_buffer: false,
         ..PeelConfig::default()
     };
-    let err_of = |path: ExecPath| {
-        kcore_gpu::decompose(&g, &cfg.with_exec_path(path), &SimOptions::default())
-            .unwrap_err()
-            .to_string()
+    let err_of = |peel: Peel| {
+        let mut ctx = SimOptions::default().context();
+        peel(&mut ctx, &g, &cfg).unwrap_err().to_string()
     };
-    let reference = err_of(ExecPath::Reference);
-    assert_eq!(err_of(ExecPath::Fast), reference);
-    assert_eq!(err_of(ExecPath::Fused), reference);
+    assert_eq!(err_of(PRODUCTION), err_of(REFERENCE));
 }

@@ -14,7 +14,7 @@
 
 use kcore::cpu::{self, CoreAlgorithm};
 use kcore::gpu::{
-    decompose_multi_fleet, decompose_multi_traced, FleetRun, MultiGpuConfig, PeelConfig, SimOptions,
+    decompose_multi, decompose_multi_fleet, FleetRun, MultiGpuConfig, PeelConfig, SimOptions,
 };
 use kcore::gpusim::{fnv1a_bytes, LaunchConfig, FLEET_SCHEMA_VERSION, TRACE_SCHEMA_VERSION};
 use kcore::graph::{gen, PartitionStrategy};
@@ -143,19 +143,22 @@ fn fleet_artifacts_match_golden_at_all_pool_sizes() {
 }
 
 /// The fleet view is an observer: the run it returns must be bit-identical
-/// to the untraced sharded run.
+/// to the untraced sharded run, and its worker traces must carry that run's
+/// fingerprints.
 #[test]
 fn fleet_capture_is_bit_identical_to_traced_run() {
     let g = gen::rmat(9, 2_000, gen::RmatParams::graph500(), 7);
     let fr = golden_run();
-    let (run, traces) = decompose_multi_traced(&g, &golden_cfg(), &SimOptions::default()).unwrap();
+    let run = decompose_multi(&g, &golden_cfg(), &SimOptions::default()).unwrap();
     assert_eq!(fr.run.core, run.core);
     assert_eq!(fr.run.total_ms.to_bits(), run.total_ms.to_bits());
     assert_eq!(fr.run.exchanged_bytes, run.exchanged_bytes);
     assert_eq!(fr.run.worker_fingerprints, run.worker_fingerprints);
-    let fleet_json: Vec<String> = fr.traces.iter().map(|t| t.to_json()).collect();
-    let plain_json: Vec<String> = traces.iter().map(|t| t.to_json()).collect();
-    assert_eq!(fleet_json, plain_json, "worker traces must be unperturbed");
+    let fleet_fps: Vec<u64> = fr.traces.iter().map(|t| t.counters_fingerprint()).collect();
+    assert_eq!(
+        fleet_fps, run.worker_fingerprints,
+        "worker traces must be unperturbed"
+    );
 }
 
 proptest! {

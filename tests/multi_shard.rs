@@ -1,8 +1,8 @@
 //! Integration tests for edge-partitioned sharded decomposition (DESIGN.md
 //! "Sharded decomposition"): the sharded path must equal BZ on adversarial
-//! graphs, be bit-identical at any rayon pool size, agree across all three
-//! execution paths at several shard counts, and match a checked-in golden
-//! that pins every worker's per-phase counters plus the exchange volume.
+//! graphs and at several shard counts, be bit-identical at any rayon pool
+//! size, and match a checked-in golden that pins every worker's per-phase
+//! counters plus the exchange volume.
 //!
 //! After an *intentional* change to the sharded kernels or the exchange
 //! protocol, regenerate the golden file:
@@ -13,7 +13,7 @@
 
 use kcore::cpu::{self, CoreAlgorithm};
 use kcore::gpu::{
-    decompose_multi, decompose_multi_traced, ExecPath, MultiGpuConfig, MultiGpuRun, PeelConfig,
+    decompose_multi, decompose_multi_fleet, FleetRun, MultiGpuConfig, MultiGpuRun, PeelConfig,
     SimOptions,
 };
 use kcore::gpusim::{Counters, LaunchConfig, TRACE_SCHEMA_VERSION};
@@ -39,14 +39,10 @@ fn small_cfg(p: usize, strategy: PartitionStrategy) -> MultiGpuConfig {
 }
 
 // ---------------------------------------------------------------------------
-// Exec-path oracle on the sharded path
+// Shard counts
 // ---------------------------------------------------------------------------
 
-/// Fused ≡ Fast ≡ Reference on every worker, at several shard counts and
-/// under both partitioners — the sharded extension of the `fastpath_diff`
-/// oracle. Results must agree exactly; Fused and Fast must additionally
-/// produce bit-identical worker traces and simulated times (the fused
-/// engine's launch-record contract).
+/// Sharded ≡ BZ at several shard counts and under both partitioners.
 #[test]
 fn exec_paths_agree_at_all_shard_counts() {
     let g = gen::web_crawl(2_000, 9, 0.55, 4_500, 21);
@@ -56,21 +52,8 @@ fn exec_paths_agree_at_all_shard_counts() {
         PartitionStrategy::DegreeAware,
     ] {
         for p in [2usize, 4, 8] {
-            let runs: Vec<MultiGpuRun> = [ExecPath::Fused, ExecPath::Fast, ExecPath::Reference]
-                .iter()
-                .map(|&ep| {
-                    let mut cfg = small_cfg(p, strategy);
-                    cfg.peel = cfg.peel.with_exec_path(ep);
-                    decompose_multi(&g, &cfg, &SimOptions::default()).unwrap()
-                })
-                .collect();
-            for (run, name) in runs.iter().zip(["fused", "fast", "reference"]) {
-                assert_eq!(run.core, truth, "{name} p={p} {}", strategy.name());
-            }
-            assert_eq!(runs[0].sub_rounds, runs[2].sub_rounds);
-            assert_eq!(runs[0].exchanged_bytes, runs[2].exchanged_bytes);
-            assert_eq!(runs[0].worker_fingerprints, runs[1].worker_fingerprints);
-            assert_eq!(runs[0].total_ms.to_bits(), runs[1].total_ms.to_bits());
+            let run = decompose_multi(&g, &small_cfg(p, strategy), &SimOptions::default()).unwrap();
+            assert_eq!(run.core, truth, "p={p} {}", strategy.name());
         }
     }
 }
@@ -82,16 +65,21 @@ fn exec_paths_agree_at_all_shard_counts() {
 /// Runs the same sharded decomposition under rayon pools of 1, 2, and 8
 /// threads and asserts the outputs are bit-identical: core vector, worker
 /// trace JSONs, exchange volume, sub-round count, simulated time.
+fn traced(g: &Csr, cfg: &MultiGpuConfig) -> (MultiGpuRun, Vec<kcore::gpusim::Trace>) {
+    let FleetRun { run, traces, .. } =
+        decompose_multi_fleet(g, cfg, &SimOptions::default(), "shard").unwrap();
+    (run, traces)
+}
+
 fn assert_pool_invariant(g: &Csr, cfg: &MultiGpuConfig) -> MultiGpuRun {
-    let (base, base_traces) = decompose_multi_traced(g, cfg, &SimOptions::default()).unwrap();
+    let (base, base_traces) = traced(g, cfg);
     let base_json: Vec<String> = base_traces.iter().map(|t| t.to_json()).collect();
     for threads in [1usize, 2, 8] {
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
             .build()
             .unwrap();
-        let (run, traces) =
-            pool.install(|| decompose_multi_traced(g, cfg, &SimOptions::default()).unwrap());
+        let (run, traces) = pool.install(|| traced(g, cfg));
         assert_eq!(run.core, base.core, "core diverged at pool {threads}");
         assert_eq!(run.sub_rounds, base.sub_rounds);
         assert_eq!(run.exchanged_bytes, base.exchanged_bytes);
@@ -190,7 +178,7 @@ fn sharded_run_matches_checked_in_golden() {
         }),
         ..MultiGpuConfig::default()
     };
-    let (run, traces) = decompose_multi_traced(&g, &cfg, &SimOptions::default()).unwrap();
+    let (run, traces) = traced(&g, &cfg);
     assert_eq!(run.core, cpu::bz::Bz.run(&g));
     let golden = GoldenMulti {
         schema_version: TRACE_SCHEMA_VERSION,
