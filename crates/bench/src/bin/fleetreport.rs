@@ -9,11 +9,13 @@
 //! cargo run --release -p kcore-bench --bin fleetreport -- --check # validate
 //! ```
 //!
-//! `--check` additionally round-trips every fleet trace through
-//! `regress::parse_json` and asserts the ledger contract: schema versions
-//! survive the round trip, per-round critical-path shares sum to 1.0, and
-//! every exchange flow references a real pack/apply launch record on the
-//! shipping/owning device (via [`FleetTrace::check_well_formed`]).
+//! Every run's ledger must pass [`FleetTrace::check_well_formed`]: each
+//! sub-round slice charges exactly its slowest device's clock delta, each
+//! exchange its pack + hop + apply components, and every exchange flow
+//! references a real pack/apply launch record on the shipping/owning
+//! device. `--check` additionally round-trips every fleet trace through
+//! `regress::parse_json`: schema versions survive the round trip and
+//! per-round critical-path shares sum to 1.0.
 //! Everything here observes — the runs it measures are bit-identical to
 //! `decompose_multi`.
 //!
@@ -185,11 +187,12 @@ fn main() {
             let label = format!("{} p={p} fleet", e.dataset.name);
             let fr = decompose_multi_fleet(&e.graph, &cfg, &e.sim, label).unwrap();
             assert_eq!(fr.run.core, e.truth, "{} p={p}", e.dataset.name);
-            // The ledger contract: bit-exact replay, flow↔launch references,
-            // share sums — always enforced, not only under --check.
+            // The ledger contract: slices reconciled against the device
+            // clocks, flow↔launch references, share sums — always enforced,
+            // not only under --check.
             fr.fleet
                 .check_well_formed()
-                .expect("fleet ledger must replay the run");
+                .expect("fleet ledger must reconcile with the device clocks");
             if check {
                 check_round_trip(&fr.fleet);
             }
@@ -271,6 +274,6 @@ fn main() {
     eprintln!("[saved {}]", path.display());
     save_json("table_fleet", &rows);
     if check {
-        eprintln!("[fleetreport] check OK: ledgers replay, parse, and tile");
+        eprintln!("[fleetreport] check OK: ledgers reconcile, parse, and tile");
     }
 }

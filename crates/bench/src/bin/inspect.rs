@@ -228,7 +228,7 @@ fn main() {
             Ok(fr) => {
                 fr.fleet
                     .check_well_formed()
-                    .expect("fleet ledger must replay the run");
+                    .expect("fleet ledger must reconcile with the device clocks");
                 println!(
                     "\nFleet p=4      {:>10.3} ms  {} rounds, {} exchange rounds, {} border packets, {} B exchanged",
                     fr.run.total_ms,
@@ -241,7 +241,7 @@ fn main() {
                     println!(
                         "    k={:<4} {:>9.3} ms  compute {:>5.1}% cascade {:>5.1}% exchange {:>5.1}% link {:>5.1}%  bound: {} ({})",
                         c.k,
-                        c.charged_ms,
+                        c.compute_ms + c.cascade_ms + c.exchange_kernel_ms + c.link_ms,
                         100.0 * c.compute_share,
                         100.0 * c.cascade_share,
                         100.0 * c.exchange_share,

@@ -9,11 +9,11 @@
 //!
 //! Design implemented here (see DESIGN.md "Sharded decomposition"):
 //!
-//! * the graph is split by a [`Partition`] (balanced-arcs ranges or the
-//!   degree-aware hub-splitting strategy) into per-shard **local-ID
-//!   compacted CSRs**: each worker device holds only its owned rows, its
-//!   ghost table, and its share of the arcs — O(owned + ghosts) residency,
-//!   not the old O(|V|)-per-worker replicated arrays;
+//! * the graph is split by a [`Partition`] (balanced-arcs ranges) into
+//!   per-shard **local-ID compacted CSRs**: each worker device holds only
+//!   its owned rows, its ghost table, and its share of the arcs —
+//!   O(owned + ghosts) residency, not the old O(|V|)-per-worker replicated
+//!   arrays;
 //! * every worker runs the **real scan/loop peel kernels** from [`peel`]
 //!   over its shard, executed concurrently on the rayon pool;
 //! * ghost vertices use the **sentinel-accumulator protocol**: their `deg`
@@ -28,9 +28,11 @@
 //!   sub-round (the paper's "new border vertices in the k-shell") via a
 //!   seed launch that rebuilds the per-block frontier, followed by a
 //!   loop-only launch — never a re-scan;
-//! * sub-rounds repeat until the exchange produces no seeds; wall time per
-//!   phase is the *max* over workers (they run concurrently) plus the
-//!   link cost of each exchange.
+//! * sub-rounds repeat until the exchange produces no seeds. The fleet
+//!   clock charges each barrier sub-round the slowest device's own clock
+//!   delta (the workers run concurrently) and each exchange its pack
+//!   kernels, two link hops and apply kernels. At one device this is
+//!   exactly what [`peel::decompose`] charges.
 //!
 //! **Determinism.** The merge order is fixed: ghost drains happen in shard
 //! index order, updates are aggregated by ascending global vertex ID, and
@@ -53,8 +55,13 @@ use std::sync::atomic::Ordering;
 /// Sentinel base value for ghost `deg` slots. Large enough that a ghost can
 /// never equal the round's `k` (scan), cross `k + 1` (frontier append), or
 /// fall to the recover floor: a slot absorbs at most one decrement per
-/// incident arc per run, and `|V| < 2^30` is asserted up front.
+/// incident arc per run, and `|V| <` [`MAX_VERTICES`] is checked up front.
 const GHOST_BASE: u32 = 0x7FFF_FFFF;
+
+/// Vertex-count bound of a sharded run: below it every degree, and so every
+/// count of decrements a ghost slot absorbs, stays under `2^30`, which keeps
+/// [`GHOST_BASE`] slots clear of every real degree and every `k`.
+const MAX_VERTICES: usize = 1 << 30;
 
 /// Configuration of a multi-GPU run.
 #[derive(Debug, Clone, Copy)]
@@ -96,7 +103,7 @@ pub struct MultiGpuRun {
     /// Total sub-rounds across all rounds (> rounds when k-shells span
     /// partition borders).
     pub sub_rounds: u32,
-    /// Simulated wall time (max-over-workers per phase + exchanges), ms.
+    /// Simulated wall time (slowest device per phase + exchanges), ms.
     pub total_ms: f64,
     /// Sum of worker device peaks, bytes.
     pub total_peak_mem_bytes: u64,
@@ -144,7 +151,8 @@ struct Worker {
 }
 
 /// Runs the distributed decomposition. `opts.device_capacity_bytes` is the
-/// capacity of *each* worker device.
+/// capacity of *each* worker device. Zero devices, or a graph of `2^30` or
+/// more vertices, is a [`SimError::InvalidConfig`].
 pub fn decompose_multi(
     g: &Csr,
     cfg: &MultiGpuConfig,
@@ -203,8 +211,21 @@ fn decompose_multi_impl(
     opts: &SimOptions,
     fleet_label: Option<String>,
 ) -> Result<MultiImplOutput, SimError> {
-    assert!(cfg.num_gpus >= 1);
+    if cfg.num_gpus == 0 {
+        return Err(SimError::InvalidConfig {
+            what: "num_gpus",
+            value: 0,
+            need: "at least 1",
+        });
+    }
     let n = g.num_vertices() as usize;
+    if n >= MAX_VERTICES {
+        return Err(SimError::InvalidConfig {
+            what: "vertices",
+            value: n as u64,
+            need: "fewer than 2^30 for the ghost sentinel",
+        });
+    }
     if n == 0 {
         return Ok((
             MultiGpuRun {
@@ -225,7 +246,6 @@ fn decompose_multi_impl(
             fleet_label.map(|label| (label, Vec::new(), 0.0, 0.0)),
         ));
     }
-    assert!(n < (1 << 30), "ghost sentinel headroom requires |V| < 2^30");
     // Orchestration runs on the host across worker contexts, so its spans
     // land on the process-global profiler rather than any one context's.
     let prof = kcore_gpusim::hostprof::global();
@@ -246,9 +266,8 @@ fn decompose_multi_impl(
     let mut removed = 0u64;
     // Update scratch, reused across exchanges.
     let mut updates: Vec<(u32, u32)> = Vec::new();
-    // Fleet ledger: one entry per peel round. Observability only — every
-    // charged_ms below is recorded *from* the addend folded into total_ms,
-    // never the other way around.
+    // Fleet ledger: one entry per peel round. Every charged_ms below is the
+    // addend folded into total_ms.
     let mut round_log: Vec<RoundTrace> = Vec::new();
 
     let rounds_span = prof.map(|hp| hp.span("multi_gpu/rounds"));
@@ -261,7 +280,8 @@ fn decompose_multi_impl(
         sub_rounds += 1;
         let slice = run_workers(&mut workers, 0, |w| {
             peel::run_scan_loop(&mut w.ctx, k, &w.st, &cfg.peel)?;
-            sync_worker(w)
+            sync_worker(w);
+            Ok(())
         })?;
         total_ms += slice.charged_ms;
         slices.push(slice);
@@ -269,7 +289,7 @@ fn decompose_multi_impl(
         // Border sub-rounds: exchange ghost decrements, seed owners, run
         // loop-only launches, until an exchange produces no seeds.
         loop {
-            let (any_seeds, exchange_ms, ledger) = exchange(
+            let (any_seeds, ledger) = exchange(
                 &mut workers,
                 &part,
                 k,
@@ -278,7 +298,7 @@ fn decompose_multi_impl(
                 &mut exchanged_bytes,
                 slices.len() as u32 - 1,
             )?;
-            total_ms += exchange_ms;
+            total_ms += ledger.charged_ms;
             exchanges.push(ledger);
             if !any_seeds {
                 break;
@@ -286,12 +306,13 @@ fn decompose_multi_impl(
             sub_rounds += 1;
             let slice = run_workers(&mut workers, slices.len() as u32, |w| {
                 if w.seeds.is_empty() {
-                    return Ok(0.0);
+                    return Ok(());
                 }
                 let seeds = std::mem::take(&mut w.seeds);
                 seed_frontier(&mut w.ctx, &w.st, &cfg.peel, &seeds)?;
                 peel::run_loop_only(&mut w.ctx, k, &w.st, &cfg.peel)?;
-                sync_worker(w)
+                sync_worker(w);
+                Ok(())
             })?;
             total_ms += slice.charged_ms;
             slices.push(slice);
@@ -427,28 +448,22 @@ fn build_workers(
 }
 
 /// Runs `f` on every worker concurrently (order-preserving rayon map) and
-/// records the barrier sub-round as a [`SubRoundSlice`]: `charged_ms` is the
-/// max over the workers' returns — the exact addend the caller folds into
-/// `total_ms`, unchanged from the pre-ledger engine (f64 max over
-/// non-negative values is associative, so the sequential fold below is
-/// bit-identical to the old rayon reduce) — and `device_start_ms` /
-/// `device_ms` are each device's local clock at entry and its delta over
-/// the sub-round. Each worker only ever touches its own context, so every
+/// records the barrier sub-round as a [`SubRoundSlice`]: each device's
+/// local clock at entry and its delta over the sub-round, in shard order.
+/// The devices run the sub-round concurrently, so it charges the slowest
+/// one's delta. Each worker only ever touches its own context, so every
 /// field is bit-identical at any pool size.
-/// Per-worker observation: `(charged_ms, device_start_ms, device_delta_ms)`.
-type WorkerObs = Result<(f64, f64, f64), SimError>;
-
 fn run_workers(
     workers: &mut [Worker],
     sub_round: u32,
-    f: impl Fn(&mut Worker) -> Result<f64, SimError> + Sync,
+    f: impl Fn(&mut Worker) -> Result<(), SimError> + Sync,
 ) -> Result<SubRoundSlice, SimError> {
-    let mut observed: Vec<(usize, WorkerObs)> = workers
+    let mut observed = workers
         .par_iter_mut()
         .enumerate()
         .map(|(i, w)| {
             let start = w.ctx.elapsed_ms();
-            let r = f(w).map(|charged| (charged, start, w.ctx.elapsed_ms() - start));
+            let r = f(w).map(|()| (start, w.ctx.elapsed_ms() - start));
             vec![(i, r)]
         })
         .reduce(Vec::new, |mut a, mut b| {
@@ -458,44 +473,37 @@ fn run_workers(
     // Reduction order is unspecified; shard order is restored by index so
     // every ledger field is pool-size-independent.
     observed.sort_by_key(|&(i, _)| i);
-    let mut slice = SubRoundSlice {
+    let (device_start_ms, device_ms): (Vec<f64>, Vec<f64>) = observed
+        .into_iter()
+        .map(|(_, r)| r)
+        .collect::<Result<Vec<_>, _>>()?
+        .into_iter()
+        .unzip();
+    Ok(SubRoundSlice {
         sub_round,
-        charged_ms: 0.0,
-        device_start_ms: Vec::with_capacity(workers.len()),
-        device_ms: Vec::with_capacity(workers.len()),
-        bounding_device: 0,
-    };
-    for (d, r) in observed {
-        let (charged, start, delta) = r?;
-        if charged > slice.charged_ms {
-            slice.charged_ms = charged;
-            slice.bounding_device = d;
-        }
-        slice.device_start_ms.push(start);
-        slice.device_ms.push(delta);
-    }
-    Ok(slice)
+        charged_ms: max_f64(device_ms.iter().copied()),
+        device_start_ms,
+        device_ms,
+    })
 }
 
 /// The synchronizing `gpu_count` readback (Algorithm 1 line 8) on one
-/// worker, plus the frontier observability sample. Returns the worker's
-/// simulated-time delta for this sub-round.
-fn sync_worker(w: &mut Worker) -> Result<f64, SimError> {
+/// worker, plus the frontier observability sample.
+fn sync_worker(w: &mut Worker) {
     let before_sync = w.count;
     w.ctx.set_phase("Sync");
     w.count = w.ctx.dtoh_word(w.st.d_count, 0) as u64;
     w.ctx
         .sample_counter("frontier", (w.count - before_sync) as f64);
-    Ok(w.ctx.elapsed_ms())
 }
 
 /// One border exchange: drain every worker's ghost accumulator slots, ship
 /// the packets worker → master → owner, apply them with the floor-at-`k`
 /// rule, and seed owners whose vertices crossed into the k-shell. Returns
-/// `(any seeds produced, simulated exchange wall time, ledger)` — the
-/// [`ExchangeTrace`] records the shard-pair flows and the
-/// latency-vs-bandwidth split of both hops without touching a single
-/// charged value: `charged_ms` in the ledger *is* the returned wall time.
+/// `(any seeds produced, ledger)`: the [`ExchangeTrace`] records the
+/// shard-pair flows and the cost of each stage, and its `charged_ms` is
+/// their sum `pack_ms + hop1_ms + hop2_ms + apply_ms`, the exchange's
+/// simulated wall time.
 #[allow(clippy::too_many_arguments)]
 fn exchange(
     workers: &mut [Worker],
@@ -505,7 +513,7 @@ fn exchange(
     updates: &mut Vec<(u32, u32)>,
     exchanged_bytes: &mut u64,
     after_sub_round: u32,
-) -> Result<(bool, f64, ExchangeTrace), SimError> {
+) -> Result<(bool, ExchangeTrace), SimError> {
     let num = workers.len();
     let mut ledger = ExchangeTrace {
         after_sub_round,
@@ -523,7 +531,6 @@ fn exchange(
         seeds_per_device: vec![0; num],
         flows: Vec::new(),
     };
-    let mut ms = 0.0f64;
     // Shard-pair packet counts for the flow ledger, keyed (from, to) — a
     // BTreeMap so the flow order is deterministic.
     let mut pair_packets: BTreeMap<(usize, usize), u64> = BTreeMap::new();
@@ -570,16 +577,15 @@ fn exchange(
             })?;
             pack_seq[wi] = Some(w.ctx.launches().len() - 1);
             let delta = w.ctx.elapsed_ms() - before;
-            if delta > ms {
-                ms = delta;
+            if delta > ledger.pack_ms {
+                ledger.pack_ms = delta;
                 ledger.pack_bounding_device = wi;
             }
         }
     }
     if updates.is_empty() {
-        return Ok((false, ms, ledger));
+        return Ok((false, ledger));
     }
-    ledger.pack_ms = ms;
 
     // ---- master aggregation, ascending global ID -------------------------
     updates.sort_unstable();
@@ -592,13 +598,10 @@ fn exchange(
     }
     // Each packet is (vertex, delta): 8 bytes, shipped worker → master →
     // owner (two hops, as the paper sketches); the master dedups, so the
-    // second hop carries the aggregated packets.
+    // second hop carries the aggregated packets. Each hop costs the link
+    // latency plus its packets over the bandwidth.
     let bytes = (packets_out + aggregated.len() as u64) * 8;
     *exchanged_bytes += bytes;
-    ms += (cfg.link_latency_s * 2.0 + bytes as f64 / cfg.link_bandwidth) * 1e3;
-    // Informational hop split (latency + that hop's bandwidth term); the
-    // charged link cost above stays the single fused expression so
-    // `total_ms` is bit-identical to the pre-ledger engine.
     ledger.hop1_ms = (cfg.link_latency_s + packets_out as f64 * 8.0 / cfg.link_bandwidth) * 1e3;
     ledger.hop2_ms =
         (cfg.link_latency_s + aggregated.len() as f64 * 8.0 / cfg.link_bandwidth) * 1e3;
@@ -610,7 +613,6 @@ fn exchange(
     // O(1) owner lookup through the partition map (the old prototype did a
     // linear scan over worker ranges per update).
     let mut any_seeds = false;
-    let mut apply_ms = 0.0f64;
     let mut start = 0usize;
     while start < aggregated.len() {
         let owner = part.owner_of(aggregated[start].0);
@@ -655,8 +657,8 @@ fn exchange(
             }
         }
         let delta = w.ctx.elapsed_ms() - before;
-        if delta > apply_ms {
-            apply_ms = delta;
+        if delta > ledger.apply_ms {
+            ledger.apply_ms = delta;
             ledger.apply_bounding_device = owner;
         }
         start = end;
@@ -675,9 +677,8 @@ fn exchange(
             apply_launch_seq: apply_seq[to].expect("owner ran an apply launch"),
         })
         .collect();
-    ledger.apply_ms = apply_ms;
-    ledger.charged_ms = ms + apply_ms;
-    Ok((any_seeds, ms + apply_ms, ledger))
+    ledger.charged_ms = ledger.pack_ms + ledger.hop1_ms + ledger.hop2_ms + ledger.apply_ms;
+    Ok((any_seeds, ledger))
 }
 
 /// Injects border seeds (local IDs) into the per-block frontier buffers for
@@ -742,12 +743,6 @@ pub fn shard_memstats(
     Ok(FleetMemStats::new(
         workers.iter().map(|w| w.ctx.memstats()).collect(),
     ))
-}
-
-/// Convenience: single-device reference via [`peel::decompose`] for
-/// comparing against the distributed run.
-pub fn single_gpu_ms(g: &Csr, cfg: &PeelConfig, opts: &SimOptions) -> Result<f64, SimError> {
-    Ok(peel::decompose(g, cfg, opts)?.report.total_ms)
 }
 
 #[cfg(test)]
@@ -843,24 +838,6 @@ mod tests {
     }
 
     #[test]
-    fn degree_aware_partition_with_non_uniform_shards() {
-        // Satellite regression: hub-splitting produces non-uniform,
-        // non-contiguous shards; border seeds must still land on the right
-        // owner through the O(1) partition map.
-        let g = gen::power_law_hubs(1_500, 3_000, 5, 0.3, 17);
-        let part = Partition::build(&g, 3, PartitionStrategy::DegreeAware);
-        let sizes: Vec<usize> = part.shards.iter().map(|s| s.num_owned()).collect();
-        assert!(sizes.windows(2).any(|w| w[0] != w[1]), "sizes {sizes:?}");
-        let c = MultiGpuConfig {
-            partition: PartitionStrategy::DegreeAware,
-            num_gpus: 3,
-            ..cfg(3)
-        };
-        let run = decompose_multi(&g, &c, &SimOptions::default()).unwrap();
-        assert_eq!(run.core, kcore_cpu::bz::Bz.run(&g));
-    }
-
-    #[test]
     fn worker_residency_is_shard_local() {
         // Tentpole memory contract: each worker's ledger holds only
         // shard-local allocations — no full-|V| arrays on any device.
@@ -902,7 +879,7 @@ mod tests {
     fn fleet_capture_observes_and_never_charges() {
         // The fleet path must return the *same run* — total_ms to the bit,
         // identical fingerprints and exchange volume — while its ledger
-        // replays the charged addends exactly (check_well_formed).
+        // reconciles with the device clocks (check_well_formed).
         let g = gen::path(400);
         let base = decompose_multi(&g, &cfg(4), &SimOptions::default()).unwrap();
         let fr = decompose_multi_fleet(&g, &cfg(4), &SimOptions::default(), "path400").unwrap();

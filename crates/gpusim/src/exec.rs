@@ -150,6 +150,16 @@ pub enum SimError {
     /// A launch asked for a grid with no blocks, or with a block width that
     /// is not a positive multiple of the 32-thread warp.
     InvalidLaunch(LaunchConfig),
+    /// A run configuration the engine cannot honor: `what` is set to
+    /// `value`, and the engine needs `need`.
+    InvalidConfig {
+        /// The offending setting.
+        what: &'static str,
+        /// The value it was given.
+        value: u64,
+        /// What the engine accepts.
+        need: &'static str,
+    },
 }
 
 impl std::fmt::Display for SimError {
@@ -166,6 +176,9 @@ impl std::fmt::Display for SimError {
                  and a positive multiple of 32 threads per block)",
                 cfg.blocks, cfg.threads_per_block
             ),
+            SimError::InvalidConfig { what, value, need } => {
+                write!(f, "invalid configuration: {what} = {value} (need {need})")
+            }
         }
     }
 }

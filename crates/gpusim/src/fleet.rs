@@ -17,25 +17,21 @@
 //! and the whole ledger is derived deterministically, so fleet artifacts are
 //! bit-identical across rayon pool sizes like every prior layer.
 //!
-//! **Two clocks.** Each device context runs its own simulated clock, so
-//! per-device numbers (sub-round slice starts, launch references) are
-//! device-local. The engine's `total_ms`, however, is accumulated under the
-//! PR 9 convention: each barrier sub-round charges the *max cumulative
-//! device clock* returned by the workers (a conservative re-synchronize
-//! model), and each exchange charges its pack + link + apply delta. The
-//! ledger records both views: `charged_ms` fields are the **exact f64
-//! addends** the engine folded into `total_ms` (replaying them in order
-//! reproduces `total_ms` to the bit — [`FleetTrace::check_well_formed`]
-//! asserts it), while `device_ms` fields are honest per-device sub-round
-//! deltas. The critical-path shares are computed over the delta-based
-//! resource components, which is what makes the soc-LiveJournal1 p=2
-//! cascade-serialization dip attributable: the charged convention bills a
-//! cascade sub-round at fleet scope even when only one shard is active, so
-//! a graph whose shells bounce across one border serializes.
+//! **The fleet clock.** Each device context runs its own simulated clock,
+//! so per-device numbers (sub-round slice starts, launch references) are
+//! device-local. The fleet clock is composed from them: the devices run
+//! each barrier sub-round concurrently, so a sub-round costs the slowest
+//! device's delta (`charged_ms = max(device_ms)`); each exchange then costs
+//! its pack kernels, both link hops and its apply kernels
+//! (`pack_ms + hop1_ms + hop2_ms + apply_ms`). `total_ms` is the setup
+//! phase, those addends in order, and the result gather.
+//! [`FleetTrace::check_well_formed`] reconciles every slice against its
+//! device clocks and every exchange against its components, and replays the
+//! addends to `total_ms`, all bit-for-bit.
 //!
 //! [`FleetTrace::merged_chrome_json`] renders the whole fleet as one
 //! Perfetto document: one process triple (GPU / PCIe / memory) per device on
-//! its local clock, a link process on the charged fleet clock carrying
+//! its local clock, a link process on the fleet clock carrying
 //! `worker → master` / `master → owner` hop slices, flow events tying each
 //! shard-pair's pack launch to its apply launch, and border-cascade slices
 //! on each owner device's tracks.
@@ -47,7 +43,7 @@ use serde::{Serialize, Value};
 
 /// Version of the fleet-trace serialization schema. Bumped on any shape
 /// change so golden fleet artifacts refuse to diff across schemas.
-pub const FLEET_SCHEMA_VERSION: u32 = 1;
+pub const FLEET_SCHEMA_VERSION: u32 = 2;
 
 /// Serializable ledger of one sharded multi-device run.
 #[derive(Debug, Clone, Serialize)]
@@ -107,15 +103,13 @@ pub struct SubRoundSlice {
     /// 0 for the scan+drain sub-round, 1.. for border cascades.
     pub sub_round: u32,
     /// Exact f64 addend the engine folded into `total_ms` for this
-    /// sub-round (the max-cumulative-clock convention — see module docs).
+    /// sub-round: the slowest device's delta, `max(device_ms)`.
     pub charged_ms: f64,
     /// Each device's local clock when the sub-round began, ms.
     pub device_start_ms: Vec<f64>,
     /// Each device's simulated-time delta over the sub-round, ms (0.0 for
     /// devices idle in a cascade sub-round).
     pub device_ms: Vec<f64>,
-    /// Device whose return bounded the charge (first argmax).
-    pub bounding_device: usize,
 }
 
 /// One border exchange: ghost drain → pack kernels → two link hops →
@@ -124,7 +118,8 @@ pub struct SubRoundSlice {
 pub struct ExchangeTrace {
     /// Sub-round index the exchange followed (0 = after the scan).
     pub after_sub_round: u32,
-    /// Exact f64 addend the engine folded into `total_ms`.
+    /// Exact f64 addend the engine folded into `total_ms`:
+    /// `pack_ms + hop1_ms + hop2_ms + apply_ms`.
     pub charged_ms: f64,
     /// Max-over-workers pack-kernel delta, ms.
     pub pack_ms: f64,
@@ -180,8 +175,6 @@ pub struct RoundCritical {
     pub k: u32,
     /// Barrier sub-rounds in the round.
     pub sub_rounds: u32,
-    /// Exact charged total for the round (Σ of slice + exchange addends).
-    pub charged_ms: f64,
     /// Max-over-devices scan+drain delta, ms.
     pub compute_ms: f64,
     /// Σ over cascade sub-rounds of the max-over-devices delta, ms.
@@ -366,6 +359,9 @@ impl FleetTrace {
     /// Structural validation of the ledger against its own embedded device
     /// traces — the `fleetreport --check` contract:
     ///
+    /// * every slice's `charged_ms` is its slowest device's clock delta,
+    ///   `max(device_ms)`, **to the bit**, and every exchange's is
+    ///   `pack_ms + hop1_ms + hop2_ms + apply_ms`;
     /// * replaying the charged addends in recorded order reproduces
     ///   `total_ms` **to the bit**;
     /// * every round's critical-path shares sum to 1 (±1e-9) and name a
@@ -404,11 +400,26 @@ impl FleetTrace {
             for (s, e) in r.slices.iter().zip(&r.exchanges) {
                 if s.device_ms.len() != self.num_devices
                     || s.device_start_ms.len() != self.num_devices
-                    || s.bounding_device >= self.num_devices
                 {
                     return Err(format!(
                         "round {ri} slice {}: bad device vectors",
                         s.sub_round
+                    ));
+                }
+                let slowest = max_device_ms(&s.device_ms);
+                if s.charged_ms.to_bits() != slowest.to_bits() {
+                    return Err(format!(
+                        "round {ri} (k={}) sub-round {}: charged {} ms but the slowest \
+                         device clock advanced {slowest} ms",
+                        r.k, s.sub_round, s.charged_ms
+                    ));
+                }
+                let components = e.pack_ms + e.hop1_ms + e.hop2_ms + e.apply_ms;
+                if e.charged_ms.to_bits() != components.to_bits() {
+                    return Err(format!(
+                        "round {ri} (k={}) exchange after sub-round {}: charged {} ms, \
+                         pack + hops + apply = {components} ms",
+                        r.k, e.after_sub_round, e.charged_ms
                     ));
                 }
                 replay += s.charged_ms;
@@ -511,7 +522,7 @@ impl FleetTrace {
     ///   PCIe, memory) under pids `1+3d..3+3d` with a `D<d> · ` name
     ///   prefix, on the device's **local** clock, plus a `border cascades`
     ///   track carrying that device's sub-round slices;
-    /// * pid 0: the link process on the **charged fleet** clock, with
+    /// * pid 0: the link process on the **fleet** clock, with
     ///   `worker → master` / `master → owner` hop slices per exchange;
     /// * flow events (`s`/`t`/`f`) tying each shard-pair's `mgpu_pack`
     ///   launch through the two hops to its owner's `mgpu_apply` launch.
@@ -527,7 +538,7 @@ impl FleetTrace {
         let gpu_pid = |d: usize| 1 + 3 * d as u64;
         let mut events: Vec<Value> = Vec::new();
 
-        // ---- link process (charged fleet clock) ----------------------
+        // ---- link process (fleet clock) -------------------------------
         events.push(meta_event(
             "process_name",
             LINK_PID,
@@ -707,7 +718,8 @@ impl FleetTrace {
                         "clock_note",
                         Value::Str(
                             "device processes replay each device's local simulated clock; \
-                             the link process replays the engine's charged fleet clock"
+                             the link process replays the fleet clock (slowest device per \
+                             sub-round plus each exchange)"
                                 .into(),
                         ),
                     ),
@@ -718,18 +730,27 @@ impl FleetTrace {
     }
 }
 
+/// The slowest device's delta over a sub-round: what the fleet clock
+/// charges for it.
+fn max_device_ms(device_ms: &[f64]) -> f64 {
+    device_ms.iter().copied().fold(0.0f64, f64::max)
+}
+
 /// Derives one round's critical-path attribution from its ledger.
 fn round_critical(r: &RoundTrace) -> RoundCritical {
-    let max_d = |v: &[f64]| v.iter().copied().fold(0.0f64, f64::max);
     let argmax_d = |v: &[f64]| {
-        let m = max_d(v);
+        let m = max_device_ms(v);
         v.iter().position(|&x| x == m).unwrap_or(0)
     };
-    let compute_ms = r.slices.first().map(|s| max_d(&s.device_ms)).unwrap_or(0.0);
+    let compute_ms = r
+        .slices
+        .first()
+        .map(|s| max_device_ms(&s.device_ms))
+        .unwrap_or(0.0);
     // `+ 0.0` normalizes the -0.0 an empty f64 sum produces.
     let cascade_ms: f64 = r.slices[1..]
         .iter()
-        .map(|s| max_d(&s.device_ms))
+        .map(|s| max_device_ms(&s.device_ms))
         .sum::<f64>()
         + 0.0;
     let exchange_kernel_ms: f64 = r
@@ -744,12 +765,6 @@ fn round_critical(r: &RoundTrace) -> RoundCritical {
         .map(|e| e.hop1_ms + e.hop2_ms)
         .sum::<f64>()
         + 0.0;
-    let charged_ms = r
-        .slices
-        .iter()
-        .map(|s| s.charged_ms)
-        .chain(r.exchanges.iter().map(|e| e.charged_ms))
-        .sum();
     let sum = compute_ms + cascade_ms + exchange_kernel_ms + link_ms;
     let share = |x: f64| if sum > 0.0 { x / sum } else { 0.0 };
     let components = [
@@ -768,7 +783,10 @@ fn round_critical(r: &RoundTrace) -> RoundCritical {
         match bound {
             "compute" => format!(
                 "device{}",
-                r.slices.first().map(|s| s.bounding_device).unwrap_or(0)
+                r.slices
+                    .first()
+                    .map(|s| argmax_d(&s.device_ms))
+                    .unwrap_or(0)
             ),
             "cascade" => {
                 // the cascade sub-round with the largest fleet-wide delta,
@@ -776,8 +794,8 @@ fn round_critical(r: &RoundTrace) -> RoundCritical {
                 let worst = r.slices[1..]
                     .iter()
                     .max_by(|a, b| {
-                        max_d(&a.device_ms)
-                            .partial_cmp(&max_d(&b.device_ms))
+                        max_device_ms(&a.device_ms)
+                            .partial_cmp(&max_device_ms(&b.device_ms))
                             .unwrap()
                     })
                     .map(|s| argmax_d(&s.device_ms))
@@ -810,7 +828,6 @@ fn round_critical(r: &RoundTrace) -> RoundCritical {
     RoundCritical {
         k: r.k,
         sub_rounds: r.slices.len() as u32,
-        charged_ms,
         compute_ms,
         cascade_ms,
         exchange_kernel_ms,
@@ -838,19 +855,13 @@ pub fn fnv1a_bytes(bytes: &[u8]) -> u64 {
 mod tests {
     use super::*;
 
-    fn slice(sub: u32, charged: f64, per: Vec<f64>) -> SubRoundSlice {
-        let bounding = per
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap().then(b.0.cmp(&a.0)))
-            .map(|(i, _)| i)
-            .unwrap_or(0);
+    /// A slice charging what the engine charges: the slowest device.
+    fn slice(sub: u32, per: Vec<f64>) -> SubRoundSlice {
         SubRoundSlice {
             sub_round: sub,
-            charged_ms: charged,
+            charged_ms: max_device_ms(&per),
             device_start_ms: vec![0.0; per.len()],
             device_ms: per,
-            bounding_device: bounding,
         }
     }
 
@@ -890,22 +901,22 @@ mod tests {
             .collect()
     }
 
-    fn synthetic() -> FleetTrace {
-        let rounds = vec![
+    fn synthetic_rounds() -> Vec<RoundTrace> {
+        vec![
             RoundTrace {
                 k: 0,
                 sub_rounds: 1,
-                slices: vec![slice(0, 3.0, vec![1.0, 2.0])],
+                slices: vec![slice(0, vec![1.0, 2.0])],
                 exchanges: vec![empty_exchange(0, 2)],
             },
             RoundTrace {
                 k: 1,
                 sub_rounds: 2,
-                slices: vec![slice(0, 4.0, vec![2.0, 1.0]), slice(1, 5.0, vec![0.0, 0.5])],
+                slices: vec![slice(0, vec![2.0, 1.0]), slice(1, vec![0.0, 0.5])],
                 exchanges: vec![
                     ExchangeTrace {
                         after_sub_round: 0,
-                        charged_ms: 0.75,
+                        charged_ms: 0.25 + 0.2 + 0.15 + 0.1,
                         pack_ms: 0.25,
                         hop1_ms: 0.2,
                         hop2_ms: 0.15,
@@ -929,9 +940,25 @@ mod tests {
                     empty_exchange(1, 2),
                 ],
             },
-        ];
-        let total = 1.0 + 3.0 + 0.0 + 4.0 + 0.75 + 5.0 + 0.0 + 0.5;
+        ]
+    }
+
+    /// A fleet trace over `rounds` whose `total_ms` replays their charged
+    /// addends (setup 1.0 ms, result 0.5 ms).
+    fn fleet(rounds: Vec<RoundTrace>) -> FleetTrace {
+        let mut total = 1.0;
+        for r in &rounds {
+            for (s, e) in r.slices.iter().zip(&r.exchanges) {
+                total += s.charged_ms;
+                total += e.charged_ms;
+            }
+        }
+        total += 0.5;
         FleetTrace::new("unit", 1.0, 0.5, total, 40, rounds, dummy_devices())
+    }
+
+    fn synthetic() -> FleetTrace {
+        fleet(synthetic_rounds())
     }
 
     #[test]
@@ -969,6 +996,26 @@ mod tests {
         bad.total_ms += 1e-9;
         let err = bad.check_well_formed().unwrap_err();
         assert!(err.contains("bit-for-bit"), "{err}");
+    }
+
+    #[test]
+    fn check_reconciles_charges_against_device_clocks() {
+        // A slice billing more than its slowest device's delta — what the
+        // cumulative-clock charge did — with a `total_ms` that replays the
+        // inflated addends, so only the device clocks can expose it.
+        let mut rounds = synthetic_rounds();
+        rounds[1].slices[1].charged_ms = 3.0;
+        let err = fleet(rounds).check_well_formed().unwrap_err();
+        assert!(err.contains("round 1 (k=1) sub-round 1"), "{err}");
+        assert!(
+            err.contains("slowest device clock advanced 0.5 ms"),
+            "{err}"
+        );
+
+        let mut rounds = synthetic_rounds();
+        rounds[1].exchanges[0].charged_ms = 0.75;
+        let err = fleet(rounds).check_well_formed().unwrap_err();
+        assert!(err.contains("exchange after sub-round 0"), "{err}");
     }
 
     #[test]

@@ -8,23 +8,16 @@
 //! ghost's adjacency lives on its owner — so a shard's device footprint is
 //! `O(owned vertices + ghosts + owned arcs)`, not `O(|V|)` per worker.
 //!
-//! Two strategies:
+//! The strategy, [`PartitionStrategy::BalancedArcs`], cuts contiguous
+//! vertex ranges so every shard holds ~`(|arcs| + |rows|) / p` of the
+//! per-round kernel work (prefix sums over the global offset array; rows
+//! weigh the scan, arcs weigh the loop). Contiguous ownership keeps border
+//! sets small on graphs with locality (meshes, paths, web crawls after BFS
+//! renumber).
 //!
-//! * [`PartitionStrategy::BalancedArcs`] — contiguous vertex ranges cut so
-//!   every shard holds ~`(|arcs| + |rows|) / p` of the per-round kernel
-//!   work (prefix sums over the global offset array; rows weigh the scan,
-//!   arcs weigh the loop). Contiguous ownership keeps border sets small on
-//!   graphs with locality (meshes, paths, web crawls after BFS renumber).
-//! * [`PartitionStrategy::DegreeAware`] — hubs (degree ≥ 8× average) are
-//!   dealt round-robin across shards in ascending ID order, then runs of
-//!   consecutive non-hub vertices go greedily to the least-arc-loaded shard
-//!   (ties broken by owned-vertex count, then lowest shard ID). This splits
-//!   hub-heavy skew that defeats contiguous ranges, at the price of
-//!   non-contiguous ownership.
-//!
-//! Both strategies are pure functions of `(graph, p)` — no RNG, no thread
-//! timing — so a partition is bit-identical across runs and rayon pool
-//! sizes, which the multi-GPU determinism contract builds on.
+//! A partition is a pure function of `(graph, p)` — no RNG, no thread
+//! timing — so it is bit-identical across runs and rayon pool sizes, which
+//! the multi-GPU determinism contract builds on.
 //!
 //! The shard CSR intentionally relaxes two [`Csr`] invariants (it is built
 //! through the unchecked constructor): rows are **not symmetric** (ghost
@@ -43,27 +36,16 @@ use serde::Serialize;
 pub enum PartitionStrategy {
     /// Contiguous vertex ranges with ~equal `arcs + rows` work sums.
     BalancedArcs,
-    /// Hub-splitting round-robin + greedy least-loaded runs.
-    DegreeAware,
 }
 
 impl PartitionStrategy {
-    /// Stable lowercase name (bench JSON, env knobs).
+    /// Stable lowercase name (bench JSON).
     pub fn name(&self) -> &'static str {
         match self {
             PartitionStrategy::BalancedArcs => "balanced",
-            PartitionStrategy::DegreeAware => "degree",
         }
     }
 }
-
-/// Hub threshold multiplier for [`PartitionStrategy::DegreeAware`]: a vertex
-/// is a hub when its degree is at least this many times the average.
-const HUB_FACTOR: u64 = 8;
-
-/// Upper bound on the run length of consecutive non-hub vertices assigned
-/// as one unit by the degree-aware strategy.
-const MAX_RUN: usize = 256;
 
 /// One shard of a [`Partition`]: local-ID compacted CSR plus the recode
 /// tables back to global IDs.
@@ -138,7 +120,6 @@ impl Partition {
 
         let owner = match strategy {
             PartitionStrategy::BalancedArcs => balanced_arcs_owner(g, p),
-            PartitionStrategy::DegreeAware => degree_aware_owner(g, p),
         };
 
         // Owned lists in ascending global order; rank = local ID.
@@ -239,7 +220,7 @@ impl Partition {
 /// partition, the denominator for the fleet exchange ledger.
 #[derive(Debug, Clone, Serialize)]
 pub struct PartitionStats {
-    /// Strategy name (`"balanced"` / `"degree"`).
+    /// Strategy name (`"balanced"`).
     pub strategy: &'static str,
     /// Shard count.
     pub num_shards: usize,
@@ -369,75 +350,16 @@ fn balanced_arcs_owner(g: &Csr, p: usize) -> Vec<u16> {
     owner
 }
 
-/// Hub-splitting assignment: hubs round-robin in ascending ID order, then
-/// runs of consecutive non-hubs to the least-loaded shard (load = assigned
-/// arcs; ties → fewest owned vertices, then lowest shard index).
-fn degree_aware_owner(g: &Csr, p: usize) -> Vec<u16> {
-    let n = g.num_vertices() as usize;
-    let arcs = g.num_arcs();
-    let avg = arcs / n as u64;
-    let hub_thresh = (HUB_FACTOR * avg.max(1)).max(HUB_FACTOR);
-    // Short runs on small graphs so every shard is reachable; capped at
-    // MAX_RUN so huge graphs still amortize the per-run argmin.
-    let run_len = (n / (8 * p)).clamp(1, MAX_RUN);
-
-    let mut owner = vec![0u16; n];
-    let mut load = vec![0u64; p];
-    let mut count = vec![0usize; p];
-    let mut next_hub = 0usize;
-    let mut run: Vec<VertexId> = Vec::with_capacity(run_len);
-    let mut run_arcs = 0u64;
-    let flush = |run: &mut Vec<VertexId>,
-                 run_arcs: &mut u64,
-                 owner: &mut Vec<u16>,
-                 load: &mut Vec<u64>,
-                 count: &mut Vec<usize>| {
-        if run.is_empty() {
-            return;
-        }
-        let best = (0..p)
-            .min_by_key(|&s| (load[s], count[s], s))
-            .expect("p >= 1");
-        for &v in run.iter() {
-            owner[v as usize] = best as u16;
-        }
-        load[best] += *run_arcs;
-        count[best] += run.len();
-        run.clear();
-        *run_arcs = 0;
-    };
-    for v in 0..n as VertexId {
-        let d = g.degree(v) as u64;
-        if d >= hub_thresh {
-            owner[v as usize] = next_hub as u16;
-            load[next_hub] += d;
-            count[next_hub] += 1;
-            next_hub = (next_hub + 1) % p;
-        } else {
-            run.push(v);
-            run_arcs += d;
-            if run.len() >= run_len {
-                flush(&mut run, &mut run_arcs, &mut owner, &mut load, &mut count);
-            }
-        }
-    }
-    flush(&mut run, &mut run_arcs, &mut owner, &mut load, &mut count);
-    owner
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gen;
 
-    const STRATEGIES: [PartitionStrategy; 2] = [
-        PartitionStrategy::BalancedArcs,
-        PartitionStrategy::DegreeAware,
-    ];
+    const BALANCED: PartitionStrategy = PartitionStrategy::BalancedArcs;
 
-    /// Structural contract every partition must satisfy, regardless of
-    /// strategy: owner map ↔ shard membership, recode round-trips, ghost
-    /// tables exact, arc conservation, ghost rows empty.
+    /// Structural contract every partition must satisfy: owner map ↔ shard
+    /// membership, recode round-trips, ghost tables exact, arc conservation,
+    /// ghost rows empty.
     fn verify(g: &Csr, part: &Partition) {
         let n = g.num_vertices() as usize;
         assert_eq!(part.owner.len(), n);
@@ -487,7 +409,7 @@ mod tests {
     }
 
     #[test]
-    fn both_strategies_hold_the_contract() {
+    fn partitions_hold_the_contract() {
         let graphs = [
             gen::erdos_renyi_gnm(500, 2_000, 7),
             gen::power_law_hubs(1_000, 3_000, 3, 0.2, 9),
@@ -496,10 +418,8 @@ mod tests {
             gen::star(200),
         ];
         for g in &graphs {
-            for strategy in STRATEGIES {
-                for p in [1, 2, 3, 4, 8] {
-                    verify(g, &Partition::build(g, p, strategy));
-                }
+            for p in [1, 2, 3, 4, 8] {
+                verify(g, &Partition::build(g, p, BALANCED));
             }
         }
     }
@@ -507,40 +427,34 @@ mod tests {
     #[test]
     fn p_clamped_to_vertex_count_and_floor_one() {
         let g = gen::complete(3);
-        for strategy in STRATEGIES {
-            let part = Partition::build(&g, 16, strategy);
-            assert_eq!(part.num_shards(), 3);
-            verify(&g, &part);
-            let part = Partition::build(&g, 0, strategy);
-            assert_eq!(part.num_shards(), 1);
-        }
+        let part = Partition::build(&g, 16, BALANCED);
+        assert_eq!(part.num_shards(), 3);
+        verify(&g, &part);
+        let part = Partition::build(&g, 0, BALANCED);
+        assert_eq!(part.num_shards(), 1);
     }
 
     #[test]
     fn empty_graph_yields_empty_partition() {
         let g = Csr::empty(0);
-        for strategy in STRATEGIES {
-            assert_eq!(Partition::build(&g, 4, strategy).num_shards(), 0);
-        }
+        assert_eq!(Partition::build(&g, 4, BALANCED).num_shards(), 0);
     }
 
     #[test]
     fn single_shard_is_the_identity_recode() {
         let g = gen::erdos_renyi_gnm(200, 800, 3);
-        for strategy in STRATEGIES {
-            let part = Partition::build(&g, 1, strategy);
-            assert_eq!(part.num_shards(), 1);
-            let shard = &part.shards[0];
-            assert!(shard.ghosts.is_empty());
-            assert_eq!(shard.num_owned() as u32, g.num_vertices());
-            assert_eq!(shard.csr, g);
-        }
+        let part = Partition::build(&g, 1, BALANCED);
+        assert_eq!(part.num_shards(), 1);
+        let shard = &part.shards[0];
+        assert!(shard.ghosts.is_empty());
+        assert_eq!(shard.num_owned() as u32, g.num_vertices());
+        assert_eq!(shard.csr, g);
     }
 
     #[test]
     fn balanced_arcs_balances_arcs() {
         let g = gen::erdos_renyi_gnm(2_000, 10_000, 11);
-        let part = Partition::build(&g, 4, PartitionStrategy::BalancedArcs);
+        let part = Partition::build(&g, 4, BALANCED);
         let per: Vec<u64> = part.shards.iter().map(|s| s.owned_arcs).collect();
         let ideal = g.num_arcs() / 4;
         for &a in &per {
@@ -555,88 +469,45 @@ mod tests {
     }
 
     #[test]
-    fn degree_aware_splits_hubs_across_shards() {
-        // 4 hubs dominating a background of low-degree vertices: the
-        // contiguous strategy can trap several hubs in one range; the
-        // degree-aware one must spread them round-robin.
-        let g = gen::power_law_hubs(2_000, 4_000, 4, 0.5, 13);
-        let part = Partition::build(&g, 4, PartitionStrategy::DegreeAware);
-        verify(&g, &part);
-        let mut hub_ids: Vec<VertexId> = (0..g.num_vertices()).collect();
-        hub_ids.sort_by_key(|&v| std::cmp::Reverse(g.degree(v)));
-        let top4: Vec<usize> = hub_ids[..4].iter().map(|&v| part.owner_of(v)).collect();
-        let mut distinct = top4.clone();
-        distinct.sort_unstable();
-        distinct.dedup();
-        assert_eq!(distinct.len(), 4, "top-4 hubs not spread: {top4:?}");
-        // arc load stays balanced within 2× of ideal despite the skew
-        let ideal = g.num_arcs() / 4;
-        for s in &part.shards {
-            assert!(s.owned_arcs < 2 * ideal.max(1), "skewed load");
-        }
-    }
-
-    #[test]
-    fn degree_aware_ownership_is_non_uniform_but_lookup_exact() {
-        // Satellite regression: with non-uniform shard sizes the O(1) owner
-        // map must still route every vertex to the shard that owns it (the
-        // old range scan assumed uniform contiguous ranges).
-        let g = gen::power_law_hubs(1_500, 3_000, 5, 0.3, 17);
-        let part = Partition::build(&g, 3, PartitionStrategy::DegreeAware);
-        let sizes: Vec<usize> = part.shards.iter().map(|s| s.num_owned()).collect();
-        assert!(
-            sizes.windows(2).any(|w| w[0] != w[1]),
-            "expected non-uniform shard sizes, got {sizes:?}"
-        );
-        for v in 0..g.num_vertices() {
-            let s = part.owner_of(v);
-            let l = part.local_id[v as usize] as usize;
-            assert_eq!(part.shards[s].owned[l], v);
-        }
-    }
-
-    #[test]
     fn stats_tile_the_border_structure() {
         let g = gen::power_law_hubs(1_000, 3_000, 3, 0.2, 9);
-        for strategy in STRATEGIES {
-            let part = Partition::build(&g, 4, strategy);
-            let stats = part.stats();
-            assert_eq!(stats.num_shards, 4);
-            assert_eq!(stats.strategy, strategy.name());
-            for (s, shard) in part.shards.iter().enumerate() {
-                let st = &stats.shards[s];
-                assert_eq!(st.owned, shard.num_owned() as u64);
-                assert_eq!(st.ghosts, shard.ghosts.len() as u64);
-                assert_eq!(st.owned_arcs, shard.owned_arcs);
-                // peer breakdowns tile the shard totals
-                assert_eq!(st.peers.iter().map(|p| p.ghosts).sum::<u64>(), st.ghosts);
-                assert_eq!(
-                    st.peers.iter().map(|p| p.border_arcs).sum::<u64>(),
-                    st.border_arcs
-                );
-                // no shard is its own peer
-                assert!(st.peers.iter().all(|p| p.peer != s));
-            }
+        let part = Partition::build(&g, 4, BALANCED);
+        let stats = part.stats();
+        assert_eq!(stats.num_shards, 4);
+        assert_eq!(stats.strategy, BALANCED.name());
+        for (s, shard) in part.shards.iter().enumerate() {
+            let st = &stats.shards[s];
+            assert_eq!(st.owned, shard.num_owned() as u64);
+            assert_eq!(st.ghosts, shard.ghosts.len() as u64);
+            assert_eq!(st.owned_arcs, shard.owned_arcs);
+            // peer breakdowns tile the shard totals
+            assert_eq!(st.peers.iter().map(|p| p.ghosts).sum::<u64>(), st.ghosts);
             assert_eq!(
-                stats.total_ghosts,
-                part.shards.iter().map(|s| s.ghosts.len() as u64).sum()
+                st.peers.iter().map(|p| p.border_arcs).sum::<u64>(),
+                st.border_arcs
             );
-            // border arcs are symmetric in aggregate: every owned→ghost arc
-            // on shard A into B has a mirror owned→ghost arc on B into A
-            // (the graph is symmetric), so per-pair counts must match.
-            for a in 0..4usize {
-                for pa in &stats.shards[a].peers {
-                    let mirror = stats.shards[pa.peer]
-                        .peers
-                        .iter()
-                        .find(|p| p.peer == a)
-                        .expect("peer relation is symmetric");
-                    assert_eq!(mirror.border_arcs, pa.border_arcs);
-                }
+            // no shard is its own peer
+            assert!(st.peers.iter().all(|p| p.peer != s));
+        }
+        assert_eq!(
+            stats.total_ghosts,
+            part.shards.iter().map(|s| s.ghosts.len() as u64).sum()
+        );
+        // border arcs are symmetric in aggregate: every owned→ghost arc
+        // on shard A into B has a mirror owned→ghost arc on B into A
+        // (the graph is symmetric), so per-pair counts must match.
+        for a in 0..4usize {
+            for pa in &stats.shards[a].peers {
+                let mirror = stats.shards[pa.peer]
+                    .peers
+                    .iter()
+                    .find(|p| p.peer == a)
+                    .expect("peer relation is symmetric");
+                assert_eq!(mirror.border_arcs, pa.border_arcs);
             }
         }
         // single shard: no borders at all
-        let solo = Partition::build(&g, 1, PartitionStrategy::BalancedArcs).stats();
+        let solo = Partition::build(&g, 1, BALANCED).stats();
         assert_eq!(solo.total_ghosts, 0);
         assert_eq!(solo.total_border_arcs, 0);
     }
@@ -644,14 +515,12 @@ mod tests {
     #[test]
     fn partitions_are_deterministic() {
         let g = gen::rmat(10, 5_000, gen::RmatParams::graph500(), 21);
-        for strategy in STRATEGIES {
-            let a = Partition::build(&g, 4, strategy);
-            let b = Partition::build(&g, 4, strategy);
-            assert_eq!(a.owner, b.owner);
-            for (x, y) in a.shards.iter().zip(&b.shards) {
-                assert_eq!(x.csr, y.csr);
-                assert_eq!(x.ghosts, y.ghosts);
-            }
+        let a = Partition::build(&g, 4, BALANCED);
+        let b = Partition::build(&g, 4, BALANCED);
+        assert_eq!(a.owner, b.owner);
+        for (x, y) in a.shards.iter().zip(&b.shards) {
+            assert_eq!(x.csr, y.csr);
+            assert_eq!(x.ghosts, y.ghosts);
         }
     }
 }

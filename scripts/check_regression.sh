@@ -15,8 +15,10 @@
 #
 # Baselines: BENCH_0 (pre-fast-path), BENCH_1 (warp-vectorized two-launch
 # fast path), BENCH_2 (fused single-entry round engine — identical
-# simulated cells to BENCH_1, lower host_ms), and later snapshots. The
-# differ always diffs against the highest-numbered snapshot.
+# simulated cells to BENCH_1, lower host_ms), BENCH_3, BENCH_4 (adds the
+# "Sharded p=4" cells) and BENCH_5 (the sharded cells charged from the
+# device clocks; every other cell identical to BENCH_4). The differ always
+# diffs against the highest-numbered snapshot.
 #
 # Usage: scripts/check_regression.sh [--record]
 set -euo pipefail

@@ -92,10 +92,11 @@ rm -rf "$mem_results"
 echo "memreport smoke OK"
 
 echo "== sharded scaling smoke (partition contract + fit forecast) =="
-# --check sweeps 1/2/4/8 workers x both partitioners over the smoke
-# datasets, asserting sharded cores equal BZ, one device exchanges zero
-# bytes, max per-device peak shrinks as the pool grows, worker ledgers are
-# shard-local, and the uk-2005 @1x forecast fits on <= 8 x 16 GB devices.
+# --check sweeps 1/2/4/8 workers over the smoke datasets, asserting
+# sharded cores equal BZ, one device exchanges zero bytes and charges
+# bit-for-bit what the single-device engine charges, max per-device peak
+# shrinks as the pool grows, worker ledgers are shard-local, and the
+# uk-2005 @1x forecast fits on <= 8 x 16 GB devices.
 scale_results="$(mktemp -d)"
 KCORE_SMOKE=1 KCORE_CACHE_DIR="$cache_dir" \
   KCORE_RESULTS_DIR="$scale_results" ./target/release/table_scale --check > /dev/null
@@ -124,11 +125,12 @@ echo "dynamic smoke OK"
 
 echo "== fleet observability smoke (exchange ledger + merged export) =="
 # --check runs the sharded decomposition at p=2/4 with the fleet ledger
-# armed and asserts the ledger replays the charged time bit-exactly, every
-# exchange flow references a real pack/apply launch record, per-round
-# critical-path shares sum to 1.0, and the trace survives a round trip
-# through regress::parse_json. Observability only: the measured runs are
-# bit-identical to decompose_multi.
+# armed and asserts every sub-round slice charges exactly its slowest
+# device's clock delta (bit-for-bit), every exchange flow references a
+# real pack/apply launch record, per-round critical-path shares sum to
+# 1.0, and the trace survives a round trip through regress::parse_json.
+# Observability only: the measured runs are bit-identical to
+# decompose_multi.
 fleet_results="$(mktemp -d)"
 KCORE_SMOKE=1 KCORE_DATASETS=amazon0601,wiki-Talk KCORE_CACHE_DIR="$cache_dir" \
   KCORE_RESULTS_DIR="$fleet_results" ./target/release/fleetreport --check > /dev/null

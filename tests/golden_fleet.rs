@@ -17,7 +17,7 @@ use kcore::gpu::{
     decompose_multi, decompose_multi_fleet, FleetRun, MultiGpuConfig, PeelConfig, SimOptions,
 };
 use kcore::gpusim::{fnv1a_bytes, LaunchConfig, FLEET_SCHEMA_VERSION, TRACE_SCHEMA_VERSION};
-use kcore::graph::{gen, PartitionStrategy};
+use kcore::graph::gen;
 use proptest::prelude::*;
 use serde::Serialize;
 use std::path::PathBuf;
@@ -172,11 +172,6 @@ proptest! {
         let g = gen::erdos_renyi_gnm(300 + (seed % 5) as u32 * 40, 900 + seed % 800, seed);
         let cfg = MultiGpuConfig {
             num_gpus: p,
-            partition: if seed % 2 == 0 {
-                PartitionStrategy::BalancedArcs
-            } else {
-                PartitionStrategy::DegreeAware
-            },
             peel: PeelConfig {
                 launch: LaunchConfig { blocks: 8, threads_per_block: 64 },
                 buf_capacity: 4_096,

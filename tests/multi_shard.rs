@@ -1,8 +1,10 @@
 //! Integration tests for edge-partitioned sharded decomposition (DESIGN.md
 //! "Sharded decomposition"): the sharded path must equal BZ on adversarial
 //! graphs and at several shard counts, be bit-identical at any rayon pool
-//! size, and match a checked-in golden that pins every worker's per-phase
-//! counters plus the exchange volume.
+//! size, charge at one device exactly what the single-device engine
+//! charges, refuse zero devices with a typed error, and match a checked-in
+//! golden that pins every worker's per-phase counters plus the exchange
+//! volume.
 //!
 //! After an *intentional* change to the sharded kernels or the exchange
 //! protocol, regenerate the golden file:
@@ -13,19 +15,18 @@
 
 use kcore::cpu::{self, CoreAlgorithm};
 use kcore::gpu::{
-    decompose_multi, decompose_multi_fleet, FleetRun, MultiGpuConfig, MultiGpuRun, PeelConfig,
-    SimOptions,
+    decompose, decompose_multi, decompose_multi_fleet, FleetRun, MultiGpuConfig, MultiGpuRun,
+    PeelConfig, SimOptions,
 };
-use kcore::gpusim::{Counters, LaunchConfig, TRACE_SCHEMA_VERSION};
-use kcore::graph::{gen, Csr, PartitionStrategy};
+use kcore::gpusim::{Counters, LaunchConfig, SimError, TRACE_SCHEMA_VERSION};
+use kcore::graph::{gen, Csr};
 use proptest::prelude::*;
 use serde::Serialize;
 use std::path::PathBuf;
 
-fn small_cfg(p: usize, strategy: PartitionStrategy) -> MultiGpuConfig {
+fn small_cfg(p: usize) -> MultiGpuConfig {
     MultiGpuConfig {
         num_gpus: p,
-        partition: strategy,
         peel: PeelConfig {
             launch: LaunchConfig {
                 blocks: 8,
@@ -42,19 +43,14 @@ fn small_cfg(p: usize, strategy: PartitionStrategy) -> MultiGpuConfig {
 // Shard counts
 // ---------------------------------------------------------------------------
 
-/// Sharded ≡ BZ at several shard counts and under both partitioners.
+/// Sharded ≡ BZ at several shard counts.
 #[test]
 fn exec_paths_agree_at_all_shard_counts() {
     let g = gen::web_crawl(2_000, 9, 0.55, 4_500, 21);
     let truth = cpu::bz::Bz.run(&g);
-    for strategy in [
-        PartitionStrategy::BalancedArcs,
-        PartitionStrategy::DegreeAware,
-    ] {
-        for p in [2usize, 4, 8] {
-            let run = decompose_multi(&g, &small_cfg(p, strategy), &SimOptions::default()).unwrap();
-            assert_eq!(run.core, truth, "p={p} {}", strategy.name());
-        }
+    for p in [2usize, 4, 8] {
+        let run = decompose_multi(&g, &small_cfg(p), &SimOptions::default()).unwrap();
+        assert_eq!(run.core, truth, "p={p}");
     }
 }
 
@@ -106,31 +102,82 @@ fn adversarial_graphs_match_bz_at_all_pool_sizes() {
         (gen::overlapping_cliques(400, 60, 3..=8, 13), 3),
     ];
     for (g, p) in &cases {
-        let truth = cpu::bz::Bz.run(g);
-        for strategy in [
-            PartitionStrategy::BalancedArcs,
-            PartitionStrategy::DegreeAware,
-        ] {
-            let run = assert_pool_invariant(g, &small_cfg(*p, strategy));
-            assert_eq!(run.core, truth, "p={p} {}", strategy.name());
-        }
+        let run = assert_pool_invariant(g, &small_cfg(*p));
+        assert_eq!(run.core, cpu::bz::Bz.run(g), "p={p}");
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random graphs, random shard counts, both partitioners: sharded ≡ BZ.
+    /// Random graphs, random shard counts: sharded ≡ BZ.
     #[test]
-    fn sharded_matches_bz(seed in 0u64..10_000, p in 1usize..9, degree_aware in any::<bool>()) {
+    fn sharded_matches_bz(seed in 0u64..10_000, p in 1usize..9) {
         let g = gen::erdos_renyi_gnm(300 + (seed % 7) as u32 * 50, 900 + seed % 1_000, seed);
-        let strategy = if degree_aware {
-            PartitionStrategy::DegreeAware
-        } else {
-            PartitionStrategy::BalancedArcs
-        };
-        let run = decompose_multi(&g, &small_cfg(p, strategy), &SimOptions::default()).unwrap();
+        let run = decompose_multi(&g, &small_cfg(p), &SimOptions::default()).unwrap();
         prop_assert_eq!(run.core, cpu::bz::Bz.run(&g));
+    }
+
+    /// At one device the fleet clock is that device's clock: over random
+    /// graphs, launch geometries and kernel variants, the sharded engine
+    /// charges the single-device engine's `total_ms` to the bit.
+    #[test]
+    fn one_device_charges_what_the_single_device_engine_charges(
+        seed in 0u64..10_000,
+        blocks in 1u32..9,
+        warps in 1u32..9,
+        buf_capacity in 2_048usize..6_144,
+        ring_buffer in any::<bool>(),
+        variant in 0usize..9,
+    ) {
+        let g = if seed % 2 == 0 {
+            gen::erdos_renyi_gnm(200 + (seed % 9) as u32 * 50, 600 + seed % 2_000, seed)
+        } else {
+            gen::rmat(8 + (seed % 3) as u32, 1_500 + seed % 2_000, gen::RmatParams::graph500(), seed)
+        };
+        let base = PeelConfig {
+            launch: LaunchConfig { blocks, threads_per_block: 32 * warps },
+            buf_capacity,
+            ring_buffer,
+            ..PeelConfig::default()
+        };
+        let peel = base.all_variants()[variant];
+        let cfg = MultiGpuConfig { num_gpus: 1, peel, ..MultiGpuConfig::default() };
+        let sharded = decompose_multi(&g, &cfg, &SimOptions::default()).unwrap();
+        let single = decompose(&g, &peel, &SimOptions::default()).unwrap();
+        prop_assert_eq!(&sharded.core, &single.core);
+        prop_assert_eq!(
+            sharded.total_ms.to_bits(),
+            single.report.total_ms.to_bits(),
+            "sharded p=1 {} ms vs single-device {} ms ({})",
+            sharded.total_ms,
+            single.report.total_ms,
+            peel.variant_name()
+        );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Configuration errors
+// ---------------------------------------------------------------------------
+
+/// Zero devices is a typed error from both sharded entry points, on an
+/// empty graph as on any other.
+#[test]
+fn zero_devices_is_a_typed_error() {
+    let cfg = small_cfg(0);
+    let want = SimError::InvalidConfig {
+        what: "num_gpus",
+        value: 0,
+        need: "at least 1",
+    };
+    for g in [Csr::empty(0), gen::path(10)] {
+        let opts = SimOptions::default();
+        assert_eq!(decompose_multi(&g, &cfg, &opts).unwrap_err(), want);
+        assert_eq!(
+            decompose_multi_fleet(&g, &cfg, &opts, "zero").unwrap_err(),
+            want
+        );
     }
 }
 
