@@ -15,18 +15,12 @@
 //! timeline as Chrome trace-event JSON
 //! (`results/traces/<dataset>_<impl>.perfetto.json`, open in
 //! <https://ui.perfetto.dev>) and print the per-kernel hotspot attribution.
-//! Set `KCORE_HOSTPROF=1` to also capture each implementation's host-side
-//! wall-clock profile (`results/traces/<dataset>_<impl>.hostprof.json`);
-//! combined with `KCORE_TIMELINE=1` the Perfetto export grows a "Host
-//! (wall clock)" process with per-thread span tracks beside the simulated
-//! SM tracks. Set `KCORE_FLEET_TIMELINE=1` to additionally run the sharded
+//! Set `KCORE_FLEET_TIMELINE=1` to additionally run the sharded
 //! p=4 decomposition and dump its fleet ledger + merged multi-device
 //! Perfetto file (`results/traces/<dataset>_fleet_p4.fleet{,.perfetto}.json`)
 //! plus a per-round critical-path breakdown on the console.
 
-use kcore_bench::{
-    fleet_timeline_enabled, prepare, save_fleet, save_hostprof, save_timeline, save_trace,
-};
+use kcore_bench::{fleet_timeline_enabled, prepare, save_fleet, save_timeline, save_trace};
 use kcore_gpusim::{Counters, GpuContext, HOTSPOT_TOP_K};
 use kcore_systems::{gswitch, gunrock, medusa, vetga, FrameworkCosts};
 
@@ -54,32 +48,9 @@ fn dump(ctx: &mut GpuContext, dataset: &str, label: &str) {
         &format!("{dataset}_{slug}"),
         &ctx.trace(format!("{label} on {dataset}")),
     );
-    // Contexts arm themselves from KCORE_HOSTPROF=1; when armed, dump the
-    // host profile beside the trace and print the host-side summary.
-    let host = ctx.host_profile(&format!("{label} on {dataset}"));
-    if let Some(host) = &host {
-        save_hostprof(&format!("{dataset}_{slug}"), host);
-        println!(
-            "    host: {:.1} ms wall, {:.1} ms attributed over {} phases, {} spans",
-            host.total_s * 1e3,
-            host.attributed_s() * 1e3,
-            host.phases.len(),
-            host.threads.iter().map(|t| t.spans.len()).sum::<usize>()
-        );
-    }
     if std::env::var_os("KCORE_TIMELINE").is_some() {
         let timeline = ctx.timeline(format!("{label} on {dataset}"));
-        if let Some(host) = &host {
-            // Host tracks ride along in the same Chrome trace file.
-            let dir = kcore_bench::results_dir().join("traces");
-            std::fs::create_dir_all(&dir).expect("create traces dir");
-            let path = dir.join(format!("{dataset}_{slug}.perfetto.json"));
-            std::fs::write(&path, timeline.to_chrome_json_with_host(Some(host)))
-                .expect("write timeline");
-            eprintln!("[saved {} (with host tracks)]", path.display());
-        } else {
-            save_timeline(&format!("{dataset}_{slug}"), &timeline);
-        }
+        save_timeline(&format!("{dataset}_{slug}"), &timeline);
         for h in ctx.hotspots(HOTSPOT_TOP_K) {
             let (bucket, ms) = h.dominant_bucket();
             println!(

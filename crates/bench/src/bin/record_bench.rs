@@ -9,8 +9,9 @@
 //!
 //! `--check` measures and diffs but records nothing — the CI mode used by
 //! `scripts/check_regression.sh`. The process exits non-zero when any
-//! implementation's simulated time regressed by more than
-//! [`regress::REGRESSION_THRESHOLD`] against the latest recorded snapshot.
+//! implementation's status, simulated time, launch count or counters
+//! fingerprint differs from the latest recorded snapshot (see
+//! [`regress::diff`]).
 //!
 //! Dataset selection honors `KCORE_SMOKE` / `KCORE_DATASETS` like every
 //! other bench binary; snapshots remember which registry they measured and
@@ -31,14 +32,6 @@ fn status_of(res: &Result<Vec<u32>, SimError>, truth: &[u32]) -> &'static str {
     }
 }
 
-/// Arms `ctx` with a wall-clock host profiler so the snapshot's
-/// informational host-time fields are populated. Host profiling observes
-/// only — simulated times, counters and fingerprints are unaffected.
-fn arm(mut ctx: GpuContext) -> GpuContext {
-    ctx.set_host_profiler(Some(kcore_gpusim::HostProfiler::wall()));
-    ctx
-}
-
 fn entry(
     ctx: &mut GpuContext,
     dataset: &str,
@@ -46,10 +39,6 @@ fn entry(
     res: Result<Vec<u32>, SimError>,
     truth: &[u32],
 ) -> Entry {
-    let host = ctx.host_profile(&format!("{impl_name} on {dataset}"));
-    let (host_ms, host_attributed_ms) = host
-        .map(|p| (p.total_s * 1e3, p.attributed_s() * 1e3))
-        .unwrap_or((0.0, 0.0));
     let trace = ctx.trace(format!("{impl_name} on {dataset} (record_bench)"));
     Entry {
         dataset: dataset.into(),
@@ -58,8 +47,6 @@ fn entry(
         sim_ms: trace.totals.time_ms,
         launches: trace.totals.launches,
         counters_fingerprint: trace.counters_fingerprint(),
-        host_ms,
-        host_attributed_ms,
         exchange_rounds: 0,
         border_packets: 0,
         hotspots: trace
@@ -93,7 +80,7 @@ fn main() {
         let costs = FrameworkCosts::default().scaled(e.scale);
         let name = e.dataset.name;
         {
-            let mut ctx = arm(e.sim.context());
+            let mut ctx = e.sim.context();
             let res =
                 kcore_gpu::decompose_in(&mut ctx, &e.graph, &e.peel_cfg).map(|(core, _)| core);
             entries.push(entry(&mut ctx, name, "Ours", res, &e.truth));
@@ -108,34 +95,32 @@ fn main() {
                 sim_ms: 0.0,
                 launches: 0,
                 counters_fingerprint: 0,
-                host_ms: 0.0,
-                host_attributed_ms: 0.0,
                 exchange_rounds: 0,
                 border_packets: 0,
                 hotspots: Vec::new(),
             });
         } else {
-            let mut ctx = arm(e.sim.context());
+            let mut ctx = e.sim.context();
             let res = vetga::peel_in(&mut ctx, &e.graph, &costs).map(|(core, _)| core);
             entries.push(entry(&mut ctx, name, "VETGA", res, &e.truth));
         }
         {
-            let mut ctx = arm(e.sim.context());
+            let mut ctx = e.sim.context();
             let res = medusa::mpm_in(&mut ctx, &e.graph, &costs).map(|(core, _)| core);
             entries.push(entry(&mut ctx, name, "Medusa-MPM", res, &e.truth));
         }
         {
-            let mut ctx = arm(e.sim.context());
+            let mut ctx = e.sim.context();
             let res = medusa::peel_in(&mut ctx, &e.graph, &costs).map(|(core, _)| core);
             entries.push(entry(&mut ctx, name, "Medusa-Peel", res, &e.truth));
         }
         {
-            let mut ctx = arm(e.sim.context());
+            let mut ctx = e.sim.context();
             let res = gunrock::peel_in(&mut ctx, &e.graph, &costs).map(|(core, _)| core);
             entries.push(entry(&mut ctx, name, "Gunrock", res, &e.truth));
         }
         {
-            let mut ctx = arm(e.sim.context());
+            let mut ctx = e.sim.context();
             let res = gswitch::peel_in(&mut ctx, &e.graph, e.k_max, &costs).map(|(core, _)| core);
             entries.push(entry(&mut ctx, name, "GSwitch", res, &e.truth));
         }
@@ -161,8 +146,6 @@ fn main() {
                         sim_ms: run.total_ms,
                         launches: traces.iter().map(|t| t.totals.launches).sum(),
                         counters_fingerprint: kcore_gpusim::fnv1a_bytes(&fp_bytes),
-                        host_ms: 0.0,
-                        host_attributed_ms: 0.0,
                         exchange_rounds: run.exchange_rounds,
                         border_packets: run.border_packets,
                         hotspots: Vec::new(),
@@ -180,8 +163,6 @@ fn main() {
                     sim_ms: 0.0,
                     launches: 0,
                     counters_fingerprint: 0,
-                    host_ms: 0.0,
-                    host_attributed_ms: 0.0,
                     exchange_rounds: 0,
                     border_packets: 0,
                     hotspots: Vec::new(),
@@ -217,8 +198,8 @@ fn main() {
                 println!("{line}");
             }
             if rep.failed() {
-                println!("\nREGRESSIONS:");
-                for r in &rep.regressions {
+                println!("\nMOVED (a deliberate move needs a new snapshot):");
+                for r in &rep.mismatches {
                     println!("  {r}");
                 }
                 failed = true;

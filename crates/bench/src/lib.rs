@@ -319,18 +319,6 @@ pub fn save_timeline(name: &str, timeline: &kcore_gpusim::Timeline) {
     eprintln!("[saved {}]", path.display());
 }
 
-/// Writes a [`HostProfile`](kcore_gpusim::HostProfile) as pretty-printed
-/// JSON into `results/traces/<name>.hostprof.json`. Host profiles live in
-/// their own schema-versioned files beside the trace — they are wall-clock
-/// observations, never part of a golden trace or fingerprint.
-pub fn save_hostprof(name: &str, profile: &kcore_gpusim::HostProfile) {
-    let dir = results_dir().join("traces");
-    std::fs::create_dir_all(&dir).expect("create traces dir");
-    let path = dir.join(format!("{name}.hostprof.json"));
-    std::fs::write(&path, profile.to_json()).expect("write host profile");
-    eprintln!("[saved {}]", path.display());
-}
-
 /// Env knob: set `KCORE_FLEET_TIMELINE=1` to make `inspect` and
 /// `table_scale` export fleet observability artifacts (the fleet trace plus
 /// the merged multi-device Perfetto document) beside their normal output.

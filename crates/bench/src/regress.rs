@@ -8,9 +8,10 @@
 //! `BENCH_1.json`, … to the results directory, so the repo accumulates a
 //! performance trajectory instead of anecdotes; [`diff`] compares a new
 //! snapshot against the latest recorded one and flags any implementation
-//! whose simulated time regressed by more than
-//! [`REGRESSION_THRESHOLD`] — `scripts/check_regression.sh` turns that into
-//! a CI failure.
+//! whose status, simulated time, launch count or counters fingerprint
+//! differs at all — `scripts/check_regression.sh` turns that into a CI
+//! failure. Every cell is deterministic and independent of the rayon width,
+//! so an exact compare cannot flake; a deliberate move needs a new snapshot.
 //!
 //! Comparisons refuse to cross schema versions or dataset modes
 //! (smoke vs full registry): a diff between snapshots that measured
@@ -25,9 +26,6 @@ use std::path::{Path, PathBuf};
 /// Version of the snapshot schema; bump on any shape change so old
 /// snapshots are skipped, not misread.
 pub const BENCH_SCHEMA_VERSION: u32 = 1;
-
-/// Relative sim-time increase that counts as a regression (5%).
-pub const REGRESSION_THRESHOLD: f64 = 0.05;
 
 /// One recorded benchmark snapshot.
 #[derive(Debug, Clone, Serialize)]
@@ -61,20 +59,11 @@ pub struct Entry {
     /// fingerprints mean the same simulated workload, so a sim-time delta is
     /// a cost-model or scheduling change, not an algorithm change.
     pub counters_fingerprint: u64,
-    /// Host wall-clock for the run, ms — **informational only**. Real time
-    /// varies with machine load, so this never participates in the
-    /// regression gate; `0.0` when host profiling was off. Snapshots
-    /// written before this field existed simply lack it (the parser treats
-    /// a missing key as absent, so diffs stay quiet about it).
-    pub host_ms: f64,
-    /// Host wall-clock attributed to named buckets by the host profiler,
-    /// ms — informational, like [`Entry::host_ms`].
-    pub host_attributed_ms: f64,
     /// Sharded-engine exchanges that carried border packets —
-    /// **informational only**, like [`Entry::host_ms`]: never part of the
-    /// regression gate, `0` for single-device entries, and absent from
-    /// snapshots written before the field existed (the parser treats a
-    /// missing key as absent, so old snapshots parse cleanly).
+    /// **informational only**: never part of the regression gate, `0` for
+    /// single-device entries, and absent from snapshots written before the
+    /// field existed (the parser treats a missing key as absent, so old
+    /// snapshots parse cleanly).
     pub exchange_rounds: u64,
     /// Worker→master border packets over the run — informational, like
     /// [`Entry::exchange_rounds`].
@@ -103,8 +92,9 @@ pub struct HotspotSummary {
 pub struct DiffReport {
     /// Human-readable per-entry lines, in entry order.
     pub lines: Vec<String>,
-    /// Entries that regressed beyond [`REGRESSION_THRESHOLD`].
-    pub regressions: Vec<String>,
+    /// Paired entries whose gated fields differ, each naming the fields
+    /// that moved.
+    pub mismatches: Vec<String>,
     /// Set when the comparison was skipped entirely (schema/mode mismatch).
     pub skipped: Option<String>,
 }
@@ -112,7 +102,7 @@ pub struct DiffReport {
 impl DiffReport {
     /// Whether the gate should fail.
     pub fn failed(&self) -> bool {
-        !self.regressions.is_empty()
+        !self.mismatches.is_empty()
     }
 }
 
@@ -170,8 +160,12 @@ pub fn write_snapshot(dir: &Path, snap: &Snapshot) -> PathBuf {
 // ---------------------------------------------------------------------------
 
 /// Compares `cur` against a previously recorded snapshot (as loaded by
-/// [`latest_snapshot`]). Entries pair up by (dataset, implementation); only
-/// pairs that both ran `"ok"` gate on time.
+/// [`latest_snapshot`]). Entries pair up by (dataset, implementation). A
+/// paired entry fails the gate on any difference, in either direction, in
+/// its `status`, the bits of its `sim_ms`, its `launches` or its
+/// `counters_fingerprint`; a field the previous snapshot lacks counts as a
+/// difference. Other fields (hotspots, exchange counts, and the host-time
+/// fields of older snapshots) are never compared.
 pub fn diff(prev: &Value, cur: &Snapshot) -> DiffReport {
     let mut rep = DiffReport::default();
     let prev_schema = get(prev, "schema_version").and_then(as_u64);
@@ -201,38 +195,39 @@ pub fn diff(prev: &Value, cur: &Snapshot) -> DiffReport {
             rep.lines.push(format!("  {key}: new entry ({})", e.status));
             continue;
         };
-        let old_status = get(old, "status").and_then(as_str).unwrap_or("?");
-        if old_status != "ok" || e.status != "ok" {
-            rep.lines
-                .push(format!("  {key}: status {old_status} -> {}", e.status));
-            continue;
+        let old_status = get(old, "status").and_then(as_str);
+        let old_ms = get(old, "sim_ms").and_then(as_f64);
+        let old_launches = get(old, "launches").and_then(as_u64);
+        let old_fp = get(old, "counters_fingerprint").and_then(as_u64);
+        let mut moved = Vec::new();
+        if old_status != Some(e.status.as_str()) {
+            moved.push(format!("status {} -> {:?}", shown(old_status), e.status));
         }
-        let old_ms = get(old, "sim_ms").and_then(as_f64).unwrap_or(0.0);
+        if old_ms.map(f64::to_bits) != Some(e.sim_ms.to_bits()) {
+            moved.push(format!("sim_ms {} -> {:?}", shown(old_ms), e.sim_ms));
+        }
+        if old_launches != Some(e.launches) {
+            moved.push(format!(
+                "launches {} -> {}",
+                shown(old_launches),
+                e.launches
+            ));
+        }
+        if old_fp != Some(e.counters_fingerprint) {
+            moved.push(format!(
+                "counters_fingerprint {} -> {}",
+                shown(old_fp),
+                e.counters_fingerprint
+            ));
+        }
+        let old_ms = old_ms.unwrap_or(0.0);
         let delta = if old_ms > 0.0 {
             (e.sim_ms - old_ms) / old_ms
         } else {
             0.0
         };
-        let fp_note =
-            if get(old, "counters_fingerprint").and_then(as_u64) != Some(e.counters_fingerprint) {
-                "  [workload changed]"
-            } else {
-                ""
-            };
-        // Host wall-clock note: purely informational (never a regression —
-        // real time depends on the machine, not the simulated workload).
-        let old_host = get(old, "host_ms").and_then(as_f64).unwrap_or(0.0);
-        let host_note = if old_host > 0.0 && e.host_ms > 0.0 {
-            format!(
-                "  [host {old_host:.1} ms -> {:.1} ms, informational]",
-                e.host_ms
-            )
-        } else {
-            String::new()
-        };
-        // Exchange-ledger note: informational like host time — border
-        // traffic is a workload property already covered by the
-        // fingerprint, never a time gate.
+        // Exchange-ledger note: informational — border traffic is a
+        // workload property already covered by the fingerprint.
         let old_packets = get(old, "border_packets").and_then(as_u64).unwrap_or(0);
         let xch_note = if old_packets > 0 || e.border_packets > 0 {
             format!(
@@ -242,21 +237,23 @@ pub fn diff(prev: &Value, cur: &Snapshot) -> DiffReport {
         } else {
             String::new()
         };
+        let verdict = if moved.is_empty() { "" } else { "  [MOVED]" };
         rep.lines.push(format!(
-            "  {key}: {old_ms:.3} ms -> {:.3} ms ({:+.1}%){fp_note}{host_note}{xch_note}",
+            "  {key}: {old_ms:.3} ms -> {:.3} ms ({:+.1}%){verdict}{xch_note}",
             e.sim_ms,
             delta * 100.0
         ));
-        if delta > REGRESSION_THRESHOLD {
-            rep.regressions.push(format!(
-                "{key}: {old_ms:.3} ms -> {:.3} ms (+{:.1}% > {:.0}%)",
-                e.sim_ms,
-                delta * 100.0,
-                REGRESSION_THRESHOLD * 100.0
-            ));
+        if !moved.is_empty() {
+            rep.mismatches.push(format!("{key}: {}", moved.join(", ")));
         }
     }
     rep
+}
+
+/// A previous snapshot's field value for a mismatch line: its `Debug` form,
+/// or `missing` when the snapshot lacks the field.
+fn shown(v: Option<impl std::fmt::Debug>) -> String {
+    v.map_or_else(|| "missing".into(), |x| format!("{x:?}"))
 }
 
 // ---------------------------------------------------------------------------
@@ -556,8 +553,6 @@ mod tests {
             sim_ms: ms,
             launches: 10,
             counters_fingerprint: fp,
-            host_ms: 7.5,
-            host_attributed_ms: 7.2,
             exchange_rounds: 0,
             border_packets: 0,
             hotspots: vec![HotspotSummary {
@@ -623,7 +618,7 @@ mod tests {
             ],
         );
         let prev = parse_json(&serde_json::to_string(&old).unwrap()).unwrap();
-        // 4% slower: within the gate; 10% slower: regression
+        // 4% slower and 10% slower: both fail the exact gate
         let new = snap(
             1,
             vec![
@@ -633,36 +628,81 @@ mod tests {
         );
         let rep = diff(&prev, &new);
         assert!(rep.skipped.is_none());
-        assert_eq!(rep.regressions.len(), 1, "{:?}", rep.regressions);
-        assert!(rep.regressions[0].contains("Gunrock"));
+        assert_eq!(rep.mismatches.len(), 2, "{:?}", rep.mismatches);
+        assert!(rep.mismatches[0].contains("Ours"));
+        assert!(rep.mismatches[1].contains("Gunrock"));
         assert!(rep.failed());
     }
 
     #[test]
-    fn host_time_fields_round_trip_and_never_gate() {
-        let s = snap(0, vec![entry("a", "Ours", 10.0, 1)]);
-        let v = parse_json(&serde_json::to_string_pretty(&s).unwrap()).unwrap();
-        let entries = get(&v, "entries").and_then(as_array).unwrap();
-        assert_eq!(get(&entries[0], "host_ms").and_then(as_f64), Some(7.5));
-        assert_eq!(
-            get(&entries[0], "host_attributed_ms").and_then(as_f64),
-            Some(7.2)
+    fn diff_fails_a_one_ulp_move_in_either_direction() {
+        let old = snap(0, vec![entry("a", "Ours", 100.0, 1)]);
+        let prev = parse_json(&serde_json::to_string(&old).unwrap()).unwrap();
+        let up = f64::from_bits(100.0f64.to_bits() + 1);
+        let down = f64::from_bits(100.0f64.to_bits() - 1);
+        for ms in [up, down] {
+            let rep = diff(&prev, &snap(1, vec![entry("a", "Ours", ms, 1)]));
+            assert!(rep.failed(), "{ms:?} passed the gate");
+            assert!(rep.mismatches[0].contains("sim_ms"), "{:?}", rep.mismatches);
+        }
+        // the same bits pass
+        let rep = diff(&prev, &snap(1, vec![entry("a", "Ours", 100.0, 1)]));
+        assert!(!rep.failed(), "{:?}", rep.mismatches);
+    }
+
+    #[test]
+    fn diff_fails_status_and_launch_moves() {
+        let old = snap(0, vec![entry("a", "Ours", 10.0, 1)]);
+        let prev = parse_json(&serde_json::to_string(&old).unwrap()).unwrap();
+        let mut timed_out = entry("a", "Ours", 10.0, 1);
+        timed_out.status = "timeout".into();
+        let mut relaunched = entry("a", "Ours", 10.0, 1);
+        relaunched.launches += 1;
+        let rep = diff(&prev, &snap(1, vec![timed_out]));
+        assert!(rep.mismatches[0].contains("status"), "{:?}", rep.mismatches);
+        let rep = diff(&prev, &snap(1, vec![relaunched]));
+        assert!(
+            rep.mismatches[0].contains("launches"),
+            "{:?}",
+            rep.mismatches
         );
-        // A 100x host-time blowup with identical sim time is informational
-        // only — never a regression.
-        let mut slow_host = entry("a", "Ours", 10.0, 1);
-        slow_host.host_ms = 750.0;
-        let rep = diff(&v, &snap(1, vec![slow_host]));
-        assert!(!rep.failed(), "{:?}", rep.regressions);
-        assert!(rep.lines[0].contains("informational"), "{:?}", rep.lines);
-        // Pre-host-field snapshots (no host_ms key) diff silently.
-        let old = parse_json(
-            r#"{"schema_version": 1, "mode": "smoke", "entries": [{"dataset": "a", "impl_name": "Ours", "status": "ok", "sim_ms": 10.0, "counters_fingerprint": 1}]}"#,
-        )
-        .unwrap();
-        let rep = diff(&old, &snap(1, vec![entry("a", "Ours", 10.0, 1)]));
-        assert!(!rep.failed());
-        assert!(!rep.lines[0].contains("host"), "{:?}", rep.lines);
+    }
+
+    #[test]
+    fn committed_snapshots_diff_cleanly_against_their_own_cells() {
+        // BENCH_2..BENCH_5 also carry host-time fields (`host_ms`, …) that
+        // the recorder no longer writes; the differ reads by key.
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+        let seqs = recorded_seqs(&dir);
+        assert!(seqs.len() >= 6, "{seqs:?}");
+        let mut with_host_fields = 0;
+        for seq in seqs {
+            let text = std::fs::read_to_string(snapshot_path(&dir, seq)).unwrap();
+            with_host_fields += text.contains("\"host_ms\"") as usize;
+            let v = parse_json(&text).unwrap();
+            let cells = get(&v, "entries").and_then(as_array).unwrap();
+            let entries = cells
+                .iter()
+                .map(|p| Entry {
+                    dataset: get(p, "dataset").and_then(as_str).unwrap().into(),
+                    impl_name: get(p, "impl_name").and_then(as_str).unwrap().into(),
+                    status: get(p, "status").and_then(as_str).unwrap().into(),
+                    sim_ms: get(p, "sim_ms").and_then(as_f64).unwrap(),
+                    launches: get(p, "launches").and_then(as_u64).unwrap(),
+                    counters_fingerprint: get(p, "counters_fingerprint").and_then(as_u64).unwrap(),
+                    exchange_rounds: 0,
+                    border_packets: 0,
+                    hotspots: Vec::new(),
+                })
+                .collect();
+            let mut cur = snap(seq + 1, entries);
+            cur.mode = get(&v, "mode").and_then(as_str).unwrap().into();
+            let rep = diff(&v, &cur);
+            assert!(rep.skipped.is_none(), "BENCH_{seq}: {:?}", rep.skipped);
+            assert!(!rep.failed(), "BENCH_{seq}: {:?}", rep.mismatches);
+            assert_eq!(rep.lines.len(), cells.len());
+        }
+        assert!(with_host_fields >= 4, "{with_host_fields}");
     }
 
     #[test]
@@ -687,7 +727,7 @@ mod tests {
         noisy.exchange_rounds = 300;
         noisy.border_packets = 123_400;
         let rep = diff(&v, &snap(1, vec![noisy]));
-        assert!(!rep.failed(), "{:?}", rep.regressions);
+        assert!(!rep.failed(), "{:?}", rep.mismatches);
         assert!(
             rep.lines[0].contains("border 1234 -> 123400 packets"),
             "{:?}",
@@ -696,7 +736,7 @@ mod tests {
         // Pre-ledger snapshots (no border_packets key) diff silently when
         // the new entry also carries no border traffic.
         let old = parse_json(
-            r#"{"schema_version": 1, "mode": "smoke", "entries": [{"dataset": "a", "impl_name": "Ours", "status": "ok", "sim_ms": 10.0, "counters_fingerprint": 1}]}"#,
+            r#"{"schema_version": 1, "mode": "smoke", "entries": [{"dataset": "a", "impl_name": "Ours", "status": "ok", "sim_ms": 10.0, "launches": 10, "counters_fingerprint": 1}]}"#,
         )
         .unwrap();
         let rep = diff(&old, &snap(1, vec![entry("a", "Ours", 10.0, 1)]));
@@ -713,8 +753,10 @@ mod tests {
             vec![entry("a", "Ours", 100.0, 99), entry("b", "Ours", 5.0, 1)],
         );
         let rep = diff(&prev, &new);
-        assert!(!rep.failed());
-        assert!(rep.lines[0].contains("[workload changed]"));
+        // a changed workload at the same time fails; a new entry does not
+        assert_eq!(rep.mismatches.len(), 1, "{:?}", rep.mismatches);
+        assert!(rep.mismatches[0].contains("counters_fingerprint"));
+        assert!(rep.lines[0].contains("[MOVED]"));
         assert!(rep.lines[1].contains("new entry"));
     }
 

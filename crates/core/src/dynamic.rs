@@ -283,7 +283,6 @@ impl DynamicCore {
     /// first, each with its own theorem-backed traversal — or, past
     /// [`DynamicConfig::crossover`], by one from-scratch peel.
     pub fn apply_batch(&mut self, updates: &[EdgeUpdate]) -> Result<BatchReport, SimError> {
-        let _batch_span = self.ctx.host_span("dynamic/batch");
         let t0 = self.ctx.elapsed_ms();
         let mut rep = BatchReport {
             accepted_inserts: 0,
@@ -299,7 +298,6 @@ impl DynamicCore {
             rebuilds: self.rebuilds,
             sim_ms: 0.0,
         };
-        let classify_span = self.ctx.host_span("dynamic/classify");
         self.ctx.set_phase("DynClassify");
         let n = self.n as u32;
         // Presence of each touched edge after the batch prefix seen so far.
@@ -350,17 +348,14 @@ impl DynamicCore {
         }
         rep.groups = groups.into_iter().collect();
 
-        drop(classify_span);
         let net = net_del.len() + net_ins.len();
         if net == 0 {
             rep.path = BatchPath::Noop;
         } else if net >= self.cfg.crossover {
             rep.path = BatchPath::Repeeled;
-            let _repeel_span = self.ctx.host_span("dynamic/repeel");
             self.repeel(&net_del, &net_ins)?;
         } else {
             rep.path = BatchPath::Maintained;
-            let _maintain_span = self.ctx.host_span("dynamic/maintain");
             let chunk_cap = self.cfg.batch_capacity.max(1);
             let all: Vec<(bool, u32, u32)> = net_del
                 .iter()

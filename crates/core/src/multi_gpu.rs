@@ -63,6 +63,10 @@ const GHOST_BASE: u32 = 0x7FFF_FFFF;
 /// [`GHOST_BASE`] slots clear of every real degree and every `k`.
 const MAX_VERTICES: usize = 1 << 30;
 
+/// Device-count bound of a sharded run: [`Partition::build`] stores each
+/// vertex's owner shard as a `u16`.
+const MAX_DEVICES: usize = u16::MAX as usize;
+
 /// Configuration of a multi-GPU run.
 #[derive(Debug, Clone, Copy)]
 pub struct MultiGpuConfig {
@@ -151,8 +155,10 @@ struct Worker {
 }
 
 /// Runs the distributed decomposition. `opts.device_capacity_bytes` is the
-/// capacity of *each* worker device. Zero devices, or a graph of `2^30` or
-/// more vertices, is a [`SimError::InvalidConfig`].
+/// capacity of *each* worker device. Zero or more than 65,535 devices, a
+/// link latency that is negative or not finite, a link bandwidth that is
+/// not positive or not finite, or a graph of `2^30` or more vertices, is a
+/// [`SimError::InvalidConfig`].
 pub fn decompose_multi(
     g: &Csr,
     cfg: &MultiGpuConfig,
@@ -214,15 +220,36 @@ fn decompose_multi_impl(
     if cfg.num_gpus == 0 {
         return Err(SimError::InvalidConfig {
             what: "num_gpus",
-            value: 0,
+            value: 0.0,
             need: "at least 1",
+        });
+    }
+    if cfg.num_gpus > MAX_DEVICES {
+        return Err(SimError::InvalidConfig {
+            what: "num_gpus",
+            value: cfg.num_gpus as f64,
+            need: "at most 65535 for the u16 owner map",
+        });
+    }
+    if !(cfg.link_latency_s.is_finite() && cfg.link_latency_s >= 0.0) {
+        return Err(SimError::InvalidConfig {
+            what: "link_latency_s",
+            value: cfg.link_latency_s,
+            need: "a finite value >= 0",
+        });
+    }
+    if !(cfg.link_bandwidth.is_finite() && cfg.link_bandwidth > 0.0) {
+        return Err(SimError::InvalidConfig {
+            what: "link_bandwidth",
+            value: cfg.link_bandwidth,
+            need: "a finite value > 0",
         });
     }
     let n = g.num_vertices() as usize;
     if n >= MAX_VERTICES {
         return Err(SimError::InvalidConfig {
             what: "vertices",
-            value: n as u64,
+            value: n as f64,
             need: "fewer than 2^30 for the ghost sentinel",
         });
     }
@@ -246,18 +273,11 @@ fn decompose_multi_impl(
             fleet_label.map(|label| (label, Vec::new(), 0.0, 0.0)),
         ));
     }
-    // Orchestration runs on the host across worker contexts, so its spans
-    // land on the process-global profiler rather than any one context's.
-    let prof = kcore_gpusim::hostprof::global();
-    let _run_span = prof.map(|hp| hp.span("multi_gpu/decompose"));
-
     // ---- partition & load shards ----------------------------------------
-    let partition_span = prof.map(|hp| hp.span("multi_gpu/partition"));
     let part = Partition::build(g, cfg.num_gpus, cfg.partition);
     let mut workers = build_workers(&part, cfg, opts)?;
     let mut total_ms = max_f64(workers.iter().map(|w| w.ctx.elapsed_ms()));
     let setup_ms = total_ms;
-    drop(partition_span);
 
     let mut exchanged_bytes = 0u64;
     let mut sub_rounds = 0u32;
@@ -270,7 +290,6 @@ fn decompose_multi_impl(
     // addend folded into total_ms.
     let mut round_log: Vec<RoundTrace> = Vec::new();
 
-    let rounds_span = prof.map(|hp| hp.span("multi_gpu/rounds"));
     while removed < n as u64 {
         rounds += 1;
         let mut slices: Vec<SubRoundSlice> = Vec::new();
@@ -332,7 +351,6 @@ fn decompose_multi_impl(
             ))));
         }
     }
-    drop(rounds_span);
 
     // ---- gather results ---------------------------------------------------
     // Owned deg ranges have converged to the core numbers, exactly as in

@@ -127,8 +127,8 @@ pub(crate) fn load_device(
     })
 }
 
-/// One peel round's device work: the scan kernel feeding the stepped loop
-/// kernel, as one fused engine entry that emits the two launch records.
+/// One peel round's device work: a launch of the scan kernel, then a
+/// stepped launch of the loop kernel it feeds.
 pub(crate) fn run_scan_loop(
     ctx: &mut GpuContext,
     k: u32,
@@ -141,12 +141,11 @@ pub(crate) fn run_scan_loop(
     // advances each live block by one barrier-delimited iteration,
     // matching concurrent hardware blocks.
     ctx.set_phase("Scan");
-    ctx.launch_fused(
-        "scan",
-        cfg.launch,
-        |blk| scan_kernel_fast(blk, k, &p),
-        "Loop",
+    ctx.launch("scan", cfg.launch, |blk| scan_kernel_fast(blk, k, &p))?;
+    ctx.set_phase("Loop");
+    ctx.launch_stepped(
         "loop",
+        cfg.launch,
         |blk| loop_init(blk, &p),
         |blk, st| loop_step_fast(blk, st, k, &p),
     )
@@ -208,10 +207,10 @@ pub fn decompose_in(
 }
 
 /// [`decompose_in`] on the per-lane reference kernels (the scan and loop
-/// kernels as first written, charging every access one lane at a time),
-/// dispatched as two launches per round. It is the differential-testing
-/// oracle of the production kernels: `tests/fastpath_diff.rs` requires the
-/// same core numbers, trace and timeline bytes, and errors.
+/// kernels as first written, charging every access one lane at a time).
+/// It is the differential-testing oracle of the production kernels:
+/// `tests/fastpath_diff.rs` requires the same core numbers, trace and
+/// timeline bytes, and errors.
 pub fn decompose_reference_in(
     ctx: &mut GpuContext,
     g: &Csr,
@@ -243,15 +242,8 @@ fn peel_rounds(
         return Ok((Vec::new(), 0));
     }
 
-    // Host-profiling spans (observe-only; None when profiling is off).
-    let _run_span = ctx.host_span("peel");
-    let setup_span = ctx.host_span("peel/setup");
-
     let offsets32: Vec<u32> = g.offsets().iter().map(|&o| o as u32).collect();
     let st = load_device(ctx, &offsets32, g.neighbor_array(), &g.degrees(), cfg)?;
-
-    drop(setup_span);
-    let rounds_span = ctx.host_span("peel/rounds");
     let mut count = 0u64;
     let mut k = 0u32;
     let mut rounds = 0u32;
@@ -272,8 +264,6 @@ fn peel_rounds(
             ))));
         }
     }
-    drop(rounds_span);
-    let _result_span = ctx.host_span("peel/result");
     // Line 10: deg[] has converged to the core numbers.
     ctx.set_phase("Result");
     let core = ctx.dtoh(st.d_deg);

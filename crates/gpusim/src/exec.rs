@@ -18,7 +18,6 @@ use crate::cost::{
     CostParams, CounterSample, Counters, LaunchRecord, SimReport, TransferDir, TransferRecord,
 };
 use crate::device::{BufferId, Device, OomError, SizeClass};
-use crate::hostprof::{self, HostBucket, HostProfile, HostProfiler, Lap};
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -155,8 +154,8 @@ pub enum SimError {
     InvalidConfig {
         /// The offending setting.
         what: &'static str,
-        /// The value it was given.
-        value: u64,
+        /// The value it was given (counts convert exactly below 2^53).
+        value: f64,
         /// What the engine accepts.
         need: &'static str,
     },
@@ -549,14 +548,12 @@ struct LaunchScratch {
 /// the xorshift stream seeded by `seed` (see
 /// [`GpuContext::set_schedule_seed`]) and then steps each live block on
 /// this thread, in that order, at every rayon width. A block retires when
-/// its step returns `false`. Each wave is one serial lane, booked to
-/// [`HostBucket::CommitSerial`].
+/// its step returns `false`.
 fn run_waves<S>(
     seed: u64,
     order: &mut Vec<usize>,
     alive: &mut Vec<bool>,
     blocks: &mut [(BlockCtx<'_>, S)],
-    lap: &mut Lap,
     step: impl Fn(&mut BlockCtx<'_>, &mut S) -> Result<bool, KernelError>,
 ) -> Result<(), SimError> {
     order.clear();
@@ -588,7 +585,6 @@ fn run_waves<S>(
                 Err(e) => return Err(SimError::Kernel(e)),
             }
         }
-        lap.lap(HostBucket::CommitSerial);
     }
     Ok(())
 }
@@ -620,12 +616,6 @@ pub struct GpuContext {
     counters_scratch: Vec<Counters>,
     /// Recycled launch scratch (wave order, liveness, shared backings).
     scratch: LaunchScratch,
-    /// Optional host-side wall-clock profiler ([`crate::hostprof`]).
-    /// Observes only: attaching one changes no simulated quantity.
-    hostprof: Option<HostProfiler>,
-    /// Host allocator call count at the last phase transition, for
-    /// per-phase allocation attribution.
-    host_alloc_mark: u64,
 }
 
 impl GpuContext {
@@ -650,35 +640,7 @@ impl GpuContext {
             workload_arcs: 0,
             counters_scratch: Vec::new(),
             scratch: LaunchScratch::default(),
-            hostprof: hostprof::from_env(),
-            host_alloc_mark: hostprof::host_alloc_counts().0,
         }
-    }
-
-    /// Attaches (or detaches) a host-side wall-clock profiler. Profiling
-    /// observes, never charges: no counter, simulated timestamp, or golden
-    /// byte depends on whether one is attached. Contexts built while
-    /// `KCORE_HOSTPROF=1` is set come with a wall-clock profiler already
-    /// attached.
-    pub fn set_host_profiler(&mut self, p: Option<HostProfiler>) {
-        self.hostprof = p;
-        self.host_alloc_mark = hostprof::host_alloc_counts().0;
-    }
-
-    /// The attached host profiler, if any.
-    pub fn host_profiler(&self) -> Option<&HostProfiler> {
-        self.hostprof.as_ref()
-    }
-
-    /// Captures the attached profiler's merged [`HostProfile`] (flushing
-    /// the current phase's allocation delta first). `None` when host
-    /// profiling is off.
-    pub fn host_profile(&mut self, label: &str) -> Option<HostProfile> {
-        let p = self.hostprof.as_ref()?;
-        let (allocs, _) = hostprof::host_alloc_counts();
-        p.note_allocs(self.phase, allocs.saturating_sub(self.host_alloc_mark));
-        self.host_alloc_mark = allocs;
-        Some(p.profile(label))
     }
 
     /// Takes the launch scratch with at least one shared backing per block
@@ -697,11 +659,6 @@ impl GpuContext {
     /// callers can restore it. Phases group launches in profiling traces
     /// ([`crate::trace::Trace`]).
     pub fn set_phase(&mut self, phase: &'static str) -> &'static str {
-        if let Some(p) = &self.hostprof {
-            let (allocs, _) = hostprof::host_alloc_counts();
-            p.note_allocs(self.phase, allocs.saturating_sub(self.host_alloc_mark));
-            self.host_alloc_mark = allocs;
-        }
         self.device.note_phase(phase);
         std::mem::replace(&mut self.phase, phase)
     }
@@ -743,10 +700,7 @@ impl GpuContext {
 
     /// Allocates a device buffer without a host transfer.
     pub fn alloc(&mut self, name: &str, len: usize) -> Result<BufferId, SimError> {
-        let mut lap = Lap::start(self.hostprof.clone(), self.phase);
-        let id = self.device.alloc(name, len)?;
-        lap.lap(HostBucket::ArenaAlloc);
-        Ok(id)
+        Ok(self.device.alloc(name, len)?)
     }
 
     /// [`GpuContext::alloc`] with an explicit [`SizeClass`] tag, so the
@@ -759,10 +713,7 @@ impl GpuContext {
         len: usize,
         class: SizeClass,
     ) -> Result<BufferId, SimError> {
-        let mut lap = Lap::start(self.hostprof.clone(), self.phase);
-        let id = self.device.alloc_with(name, len, 4, class)?;
-        lap.lap(HostBucket::ArenaAlloc);
-        Ok(id)
+        Ok(self.device.alloc_with(name, len, 4, class)?)
     }
 
     /// Declares the workload dimensions (vertex count, arc count) this
@@ -835,11 +786,9 @@ impl GpuContext {
         class: SizeClass,
     ) -> Result<BufferId, SimError> {
         self.check_limit()?;
-        let mut lap = Lap::start(self.hostprof.clone(), self.phase);
         let id = self.device.alloc_with(name, data.len(), 4, class)?;
         self.device.write_slice(id, data);
         self.record_transfer(TransferDir::HostToDevice, data.len() as u64 * 4);
-        lap.lap(HostBucket::Transfer);
         Ok(id)
     }
 
@@ -851,7 +800,6 @@ impl GpuContext {
     /// out-of-bounds `cudaMemcpy`) if the copy overruns the buffer.
     pub fn htod_into(&mut self, id: BufferId, offset: usize, data: &[u32]) -> Result<(), SimError> {
         self.check_limit()?;
-        let mut lap = Lap::start(self.hostprof.clone(), self.phase);
         let buf = self.device.buffer(id);
         assert!(
             offset + data.len() <= buf.len(),
@@ -871,7 +819,6 @@ impl GpuContext {
             );
         }
         self.record_transfer(TransferDir::HostToDevice, data.len() as u64 * 4);
-        lap.lap(HostBucket::Transfer);
         Ok(())
     }
 
@@ -879,7 +826,6 @@ impl GpuContext {
     /// bytes actually moved — the partial readback the dynamic engine uses
     /// to fetch just a candidate list's prefix.
     pub fn dtoh_range(&mut self, id: BufferId, lo: usize, hi: usize) -> Vec<u32> {
-        let mut lap = Lap::start(self.hostprof.clone(), self.phase);
         let buf = self.device.buffer(id);
         assert!(
             lo <= hi && hi <= buf.len(),
@@ -893,7 +839,6 @@ impl GpuContext {
             unsafe { std::slice::from_raw_parts(buf.as_ptr().add(lo) as *const u32, hi - lo) }
                 .to_vec();
         self.record_transfer(TransferDir::DeviceToHost, (hi - lo) as u64 * 4);
-        lap.lap(HostBucket::Transfer);
         out
     }
 
@@ -901,20 +846,16 @@ impl GpuContext {
     /// synchronizing copy — Algorithm 1 pays this every round for
     /// `gpu_count`).
     pub fn dtoh(&mut self, id: BufferId) -> Vec<u32> {
-        let mut lap = Lap::start(self.hostprof.clone(), self.phase);
         let out = self.device.read_vec(id);
         self.record_transfer(TransferDir::DeviceToHost, out.len() as u64 * 4);
-        lap.lap(HostBucket::Transfer);
         out
     }
 
     /// Reads a single device word back to the host (the `gpu_count`
     /// pattern), charged as one synchronizing D2H copy.
     pub fn dtoh_word(&mut self, id: BufferId, idx: usize) -> u32 {
-        let mut lap = Lap::start(self.hostprof.clone(), self.phase);
         let v = self.device.buffer(id)[idx].load(Ordering::Relaxed);
         self.record_transfer(TransferDir::DeviceToHost, 4);
-        lap.lap(HostBucket::Transfer);
         v
     }
 
@@ -941,13 +882,10 @@ impl GpuContext {
     {
         cfg.validate()?;
         self.check_limit()?;
-        let mut lap = Lap::start(self.hostprof.clone(), self.phase);
         let mut scratch = self.take_scratch(cfg);
         let mut per_block = std::mem::take(&mut self.counters_scratch);
         per_block.clear();
-        lap.lap(HostBucket::ArenaAlloc);
-        let err = self.run_blocks(cfg, &mut scratch.shared, &mut per_block, &lap, &kernel);
-        lap.lap(HostBucket::Dispatch);
+        let err = self.run_blocks(cfg, &mut scratch.shared, &mut per_block, &kernel);
         self.scratch = scratch;
         if let Some(e) = err {
             per_block.clear();
@@ -965,7 +903,6 @@ impl GpuContext {
         cfg: LaunchConfig,
         shared: &mut Vec<Vec<u32>>,
         per_block: &mut Vec<Counters>,
-        lap: &Lap,
         kernel: &F,
     ) -> Option<KernelError>
     where
@@ -985,9 +922,6 @@ impl GpuContext {
                 }
             }
             return None;
-        }
-        if let Some(p) = lap.profiler() {
-            p.sample_util(self.phase, cfg.blocks.min(threads), threads);
         }
         let inputs: Vec<(u32, Vec<u32>)> = (0..cfg.blocks)
             .zip(shared.drain(..cfg.blocks as usize))
@@ -1020,7 +954,6 @@ impl GpuContext {
         cfg: LaunchConfig,
         mut per_block: Vec<Counters>,
     ) -> Result<(), SimError> {
-        let mut lap = Lap::start(self.hostprof.clone(), self.phase);
         let block_cycles: Vec<f64> = per_block
             .iter()
             .map(|c| self.cost.block_cycles(c))
@@ -1055,10 +988,6 @@ impl GpuContext {
             block_cycles,
             block_counters,
         });
-        lap.lap(HostBucket::Dispatch);
-        if let Some(p) = lap.profiler() {
-            p.note_launch(self.phase);
-        }
         self.sync_device_stamp();
         self.check_limit()
     }
@@ -1092,20 +1021,6 @@ impl GpuContext {
     {
         cfg.validate()?;
         self.check_limit()?;
-        self.run_stepped(name, cfg, HostBucket::Dispatch, init, step)
-    }
-
-    /// The body of a stepped launch, with the host time of block set-up and
-    /// `init` booked to `init_bucket`.
-    fn run_stepped<S>(
-        &mut self,
-        name: &'static str,
-        cfg: LaunchConfig,
-        init_bucket: HostBucket,
-        init: impl Fn(&mut BlockCtx<'_>) -> Result<S, KernelError>,
-        step: impl Fn(&mut BlockCtx<'_>, &mut S) -> Result<bool, KernelError>,
-    ) -> Result<(), SimError> {
-        let mut lap = Lap::start(self.hostprof.clone(), self.phase);
         let mut scratch = self.take_scratch(cfg);
         let mut blocks = Vec::with_capacity(cfg.blocks as usize);
         for (b, backing) in (0..cfg.blocks).zip(scratch.shared.iter_mut()) {
@@ -1120,13 +1035,11 @@ impl GpuContext {
             let state = init(&mut blk)?;
             blocks.push((blk, state));
         }
-        lap.lap(init_bucket);
         run_waves(
             self.schedule_seed,
             &mut scratch.order,
             &mut scratch.alive,
             &mut blocks,
-            &mut lap,
             step,
         )?;
         let mut per_block = std::mem::take(&mut self.counters_scratch);
@@ -1136,48 +1049,7 @@ impl GpuContext {
             *backing = blk.shared;
         }
         self.scratch = scratch;
-        lap.lap(HostBucket::ArenaAlloc);
         self.finish_launch(name, cfg, per_block)
-    }
-
-    /// One peel round as a single engine entry: a one-shot `scan_kernel`
-    /// launch, then a stepped loop launch (`init`, `step`) under
-    /// `loop_phase`.
-    ///
-    /// **Observability contract** (DESIGN.md "Fused execution & the
-    /// two-record contract"): the fused launch emits exactly what the
-    /// two-launch sequence
-    ///
-    /// ```text
-    /// set_phase(scan_phase); launch(scan_name, ..);
-    /// set_phase(loop_phase); launch_stepped(loop_name, ..);
-    /// ```
-    ///
-    /// would — two [`LaunchRecord`]s with the same names, phases, counters,
-    /// timestamps, and roofline splits, the same device phase notes and
-    /// ledger stamps, and the same error values — at any rayon pool size.
-    /// The caller sets the scan phase before calling. The loop step skips
-    /// the entry checks the scan step just passed, and books its block
-    /// set-up to [`HostBucket::FusedStep`] instead of `dispatch`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn launch_fused<S, FK, FI, FS>(
-        &mut self,
-        scan_name: &'static str,
-        cfg: LaunchConfig,
-        scan_kernel: FK,
-        loop_phase: &'static str,
-        loop_name: &'static str,
-        init: FI,
-        step: FS,
-    ) -> Result<(), SimError>
-    where
-        FK: Fn(&mut BlockCtx<'_>) -> Result<(), KernelError> + Sync,
-        FI: Fn(&mut BlockCtx<'_>) -> Result<S, KernelError>,
-        FS: Fn(&mut BlockCtx<'_>, &mut S) -> Result<bool, KernelError>,
-    {
-        self.launch(scan_name, cfg, scan_kernel)?;
-        self.set_phase(loop_phase);
-        self.run_stepped(loop_name, cfg, HostBucket::FusedStep, init, step)
     }
 
     /// Sets the wave-scheduling seed used by [`GpuContext::launch_stepped`].
@@ -1573,112 +1445,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_launch_matches_two_launch_sequence() {
-        // The fused engine entry must emit exactly what the two-launch
-        // sequence (launch + set_phase + launch_stepped) emits: two records
-        // with the same names, phases, counters, timestamps, and per-block
-        // cycles, plus the same device results.
-        let cfg = LaunchConfig {
-            blocks: 4,
-            threads_per_block: 32,
-        };
-        let run = |fused: bool| {
-            let mut c = ctx();
-            let pool = c.alloc("pool", 1).unwrap();
-            c.device.write_slice(pool, &[60]);
-            let taken = c.alloc("taken", 4).unwrap();
-            let scan = move |blk: &mut BlockCtx<'_>| {
-                blk.charge_instr(5);
-                blk.gwrite(&blk.device.buffer(taken)[blk.block_idx as usize], 1);
-                Ok(())
-            };
-            let init = move |_blk: &mut BlockCtx<'_>| Ok(0u32);
-            let step = move |blk: &mut BlockCtx<'_>, st: &mut u32| {
-                blk.charge_instr(1);
-                let p = &blk.device.buffer(pool)[0];
-                if p.load(Ordering::Relaxed) == 0 {
-                    return Ok(false);
-                }
-                blk.atomic_sub(p, 1);
-                *st += 1;
-                blk.atomic_add(&blk.device.buffer(taken)[blk.block_idx as usize], 1);
-                Ok(true)
-            };
-            c.set_phase("Scan");
-            if fused {
-                c.launch_fused("scan", cfg, scan, "Loop", "loop", init, step)
-                    .unwrap();
-            } else {
-                c.launch("scan", cfg, scan).unwrap();
-                c.set_phase("Loop");
-                c.launch_stepped("loop", cfg, init, step).unwrap();
-            }
-            let out = c.dtoh(taken);
-            (c, out)
-        };
-        let (cf, out_fused) = run(true);
-        let (cs, out_split) = run(false);
-        assert_eq!(out_fused, out_split);
-        assert_eq!(out_fused.iter().sum::<u32>(), 60 + 4);
-        assert_eq!(cf.launches().len(), 2);
-        assert_eq!(cs.launches().len(), 2);
-        for (a, b) in cf.launches().iter().zip(cs.launches()) {
-            assert_eq!(a.name, b.name);
-            assert_eq!(a.phase, b.phase);
-            assert_eq!(a.counters, b.counters);
-            assert_eq!(a.start_s, b.start_s);
-            assert_eq!(a.time_s, b.time_s);
-            assert_eq!(a.block_cycles, b.block_cycles);
-        }
-        assert_eq!(cf.launches()[0].name, "scan");
-        assert_eq!(cf.launches()[0].phase, "Scan");
-        assert_eq!(cf.launches()[1].name, "loop");
-        assert_eq!(cf.launches()[1].phase, "Loop");
-    }
-
-    #[test]
-    fn fused_launch_propagates_errors_from_both_steps() {
-        let cfg = LaunchConfig {
-            blocks: 2,
-            threads_per_block: 32,
-        };
-        // scan-step error
-        let mut c = ctx();
-        let err = c
-            .launch_fused(
-                "scan",
-                cfg,
-                |_: &mut BlockCtx<'_>| Err(KernelError::Other("scan boom".into())),
-                "Loop",
-                "loop",
-                |_: &mut BlockCtx<'_>| Ok(0u32),
-                |_: &mut BlockCtx<'_>, _: &mut u32| Ok(false),
-            )
-            .unwrap_err();
-        assert!(matches!(err, SimError::Kernel(KernelError::Other(_))));
-        // loop-step error mid-wave
-        let mut c = ctx();
-        let err = c
-            .launch_fused(
-                "scan",
-                cfg,
-                |_: &mut BlockCtx<'_>| Ok(()),
-                "Loop",
-                "loop",
-                |_: &mut BlockCtx<'_>| Ok(0u32),
-                |blk: &mut BlockCtx<'_>, st: &mut u32| {
-                    *st += 1;
-                    if blk.block_idx == 1 && *st == 3 {
-                        return Err(KernelError::Other("step boom".into()));
-                    }
-                    Ok(*st < 5)
-                },
-            )
-            .unwrap_err();
-        assert!(matches!(err, SimError::Kernel(KernelError::Other(_))));
-    }
-
-    #[test]
     fn launch_rejects_an_empty_grid_at_every_width() {
         let empty = LaunchConfig {
             blocks: 0,
@@ -1713,17 +1479,7 @@ mod tests {
             let want = SimError::InvalidLaunch(bad);
             assert_eq!(c.launch("k", bad, |_| Ok(())), Err(want.clone()));
             let stepped = c.launch_stepped("k", bad, |_| Ok(()), |_, _| Ok(false));
-            assert_eq!(stepped, Err(want.clone()));
-            let fused = c.launch_fused(
-                "scan",
-                bad,
-                |_| Ok(()),
-                "Loop",
-                "loop",
-                |_| Ok(()),
-                |_, _| Ok(false),
-            );
-            assert_eq!(fused, Err(want));
+            assert_eq!(stepped, Err(want));
         }
         assert!(c.launches().is_empty());
         assert!(SimError::InvalidLaunch(LaunchConfig {

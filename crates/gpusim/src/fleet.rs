@@ -298,7 +298,7 @@ impl DeviceRollup {
     pub fn dominant(&self) -> (&'static str, f64) {
         self.buckets()
             .into_iter()
-            .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(b.0.cmp(a.0)))
+            .max_by(|a, b| a.1.total_cmp(&b.1).then(b.0.cmp(a.0)))
             .unwrap()
     }
 }
@@ -775,7 +775,7 @@ fn round_critical(r: &RoundTrace) -> RoundCritical {
     ];
     let (bound, _) = components
         .into_iter()
-        .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
+        .max_by(|a, b| a.1.total_cmp(&b.1))
         .unwrap();
     let bounding_resource = if sum == 0.0 {
         "none".to_string()
@@ -794,9 +794,7 @@ fn round_critical(r: &RoundTrace) -> RoundCritical {
                 let worst = r.slices[1..]
                     .iter()
                     .max_by(|a, b| {
-                        max_device_ms(&a.device_ms)
-                            .partial_cmp(&max_device_ms(&b.device_ms))
-                            .unwrap()
+                        max_device_ms(&a.device_ms).total_cmp(&max_device_ms(&b.device_ms))
                     })
                     .map(|s| argmax_d(&s.device_ms))
                     .unwrap_or(0);
@@ -806,11 +804,7 @@ fn round_critical(r: &RoundTrace) -> RoundCritical {
                 let worst = r
                     .exchanges
                     .iter()
-                    .max_by(|a, b| {
-                        (a.pack_ms + a.apply_ms)
-                            .partial_cmp(&(b.pack_ms + b.apply_ms))
-                            .unwrap()
-                    })
+                    .max_by(|a, b| (a.pack_ms + a.apply_ms).total_cmp(&(b.pack_ms + b.apply_ms)))
                     .map(|e| {
                         if e.apply_ms >= e.pack_ms {
                             e.apply_bounding_device

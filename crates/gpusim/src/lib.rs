@@ -58,7 +58,6 @@ pub mod cost;
 pub mod device;
 pub mod exec;
 pub mod fleet;
-pub mod hostprof;
 pub mod memstats;
 pub mod perfetto;
 pub mod scan;
@@ -77,10 +76,6 @@ pub use exec::{
 pub use fleet::{
     fnv1a_bytes, DeviceRollup, ExchangeTrace, FleetTrace, FlowEdge, RoundCritical, RoundTrace,
     SubRoundSlice, FLEET_SCHEMA_VERSION,
-};
-pub use hostprof::{
-    FakeClock, HostBucket, HostClock, HostEvent, HostPhase, HostProfile, HostProfiler, HostSpan,
-    HostThread, SpanGuard, WallClock, HOSTPROF_ENV, HOSTPROF_SCHEMA_VERSION,
 };
 pub use memstats::{
     CapacityForecast, FleetMemStats, LiveAlloc, MemStats, PhasePeak, PhaseTransfers,

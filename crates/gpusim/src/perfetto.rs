@@ -27,7 +27,6 @@
 //! fixed order — same timeline ⇒ byte-identical JSON (asserted by the
 //! golden tests across runs and rayon pool sizes).
 
-use crate::hostprof::HostProfile;
 use crate::timeline::Timeline;
 use serde::{Serialize, Value};
 
@@ -40,33 +39,13 @@ const SLOT_STRIDE: u32 = 64;
 const GPU_PID: u64 = 0;
 const PCIE_PID: u64 = 1;
 const MEM_PID: u64 = 2;
-/// pid of the optional "Host (wall clock)" process appended by
-/// [`Timeline::to_chrome_json_with_host`]. Host tracks live on a different
-/// time base (host seconds, not simulated milliseconds) — the process name
-/// says so.
-const HOST_PID: u64 = 3;
 
 impl Timeline {
     /// Serializes the timeline as compact Chrome trace-event JSON (see the
     /// module docs for the track layout).
     pub fn to_chrome_json(&self) -> String {
-        self.to_chrome_json_with_host(None)
-    }
-
-    /// [`Timeline::to_chrome_json`] plus an optional "Host" process (pid 3)
-    /// rendering a [`HostProfile`]'s per-thread span tracks and point
-    /// events next to the simulated tracks. With `None` the output is
-    /// byte-identical to [`Timeline::to_chrome_json`], so golden exports
-    /// are unaffected by host profiling being available.
-    pub fn to_chrome_json_with_host(&self, host: Option<&HostProfile>) -> String {
         let mut events: Vec<Value> = Vec::new();
         self.push_chrome_events(&mut events, GPU_PID, PCIE_PID, MEM_PID, "");
-
-        // ---- host wall-clock tracks (optional) -----------------------
-        if let Some(h) = host {
-            events.extend(h.chrome_events(HOST_PID));
-        }
-
         let doc = obj(vec![
             ("traceEvents", Value::Array(events)),
             ("displayTimeUnit", Value::Str("ms".into())),
@@ -390,38 +369,5 @@ mod tests {
         let a = ctx().timeline("t").to_chrome_json();
         let b = ctx().timeline("t").to_chrome_json();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn host_process_appends_without_touching_base_export() {
-        let mut c = ctx();
-        c.set_host_profiler(Some(crate::HostProfiler::faked(10)));
-        {
-            let _s = c.host_span("peel");
-            c.launch(
-                "k",
-                LaunchConfig {
-                    blocks: 1,
-                    threads_per_block: 32,
-                },
-                |blk| {
-                    blk.charge_instr(1);
-                    Ok(())
-                },
-            )
-            .unwrap();
-        }
-        let profile = c.host_profile("t").unwrap();
-        let tl = c.timeline("t");
-        let plain = tl.to_chrome_json();
-        // None is byte-identical to the plain export
-        assert_eq!(plain, tl.to_chrome_json_with_host(None));
-        // Some(_) appends a Host process with the span track
-        let with_host = tl.to_chrome_json_with_host(Some(&profile));
-        assert!(with_host.len() > plain.len());
-        assert!(with_host.contains("Host (wall clock) · t"));
-        assert!(with_host.contains("\"name\":\"peel\",\"cat\":\"host\",\"ph\":\"X\""));
-        // the base portion is a prefix-preserved superset: same trailer
-        assert!(with_host.contains("\"displayTimeUnit\":\"ms\""));
     }
 }

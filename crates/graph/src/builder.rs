@@ -117,7 +117,6 @@ impl GraphBuilder {
     /// Builds the normalized CSR on an explicit path. Both paths produce
     /// bit-identical results; see the module docs.
     pub fn build_with(self, path: BuildPath) -> Csr {
-        let _span = kcore_gpusim::hostprof::global().map(|hp| hp.span("ingest/csr_build"));
         let parallel = match path {
             BuildPath::Serial => false,
             BuildPath::Parallel => true,

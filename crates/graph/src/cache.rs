@@ -47,19 +47,12 @@ fn verbose() -> bool {
     std::env::var_os(VERBOSE_ENV).is_some_and(|v| !v.is_empty() && v != "0")
 }
 
-/// One cache outcome, logged two ways: the historical `KCORE_VERBOSE`
-/// stderr line (unchanged wording, same gating), and — when host profiling
-/// is on (`KCORE_HOSTPROF=1`) — a timestamped structured event on the
-/// process-global profiler, so cache behaviour lands in the host profile
-/// and on the Perfetto host tracks instead of only scrolling past on
-/// stderr. `always_print` carries the unreadable-entry / write-failure
-/// notes that print regardless of verbosity.
-fn note(always_print: bool, outcome: &str, line: String) {
+/// Prints one cache outcome line to stderr when [`VERBOSE_ENV`] is set, or
+/// always when `always_print` is true (the unreadable-entry and
+/// write-failure notes).
+fn note(always_print: bool, line: String) {
     if always_print || verbose() {
         eprintln!("{line}");
-    }
-    if let Some(hp) = kcore_gpusim::hostprof::global() {
-        hp.event(&format!("cache/{outcome}"), line);
     }
 }
 
@@ -120,29 +113,22 @@ pub fn load_or_generate(d: &Dataset) -> Csr {
 /// [`load_or_generate`] against an explicit directory (tests; the public
 /// entry point resolves the directory from the environment).
 pub fn load_or_generate_in(dir: &Path, d: &Dataset) -> Csr {
-    let _span = kcore_gpusim::hostprof::global().map(|hp| hp.span(format!("cache/{}", d.name)));
     let path = dir.join(cache_file_name(d));
     match Csr::load_binary(&path) {
         Ok(g) => {
             note(
                 false,
-                "hit",
                 format!("[cache: hit {} <- {}]", d.name, path.display()),
             );
             return g;
         }
         Err(crate::binio::BinError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
-            note(
-                false,
-                "miss",
-                format!("[cache: miss {}; generating]", d.name),
-            );
+            note(false, format!("[cache: miss {}; generating]", d.name));
         }
         // Always note a *corrupt* entry, with the decode error as the
         // reason — silent data loss is worth a line even when not verbose.
         Err(e) => note(
             true,
-            "corrupt",
             format!(
                 "[cache: {} unreadable ({e}); regenerating {}]",
                 path.display(),
@@ -154,12 +140,10 @@ pub fn load_or_generate_in(dir: &Path, d: &Dataset) -> Csr {
     match persist(dir, &path, &g) {
         Ok(()) => note(
             false,
-            "generated",
             format!("[cache: generated {} -> {}]", d.name, path.display()),
         ),
         Err(e) => note(
             true,
-            "write-failure",
             format!(
                 "[cache: generated {} but could not write {} ({e})]",
                 d.name,

@@ -82,8 +82,6 @@ pub struct Dataset {
 impl Dataset {
     /// Generates the stand-in graph (deterministic for the registry entry).
     pub fn generate(&self) -> Csr {
-        let _span = kcore_gpusim::hostprof::global()
-            .map(|hp| hp.span(format!("ingest/generate/{}", self.name)));
         let base = match self.spec {
             GenSpec::Ba { n, m_lo, m_hi } => {
                 gen::preferential_attachment(n, m_lo..=m_hi, self.seed)

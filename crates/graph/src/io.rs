@@ -106,7 +106,6 @@ fn assemble(pairs: Vec<(u64, u64)>) -> (Csr, Recoder) {
 /// edge pairs in memory. For in-memory input prefer
 /// [`parse_edge_list_bytes`], which tokenizes chunks in parallel.
 pub fn parse_edge_list<R: Read>(reader: R) -> Result<(Csr, Recoder), IoError> {
-    let _span = kcore_gpusim::hostprof::global().map(|hp| hp.span("ingest/parse"));
     let mut pairs = Vec::new();
     let mut buf = BufReader::new(reader);
     let mut line = String::new();
@@ -196,7 +195,6 @@ pub fn parse_edge_list_bytes(buf: &[u8]) -> Result<(Csr, Recoder), IoError> {
         // the chunked one ~2x on a single-threaded pool).
         return parse_edge_list(buf);
     }
-    let _span = kcore_gpusim::hostprof::global().map(|hp| hp.span("ingest/parse"));
     let chunks = newline_chunks(buf);
     let results: Vec<ChunkResult> = chunks.into_par_iter().map(parse_chunk).collect();
     // Rebase the first (file-order) error to an absolute line number: all

@@ -105,6 +105,12 @@ impl Partition {
     /// Builds a `p`-way partition of `g`. `p` is clamped to `[1, |V|]`
     /// (each shard must own at least one vertex); an empty graph yields an
     /// empty partition.
+    ///
+    /// # Panics
+    ///
+    /// If the clamped `p` exceeds 65,535: [`Partition::owner`] stores shard
+    /// indices as `u16`. The sharded engine rejects such a device count
+    /// with a typed error before it gets here.
     pub fn build(g: &Csr, p: usize, strategy: PartitionStrategy) -> Partition {
         let n = g.num_vertices() as usize;
         if n == 0 {

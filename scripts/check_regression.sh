@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
-# Bench-regression gate: measures the smoke datasets and diffs simulated
-# times against the latest recorded BENCH_<n>.json snapshot. Fails when any
-# implementation regressed by more than 5% (see crates/bench/src/regress.rs).
-#
-# Snapshots also carry host wall-clock fields (host_ms/host_attributed_ms);
-# the differ prints their deltas as "[host ... informational]" lines but
-# NEVER gates on them — wall time is machine-dependent, simulated time is
-# not. Snapshots recorded before these fields existed diff cleanly.
+# Bench-regression gate: measures the smoke datasets and diffs every cell
+# against the latest recorded BENCH_<n>.json snapshot. The rule is exact: a
+# cell fails on any difference, faster or slower, in its status, the bits of
+# its sim_ms, its launch count or its counters fingerprint (see
+# crates/bench/src/regress.rs). Every cell is deterministic and independent
+# of the rayon width, so a difference is a real move; a deliberate one
+# needs a new snapshot, with its reason in CHANGES.md. Other snapshot
+# fields are never compared.
 #
 # Skips cleanly when no snapshot has been recorded yet — record a baseline
 # first with:
@@ -15,7 +15,7 @@
 #
 # Baselines: BENCH_0 (pre-fast-path), BENCH_1 (warp-vectorized two-launch
 # fast path), BENCH_2 (fused single-entry round engine — identical
-# simulated cells to BENCH_1, lower host_ms), BENCH_3, BENCH_4 (adds the
+# simulated cells to BENCH_1), BENCH_3, BENCH_4 (adds the
 # "Sharded p=4" cells) and BENCH_5 (the sharded cells charged from the
 # device clocks; every other cell identical to BENCH_4). The differ always
 # diffs against the highest-numbered snapshot.

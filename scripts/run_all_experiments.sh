@@ -24,8 +24,8 @@ for t in table1 table2 table3 table4 table5 table_dynamic fig10_case_study; do
   ./target/release/$t | tee "results/$t.txt"
 done
 
-# Sharded scaling curve (1/2/4/8 workers x both partitioners on the @2x
-# stand-ins) + the uk-2005 full-scale fit forecast.
+# Sharded scaling curve (1/2/4/8 workers on the @2x stand-ins, one
+# balanced-arc partition each) + the uk-2005 full-scale fit forecast.
 echo "== table_scale =="
 ./target/release/table_scale | tee "results/table_scale.txt"
 
@@ -39,15 +39,10 @@ echo "== fleetreport =="
 echo "== memreport =="
 ./target/release/memreport | tee "results/table_mem.txt"
 
-# Host-side wall-clock attribution of the ablation sweep (informational:
-# values are machine-dependent, unlike every simulated table above).
-echo "== hostprof =="
-./target/release/hostprof    # writes results/table_host.{json,txt} itself
-
 echo "== criterion micro-benchmarks =="
 cargo bench -p kcore-bench
 
 echo "== bench snapshot (BENCH_<n>.json) =="
-./target/release/record_bench || echo "record_bench flagged regressions (see above)"
+./target/release/record_bench || echo "record_bench flagged moved cells (see above)"
 
 echo "done — see results/ and EXPERIMENTS.md"

@@ -1,10 +1,10 @@
 //! Differential tests: the production peel against its per-lane reference
 //! oracle (DESIGN.md "Fast-path cost accounting").
 //!
-//! [`kcore_gpu::decompose_in`] runs the warp-vectorized kernels, scan and
-//! loop fused into one engine entry per round;
+//! [`kcore_gpu::decompose_in`] runs the warp-vectorized kernels;
 //! [`kcore_gpu::decompose_reference_in`] runs the original per-access
-//! kernels as two launches per round. The contract is that the choice is
+//! kernels. Both dispatch a scan launch and a stepped loop launch per
+//! round. The contract is that the choice is
 //! **unobservable**: identical core numbers, identical per-phase counters,
 //! identical trace fingerprints, identical Perfetto timeline bytes, and
 //! identical errors — across every Table II variant, on randomized graphs,
@@ -102,8 +102,8 @@ fn identical_on_randomized_geometries() {
 
 #[test]
 fn identical_across_rayon_pool_sizes() {
-    // Pool size sets the fan-out of plain launches and the fused scan step
-    // (waves are serial at every width): the counters and fingerprints
+    // Pool size sets the fan-out of plain launches such as the scan (waves
+    // are serial at every width): the counters and fingerprints
     // must not notice.
     let g = gen::rmat(9, 2_000, gen::RmatParams::graph500(), 7);
     let cfg = small_cfg();

@@ -2,7 +2,8 @@
 //! "Sharded decomposition"): the sharded path must equal BZ on adversarial
 //! graphs and at several shard counts, be bit-identical at any rayon pool
 //! size, charge at one device exactly what the single-device engine
-//! charges, refuse zero devices with a typed error, and match a checked-in
+//! charges, refuse bad device counts and link constants with a typed
+//! error, and match a checked-in
 //! golden that pins every worker's per-phase counters plus the exchange
 //! volume.
 //!
@@ -168,7 +169,7 @@ fn zero_devices_is_a_typed_error() {
     let cfg = small_cfg(0);
     let want = SimError::InvalidConfig {
         what: "num_gpus",
-        value: 0,
+        value: 0.0,
         need: "at least 1",
     };
     for g in [Csr::empty(0), gen::path(10)] {
@@ -178,6 +179,50 @@ fn zero_devices_is_a_typed_error() {
             decompose_multi_fleet(&g, &cfg, &opts, "zero").unwrap_err(),
             want
         );
+    }
+    assert_eq!(
+        want.to_string(),
+        "invalid configuration: num_gpus = 0 (need at least 1)"
+    );
+}
+
+/// Link constants that would charge a NaN, infinite or negative time, and
+/// more devices than the owner map can index, are typed errors from both
+/// sharded entry points rather than a nonsense total or a panic.
+#[test]
+fn bad_link_constants_and_device_counts_are_typed_errors() {
+    let rmat = gen::rmat(9, 2_000, gen::RmatParams::graph500(), 7);
+    let path = gen::path(70_001);
+    let link = |latency: f64, bandwidth: f64| MultiGpuConfig {
+        link_latency_s: latency,
+        link_bandwidth: bandwidth,
+        ..small_cfg(2)
+    };
+    let cases = [
+        (&rmat, link(f64::NAN, 10e9), "link_latency_s"),
+        (&rmat, link(-1.0, 10e9), "link_latency_s"),
+        (&rmat, link(f64::INFINITY, 10e9), "link_latency_s"),
+        (&rmat, link(10e-6, f64::NAN), "link_bandwidth"),
+        (&rmat, link(10e-6, 0.0), "link_bandwidth"),
+        (&rmat, link(10e-6, f64::INFINITY), "link_bandwidth"),
+        (&path, small_cfg(70_000), "num_gpus"),
+    ];
+    let opts = SimOptions::default();
+    for (g, cfg, want) in cases {
+        let label = format!(
+            "{want}: latency {} bandwidth {} p={}",
+            cfg.link_latency_s, cfg.link_bandwidth, cfg.num_gpus
+        );
+        let errs = [
+            decompose_multi(g, &cfg, &opts).map(|r| r.total_ms),
+            decompose_multi_fleet(g, &cfg, &opts, "bad").map(|f| f.run.total_ms),
+        ];
+        for err in errs {
+            match err {
+                Err(SimError::InvalidConfig { what, .. }) => assert_eq!(what, want, "{label}"),
+                other => panic!("{label}: {other:?}"),
+            }
+        }
     }
 }
 
