@@ -14,7 +14,7 @@
 //! exchange its pack + hop + apply components, and every exchange flow
 //! references a real pack/apply launch record on the shipping/owning
 //! device. `--check` additionally round-trips every fleet trace through
-//! `regress::parse_json`: schema versions survive the round trip and
+//! `serde_json::from_str`: schema versions survive the round trip and
 //! per-round critical-path shares sum to 1.0.
 //! Everything here observes — the runs it measures are bit-identical to
 //! `decompose_multi`.
@@ -23,12 +23,12 @@
 //! `KCORE_FLEET_TIMELINE=1` to also dump each run's fleet trace and merged
 //! multi-device Perfetto document under `results/traces/`.
 
-use kcore_bench::regress::{self, as_array, as_f64, as_str, as_u64, get};
 use kcore_bench::{fleet_timeline_enabled, prepare_all, results_dir, save_fleet, save_json};
 use kcore_gpu::{decompose_multi_fleet, MultiGpuConfig};
 use kcore_gpusim::{FleetTrace, FLEET_SCHEMA_VERSION};
 use kcore_graph::Partition;
 use serde::Serialize;
+use serde_json::Value;
 
 const DEVICE_COUNTS: [usize; 2] = [2, 4];
 
@@ -126,33 +126,37 @@ fn summarize(fleet: &FleetTrace, partition: kcore_graph::PartitionStats) -> Flee
     row
 }
 
-/// `--check`: the schema must survive a round trip through the same parser
-/// the regression harness reads snapshots with.
+/// `--check`: the schema must survive a round trip through the workspace's
+/// one JSON reader.
 fn check_round_trip(fleet: &FleetTrace) {
-    let v = regress::parse_json(&fleet.to_json()).expect("fleet JSON must parse");
+    let v = serde_json::from_str(&fleet.to_json()).expect("fleet JSON must parse");
     assert_eq!(
-        get(&v, "schema_version").and_then(as_u64),
+        v.get("schema_version").and_then(Value::as_u64),
         Some(FLEET_SCHEMA_VERSION as u64),
         "schema_version must round-trip"
     );
     assert_eq!(
-        get(&v, "label").and_then(as_str),
+        v.get("label").and_then(Value::as_str),
         Some(fleet.label.as_str())
     );
     assert_eq!(
-        get(&v, "num_devices").and_then(as_u64),
+        v.get("num_devices").and_then(Value::as_u64),
         Some(fleet.num_devices as u64)
     );
-    let total = get(&v, "total_ms").and_then(as_f64).expect("total_ms");
+    let total = v.get("total_ms").and_then(Value::as_f64).expect("total_ms");
     assert!(
         (total - fleet.total_ms).abs() <= 1e-9 * fleet.total_ms.max(1.0),
         "total_ms must survive the round trip ({total} vs {})",
         fleet.total_ms
     );
-    let rounds = get(&v, "rounds").and_then(as_array).expect("rounds array");
+    let rounds = v
+        .get("rounds")
+        .and_then(Value::as_array)
+        .expect("rounds array");
     assert_eq!(rounds.len(), fleet.rounds.len());
-    let crit = get(&v, "critical_path")
-        .and_then(as_array)
+    let crit = v
+        .get("critical_path")
+        .and_then(Value::as_array)
         .expect("critical_path array");
     assert_eq!(crit.len(), fleet.critical_path.len());
     for c in crit {
@@ -163,7 +167,7 @@ fn check_round_trip(fleet: &FleetTrace) {
             "link_share",
         ]
         .iter()
-        .map(|k| get(c, k).and_then(as_f64).expect("share field"))
+        .map(|k| c.get(k).and_then(Value::as_f64).expect("share field"))
         .sum();
         assert!(
             share == 0.0 || (share - 1.0).abs() < 1e-9,

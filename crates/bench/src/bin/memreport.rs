@@ -18,13 +18,14 @@
 //! With `--check` (used by `scripts/ci.sh`), the binary additionally asserts
 //! that "Ours" (the paper's peeling kernel) is predicted to fit on every
 //! dataset, and that a schema-v3 trace round-trips through
-//! `Trace::to_json` → `kcore_bench::regress::parse_json` with its `memstats`
-//! block intact.
+//! `Trace::to_json` → `serde_json::from_str` with its `memstats` block
+//! intact.
 
-use kcore_bench::{prepare_all, print_table, regress, save_json};
+use kcore_bench::{prepare_all, print_table, save_json};
 use kcore_gpusim::{CapacityForecast, GpuContext, SimError, P100_DEVICE_BYTES};
 use kcore_systems::{gswitch, gunrock, medusa, vetga, FrameworkCosts};
 use serde::Serialize;
+use serde_json::Value;
 
 #[derive(Serialize)]
 struct CellReport {
@@ -85,17 +86,17 @@ fn render(c: &CellReport) -> String {
     format!("{:.1} {}", gb, if c.fits { "fits" } else { "OOM!" })
 }
 
-/// `--check`: a v3 trace must survive `to_json` → `regress::parse_json`
+/// `--check`: a v3 trace must survive `to_json` → `serde_json::from_str`
 /// with schema_version 3 and a memstats block.
 fn check_v3_round_trip() {
     let mut ctx = kcore_gpusim::SimOptions::default().context();
     ctx.htod("probe", &[1u32, 2, 3]).unwrap();
     let json = ctx.trace("memreport v3 round-trip probe").to_json();
-    let v = regress::parse_json(&json).expect("v3 trace must parse");
-    let schema = regress::get(&v, "schema_version").and_then(regress::as_u64);
+    let v = serde_json::from_str(&json).expect("v3 trace must parse");
+    let schema = v.get("schema_version").and_then(Value::as_u64);
     assert_eq!(schema, Some(3), "trace schema_version must be 3");
-    let mem = regress::get(&v, "memstats").expect("trace must embed memstats");
-    let peak = regress::get(mem, "peak_bytes").and_then(regress::as_u64);
+    let mem = v.get("memstats").expect("trace must embed memstats");
+    let peak = mem.get("peak_bytes").and_then(Value::as_u64);
     assert_eq!(
         peak,
         Some(12),

@@ -17,9 +17,9 @@
 //!   the paper uses 100);
 //! * `KCORE_DATASETS` — comma-separated dataset-name filter;
 //! * `KCORE_SMOKE` — set to use the miniature smoke-test registry subset
-//!   (fast CI runs).
-
-pub mod regress;
+//!   (fast CI runs);
+//! * `KCORE_BLESS` — set to make [`assert_golden`] rewrite the golden files
+//!   of the tests instead of comparing against them.
 
 use kcore_cpu::CoreAlgorithm;
 use kcore_gpu::PeelConfig;
@@ -28,7 +28,7 @@ use kcore_graph::datasets::{self, Dataset};
 use kcore_graph::{Csr, GraphStats};
 use serde::Serialize;
 use std::io::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Everything a table binary needs for one dataset.
 pub struct Env {
@@ -288,9 +288,9 @@ pub fn save_trace(name: &str, trace: &kcore_gpusim::Trace) {
     std::fs::create_dir_all(&dir).expect("create traces dir");
     let path = dir.join(format!("{name}.json"));
     if let Ok(old) = std::fs::read_to_string(&path) {
-        let old_schema = regress::parse_json(&old)
+        let old_schema = serde_json::from_str(&old)
             .ok()
-            .and_then(|v| regress::get(&v, "schema_version").and_then(regress::as_u64))
+            .and_then(|v| v.get("schema_version").and_then(serde_json::Value::as_u64))
             // PR 1 traces predate the schema_version field
             .unwrap_or(1);
         if old_schema != kcore_gpusim::TRACE_SCHEMA_VERSION as u64 {
@@ -345,6 +345,46 @@ pub fn save_fleet(name: &str, fr: &kcore_gpu::FleetRun) {
     std::fs::write(&path, fr.fleet.merged_chrome_json(&fr.timelines))
         .expect("write fleet timeline");
     eprintln!("[saved {}]", path.display());
+}
+
+/// Checks `got` against the checked-in golden file at `path`, or writes it
+/// there when `KCORE_BLESS` is set. The compare is exact text: a
+/// missing file, or any differing byte, panics with the file, the first
+/// differing line and the command that re-blesses it.
+pub fn assert_golden(path: &Path, got: &str) {
+    // A test binary is `target/<profile>/deps/<test name>-<hash>`.
+    let exe = std::env::current_exe().unwrap_or_default();
+    let stem = exe.file_stem().and_then(|s| s.to_str()).unwrap_or("");
+    let test = stem.rsplit_once('-').map_or(stem, |(name, _)| name);
+    let bless = format!("KCORE_BLESS=1 cargo test --test {test}");
+    if std::env::var_os("KCORE_BLESS").is_some() {
+        std::fs::write(path, got).expect("write golden file");
+        eprintln!("blessed {}", path.display());
+        return;
+    }
+    let want = std::fs::read_to_string(path).unwrap_or_else(|e| {
+        panic!(
+            "cannot read golden file {} ({e}); create it with `{bless}`",
+            path.display()
+        )
+    });
+    if want == got {
+        return;
+    }
+    let (mut want_lines, mut got_lines) = (want.split('\n'), got.split('\n'));
+    for line in 1.. {
+        let (w, g) = (want_lines.next(), got_lines.next());
+        if w != g {
+            let end = "<end of file>";
+            panic!(
+                "{} differs at line {line}:\n  golden: {}\n  got:    {}\n\
+                 if the change is intentional, re-bless with `{bless}`",
+                path.display(),
+                w.unwrap_or(end),
+                g.unwrap_or(end)
+            );
+        }
+    }
 }
 
 /// Serializes rows as JSON into `results/<name>.json`.
@@ -410,6 +450,71 @@ mod tests {
         mark_best(&mut cells, &[Some(5.0), Some(3.0)]);
         assert_eq!(cells[1], "3.0*");
         assert_eq!(cells[0], "5.0");
+    }
+
+    /// A golden file holding `text` in a fresh temp directory.
+    fn temp_golden(name: &str, text: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("kcore_golden_{}_{name}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(name);
+        std::fs::write(&path, text).unwrap();
+        path
+    }
+
+    fn panic_message(f: impl FnOnce() + std::panic::UnwindSafe) -> String {
+        let err = std::panic::catch_unwind(f).expect_err("assert_golden passed");
+        *err.downcast::<String>().unwrap()
+    }
+
+    #[test]
+    fn assert_golden_accepts_identical_text() {
+        let path = temp_golden("same.json", "{\n  \"a\": 1\n}");
+        assert_golden(&path, "{\n  \"a\": 1\n}");
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+    }
+
+    #[test]
+    fn assert_golden_on_a_missing_file_names_the_bless_command() {
+        let path = std::env::temp_dir().join("kcore_golden_absent/none.json");
+        let msg = panic_message(|| assert_golden(&path, "{}"));
+        assert!(msg.contains("cannot read golden file"), "{msg}");
+        assert!(
+            msg.contains("KCORE_BLESS=1 cargo test --test kcore_bench"),
+            "{msg}"
+        );
+    }
+
+    /// A one-byte change fails on its line, naming the file; a schema bump
+    /// is such a change, on the `schema_version` line.
+    #[test]
+    fn assert_golden_names_the_file_and_first_differing_line() {
+        let want = "{\n  \"schema_version\": 3,\n  \"sim_ms\": 0.5\n}";
+        let path = temp_golden("one_byte.json", want);
+        for (got, line, golden_line, got_line) in [
+            (
+                want.replace('3', "4"),
+                2,
+                "  \"schema_version\": 3,",
+                "  \"schema_version\": 4,",
+            ),
+            (
+                want.replace('5', "6"),
+                3,
+                "  \"sim_ms\": 0.5",
+                "  \"sim_ms\": 0.6",
+            ),
+            // a trailing newline differs past the last line
+            (format!("{want}\n"), 5, "<end of file>", ""),
+        ] {
+            let msg = panic_message(|| assert_golden(&path, &got));
+            let head = format!(
+                "{} differs at line {line}:\n  golden: {golden_line}\n  got:    {got_line}\n",
+                path.display()
+            );
+            assert!(msg.starts_with(&head), "{msg}");
+            assert!(msg.contains("KCORE_BLESS=1"), "{msg}");
+        }
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
     #[test]

@@ -211,12 +211,9 @@ type MultiImplOutput = (
     Option<FleetCapture>,
 );
 
-fn decompose_multi_impl(
-    g: &Csr,
-    cfg: &MultiGpuConfig,
-    opts: &SimOptions,
-    fleet_label: Option<String>,
-) -> Result<MultiImplOutput, SimError> {
+/// The configuration checks shared by both sharded entry points and
+/// [`shard_memstats`]; [`decompose_multi`] lists what they reject.
+fn check_config(g: &Csr, cfg: &MultiGpuConfig) -> Result<(), SimError> {
     if cfg.num_gpus == 0 {
         return Err(SimError::InvalidConfig {
             what: "num_gpus",
@@ -253,6 +250,17 @@ fn decompose_multi_impl(
             need: "fewer than 2^30 for the ghost sentinel",
         });
     }
+    Ok(())
+}
+
+fn decompose_multi_impl(
+    g: &Csr,
+    cfg: &MultiGpuConfig,
+    opts: &SimOptions,
+    fleet_label: Option<String>,
+) -> Result<MultiImplOutput, SimError> {
+    check_config(g, cfg)?;
+    let n = g.num_vertices() as usize;
     if n == 0 {
         return Ok((
             MultiGpuRun {
@@ -750,12 +758,15 @@ fn max_f64(it: impl Iterator<Item = f64>) -> f64 {
 /// Per-shard memory snapshots of the setup state (graph arrays + scratch +
 /// exchange staging), without running the decomposition — the fit-table
 /// path of the `table_scale` bench. Each device's [`kcore_gpusim::MemStats`]
-/// carries its shard-local workload dims for per-shard extrapolation.
+/// carries its shard-local workload dims for per-shard extrapolation. A
+/// configuration [`decompose_multi`] rejects is the same
+/// [`SimError::InvalidConfig`] here.
 pub fn shard_memstats(
     g: &Csr,
     cfg: &MultiGpuConfig,
     opts: &SimOptions,
 ) -> Result<FleetMemStats, SimError> {
+    check_config(g, cfg)?;
     let part = Partition::build(g, cfg.num_gpus, cfg.partition);
     let workers = build_workers(&part, cfg, opts)?;
     Ok(FleetMemStats::new(

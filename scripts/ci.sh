@@ -11,6 +11,9 @@ echo "== cargo clippy -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo test =="
+# Includes the goldens under tests/golden/, among them golden_bench: every
+# simulated smoke-bench cell (status, sim_ms bits, launches, counters
+# fingerprint) must match tests/golden/bench_smoke.json exactly.
 cargo test -q --workspace
 
 echo "== rustdoc -D warnings =="
@@ -32,7 +35,7 @@ echo "== simulator wall-clock smoke budget =="
 # The simulator suite re-runs (already compiled) under a wall-clock ceiling:
 # a blow-up here means a host-side perf regression (e.g. the stepped engine
 # allocating per wave, or a bulk-charged helper falling back to per-lane
-# charging) that the simulated-time regression gate below cannot see. The
+# charging) that the simulated-time goldens cannot see. The
 # suite takes ~15 s on the reference machine; 120 s absorbs slow-VM phases
 # while still catching any order-of-magnitude host regression.
 SMOKE_BUDGET_S="${KCORE_SMOKE_BUDGET_S:-120}"
@@ -44,11 +47,6 @@ if (( smoke_elapsed > SMOKE_BUDGET_S )); then
   echo "ERROR: kcore-gpusim test suite exceeded the ${SMOKE_BUDGET_S}s wall-clock budget" >&2
   exit 1
 fi
-
-echo "== bench regression gate =="
-# Exact: every smoke cell must reproduce the latest snapshot's status,
-# sim_ms bits, launches and counters fingerprint.
-KCORE_SMOKE=1 scripts/check_regression.sh
 
 echo "== dataset cache smoke (KCORE_CACHE_DIR) =="
 # Cold run populates the cache; warm run must serve from it without
@@ -82,7 +80,7 @@ fi
 echo "== memreport smoke (capacity forecasts + schema-v3 round-trip) =="
 # --check asserts that the paper's peeling kernel is predicted to fit in
 # 16 GB on every smoke dataset, and that a schema-v3 trace survives
-# to_json -> regress::parse_json with its memstats block intact.
+# to_json -> serde_json::from_str with its memstats block intact.
 mem_results="$(mktemp -d)"
 KCORE_SMOKE=1 KCORE_DATASETS=amazon0601,wiki-Talk KCORE_CACHE_DIR="$cache_dir" \
   KCORE_RESULTS_DIR="$mem_results" ./target/release/memreport --check > /dev/null
@@ -130,7 +128,7 @@ echo "== fleet observability smoke (exchange ledger + merged export) =="
 # armed and asserts every sub-round slice charges exactly its slowest
 # device's clock delta (bit-for-bit), every exchange flow references a
 # real pack/apply launch record, per-round critical-path shares sum to
-# 1.0, and the trace survives a round trip through regress::parse_json.
+# 1.0, and the trace survives a round trip through serde_json::from_str.
 # Observability only: the measured runs are bit-identical to
 # decompose_multi.
 fleet_results="$(mktemp -d)"

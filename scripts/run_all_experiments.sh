@@ -42,7 +42,4 @@ echo "== memreport =="
 echo "== criterion micro-benchmarks =="
 cargo bench -p kcore-bench
 
-echo "== bench snapshot (BENCH_<n>.json) =="
-./target/release/record_bench || echo "record_bench flagged moved cells (see above)"
-
 echo "done — see results/ and EXPERIMENTS.md"

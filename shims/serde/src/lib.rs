@@ -25,6 +25,52 @@ pub enum Value {
     Object(Vec<(String, Value)>),
 }
 
+/// Accessors named and typed like real `serde_json::Value`'s.
+impl Value {
+    /// The value under `key`, if this is an object that has it.
+    pub fn get(&self, key: &str) -> Option<&Value> {
+        match self {
+            Value::Object(entries) => entries.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// The string, if this is one.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Value::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The number, if this is a non-negative integer.
+    pub fn as_u64(&self) -> Option<u64> {
+        match *self {
+            Value::UInt(u) => Some(u),
+            Value::Int(i) if i >= 0 => Some(i as u64),
+            _ => None,
+        }
+    }
+
+    /// The number as an f64, if this is any number.
+    pub fn as_f64(&self) -> Option<f64> {
+        match *self {
+            Value::Float(f) => Some(f),
+            Value::UInt(u) => Some(u as f64),
+            Value::Int(i) => Some(i as f64),
+            _ => None,
+        }
+    }
+
+    /// The items, if this is an array.
+    pub fn as_array(&self) -> Option<&Vec<Value>> {
+        match self {
+            Value::Array(a) => Some(a),
+            _ => None,
+        }
+    }
+}
+
 /// A type that can lower itself to a [`Value`] tree.
 pub trait Serialize {
     fn to_value(&self) -> Value;

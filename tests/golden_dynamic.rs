@@ -14,9 +14,9 @@
 //! KCORE_BLESS=1 cargo test --test golden_dynamic
 //! ```
 
-use kcore_bench::regress;
+use kcore_bench::assert_golden;
 use kcore_gpu::{DynamicConfig, DynamicCore};
-use kcore_gpusim::{Counters, SimOptions, Trace, TRACE_SCHEMA_VERSION};
+use kcore_gpusim::{fnv1a_bytes, Counters, SimOptions, Trace};
 use kcore_graph::{gen, EdgeUpdate};
 use serde::Serialize;
 use std::path::PathBuf;
@@ -82,21 +82,12 @@ struct GoldenPhase {
     counters: Counters,
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 fn golden_of(trace: &Trace) -> String {
     let g = Golden {
         schema_version: trace.schema_version,
         fingerprint: format!("{:#018x}", trace.counters_fingerprint()),
         memstats_schema_version: kcore_gpusim::MEMSTATS_SCHEMA_VERSION,
-        memstats_fnv1a: format!("{:#018x}", fnv1a(trace.memstats.to_json().as_bytes())),
+        memstats_fnv1a: format!("{:#018x}", fnv1a_bytes(trace.memstats.to_json().as_bytes())),
         phases: trace
             .phases
             .iter()
@@ -110,32 +101,6 @@ fn golden_of(trace: &Trace) -> String {
             .collect(),
     };
     serde_json::to_string_pretty(&g).unwrap()
-}
-
-fn golden_schema(text: &str) -> u64 {
-    regress::parse_json(text)
-        .ok()
-        .and_then(|v| regress::get(&v, "schema_version").and_then(regress::as_u64))
-        .unwrap_or(1)
-}
-
-fn compare_golden(got: &str, want: &str) -> Result<(), String> {
-    let want_schema = golden_schema(want);
-    if want_schema != TRACE_SCHEMA_VERSION as u64 {
-        return Err(format!(
-            "golden file was blessed under trace schema {want_schema}, current schema is \
-             {TRACE_SCHEMA_VERSION}; refusing to diff across schemas — regenerate with \
-             KCORE_BLESS=1"
-        ));
-    }
-    if got != want {
-        return Err(
-            "per-phase counters diverged from the golden file; if the accounting change \
-             is intentional, regenerate with KCORE_BLESS=1"
-                .into(),
-        );
-    }
-    Ok(())
 }
 
 #[test]
@@ -166,18 +131,5 @@ fn dynamic_trace_is_bit_identical_across_runs_and_pool_sizes() {
 fn dynamic_trace_matches_checked_in_golden() {
     let got = golden_of(&capture("golden"));
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/dynamic_rmat9.json");
-    if std::env::var("KCORE_BLESS").is_ok() {
-        std::fs::write(&path, &got).unwrap();
-        eprintln!("blessed {}", path.display());
-        return;
-    }
-    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "cannot read golden file {} ({e}); run with KCORE_BLESS=1 to create it",
-            path.display()
-        )
-    });
-    if let Err(why) = compare_golden(&got, &want) {
-        panic!("{}: {why}", path.display());
-    }
+    assert_golden(&path, &got);
 }

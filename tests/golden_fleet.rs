@@ -99,47 +99,7 @@ fn fleet_artifacts_match_golden_at_all_pool_sizes() {
     };
     let got = serde_json::to_string_pretty(&golden).unwrap();
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/fleet_rmat9.json");
-    if std::env::var("KCORE_BLESS").is_ok() {
-        std::fs::write(&path, &got).unwrap();
-        eprintln!("blessed {}", path.display());
-        return;
-    }
-    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "cannot read golden file {} ({e}); run with KCORE_BLESS=1 to create it",
-            path.display()
-        )
-    });
-    let want_schema = kcore_bench::regress::parse_json(&want)
-        .ok()
-        .and_then(|v| {
-            kcore_bench::regress::get(&v, "schema_version").and_then(kcore_bench::regress::as_u64)
-        })
-        .unwrap_or(0);
-    assert_eq!(
-        want_schema, FLEET_SCHEMA_VERSION as u64,
-        "golden blessed under fleet schema {want_schema}, current is {FLEET_SCHEMA_VERSION}; \
-         refusing to diff across schemas — regenerate with KCORE_BLESS=1"
-    );
-    let want_trace_schema = kcore_bench::regress::parse_json(&want)
-        .ok()
-        .and_then(|v| {
-            kcore_bench::regress::get(&v, "trace_schema_version")
-                .and_then(kcore_bench::regress::as_u64)
-        })
-        .unwrap_or(0);
-    assert_eq!(
-        want_trace_schema, TRACE_SCHEMA_VERSION as u64,
-        "golden blessed under trace schema {want_trace_schema}, current is \
-         {TRACE_SCHEMA_VERSION}; refusing to diff across schemas — regenerate with KCORE_BLESS=1"
-    );
-    assert_eq!(
-        got,
-        want,
-        "fleet artifacts diverged from {}; if the change is intentional, \
-         regenerate with KCORE_BLESS=1",
-        path.display()
-    );
+    kcore_bench::assert_golden(&path, &got);
 }
 
 /// The fleet view is an observer: the run it returns must be bit-identical

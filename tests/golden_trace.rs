@@ -21,9 +21,9 @@
 //! KCORE_BLESS=1 cargo test --test golden_trace
 //! ```
 
-use kcore_bench::regress;
+use kcore_bench::assert_golden;
 use kcore_gpu::PeelConfig;
-use kcore_gpusim::{Counters, SimOptions, Timeline, Trace, TRACE_SCHEMA_VERSION};
+use kcore_gpusim::{fnv1a_bytes, Counters, SimOptions, Timeline, Trace};
 use kcore_graph::gen;
 use serde::Serialize;
 use std::path::PathBuf;
@@ -119,72 +119,16 @@ fn golden_of(trace: &Trace) -> String {
     serde_json::to_string_pretty(&g).unwrap()
 }
 
-/// Schema version a golden file was blessed under. Files from before the
-/// field existed count as schema 1 (the PR 1 trace layout).
-fn golden_schema(text: &str) -> u64 {
-    regress::parse_json(text)
-        .ok()
-        .and_then(|v| regress::get(&v, "schema_version").and_then(regress::as_u64))
-        .unwrap_or(1)
-}
-
-/// Compares a freshly captured golden projection against a checked-in one.
-/// A golden blessed under a *different* trace schema is refused outright —
-/// a cross-schema byte diff would bury the real problem ("re-bless") under
-/// pages of field noise.
-fn compare_golden(got: &str, want: &str) -> Result<(), String> {
-    let want_schema = golden_schema(want);
-    if want_schema != TRACE_SCHEMA_VERSION as u64 {
-        return Err(format!(
-            "golden file was blessed under trace schema {want_schema}, current schema is \
-             {TRACE_SCHEMA_VERSION}; refusing to diff across schemas — regenerate with \
-             KCORE_BLESS=1"
-        ));
-    }
-    if got != want {
-        return Err(
-            "per-phase counters diverged from the golden file; if the accounting change \
-             is intentional, regenerate with KCORE_BLESS=1"
-                .into(),
-        );
-    }
-    Ok(())
+fn golden_path(name: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name)
 }
 
 #[test]
 fn trace_matches_checked_in_golden() {
     let got = golden_of(&capture("golden"));
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/peel_rmat9.json");
-    if std::env::var("KCORE_BLESS").is_ok() {
-        std::fs::write(&path, &got).unwrap();
-        eprintln!("blessed {}", path.display());
-        return;
-    }
-    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "cannot read golden file {} ({e}); run with KCORE_BLESS=1 to create it",
-            path.display()
-        )
-    });
-    if let Err(why) = compare_golden(&got, &want) {
-        panic!("{}: {why}", path.display());
-    }
-}
-
-#[test]
-fn mismatched_schema_versions_are_refused_not_diffed() {
-    let got = r#"{"schema_version": 3, "fingerprint": "0x0", "phases": []}"#;
-    // identical content except for the version: must refuse, not pass
-    let stale = r#"{"schema_version": 99, "fingerprint": "0x0", "phases": []}"#;
-    let err = compare_golden(got, stale).unwrap_err();
-    assert!(err.contains("schema 99"), "unexpected message: {err}");
-    assert!(err.contains("refusing"), "unexpected message: {err}");
-    // a pre-versioning golden (no schema_version field) counts as schema 1
-    let legacy = r#"{"fingerprint": "0x0", "phases": []}"#;
-    let err = compare_golden(got, legacy).unwrap_err();
-    assert!(err.contains("schema 1"), "unexpected message: {err}");
-    // same schema, same bytes: accepted
-    assert!(compare_golden(got, got).is_ok());
+    assert_golden(&golden_path("peel_rmat9.json"), &got);
 }
 
 // ---------------------------------------------------------------------------
@@ -215,55 +159,17 @@ fn memstats_matches_checked_in_golden() {
         assert_eq!(again, got, "memstats diverged with {threads} rayon threads");
     }
 
-    let path =
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/peel_rmat9_memstats.json");
-    if std::env::var("KCORE_BLESS").is_ok() {
-        std::fs::write(&path, &got).unwrap();
-        eprintln!("blessed {}", path.display());
-        return;
-    }
-    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "cannot read golden file {} ({e}); run with KCORE_BLESS=1 to create it",
-            path.display()
-        )
-    });
-    // memstats has its own schema version; refuse cross-schema diffs the
-    // same way compare_golden does for traces
-    let want_schema = golden_schema(&want);
-    assert_eq!(
-        want_schema,
-        kcore_gpusim::MEMSTATS_SCHEMA_VERSION as u64,
-        "golden memstats blessed under schema {want_schema}, current is {}; \
-         refusing to diff across schemas — regenerate with KCORE_BLESS=1",
-        kcore_gpusim::MEMSTATS_SCHEMA_VERSION
-    );
-    assert_eq!(
-        got,
-        want,
-        "memstats diverged from {}; if the memory-accounting change is \
-         intentional, regenerate with KCORE_BLESS=1",
-        path.display()
-    );
+    assert_golden(&golden_path("peel_rmat9_memstats.json"), &got);
 }
 
 // ---------------------------------------------------------------------------
 // Timeline / Perfetto export determinism
 // ---------------------------------------------------------------------------
 
-/// FNV-1a over the full Perfetto JSON, so the golden pins every byte of the
-/// export without checking in the (large) event stream itself.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// The checked-in projection of the SM timeline: event population counts
-/// plus a hash of the exact Chrome trace-event JSON bytes.
+/// plus an FNV-1a hash of the exact Chrome trace-event JSON bytes, so the
+/// golden pins every byte of the export without checking in the (large)
+/// event stream itself.
 #[derive(Serialize)]
 struct GoldenTimeline {
     schema_version: u32,
@@ -281,7 +187,7 @@ fn golden_timeline_of(tl: &Timeline) -> String {
         spans: tl.spans.len(),
         transfers: tl.transfers.len(),
         counter_points: tl.counters.len(),
-        perfetto_json_fnv1a: format!("{:#018x}", fnv1a(tl.to_chrome_json().as_bytes())),
+        perfetto_json_fnv1a: format!("{:#018x}", fnv1a_bytes(tl.to_chrome_json().as_bytes())),
     };
     serde_json::to_string_pretty(&g).unwrap()
 }
@@ -306,20 +212,5 @@ fn perfetto_json_is_byte_identical_across_runs_and_pool_sizes() {
 #[test]
 fn timeline_matches_checked_in_golden() {
     let got = golden_timeline_of(&capture_both("timeline-golden").1);
-    let path =
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/peel_rmat9_timeline.json");
-    if std::env::var("KCORE_BLESS").is_ok() {
-        std::fs::write(&path, &got).unwrap();
-        eprintln!("blessed {}", path.display());
-        return;
-    }
-    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "cannot read golden file {} ({e}); run with KCORE_BLESS=1 to create it",
-            path.display()
-        )
-    });
-    if let Err(why) = compare_golden(&got, &want) {
-        panic!("{}: {why}", path.display());
-    }
+    assert_golden(&golden_path("peel_rmat9_timeline.json"), &got);
 }

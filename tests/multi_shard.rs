@@ -16,8 +16,8 @@
 
 use kcore::cpu::{self, CoreAlgorithm};
 use kcore::gpu::{
-    decompose, decompose_multi, decompose_multi_fleet, FleetRun, MultiGpuConfig, MultiGpuRun,
-    PeelConfig, SimOptions,
+    decompose, decompose_multi, decompose_multi_fleet, shard_memstats, FleetRun, MultiGpuConfig,
+    MultiGpuRun, PeelConfig, SimOptions,
 };
 use kcore::gpusim::{Counters, LaunchConfig, SimError, TRACE_SCHEMA_VERSION};
 use kcore::graph::{gen, Csr};
@@ -162,8 +162,8 @@ proptest! {
 // Configuration errors
 // ---------------------------------------------------------------------------
 
-/// Zero devices is a typed error from both sharded entry points, on an
-/// empty graph as on any other.
+/// Zero devices is a typed error from both sharded entry points and from
+/// the per-shard memory forecast, on an empty graph as on any other.
 #[test]
 fn zero_devices_is_a_typed_error() {
     let cfg = small_cfg(0);
@@ -179,6 +179,7 @@ fn zero_devices_is_a_typed_error() {
             decompose_multi_fleet(&g, &cfg, &opts, "zero").unwrap_err(),
             want
         );
+        assert_eq!(shard_memstats(&g, &cfg, &opts).unwrap_err(), want);
     }
     assert_eq!(
         want.to_string(),
@@ -188,7 +189,8 @@ fn zero_devices_is_a_typed_error() {
 
 /// Link constants that would charge a NaN, infinite or negative time, and
 /// more devices than the owner map can index, are typed errors from both
-/// sharded entry points rather than a nonsense total or a panic.
+/// sharded entry points and the per-shard memory forecast rather than a
+/// nonsense total or a panic.
 #[test]
 fn bad_link_constants_and_device_counts_are_typed_errors() {
     let rmat = gen::rmat(9, 2_000, gen::RmatParams::graph500(), 7);
@@ -216,6 +218,7 @@ fn bad_link_constants_and_device_counts_are_typed_errors() {
         let errs = [
             decompose_multi(g, &cfg, &opts).map(|r| r.total_ms),
             decompose_multi_fleet(g, &cfg, &opts, "bad").map(|f| f.run.total_ms),
+            shard_memstats(g, &cfg, &opts).map(|m| m.devices.len() as f64),
         ];
         for err in errs {
             match err {
@@ -298,33 +301,5 @@ fn sharded_run_matches_checked_in_golden() {
     };
     let got = serde_json::to_string_pretty(&golden).unwrap();
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/multi_rmat9.json");
-    if std::env::var("KCORE_BLESS").is_ok() {
-        std::fs::write(&path, &got).unwrap();
-        eprintln!("blessed {}", path.display());
-        return;
-    }
-    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "cannot read golden file {} ({e}); run with KCORE_BLESS=1 to create it",
-            path.display()
-        )
-    });
-    let want_schema = kcore_bench::regress::parse_json(&want)
-        .ok()
-        .and_then(|v| {
-            kcore_bench::regress::get(&v, "schema_version").and_then(kcore_bench::regress::as_u64)
-        })
-        .unwrap_or(1);
-    assert_eq!(
-        want_schema, TRACE_SCHEMA_VERSION as u64,
-        "golden blessed under trace schema {want_schema}, current is {TRACE_SCHEMA_VERSION}; \
-         refusing to diff across schemas — regenerate with KCORE_BLESS=1"
-    );
-    assert_eq!(
-        got,
-        want,
-        "sharded execution diverged from {}; if the change is intentional, \
-         regenerate with KCORE_BLESS=1",
-        path.display()
-    );
+    kcore_bench::assert_golden(&path, &got);
 }
