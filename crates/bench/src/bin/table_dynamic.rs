@@ -1,10 +1,13 @@
-//! Regenerates the **dynamic maintenance table** (ROADMAP item 1, the
-//! paper's §VI motivation): sustained updates/sec of the batched GPU
-//! maintenance engine on R-MAT edge churn, against the only strategy the
-//! paper's systems offer an evolving graph — a full from-scratch re-peel
-//! after every update.
+//! Regenerates the **dynamic maintenance table** (the paper's §VI
+//! motivation): sustained updates/sec of the batched GPU maintenance engine
+//! on R-MAT edge churn, against the only strategy the paper's systems offer
+//! an evolving graph — a full from-scratch re-peel after every update.
 //!
-//! For each batch size the whole churn stream is replayed through a fresh
+//! The churn stream is valid ([`ValidChurn`]): each update is equally
+//! likely to delete a present edge or insert an absent pair, and no edge
+//! repeats within a 1024-update batch, so every smaller batch size replays
+//! the same stream and the engine rejects nothing. For each batch size the whole stream is
+//! replayed through a fresh
 //! [`DynamicCore`] and the *simulated* milliseconds are summed; the
 //! baseline is the average simulated cost of a full peel sampled at evenly
 //! spaced points of the same stream (graph size barely moves, so the
@@ -13,12 +16,12 @@
 //! than per-edge maintenance — is derived from the largest-batch run and
 //! reported next to the engine's configured fallback threshold.
 //!
-//! `--check` additionally verifies the final core numbers of every run
-//! against a from-scratch BZ peel of the final graph (and, at full scale,
-//! asserts the ≥ 10x acceptance bar); `KCORE_SMOKE=1` shrinks the workload
-//! to CI size.
+//! `--check` additionally asserts that no run rejects an update, verifies
+//! the final core numbers of every run against a from-scratch BZ peel of the
+//! final graph (and, at full scale, asserts the ≥ 10x acceptance bar);
+//! `KCORE_SMOKE=1` shrinks the workload to CI size.
 
-use kcore_bench::{print_table, save_json};
+use kcore_bench::{print_table, save_json, ValidChurn};
 use kcore_cpu::{bz, incremental::DynamicGraph, CoreAlgorithm};
 use kcore_gpu::{BatchPath, DynamicConfig, DynamicCore, PeelConfig};
 use kcore_gpusim::{LaunchConfig, SimOptions};
@@ -57,29 +60,6 @@ struct Table {
     rows: Vec<Row>,
 }
 
-/// Deterministic xorshift32 churn over in-range endpoints; duplicate
-/// inserts and absent deletes occur naturally and are rejected identically
-/// by engine and oracle.
-fn churn_ops(n: u32, count: usize, mut state: u32) -> Vec<EdgeUpdate> {
-    let mut rng = move || {
-        state ^= state << 13;
-        state ^= state >> 17;
-        state ^= state << 5;
-        state
-    };
-    (0..count)
-        .map(|_| {
-            let u = rng() % n;
-            let v = rng() % n;
-            if rng() % 2 == 0 {
-                EdgeUpdate::Insert(u, v)
-            } else {
-                EdgeUpdate::Delete(u, v)
-            }
-        })
-        .collect()
-}
-
 fn main() {
     let check = std::env::args().any(|a| a == "--check");
     let smoke = std::env::var_os("KCORE_SMOKE").is_some();
@@ -103,7 +83,13 @@ fn main() {
     eprintln!("[table_dynamic] generating rmat-{scale} ({m} edge samples)");
     let g = gen::rmat(scale, m, gen::RmatParams::graph500(), 7);
     let n = g.num_vertices();
-    let ops = churn_ops(n, updates, 0x1234_5678);
+    let batch_sizes = [1usize, 16, 64, 256, 1024];
+    let max_batch = batch_sizes[batch_sizes.len() - 1];
+    let mut churn = ValidChurn::new(&g, 0x1234_5678);
+    let ops: Vec<EdgeUpdate> = (0..updates.div_ceil(max_batch))
+        .flat_map(|_| churn.next_batch(max_batch))
+        .take(updates)
+        .collect();
 
     // Oracle replay: snapshots for the sampled re-peel baseline and the
     // ground truth for --check.
@@ -128,7 +114,6 @@ fn main() {
     let baseline_ups = 1_000.0 / repeel_avg_ms;
     let truth = bz::Bz.run(&oracle.to_csr());
 
-    let batch_sizes = [1usize, 16, 64, 256, 1024];
     let mut rows = Vec::new();
     for &bs in &batch_sizes {
         let mut dc = DynamicCore::from_csr(&SimOptions::default(), &g, dyn_cfg.clone())
@@ -139,8 +124,10 @@ fn main() {
         let mut pruned = 0usize;
         let mut candidates = 0u64;
         let mut changed = 0u64;
+        let mut rejected = 0usize;
         for batch in ops.chunks(bs) {
             let rep = dc.apply_batch(batch).expect("apply_batch");
+            rejected += rep.rejected;
             sim_ms += rep.sim_ms;
             batches += 1;
             repeeled += usize::from(rep.path == BatchPath::Repeeled);
@@ -154,6 +141,10 @@ fn main() {
             ups / baseline_ups
         );
         if check {
+            assert_eq!(
+                rejected, 0,
+                "batch size {bs}: the engine rejected updates of a valid stream"
+            );
             assert_eq!(
                 dc.cores(),
                 &truth[..],

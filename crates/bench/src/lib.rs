@@ -25,8 +25,9 @@ use kcore_cpu::CoreAlgorithm;
 use kcore_gpu::PeelConfig;
 use kcore_gpusim::{SimError, SimOptions};
 use kcore_graph::datasets::{self, Dataset};
-use kcore_graph::{Csr, GraphStats};
+use kcore_graph::{Csr, EdgeUpdate, GraphStats};
 use serde::Serialize;
+use std::collections::{HashMap, HashSet};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -387,6 +388,88 @@ pub fn assert_golden(path: &Path, got: &str) {
     }
 }
 
+/// A seeded stream of valid edge updates against an evolving graph, with
+/// the rule of kbench's `dyn-churn` stream: each update is equally likely a
+/// delete of a present edge or an insert of an absent non-loop pair, and no
+/// edge appears twice in one batch, so an engine must accept every update.
+pub struct ValidChurn {
+    n: u32,
+    state: u64,
+    edges: Vec<(u32, u32)>,
+    slot: HashMap<(u32, u32), usize>,
+}
+
+impl ValidChurn {
+    /// A stream over `g`'s vertices that starts from `g`'s edges.
+    pub fn new(g: &Csr, seed: u64) -> ValidChurn {
+        let edges: Vec<(u32, u32)> = g.edges().collect();
+        let slot = edges.iter().enumerate().map(|(i, &e)| (e, i)).collect();
+        ValidChurn {
+            n: g.num_vertices(),
+            state: seed,
+            edges,
+            slot,
+        }
+    }
+
+    /// The next `size` updates, valid against the graph that every earlier
+    /// batch leaves behind. Any split of the batch into consecutive chunks
+    /// is valid too.
+    ///
+    /// # Panics
+    ///
+    /// If `size` exceeds the number of vertex pairs, which would leave no
+    /// batch without a repeated edge.
+    pub fn next_batch(&mut self, size: usize) -> Vec<EdgeUpdate> {
+        let n = u64::from(self.n);
+        assert!(
+            size as u64 <= n * n.saturating_sub(1) / 2,
+            "a batch of {size} distinct edges needs more than {n} vertices"
+        );
+        let mut touched: HashSet<(u32, u32)> = HashSet::with_capacity(size);
+        let mut out = Vec::with_capacity(size);
+        while out.len() < size {
+            if self.next() & 1 == 0 && !self.edges.is_empty() {
+                let i = self.below(self.edges.len() as u64) as usize;
+                let e = self.edges[i];
+                if !touched.insert(e) {
+                    continue;
+                }
+                self.slot.remove(&e);
+                self.edges.swap_remove(i);
+                if let Some(&moved) = self.edges.get(i) {
+                    self.slot.insert(moved, i);
+                }
+                out.push(EdgeUpdate::Delete(e.1, e.0));
+            } else {
+                let u = self.below(n) as u32;
+                let v = self.below(n) as u32;
+                let e = (u.min(v), u.max(v));
+                if u == v || self.slot.contains_key(&e) || !touched.insert(e) {
+                    continue;
+                }
+                self.slot.insert(e, self.edges.len());
+                self.edges.push(e);
+                out.push(EdgeUpdate::Insert(u, v));
+            }
+        }
+        out
+    }
+
+    /// splitmix64.
+    fn next(&mut self) -> u64 {
+        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+}
+
 /// Serializes rows as JSON into `results/<name>.json`.
 pub fn save_json<T: Serialize>(name: &str, value: &T) {
     let path = results_dir().join(format!("{name}.json"));
@@ -399,6 +482,29 @@ pub fn save_json<T: Serialize>(name: &str, value: &T) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn valid_churn_is_valid_balanced_and_seeded() {
+        let g = kcore_graph::gen::rmat(8, 1_500, kcore_graph::gen::RmatParams::graph500(), 3);
+        let mut oracle = kcore_cpu::incremental::DynamicGraph::from_csr(&g);
+        let mut a = ValidChurn::new(&g, 11);
+        let mut b = ValidChurn::new(&g, 11);
+        let (mut ins, mut del) = (0, 0);
+        for _ in 0..40 {
+            let batch = a.next_batch(64);
+            assert_eq!(batch, b.next_batch(64), "same seed, same stream");
+            let keys: HashSet<(u32, u32)> = batch.iter().map(|u| u.key()).collect();
+            assert_eq!(keys.len(), batch.len(), "an edge appears twice in a batch");
+            ins += batch.iter().filter(|u| u.is_insert()).count();
+            del += batch.iter().filter(|u| !u.is_insert()).count();
+            assert_eq!(oracle.apply_batch(&batch).rejected, 0);
+        }
+        let total = (ins + del) as f64;
+        assert!(
+            (ins as f64 / total - 0.5).abs() < 0.1,
+            "{ins} inserts, {del} deletes"
+        );
+    }
 
     #[test]
     fn cell_stats() {

@@ -1,36 +1,32 @@
 //! Batched dynamic k-core maintenance on the simulated GPU.
 //!
 //! Where [`crate::peel`] recomputes every core number from scratch, this
-//! module *maintains* them under a stream of [`EdgeUpdate`] batches, using
-//! the locality theorems of the incremental k-core literature (see
-//! DESIGN.md, "Dynamic maintenance: locality theorems and the batch
-//! contract"):
+//! module *maintains* them under a stream of [`EdgeUpdate`] batches. It
+//! keeps every vertex's MCD — its count of neighbors whose core is at least
+//! its own — exact on the device, and uses it to confine each edge's
+//! traversal to vertices that can change (DESIGN.md, "Dynamic
+//! maintenance"). For an edge `{u, v}` with `K = min(core(u), core(v))`,
+//! only core-`K` vertices can change, and by at most 1:
 //!
-//! * after inserting or deleting one edge `{u, v}` with
-//!   `K = min(core(u), core(v))`, only vertices with core number exactly
-//!   `K` that are reachable from the affected endpoints through core-`K`
-//!   vertices (the *K-subcore*) can change, and by at most 1;
-//! * a deleted core-`K` vertex `v` keeps its core iff it retains at least
-//!   `K` neighbors of (new) core `>= K` — its MCD;
-//! * an insertion can only raise cores if some root endpoint `w` has
-//!   `PCD(w) > K`, which gives a one-kernel prune that retires most
-//!   insertions without any traversal.
+//! * a deletion peels MCD directly from the core-`K` endpoints: a vertex
+//!   whose MCD falls below `K` drops to `K − 1`, recounts its own MCD while
+//!   its adjacency is walked, and takes one off the MCD of each neighbor
+//!   still at `K`;
+//! * an insertion first runs the PCD prune, which retires it when no
+//!   endpoint can rise. Otherwise a search through core-`K` vertices whose
+//!   MCD is above `K` gathers the candidates, an eviction cascade removes
+//!   those left with at most `K` supporters, and the survivors rise to
+//!   `K + 1` with their MCD set to their final support.
 //!
 //! Batches are *net-effect* processed: cores are a function of the final
 //! graph only, so cancelling insert/delete pairs are elided, duplicates and
 //! self-loops rejected, and the surviving updates grouped (deletes first,
-//! then inserts) and walked with per-edge theorem-backed traversals. The
-//! per-edge traversals are kernelized on [`kcore_gpusim`] with the same
-//! block-granularity frontier buffers, ballot compaction and stepped
-//! wave discipline as the peel kernels — traces are bit-identical at any
-//! rayon pool size. Past [`DynamicConfig::crossover`] net updates the
-//! engine falls back to a from-scratch [`peel::decompose_in`], which is
-//! cheaper than massed traversals.
-//!
-//! MCD counters are maintained device-side: structural kernels apply the
-//! endpoint deltas and every op that changes cores refreshes the counters
-//! of the changed vertices and their neighbors with a list-mode kernel, so
-//! the next op's prune/seed reads exact values.
+//! then inserts) and walked one edge at a time. The traversals are
+//! kernelized on [`kcore_gpusim`] with the same block-granularity frontier
+//! buffers, ballot compaction and stepped wave discipline as the peel
+//! kernels — traces are bit-identical at any rayon pool size. Past
+//! [`DynamicConfig::crossover`] net updates the engine falls back to a
+//! from-scratch [`peel::decompose_in`].
 
 use crate::config::PeelConfig;
 use crate::peel;
@@ -40,7 +36,7 @@ use kcore_gpusim::{
     SimOptions, SizeClass,
 };
 use kcore_graph::{Csr, EdgeUpdate};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 
 /// Tuning knobs of the dynamic engine.
@@ -49,7 +45,7 @@ pub struct DynamicConfig {
     /// Kernel launch geometry for the traversal/counter kernels.
     pub launch: LaunchConfig,
     /// Per-block frontier buffer capacity in words; `0` = auto (`n.max(64)`,
-    /// which can never overflow because subcore frontiers are deduplicated).
+    /// which can never overflow because every frontier is deduplicated).
     pub buf_capacity: usize,
     /// Device staging capacity in *updates* per structural H2D copy; larger
     /// batches are processed in chunks of this many net updates.
@@ -58,7 +54,9 @@ pub struct DynamicConfig {
     /// and re-peels from scratch.
     pub crossover: usize,
     /// Spare adjacency slots per vertex in the device CSR; exhausting a
-    /// vertex's slots triggers a full rebuild (counted in the report).
+    /// vertex's slots triggers a full rebuild (counted in the report). The
+    /// padded adjacency, arcs plus `slack` per vertex, must fit 32-bit
+    /// indexing; a larger one is a [`SimError::InvalidConfig`].
     pub slack: u32,
     /// Configuration for the embedded from-scratch peel (initialisation and
     /// the crossover fallback).
@@ -144,17 +142,28 @@ pub struct BatchReport {
     /// Net updates grouped by `K = min(core(u), core(v))` at batch start,
     /// ascending — the superior-edge groups of the classification phase.
     pub groups: Vec<(u32, usize)>,
-    /// Total subcore candidates collected across the batch's traversals.
+    /// Vertices the batch's traversals examined. An insertion counts the
+    /// candidates its search gathered. A deletion counts its core-`K`
+    /// endpoints plus the MCD decrements its cascade issued, one per
+    /// neighbor still at `K` when a dropped vertex is walked.
     pub candidates: u64,
     /// Total vertices whose core number changed.
     pub changed: u64,
-    /// Insertions retired by the PCD prune without any traversal.
+    /// Insertions the PCD prune retired: their search seeds no candidate.
     pub pruned_inserts: usize,
     /// Lifetime adjacency rebuilds (slack exhaustion) so far.
     pub rebuilds: u64,
     /// Simulated milliseconds this batch cost.
     pub sim_ms: f64,
 }
+
+/// First changed-list slot of `dyn.result`, after the op's three counters.
+const LIST: usize = 3;
+
+/// Words of `dyn.result` an op copies back at once: the counters and the
+/// first five changed vertices, one 32-byte sector. Any short copy costs
+/// the same PCIe latency, and most ops change fewer vertices.
+const RESULT_WINDOW: usize = 8;
 
 /// Copyable bundle of everything the kernels need.
 #[derive(Clone, Copy)]
@@ -169,8 +178,7 @@ struct DynParams {
     d_evic: BufferId,
     d_sup: BufferId,
     d_cand: BufferId,
-    d_chg: BufferId,
-    d_meta: BufferId,
+    d_res: BufferId,
     d_buf: BufferId,
     d_batch: BufferId,
 }
@@ -201,6 +209,9 @@ impl DynamicCore {
     /// Builds the engine over `g`: runs a full on-device peel for the
     /// initial core numbers, uploads the padded CSR and derives the MCD
     /// counters with a device kernel.
+    ///
+    /// Returns [`SimError::InvalidConfig`] when the padded adjacency (arcs
+    /// plus [`DynamicConfig::slack`] per vertex) exceeds 32-bit indexing.
     pub fn from_csr(opts: &SimOptions, g: &Csr, cfg: DynamicConfig) -> Result<Self, SimError> {
         let n = g.num_vertices() as usize;
         let mut ctx = opts.context();
@@ -209,7 +220,8 @@ impl DynamicCore {
 
         ctx.set_phase("DynInit");
         ctx.set_workload_dims(n as u64, g.num_arcs());
-        let (d_off, d_len, d_adj, cap) = build_device_csr(&mut ctx, &adj, cfg.slack.max(1))?;
+        let off = padded_offsets(&adj, cfg.slack.max(1))?;
+        let (d_off, d_len, d_adj, cap) = upload_csr(&mut ctx, &adj, off)?;
         let pad = n.max(1);
         let core_padded: Vec<u32> = if n == 0 { vec![0] } else { core_host.clone() };
         let d_core = ctx.htod_tagged("dyn.core", &core_padded, SizeClass::PerVertex)?;
@@ -218,8 +230,7 @@ impl DynamicCore {
         let d_evic = ctx.alloc_tagged("dyn.evic", pad, SizeClass::PerVertex)?;
         let d_sup = ctx.alloc_tagged("dyn.sup", pad, SizeClass::PerVertex)?;
         let d_cand = ctx.alloc_tagged("dyn.cand", pad, SizeClass::PerVertex)?;
-        let d_chg = ctx.alloc_tagged("dyn.changed", pad, SizeClass::PerVertex)?;
-        let d_meta = ctx.alloc_tagged("dyn.meta", 4, SizeClass::Fixed)?;
+        let d_res = ctx.alloc_tagged("dyn.result", LIST + pad, SizeClass::PerVertex)?;
         let bufcap = if cfg.buf_capacity == 0 {
             n.max(64)
         } else {
@@ -244,8 +255,7 @@ impl DynamicCore {
             d_evic,
             d_sup,
             d_cand,
-            d_chg,
-            d_meta,
+            d_res,
             d_buf,
             d_batch,
         };
@@ -438,8 +448,8 @@ impl DynamicCore {
 
     // -- per-update processing ---------------------------------------------
 
-    /// One net deletion: structural kernel, subcore search seeded with MCD,
-    /// eviction cascade at threshold `k`, commit, MCD refresh.
+    /// One net deletion: the structural kernel, then the MCD cascade from
+    /// the core-`k` endpoints.
     fn process_delete(
         &mut self,
         i: usize,
@@ -454,10 +464,7 @@ impl DynamicCore {
 
         self.ctx.set_phase("DynStruct");
         let p = self.p;
-        let one = LaunchConfig {
-            blocks: 1,
-            threads_per_block: self.cfg.launch.threads_per_block,
-        };
+        let one = self.one_block();
         self.ctx
             .launch("dyn_edge_del", one, |blk| k_edge(blk, &p, i, false))?;
         if k == 0 {
@@ -465,37 +472,28 @@ impl DynamicCore {
             // vertices (core > K = 0) to no change.
             return Ok(());
         }
-        let mut roots: Vec<u32> = Vec::new();
-        if self.core_host[a as usize] == k {
-            roots.push(a);
-        }
-        if self.core_host[b as usize] == k {
-            roots.push(b);
-        }
-        self.ctx.set_phase("DynSubcore");
-        self.launch_subcore(&roots, k, true)?;
-        let cand_n = self.ctx.dtoh_word(self.p.d_meta, 0) as usize;
+        let roots = self.roots(a, b, k);
         self.ctx.set_phase("DynCascade");
-        self.launch_cascade(k, Some(k - 1))?;
-        let chg_n = self.ctx.dtoh_word(self.p.d_meta, 1) as usize;
-        let dropped = self.ctx.dtoh_range(self.p.d_chg, 0, chg_n);
-        self.ctx.set_phase("DynCommit");
-        self.launch_commit(k, false, cand_n)?;
+        self.ctx.launch_stepped(
+            "dyn_drop",
+            self.cfg.launch,
+            |blk| drop_init(blk, &p, &roots, k),
+            |blk, st| drop_step(blk, st, &p, k),
+        )?;
+        let (decrements, _, dropped) = self.read_result();
         for &w in &dropped {
             self.core_host[w as usize] = k - 1;
         }
-        rep.candidates += cand_n as u64;
-        rep.changed += chg_n as u64;
-        if !dropped.is_empty() {
-            let dirty = self.dirty_closure(&dropped);
-            self.refresh_mcd(&dirty)?;
-        }
+        rep.candidates += roots.len() as u64 + decrements;
+        rep.changed += dropped.len() as u64;
         Ok(())
     }
 
-    /// One net insertion: structural kernel, PCD prune, then (if the prune
-    /// cannot retire it) subcore search, support kernel, eviction cascade at
-    /// threshold `k + 1`, commit, MCD refresh.
+    /// One net insertion: the structural kernel with the PCD prune, then
+    /// the candidate search, the support kernel, the eviction cascade at
+    /// threshold `k + 1` and the rise. The search of an insertion the prune
+    /// retired seeds nothing, so the later kernels find no candidates; the
+    /// host learns of the prune from the op's one result copy.
     fn process_insert(
         &mut self,
         i: usize,
@@ -516,55 +514,76 @@ impl DynamicCore {
 
         self.ctx.set_phase("DynStruct");
         let p = self.p;
-        let one = LaunchConfig {
-            blocks: 1,
-            threads_per_block: self.cfg.launch.threads_per_block,
-        };
+        let one = self.one_block();
         self.ctx
             .launch("dyn_edge_ins", one, |blk| k_edge(blk, &p, i, true))?;
-
-        let mut roots: Vec<u32> = Vec::new();
-        if self.core_host[a as usize] == k {
-            roots.push(a);
-        }
-        if self.core_host[b as usize] == k {
-            roots.push(b);
-        }
-        self.ctx.set_phase("DynPrune");
-        let pr = roots.clone();
-        self.ctx
-            .launch("dyn_prune", one, move |blk| k_prune(blk, &p, &pr, k))?;
-        if self.ctx.dtoh_word(self.p.d_meta, 2) == 0 {
-            rep.pruned_inserts += 1;
-            return Ok(());
-        }
+        let roots = self.roots(a, b, k);
         self.ctx.set_phase("DynSubcore");
-        self.launch_subcore(&roots, k, false)?;
-        let cand_n = self.ctx.dtoh_word(self.p.d_meta, 0) as usize;
+        self.ctx.launch_stepped(
+            "dyn_subcore",
+            self.cfg.launch,
+            |blk| bfs_init(blk, &p, &roots, k),
+            |blk, st| bfs_step(blk, st, &p, k),
+        )?;
         self.ctx.set_phase("DynSupport");
         self.ctx
-            .launch("dyn_support", self.cfg.launch, move |blk| {
-                k_support(blk, &p, k, cand_n)
-            })?;
+            .launch("dyn_support", self.cfg.launch, |blk| k_support(blk, &p, k))?;
         self.ctx.set_phase("DynCascade");
-        self.launch_cascade(k + 1, None)?;
-        let evic_n = self.ctx.dtoh_word(self.p.d_meta, 1) as usize;
-        let cand = self.ctx.dtoh_range(self.p.d_cand, 0, cand_n);
-        let evicted = self.ctx.dtoh_range(self.p.d_chg, 0, evic_n);
-        self.ctx.set_phase("DynCommit");
-        self.launch_commit(k, true, cand_n)?;
-        let evs: HashSet<u32> = evicted.into_iter().collect();
-        let survivors: Vec<u32> = cand.into_iter().filter(|v| !evs.contains(v)).collect();
-        for &w in &survivors {
+        self.ctx.launch_stepped(
+            "dyn_cascade",
+            self.cfg.launch,
+            |blk| casc_init(blk, &p, k + 1),
+            |blk, st| casc_step(blk, st, &p, k + 1),
+        )?;
+        self.ctx.set_phase("DynRise");
+        self.ctx.launch_stepped(
+            "dyn_rise",
+            self.cfg.launch,
+            |blk| rise_init(blk, &p, k),
+            |blk, _| rise_clear(blk, &p),
+        )?;
+        let (cand_n, may_rise, risen) = self.read_result();
+        if !may_rise {
+            rep.pruned_inserts += 1;
+        }
+        for &w in &risen {
             self.core_host[w as usize] = k + 1;
         }
-        rep.candidates += cand_n as u64;
-        rep.changed += survivors.len() as u64;
-        if !survivors.is_empty() {
-            let dirty = self.dirty_closure(&survivors);
-            self.refresh_mcd(&dirty)?;
-        }
+        rep.candidates += cand_n;
+        rep.changed += risen.len() as u64;
         Ok(())
+    }
+
+    /// The endpoints of `{a, b}` whose core is `k`, the traversal roots.
+    fn roots(&self, a: u32, b: u32, k: u32) -> Vec<u32> {
+        [a, b]
+            .into_iter()
+            .filter(|&w| self.core_host[w as usize] == k)
+            .collect()
+    }
+
+    /// One block of the configured width: the structural kernel's grid.
+    fn one_block(&self) -> LaunchConfig {
+        LaunchConfig {
+            blocks: 1,
+            threads_per_block: self.cfg.launch.threads_per_block,
+        }
+    }
+
+    /// Reads an op's result back: one copy brings the counters and the
+    /// head of the changed list, and only a list longer than the window
+    /// needs a second. Returns the work tally, the prune flag and the
+    /// changed list.
+    fn read_result(&mut self) -> (u64, bool, Vec<u32>) {
+        self.ctx.set_phase("DynResult");
+        let len = self.ctx.device.len(self.p.d_res);
+        let mut res = self.ctx.dtoh_range(self.p.d_res, 0, RESULT_WINDOW.min(len));
+        let end = LIST + res[1] as usize;
+        if end > res.len() {
+            let head = res.len();
+            res.extend(self.ctx.dtoh_range(self.p.d_res, head, end));
+        }
+        (u64::from(res[0]), res[2] != 0, res[LIST..end].to_vec())
     }
 
     /// Crossover fallback: apply the net updates to the mirror, re-peel the
@@ -594,76 +613,23 @@ impl DynamicCore {
         Ok(())
     }
 
-    // -- launch wrappers ----------------------------------------------------
-
-    fn launch_subcore(&mut self, roots: &[u32], k: u32, seed_mcd: bool) -> Result<(), SimError> {
-        let p = self.p;
-        let roots = roots.to_vec();
-        self.ctx.launch_stepped(
-            "dyn_subcore",
-            self.cfg.launch,
-            |blk| bfs_init(blk, &p, &roots, seed_mcd),
-            |blk, st| bfs_step(blk, st, &p, k, seed_mcd),
-        )
-    }
-
-    fn launch_cascade(&mut self, thresh: u32, drop_to: Option<u32>) -> Result<(), SimError> {
-        let p = self.p;
-        self.ctx.launch_stepped(
-            "dyn_cascade",
-            self.cfg.launch,
-            |blk| casc_init(blk, &p, thresh, drop_to),
-            |blk, st| casc_step(blk, st, &p, thresh, drop_to),
-        )
-    }
-
-    fn launch_commit(&mut self, k: u32, rise: bool, cand_n: usize) -> Result<(), SimError> {
-        let p = self.p;
-        self.ctx.launch("dyn_commit", self.cfg.launch, move |blk| {
-            k_commit(blk, &p, k, rise, cand_n)
-        })
-    }
-
     fn run_mcd_full(&mut self) -> Result<(), SimError> {
         let p = self.p;
         let count = self.n;
-        self.ctx.launch("dyn_mcd", self.cfg.launch, move |blk| {
-            k_mcd(blk, &p, count, false)
-        })
-    }
-
-    /// Recomputes MCD for `dirty` (sorted, deduplicated) with the list-mode
-    /// counter kernel, staging the list through `dyn.cand`.
-    fn refresh_mcd(&mut self, dirty: &[u32]) -> Result<(), SimError> {
-        self.ctx.set_phase("DynMcd");
-        self.ctx.htod_into(self.p.d_cand, 0, dirty)?;
-        let p = self.p;
-        let count = dirty.len();
-        self.ctx.launch("dyn_mcd", self.cfg.launch, move |blk| {
-            k_mcd(blk, &p, count, true)
-        })
-    }
-
-    /// `seed ∪ N(seed)` from the (post-op) mirror, sorted and deduplicated —
-    /// exactly the vertices whose MCD a set of core changes can disturb.
-    fn dirty_closure(&self, seed: &[u32]) -> Vec<u32> {
-        let mut dirty: Vec<u32> = seed.to_vec();
-        for &v in seed {
-            dirty.extend_from_slice(&self.adj[v as usize]);
-        }
-        dirty.sort_unstable();
-        dirty.dedup();
-        dirty
+        self.ctx
+            .launch("dyn_mcd", self.cfg.launch, move |blk| k_mcd(blk, &p, count))
     }
 
     /// Frees and re-uploads the padded device CSR from the mirror with fresh
-    /// slack. Core/MCD/flag buffers are untouched.
+    /// slack. Core/MCD/flag buffers are untouched. The layout is checked
+    /// before anything is freed, so an oversized one leaves the engine as
+    /// it was.
     fn rebuild_adjacency(&mut self) -> Result<(), SimError> {
+        let off = padded_offsets(&self.adj, self.cfg.slack.max(1))?;
         self.ctx.device.free(self.p.d_adj);
         self.ctx.device.free(self.p.d_len);
         self.ctx.device.free(self.p.d_off);
-        let (d_off, d_len, d_adj, cap) =
-            build_device_csr(&mut self.ctx, &self.adj, self.cfg.slack.max(1))?;
+        let (d_off, d_len, d_adj, cap) = upload_csr(&mut self.ctx, &self.adj, off)?;
         self.p.d_off = d_off;
         self.p.d_len = d_len;
         self.p.d_adj = d_adj;
@@ -706,38 +672,45 @@ fn del_adj(list: &mut Vec<u32>, v: u32) {
     }
 }
 
-/// Builds the slack-padded device CSR from the mirror: per-vertex capacity
-/// `deg + slack`, live length in `dyn.len`, unused pad slots zeroed.
-/// Returns the three buffers plus the capacity vector.
-fn build_device_csr(
-    ctx: &mut GpuContext,
-    adj: &[Vec<u32>],
-    slack: u32,
-) -> Result<(BufferId, BufferId, BufferId, Vec<u32>), SimError> {
-    let n = adj.len();
-    let mut off: Vec<u32> = Vec::with_capacity(n + 1);
-    let mut len: Vec<u32> = Vec::with_capacity(n.max(1));
-    let mut cap: Vec<u32> = Vec::with_capacity(n);
+/// Slot offsets of the slack-padded device CSR: vertex `v` owns
+/// `deg(v) + slack` slots from `off[v]`. Summed in `u64`; a total beyond
+/// 32-bit indexing is a [`SimError::InvalidConfig`].
+fn padded_offsets(adj: &[Vec<u32>], slack: u32) -> Result<Vec<u32>, SimError> {
+    let mut off: Vec<u32> = Vec::with_capacity(adj.len() + 1);
     let mut cur = 0u64;
     off.push(0);
     for l in adj {
-        let c = l.len() as u32 + slack;
-        cap.push(c);
-        len.push(l.len() as u32);
-        cur += c as u64;
-        assert!(
-            cur < u32::MAX as u64,
-            "padded adjacency exceeds 32-bit indexing"
-        );
-        off.push(cur as u32);
+        cur += l.len() as u64 + u64::from(slack);
+        let Ok(o) = u32::try_from(cur) else {
+            return Err(SimError::InvalidConfig {
+                what: "dynamic adjacency slots (arcs plus slack per vertex)",
+                value: adj.iter().map(|l| l.len() as f64).sum::<f64>()
+                    + adj.len() as f64 * f64::from(slack),
+                need: "at most 2^32 - 1 slots in total",
+            });
+        };
+        off.push(o);
     }
-    let mut flat = vec![0u32; (cur as usize).max(1)];
+    Ok(off)
+}
+
+/// Uploads the slack-padded device CSR laid out by `off`: live length in
+/// `dyn.len`, unused pad slots zeroed. Returns the three buffers plus the
+/// per-vertex capacity.
+fn upload_csr(
+    ctx: &mut GpuContext,
+    adj: &[Vec<u32>],
+    off: Vec<u32>,
+) -> Result<(BufferId, BufferId, BufferId, Vec<u32>), SimError> {
+    let cap: Vec<u32> = off.windows(2).map(|w| w[1] - w[0]).collect();
+    let mut len: Vec<u32> = adj.iter().map(|l| l.len() as u32).collect();
+    if len.is_empty() {
+        len.push(0);
+    }
+    let mut flat = vec![0u32; (off[adj.len()] as usize).max(1)];
     for (v, l) in adj.iter().enumerate() {
         let o = off[v] as usize;
         flat[o..o + l.len()].copy_from_slice(l);
-    }
-    if len.is_empty() {
-        len.push(0);
     }
     let d_off = ctx.htod_tagged("dyn.offset", &off, SizeClass::PerVertex)?;
     let d_len = ctx.htod_tagged("dyn.len", &len, SizeClass::PerVertex)?;
@@ -749,74 +722,94 @@ fn build_device_csr(
 // Kernels
 // ---------------------------------------------------------------------------
 //
+// `dyn.result` holds one op's result: [0] the traversal's work tally (the
+// insertion candidate cursor, or the deletion cascade's MCD decrements),
+// [1] the changed-list cursor, [2] the insertion's PCD prune flag, and the
+// changed list from [LIST]. The op's structural kernel resets the three
+// counters.
+//
 // Determinism discipline:
 //
-// * plain `launch` kernels (`k_mcd`, `k_support`, `k_commit`, and the
-//   one-block `k_edge` / `k_prune`) only perform block-disjoint writes —
-//   no shared atomic cursors across concurrent blocks;
-// * list compaction (candidate / changed cursors in `dyn.meta`) happens
-//   only on serial lanes: the stepped launches' init (block order) and
-//   steps (one block at a time, in wave order).
+// * plain `launch` kernels (`k_mcd`, `k_support` and the one-block
+//   `k_edge`) only perform block-disjoint writes — no shared atomic
+//   cursors across concurrent blocks;
+// * list compaction (candidate / changed cursors) and the deletion's MCD
+//   decrement tally happen only on serial lanes: the stepped launches'
+//   init (block order) and steps (one block at a time, in wave order);
+// * the rise kernel's MCD increments land on other blocks' vertices. They
+//   are commutative atomic adds to non-candidates, whose MCD nothing else
+//   writes in that launch, so every block order gives the same counts;
+// * the deletion cascade decrements a vertex's MCD only while it is still
+//   at `K`. The decrement that returns exactly `K` drops it, so exactly
+//   one walker drops it, and its recount comes in a later wave.
 
-/// MCD counter kernel. Full mode (`list == false`): vertex `i` striped over
-/// blocks. List mode: vertex `dyn.cand[i]`. `mcd(v) = |{u ∈ N(v) :
-/// core(u) >= core(v)}|`.
-fn k_mcd(
+/// Walks `v`'s live adjacency in 32-lane warp chunks. Per chunk it charges
+/// one warp sync, the coalesced read of the neighbor ids, one gather of
+/// each buffer in `gathered` (at most two) and one instruction; `f` gets the
+/// chunk's neighbor ids and the gathered words, `words[g][t]` for buffer
+/// `g` and lane `t`.
+fn scan_neighbors(
     blk: &mut BlockCtx<'_>,
     p: &DynParams,
-    count: usize,
-    list: bool,
-) -> Result<(), KernelError> {
+    v: usize,
+    gathered: &[BufferId],
+    mut f: impl FnMut(&mut BlockCtx<'_>, &[usize], &[[u32; 32]; 2]),
+) {
     let dev = blk.device;
     let off = dev.buffer(p.d_off);
     let lenb = dev.buffer(p.d_len);
     let adjb = dev.buffer(p.d_adj);
+    blk.charge_sector(2); // off[v] + len[v] (distinct arrays)
+    let o = off[v].load(Ordering::Relaxed) as usize;
+    let oe = o + lenb[v].load(Ordering::Relaxed) as usize;
+    let mut chunk = o;
+    while chunk < oe {
+        let cend = (chunk + 32).min(oe);
+        blk.sync_warp();
+        blk.charge_tx(BlockCtx::coalesced_tx((cend - chunk) as u64));
+        let idxs: Vec<usize> = (chunk..cend)
+            .map(|j| adjb[j].load(Ordering::Relaxed) as usize)
+            .collect();
+        let mut words = [[0u32; 32]; 2];
+        for (out, &buf) in words.iter_mut().zip(gathered) {
+            blk.gather(dev.buffer(buf), &idxs, out, Coalescing::Classified);
+        }
+        f(blk, &idxs, &words);
+        blk.charge_instr(1);
+        chunk = cend;
+    }
+}
+
+/// MCD counter kernel, vertex `i` striped over blocks:
+/// `mcd(v) = |{u ∈ N(v) : core(u) >= core(v)}|`.
+fn k_mcd(blk: &mut BlockCtx<'_>, p: &DynParams, count: usize) -> Result<(), KernelError> {
+    let dev = blk.device;
     let core = dev.buffer(p.d_core);
     let mcd = dev.buffer(p.d_mcd);
-    let cand = dev.buffer(p.d_cand);
     let blocks = blk.cfg.blocks as usize;
-    let mut i = blk.block_idx as usize;
-    while i < count {
-        let v = if list {
-            blk.gread(&cand[i]) as usize
-        } else {
-            i
-        };
-        blk.charge_sector(2); // off[v] + len[v] (distinct arrays)
-        let o = off[v].load(Ordering::Relaxed) as usize;
-        let l = lenb[v].load(Ordering::Relaxed) as usize;
+    let mut v = blk.block_idx as usize;
+    while v < count {
         let cv = blk.gread(&core[v]);
         let mut m = 0u32;
-        let mut chunk = o;
-        let oe = o + l;
-        while chunk < oe {
-            let cend = (chunk + 32).min(oe);
-            let cnt = cend - chunk;
-            blk.sync_warp();
-            blk.charge_tx(BlockCtx::coalesced_tx(cnt as u64));
-            let idxs: Vec<usize> = (chunk..cend)
-                .map(|j| adjb[j].load(Ordering::Relaxed) as usize)
-                .collect();
-            let mut cs = [0u32; 32];
-            blk.gather(core, &idxs, &mut cs, Coalescing::Classified);
-            for t in 0..cnt {
-                if cs[t] >= cv {
-                    m += 1;
-                }
-            }
-            blk.charge_instr(1);
-            chunk = cend;
-        }
+        scan_neighbors(blk, p, v, &[p.d_core], |_, idxs, w| {
+            m += w[0][..idxs.len()].iter().filter(|&&c| c >= cv).count() as u32;
+        });
         blk.gwrite(&mcd[v], m);
-        i += blocks;
+        v += blocks;
     }
     Ok(())
 }
 
-/// Structural edge kernel (one block): reads op `i`'s `[u, v]` from the
-/// staging buffer, splices both adjacency directions (append for insert,
-/// swap-remove for delete) and applies the endpoint MCD deltas against the
-/// current cores.
+/// Structural edge kernel (one block): resets the op's counters, reads op
+/// `i`'s `[u, v]` from the staging buffer, splices both adjacency
+/// directions (append for insert, swap-remove for delete) and applies the
+/// endpoint MCD deltas against the current cores.
+///
+/// An insertion then runs the PCD prune against the new structure: for
+/// each root `r` (an endpoint of core `K = min(core(u), core(v))`),
+/// `pcd(r) = |{x ∈ N(r) : core(x) > K ∨ (core(x) == K ∧ mcd(x) > K)}|`,
+/// and `result[2]` is raised if some root has `pcd > K`. If none does, no
+/// core number can rise and the insertion retires without a traversal.
 fn k_edge(
     blk: &mut BlockCtx<'_>,
     p: &DynParams,
@@ -830,6 +823,10 @@ fn k_edge(
     let adjb = dev.buffer(p.d_adj);
     let core = dev.buffer(p.d_core);
     let mcd = dev.buffer(p.d_mcd);
+    let res = dev.buffer(p.d_res);
+    for m in &res[..LIST] {
+        blk.gwrite(m, 0);
+    }
     blk.charge_sector(1); // the op's adjacent [u, v] pair
     let u = batch[2 * i].load(Ordering::Relaxed);
     let v = batch[2 * i + 1].load(Ordering::Relaxed);
@@ -881,66 +878,39 @@ fn k_edge(
             }
         }
     }
-    Ok(())
-}
-
-/// PCD prune kernel (one block): for each insertion root `r`, computes
-/// `pcd(r) = |{x ∈ N(r) : core(x) > k ∨ (core(x) == k ∧ mcd(x) > k)}|`
-/// against the post-insert structure and raises `meta[2]` if any root has
-/// `pcd > k`. If no root does, no core number can rise and the insertion
-/// retires without a traversal.
-fn k_prune(
-    blk: &mut BlockCtx<'_>,
-    p: &DynParams,
-    roots: &[u32],
-    k: u32,
-) -> Result<(), KernelError> {
-    let dev = blk.device;
-    let off = dev.buffer(p.d_off);
-    let lenb = dev.buffer(p.d_len);
-    let adjb = dev.buffer(p.d_adj);
-    let core = dev.buffer(p.d_core);
-    let mcd = dev.buffer(p.d_mcd);
-    let meta = dev.buffer(p.d_meta);
-    blk.gwrite(&meta[2], 0);
-    for &r in roots {
-        let r = r as usize;
-        blk.charge_sector(2);
-        let o = off[r].load(Ordering::Relaxed) as usize;
-        let l = lenb[r].load(Ordering::Relaxed) as usize;
-        let mut pcd = 0u32;
-        let mut chunk = o;
-        let oe = o + l;
-        while chunk < oe {
-            let cend = (chunk + 32).min(oe);
-            let cnt = cend - chunk;
-            blk.sync_warp();
-            blk.charge_tx(BlockCtx::coalesced_tx(cnt as u64));
-            let idxs: Vec<usize> = (chunk..cend)
-                .map(|j| adjb[j].load(Ordering::Relaxed) as usize)
-                .collect();
-            let mut cs = [0u32; 32];
-            let mut ms = [0u32; 32];
-            blk.gather(core, &idxs, &mut cs, Coalescing::Classified);
-            blk.gather(mcd, &idxs, &mut ms, Coalescing::Classified);
-            for t in 0..cnt {
-                if cs[t] > k || (cs[t] == k && ms[t] > k) {
-                    pcd += 1;
-                }
+    if insert {
+        let k = cu.min(cv);
+        for (r, _) in [(u, cu), (v, cv)].into_iter().filter(|&(_, c)| c == k) {
+            let mut pcd = 0u32;
+            scan_neighbors(blk, p, r as usize, &[p.d_core, p.d_mcd], |_, idxs, w| {
+                pcd += (0..idxs.len())
+                    .filter(|&t| w[0][t] > k || (w[0][t] == k && w[1][t] > k))
+                    .count() as u32;
+            });
+            if pcd > k {
+                blk.gwrite(&res[2], 1);
             }
-            blk.charge_instr(1);
-            chunk = cend;
-        }
-        if pcd > k {
-            blk.gwrite(&meta[2], 1);
         }
     }
     Ok(())
 }
 
-/// Per-block state of the stepped traversal kernels: shared `[s, e]`.
+/// Per-block state of the stepped traversal kernels.
 struct TravState {
+    /// Shared `[s, e]`: the block's frontier window in `dyn.buf`.
     se: SharedArray,
+    /// MCD decrements this block has issued (the deletion cascade's tally).
+    decrements: u32,
+}
+
+impl TravState {
+    /// Publishes a frontier of `e` seeds (init lane).
+    fn new(blk: &mut BlockCtx<'_>, e: u32) -> Result<TravState, KernelError> {
+        let se = blk.shared_alloc(2)?;
+        blk.sh_write(se, 0, 0);
+        blk.sh_write(se, 1, e);
+        Ok(TravState { se, decrements: 0 })
+    }
 }
 
 fn overflow(b: u32, what: &str, cap: usize) -> KernelError {
@@ -949,71 +919,56 @@ fn overflow(b: u32, what: &str, cap: usize) -> KernelError {
     }
 }
 
-/// Subcore search, init (block order): stripes the roots over blocks,
-/// test-sets their visited flag, appends them to the candidate list
-/// (cursor `meta[0]`) and this block's frontier. For deletions
-/// (`seed_mcd`), seeds `sup[r] = mcd[r]` — for a core-`k` vertex MCD *is*
-/// the deletion-cascade support.
-fn bfs_init(
+/// Appends `v` to this block's frontier at slot `*e` (init lane).
+fn seed(
     blk: &mut BlockCtx<'_>,
     p: &DynParams,
-    roots: &[u32],
-    seed_mcd: bool,
-) -> Result<TravState, KernelError> {
-    let dev = blk.device;
-    let b = blk.block_idx as usize;
-    let blocks = blk.cfg.blocks as usize;
-    let bufb = &dev.buffer(p.d_buf)[b * p.bufcap..(b + 1) * p.bufcap];
-    let flag = dev.buffer(p.d_flag);
-    let cand = dev.buffer(p.d_cand);
-    let sup = dev.buffer(p.d_sup);
-    let mcd = dev.buffer(p.d_mcd);
-    let meta = dev.buffer(p.d_meta);
-    let se = blk.shared_alloc(2)?;
-    let mut e = 0u32;
-    for (idx, &r) in roots.iter().enumerate() {
-        if idx % blocks != b {
-            continue;
-        }
-        let old = blk.atomic_add(&flag[r as usize], 1);
-        if old == 0 {
-            let slot = blk.atomic_add(&meta[0], 1) as usize;
-            blk.gwrite(&cand[slot], r);
-            if seed_mcd {
-                let m = blk.gread(&mcd[r as usize]);
-                blk.gwrite(&sup[r as usize], m);
-            }
-            if e as usize >= p.bufcap {
-                return Err(overflow(blk.block_idx, "subcore", p.bufcap));
-            }
-            blk.gwrite(&bufb[e as usize], r);
-            e += 1;
-        }
+    e: &mut u32,
+    v: usize,
+    what: &str,
+) -> Result<(), KernelError> {
+    if *e as usize >= p.bufcap {
+        return Err(overflow(blk.block_idx, what, p.bufcap));
     }
-    blk.sh_write(se, 0, 0);
-    blk.sh_write(se, 1, e);
-    Ok(TravState { se })
+    let dev = blk.device;
+    let slot = blk.block_idx as usize * p.bufcap + *e as usize;
+    blk.gwrite(&dev.buffer(p.d_buf)[slot], v as u32);
+    *e += 1;
+    Ok(())
 }
 
-/// One wave of a stepped traversal, shared by the subcore search and the
-/// eviction cascade: each warp takes one frontier vertex and walks its
-/// adjacency in 32-neighbor chunks, gathering `gathered[u]` for every
-/// neighbor `u` and ballot-compacting the neighbors whose word satisfies
-/// `pick`. `visit` handles each compacted neighbor in order and returns
-/// whether it joins this block's frontier (overflow reported as `what`).
-/// Returns `false` once the frontier has drained.
+/// Appends `x` to the changed list (cursor `result[1]`).
+fn note_changed(blk: &mut BlockCtx<'_>, p: &DynParams, x: usize) {
+    let res = blk.device.buffer(p.d_res);
+    let slot = LIST + blk.atomic_add(&res[1], 1) as usize;
+    blk.gwrite(&res[slot], x as u32);
+}
+
+/// One wave of a stepped traversal, shared by the deletion cascade, the
+/// insertion search and the eviction cascade: each warp takes one frontier
+/// vertex and walks its adjacency in 32-neighbor chunks, gathering
+/// `gathered[x]` for every neighbor `x` and ballot-compacting the neighbors
+/// whose word satisfies `pick`. `visit` handles each compacted neighbor and
+/// its word in order and returns whether it joins this block's frontier
+/// (overflow reported as `what`). With `count_into`, each walked vertex's
+/// count of picked neighbors is written there. Returns `false` once the
+/// frontier has drained.
 ///
-/// `gathered` must be immutable during the launch (the subcore search
-/// gathers `core`, the cascade `flag`), and appends land past the
-/// frontier's tail, so reads and writes may interleave in any order.
+/// A neighbor appears once per adjacency list and its word is gathered
+/// just before its chunk is visited, so `visit` sees its current word even
+/// when visits rewrite `gathered` (the deletion cascade lowers the cores it
+/// gathers). Appends land past the frontier's tail, so reads and writes
+/// may interleave in any order.
+#[allow(clippy::too_many_arguments)]
 fn walk_wave(
     blk: &mut BlockCtx<'_>,
     st: &mut TravState,
     p: &DynParams,
     gathered: BufferId,
     pick: impl Fn(u32) -> bool,
+    count_into: Option<BufferId>,
     what: &str,
-    mut visit: impl FnMut(&mut BlockCtx<'_>, usize) -> Result<bool, KernelError>,
+    mut visit: impl FnMut(&mut BlockCtx<'_>, usize, u32) -> Result<bool, KernelError>,
 ) -> Result<bool, KernelError> {
     let dev = blk.device;
     let b = blk.block_idx as usize;
@@ -1039,6 +994,7 @@ fn walk_wave(
         blk.charge_sector(2);
         let o = off[v].load(Ordering::Relaxed) as usize;
         let l = lenb[v].load(Ordering::Relaxed) as usize;
+        let mut picked = 0u32;
         let mut chunk = o;
         let oe = o + l;
         while chunk < oe {
@@ -1058,9 +1014,10 @@ fn walk_wave(
                 }
             }
             let (_offs, total) = ballot_scan_offsets(blk, bits);
+            picked += total;
             if total > 0 {
                 for t in 0..cnt {
-                    if bits >> t & 1 == 1 && visit(blk, idxs[t])? {
+                    if bits >> t & 1 == 1 && visit(blk, idxs[t], vals[t])? {
                         if e as usize >= p.bufcap {
                             return Err(overflow(blk.block_idx, what, p.bufcap));
                         }
@@ -1071,98 +1028,168 @@ fn walk_wave(
             }
             chunk = cend;
         }
+        if let Some(buf) = count_into {
+            blk.gwrite(&dev.buffer(buf)[v], picked);
+        }
     }
     blk.sh_poke(st.se, 1, e as u32);
     blk.sh_write(st.se, 0, (s + batch) as u32);
     Ok(true)
 }
 
-/// Subcore search, one wave: walks the frontier's core-`k` neighbors and
-/// test-sets each one's flag; a first visit appends it to the candidate
-/// list and this block's frontier, seeding support from MCD for deletions.
+/// Drops `x` from core `k` to `k − 1` and notes it as changed.
+fn drop_vertex(blk: &mut BlockCtx<'_>, p: &DynParams, x: usize, k: u32) {
+    let dev = blk.device;
+    blk.gwrite(&dev.buffer(p.d_core)[x], k - 1);
+    note_changed(blk, p, x);
+}
+
+/// Deletion cascade, init (block order): stripes the roots over blocks. A
+/// root whose MCD, already net of the deleted edge, is below `k` has too
+/// few neighbors left at core `>= k`: it drops and seeds this block's
+/// frontier.
+fn drop_init(
+    blk: &mut BlockCtx<'_>,
+    p: &DynParams,
+    roots: &[u32],
+    k: u32,
+) -> Result<TravState, KernelError> {
+    let dev = blk.device;
+    let mcd = dev.buffer(p.d_mcd);
+    let b = blk.block_idx as usize;
+    let blocks = blk.cfg.blocks as usize;
+    let mut e = 0u32;
+    for (idx, &r) in roots.iter().enumerate() {
+        let r = r as usize;
+        if idx % blocks == b && blk.gread(&mcd[r]) < k {
+            drop_vertex(blk, p, r, k);
+            seed(blk, p, &mut e, r, "cascade")?;
+        }
+    }
+    TravState::new(blk, e)
+}
+
+/// Deletion cascade, one wave: walks each dropped vertex's neighbors of
+/// core `>= k − 1`. Their count is the vertex's new MCD, since a
+/// neighbor's core only moves from `k` to `k − 1` meanwhile. Each neighbor
+/// still at `k` loses one MCD, as the walked vertex no longer counts for
+/// it; a decrement from exactly `k` drops that neighbor too. A core-`k`
+/// vertex's MCD stays at least `k` until it drops, so no decrement
+/// underflows. When the block retires it adds its decrements to
+/// `result[0]`.
+fn drop_step(
+    blk: &mut BlockCtx<'_>,
+    st: &mut TravState,
+    p: &DynParams,
+    k: u32,
+) -> Result<bool, KernelError> {
+    let dev = blk.device;
+    let mcd = dev.buffer(p.d_mcd);
+    let mut decrements = 0u32;
+    let more = walk_wave(
+        blk,
+        st,
+        p,
+        p.d_core,
+        |c| c + 1 >= k,
+        Some(p.d_mcd),
+        "cascade",
+        |blk, x, c| {
+            if c != k {
+                return Ok(false);
+            }
+            decrements += 1;
+            let old = blk.atomic_sub(&mcd[x], 1);
+            debug_assert!(old >= k, "MCD underflow on a core-k vertex");
+            if old != k {
+                return Ok(false);
+            }
+            drop_vertex(blk, p, x, k);
+            Ok(true)
+        },
+    )?;
+    st.decrements += decrements;
+    if !more && st.decrements > 0 {
+        blk.atomic_add(&dev.buffer(p.d_res)[0], st.decrements);
+    }
+    Ok(more)
+}
+
+/// Makes `x` an insertion candidate if it can rise — its MCD is above `k`
+/// — and this visit flags it first: appends it to the candidate list
+/// (cursor `result[0]`).
+fn claim(blk: &mut BlockCtx<'_>, p: &DynParams, x: usize, k: u32) -> bool {
+    let dev = blk.device;
+    if blk.gread(&dev.buffer(p.d_mcd)[x]) <= k || blk.atomic_add(&dev.buffer(p.d_flag)[x], 1) != 0 {
+        return false;
+    }
+    let slot = blk.atomic_add(&dev.buffer(p.d_res)[0], 1) as usize;
+    blk.gwrite(&dev.buffer(p.d_cand)[slot], x as u32);
+    true
+}
+
+/// Insertion search, init (block order): stripes the roots over blocks and
+/// seeds this block's frontier with each root it claims — none if the PCD
+/// prune retired the insertion (`result[2] == 0`).
+fn bfs_init(
+    blk: &mut BlockCtx<'_>,
+    p: &DynParams,
+    roots: &[u32],
+    k: u32,
+) -> Result<TravState, KernelError> {
+    let res = blk.device.buffer(p.d_res);
+    let b = blk.block_idx as usize;
+    let blocks = blk.cfg.blocks as usize;
+    let mut e = 0u32;
+    for (idx, &r) in roots.iter().enumerate() {
+        if idx % blocks == b && blk.gread(&res[2]) != 0 && claim(blk, p, r as usize, k) {
+            seed(blk, p, &mut e, r as usize, "subcore")?;
+        }
+    }
+    TravState::new(blk, e)
+}
+
+/// Insertion search, one wave: walks the frontier's core-`k` neighbors and
+/// claims each one that can rise. Nothing rising is missed: a vertex that
+/// rises has more than `k` neighbors of core `>= k`, and risen vertices
+/// reach a root through other risen vertices.
 fn bfs_step(
     blk: &mut BlockCtx<'_>,
     st: &mut TravState,
     p: &DynParams,
     k: u32,
-    seed_mcd: bool,
 ) -> Result<bool, KernelError> {
-    let dev = blk.device;
-    let flag = dev.buffer(p.d_flag);
-    let cand = dev.buffer(p.d_cand);
-    let sup = dev.buffer(p.d_sup);
-    let mcd = dev.buffer(p.d_mcd);
-    let meta = dev.buffer(p.d_meta);
     walk_wave(
         blk,
         st,
         p,
         p.d_core,
         |c| c == k,
+        None,
         "subcore",
-        |blk, x| {
-            if blk.atomic_add(&flag[x], 1) != 0 {
-                return Ok(false);
-            }
-            let slot = blk.atomic_add(&meta[0], 1) as usize;
-            blk.gwrite(&cand[slot], x as u32);
-            if seed_mcd {
-                let m = blk.gread(&mcd[x]);
-                blk.gwrite(&sup[x], m);
-            }
-            Ok(true)
-        },
+        |blk, x, _| Ok(claim(blk, p, x, k)),
     )
 }
 
-/// Support kernel (insertions): for each candidate `v`,
+/// Support kernel (insertions): for each of the `result[0]` candidates `v`,
 /// `sup[v] = |{x ∈ N(v) : core(x) > k ∨ flag(x)}|` — supporters either
 /// already above `k` or fellow candidates. Plain launch: `flag` is
 /// immutable here, writes are block-disjoint.
-fn k_support(
-    blk: &mut BlockCtx<'_>,
-    p: &DynParams,
-    k: u32,
-    cand_n: usize,
-) -> Result<(), KernelError> {
+fn k_support(blk: &mut BlockCtx<'_>, p: &DynParams, k: u32) -> Result<(), KernelError> {
     let dev = blk.device;
-    let off = dev.buffer(p.d_off);
-    let lenb = dev.buffer(p.d_len);
-    let adjb = dev.buffer(p.d_adj);
-    let core = dev.buffer(p.d_core);
-    let flag = dev.buffer(p.d_flag);
     let sup = dev.buffer(p.d_sup);
     let cand = dev.buffer(p.d_cand);
+    let cand_n = blk.gread(&dev.buffer(p.d_res)[0]) as usize;
     let blocks = blk.cfg.blocks as usize;
     let mut i = blk.block_idx as usize;
     while i < cand_n {
         let v = blk.gread(&cand[i]) as usize;
-        blk.charge_sector(2);
-        let o = off[v].load(Ordering::Relaxed) as usize;
-        let l = lenb[v].load(Ordering::Relaxed) as usize;
         let mut m = 0u32;
-        let mut chunk = o;
-        let oe = o + l;
-        while chunk < oe {
-            let cend = (chunk + 32).min(oe);
-            let cnt = cend - chunk;
-            blk.sync_warp();
-            blk.charge_tx(BlockCtx::coalesced_tx(cnt as u64));
-            let idxs: Vec<usize> = (chunk..cend)
-                .map(|j| adjb[j].load(Ordering::Relaxed) as usize)
-                .collect();
-            let mut cs = [0u32; 32];
-            let mut fs = [0u32; 32];
-            blk.gather(core, &idxs, &mut cs, Coalescing::Classified);
-            blk.gather(flag, &idxs, &mut fs, Coalescing::Classified);
-            for t in 0..cnt {
-                if cs[t] > k || fs[t] != 0 {
-                    m += 1;
-                }
-            }
-            blk.charge_instr(1);
-            chunk = cend;
-        }
+        scan_neighbors(blk, p, v, &[p.d_core, p.d_flag], |_, idxs, w| {
+            m += (0..idxs.len())
+                .filter(|&t| w[0][t] > k || w[1][t] != 0)
+                .count() as u32;
+        });
         blk.gwrite(&sup[v], m);
         i += blocks;
     }
@@ -1171,77 +1198,50 @@ fn k_support(
 
 /// Eviction cascade, init (block order): stripes the candidate list over
 /// blocks and immediately evicts every candidate whose support is already
-/// below `thresh` — writing `evic`, the changed list (cursor `meta[1]`),
-/// optionally the dropped core value, and this block's frontier.
-fn casc_init(
-    blk: &mut BlockCtx<'_>,
-    p: &DynParams,
-    thresh: u32,
-    drop_to: Option<u32>,
-) -> Result<TravState, KernelError> {
+/// below `thresh`, seeding this block's frontier with it.
+fn casc_init(blk: &mut BlockCtx<'_>, p: &DynParams, thresh: u32) -> Result<TravState, KernelError> {
     let dev = blk.device;
-    let b = blk.block_idx as usize;
-    let blocks = blk.cfg.blocks as usize;
-    let bufb = &dev.buffer(p.d_buf)[b * p.bufcap..(b + 1) * p.bufcap];
     let cand = dev.buffer(p.d_cand);
     let sup = dev.buffer(p.d_sup);
     let evic = dev.buffer(p.d_evic);
-    let core = dev.buffer(p.d_core);
-    let chg = dev.buffer(p.d_chg);
-    let meta = dev.buffer(p.d_meta);
-    let se = blk.shared_alloc(2)?;
-    let cand_n = blk.gread(&meta[0]) as usize;
+    let blocks = blk.cfg.blocks as usize;
+    let cand_n = blk.gread(&dev.buffer(p.d_res)[0]) as usize;
     let mut e = 0u32;
-    let mut i = b;
+    let mut i = blk.block_idx as usize;
     while i < cand_n {
         let v = blk.gread(&cand[i]) as usize;
-        let sv = blk.gread(&sup[v]);
-        if sv < thresh {
+        if blk.gread(&sup[v]) < thresh {
             blk.gwrite(&evic[v], 1);
-            if let Some(c) = drop_to {
-                blk.gwrite(&core[v], c);
-            }
-            let slot = blk.atomic_add(&meta[1], 1) as usize;
-            blk.gwrite(&chg[slot], v as u32);
-            if e as usize >= p.bufcap {
-                return Err(overflow(blk.block_idx, "cascade", p.bufcap));
-            }
-            blk.gwrite(&bufb[e as usize], v as u32);
-            e += 1;
+            seed(blk, p, &mut e, v, "cascade")?;
         }
         i += blocks;
     }
-    blk.sh_write(se, 0, 0);
-    blk.sh_write(se, 1, e);
-    Ok(TravState { se })
+    TravState::new(blk, e)
 }
 
 /// Eviction cascade, one wave: walks the evicted frontier's neighbors
 /// inside the candidate set (`flag`) and decrements each un-evicted one's
-/// support; a decrement from exactly `thresh` evicts — mark, changed-list
-/// append, optional core drop, frontier append. An un-evicted candidate
-/// always has `sup >= thresh >= 1`, so the decrement cannot underflow.
+/// support; a decrement from exactly `thresh` evicts it too. An
+/// un-evicted candidate always has `sup >= thresh >= 1`, so the decrement
+/// cannot underflow.
 fn casc_step(
     blk: &mut BlockCtx<'_>,
     st: &mut TravState,
     p: &DynParams,
     thresh: u32,
-    drop_to: Option<u32>,
 ) -> Result<bool, KernelError> {
     let dev = blk.device;
     let sup = dev.buffer(p.d_sup);
     let evic = dev.buffer(p.d_evic);
-    let core = dev.buffer(p.d_core);
-    let chg = dev.buffer(p.d_chg);
-    let meta = dev.buffer(p.d_meta);
     walk_wave(
         blk,
         st,
         p,
         p.d_flag,
         |f| f != 0,
+        None,
         "cascade",
-        |blk, x| {
+        |blk, x, _| {
             if blk.gread(&evic[x]) != 0 {
                 return Ok(false);
             }
@@ -1251,53 +1251,69 @@ fn casc_step(
                 return Ok(false);
             }
             blk.gwrite(&evic[x], 1);
-            if let Some(c) = drop_to {
-                blk.gwrite(&core[x], c);
-            }
-            let slot = blk.atomic_add(&meta[1], 1) as usize;
-            blk.gwrite(&chg[slot], x as u32);
             Ok(true)
         },
     )
 }
 
-/// Commit/cleanup kernel: for insertions (`rise`), survivors (un-evicted
-/// candidates) get core `k + 1`; then every candidate's flag / eviction
-/// mark / support is zeroed for the next op and block 0 resets the list
-/// cursors. Plain launch: stripes are block-disjoint, `meta` is block 0's.
-fn k_commit(
-    blk: &mut BlockCtx<'_>,
-    p: &DynParams,
-    k: u32,
-    rise: bool,
-    cand_n: usize,
-) -> Result<(), KernelError> {
+/// Rise kernel, init (block order): stripes the candidates over blocks.
+/// Each survivor (never evicted) rises to `k + 1` and is noted as changed.
+/// Its MCD becomes its final support: its neighbors of core `> k` plus its
+/// surviving fellow candidates. It now counts for each non-candidate
+/// neighbor already at `k + 1`, which gains one MCD; no other MCD moves.
+/// Candidate flags stay set until every block's init has run, so the
+/// neighbor test never mistakes a survivor risen in an earlier block for
+/// a non-candidate.
+fn rise_init(blk: &mut BlockCtx<'_>, p: &DynParams, k: u32) -> Result<(), KernelError> {
+    let dev = blk.device;
+    let cand = dev.buffer(p.d_cand);
+    let evic = dev.buffer(p.d_evic);
+    let sup = dev.buffer(p.d_sup);
+    let core = dev.buffer(p.d_core);
+    let mcd = dev.buffer(p.d_mcd);
+    let blocks = blk.cfg.blocks as usize;
+    let cand_n = blk.gread(&dev.buffer(p.d_res)[0]) as usize;
+    let mut i = blk.block_idx as usize;
+    while i < cand_n {
+        let v = blk.gread(&cand[i]) as usize;
+        if blk.gread(&evic[v]) == 0 {
+            blk.gwrite(&core[v], k + 1);
+            let s = blk.gread(&sup[v]);
+            blk.gwrite(&mcd[v], s);
+            note_changed(blk, p, v);
+            scan_neighbors(blk, p, v, &[p.d_core, p.d_flag], |blk, idxs, w| {
+                for (t, &x) in idxs.iter().enumerate() {
+                    if w[0][t] == k + 1 && w[1][t] == 0 {
+                        blk.atomic_add(&mcd[x], 1);
+                    }
+                }
+            });
+        }
+        i += blocks;
+    }
+    Ok(())
+}
+
+/// Rise kernel, second wave (after every block's init): clears this
+/// block's candidates' flags and eviction marks for the next insertion.
+/// `sup` needs no reset: `k_support` writes every candidate's before
+/// anything reads it.
+fn rise_clear(blk: &mut BlockCtx<'_>, p: &DynParams) -> Result<bool, KernelError> {
     let dev = blk.device;
     let cand = dev.buffer(p.d_cand);
     let flag = dev.buffer(p.d_flag);
     let evic = dev.buffer(p.d_evic);
-    let sup = dev.buffer(p.d_sup);
-    let core = dev.buffer(p.d_core);
-    let meta = dev.buffer(p.d_meta);
+    blk.sync_threads();
     let blocks = blk.cfg.blocks as usize;
-    let b = blk.block_idx as usize;
-    if b == 0 {
-        blk.gwrite(&meta[0], 0);
-        blk.gwrite(&meta[1], 0);
-        blk.gwrite(&meta[2], 0);
-    }
-    let mut i = b;
+    let cand_n = blk.gread(&dev.buffer(p.d_res)[0]) as usize;
+    let mut i = blk.block_idx as usize;
     while i < cand_n {
         let v = blk.gread(&cand[i]) as usize;
-        if rise && blk.gread(&evic[v]) == 0 {
-            blk.gwrite(&core[v], k + 1);
-        }
         blk.gwrite(&flag[v], 0);
         blk.gwrite(&evic[v], 0);
-        blk.gwrite(&sup[v], 0);
         i += blocks;
     }
-    Ok(())
+    Ok(false)
 }
 
 #[cfg(test)]
@@ -1572,6 +1588,39 @@ mod tests {
         let c = run(true, 1);
         assert_eq!(a, b);
         assert_eq!(a, c);
+    }
+
+    #[test]
+    fn oversized_padded_adjacency_is_a_typed_error() {
+        // A 3-vertex path: 4 arcs plus 3 × slack slots pass 2^32 for both
+        // slacks. Neither may panic, at build time or in a rebuild.
+        let g = kcore_graph::builder::from_edges(3, &[(0, 1), (1, 2)]);
+        let opts = SimOptions::default();
+        let mut dc = DynamicCore::from_csr(&opts, &g, small_cfg()).unwrap();
+        let live = dc.ctx().device.used_bytes();
+        for slack in [1u32 << 31, u32::MAX] {
+            let cfg = DynamicConfig {
+                slack,
+                ..small_cfg()
+            };
+            let err = DynamicCore::from_csr(&opts, &g, cfg).err();
+            assert!(
+                matches!(err, Some(SimError::InvalidConfig { .. })),
+                "from_csr with slack {slack}: {err:?}"
+            );
+            dc.cfg.slack = slack;
+            let err = dc.rebuild_adjacency().err();
+            assert!(
+                matches!(err, Some(SimError::InvalidConfig { .. })),
+                "rebuild with slack {slack}: {err:?}"
+            );
+            assert_eq!(dc.ctx().device.used_bytes(), live, "rebuild freed the CSR");
+        }
+        // The refused rebuild left the engine intact.
+        dc.cfg.slack = 8;
+        dc.apply_batch(&[EdgeUpdate::Insert(0, 2)]).unwrap();
+        assert_eq!(dc.cores(), &[2, 2, 2]);
+        assert_consistent(&mut dc);
     }
 
     #[test]

@@ -108,10 +108,11 @@ rm -rf "$scale_results"
 echo "table_scale smoke OK"
 
 echo "== dynamic maintenance smoke (batched engine vs oracle) =="
-# --check replays the CI-sized churn stream through the batched GPU
-# maintenance engine, verifies every run's final cores against a
-# from-scratch BZ peel, and drives one pure-insert batch plus one
-# pure-delete batch oracle-checked after each. Results go to a throwaway
+# --check replays the CI-sized valid churn stream through the batched GPU
+# maintenance engine, asserts that no run rejects an update, verifies
+# every run's final cores against a from-scratch BZ peel, and drives one
+# pure-insert batch plus one pure-delete batch oracle-checked after each.
+# Results go to a throwaway
 # dir so the full-scale results/table_dynamic.json is never overwritten.
 dyn_results="$(mktemp -d)"
 KCORE_SMOKE=1 KCORE_RESULTS_DIR="$dyn_results" \

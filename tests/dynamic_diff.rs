@@ -11,12 +11,15 @@
 //! inserts and deletes, duplicate inserts, deletes of absent edges,
 //! self-loops and out-of-range endpoints (all of which both sides must
 //! reject identically), across batch sizes 1 / 16 / 1024 and rayon pool
-//! sizes 1 / 2 / 8.
+//! sizes 1 / 2 / 8. A valid stream (`kcore_bench::ValidChurn`: deletes of
+//! present edges, inserts of absent pairs) rides along at batch sizes
+//! 1 / 16 / 64, so every delete is accepted and runs the deletion path.
 
 use kcore::cpu::{bz, incremental::DynamicGraph, CoreAlgorithm};
 use kcore::gpu::{BatchPath, DynamicConfig, DynamicCore, SimOptions};
 use kcore::gpusim::LaunchConfig;
 use kcore::graph::{builder::from_edges, gen, Csr, EdgeUpdate};
+use kcore_bench::ValidChurn;
 use proptest::prelude::*;
 
 fn engine_cfg() -> DynamicConfig {
@@ -52,14 +55,26 @@ fn churn_ops(n: u32, count: usize, mut state: u32) -> Vec<EdgeUpdate> {
 }
 
 /// Runs `ops` through the GPU engine in `batch_size` chunks, checking the
-/// three-way agreement after every batch. Returns the final core numbers.
-fn run_diff(g: &Csr, ops: &[EdgeUpdate], batch_size: usize, cfg: DynamicConfig) -> Vec<u32> {
+/// three-way agreement after every batch, and that nothing is rejected when
+/// the stream is `valid`. Returns the final core numbers.
+fn run_diff(
+    g: &Csr,
+    ops: &[EdgeUpdate],
+    batch_size: usize,
+    cfg: DynamicConfig,
+    valid: bool,
+) -> Vec<u32> {
     let mut dc = DynamicCore::from_csr(&SimOptions::default(), g, cfg).expect("engine init");
     let mut oracle = DynamicGraph::from_csr(g);
     assert_eq!(dc.cores(), oracle.cores(), "initial state diverges");
     for (bi, batch) in ops.chunks(batch_size).enumerate() {
         let rep = dc.apply_batch(batch).expect("apply_batch");
         let out = oracle.apply_batch(batch);
+        assert!(
+            !valid || rep.rejected == 0,
+            "batch {bi}: the engine rejected {} updates of a valid stream",
+            rep.rejected
+        );
         // Both sides validate sequentially against the batch prefix, so
         // they must reject exactly the same updates.
         assert_eq!(
@@ -102,11 +117,29 @@ fn fixed_churn_agrees_at_every_batch_size() {
     let ops = churn_ops(64, 180, 0x2545_f491);
     let mut finals = Vec::new();
     for bs in [1usize, 16, 1024] {
-        finals.push(run_diff(&g, &ops, bs, engine_cfg()));
+        finals.push(run_diff(&g, &ops, bs, engine_cfg(), false));
     }
     // Cores are a function of the final graph: batch size must not matter.
     assert_eq!(finals[0], finals[1]);
     assert_eq!(finals[0], finals[2]);
+}
+
+/// Valid churn on an ER and an R-MAT graph: every update is accepted, so
+/// half the stream exercises the deletion cascade (random pairs almost
+/// never name a present edge).
+#[test]
+fn valid_churn_agrees_at_every_batch_size() {
+    let graphs = [
+        gen::erdos_renyi_gnm(64, 160, 9),
+        gen::rmat(7, 600, gen::RmatParams::graph500(), 3),
+    ];
+    for g in &graphs {
+        for bs in [1usize, 16, 64] {
+            let mut churn = ValidChurn::new(g, 0x5eed + bs as u64);
+            let ops: Vec<EdgeUpdate> = (0..192 / bs).flat_map(|_| churn.next_batch(bs)).collect();
+            run_diff(g, &ops, bs, engine_cfg(), true);
+        }
+    }
 }
 
 #[test]
@@ -140,7 +173,7 @@ fn traces_are_bit_identical_across_rayon_pool_sizes() {
 fn crossover_repeel_lands_in_the_same_state_as_maintenance() {
     let g = gen::erdos_renyi_gnm(56, 130, 21);
     let ops = churn_ops(56, 140, 0x0bad_cafe);
-    let maintained = run_diff(&g, &ops, 1024, engine_cfg());
+    let maintained = run_diff(&g, &ops, 1024, engine_cfg(), false);
     let repeeled = run_diff(
         &g,
         &ops,
@@ -149,6 +182,7 @@ fn crossover_repeel_lands_in_the_same_state_as_maintenance() {
             crossover: 1,
             ..engine_cfg()
         },
+        false,
     );
     assert_eq!(maintained, repeeled);
 }
@@ -204,6 +238,6 @@ proptest! {
             })
             .collect();
         let bs = [1usize, 16, 1024][bs_sel];
-        run_diff(&g, &ops, bs, engine_cfg());
+        run_diff(&g, &ops, bs, engine_cfg(), false);
     }
 }

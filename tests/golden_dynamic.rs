@@ -1,9 +1,10 @@
 //! Golden-trace regression test for the dynamic maintenance engine
 //! (`kcore_gpu::dynamic`), mirroring `golden_trace.rs` for the static peel.
 //!
-//! A fixed churn workload (seeded R-MAT base graph + xorshift update stream
-//! covering inserts, deletes, rejects and a PCD-pruned tail) is driven
-//! through [`kcore_gpu::DynamicCore`], and the per-phase launch counts,
+//! A fixed churn workload (seeded R-MAT base graph; an xorshift stream of
+//! random pairs covering inserts, rejects and a PCD-pruned tail, plus valid
+//! deletes and inserts from [`kcore_bench::ValidChurn`]) is driven through
+//! [`kcore_gpu::DynamicCore`], and the per-phase launch counts,
 //! transfer bytes and kernel counters are pinned against
 //! `tests/golden/dynamic_rmat9.json`. The memstats snapshot rides along as
 //! an FNV-1a hash so allocation-ledger changes are caught too.
@@ -14,7 +15,7 @@
 //! KCORE_BLESS=1 cargo test --test golden_dynamic
 //! ```
 
-use kcore_bench::assert_golden;
+use kcore_bench::{assert_golden, ValidChurn};
 use kcore_gpu::{DynamicConfig, DynamicCore};
 use kcore_gpusim::{fnv1a_bytes, Counters, SimOptions, Trace};
 use kcore_graph::{gen, EdgeUpdate};
@@ -24,7 +25,10 @@ use std::path::PathBuf;
 /// The fixed churn workload: every update class the engine distinguishes
 /// (insert, delete, duplicate/self-loop/out-of-range reject) appears, and
 /// batches are large enough that classification and the per-edge kernels
-/// all run. Same base graph and reduced grid as the static peel golden.
+/// all run. Random pairs almost never name a present edge, so each batch
+/// also carries 32 valid updates, about half of them deletes that reach
+/// the deletion cascade. Same base graph and reduced grid as the static
+/// peel golden.
 fn capture(label: &str) -> Trace {
     let g = gen::rmat(9, 2_000, gen::RmatParams::graph500(), 7);
     let n = g.num_vertices();
@@ -44,8 +48,9 @@ fn capture(label: &str) -> Trace {
         state ^= state << 5;
         state
     };
+    let mut churn = ValidChurn::new(&g, 0x9e37_79b9);
     for _ in 0..4 {
-        let batch: Vec<EdgeUpdate> = (0..64)
+        let mut batch: Vec<EdgeUpdate> = (0..64)
             .map(|_| {
                 let u = rng() % (n + 2);
                 let v = rng() % (n + 2);
@@ -56,6 +61,7 @@ fn capture(label: &str) -> Trace {
                 }
             })
             .collect();
+        batch.extend(churn.next_batch(32));
         dc.apply_batch(&batch).unwrap();
     }
     dc.ctx_mut().trace(label)
