@@ -17,16 +17,16 @@
 //! `serde_json::from_str`: schema versions survive the round trip and
 //! per-round critical-path shares sum to 1.0.
 //! Everything here observes — the runs it measures are bit-identical to
-//! `decompose_multi`.
+//! `decompose_multi`, which `--check` asserts by running it too.
 //!
 //! Dataset selection honors `KCORE_SMOKE` / `KCORE_DATASETS`; set
 //! `KCORE_FLEET_TIMELINE=1` to also dump each run's fleet trace and merged
 //! multi-device Perfetto document under `results/traces/`.
 
 use kcore_bench::{fleet_timeline_enabled, prepare_all, results_dir, save_fleet, save_json};
-use kcore_gpu::{decompose_multi_fleet, MultiGpuConfig};
-use kcore_gpusim::{FleetTrace, FLEET_SCHEMA_VERSION};
-use kcore_graph::Partition;
+use kcore_gpu::{decompose_multi, decompose_multi_fleet, FleetRun, MultiGpuConfig};
+use kcore_gpusim::{FleetTrace, SimOptions, FLEET_SCHEMA_VERSION};
+use kcore_graph::{Csr, Partition};
 use serde::Serialize;
 use serde_json::Value;
 
@@ -176,6 +176,38 @@ fn check_round_trip(fleet: &FleetTrace) {
     }
 }
 
+/// `--check`: the fleet run is the run `decompose_multi` returns: the same
+/// cores and simulated time to the bit, exchange volume and sub-rounds, and
+/// worker fingerprints. `decompose_multi` digests each worker's launch and
+/// transfer records without building a trace, so its fingerprints are also
+/// checked against the fleet run's traces.
+fn check_matches_decompose_multi(g: &Csr, cfg: &MultiGpuConfig, sim: &SimOptions, fr: &FleetRun) {
+    let run = decompose_multi(g, cfg, sim).expect("decompose_multi runs where the fleet run did");
+    let p = cfg.num_gpus;
+    assert_eq!(run.core, fr.run.core, "p={p}: cores");
+    assert_eq!(
+        run.total_ms.to_bits(),
+        fr.run.total_ms.to_bits(),
+        "p={p}: total_ms {} vs fleet {}",
+        run.total_ms,
+        fr.run.total_ms
+    );
+    let trace_fps: Vec<u64> = fr.traces.iter().map(|t| t.counters_fingerprint()).collect();
+    assert_eq!(
+        run.worker_fingerprints, fr.run.worker_fingerprints,
+        "p={p}: worker fingerprints"
+    );
+    assert_eq!(
+        run.worker_fingerprints, trace_fps,
+        "p={p}: worker fingerprints vs fleet traces"
+    );
+    assert_eq!(
+        run.exchanged_bytes, fr.run.exchanged_bytes,
+        "p={p}: exchanged bytes"
+    );
+    assert_eq!(run.sub_rounds, fr.run.sub_rounds, "p={p}: sub-rounds");
+}
+
 fn main() {
     let check = std::env::args().any(|a| a == "--check");
     let envs = prepare_all();
@@ -199,6 +231,7 @@ fn main() {
                 .expect("fleet ledger must reconcile with the device clocks");
             if check {
                 check_round_trip(&fr.fleet);
+                check_matches_decompose_multi(&e.graph, &cfg, &e.sim, &fr);
             }
             if fleet_timeline_enabled() {
                 let slug = format!("{}_fleet_p{p}", e.dataset.name.replace(['-', '.'], "_"));

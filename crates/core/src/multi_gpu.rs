@@ -35,11 +35,12 @@
 //!   exactly what [`peel::decompose`] charges.
 //!
 //! **Determinism.** The merge order is fixed: ghost drains happen in shard
-//! index order, updates are aggregated by ascending global vertex ID, and
-//! owner lookup is the O(1) partition map. Worker kernels run on private
-//! contexts whose engine is pool-size-independent, so traces, counters,
-//! `total_ms` and `exchanged_bytes` are bit-identical at any rayon pool
-//! size — `tests/multi_shard.rs` pins this.
+//! index order, the master merges the shards' ascending packet runs into
+//! one list by ascending global vertex ID, and owner lookup is the O(1)
+//! partition map. Worker kernels run on private contexts whose engine is
+//! pool-size-independent, so traces, counters, `total_ms` and
+//! `exchanged_bytes` are bit-identical at any rayon pool size —
+//! `tests/multi_shard.rs` pins this.
 
 use crate::config::PeelConfig;
 use crate::peel;
@@ -47,9 +48,8 @@ use kcore_gpusim::{
     BlockCtx, BufferId, ExchangeTrace, FleetMemStats, FleetTrace, FlowEdge, GpuContext,
     KernelError, RoundTrace, SimError, SimOptions, SizeClass, SubRoundSlice, Timeline, Trace,
 };
-use kcore_graph::{Csr, Partition, PartitionStrategy};
+use kcore_graph::{Csr, Partition, PartitionStrategy, Shard};
 use rayon::prelude::*;
-use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 
 /// Sentinel base value for ghost `deg` slots. Large enough that a ghost can
@@ -164,7 +164,7 @@ pub fn decompose_multi(
     cfg: &MultiGpuConfig,
     opts: &SimOptions,
 ) -> Result<MultiGpuRun, SimError> {
-    decompose_multi_impl(g, cfg, opts, None).map(|(run, ..)| run)
+    decompose_multi_impl(g, cfg, opts, None).map(|(run, _)| run)
 }
 
 /// [`decompose_multi`] with the full fleet observability layer: the run,
@@ -179,8 +179,15 @@ pub fn decompose_multi_fleet(
     opts: &SimOptions,
     label: impl Into<String>,
 ) -> Result<FleetRun, SimError> {
-    let (run, traces, rounds, timelines) = decompose_multi_impl(g, cfg, opts, Some(label.into()))?;
-    let (label, timelines, setup_ms, result_ms) = timelines.expect("fleet capture requested");
+    let (run, capture) = decompose_multi_impl(g, cfg, opts, Some(label.into()))?;
+    let FleetCapture {
+        label,
+        traces,
+        timelines,
+        rounds,
+        setup_ms,
+        result_ms,
+    } = capture.expect("decompose_multi_impl captures when given a label");
     let fleet = FleetTrace::new(
         label,
         setup_ms,
@@ -198,18 +205,16 @@ pub fn decompose_multi_fleet(
     })
 }
 
-/// Fleet-capture payload threaded out of the impl when a label is given:
-/// `(label, per-worker timelines, setup_ms, result_ms)`.
-type FleetCapture = (String, Vec<Timeline>, f64, f64);
-
-/// Everything `decompose_multi_impl` produces: the run, per-worker traces,
-/// the per-round ledger, and the optional fleet capture.
-type MultiImplOutput = (
-    MultiGpuRun,
-    Vec<Trace>,
-    Vec<RoundTrace>,
-    Option<FleetCapture>,
-);
+/// What `decompose_multi_impl` captures for [`decompose_multi_fleet`] when
+/// given a label: per-worker traces and timelines, and the per-round ledger.
+struct FleetCapture {
+    label: String,
+    traces: Vec<Trace>,
+    timelines: Vec<Timeline>,
+    rounds: Vec<RoundTrace>,
+    setup_ms: f64,
+    result_ms: f64,
+}
 
 /// The configuration checks shared by both sharded entry points and
 /// [`shard_memstats`]; [`decompose_multi`] lists what they reject.
@@ -258,7 +263,7 @@ fn decompose_multi_impl(
     cfg: &MultiGpuConfig,
     opts: &SimOptions,
     fleet_label: Option<String>,
-) -> Result<MultiImplOutput, SimError> {
+) -> Result<(MultiGpuRun, Option<FleetCapture>), SimError> {
     check_config(g, cfg)?;
     let n = g.num_vertices() as usize;
     if n == 0 {
@@ -276,9 +281,14 @@ fn decompose_multi_impl(
                 exchange_rounds: 0,
                 border_packets: 0,
             },
-            Vec::new(),
-            Vec::new(),
-            fleet_label.map(|label| (label, Vec::new(), 0.0, 0.0)),
+            fleet_label.map(|label| FleetCapture {
+                label,
+                traces: Vec::new(),
+                timelines: Vec::new(),
+                rounds: Vec::new(),
+                setup_ms: 0.0,
+                result_ms: 0.0,
+            }),
         ));
     }
     // ---- partition & load shards ----------------------------------------
@@ -292,8 +302,7 @@ fn decompose_multi_impl(
     let mut rounds = 0u32;
     let mut k = 0u32;
     let mut removed = 0u64;
-    // Update scratch, reused across exchanges.
-    let mut updates: Vec<(u32, u32)> = Vec::new();
+    let mut scratch = ExchangeScratch::default();
     // Fleet ledger: one entry per peel round. Every charged_ms below is the
     // addend folded into total_ms.
     let mut round_log: Vec<RoundTrace> = Vec::new();
@@ -321,7 +330,7 @@ fn decompose_multi_impl(
                 &part,
                 k,
                 cfg,
-                &mut updates,
+                &mut scratch,
                 &mut exchanged_bytes,
                 slices.len() as u32 - 1,
             )?;
@@ -380,20 +389,12 @@ fn decompose_multi_impl(
     }
     total_ms += result_ms;
 
-    // Timelines are captured before `trace()` only when the fleet layer
-    // asked; both are pure derivations, so the traced path is unchanged.
-    let fleet_capture = fleet_label.map(|label| {
-        let timelines: Vec<Timeline> = workers
-            .iter()
-            .enumerate()
-            .map(|(wi, w)| w.ctx.timeline(format!("worker{wi}")))
-            .collect();
-        (label, timelines, setup_ms, result_ms)
-    });
-    let traces: Vec<Trace> = workers
-        .iter_mut()
-        .enumerate()
-        .map(|(wi, w)| w.ctx.trace(format!("worker{wi}")))
+    // Fingerprints digest the launch and transfer records directly, as
+    // `Trace::counters_fingerprint` would; traces and timelines are built
+    // only when the fleet layer asked. All are pure derivations.
+    let worker_fingerprints: Vec<u64> = workers
+        .iter()
+        .map(|w| w.ctx.counters_fingerprint())
         .collect();
     let per_device_peak_bytes: Vec<u64> =
         workers.iter().map(|w| w.ctx.device.peak_bytes()).collect();
@@ -408,6 +409,26 @@ fn decompose_multi_impl(
         .flat_map(|r| &r.exchanges)
         .map(|e| e.packets_out)
         .sum();
+    let fleet_capture = fleet_label.map(|label| {
+        let timelines: Vec<Timeline> = workers
+            .iter()
+            .enumerate()
+            .map(|(wi, w)| w.ctx.timeline(format!("worker{wi}")))
+            .collect();
+        let traces: Vec<Trace> = workers
+            .iter_mut()
+            .enumerate()
+            .map(|(wi, w)| w.ctx.trace(format!("worker{wi}")))
+            .collect();
+        FleetCapture {
+            label,
+            traces,
+            timelines,
+            rounds: round_log,
+            setup_ms,
+            result_ms,
+        }
+    });
     Ok((
         MultiGpuRun {
             core,
@@ -416,14 +437,12 @@ fn decompose_multi_impl(
             sub_rounds,
             total_ms,
             total_peak_mem_bytes: per_device_peak_bytes.iter().sum(),
-            worker_fingerprints: traces.iter().map(|t| t.counters_fingerprint()).collect(),
             per_device_peak_bytes,
+            worker_fingerprints,
             exchanged_bytes,
             exchange_rounds,
             border_packets,
         },
-        traces,
-        round_log,
         fleet_capture,
     ))
 }
@@ -441,14 +460,13 @@ fn build_workers(
     let mut workers = Vec::with_capacity(part.num_shards());
     for shard in &part.shards {
         let mut ctx = opts.context();
-        let offsets32: Vec<u32> = shard.csr.offsets().iter().map(|&o| o as u32).collect();
         let mut deg = shard.csr.degrees();
         for d in deg[shard.num_owned()..].iter_mut() {
             *d = GHOST_BASE;
         }
         let st = peel::load_device(
             &mut ctx,
-            &offsets32,
+            shard.csr.offsets(),
             shard.csr.neighbor_array(),
             &deg,
             &cfg.peel,
@@ -523,6 +541,23 @@ fn sync_worker(w: &mut Worker) {
         .sample_counter("frontier", (w.count - before_sync) as f64);
 }
 
+/// Host scratch of [`exchange`], reused across exchanges.
+#[derive(Default)]
+struct ExchangeScratch {
+    /// Drained `(global vertex, delta)` packets: one ascending run per
+    /// shard, in shard order.
+    packets: Vec<(u32, u32)>,
+    /// End offset in `packets` of each shard's run.
+    run_ends: Vec<usize>,
+    /// The runs merged by ascending vertex, equal vertices summed.
+    aggregated: Vec<(u32, u32)>,
+    /// `(from, to, packets)` shard-pair flow counts, ascending `(from, to)`.
+    flows: Vec<(usize, usize, u64)>,
+}
+
+/// Ghost slots per touched-slot bit mask of the drain (one `u64`).
+const DRAIN_CHUNK: usize = 64;
+
 /// One border exchange: drain every worker's ghost accumulator slots, ship
 /// the packets worker → master → owner, apply them with the floor-at-`k`
 /// rule, and seed owners whose vertices crossed into the k-shell. Returns
@@ -536,7 +571,7 @@ fn exchange(
     part: &Partition,
     k: u32,
     cfg: &MultiGpuConfig,
-    updates: &mut Vec<(u32, u32)>,
+    scratch: &mut ExchangeScratch,
     exchanged_bytes: &mut u64,
     after_sub_round: u32,
 ) -> Result<(bool, ExchangeTrace), SimError> {
@@ -557,40 +592,38 @@ fn exchange(
         seeds_per_device: vec![0; num],
         flows: Vec::new(),
     };
-    // Shard-pair packet counts for the flow ledger, keyed (from, to) — a
-    // BTreeMap so the flow order is deterministic.
-    let mut pair_packets: BTreeMap<(usize, usize), u64> = BTreeMap::new();
     // Per-device launch-record indices backing the flow edges.
     let mut pack_seq: Vec<Option<usize>> = vec![None; num];
     let mut apply_seq: Vec<Option<usize>> = vec![None; num];
     // ---- drain + pack, shard index order ---------------------------------
-    updates.clear();
-    let mut packets_out = 0u64;
+    let ExchangeScratch {
+        packets,
+        run_ends,
+        aggregated,
+        flows,
+    } = scratch;
+    packets.clear();
+    run_ends.clear();
+    flows.clear();
     for (wi, w) in workers.iter_mut().enumerate() {
         let shard = &part.shards[wi];
-        if shard.ghosts.is_empty() {
-            continue;
-        }
         let before = w.ctx.elapsed_ms();
-        let mut touched = 0u64;
-        {
-            // Host peek of the device ghost slots (free, like any host
-            // inspection of simulator memory): delta = GHOST_BASE − slot,
-            // then the slot resets to the sentinel for the next sub-round.
-            let deg = w.ctx.device.buffer(w.st.d_deg);
-            for (gi, &gv) in shard.ghosts.iter().enumerate() {
-                let slot = &deg[w.n_owned + gi];
-                let val = slot.load(Ordering::Relaxed);
-                if val != GHOST_BASE {
-                    updates.push((gv, GHOST_BASE - val));
-                    slot.store(GHOST_BASE, Ordering::Relaxed);
-                    touched += 1;
-                    *pair_packets.entry((wi, part.owner_of(gv))).or_insert(0) += 1;
+        let touched = drain_ghosts(w, shard, |gv, delta| {
+            packets.push((gv, delta));
+            // Owners are ascending vertex ranges and the ghost table is
+            // ascending, so this shard meets its peers in ascending order
+            // and the flows stay sorted by (from, to).
+            let to = part.owner_of(gv);
+            match flows.last_mut() {
+                Some((from, last_to, count)) if *from == wi && *last_to == to => *count += 1,
+                _ => {
+                    debug_assert!(flows.last().is_none_or(|&(f, t, _)| (f, t) < (wi, to)));
+                    flows.push((wi, to, 1));
                 }
             }
-        }
+        });
+        run_ends.push(packets.len());
         if touched > 0 {
-            packets_out += touched;
             // Pack kernel: gather the touched (vertex, delta) pairs into
             // the xfer staging buffer — sparse slot reads, coalesced
             // packet writes.
@@ -609,19 +642,13 @@ fn exchange(
             }
         }
     }
-    if updates.is_empty() {
+    if packets.is_empty() {
         return Ok((false, ledger));
     }
+    let packets_out = packets.len() as u64;
 
     // ---- master aggregation, ascending global ID -------------------------
-    updates.sort_unstable();
-    let mut aggregated: Vec<(u32, u32)> = Vec::with_capacity(updates.len());
-    for &(v, d) in updates.iter() {
-        match aggregated.last_mut() {
-            Some((lv, ld)) if *lv == v => *ld += d,
-            _ => aggregated.push((v, d)),
-        }
-    }
+    merge_runs(packets, run_ends, aggregated);
     // Each packet is (vertex, delta): 8 bytes, shipped worker → master →
     // owner (two hops, as the paper sketches); the master dedups, so the
     // second hop carries the aggregated packets. Each hop costs the link
@@ -641,11 +668,11 @@ fn exchange(
     let mut any_seeds = false;
     let mut start = 0usize;
     while start < aggregated.len() {
+        // Owners hold ascending vertex ranges, so each owner's packets are
+        // one run of the ascending list.
         let owner = part.owner_of(aggregated[start].0);
-        let mut end = start + 1;
-        while end < aggregated.len() && part.owner_of(aggregated[end].0) == owner {
-            end += 1;
-        }
+        let last = part.shards[owner].owned[part.shards[owner].num_owned() - 1];
+        let end = start + aggregated[start..].partition_point(|&(v, _)| v <= last);
         let bucket = &aggregated[start..end];
         let w = &mut workers[owner];
         let before = w.ctx.elapsed_ms();
@@ -692,9 +719,9 @@ fn exchange(
     // Flow edges: every pair that shipped packets has a pack launch on the
     // shipper and — because the master forwards every aggregated vertex to
     // its owner — an apply launch on the receiver.
-    ledger.flows = pair_packets
-        .into_iter()
-        .map(|((from, to), packets)| FlowEdge {
+    ledger.flows = flows
+        .iter()
+        .map(|&(from, to, packets)| FlowEdge {
             from_device: from,
             to_device: to,
             packets,
@@ -707,11 +734,101 @@ fn exchange(
     Ok((any_seeds, ledger))
 }
 
+/// Drains one worker's ghost accumulator slots `deg[n_owned..n_local]`: for
+/// each touched slot, in ascending ghost order, calls `emit(global vertex,
+/// delta)` with `delta = GHOST_BASE − slot` and resets the slot to the
+/// sentinel for the next sub-round. A host peek of device memory, free like
+/// any host inspection of the simulator. Returns the touched-slot count.
+///
+/// The slots are copied out as plain words, [`DRAIN_CHUNK`] at a time, and
+/// compared into a branch-free touched-slot bit mask, as the scan kernel
+/// probes degrees; only the touched slots take the scalar path.
+fn drain_ghosts(w: &Worker, shard: &Shard, mut emit: impl FnMut(u32, u32)) -> u64 {
+    let slots = &w.ctx.device.buffer(w.st.d_deg)[w.n_owned..w.n_owned + shard.ghosts.len()];
+    let mut touched = 0u64;
+    for (chunk, ghosts) in slots
+        .chunks(DRAIN_CHUNK)
+        .zip(shard.ghosts.chunks(DRAIN_CHUNK))
+    {
+        // A short last chunk is padded with untouched slots, so the mask
+        // loop always runs DRAIN_CHUNK times and vectorizes.
+        let mut words = [GHOST_BASE; DRAIN_CHUNK];
+        // SAFETY: `AtomicU32` has the layout of `u32`, and `chunk` holds at
+        // most `DRAIN_CHUNK` words. No kernel runs while the host drains
+        // (launches complete under `&mut GpuContext`, and the caller holds
+        // the worker), so a bulk read equals per-word relaxed loads.
+        unsafe {
+            std::ptr::copy_nonoverlapping(
+                chunk.as_ptr() as *const u32,
+                words.as_mut_ptr(),
+                chunk.len(),
+            );
+        }
+        let mut mask = 0u64;
+        for (i, &v) in words.iter().enumerate() {
+            mask |= ((v != GHOST_BASE) as u64) << i;
+        }
+        while mask != 0 {
+            let i = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            chunk[i].store(GHOST_BASE, Ordering::Relaxed);
+            emit(ghosts[i], GHOST_BASE - words[i]);
+            touched += 1;
+        }
+    }
+    touched
+}
+
+/// Merges ascending runs of `(vertex, delta)` packets into `out` by
+/// ascending vertex, summing the deltas of equal vertices. Run `i` is
+/// `packets[run_ends[i - 1]..run_ends[i]]` (from 0 for `i = 0`) and is
+/// strictly ascending in vertex; runs may be empty, and the last ends at
+/// `packets.len()`. Adjacent runs merge pairwise, level by level:
+/// O(packets · log runs). `packets` and `run_ends` serve as scratch and are
+/// left unspecified.
+fn merge_runs(packets: &mut Vec<(u32, u32)>, run_ends: &mut Vec<usize>, out: &mut Vec<(u32, u32)>) {
+    while run_ends.len() > 1 {
+        out.clear();
+        let mut start = 0;
+        let mut ends = 0;
+        for pair in (0..run_ends.len()).step_by(2) {
+            let mid = run_ends[pair];
+            let end = run_ends.get(pair + 1).copied().unwrap_or(mid);
+            merge_two(&packets[start..mid], &packets[mid..end], out);
+            run_ends[ends] = out.len();
+            ends += 1;
+            start = end;
+        }
+        run_ends.truncate(ends);
+        std::mem::swap(packets, out);
+    }
+    std::mem::swap(packets, out);
+}
+
+/// Appends the merge of two strictly ascending packet runs to `out`,
+/// summing the deltas of a vertex both carry.
+fn merge_two(a: &[(u32, u32)], b: &[(u32, u32)], out: &mut Vec<(u32, u32)>) {
+    out.reserve(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    // Branch-free step: take the smaller head, or both heads summed.
+    while i < a.len() && j < b.len() {
+        let ((va, da), (vb, db)) = (a[i], b[j]);
+        let (take_a, take_b) = (va <= vb, vb <= va);
+        out.push((va.min(vb), da * take_a as u32 + db * take_b as u32));
+        i += take_a as usize;
+        j += take_b as usize;
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+}
+
 /// Injects border seeds (local IDs) into the per-block frontier buffers for
 /// a loop-only launch: each block takes the seeds its scan would have
-/// found (`(v / blk_dim) mod blocks`), and **every** block rewrites its
-/// `buf_e` tail — a block with no seeds must clear the stale tail left by
-/// the previous launch, or the loop kernel would re-consume garbage.
+/// found (`(v / blk_dim) mod blocks`), in seed-list order, and **every**
+/// block rewrites its `buf_e` tail — a block with no seeds must clear the
+/// stale tail left by the previous launch, or the loop kernel would
+/// re-consume garbage. The host buckets the list per block once; each
+/// block still charges the broadcast read of the whole list.
 fn seed_frontier(
     ctx: &mut GpuContext,
     st: &peel::DeviceState,
@@ -722,30 +839,45 @@ fn seed_frontier(
     let cap = st.cap;
     let d_buf = st.d_buf;
     let d_buf_e = st.d_buf_e;
+    // The scan launch of round 0 validated this geometry, so neither
+    // divisor is zero.
+    let blocks = cfg.launch.blocks as usize;
+    let blk_dim = cfg.launch.threads_per_block as usize;
+    let block_of = |v: u32| (v as usize / blk_dim) % blocks;
+    // Counting sort: block b's seeds are bucketed[starts[b]..starts[b + 1]].
+    let mut starts = vec![0usize; blocks + 1];
+    for &v in seeds {
+        starts[block_of(v) + 1] += 1;
+    }
+    for b in 0..blocks {
+        starts[b + 1] += starts[b];
+    }
+    let mut next = starts[..blocks].to_vec();
+    let mut bucketed = vec![0u32; seeds.len()];
+    for &v in seeds {
+        let b = block_of(v);
+        bucketed[next[b]] = v;
+        next[b] += 1;
+    }
     ctx.launch("mgpu_seed", cfg.launch, |blk| {
         let dev = blk.device;
         let b = blk.block_idx as usize;
-        let blocks = blk.cfg.blocks as usize;
-        let blk_dim = blk.cfg.threads_per_block as usize;
-        let bufb = &dev.buffer(d_buf)[b * cap..(b + 1) * cap];
+        let mine = &bucketed[starts[b]..starts[b + 1]];
         // Broadcast read of the seed list (coalesced).
         blk.charge_tx(BlockCtx::coalesced_tx(seeds.len() as u64));
-        let mut e = 0usize;
-        for &v in seeds {
-            if (v as usize / blk_dim) % blocks == b {
-                if e >= cap {
-                    return Err(KernelError::BufferOverflow {
-                        what: format!("block {b}: seed injection filled buffer (capacity {cap})"),
-                    });
-                }
-                bufb[e].store(v, Ordering::Relaxed);
-                e += 1;
-            }
+        if mine.len() > cap {
+            return Err(KernelError::BufferOverflow {
+                what: format!("block {b}: seed injection filled buffer (capacity {cap})"),
+            });
         }
-        if e > 0 {
-            blk.charge_tx(BlockCtx::coalesced_tx(e as u64));
+        let bufb = &dev.buffer(d_buf)[b * cap..(b + 1) * cap];
+        for (slot, &v) in bufb.iter().zip(mine) {
+            slot.store(v, Ordering::Relaxed);
         }
-        blk.gwrite(&dev.buffer(d_buf_e)[b], e as u32);
+        if !mine.is_empty() {
+            blk.charge_tx(BlockCtx::coalesced_tx(mine.len() as u64));
+        }
+        blk.gwrite(&dev.buffer(d_buf_e)[b], mine.len() as u32);
         Ok(())
     })?;
     Ok(())
@@ -954,6 +1086,43 @@ mod tests {
             .rounds
             .iter()
             .all(|r| r.exchanges.iter().all(|e| e.flows.is_empty())));
+    }
+
+    #[test]
+    fn merge_runs_matches_sort_and_sum() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(19);
+        let mut out = Vec::new();
+        for case in 0..200 {
+            let runs = 1 + case % 64;
+            let mut packets: Vec<(u32, u32)> = Vec::new();
+            let mut run_ends = Vec::new();
+            for _ in 0..runs {
+                // A quarter of the runs are empty; the small ID range makes
+                // vertices repeat across runs.
+                if rng.gen_range(0u32..4) > 0 {
+                    let mut v = rng.gen_range(0u32..8);
+                    for _ in 0..rng.gen_range(1usize..40) {
+                        packets.push((v, rng.gen_range(1u32..1_000)));
+                        v += rng.gen_range(1u32..6);
+                    }
+                }
+                run_ends.push(packets.len());
+            }
+            let mut expect = packets.clone();
+            expect.sort_unstable();
+            let mut summed: Vec<(u32, u32)> = Vec::new();
+            for &(v, d) in &expect {
+                match summed.last_mut() {
+                    Some((lv, ld)) if *lv == v => *ld += d,
+                    _ => summed.push((v, d)),
+                }
+            }
+            merge_runs(&mut packets, &mut run_ends, &mut out);
+            assert_eq!(out, summed, "case {case}: {runs} runs");
+        }
+        merge_runs(&mut Vec::new(), &mut vec![0, 0], &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]

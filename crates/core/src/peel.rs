@@ -86,25 +86,39 @@ impl DeviceState {
     }
 }
 
-/// Algorithm 1, lines 1–4: loads a CSR (already in 32-bit host arrays) plus
-/// the working buffers onto `ctx`'s device. Allocation names, order and size
-/// classes are part of the golden-trace contract — do not reorder.
+/// The device CSR indexes arcs with 32-bit offsets: a graph of
+/// `u32::MAX` or more arcs is a [`SimError::InvalidConfig`].
+fn check_arc_count(arcs: usize) -> Result<(), SimError> {
+    if arcs < u32::MAX as usize {
+        Ok(())
+    } else {
+        Err(SimError::InvalidConfig {
+            what: "arcs",
+            value: arcs as f64,
+            need: "fewer than 2^32 - 1 for 32-bit arc offsets",
+        })
+    }
+}
+
+/// Algorithm 1, lines 1–4: loads a CSR plus the working buffers onto
+/// `ctx`'s device, its offsets narrowed to 32 bits once
+/// [`check_arc_count`] accepts the arc count. Allocation names, order and
+/// size classes are part of the golden-trace contract — do not reorder.
 pub(crate) fn load_device(
     ctx: &mut GpuContext,
-    offsets32: &[u32],
+    offsets: &[u64],
     neighbors: &[u32],
     degrees: &[u32],
     cfg: &PeelConfig,
 ) -> Result<DeviceState, SimError> {
-    let n = offsets32.len() - 1;
-    assert!(
-        neighbors.len() < u32::MAX as usize,
-        "graph exceeds 32-bit arc indexing"
-    );
+    let n = offsets.len() - 1;
+    check_arc_count(neighbors.len())?;
+    // Every offset is at most the arc count, which fits in 32 bits.
+    let offsets32: Vec<u32> = offsets.iter().map(|&o| o as u32).collect();
     // Algorithm 1, line 1: load G (offset / neighbors / deg) to the device.
     ctx.set_phase("Setup");
     ctx.set_workload_dims(n as u64, neighbors.len() as u64);
-    let d_offsets = ctx.htod_tagged("offset", offsets32, SizeClass::PerVertex)?;
+    let d_offsets = ctx.htod_tagged("offset", &offsets32, SizeClass::PerVertex)?;
     let d_neighbors = ctx.htod_tagged("neighbors", neighbors, SizeClass::PerArc)?;
     let d_deg = ctx.htod_tagged("deg", degrees, SizeClass::PerVertex)?;
     // Line 4: per-block buffers + the persisted buffer tails + gpu_count.
@@ -242,8 +256,7 @@ fn peel_rounds(
         return Ok((Vec::new(), 0));
     }
 
-    let offsets32: Vec<u32> = g.offsets().iter().map(|&o| o as u32).collect();
-    let st = load_device(ctx, &offsets32, g.neighbor_array(), &g.degrees(), cfg)?;
+    let st = load_device(ctx, g.offsets(), g.neighbor_array(), &g.degrees(), cfg)?;
     let mut count = 0u64;
     let mut k = 0u32;
     let mut rounds = 0u32;
@@ -1182,6 +1195,20 @@ mod tests {
         assert_eq!(run.core, fig1_core_numbers());
         assert_eq!(run.k_max, 3);
         assert_eq!(run.rounds, 4); // k = 0..3
+    }
+
+    #[test]
+    fn arc_counts_past_32_bit_offsets_are_typed_errors() {
+        // A graph this size needs 16 GiB, so the check is tested alone.
+        assert_eq!(check_arc_count((1usize << 32) - 2), Ok(()));
+        assert_eq!(
+            check_arc_count((1usize << 32) - 1),
+            Err(SimError::InvalidConfig {
+                what: "arcs",
+                value: ((1u64 << 32) - 1) as f64,
+                need: "fewer than 2^32 - 1 for 32-bit arc offsets",
+            })
+        );
     }
 
     #[test]

@@ -395,44 +395,60 @@ impl Ord for SlotKey {
     }
 }
 
+/// Machine counts [`makespan`] schedules without allocating: every SM count
+/// a [`CostParams`] preset uses.
+const MAKESPAN_STACK_MACHINES: usize = 128;
+
 /// Greedy list-scheduling makespan of `jobs` on `machines` (dispatch order,
 /// least-loaded machine first, lowest index on load ties) — how block grids
-/// fill SMs. Small machine counts (every real GPU) use an allocation-free
-/// linear min-scan; larger ones a heap. Both make the same (load,
-/// lowest-index) selection per job: identical assignment, identical float
-/// results.
+/// fill SMs. A tournament tree keeps the least-loaded machine at its root,
+/// so each job costs O(log machines); the picks, and so the float sums, are
+/// those of a linear min-scan.
 pub fn makespan(jobs: &[f64], machines: usize) -> f64 {
     assert!(machines > 0);
-    if machines == 1 {
-        // same accumulation order as the general path's single machine
-        return jobs.iter().fold(0.0, |acc, &j| acc + j);
-    }
-    if machines <= 128 {
-        // Hot shape: one call per launch with jobs = per-block cycles. The
-        // strict `<` keeps the lowest-index machine on equal loads — the
-        // same selection the heap's `SlotKey` ordering makes.
-        let mut loads = [0.0f64; 128];
-        let loads = &mut loads[..machines];
-        for &j in jobs {
-            let mut best = 0usize;
-            for (m, &l) in loads.iter().enumerate().skip(1) {
-                if l < loads[best] {
-                    best = m;
-                }
-            }
-            loads[best] += j;
+    // Leaves `leaves..2 * leaves` of `winner` hold machine indices, padding
+    // beyond `machines` loads +inf; inner node `i` holds the winner of its
+    // children `2i` and `2i + 1`, the left one on equal loads. Left
+    // subtrees hold the lower indices, so the root is the lowest-index
+    // least-loaded machine.
+    let leaves = machines.next_power_of_two();
+    let mut stack_loads = [0.0f64; MAKESPAN_STACK_MACHINES];
+    let mut stack_winner = [0u32; 2 * MAKESPAN_STACK_MACHINES];
+    let (mut heap_loads, mut heap_winner) = (Vec::new(), Vec::new());
+    let (loads, winner): (&mut [f64], &mut [u32]) = if leaves <= MAKESPAN_STACK_MACHINES {
+        (&mut stack_loads[..leaves], &mut stack_winner[..2 * leaves])
+    } else {
+        heap_loads.resize(leaves, 0.0);
+        heap_winner.resize(2 * leaves, 0);
+        (&mut heap_loads, &mut heap_winner)
+    };
+    loads[machines..].fill(f64::INFINITY);
+    let pick = |loads: &[f64], a: u32, b: u32| {
+        if loads[b as usize] < loads[a as usize] {
+            b
+        } else {
+            a
         }
-        return loads.iter().fold(0.0, |acc, &l| f64::max(acc, l));
+    };
+    for (m, w) in winner[leaves..].iter_mut().enumerate() {
+        *w = m as u32;
     }
-    let mut heap: BinaryHeap<Reverse<SlotKey>> =
-        (0..machines).map(|i| Reverse(SlotKey(0.0, i))).collect();
+    for i in (1..leaves).rev() {
+        winner[i] = pick(loads, winner[2 * i], winner[2 * i + 1]);
+    }
     for &j in jobs {
-        let Reverse(SlotKey(load, idx)) = heap.pop().unwrap();
-        heap.push(Reverse(SlotKey(load + j, idx)));
+        // Node 1 is the root (with one machine, the lone leaf).
+        let m = winner[1] as usize;
+        loads[m] += j;
+        let mut i = (leaves + m) / 2;
+        while i >= 1 {
+            winner[i] = pick(loads, winner[2 * i], winner[2 * i + 1]);
+            i /= 2;
+        }
     }
-    heap.into_iter()
-        .map(|Reverse(SlotKey(load, _))| load)
-        .fold(0.0, f64::max)
+    loads[..machines]
+        .iter()
+        .fold(0.0, |acc, &l| f64::max(acc, l))
 }
 
 /// A record of one simulated kernel launch.
@@ -547,21 +563,43 @@ mod tests {
 
     #[test]
     fn makespan_scan_matches_heap() {
-        // The small-machine linear scan must make bit-identical float sums
-        // to the heap path (same per-job machine selection).
-        let jobs: Vec<f64> = (0..108).map(|i| ((i * 37 % 19) as f64) + 0.25).collect();
-        let m = 56;
-        let mut heap: BinaryHeap<Reverse<SlotKey>> =
-            (0..m).map(|i| Reverse(SlotKey(0.0, i))).collect();
-        for &j in &jobs {
-            let Reverse(SlotKey(load, idx)) = heap.pop().unwrap();
-            heap.push(Reverse(SlotKey(load + j, idx)));
+        // The tournament tree must make bit-identical float sums to a heap
+        // of (load, index) keys (same per-job machine selection), below,
+        // at and above the allocation-free machine count, with tied loads
+        // and zero-cycle jobs.
+        let job_sets: [Vec<f64>; 3] = [
+            (0..108).map(|i| ((i * 37 % 19) as f64) + 0.25).collect(),
+            (0..700).map(|i| [0.0, 3.0, 3.0, 0.5][i % 4]).collect(),
+            (0..500)
+                .map(|i| {
+                    if i % 3 == 0 {
+                        0.0
+                    } else {
+                        (i % 7) as f64 * 0.1
+                    }
+                })
+                .collect(),
+        ];
+        for jobs in &job_sets {
+            for m in [1usize, 2, 56, 128, 129, 300] {
+                let mut heap: BinaryHeap<Reverse<SlotKey>> =
+                    (0..m).map(|i| Reverse(SlotKey(0.0, i))).collect();
+                for &j in jobs {
+                    let Reverse(SlotKey(load, idx)) = heap.pop().unwrap();
+                    heap.push(Reverse(SlotKey(load + j, idx)));
+                }
+                let expect = heap
+                    .into_iter()
+                    .map(|Reverse(SlotKey(l, _))| l)
+                    .fold(0.0, f64::max);
+                assert_eq!(
+                    makespan(jobs, m).to_bits(),
+                    expect.to_bits(),
+                    "{m} machines, {} jobs",
+                    jobs.len()
+                );
+            }
         }
-        let expect = heap
-            .into_iter()
-            .map(|Reverse(SlotKey(l, _))| l)
-            .fold(0.0, f64::max);
-        assert_eq!(makespan(&jobs, m), expect);
     }
 
     #[test]

@@ -180,22 +180,43 @@ impl Trace {
     /// with identical per-event counters share a fingerprint; timing fields
     /// are excluded, so the digest is stable under cost-constant changes.
     pub fn counters_fingerprint(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for l in &self.launches {
-            for b in l.phase.bytes().chain(l.kernel.bytes()) {
-                h = fnv1a(h, b as u64);
-            }
-            h = fnv1a(h, l.blocks as u64);
-            h = fnv1a(h, l.threads_per_block as u64);
-            for w in counter_words(&l.counters) {
-                h = fnv1a(h, w);
-            }
-        }
-        for t in &self.transfers {
-            h = fnv1a(h, t.bytes);
-        }
-        h
+        counters_digest(
+            self.launches.iter().map(|l| {
+                (
+                    l.phase,
+                    l.kernel,
+                    l.blocks,
+                    l.threads_per_block,
+                    &l.counters,
+                )
+            }),
+            self.transfers.iter().map(|t| t.bytes),
+        )
     }
+}
+
+/// The digest behind [`Trace::counters_fingerprint`] and
+/// [`GpuContext::counters_fingerprint`]: each launch as `(phase, kernel,
+/// blocks, threads per block, counters)`, then each transfer's bytes.
+fn counters_digest<'a>(
+    launches: impl Iterator<Item = (&'a str, &'a str, u32, u32, &'a Counters)>,
+    transfer_bytes: impl Iterator<Item = u64>,
+) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for (phase, kernel, blocks, threads_per_block, counters) in launches {
+        for b in phase.bytes().chain(kernel.bytes()) {
+            h = fnv1a(h, b as u64);
+        }
+        h = fnv1a(h, blocks as u64);
+        h = fnv1a(h, threads_per_block as u64);
+        for w in counter_words(counters) {
+            h = fnv1a(h, w);
+        }
+    }
+    for bytes in transfer_bytes {
+        h = fnv1a(h, bytes);
+    }
+    h
 }
 
 fn fnv1a(h: u64, word: u64) -> u64 {
@@ -216,6 +237,24 @@ fn counter_words(c: &Counters) -> [u64; 8] {
 }
 
 impl GpuContext {
+    /// The [`Trace::counters_fingerprint`] of everything recorded so far,
+    /// digested from the launch and transfer records without building a
+    /// trace.
+    pub fn counters_fingerprint(&self) -> u64 {
+        counters_digest(
+            self.launches().iter().map(|l| {
+                (
+                    l.phase,
+                    l.name,
+                    l.config.blocks,
+                    l.config.threads_per_block,
+                    &l.counters,
+                )
+            }),
+            self.transfers().iter().map(|t| t.bytes),
+        )
+    }
+
     /// Captures a [`Trace`] of everything recorded so far.
     ///
     /// The snapshot is cheap relative to a run (it clones records), can be
@@ -449,6 +488,11 @@ mod tests {
         let a = traced_ctx().trace("a");
         let b = traced_ctx().trace("b");
         assert_eq!(a.counters_fingerprint(), b.counters_fingerprint());
+        // the context digests its records to the trace's fingerprint
+        assert_eq!(
+            traced_ctx().counters_fingerprint(),
+            a.counters_fingerprint()
+        );
 
         let mut c = GpuContext::new(CostParams::p100(), 1 << 20);
         c.set_phase("Scan");

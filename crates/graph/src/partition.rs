@@ -28,7 +28,6 @@
 //! sorted adjacency.
 
 use crate::csr::{Csr, VertexId};
-use rustc_hash::FxHashMap;
 use serde::Serialize;
 
 /// How [`Partition::build`] assigns vertices to shards.
@@ -137,9 +136,10 @@ impl Partition {
             owned[s].push(v as VertexId);
         }
 
+        let mut slot = vec![UNSEEN; n];
         let shards = owned
             .into_iter()
-            .map(|owned| build_shard(g, &owner, &local_id, owned))
+            .map(|owned| build_shard(g, &mut slot, owned))
             .collect();
         Partition {
             strategy,
@@ -267,26 +267,35 @@ pub struct PeerStats {
     pub border_arcs: u64,
 }
 
-/// Builds one shard: ghost discovery + local-ID CSR recode.
-fn build_shard(g: &Csr, owner: &[u16], local_id: &[u32], owned: Vec<VertexId>) -> Shard {
-    let s = owned.first().map(|&v| owner[v as usize]).unwrap_or(0);
+/// A [`Partition::build`] scratch `slot` entry outside the shard being built.
+const UNSEEN: u32 = u32::MAX;
+
+/// Builds one shard: ghost discovery + local-ID CSR recode. `slot` is a
+/// `|V|`-sized scratch array shared by all shards, [`UNSEEN`] everywhere on
+/// entry and on return. While this shard is built it holds each owned and
+/// ghost vertex's local ID, so the shard costs O(owned + owned arcs +
+/// ghosts·log ghosts) and the whole partition O(|V| + arcs + Σ ghosts·log
+/// ghosts).
+fn build_shard(g: &Csr, slot: &mut [u32], owned: Vec<VertexId>) -> Shard {
+    for (l, &v) in owned.iter().enumerate() {
+        slot[v as usize] = l as u32;
+    }
     // Ghosts: every non-owned endpoint of an owned row, deduped, ascending.
     let mut ghosts: Vec<VertexId> = Vec::new();
     for &v in &owned {
         for &u in g.neighbors(v) {
-            if owner[u as usize] != s {
+            if slot[u as usize] == UNSEEN {
+                // Any value but UNSEEN marks it found; its local ID follows.
+                slot[u as usize] = 0;
                 ghosts.push(u);
             }
         }
     }
     ghosts.sort_unstable();
-    ghosts.dedup();
     let num_owned = owned.len();
-    let ghost_local: FxHashMap<VertexId, u32> = ghosts
-        .iter()
-        .enumerate()
-        .map(|(i, &u)| (u, (num_owned + i) as u32))
-        .collect();
+    for (i, &u) in ghosts.iter().enumerate() {
+        slot[u as usize] = (num_owned + i) as u32;
+    }
 
     // Local CSR: owned rows recoded, ghost rows empty.
     let num_local = num_owned + ghosts.len();
@@ -300,13 +309,10 @@ fn build_shard(g: &Csr, owner: &[u16], local_id: &[u32], owned: Vec<VertexId>) -
     offsets.resize(num_local + 1, owned_arcs);
     let mut neighbors = Vec::with_capacity(owned_arcs as usize);
     for &v in &owned {
-        for &u in g.neighbors(v) {
-            neighbors.push(if owner[u as usize] == s {
-                local_id[u as usize]
-            } else {
-                ghost_local[&u]
-            });
-        }
+        neighbors.extend(g.neighbors(v).iter().map(|&u| slot[u as usize]));
+    }
+    for &u in owned.iter().chain(&ghosts) {
+        slot[u as usize] = UNSEEN;
     }
     Shard {
         owned,
@@ -424,7 +430,7 @@ mod tests {
             gen::star(200),
         ];
         for g in &graphs {
-            for p in [1, 2, 3, 4, 8] {
+            for p in [1, 2, 3, 4, 8, 16, 64, g.num_vertices() as usize] {
                 verify(g, &Partition::build(g, p, BALANCED));
             }
         }

@@ -130,8 +130,8 @@ echo "== fleet observability smoke (exchange ledger + merged export) =="
 # device's clock delta (bit-for-bit), every exchange flow references a
 # real pack/apply launch record, per-round critical-path shares sum to
 # 1.0, and the trace survives a round trip through serde_json::from_str.
-# Observability only: the measured runs are bit-identical to
-# decompose_multi.
+# Observability only: it also runs decompose_multi and asserts the same
+# cores, total_ms bits, worker fingerprints, exchanged bytes and sub-rounds.
 fleet_results="$(mktemp -d)"
 KCORE_SMOKE=1 KCORE_DATASETS=amazon0601,wiki-Talk KCORE_CACHE_DIR="$cache_dir" \
   KCORE_RESULTS_DIR="$fleet_results" ./target/release/fleetreport --check > /dev/null

@@ -3,12 +3,13 @@
 //! graphs and at several shard counts, be bit-identical at any rayon pool
 //! size, charge at one device exactly what the single-device engine
 //! charges, refuse bad device counts and link constants with a typed
-//! error, and match a checked-in
-//! golden that pins every worker's per-phase counters plus the exchange
-//! volume.
+//! error, and match two checked-in goldens: one pins every worker's
+//! per-phase counters plus the exchange volume at four devices, the other
+//! the simulated time, exchange counts and worker fingerprints at 2, 3, 8
+//! and 16 devices.
 //!
 //! After an *intentional* change to the sharded kernels or the exchange
-//! protocol, regenerate the golden file:
+//! protocol, regenerate the golden files:
 //!
 //! ```bash
 //! KCORE_BLESS=1 cargo test --test multi_shard
@@ -301,5 +302,63 @@ fn sharded_run_matches_checked_in_golden() {
     };
     let got = serde_json::to_string_pretty(&golden).unwrap();
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/multi_rmat9.json");
+    kcore_bench::assert_golden(&path, &got);
+}
+
+/// One `decompose_multi` run at one shard count, as the shard-count golden
+/// pins it: the simulated time to the bit, the exchange counts, and each
+/// worker's counters fingerprint.
+#[derive(Serialize)]
+struct GoldenShardCount {
+    graph: &'static str,
+    p: usize,
+    total_ms_bits: String,
+    sub_rounds: u32,
+    exchanged_bytes: u64,
+    exchange_rounds: u64,
+    border_packets: u64,
+    worker_fingerprints: Vec<String>,
+}
+
+/// The border exchange beyond four devices: uneven shard counts, shards of a
+/// few dozen vertices, and a path whose one shell crosses every border.
+#[test]
+fn shard_counts_match_checked_in_golden() {
+    let graphs = [
+        ("rmat9", gen::rmat(9, 2_000, gen::RmatParams::graph500(), 7)),
+        ("path600", gen::path(600)),
+    ];
+    let mut cells = Vec::new();
+    for (name, g) in &graphs {
+        for p in [2usize, 3, 8, 16] {
+            let cfg = MultiGpuConfig {
+                num_gpus: p,
+                peel: PeelConfig::default().with_launch(LaunchConfig {
+                    blocks: 16,
+                    threads_per_block: 128,
+                }),
+                ..MultiGpuConfig::default()
+            };
+            let run = decompose_multi(g, &cfg, &SimOptions::default()).unwrap();
+            assert_eq!(run.core, cpu::bz::Bz.run(g), "{name} p={p}");
+            cells.push(GoldenShardCount {
+                graph: name,
+                p,
+                total_ms_bits: format!("{:#018x}", run.total_ms.to_bits()),
+                sub_rounds: run.sub_rounds,
+                exchanged_bytes: run.exchanged_bytes,
+                exchange_rounds: run.exchange_rounds,
+                border_packets: run.border_packets,
+                worker_fingerprints: run
+                    .worker_fingerprints
+                    .iter()
+                    .map(|f| format!("{f:#018x}"))
+                    .collect(),
+            });
+        }
+    }
+    let got = serde_json::to_string_pretty(&cells).unwrap();
+    let path =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/multi_shard_counts.json");
     kcore_bench::assert_golden(&path, &got);
 }
