@@ -38,7 +38,9 @@ pub fn decompose_mpm(g: &Csr, opts: &SimOptions) -> Result<GpuMpmRun, SimError> 
     })
 }
 
-/// [`decompose_mpm`] against a caller-owned context.
+/// [`decompose_mpm`] against a caller-owned context. A graph of
+/// `u32::MAX` or more arcs is a [`SimError::InvalidConfig`]: the device
+/// CSR indexes arcs with 32-bit offsets.
 pub fn decompose_mpm_in(ctx: &mut GpuContext, g: &Csr) -> Result<(Vec<u32>, u32), SimError> {
     let n = g.num_vertices() as usize;
     if n == 0 {
@@ -46,7 +48,7 @@ pub fn decompose_mpm_in(ctx: &mut GpuContext, g: &Csr) -> Result<(Vec<u32>, u32)
     }
     ctx.set_phase("Setup");
     ctx.set_workload_dims(n as u64, g.num_arcs());
-    let offsets32: Vec<u32> = g.offsets().iter().map(|&o| o as u32).collect();
+    let offsets32 = crate::peel::narrow_offsets(g.offsets())?;
     let d_offsets = ctx.htod_tagged("gpumpm.offset", &offsets32, SizeClass::PerVertex)?;
     let d_neighbors = ctx.htod_tagged("gpumpm.neighbors", g.neighbor_array(), SizeClass::PerArc)?;
     let d_a = ctx.htod_tagged("gpumpm.a", &g.degrees(), SizeClass::PerVertex)?;

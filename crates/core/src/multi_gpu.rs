@@ -315,7 +315,7 @@ fn decompose_multi_impl(
         // drains the resulting cascade — the real kernels, concurrently.
         sub_rounds += 1;
         let slice = run_workers(&mut workers, 0, |w| {
-            peel::run_scan_loop(&mut w.ctx, k, &w.st, &cfg.peel)?;
+            peel::run_scan_loop(&mut w.ctx, k, &mut w.st)?;
             sync_worker(w);
             Ok(())
         })?;
@@ -345,8 +345,8 @@ fn decompose_multi_impl(
                     return Ok(());
                 }
                 let seeds = std::mem::take(&mut w.seeds);
-                seed_frontier(&mut w.ctx, &w.st, &cfg.peel, &seeds)?;
-                peel::run_loop_only(&mut w.ctx, k, &w.st, &cfg.peel)?;
+                seed_frontier(&mut w.ctx, &mut w.st, &seeds)?;
+                peel::run_loop_only(&mut w.ctx, k, &w.st)?;
                 sync_worker(w);
                 Ok(())
             })?;
@@ -741,8 +741,8 @@ fn exchange(
 /// any host inspection of the simulator. Returns the touched-slot count.
 ///
 /// The slots are copied out as plain words, [`DRAIN_CHUNK`] at a time, and
-/// compared into a branch-free touched-slot bit mask, as the scan kernel
-/// probes degrees; only the touched slots take the scalar path.
+/// compared into a branch-free touched-slot bit mask, as the peel's hit
+/// pass reads degrees; only the touched slots take the scalar path.
 fn drain_ghosts(w: &Worker, shard: &Shard, mut emit: impl FnMut(u32, u32)) -> u64 {
     let slots = &w.ctx.device.buffer(w.st.d_deg)[w.n_owned..w.n_owned + shard.ghosts.len()];
     let mut touched = 0u64;
@@ -824,45 +824,23 @@ fn merge_two(a: &[(u32, u32)], b: &[(u32, u32)], out: &mut Vec<(u32, u32)>) {
 
 /// Injects border seeds (local IDs) into the per-block frontier buffers for
 /// a loop-only launch: each block takes the seeds its scan would have
-/// found (`(v / blk_dim) mod blocks`), in seed-list order, and **every**
-/// block rewrites its `buf_e` tail — a block with no seeds must clear the
-/// stale tail left by the previous launch, or the loop kernel would
-/// re-consume garbage. The host buckets the list per block once; each
+/// found, in seed-list order, and **every** block rewrites its `buf_e` tail
+/// — a block with no seeds must clear the stale tail left by the previous
+/// launch, or the loop kernel would re-consume garbage. The host buckets
+/// the list per block once, with the scan's [`peel::BlockBuckets`]; each
 /// block still charges the broadcast read of the whole list.
 fn seed_frontier(
     ctx: &mut GpuContext,
-    st: &peel::DeviceState,
-    cfg: &PeelConfig,
+    st: &mut peel::DeviceState,
     seeds: &[u32],
 ) -> Result<(), SimError> {
     ctx.set_phase("Seed");
-    let cap = st.cap;
-    let d_buf = st.d_buf;
-    let d_buf_e = st.d_buf_e;
-    // The scan launch of round 0 validated this geometry, so neither
-    // divisor is zero.
-    let blocks = cfg.launch.blocks as usize;
-    let blk_dim = cfg.launch.threads_per_block as usize;
-    let block_of = |v: u32| (v as usize / blk_dim) % blocks;
-    // Counting sort: block b's seeds are bucketed[starts[b]..starts[b + 1]].
-    let mut starts = vec![0usize; blocks + 1];
-    for &v in seeds {
-        starts[block_of(v) + 1] += 1;
-    }
-    for b in 0..blocks {
-        starts[b + 1] += starts[b];
-    }
-    let mut next = starts[..blocks].to_vec();
-    let mut bucketed = vec![0u32; seeds.len()];
-    for &v in seeds {
-        let b = block_of(v);
-        bucketed[next[b]] = v;
-        next[b] += 1;
-    }
-    ctx.launch("mgpu_seed", cfg.launch, |blk| {
+    st.buckets.fill(seeds, st.cfg.launch);
+    let (cap, d_buf, d_buf_e, buckets) = (st.cap, st.d_buf, st.d_buf_e, &st.buckets);
+    ctx.launch("mgpu_seed", st.cfg.launch, |blk| {
         let dev = blk.device;
         let b = blk.block_idx as usize;
-        let mine = &bucketed[starts[b]..starts[b + 1]];
+        let mine = buckets.block(b);
         // Broadcast read of the seed list (coalesced).
         blk.charge_tx(BlockCtx::coalesced_tx(seeds.len() as u64));
         if mine.len() > cap {

@@ -16,15 +16,14 @@
 use crate::config::{Buffering, Compaction, PeelConfig};
 use kcore_gpusim::scan::{
     ballot_scan, ballot_scan_offsets, block_two_stage_scan, block_two_stage_scan_charges,
-    block_two_stage_scan_into,
 };
 use kcore_gpusim::{
-    BlockCtx, BufferId, GpuContext, KernelError, SharedArray, SimError, SimOptions, SimReport,
-    SizeClass,
+    BlockCtx, BufferId, Counters, GpuContext, KernelError, LaunchConfig, SharedArray, SimError,
+    SimOptions, SimReport, SizeClass,
 };
 use kcore_graph::Csr;
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::OnceLock;
 
 /// Result of a GPU decomposition run.
 #[derive(Debug, Clone)]
@@ -39,27 +38,17 @@ pub struct GpuRun {
     pub report: SimReport,
 }
 
-/// Everything the kernels need, bundled for the launch closures.
-struct KParams<'a> {
-    n: usize,
-    cap: usize,
-    d_offsets: BufferId,
-    d_neighbors: BufferId,
-    d_deg: BufferId,
-    d_buf: BufferId,
-    d_buf_e: BufferId,
-    d_count: BufferId,
-    cfg: &'a PeelConfig,
-}
-
 /// The peel working set resident on one device: the graph arrays, the
-/// per-block frontier buffers, and the `gpu_count` termination counter.
+/// per-block frontier buffers, and the `gpu_count` termination counter,
+/// with the configuration every launch on them uses. The kernels read it
+/// from their launch closures.
 ///
 /// [`decompose_in`] owns one for the whole graph; the sharded engine
 /// (`multi_gpu`) owns one per worker device holding that shard's local-ID
 /// CSR. The launch helpers below ([`run_scan_loop`], [`run_loop_only`])
 /// drive the same kernels either way.
 pub(crate) struct DeviceState {
+    pub(crate) cfg: PeelConfig,
     pub(crate) n: usize,
     pub(crate) cap: usize,
     pub(crate) d_offsets: BufferId,
@@ -68,42 +57,36 @@ pub(crate) struct DeviceState {
     pub(crate) d_buf: BufferId,
     pub(crate) d_buf_e: BufferId,
     pub(crate) d_count: BufferId,
+    /// Each block's scan sweep charges, filled by the block's first scan
+    /// launch; every scan merges them (see [`scan_kernel_fast`]).
+    sweep: Vec<OnceLock<Counters>>,
+    /// Host scratch of the hit pass: the round's k-shell, ascending.
+    shell: Vec<u32>,
+    /// The frontier the next launch hands each block: the scan's k-shell,
+    /// or the sharded engine's border seeds.
+    pub(crate) buckets: BlockBuckets,
 }
 
-impl DeviceState {
-    fn kparams<'a>(&self, cfg: &'a PeelConfig) -> KParams<'a> {
-        KParams {
-            n: self.n,
-            cap: self.cap,
-            d_offsets: self.d_offsets,
-            d_neighbors: self.d_neighbors,
-            d_deg: self.d_deg,
-            d_buf: self.d_buf,
-            d_buf_e: self.d_buf_e,
-            d_count: self.d_count,
-            cfg,
-        }
-    }
-}
-
-/// The device CSR indexes arcs with 32-bit offsets: a graph of
-/// `u32::MAX` or more arcs is a [`SimError::InvalidConfig`].
-fn check_arc_count(arcs: usize) -> Result<(), SimError> {
-    if arcs < u32::MAX as usize {
-        Ok(())
-    } else {
-        Err(SimError::InvalidConfig {
+/// Narrows CSR offsets to the device's 32-bit arc offsets. A graph of
+/// `u32::MAX` or more arcs (its last offset) is a
+/// [`SimError::InvalidConfig`].
+pub(crate) fn narrow_offsets(offsets: &[u64]) -> Result<Vec<u32>, SimError> {
+    let arcs = offsets.last().copied().unwrap_or(0);
+    if arcs >= u64::from(u32::MAX) {
+        return Err(SimError::InvalidConfig {
             what: "arcs",
             value: arcs as f64,
             need: "fewer than 2^32 - 1 for 32-bit arc offsets",
-        })
+        });
     }
+    // Every offset is at most the arc count, which fits in 32 bits.
+    Ok(offsets.iter().map(|&o| o as u32).collect())
 }
 
 /// Algorithm 1, lines 1–4: loads a CSR plus the working buffers onto
-/// `ctx`'s device, its offsets narrowed to 32 bits once
-/// [`check_arc_count`] accepts the arc count. Allocation names, order and
-/// size classes are part of the golden-trace contract — do not reorder.
+/// `ctx`'s device, its offsets narrowed by [`narrow_offsets`]. Allocation
+/// names, order and size classes are part of the golden-trace contract —
+/// do not reorder.
 pub(crate) fn load_device(
     ctx: &mut GpuContext,
     offsets: &[u64],
@@ -112,9 +95,7 @@ pub(crate) fn load_device(
     cfg: &PeelConfig,
 ) -> Result<DeviceState, SimError> {
     let n = offsets.len() - 1;
-    check_arc_count(neighbors.len())?;
-    // Every offset is at most the arc count, which fits in 32 bits.
-    let offsets32: Vec<u32> = offsets.iter().map(|&o| o as u32).collect();
+    let offsets32 = narrow_offsets(offsets)?;
     // Algorithm 1, line 1: load G (offset / neighbors / deg) to the device.
     ctx.set_phase("Setup");
     ctx.set_workload_dims(n as u64, neighbors.len() as u64);
@@ -130,6 +111,7 @@ pub(crate) fn load_device(
     let d_buf_e = ctx.alloc_tagged("buf_e", blocks, SizeClass::Fixed)?;
     let d_count = ctx.alloc_tagged("gpu_count", 1, SizeClass::Fixed)?;
     Ok(DeviceState {
+        cfg: *cfg,
         n,
         cap: cfg.buf_capacity,
         d_offsets,
@@ -138,49 +120,57 @@ pub(crate) fn load_device(
         d_buf,
         d_buf_e,
         d_count,
+        sweep: (0..blocks).map(|_| OnceLock::new()).collect(),
+        shell: Vec::new(),
+        buckets: BlockBuckets::default(),
     })
 }
 
-/// One peel round's device work: a launch of the scan kernel, then a
-/// stepped launch of the loop kernel it feeds.
+/// One peel round's device work: the hit pass, a launch of the scan kernel
+/// it feeds, then a stepped launch of the loop kernel the scan feeds.
 pub(crate) fn run_scan_loop(
     ctx: &mut GpuContext,
     k: u32,
-    st: &DeviceState,
-    cfg: &PeelConfig,
+    st: &mut DeviceState,
 ) -> Result<(), SimError> {
-    let p = st.kparams(cfg);
-    // The loop kernel's blocks interact through `deg[]` while running
-    // (cascading k-shell discovery), so it is a stepped launch: every wave
-    // advances each live block by one barrier-delimited iteration,
-    // matching concurrent hardware blocks.
+    let dev = &ctx.device;
+    // SAFETY: no kernel runs between launches (they complete under
+    // `&mut GpuContext`), and the views end before the scan launch.
+    let (deg, offs, nbrs) = unsafe {
+        (
+            plain_words(dev.buffer(st.d_deg)),
+            plain_words(dev.buffer(st.d_offsets)),
+            plain_words(dev.buffer(st.d_neighbors)),
+        )
+    };
+    find_k_shell(deg, k, &mut st.shell);
+    // The loop kernel walks these vertices first.
+    for &v in &st.shell {
+        prefetch_adjacency(offs, nbrs, v);
+    }
+    st.buckets.fill(&st.shell, st.cfg.launch);
+    let p = &*st;
     ctx.set_phase("Scan");
-    ctx.launch("scan", cfg.launch, |blk| scan_kernel_fast(blk, k, &p))?;
-    ctx.set_phase("Loop");
-    ctx.launch_stepped(
-        "loop",
-        cfg.launch,
-        |blk| loop_init(blk, &p),
-        |blk, st| loop_step_fast(blk, st, k, &p),
-    )
+    ctx.launch("scan", p.cfg.launch, |blk| scan_kernel_fast(blk, p))?;
+    run_loop_only(ctx, k, p)
 }
 
 /// A loop-only launch: consumes whatever frontier `buf`/`buf_e` already
-/// hold, without a fresh scan. The sharded engine uses this for border-seed
-/// sub-rounds — re-scanning would re-process the whole shard.
-pub(crate) fn run_loop_only(
-    ctx: &mut GpuContext,
-    k: u32,
-    st: &DeviceState,
-    cfg: &PeelConfig,
-) -> Result<(), SimError> {
-    let p = st.kparams(cfg);
+/// hold. [`run_scan_loop`] ends with one; the sharded engine also runs it
+/// alone for border-seed sub-rounds — re-scanning would re-process the
+/// whole shard.
+///
+/// The loop kernel's blocks interact through `deg[]` while running
+/// (cascading k-shell discovery), so it is a stepped launch: every wave
+/// advances each live block by one barrier-delimited iteration, matching
+/// concurrent hardware blocks.
+pub(crate) fn run_loop_only(ctx: &mut GpuContext, k: u32, p: &DeviceState) -> Result<(), SimError> {
     ctx.set_phase("Loop");
     ctx.launch_stepped(
         "loop",
-        cfg.launch,
-        |blk| loop_init(blk, &p),
-        |blk, st| loop_step_fast(blk, st, k, &p),
+        p.cfg.launch,
+        |blk| loop_init(blk, p),
+        |blk, st| loop_step_fast(blk, st, k, p),
     )
 }
 
@@ -230,16 +220,15 @@ pub fn decompose_reference_in(
     g: &Csr,
     cfg: &PeelConfig,
 ) -> Result<(Vec<u32>, u32), SimError> {
-    peel_rounds(ctx, g, cfg, |ctx, k, st, cfg| {
-        let p = st.kparams(cfg);
+    peel_rounds(ctx, g, cfg, |ctx, k, p| {
         ctx.set_phase("Scan");
-        ctx.launch("scan", cfg.launch, |blk| scan_kernel(blk, k, &p))?;
+        ctx.launch("scan", p.cfg.launch, |blk| scan_kernel(blk, k, p))?;
         ctx.set_phase("Loop");
         ctx.launch_stepped(
             "loop",
-            cfg.launch,
-            |blk| loop_init(blk, &p),
-            |blk, st| loop_step(blk, st, k, &p),
+            p.cfg.launch,
+            |blk| loop_init(blk, p),
+            |blk, st| loop_step(blk, st, k, p),
         )
     })
 }
@@ -249,19 +238,19 @@ fn peel_rounds(
     ctx: &mut GpuContext,
     g: &Csr,
     cfg: &PeelConfig,
-    round: impl Fn(&mut GpuContext, u32, &DeviceState, &PeelConfig) -> Result<(), SimError>,
+    round: impl Fn(&mut GpuContext, u32, &mut DeviceState) -> Result<(), SimError>,
 ) -> Result<(Vec<u32>, u32), SimError> {
     let n = g.num_vertices() as usize;
     if n == 0 {
         return Ok((Vec::new(), 0));
     }
 
-    let st = load_device(ctx, g.offsets(), g.neighbor_array(), &g.degrees(), cfg)?;
+    let mut st = load_device(ctx, g.offsets(), g.neighbor_array(), &g.degrees(), cfg)?;
     let mut count = 0u64;
     let mut k = 0u32;
     let mut rounds = 0u32;
     while (count as usize) < n {
-        round(ctx, k, &st, cfg)?;
+        round(ctx, k, &mut st)?;
         // Algorithm 1 line 8: the synchronizing gpu_count readback.
         ctx.set_phase("Sync");
         let prev = count;
@@ -440,7 +429,7 @@ impl BufCtx {
 // Scan kernel (Algorithm 2)
 // ---------------------------------------------------------------------------
 
-fn scan_kernel(blk: &mut BlockCtx<'_>, k: u32, p: &KParams<'_>) -> Result<(), KernelError> {
+fn scan_kernel(blk: &mut BlockCtx<'_>, k: u32, p: &DeviceState) -> Result<(), KernelError> {
     let dev = blk.device;
     let deg = dev.buffer(p.d_deg);
     let b = blk.block_idx as usize;
@@ -546,187 +535,170 @@ fn scan_kernel(blk: &mut BlockCtx<'_>, k: u32, p: &KParams<'_>) -> Result<(), Ke
     Ok(())
 }
 
-/// Warp-vectorized [`scan_kernel`]: identical semantics, counters, and error
-/// behavior, with the per-lane plumbing hoisted out of the hot loops — the
-/// shared tail lives in a local mirror, ballot predicates stay packed as a
-/// mask ([`ballot_scan_offsets`]), and the EC scratch buffers are reused
-/// across kernel calls via a worker-local cache
-/// ([`block_two_stage_scan_into`]). `tests/fastpath_diff.rs` pins the
-/// equivalence against the reference.
-fn scan_kernel_fast(blk: &mut BlockCtx<'_>, k: u32, p: &KParams<'_>) -> Result<(), KernelError> {
-    let dev = blk.device;
-    let deg = dev.buffer(p.d_deg);
-    // Plain-word view of `deg` for the probe sweeps: the scan kernel only
-    // reads degrees (every block, on every path), so the buffer is
-    // immutable for the whole launch and the view is sound — and unlike an
-    // `AtomicU32` load the compiler may vectorize it.
-    let degs: &[u32] = unsafe { std::slice::from_raw_parts(deg.as_ptr() as *const u32, deg.len()) };
-    let b = blk.block_idx as usize;
-    let bufb = &dev.buffer(p.d_buf)[b * p.cap..(b + 1) * p.cap];
+/// Vertices per k-shell mask of the hit pass (one `u64`).
+const SHELL_CHUNK: usize = 64;
 
+/// The hit pass: fills `shell` with every vertex `v` whose `degs[v]` is
+/// `k`, ascending. It reads the degrees [`SHELL_CHUNK`] at a time into a
+/// branch-free k-shell bit mask ([`eq_mask`]); only hits take the scalar
+/// path. It runs between launches, on a plain-word view of `deg`, and
+/// charges nothing: the scan kernel charges the sweep the device makes
+/// (see [`scan_kernel_fast`]).
+fn find_k_shell(degs: &[u32], k: u32, shell: &mut Vec<u32>) {
+    shell.clear();
+    let mut push_hits = |base: usize, mut mask: u64| {
+        while mask != 0 {
+            shell.push((base + mask.trailing_zeros() as usize) as u32);
+            mask &= mask - 1;
+        }
+    };
+    let mut chunks = degs.chunks_exact(SHELL_CHUNK);
+    for (c, words) in chunks.by_ref().enumerate() {
+        let words: &[u32; SHELL_CHUNK] = words.try_into().expect("exact chunk");
+        push_hits(c * SHELL_CHUNK, eq_mask(words, k));
+    }
+    let rest = chunks.remainder();
+    if !rest.is_empty() {
+        // The short last chunk is padded with a value that is not `k`.
+        let mut words = [!k; SHELL_CHUNK];
+        words[..rest.len()].copy_from_slice(rest);
+        push_hits(degs.len() - rest.len(), eq_mask(&words, k));
+    }
+}
+
+/// Bit `i` is set iff `words[i] == k`. The any-hit reduction first
+/// vectorizes to a few wide compares, and most chunks hold no hit; only a
+/// chunk that does pays the bit pack.
+#[inline]
+fn eq_mask(words: &[u32; SHELL_CHUNK], k: u32) -> u64 {
+    let mut hit = false;
+    for &d in words {
+        hit |= d == k;
+    }
+    if !hit {
+        return 0;
+    }
+    let mut mask = 0u64;
+    for (i, &d) in words.iter().enumerate() {
+        mask |= ((d == k) as u64) << i;
+    }
+    mask
+}
+
+/// A vertex list bucketed by the block whose scan owns each vertex,
+/// Algorithm 2's `(v / BLK_DIM) mod BLK_NUM`: the round's k-shell for the
+/// scan kernel, or the sharded engine's border seeds for its seed launch.
+/// The buckets keep their capacity across fills.
+#[derive(Default)]
+pub(crate) struct BlockBuckets(Vec<Vec<u32>>);
+
+impl BlockBuckets {
+    /// Buckets `vertices` for the blocks of `launch`, each bucket in list
+    /// order. A geometry with no blocks or zero-width blocks, which every
+    /// launch rejects, leaves no vertex in any bucket.
+    pub(crate) fn fill(&mut self, vertices: &[u32], launch: LaunchConfig) {
+        let (blocks, blk_dim) = (launch.blocks as usize, launch.threads_per_block as usize);
+        self.0.resize_with(blocks, Vec::new);
+        self.0.iter_mut().for_each(Vec::clear);
+        if blocks > 0 && blk_dim > 0 {
+            for &v in vertices {
+                self.0[(v as usize / blk_dim) % blocks].push(v);
+            }
+        }
+    }
+
+    /// Block `b`'s vertices.
+    pub(crate) fn block(&self, b: usize) -> &[u32] {
+        &self.0[b]
+    }
+}
+
+/// [`scan_kernel`] from the round's k-shell, which the hit pass found
+/// ([`find_k_shell`]) and bucketed per block: the same buffer contents,
+/// counters and errors (DESIGN.md "Fast-path cost accounting"). Block `b`
+/// writes its `h` hits, ascending, to `buf[b][0..h]`, where every
+/// variant's reference leaves them, and fails as the reference does exactly
+/// when `h > cap`. It charges the sweep ([`charge_sweep`], computed on the
+/// block's first scan of `p` and cached), the batches, and the unchanged
+/// prologue and epilogue.
+fn scan_kernel_fast(blk: &mut BlockCtx<'_>, p: &DeviceState) -> Result<(), KernelError> {
+    let dev = blk.device;
+    let b = blk.block_idx as usize;
     let e_arr = blk.shared_alloc(1)?;
     blk.sh_write(e_arr, 0, 0);
     blk.sync_threads();
+    let swept = *p.sweep[b].get_or_init(|| {
+        let outer = std::mem::take(&mut blk.counters);
+        charge_sweep(blk, p);
+        std::mem::replace(&mut blk.counters, outer)
+    });
+    blk.counters.merge(&swept);
 
-    let blk_dim = blk.cfg.threads_per_block as usize;
-    let num_threads = blk.cfg.num_threads() as usize;
-    // Local mirror of the shared tail, poked back before the epilogue read;
-    // every shared-atomic charge still lands per append.
-    let mut e_local = 0u64;
-    // EC scratch, reused across chunks — and across kernel calls via a
-    // worker-local cache. Contents need no zeroing on reuse: the hit path
-    // rewrites `values[..hi-lo]` and explicitly zero-fills the tail before
-    // the scan, the miss path never reads it, and `offs` is fully written
-    // before it is read. Only the length matters (the charge helper asserts
-    // it equals the block dimension).
-    let (mut values, mut offs) = if p.cfg.compaction == Compaction::Efficient {
-        EC_SCRATCH.with(|s| {
-            let (mut v, mut o) = s.take();
-            v.resize(blk_dim, 0);
-            o.resize(blk_dim, 0);
-            (v, o)
-        })
-    } else {
-        (Vec::new(), Vec::new())
-    };
-    let overflow = |b: usize| KernelError::BufferOverflow {
-        what: format!("block {b}: scan filled buffer (capacity {})", p.cap),
-    };
-    let mut chunk = b * blk_dim;
-    while chunk < p.n {
-        let lo = chunk;
-        let hi = (chunk + blk_dim).min(p.n);
-        let words = (hi - lo) as u64;
-        blk.charge_tx(BlockCtx::coalesced_tx(words));
-        blk.charge_instr(words.div_ceil(32));
-
-        match p.cfg.compaction {
-            Compaction::None => {
-                // Probe in sub-chunks with a branch-free any-hit reduction
-                // (vectorizable); only a sub-chunk containing a k-shell
-                // vertex pays the scalar append pass. Charges are per hit
-                // either way, so the sweep shape is charge-invisible.
-                let mut v = lo;
-                while v < hi {
-                    let sub_hi = (v + 64).min(hi);
-                    let mut hit = false;
-                    for &d in &degs[v..sub_hi] {
-                        hit |= d == k;
-                    }
-                    if hit {
-                        for u in v..sub_hi {
-                            if degs[u] == k {
-                                blk.counters.shared_atomics += 1; // atomicAdd(e, 1)
-                                let pos = e_local;
-                                e_local += 1;
-                                if pos >= p.cap as u64 {
-                                    return Err(overflow(b));
-                                }
-                                bufb[pos as usize].store(u as u32, Ordering::Relaxed);
-                                blk.charge_sector(1);
-                            }
-                        }
-                    }
-                    v = sub_hi;
-                }
-            }
-            Compaction::Ballot => {
-                for wstart in (lo..hi).step_by(32) {
-                    let wend = (wstart + 32).min(hi);
-                    blk.counters.shared_accesses += 3 * (wend - wstart) as u64;
-                    // Branch-free any-hit reduction first (vectorizable);
-                    // only a warp containing a k-shell vertex pays the
-                    // scalar bit pack. The ballot is charged identically
-                    // either way (`ballot_scan_offsets` charges by lane
-                    // count, not by mask value).
-                    let w = &degs[wstart..wend];
-                    let mut hit = false;
-                    for &d in w {
-                        hit |= d == k;
-                    }
-                    let mut bits = 0u32;
-                    if hit {
-                        for (i, &d) in w.iter().enumerate() {
-                            bits |= ((d == k) as u32) << i;
-                        }
-                    }
-                    let (offsets, total) = ballot_scan_offsets(blk, bits);
-                    if total == 0 {
-                        continue;
-                    }
-                    blk.counters.shared_atomics += 1; // atomicAdd(e, total)
-                    let base = e_local;
-                    e_local += total as u64;
-                    if e_local > p.cap as u64 {
-                        return Err(overflow(b));
-                    }
-                    blk.charge_tx(BlockCtx::coalesced_tx(total as u64));
-                    for (i, v) in (wstart..wend).enumerate() {
-                        if bits >> i & 1 == 1 {
-                            bufb[(base + offsets[i] as u64) as usize]
-                                .store(v as u32, Ordering::Relaxed);
-                        }
-                    }
-                }
-            }
-            Compaction::Efficient => {
-                // Any-hit reduction first (vectorizable): a chunk with no
-                // k-shell vertex pays the full two-stage-scan cost model —
-                // every charge is a pure function of the geometry — but
-                // skips the element-wise flag fill and the host-side scan
-                // arithmetic.
-                let w = &degs[lo..hi];
-                let mut hit = false;
-                for &d in w {
-                    hit |= d == k;
-                }
-                blk.counters.shared_accesses += 3 * (hi - lo) as u64;
-                let total = if hit {
-                    for (i, &d) in w.iter().enumerate() {
-                        values[i] = (d == k) as u32;
-                    }
-                    values[(hi - lo)..].fill(0);
-                    block_two_stage_scan_into(blk, &values, &mut offs)
-                } else {
-                    block_two_stage_scan_charges(blk, values.len());
-                    0
-                };
-                if total > 0 {
-                    blk.counters.shared_atomics += 1; // atomicAdd(e, total)
-                    let base = e_local;
-                    e_local += total as u64;
-                    if e_local > p.cap as u64 {
-                        return Err(overflow(b));
-                    }
-                    blk.charge_tx(BlockCtx::coalesced_tx(total as u64));
-                    for i in 0..(hi - lo) {
-                        if values[i] == 1 {
-                            bufb[(base + offs[i] as u64) as usize]
-                                .store((lo + i) as u32, Ordering::Relaxed);
-                        }
-                    }
-                }
-            }
+    let mine = p.buckets.block(b);
+    let h = mine.len();
+    if h > p.cap {
+        return Err(KernelError::BufferOverflow {
+            what: format!("block {b}: scan filled buffer (capacity {})", p.cap),
+        });
+    }
+    let bufb = &dev.buffer(p.d_buf)[b * p.cap..b * p.cap + h];
+    for (slot, &v) in bufb.iter().zip(mine) {
+        slot.store(v, Ordering::Relaxed);
+    }
+    match p.cfg.compaction {
+        Compaction::None => {
+            blk.counters.shared_atomics += h as u64; // atomicAdd(e, 1) per hit
+            blk.charge_sector(h as u64);
         }
-        chunk += num_threads;
+        Compaction::Ballot => charge_batches(blk, mine, 32),
+        Compaction::Efficient => charge_batches(blk, mine, blk.cfg.threads_per_block),
     }
 
-    blk.sh_poke(e_arr, 0, e_local as u32);
+    blk.sh_poke(e_arr, 0, h as u32);
     blk.sync_threads();
     let e = blk.sh_read(e_arr, 0);
     blk.gwrite(&dev.buffer(p.d_buf_e)[b], e);
-    if p.cfg.compaction == Compaction::Efficient {
-        EC_SCRATCH.with(|s| *s.borrow_mut() = (values, offs));
-    }
     Ok(())
 }
 
-thread_local! {
-    /// Worker-local EC scratch for [`scan_kernel_fast`] (a `(values, offs)`
-    /// pair), so the two block-dimension-sized vectors are not
-    /// allocated and freed on every kernel call. Error returns drop the
-    /// cache for that worker; the next call simply reallocates.
-    static EC_SCRATCH: RefCell<(Vec<u32>, Vec<u32>)> = const { RefCell::new((Vec::new(), Vec::new())) };
+/// Charges what [`scan_kernel`]'s sweep over this block's chunks costs
+/// whatever `deg` holds: per chunk, the coalesced `deg` read and one
+/// compare per warp; under BC, per 32-lane window, the Fig. 8(a) arrays in
+/// shared memory and a ballot scan; under EC, per chunk, the same arrays
+/// and a two-stage scan.
+fn charge_sweep(blk: &mut BlockCtx<'_>, p: &DeviceState) {
+    let blk_dim = blk.cfg.threads_per_block as usize;
+    let num_threads = blk.cfg.num_threads() as usize;
+    let mut lo = blk.block_idx as usize * blk_dim;
+    while lo < p.n {
+        let words = ((lo + blk_dim).min(p.n) - lo) as u64;
+        blk.charge_tx(BlockCtx::coalesced_tx(words));
+        blk.charge_instr(words.div_ceil(32));
+        match p.cfg.compaction {
+            Compaction::None => {}
+            Compaction::Ballot => {
+                blk.counters.shared_accesses += 3 * words;
+                for _ in 0..words.div_ceil(32) {
+                    ballot_scan_offsets(blk, 0);
+                }
+            }
+            Compaction::Efficient => {
+                blk.counters.shared_accesses += 3 * words;
+                block_two_stage_scan_charges(blk, blk_dim);
+            }
+        }
+        lo += num_threads;
+    }
+}
+
+/// Charges one `atomicAdd(e, total)` and one coalesced batch write per run
+/// of ascending `hits` in the same `width`-vertex group (a ballot window or
+/// a block chunk): the appends of the groups that found a hit.
+fn charge_batches(blk: &mut BlockCtx<'_>, hits: &[u32], width: u32) {
+    for batch in hits.chunk_by(|&a, &b| a / width == b / width) {
+        blk.counters.shared_atomics += 1;
+        blk.charge_tx(BlockCtx::coalesced_tx(batch.len() as u64));
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -744,7 +716,7 @@ struct LoopState {
 
 /// Lines 1–2 of Algorithm 3: per-block setup (shared s/e, optional SM
 /// buffer, optional VP pref array).
-fn loop_init<'a>(blk: &mut BlockCtx<'a>, p: &KParams<'_>) -> Result<LoopState, KernelError> {
+fn loop_init<'a>(blk: &mut BlockCtx<'a>, p: &DeviceState) -> Result<LoopState, KernelError> {
     let dev = blk.device;
     let b = blk.block_idx as usize;
 
@@ -794,7 +766,7 @@ fn loop_step(
     blk: &mut BlockCtx<'_>,
     st: &mut LoopState,
     k: u32,
-    p: &KParams<'_>,
+    p: &DeviceState,
 ) -> Result<bool, KernelError> {
     let dev = blk.device;
     let deg = dev.buffer(p.d_deg);
@@ -947,26 +919,24 @@ fn process_vertex(
 /// [`Appender`]) and each warp's adjacency chunk charged in bulk (see
 /// [`process_vertex_fast`]). Blocks step one at a time in wave order, so
 /// the launch-immutable `offset` and `neighbors` arrays are read as plain
-/// words.
+/// words. A step that leaves entries in the block's global buffer
+/// prefetches the adjacency of the vertex the next wave starts from
+/// ([`prefetch_adjacency`]).
 fn loop_step_fast(
     blk: &mut BlockCtx<'_>,
     st: &mut LoopState,
     k: u32,
-    p: &KParams<'_>,
+    p: &DeviceState,
 ) -> Result<bool, KernelError> {
     let dev = blk.device;
     let deg = dev.buffer(p.d_deg);
-    let offsets = dev.buffer(p.d_offsets);
-    let neighbors = dev.buffer(p.d_neighbors);
-    // SAFETY: `AtomicU32` has the size, alignment and bit validity of
-    // `u32`, and no kernel writes `offset` or `neighbors` while a launch
-    // runs, so plain-word views of them never race a write (same pattern
-    // as the scan kernel's `degs`). Their loads are plain `mov`s the
-    // compiler can reorder.
-    let offs: &[u32] =
-        unsafe { std::slice::from_raw_parts(offsets.as_ptr() as *const u32, offsets.len()) };
-    let nbrs: &[u32] =
-        unsafe { std::slice::from_raw_parts(neighbors.as_ptr() as *const u32, neighbors.len()) };
+    // SAFETY: no kernel writes `offset` or `neighbors`.
+    let (offs, nbrs) = unsafe {
+        (
+            plain_words(dev.buffer(p.d_offsets)),
+            plain_words(dev.buffer(p.d_neighbors)),
+        )
+    };
     let b = blk.block_idx as usize;
     let bufb = &dev.buffer(p.d_buf)[b * p.cap..(b + 1) * p.cap];
     let se = st.bc.se;
@@ -1018,7 +988,52 @@ fn loop_step_fast(
     blk.sh_poke(se, 1, ap.e as u32);
     // Lines 9–10, at the iteration end (see loop_step for why).
     blk.sh_write(se, 0, (s + batch) as u32);
+    // The block reaches its next vertex one wave later: start fetching its
+    // adjacency now, while the other blocks step.
+    let next = s + batch;
+    if next < ap.e {
+        let bc = &st.bc;
+        if let Ok(Slot::Global(i)) = translate(next, bc.e_init, bc.n_b(), bc.cap, bc.ring) {
+            prefetch_adjacency(offs, nbrs, bufb[i].load(Ordering::Relaxed));
+        }
+    }
     Ok(true)
+}
+
+/// A plain-word view of a device buffer: its loads are plain `mov`s the
+/// compiler may vectorize and reorder.
+///
+/// # Safety
+///
+/// Nothing may write `buf` while the view lives: hold it between launches,
+/// or inside a launch whose kernels never write `buf`.
+unsafe fn plain_words(buf: &[AtomicU32]) -> &[u32] {
+    // SAFETY: `AtomicU32` has the size, alignment and bit validity of
+    // `u32`, and the caller rules out writes while the view lives.
+    unsafe { std::slice::from_raw_parts(buf.as_ptr() as *const u32, buf.len()) }
+}
+
+/// Cache lines of an adjacency list [`prefetch_adjacency`] requests at most.
+const PREFETCH_LINES: usize = 8;
+
+/// Asks the CPU to start loading the first [`PREFETCH_LINES`] cache lines of
+/// `v`'s adjacency list, which a block walks soon. It has no architectural
+/// effect, so nothing is charged and no recorded quantity moves.
+#[inline]
+fn prefetch_adjacency(offs: &[u32], nbrs: &[u32], v: u32) {
+    let (lo, hi) = (offs[v as usize] as usize, offs[v as usize + 1] as usize);
+    // 16 words to a 64-byte line.
+    for at in (lo..hi).step_by(16).take(PREFETCH_LINES) {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `at < nbrs.len()`; a prefetch neither faults nor changes
+        // memory, and SSE is baseline on x86_64.
+        unsafe {
+            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            _mm_prefetch::<_MM_HINT_T0>(nbrs.as_ptr().add(at) as *const i8);
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = (nbrs, at);
+    }
 }
 
 /// Local mirror of the shared `[s, e]` buffer tail, so the hot append path
@@ -1082,11 +1097,18 @@ fn append_fast(
 }
 
 /// Bulk-charged twin of [`process_vertex`]: per-lane probes and decrements
-/// become one pass with bulk counter updates; ballot predicates stay packed
-/// as a mask. The recover branch (line 24) cannot fire while blocks step
-/// one at a time — `deg[u]` cannot change between the probe and the
-/// decrement — matching the reference wave loop, where it also never
+/// become one branch-free pass with bulk counter updates; ballot predicates
+/// stay packed as a mask. The recover branch (line 24) cannot fire while
+/// blocks step one at a time — `deg[u]` cannot change between the probe and
+/// the decrement — matching the reference wave loop, where it also never
 /// executes.
+///
+/// Each lane stores `old - (old > k)` to `deg[u]` unconditionally and ORs
+/// `old == k + 1` into the mask. Stepped blocks run one at a time, so the
+/// store is exact: a lane that does not decrement rewrites the value it
+/// just loaded, which no other block can have changed (the sharded engine's
+/// drain still finds its ghost slots by value). Only the decrements are
+/// counted as atomics, as in the reference.
 #[allow(clippy::too_many_arguments)]
 fn process_vertex_fast(
     blk: &mut BlockCtx<'_>,
@@ -1100,9 +1122,8 @@ fn process_vertex_fast(
     pe: usize,
     k: u32,
 ) -> Result<(), KernelError> {
-    // Hoisted out of the chunk loop; slots are stale across chunks but a
-    // lane is only read when its `bits` flag was set this chunk, and the
-    // write always precedes the flag.
+    // Hoisted out of the chunk loop; every chunk rewrites its lanes' slots
+    // before any is read.
     let mut vals = [0u32; 32];
     let mut chunk = ps;
     while chunk < pe {
@@ -1119,20 +1140,17 @@ fn process_vertex_fast(
         blk.charge_sector(cnt);
         let ids = &nbrs[chunk..cend];
         let mut bits = 0u32;
-        let mut decs = 0u64;
+        let mut decs = 0u32;
         for (lane, &u) in ids.iter().enumerate() {
-            let u = u as usize;
-            let old = deg[u].load(Ordering::Relaxed);
-            if old > k {
-                deg[u].store(old - 1, Ordering::Relaxed);
-                decs += 1;
-                if old == k + 1 {
-                    bits |= 1 << lane;
-                    vals[lane] = u as u32;
-                }
-            }
+            let slot = &deg[u as usize];
+            let old = slot.load(Ordering::Relaxed);
+            let dec = (old > k) as u32;
+            slot.store(old - dec, Ordering::Relaxed);
+            decs += dec;
+            bits |= ((old == k + 1) as u32) << lane;
+            vals[lane] = u;
         }
-        blk.counters.global_atomics += decs;
+        blk.counters.global_atomics += u64::from(decs);
 
         if warp_compact {
             blk.counters.shared_accesses += 3 * cnt;
@@ -1199,16 +1217,51 @@ mod tests {
 
     #[test]
     fn arc_counts_past_32_bit_offsets_are_typed_errors() {
-        // A graph this size needs 16 GiB, so the check is tested alone.
-        assert_eq!(check_arc_count((1usize << 32) - 2), Ok(()));
+        // A graph this size needs 16 GiB, so the check is tested alone, on
+        // the offsets of one vertex holding every arc.
         assert_eq!(
-            check_arc_count((1usize << 32) - 1),
+            narrow_offsets(&[0, (1 << 32) - 2]),
+            Ok(vec![0, u32::MAX - 1])
+        );
+        assert_eq!(
+            narrow_offsets(&[0, (1 << 32) - 1]),
             Err(SimError::InvalidConfig {
                 what: "arcs",
                 value: ((1u64 << 32) - 1) as f64,
                 need: "fewer than 2^32 - 1 for 32-bit arc offsets",
             })
         );
+    }
+
+    #[test]
+    fn hit_pass_and_buckets_match_a_scalar_filter() {
+        let geometries = [(1u32, 32u32), (3, 96), (4, 64), (108, 32)];
+        let mut shell = Vec::new();
+        let mut buckets = BlockBuckets::default();
+        for n in [0usize, 1, 63, 64, 65, 1_000] {
+            let mixed: Vec<u32> = (0..n as u32).map(|v| v * 7 % 5).collect();
+            // k = 3 is absent from the first two, everywhere in the third.
+            for degs in [vec![0; n], mixed, vec![3; n]] {
+                find_k_shell(&degs, 3, &mut shell);
+                let expect: Vec<u32> = (0..n as u32).filter(|&v| degs[v as usize] == 3).collect();
+                assert_eq!(shell, expect, "n = {n}");
+                for (blocks, threads_per_block) in geometries {
+                    let launch = LaunchConfig {
+                        blocks,
+                        threads_per_block,
+                    };
+                    buckets.fill(&shell, launch);
+                    for b in 0..blocks {
+                        let owned: Vec<u32> = expect
+                            .iter()
+                            .copied()
+                            .filter(|&v| (v / threads_per_block) % blocks == b)
+                            .collect();
+                        assert_eq!(buckets.block(b as usize), owned, "n = {n}, {launch:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

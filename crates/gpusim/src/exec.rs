@@ -796,21 +796,23 @@ impl GpuContext {
     /// element `offset` — the staging pattern of the dynamic maintenance
     /// engine, which reuses one persistent batch buffer across batches
     /// instead of allocating per batch. Charged exactly like
-    /// [`GpuContext::htod`]; panics (host-program bug, like any
-    /// out-of-bounds `cudaMemcpy`) if the copy overruns the buffer.
+    /// [`GpuContext::htod`]. A copy that would overrun the buffer is a
+    /// [`SimError::InvalidConfig`], returned before anything is copied,
+    /// recorded or charged.
     pub fn htod_into(&mut self, id: BufferId, offset: usize, data: &[u32]) -> Result<(), SimError> {
         self.check_limit()?;
         let buf = self.device.buffer(id);
-        assert!(
-            offset + data.len() <= buf.len(),
-            "htod_into overruns buffer {} ({} + {} > {})",
-            self.device.buffer_name(id),
-            offset,
-            data.len(),
-            buf.len()
-        );
-        // See `Device::write_slice`: quiescent during transfers, so a bulk
-        // copy is equivalent to the per-word relaxed stores.
+        let end = offset.checked_add(data.len());
+        if end.is_none_or(|end| end > buf.len()) {
+            return Err(SimError::InvalidConfig {
+                what: "htod_into end (offset + words)",
+                value: offset as f64 + data.len() as f64,
+                need: "at most the destination buffer's length",
+            });
+        }
+        // SAFETY: `offset + data.len() <= buf.len()` was checked above. See
+        // `Device::write_slice`: quiescent during transfers, so a bulk copy
+        // is equivalent to the per-word relaxed stores.
         unsafe {
             std::ptr::copy_nonoverlapping(
                 data.as_ptr(),
@@ -1401,11 +1403,22 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "htod_into overruns")]
-    fn htod_into_overrun_panics() {
+    fn htod_into_overrun_is_a_typed_error() {
         let mut c = ctx();
-        let buf = c.htod("small", &[0u32; 4]).unwrap();
-        let _ = c.htod_into(buf, 2, &[1, 2, 3]);
+        let buf = c.htod("small", &[1, 2, 3, 4]).unwrap();
+        let transfers = c.transfers().len();
+        let clock = c.elapsed_ms();
+        for offset in [2, usize::MAX] {
+            let err = c.htod_into(buf, offset, &[7, 8, 9]).unwrap_err();
+            assert!(
+                matches!(err, SimError::InvalidConfig { what, .. } if what.starts_with("htod_into")),
+                "{err}"
+            );
+        }
+        // Nothing was copied, recorded or charged.
+        assert_eq!(c.transfers().len(), transfers);
+        assert_eq!(c.elapsed_ms(), clock);
+        assert_eq!(c.device.read_vec(buf), vec![1, 2, 3, 4]);
     }
 
     #[test]

@@ -31,20 +31,23 @@ cargo fmt --manifest-path kbench/Cargo.toml --check
 cargo clippy --manifest-path kbench/Cargo.toml --all-targets -- -D warnings
 cargo test -q --manifest-path kbench/Cargo.toml
 
-echo "== simulator wall-clock smoke budget =="
-# The simulator suite re-runs (already compiled) under a wall-clock ceiling:
-# a blow-up here means a host-side perf regression (e.g. the stepped engine
-# allocating per wave, or a bulk-charged helper falling back to per-lane
-# charging) that the simulated-time goldens cannot see. The
-# suite takes ~15 s on the reference machine; 120 s absorbs slow-VM phases
-# while still catching any order-of-magnitude host regression.
+echo "== simulator and peel wall-clock smoke budget =="
+# The simulator and peel suites re-run (already compiled) under a wall-clock
+# ceiling: a blow-up here means a host-side perf regression that the
+# simulated-time goldens cannot see — the stepped engine allocating per
+# wave, a bulk-charged helper in gpusim falling back to per-lane charging,
+# or the peel's fast path in kcore-gpu (the k-shell hit pass, the scan
+# kernel's cached sweep charges, the branch-free neighbor walk) doing per-
+# vertex work again. Already compiled, the two suites take a few seconds
+# on a 2-core x86-64 box; 120 s absorbs slow-VM phases while still catching
+# any order-of-magnitude host regression.
 SMOKE_BUDGET_S="${KCORE_SMOKE_BUDGET_S:-120}"
 smoke_start=$(date +%s)
-cargo test -q -p kcore-gpusim
+cargo test -q -p kcore-gpusim -p kcore-gpu
 smoke_elapsed=$(( $(date +%s) - smoke_start ))
-echo "kcore-gpusim tests took ${smoke_elapsed}s (budget ${SMOKE_BUDGET_S}s)"
+echo "kcore-gpusim + kcore-gpu tests took ${smoke_elapsed}s (budget ${SMOKE_BUDGET_S}s)"
 if (( smoke_elapsed > SMOKE_BUDGET_S )); then
-  echo "ERROR: kcore-gpusim test suite exceeded the ${SMOKE_BUDGET_S}s wall-clock budget" >&2
+  echo "ERROR: kcore-gpusim + kcore-gpu test suites exceeded the ${SMOKE_BUDGET_S}s wall-clock budget" >&2
   exit 1
 fi
 

@@ -10,9 +10,9 @@
 //! identical errors — across every Table II variant, on randomized graphs,
 //! at every rayon pool size.
 
-use kcore_gpu::PeelConfig;
+use kcore_gpu::{Compaction, PeelConfig};
 use kcore_gpusim::{GpuContext, LaunchConfig, SimError, SimOptions, Trace};
-use kcore_graph::{gen, Csr};
+use kcore_graph::{gen, Csr, GraphBuilder};
 
 /// A peel entry point: production or reference.
 type Peel = fn(&mut GpuContext, &Csr, &PeelConfig) -> Result<(Vec<u32>, u32), SimError>;
@@ -65,6 +65,31 @@ fn all_variants_identical_on_random_graphs() {
         let g = gen::erdos_renyi_gnm(600, 2_400, seed);
         for cfg in small_cfg().all_variants() {
             assert_paths_identical(&g, &cfg, &format!("gnm seed {seed} {}", cfg.variant_name()));
+        }
+    }
+    // Fixed geometries aimed at the scan's chunk bookkeeping.
+    let launch = |blocks, threads_per_block| {
+        small_cfg().with_launch(LaunchConfig {
+            blocks,
+            threads_per_block,
+        })
+    };
+    let cases = [
+        // |V| is not a multiple of BLK_DIM, and the partial last chunk
+        // (chunk 9 of 17 words; chunk 5 of 40 words) is in block 1 or 2.
+        (593, 2_400, launch(4, 64), "partial last chunk in block 1"),
+        (520, 2_000, launch(3, 96), "partial last chunk in block 2"),
+        // |V| < blocks × BLK_DIM: blocks 3..7 own no chunk at all.
+        (300, 1_200, launch(8, 128), "blocks without a chunk"),
+        // Mean degree 1: about 47 of each 128-vertex chunk are isolated,
+        // so round 0 puts several hits in most BC windows and more than 32
+        // in an EC chunk (a batch of 2 transactions).
+        (1_000, 500, launch(3, 128), "dense shells"),
+    ];
+    for (n, m, base, what) in cases {
+        let g = gen::erdos_renyi_gnm(n, m, 4);
+        for cfg in base.all_variants() {
+            assert_paths_identical(&g, &cfg, &format!("{what} {}", cfg.variant_name()));
         }
     }
 }
@@ -157,9 +182,38 @@ fn overflow_errors_are_path_invariant() {
         ring_buffer: false,
         ..PeelConfig::default()
     };
-    let err_of = |peel: Peel| {
+    let err_of = |peel: Peel, g: &Csr, cfg: &PeelConfig| {
         let mut ctx = SimOptions::default().context();
-        peel(&mut ctx, &g, &cfg).unwrap_err().to_string()
+        peel(&mut ctx, g, cfg).unwrap_err().to_string()
     };
-    assert_eq!(err_of(PRODUCTION), err_of(REFERENCE));
+    assert_eq!(err_of(PRODUCTION, &g, &cfg), err_of(REFERENCE, &g, &cfg));
+
+    // A scan overflow in block 2 while blocks 0 and 1 fit: four 32-vertex
+    // chunks, one per block. Round 0's hits are the isolated vertices: 5 in
+    // chunk 0, 6 in chunk 1 and all 32 of chunk 2, against a capacity of
+    // 16; the rest of each chunk is a cycle.
+    let mut b = GraphBuilder::with_num_vertices(128);
+    for (lo, hi) in [(5u32, 32u32), (38, 64), (96, 128)] {
+        for v in lo..hi {
+            b.add_edge(v, if v + 1 == hi { lo } else { v + 1 });
+        }
+    }
+    let g = b.build();
+    for compaction in [Compaction::None, Compaction::Ballot, Compaction::Efficient] {
+        let cfg = PeelConfig {
+            launch: LaunchConfig {
+                blocks: 4,
+                threads_per_block: 32,
+            },
+            buf_capacity: 16,
+            ..PeelConfig::default()
+        }
+        .with_compaction(compaction);
+        let err = err_of(PRODUCTION, &g, &cfg);
+        assert!(
+            err.contains("block 2: scan filled buffer (capacity 16)"),
+            "{compaction:?}: {err}"
+        );
+        assert_eq!(err, err_of(REFERENCE, &g, &cfg), "{compaction:?}");
+    }
 }
