@@ -23,7 +23,7 @@
 //! `KCORE_FLEET_TIMELINE=1` to also dump each run's fleet trace and merged
 //! multi-device Perfetto document under `results/traces/`.
 
-use kcore_bench::{fleet_timeline_enabled, prepare_all, results_dir, save_fleet, save_json};
+use kcore_bench::{fleet_timeline_enabled, prepare_all, save, save_fleet, save_json};
 use kcore_gpu::{decompose_multi, decompose_multi_fleet, FleetRun, MultiGpuConfig};
 use kcore_gpusim::{FleetTrace, SimOptions, FLEET_SCHEMA_VERSION};
 use kcore_graph::{Csr, Partition};
@@ -306,9 +306,7 @@ fn main() {
          the busiest device and its dominant roofline bucket.\n",
     );
     print!("{txt}");
-    let path = results_dir().join("table_fleet.txt");
-    std::fs::write(&path, &txt).expect("write table_fleet.txt");
-    eprintln!("[saved {}]", path.display());
+    save("table_fleet.txt", &txt);
     save_json("table_fleet", &rows);
     if check {
         eprintln!("[fleetreport] check OK: ledgers reconcile, parse, and tile");

@@ -6,7 +6,7 @@
 //! (P100-calibrated) while CPU columns are real wall-clock on the host —
 //! EXPERIMENTS.md discusses how to read the comparison.
 
-use kcore_bench::{mark_best, prepare_all, print_table, save_json, Cell};
+use kcore_bench::{capture, mark_best, prepare_all, print_table, save_json, Cell, Program};
 use kcore_cpu::{bz, mpm, naive, park, pkc, CoreAlgorithm};
 use serde::Serialize;
 use std::time::Instant;
@@ -52,12 +52,7 @@ fn main() {
     let mut json = Vec::new();
     for e in &envs {
         eprintln!("[table4] {}", e.dataset.name);
-        let mut cells = Vec::new();
-        cells.push(Cell::from_result(
-            kcore_gpu::decompose(&e.graph, &e.peel_cfg, &e.sim)
-                .map(|r| (r.core, r.report.total_ms)),
-            &e.truth,
-        ));
+        let mut cells = vec![capture(e, Program::OURS, 0, false).cell()];
         for a in &algs {
             cells.push(measure(a.as_ref(), &e.graph, &e.truth));
         }

@@ -20,15 +20,24 @@
 //!   (fast CI runs);
 //! * `KCORE_BLESS` — set to make [`assert_golden`] rewrite the golden files
 //!   of the tests instead of comparing against them.
+//!
+//! Every GPU program runs through one cell runner, [`capture`]; the
+//! [`Sweep`] runs each cell of Tables II, III and V and the capacity report
+//! once and renders the four tables from those captures.
+
+mod capture;
+mod sweep;
+
+pub use capture::{capture, capture_in, Outcome, Program, RunCapture};
+pub use sweep::{DatasetSweep, Sweep};
 
 use kcore_cpu::CoreAlgorithm;
 use kcore_gpu::PeelConfig;
-use kcore_gpusim::{SimError, SimOptions};
+use kcore_gpusim::SimOptions;
 use kcore_graph::datasets::{self, Dataset};
 use kcore_graph::{Csr, EdgeUpdate, GraphStats};
 use serde::Serialize;
 use std::collections::{HashMap, HashSet};
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 /// Everything a table binary needs for one dataset.
@@ -109,26 +118,47 @@ pub fn prepare(dataset: Dataset) -> Env {
     }
 }
 
-/// Prepares all selected datasets (honoring `KCORE_SMOKE` / `KCORE_DATASETS`).
+/// Prepares all selected datasets (honoring `KCORE_SMOKE` / `KCORE_DATASETS`);
+/// panics if `KCORE_DATASETS` names a dataset outside the selectable set.
 pub fn prepare_all() -> Vec<Env> {
     let base = if std::env::var_os("KCORE_SMOKE").is_some() {
         datasets::smoke_subset()
     } else {
         datasets::registry()
     };
-    let filter: Option<Vec<String>> = std::env::var("KCORE_DATASETS").ok().map(|s| {
-        s.split(',')
-            .map(|x| x.trim().to_ascii_lowercase())
-            .collect()
-    });
-    base.into_iter()
-        .filter(|d| {
-            filter
-                .as_ref()
-                .is_none_or(|f| f.iter().any(|x| x == &d.name.to_ascii_lowercase()))
-        })
+    let filter = std::env::var("KCORE_DATASETS").ok();
+    select(base, filter.as_deref())
+        .unwrap_or_else(|err| panic!("{err}"))
+        .into_iter()
         .map(prepare)
         .collect()
+}
+
+/// The datasets of `base` that a comma-separated, case-insensitive
+/// `KCORE_DATASETS` filter names, in `base`'s order (all of `base` without a
+/// filter). A name that matches nothing is an error naming it and the
+/// datasets that can be selected.
+pub(crate) fn select(base: Vec<Dataset>, filter: Option<&str>) -> Result<Vec<Dataset>, String> {
+    let Some(filter) = filter else {
+        return Ok(base);
+    };
+    let names: Vec<&str> = filter.split(',').map(str::trim).collect();
+    let named = |d: &Dataset, x: &str| d.name.eq_ignore_ascii_case(x);
+    let unmatched: Vec<&&str> = names
+        .iter()
+        .filter(|x| !base.iter().any(|d| named(d, x)))
+        .collect();
+    if !unmatched.is_empty() {
+        let known: Vec<&str> = base.iter().map(|d| d.name).collect();
+        let known = known.join(", ");
+        return Err(format!(
+            "KCORE_DATASETS names no dataset {unmatched:?}; choose from {known}"
+        ));
+    }
+    Ok(base
+        .into_iter()
+        .filter(|d| names.iter().any(|x| named(d, x)))
+        .collect())
 }
 
 /// Repetition count for avg ± std experiments.
@@ -157,7 +187,8 @@ pub enum Cell {
     /// Device out of memory.
     Oom,
     /// Implementation produced wrong core numbers (should never appear; kept
-    /// so the harness surfaces rather than hides a correctness regression).
+    /// so the harness surfaces rather than hides a correctness regression,
+    /// and `sweep --check` fails on it).
     Wrong,
 }
 
@@ -170,25 +201,6 @@ impl Cell {
         Cell::Time {
             avg_ms: avg,
             std_ms: var.sqrt(),
-        }
-    }
-
-    /// Builds a cell from one run outcome, checking correctness.
-    pub fn from_result(res: Result<(Vec<u32>, f64), SimError>, truth: &[u32]) -> Cell {
-        match res {
-            Ok((core, ms)) => {
-                if core == truth {
-                    Cell::Time {
-                        avg_ms: ms,
-                        std_ms: 0.0,
-                    }
-                } else {
-                    Cell::Wrong
-                }
-            }
-            Err(SimError::TimeLimit { .. }) => Cell::OverHour,
-            Err(SimError::Oom(_)) => Cell::Oom,
-            Err(e) => panic!("unexpected simulation failure: {e}"),
         }
     }
 
@@ -224,6 +236,12 @@ impl Cell {
 
 /// Prints an aligned text table.
 pub fn print_table(headers: &[String], rows: &[Vec<String>]) {
+    print!("{}", render_table(headers, rows));
+}
+
+/// An aligned text table: the header line, a rule, one line per row. The
+/// first column is left-aligned, the others right-aligned.
+pub(crate) fn render_table(headers: &[String], rows: &[Vec<String>]) -> String {
     let cols = headers.len();
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
@@ -244,16 +262,16 @@ pub fn print_table(headers: &[String], rows: &[Vec<String>]) {
                 s.push_str(&format!("{cell:>w$}"));
             }
         }
+        s.push('\n');
         s
     };
-    println!("{}", line(headers));
-    println!(
-        "{}",
-        "-".repeat(widths.iter().sum::<usize>() + 2 * (cols - 1))
-    );
+    let mut out = line(headers);
+    out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * (cols - 1)));
+    out.push('\n');
     for row in rows {
-        println!("{}", line(row));
+        out.push_str(&line(row));
     }
+    out
 }
 
 /// Marks the minimum time cell of a row with the paper's asterisk.
@@ -286,7 +304,6 @@ pub fn results_dir() -> PathBuf {
 /// the directory never sees two schemas under one name.
 pub fn save_trace(name: &str, trace: &kcore_gpusim::Trace) {
     let dir = results_dir().join("traces");
-    std::fs::create_dir_all(&dir).expect("create traces dir");
     let path = dir.join(format!("{name}.json"));
     if let Ok(old) = std::fs::read_to_string(&path) {
         let old_schema = serde_json::from_str(&old)
@@ -306,18 +323,16 @@ pub fn save_trace(name: &str, trace: &kcore_gpusim::Trace) {
             eprintln!("[trace {name}: overwriting previous dump]");
         }
     }
-    std::fs::write(&path, trace.to_json()).expect("write trace");
-    eprintln!("[saved {}]", path.display());
+    save(&format!("traces/{name}.json"), &trace.to_json());
 }
 
 /// Writes a [`Timeline`](kcore_gpusim::Timeline) as Chrome trace-event JSON
 /// into `results/traces/<name>.perfetto.json` (open in <https://ui.perfetto.dev>).
 pub fn save_timeline(name: &str, timeline: &kcore_gpusim::Timeline) {
-    let dir = results_dir().join("traces");
-    std::fs::create_dir_all(&dir).expect("create traces dir");
-    let path = dir.join(format!("{name}.perfetto.json"));
-    std::fs::write(&path, timeline.to_chrome_json()).expect("write timeline");
-    eprintln!("[saved {}]", path.display());
+    save(
+        &format!("traces/{name}.perfetto.json"),
+        &timeline.to_chrome_json(),
+    );
 }
 
 /// Env knob: set `KCORE_FLEET_TIMELINE=1` to make `inspect` and
@@ -337,15 +352,9 @@ pub fn fleet_timeline_enabled() -> bool {
 /// <https://ui.perfetto.dev> — one process per device plus the link
 /// process with worker→master→owner flow events).
 pub fn save_fleet(name: &str, fr: &kcore_gpu::FleetRun) {
-    let dir = results_dir().join("traces");
-    std::fs::create_dir_all(&dir).expect("create traces dir");
-    let path = dir.join(format!("{name}.fleet.json"));
-    std::fs::write(&path, fr.fleet.to_json()).expect("write fleet trace");
-    eprintln!("[saved {}]", path.display());
-    let path = dir.join(format!("{name}.fleet.perfetto.json"));
-    std::fs::write(&path, fr.fleet.merged_chrome_json(&fr.timelines))
-        .expect("write fleet timeline");
-    eprintln!("[saved {}]", path.display());
+    save(&format!("traces/{name}.fleet.json"), &fr.fleet.to_json());
+    let merged = fr.fleet.merged_chrome_json(&fr.timelines);
+    save(&format!("traces/{name}.fleet.perfetto.json"), &merged);
 }
 
 /// Checks `got` against the checked-in golden file at `path`, or writes it
@@ -472,10 +481,17 @@ impl ValidChurn {
 
 /// Serializes rows as JSON into `results/<name>.json`.
 pub fn save_json<T: Serialize>(name: &str, value: &T) {
-    let path = results_dir().join(format!("{name}.json"));
-    let mut f = std::fs::File::create(&path).expect("create results file");
-    let s = serde_json::to_string_pretty(value).expect("serialize results");
-    f.write_all(s.as_bytes()).expect("write results");
+    let json = serde_json::to_string_pretty(value).expect("serialize results");
+    save(&format!("{name}.json"), &json);
+}
+
+/// Writes `contents` to `results/<path>`, creating its directory, and
+/// announces the file on stderr.
+pub fn save(path: &str, contents: &str) {
+    let path = results_dir().join(path);
+    let dir = path.parent().expect("a file under the results dir");
+    std::fs::create_dir_all(dir).expect("create results dir");
+    std::fs::write(&path, contents).expect("write results file");
     eprintln!("[saved {}]", path.display());
 }
 
@@ -539,15 +555,6 @@ mod tests {
             .render(true),
             "1.25±0.50"
         );
-    }
-
-    #[test]
-    fn cell_from_result_checks_correctness() {
-        let truth = vec![1, 2];
-        let ok = Cell::from_result(Ok((vec![1, 2], 5.0)), &truth);
-        assert!(matches!(ok, Cell::Time { .. }));
-        let wrong = Cell::from_result(Ok((vec![1, 1], 5.0)), &truth);
-        assert!(matches!(wrong, Cell::Wrong));
     }
 
     #[test]
@@ -625,15 +632,50 @@ mod tests {
 
     #[test]
     fn smoke_env_prepares() {
-        std::env::set_var("KCORE_SMOKE", "1");
-        std::env::set_var("KCORE_DATASETS", "amazon0601");
-        let envs = prepare_all();
-        std::env::remove_var("KCORE_SMOKE");
-        std::env::remove_var("KCORE_DATASETS");
+        let d = select(datasets::smoke_subset(), Some("amazon0601")).unwrap();
+        let envs: Vec<Env> = d.into_iter().map(prepare).collect();
         assert_eq!(envs.len(), 1);
         let e = &envs[0];
         assert!(e.scale > 1.0);
         assert!(e.sim.time_limit_ms.unwrap() < PAPER_HOUR_MS);
         assert_eq!(e.truth.len() as u32, e.graph.num_vertices());
+    }
+
+    fn selected(base: Vec<Dataset>, filter: Option<&str>) -> Result<Vec<&'static str>, String> {
+        select(base, filter).map(|ds| ds.iter().map(|d| d.name).collect())
+    }
+
+    #[test]
+    fn select_matches_names_case_insensitively_in_registry_order() {
+        let all = datasets::registry().len();
+        assert_eq!(selected(datasets::registry(), None).unwrap().len(), all);
+        assert_eq!(
+            selected(datasets::registry(), Some(" WIKI-talk ,Amazon0601")),
+            Ok(vec!["amazon0601", "wiki-Talk"])
+        );
+    }
+
+    #[test]
+    fn select_rejects_a_typo_naming_it_and_the_choices() {
+        let err = selected(datasets::registry(), Some("amazon0601,amazon0602")).unwrap_err();
+        assert!(err.contains("[\"amazon0602\"]"), "{err}");
+        assert!(!err.contains("[\"amazon0601"), "{err}");
+        assert!(err.contains("choose from amazon0601, "), "{err}");
+        assert!(err.contains("com-Orkut"), "{err}");
+    }
+
+    #[test]
+    fn select_rejects_a_dataset_outside_the_smoke_subset() {
+        assert!(datasets::by_name("com-Orkut").is_some());
+        let err = selected(datasets::smoke_subset(), Some("com-Orkut")).unwrap_err();
+        assert!(err.contains("[\"com-Orkut\"]"), "{err}");
+        assert!(
+            !err.contains("choose from amazon0601, wiki-Talk, web-Google, "),
+            "{err}"
+        );
+        assert!(
+            err.ends_with("choose from amazon0601, wiki-Talk, web-Google"),
+            "{err}"
+        );
     }
 }

@@ -80,19 +80,26 @@ else
   exit 1
 fi
 
-echo "== memreport smoke (capacity forecasts + schema-v3 round-trip) =="
-# --check asserts that the paper's peeling kernel is predicted to fit in
-# 16 GB on every smoke dataset, and that a schema-v3 trace survives
-# to_json -> serde_json::from_str with its memstats block intact.
-mem_results="$(mktemp -d)"
-KCORE_SMOKE=1 KCORE_DATASETS=amazon0601,wiki-Talk KCORE_CACHE_DIR="$cache_dir" \
-  KCORE_RESULTS_DIR="$mem_results" ./target/release/memreport --check > /dev/null
-if [[ ! -s "$mem_results/table_mem.json" ]]; then
-  echo "ERROR: memreport did not write table_mem.json" >&2
-  exit 1
-fi
-rm -rf "$mem_results"
-echo "memreport smoke OK"
+echo "== sweep smoke (Tables II, III, V and table_mem from one capture set) =="
+# --check asserts that every cell computed the BZ core numbers, that each
+# peel variant's device peak and allocation list do not move with the
+# schedule seed, that no run finishing without OOM is forecast above 16 GB
+# (the paper's kernel included), and that a schema-v3 trace survives
+# to_json -> serde_json::from_str with its memstats block intact. All eight
+# table files must be written.
+sweep_results="$(mktemp -d)"
+KCORE_SMOKE=1 KCORE_CACHE_DIR="$cache_dir" \
+  KCORE_RESULTS_DIR="$sweep_results" ./target/release/sweep --check > /dev/null
+for f in table2 table3 table5 table_mem; do
+  for ext in txt json; do
+    if [[ ! -s "$sweep_results/$f.$ext" ]]; then
+      echo "ERROR: sweep did not write $f.$ext" >&2
+      exit 1
+    fi
+  done
+done
+rm -rf "$sweep_results"
+echo "sweep smoke OK"
 
 echo "== sharded scaling smoke (partition contract + fit forecast) =="
 # --check sweeps 1/2/4/8 workers over the smoke datasets, asserting

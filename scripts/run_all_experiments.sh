@@ -19,10 +19,19 @@ export KCORE_CACHE_DIR="${KCORE_CACHE_DIR:-$PWD/.kcore-cache}"
 
 cargo build --release -p kcore-bench
 
-for t in table1 table2 table3 table4 table5 table_dynamic fig10_case_study; do
+for t in table1 table4 table_dynamic; do
   echo "== $t =="
   ./target/release/$t | tee "results/$t.txt"
 done
+
+echo "== fig10_case_study =="
+./target/release/fig10_case_study | tee results/fig10.txt
+
+# Tables II, III and V and the full-scale P100 capacity report (memstats
+# extrapolation) from one sweep that runs every cell once. Writes
+# results/{table2,table3,table5,table_mem}.{txt,json} itself.
+echo "== sweep =="
+./target/release/sweep
 
 # Sharded scaling curve (1/2/4/8 workers on the @2x stand-ins, one
 # balanced-arc partition each) + the uk-2005 full-scale fit forecast.
@@ -33,11 +42,6 @@ echo "== table_scale =="
 # critical path across the sharded runs). Writes results/table_fleet.{json,txt}.
 echo "== fleetreport =="
 ./target/release/fleetreport > /dev/null   # writes results/table_fleet.{json,txt} itself
-
-# Full-scale P100 capacity report (memstats extrapolation; predicted-OOM
-# cells must line up with the N/A cells of tables 3 and 5).
-echo "== memreport =="
-./target/release/memreport | tee "results/table_mem.txt"
 
 echo "== criterion micro-benchmarks =="
 cargo bench -p kcore-bench
