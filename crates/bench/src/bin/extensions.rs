@@ -1,25 +1,22 @@
-//! Extension experiments beyond the paper's tables:
+//! Extension experiments beyond the paper's tables (the multi-GPU
+//! extension of §VII is `table_scale`'s):
 //!
-//! 1. **Multi-GPU scaling** (§VII future work): simulated time, sub-rounds
-//!    and inter-GPU traffic for 1/2/4/8 workers on three representative
-//!    datasets.
-//! 2. **Ring-buffer ablation** (§IV-C): the smallest per-block buffer that
+//! 1. **Ring-buffer ablation** (§IV-C): the smallest per-block buffer that
 //!    completes each dataset, with and without the ring layout — the ring's
 //!    slot recycling is what keeps the frontier footprint bounded.
-//! 3. **Direct GPU-MPM vs peeling vs Medusa-MPM**: the total-workload
+//! 2. **Direct GPU-MPM vs peeling vs Medusa-MPM**: the total-workload
 //!    trade-off the introduction discusses, measured.
 
 use kcore_bench::{prepare, print_table, save_json};
-use kcore_gpu::{decompose, decompose_multi, mpm_gpu, MultiGpuConfig, PeelConfig};
+use kcore_gpu::{decompose, mpm_gpu, PeelConfig};
 use kcore_gpusim::{KernelError, SimError};
 use kcore_systems::{medusa, FrameworkCosts};
 use serde::Serialize;
 
 #[derive(Serialize, Default)]
 struct Results {
-    multi_gpu: Vec<(String, usize, f64, u32, u64)>, // dataset, gpus, ms, sub_rounds, bytes
-    ring_ablation: Vec<(String, usize, usize)>,     // dataset, min cap ring, min cap no-ring
-    mpm_vs_peel: Vec<(String, f64, f64, f64)>,      // dataset, peel ms, gpu-mpm ms, medusa ms
+    ring_ablation: Vec<(String, usize, usize)>, // dataset, min cap ring, min cap no-ring
+    mpm_vs_peel: Vec<(String, f64, f64, f64)>,  // dataset, peel ms, gpu-mpm ms, medusa ms
 }
 
 fn min_buf_capacity(e: &kcore_bench::Env, ring: bool) -> usize {
@@ -60,41 +57,8 @@ fn main() {
     let names = ["amazon0601", "web-BerkStan", "soc-LiveJournal1"];
     let mut out = Results::default();
 
-    println!("EXTENSION 1 — MULTI-GPU SCALING (§VII future work)\n");
-    let mut rows = Vec::new();
-    for name in names {
-        let e = prepare(kcore_graph::datasets::by_name(name).unwrap());
-        for gpus in [1usize, 2, 4, 8] {
-            let cfg = MultiGpuConfig {
-                num_gpus: gpus,
-                peel: e.peel_cfg,
-                ..MultiGpuConfig::default()
-            };
-            let run = decompose_multi(&e.graph, &cfg, &e.sim).expect("multi-gpu");
-            assert_eq!(run.core, e.truth, "{name} x{gpus}");
-            rows.push(vec![
-                name.to_string(),
-                gpus.to_string(),
-                format!("{:.2}", run.total_ms),
-                run.sub_rounds.to_string(),
-                format!("{:.1}", run.exchanged_bytes as f64 / 1024.0),
-            ]);
-            out.multi_gpu.push((
-                name.into(),
-                gpus,
-                run.total_ms,
-                run.sub_rounds,
-                run.exchanged_bytes,
-            ));
-        }
-    }
-    print_table(
-        &["Dataset", "GPUs", "sim-ms", "sub-rounds", "exchanged-KB"].map(String::from),
-        &rows,
-    );
-
     println!(
-        "\nEXTENSION 2 — RING-BUFFER ABLATION (§IV-C): smallest per-block buffer that completes\n"
+        "EXTENSION 1 — RING-BUFFER ABLATION (§IV-C): smallest per-block buffer that completes\n"
     );
     let mut rows = Vec::new();
     for name in names {
@@ -115,7 +79,7 @@ fn main() {
     );
 
     println!(
-        "\nEXTENSION 3 — PEELING vs DIRECT GPU-MPM vs MEDUSA-MPM (total-workload trade-off)\n"
+        "\nEXTENSION 2 — PEELING vs DIRECT GPU-MPM vs MEDUSA-MPM (total-workload trade-off)\n"
     );
     let mut rows = Vec::new();
     for name in names {

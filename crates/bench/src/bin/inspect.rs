@@ -96,7 +96,7 @@ fn main() {
     // Fleet view: the sharded p=4 run with the exchange ledger, merged
     // multi-device Perfetto export, and per-round critical path.
     if fleet_timeline_enabled() {
-        let cap = capture(&e, Program::ShardedP4, 0, true);
+        let cap = capture(&e, Program::Sharded(4), 0, true);
         let Some(fr) = cap.fleet else {
             println!("Fleet p=4: {:?}", cap.outcome);
             return;
@@ -132,7 +132,6 @@ fn main() {
                 r.device, r.kernel_ms
             );
         }
-        let slug = format!("{}_fleet_p4", e.dataset.name.replace(['-', '.'], "_"));
-        save_fleet(&slug, &fr);
+        save_fleet(e.dataset.name, 4, &fr);
     }
 }

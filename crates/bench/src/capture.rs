@@ -18,8 +18,8 @@ pub enum Program {
     Gunrock,
     /// GSwitch, its round count taken from the known `k_max` (§V).
     Gswitch,
-    /// The sharded peel engine on four simulated devices.
-    ShardedP4,
+    /// The sharded peel engine on this many simulated devices.
+    Sharded(usize),
 }
 
 impl Program {
@@ -45,20 +45,21 @@ impl Program {
     }
 
     /// The program's column name.
-    pub fn name(self) -> &'static str {
+    pub fn name(self) -> String {
         match self {
             Program::Peel(compaction, buffering) => PeelConfig {
                 compaction,
                 buffering,
                 ..PeelConfig::default()
             }
-            .variant_name(),
-            Program::Vetga => "VETGA",
-            Program::MedusaMpm => "Medusa-MPM",
-            Program::MedusaPeel => "Medusa-Peel",
-            Program::Gunrock => "Gunrock",
-            Program::Gswitch => "GSwitch",
-            Program::ShardedP4 => "Sharded p=4",
+            .variant_name()
+            .into(),
+            Program::Vetga => "VETGA".into(),
+            Program::MedusaMpm => "Medusa-MPM".into(),
+            Program::MedusaPeel => "Medusa-Peel".into(),
+            Program::Gunrock => "Gunrock".into(),
+            Program::Gswitch => "GSwitch".into(),
+            Program::Sharded(p) => format!("Sharded p={p}"),
         }
     }
 }
@@ -99,11 +100,14 @@ pub struct RunCapture {
     pub fingerprint: u64,
     /// Device peak, bytes (the largest worker peak for the sharded engine).
     pub peak_bytes: u64,
-    /// The allocation ledger (`None` for the sharded engine's devices).
+    /// The allocation ledger (`None` for the sharded engine, whose kept
+    /// fleet run holds one ledger per worker trace).
     pub memstats: Option<MemStats>,
     /// The kernel trace, when asked for (single-device programs).
     pub trace: Option<Trace>,
-    /// The fleet run, when asked for (sharded engine, after a success).
+    /// The fleet run, when asked for (sharded engine, after a success): the
+    /// exchange ledger, and per worker a trace, with its allocation ledger,
+    /// and a timeline.
     pub fleet: Option<FleetRun>,
 }
 
@@ -127,9 +131,9 @@ impl RunCapture {
 /// dataset's scaled environment. `keep_trace` keeps the kernel trace (the
 /// fleet run for the sharded engine, which has no schedule seed).
 pub fn capture(e: &Env, program: Program, seed: u64, keep_trace: bool) -> RunCapture {
-    if program == Program::ShardedP4 {
+    if let Program::Sharded(p) = program {
         assert_eq!(seed, 0, "the sharded engine has no schedule seed");
-        return capture_sharded(e, keep_trace);
+        return capture_sharded(e, p, keep_trace);
     }
     let mut ctx = e.sim.context();
     ctx.set_schedule_seed(seed);
@@ -142,7 +146,7 @@ pub fn capture(e: &Env, program: Program, seed: u64, keep_trace: bool) -> RunCap
 ///
 /// # Panics
 ///
-/// On [`Program::ShardedP4`], which runs its own device contexts.
+/// On [`Program::Sharded`], which runs its own device contexts.
 pub fn capture_in(ctx: &mut GpuContext, e: &Env, program: Program, keep_trace: bool) -> RunCapture {
     // framework fixed-time constants scale with the dataset, like the
     // launch and PCIe overheads in `prepare`
@@ -162,7 +166,7 @@ pub fn capture_in(ctx: &mut GpuContext, e: &Env, program: Program, keep_trace: b
         Program::MedusaPeel => medusa::peel_in(ctx, g, &costs),
         Program::Gunrock => gunrock::peel_in(ctx, g, &costs),
         Program::Gswitch => gswitch::peel_in(ctx, g, e.k_max, &costs),
-        Program::ShardedP4 => panic!("the sharded engine runs its own devices: use `capture`"),
+        Program::Sharded(_) => panic!("the sharded engine runs its own devices: use `capture`"),
     };
     let (outcome, iterations) = classify(
         e,
@@ -187,22 +191,28 @@ pub fn capture_in(ctx: &mut GpuContext, e: &Env, program: Program, keep_trace: b
     }
 }
 
-fn capture_sharded(e: &Env, keep_trace: bool) -> RunCapture {
-    let cfg = MultiGpuConfig {
-        num_gpus: 4,
+/// The sharded engine's configuration for `e` on `p` devices: the
+/// dataset's scaled peel configuration on every worker.
+pub(crate) fn sharded_config(e: &Env, p: usize) -> MultiGpuConfig {
+    MultiGpuConfig {
+        num_gpus: p,
         peel: e.peel_cfg,
         ..MultiGpuConfig::default()
-    };
-    let label = format!("{} p=4 fleet", e.dataset.name);
-    let res = kcore_gpu::decompose_multi_fleet(&e.graph, &cfg, &e.sim, label);
+    }
+}
+
+fn capture_sharded(e: &Env, p: usize, keep_trace: bool) -> RunCapture {
+    let program = Program::Sharded(p);
+    let label = format!("{} p={p} fleet", e.dataset.name);
+    let res = kcore_gpu::decompose_multi_fleet(&e.graph, &sharded_config(e, p), &e.sim, label);
     let checked = res
         .as_ref()
         .map(|fr| (&fr.run.core[..], fr.run.rounds.into()));
-    let (outcome, iterations) = classify(e, Program::ShardedP4, checked);
+    let (outcome, iterations) = classify(e, program, checked);
     let fr = res.ok();
     let run = fr.as_ref().map(|fr| &fr.run);
     RunCapture {
-        program: Program::ShardedP4,
+        program,
         outcome,
         load_over_hour: false,
         sim_ms: run.map_or(0.0, |r| r.total_ms),
@@ -280,7 +290,7 @@ mod tests {
         e.sim = limits;
 
         e.truth[0] += 1;
-        for program in [Program::OURS, Program::MedusaMpm, Program::ShardedP4] {
+        for program in [Program::OURS, Program::MedusaMpm, Program::Sharded(4)] {
             let wrong = capture(&e, program, 0, false);
             assert_eq!(wrong.outcome, Outcome::WrongCores, "{program:?}");
             assert!(matches!(wrong.cell(), Cell::Wrong));
@@ -301,9 +311,11 @@ mod tests {
             assert_eq!(trace.label, format!("{} on amazon0601", program.name()));
             assert!(capture(&e, program, 2, false).trace.is_none());
         }
-        let sharded = capture(&e, Program::ShardedP4, 0, true);
+        let sharded = capture(&e, Program::Sharded(4), 0, true);
+        assert_eq!(sharded.program.name(), "Sharded p=4");
         let fr = sharded.fleet.expect("kept");
         assert_eq!(fr.run.total_ms.to_bits(), sharded.sim_ms.to_bits());
+        assert_eq!(fr.fleet.label, "amazon0601 p=4 fleet");
         assert!(sharded.memstats.is_none() && sharded.trace.is_none());
     }
 }

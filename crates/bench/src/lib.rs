@@ -23,12 +23,16 @@
 //!
 //! Every GPU program runs through one cell runner, [`capture`]; the
 //! [`Sweep`] runs each cell of Tables II, III and V and the capacity report
-//! once and renders the four tables from those captures.
+//! once and renders the four tables from those captures, and the
+//! [`ShardReport`] does the same for the sharded engine's scaling curve,
+//! fleet table and fit forecast.
 
 mod capture;
+mod scale;
 mod sweep;
 
 pub use capture::{capture, capture_in, Outcome, Program, RunCapture};
+pub use scale::{fleet_table, ShardCell, ShardReport};
 pub use sweep::{DatasetSweep, Sweep};
 
 use kcore_cpu::CoreAlgorithm;
@@ -121,17 +125,18 @@ pub fn prepare(dataset: Dataset) -> Env {
 /// Prepares all selected datasets (honoring `KCORE_SMOKE` / `KCORE_DATASETS`);
 /// panics if `KCORE_DATASETS` names a dataset outside the selectable set.
 pub fn prepare_all() -> Vec<Env> {
+    selected().into_iter().map(prepare).collect()
+}
+
+/// The datasets [`prepare_all`] prepares.
+pub(crate) fn selected() -> Vec<Dataset> {
     let base = if std::env::var_os("KCORE_SMOKE").is_some() {
         datasets::smoke_subset()
     } else {
         datasets::registry()
     };
     let filter = std::env::var("KCORE_DATASETS").ok();
-    select(base, filter.as_deref())
-        .unwrap_or_else(|err| panic!("{err}"))
-        .into_iter()
-        .map(prepare)
-        .collect()
+    select(base, filter.as_deref()).unwrap_or_else(|err| panic!("{err}"))
 }
 
 /// The datasets of `base` that a comma-separated, case-insensitive
@@ -345,13 +350,15 @@ pub fn fleet_timeline_enabled() -> bool {
     std::env::var_os(FLEET_TIMELINE_ENV).is_some()
 }
 
-/// Writes a [`FleetRun`](kcore_gpu::FleetRun)'s observability artifacts:
+/// Writes the observability artifacts of `dataset`'s sharded run on `p`
+/// devices, named `<dataset>_fleet_p<p>` with `-` and `.` turned into `_`:
 /// the fleet trace as `results/traces/<name>.fleet.json` and the merged
 /// multi-device Perfetto document as
 /// `results/traces/<name>.fleet.perfetto.json` (open in
 /// <https://ui.perfetto.dev> — one process per device plus the link
 /// process with worker→master→owner flow events).
-pub fn save_fleet(name: &str, fr: &kcore_gpu::FleetRun) {
+pub fn save_fleet(dataset: &str, p: usize, fr: &kcore_gpu::FleetRun) {
+    let name = format!("{}_fleet_p{p}", dataset.replace(['-', '.'], "_"));
     save(&format!("traces/{name}.fleet.json"), &fr.fleet.to_json());
     let merged = fr.fleet.merged_chrome_json(&fr.timelines);
     save(&format!("traces/{name}.fleet.perfetto.json"), &merged);

@@ -304,7 +304,7 @@ impl DatasetSweep {
                 let f: CapacityForecast = stats.extrapolate(full_v, full_a);
                 let run_oom = c.outcome == Outcome::Oom;
                 MemCell {
-                    system: c.program.name().to_string(),
+                    system: c.program.name(),
                     run_oom,
                     sim_peak_bytes: stats.peak_bytes,
                     predicted_peak_bytes: f.predicted_peak_bytes,
@@ -345,19 +345,16 @@ fn time_table<'a>(
 /// A table's header row: "Dataset", then the programs' names.
 fn headers(programs: &[Program]) -> Vec<String> {
     let names = programs.iter().map(|p| p.name());
-    std::iter::once("Dataset")
-        .chain(names)
-        .map(String::from)
-        .collect()
+    std::iter::once("Dataset".into()).chain(names).collect()
 }
 
 /// A table's text as its binary printed it: a blank line, the title, a
 /// blank line, the table.
-fn titled(title: &str, headers: &[String], rows: &[Vec<String>]) -> String {
+pub(crate) fn titled(title: &str, headers: &[String], rows: &[Vec<String>]) -> String {
     format!("\n{title}\n\n{}", render_table(headers, rows))
 }
 
-fn to_json<T: Serialize>(value: &T) -> String {
+pub(crate) fn to_json<T: Serialize>(value: &T) -> String {
     serde_json::to_string_pretty(value).expect("serialize results")
 }
 

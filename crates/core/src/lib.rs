@@ -53,6 +53,6 @@ pub use config::{Buffering, Compaction, PeelConfig};
 pub use dynamic::{BatchPath, BatchReport, DynamicConfig, DynamicCore};
 pub use kcore_gpusim::SimOptions;
 pub use multi_gpu::{
-    decompose_multi, decompose_multi_fleet, shard_memstats, FleetRun, MultiGpuConfig, MultiGpuRun,
+    decompose_multi, decompose_multi_fleet, FleetRun, MultiGpuConfig, MultiGpuRun,
 };
 pub use peel::{decompose, decompose_in, decompose_reference_in, GpuRun};

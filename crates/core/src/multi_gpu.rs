@@ -45,8 +45,8 @@
 use crate::config::PeelConfig;
 use crate::peel;
 use kcore_gpusim::{
-    BlockCtx, BufferId, ExchangeTrace, FleetMemStats, FleetTrace, FlowEdge, GpuContext,
-    KernelError, RoundTrace, SimError, SimOptions, SizeClass, SubRoundSlice, Timeline, Trace,
+    BlockCtx, BufferId, ExchangeTrace, FleetTrace, FlowEdge, GpuContext, KernelError, RoundTrace,
+    SimError, SimOptions, SizeClass, SubRoundSlice, Timeline, Trace,
 };
 use kcore_graph::{Csr, Partition, PartitionStrategy, Shard};
 use rayon::prelude::*;
@@ -216,8 +216,8 @@ struct FleetCapture {
     result_ms: f64,
 }
 
-/// The configuration checks shared by both sharded entry points and
-/// [`shard_memstats`]; [`decompose_multi`] lists what they reject.
+/// The configuration checks shared by both sharded entry points;
+/// [`decompose_multi`] lists what they reject.
 fn check_config(g: &Csr, cfg: &MultiGpuConfig) -> Result<(), SimError> {
     if cfg.num_gpus == 0 {
         return Err(SimError::InvalidConfig {
@@ -863,25 +863,6 @@ fn seed_frontier(
 
 fn max_f64(it: impl Iterator<Item = f64>) -> f64 {
     it.fold(0.0f64, f64::max)
-}
-
-/// Per-shard memory snapshots of the setup state (graph arrays + scratch +
-/// exchange staging), without running the decomposition — the fit-table
-/// path of the `table_scale` bench. Each device's [`kcore_gpusim::MemStats`]
-/// carries its shard-local workload dims for per-shard extrapolation. A
-/// configuration [`decompose_multi`] rejects is the same
-/// [`SimError::InvalidConfig`] here.
-pub fn shard_memstats(
-    g: &Csr,
-    cfg: &MultiGpuConfig,
-    opts: &SimOptions,
-) -> Result<FleetMemStats, SimError> {
-    check_config(g, cfg)?;
-    let part = Partition::build(g, cfg.num_gpus, cfg.partition);
-    let workers = build_workers(&part, cfg, opts)?;
-    Ok(FleetMemStats::new(
-        workers.iter().map(|w| w.ctx.memstats()).collect(),
-    ))
 }
 
 #[cfg(test)]

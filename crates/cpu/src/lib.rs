@@ -15,7 +15,6 @@
 //!   refinement, serial and parallel;
 //! * [`naive`] — a deliberately allocation-heavy dict-of-sets implementation
 //!   mirroring the algorithmic profile of NetworkX's `core_number`;
-//! * [`hcd`] — hierarchical core decomposition (related-work extension);
 //! * [`incremental`] — streaming core maintenance under edge
 //!   insertions/deletions (related-work extension, §II-C).
 //!
@@ -34,8 +33,6 @@
 #![allow(clippy::needless_range_loop)]
 
 pub mod bz;
-pub mod degeneracy;
-pub mod hcd;
 pub mod hindex;
 pub mod incremental;
 pub mod mpm;

@@ -357,7 +357,7 @@ impl FleetTrace {
     }
 
     /// Structural validation of the ledger against its own embedded device
-    /// traces — the `fleetreport --check` contract:
+    /// traces, which `table_scale` asserts on every sharded run:
     ///
     /// * every slice's `charged_ms` is its slowest device's clock delta,
     ///   `max(device_ms)`, **to the bit**, and every exchange's is

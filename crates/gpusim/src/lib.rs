@@ -78,8 +78,8 @@ pub use fleet::{
     SubRoundSlice, FLEET_SCHEMA_VERSION,
 };
 pub use memstats::{
-    CapacityForecast, FleetMemStats, LiveAlloc, MemStats, PhasePeak, PhaseTransfers,
-    MEMSTATS_SCHEMA_VERSION, P100_DEVICE_BYTES, PEAK_LIVE_SET_TOP_K,
+    CapacityForecast, LiveAlloc, MemStats, PhasePeak, PhaseTransfers, MEMSTATS_SCHEMA_VERSION,
+    P100_DEVICE_BYTES, PEAK_LIVE_SET_TOP_K,
 };
 pub use timeline::{
     BlockCost, CounterPoint, Hotspot, MemSpan, Timeline, TimelineSpan, TransferSpan,

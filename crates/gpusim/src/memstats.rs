@@ -104,7 +104,8 @@ pub struct LiveAlloc {
 }
 
 /// A full-scale capacity prediction derived from a reduced-scale run — the
-/// fit/OOM verdict column of the memreport table.
+/// fit/OOM verdict of `sweep`'s `table_mem` and of `table_scale`'s fit
+/// forecast.
 #[derive(Debug, Clone, Serialize)]
 pub struct CapacityForecast {
     /// Capacity of the target device ([`P100_DEVICE_BYTES`]).
@@ -224,44 +225,6 @@ impl MemStats {
             headroom_bytes: P100_DEVICE_BYTES as i64 - predicted as i64,
             top_contributors: top_live(&self.allocations, &live_at_peak, scaled),
         }
-    }
-}
-
-/// A multi-device memory rollup: one [`MemStats`] snapshot per worker
-/// device of a sharded run, in shard-index order. Each snapshot carries its
-/// own shard-local workload dimensions, so per-device forecasts are driven
-/// by [`MemStats::extrapolate`] on the individual entries; the rollup adds
-/// the fleet-level aggregates the scaling table reports.
-#[derive(Debug, Clone, Serialize)]
-pub struct FleetMemStats {
-    /// Serialization schema version ([`MEMSTATS_SCHEMA_VERSION`]).
-    pub schema_version: u32,
-    /// Per-device snapshots, in shard-index order.
-    pub devices: Vec<MemStats>,
-}
-
-impl FleetMemStats {
-    /// Wraps per-device snapshots into a rollup.
-    pub fn new(devices: Vec<MemStats>) -> Self {
-        FleetMemStats {
-            schema_version: MEMSTATS_SCHEMA_VERSION,
-            devices,
-        }
-    }
-
-    /// The largest single-device peak — the number that must fit one card.
-    pub fn max_device_peak_bytes(&self) -> u64 {
-        self.devices.iter().map(|d| d.peak_bytes).max().unwrap_or(0)
-    }
-
-    /// Sum of per-device peaks (fleet-wide footprint).
-    pub fn total_peak_bytes(&self) -> u64 {
-        self.devices.iter().map(|d| d.peak_bytes).sum()
-    }
-
-    /// Serializes the rollup as pretty-printed JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("fleet memstats serializes")
     }
 }
 

@@ -2,15 +2,13 @@
 //! motivating application ("detecting dense social communities").
 //!
 //! Generates an Orkut-like synthetic social network, runs the GPU peeling
-//! algorithm, inspects the core-number distribution, and uses hierarchical
-//! core decomposition to enumerate the connected dense communities at
-//! several depths.
+//! algorithm, inspects the core-number distribution, and extracts the
+//! deepest community, the `k_max`-core.
 //!
 //! ```bash
 //! cargo run --release --example social_communities
 //! ```
 
-use kcore::cpu::hcd;
 use kcore::gpu::{decompose, PeelConfig, SimOptions};
 use kcore::graph::gen;
 
@@ -48,35 +46,6 @@ fn main() {
 
     // The deepest community: the k_max-core (the planted clique should
     // dominate it).
-    let deepest: Vec<u32> = run
-        .core
-        .iter()
-        .enumerate()
-        .filter_map(|(v, &c)| (c == run.k_max).then_some(v as u32))
-        .collect();
-    println!(
-        "\nmost tightly-knit community (k_max-core): {} members",
-        deepest.len()
-    );
-
-    // Hierarchical core decomposition: connected dense communities per level.
-    let hier = hcd::build_hierarchy(&g, &run.core);
-    println!("\ncommunity hierarchy (connected k-core components):");
-    for k in [2u32, 4, 8, run.k_max.max(2)] {
-        let comps = hier.components_at(k);
-        if comps > 0 {
-            println!("  level {k:>4}: {comps} connected component(s)");
-        }
-    }
-
-    // Drill into the deepest component's membership via the hierarchy.
-    if let Some(&v0) = deepest.first() {
-        let node = hier.vertex_node[v0 as usize];
-        let members = hier.component_vertices(node);
-        println!(
-            "\ncomponent containing vertex {v0} at level {}: {} vertices",
-            hier.nodes[node].k,
-            members.len()
-        );
-    }
+    let deepest = run.core.iter().filter(|&&c| c == run.k_max).count();
+    println!("\nmost tightly-knit community (k_max-core): {deepest} members");
 }

@@ -101,19 +101,32 @@ done
 rm -rf "$sweep_results"
 echo "sweep smoke OK"
 
-echo "== sharded scaling smoke (partition contract + fit forecast) =="
-# --check sweeps 1/2/4/8 workers over the smoke datasets, asserting
-# sharded cores equal BZ, one device exchanges zero bytes and charges
-# bit-for-bit what the single-device engine charges, max per-device peak
-# shrinks as the pool grows, worker ledgers are shard-local, and the
-# uk-2005 @1x forecast fits on <= 8 x 16 GB devices.
+echo "== sharded report smoke (scaling curve, fleet table, fit forecast) =="
+# --check captures every (dataset, device count) cell once: the smoke
+# datasets at 1/2/4/8 workers (2 and 4 also feed the fleet table) and
+# uk-2005 @1x at 1/2/4/8 for the fit forecast. It asserts that every run
+# computes the BZ cores and its fleet ledger reconciles (each sub-round
+# slice charges exactly its slowest device's clock delta, bit-for-bit;
+# every exchange flow references a real pack/apply launch record; per-round
+# critical-path shares sum to 1.0); that one device exchanges zero bytes
+# and charges bit-for-bit what the single-device engine charges; that the
+# max per-device peak shrinks as the pool grows; that worker ledgers are
+# shard-local at 4 devices; that each fleet-table run's trace survives a
+# round trip through serde_json::from_str and equals decompose_multi's run
+# (cores, total_ms bits, worker fingerprints, exchanged bytes, sub-rounds);
+# and that the uk-2005 @1x forecast fits on <= 8 x 16 GB devices. All four
+# files must be written.
 scale_results="$(mktemp -d)"
 KCORE_SMOKE=1 KCORE_CACHE_DIR="$cache_dir" \
   KCORE_RESULTS_DIR="$scale_results" ./target/release/table_scale --check > /dev/null
-if [[ ! -s "$scale_results/table_scale.json" ]]; then
-  echo "ERROR: table_scale did not write table_scale.json" >&2
-  exit 1
-fi
+for f in table_scale table_fleet; do
+  for ext in txt json; do
+    if [[ ! -s "$scale_results/$f.$ext" ]]; then
+      echo "ERROR: table_scale did not write $f.$ext" >&2
+      exit 1
+    fi
+  done
+done
 rm -rf "$scale_results"
 echo "table_scale smoke OK"
 
@@ -133,27 +146,5 @@ if [[ ! -s "$dyn_results/table_dynamic.json" ]]; then
 fi
 rm -rf "$dyn_results"
 echo "dynamic smoke OK"
-
-echo "== fleet observability smoke (exchange ledger + merged export) =="
-# --check runs the sharded decomposition at p=2/4 with the fleet ledger
-# armed and asserts every sub-round slice charges exactly its slowest
-# device's clock delta (bit-for-bit), every exchange flow references a
-# real pack/apply launch record, per-round critical-path shares sum to
-# 1.0, and the trace survives a round trip through serde_json::from_str.
-# Observability only: it also runs decompose_multi and asserts the same
-# cores, total_ms bits, worker fingerprints, exchanged bytes and sub-rounds.
-fleet_results="$(mktemp -d)"
-KCORE_SMOKE=1 KCORE_DATASETS=amazon0601,wiki-Talk KCORE_CACHE_DIR="$cache_dir" \
-  KCORE_RESULTS_DIR="$fleet_results" ./target/release/fleetreport --check > /dev/null
-if [[ ! -s "$fleet_results/table_fleet.json" ]]; then
-  echo "ERROR: fleetreport did not write table_fleet.json" >&2
-  exit 1
-fi
-if [[ ! -s "$fleet_results/table_fleet.txt" ]]; then
-  echo "ERROR: fleetreport did not write table_fleet.txt" >&2
-  exit 1
-fi
-rm -rf "$fleet_results"
-echo "fleetreport smoke OK"
 
 echo "== ci.sh: all green =="

@@ -33,15 +33,16 @@ echo "== fig10_case_study =="
 echo "== sweep =="
 ./target/release/sweep
 
-# Sharded scaling curve (1/2/4/8 workers on the @2x stand-ins, one
-# balanced-arc partition each) + the uk-2005 full-scale fit forecast.
+# The sharded report from one run per (dataset, device count) cell: the
+# scaling curve (1/2/4/8 workers on the @2x stand-ins) with the uk-2005
+# full-scale fit forecast, and the fleet table (every stand-in at 2 and 4
+# workers). Writes results/{table_scale,table_fleet}.{txt,json} itself.
 echo "== table_scale =="
-./target/release/table_scale | tee "results/table_scale.txt"
+./target/release/table_scale
 
-# Fleet observability report (exchange ledger, per-shard rollups, per-round
-# critical path across the sharded runs). Writes results/table_fleet.{json,txt}.
-echo "== fleetreport =="
-./target/release/fleetreport > /dev/null   # writes results/table_fleet.{json,txt} itself
+# Ring-buffer ablation and peeling vs direct GPU-MPM vs Medusa-MPM.
+echo "== extensions =="
+./target/release/extensions | tee results/extensions.txt
 
 echo "== criterion micro-benchmarks =="
 cargo bench -p kcore-bench

@@ -1,7 +1,6 @@
 //! Integration tests for the extension modules: multi-GPU decomposition
-//! (§VII future work), the direct GPU-MPM kernel, streaming core
-//! maintenance, and degeneracy-ordering applications — all cross-validated
-//! against the core pipeline.
+//! (§VII future work), the direct GPU-MPM kernel and streaming core
+//! maintenance — all cross-validated against the core pipeline.
 
 use kcore::cpu::{self, CoreAlgorithm};
 use kcore::gpu::{decompose, decompose_multi, mpm_gpu, MultiGpuConfig, PeelConfig, SimOptions};
@@ -91,19 +90,6 @@ fn incremental_maintenance_tracks_growing_snapshot() {
         dyn_g.insert_edge(u, v);
     }
     assert_eq!(dyn_g.cores(), &cpu::bz::Bz.run(&final_g)[..]);
-}
-
-#[test]
-fn degeneracy_order_consistent_with_gpu_cores() {
-    let g = gen::plant_clique(&gen::erdos_renyi_gnm(1_500, 4_000, 2), 18, 3);
-    let run = decompose(&g, &small_peel(), &SimOptions::default()).unwrap();
-    let (_, degeneracy) = cpu::degeneracy::degeneracy_order(&g);
-    assert_eq!(degeneracy, run.k_max);
-    // clique pruning keeps exactly the deep-core survivors
-    let (survivors, _) = cpu::degeneracy::prune_for_clique(&g, run.k_max + 1);
-    for &v in &survivors {
-        assert!(run.core[v as usize] >= run.k_max);
-    }
 }
 
 proptest! {

@@ -8,10 +8,12 @@
 //! round-trip form, so a move of one ulp in `sim_ms`, either way, changes
 //! the text. `tables_smoke/` holds the eight files `sweep` writes (Tables
 //! II, III and V and `table_mem`, text and JSON) at the default three
-//! seeded runs. Every cell is deterministic and independent of the rayon
-//! width, so the exact compare cannot flake. The dataset list is
+//! seeded runs, and the fleet table `table_scale` writes (text and JSON).
+//! Every cell is deterministic and independent of the rayon width, so the
+//! exact compare cannot flake. The dataset list is
 //! `datasets::smoke_subset()` itself: no environment variable narrows it.
-//! Both tests read one smoke sweep, so each cell runs once per test binary.
+//! The tests read one smoke capture set, so each cell runs once per test
+//! binary.
 //!
 //! After an *intentional* change to what the simulator charges, regenerate
 //! the golden files and record the reason in CHANGES.md:
@@ -20,7 +22,10 @@
 //! KCORE_BLESS=1 cargo test --test golden_bench
 //! ```
 
-use kcore_bench::{assert_golden, capture, prepare, Env, Outcome, Program, RunCapture, Sweep};
+use kcore_bench::{
+    assert_golden, capture, fleet_table, prepare, Env, Outcome, Program, RunCapture, ShardCell,
+    Sweep,
+};
 use kcore_graph::datasets;
 use serde::Serialize;
 use std::path::PathBuf;
@@ -29,7 +34,7 @@ use std::sync::OnceLock;
 #[derive(Serialize)]
 struct BenchCell {
     dataset: &'static str,
-    impl_name: &'static str,
+    impl_name: String,
     /// `"ok"`, `"wrong"`, `"timeout"`, `"oom"` or `"load_timeout"`.
     status: &'static str,
     sim_ms: f64,
@@ -67,13 +72,28 @@ impl BenchCell {
     }
 }
 
-/// The smoke environments and their sweep at three seeded runs.
-fn smoke() -> &'static (Vec<Env>, Sweep) {
-    static SMOKE: OnceLock<(Vec<Env>, Sweep)> = OnceLock::new();
+/// The smoke environments, their sweep at three seeded runs, and per
+/// dataset the sharded engine's kept runs on two and four devices.
+struct Smoke {
+    envs: Vec<Env>,
+    sweep: Sweep,
+    sharded: Vec<[RunCapture; 2]>,
+}
+
+fn smoke() -> &'static Smoke {
+    static SMOKE: OnceLock<Smoke> = OnceLock::new();
     SMOKE.get_or_init(|| {
         let envs: Vec<Env> = datasets::smoke_subset().into_iter().map(prepare).collect();
         let sweep = Sweep::run(&envs, 3);
-        (envs, sweep)
+        let sharded = envs
+            .iter()
+            .map(|e| [2, 4].map(|p| capture(e, Program::Sharded(p), 0, true)))
+            .collect();
+        Smoke {
+            envs,
+            sweep,
+            sharded,
+        }
     })
 }
 
@@ -81,18 +101,26 @@ fn golden_text(cells: &[BenchCell]) -> String {
     serde_json::to_string_pretty(cells).unwrap()
 }
 
+fn tables_dir() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/tables_smoke")
+}
+
 /// Table III's programs from the sweep's seed-0 runs, then the sharded
 /// engine on four devices.
 #[test]
 fn smoke_cells_match_checked_in_golden() {
-    let (envs, sweep) = smoke();
+    let smoke = smoke();
     let mut cells = Vec::new();
-    for (e, d) in envs.iter().zip(&sweep.datasets) {
-        let sharded = capture(e, Program::ShardedP4, 0, false);
+    for ((e, d), [_, p4]) in smoke
+        .envs
+        .iter()
+        .zip(&smoke.sweep.datasets)
+        .zip(&smoke.sharded)
+    {
         cells.extend(
             d.seed0
                 .iter()
-                .chain([&sharded])
+                .chain([p4])
                 .map(|c| BenchCell::new(e.dataset.name, c)),
         );
     }
@@ -103,19 +131,32 @@ fn smoke_cells_match_checked_in_golden() {
 /// The eight files `KCORE_SMOKE=1 sweep` writes, and its `--check`.
 #[test]
 fn smoke_tables_match_checked_in_golden() {
-    let (_, sweep) = smoke();
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/tables_smoke");
+    let sweep = &smoke().sweep;
     for (name, text) in sweep.files() {
-        assert_golden(&dir.join(name), &text);
+        assert_golden(&tables_dir().join(name), &text);
     }
     sweep.check();
+}
+
+/// The fleet table `KCORE_SMOKE=1 table_scale` writes: the smoke datasets
+/// on two and four devices.
+#[test]
+fn smoke_fleet_table_matches_checked_in_golden() {
+    let smoke = smoke();
+    let runs = smoke.envs.iter().zip(&smoke.sharded);
+    let cells: Vec<ShardCell> = runs
+        .flat_map(|(e, caps)| caps.iter().map(move |c| ShardCell::new(e, c)))
+        .collect();
+    let (text, json) = fleet_table(&cells);
+    assert_golden(&tables_dir().join("table_fleet.txt"), &text);
+    assert_golden(&tables_dir().join("table_fleet.json"), &json);
 }
 
 #[test]
 fn a_one_ulp_move_in_sim_ms_changes_the_golden_text() {
     let cell = |sim_ms: f64| BenchCell {
         dataset: "amazon0601",
-        impl_name: "Ours",
+        impl_name: "Ours".into(),
         status: "ok",
         sim_ms,
         launches: 34,

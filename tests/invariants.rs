@@ -116,22 +116,6 @@ proptest! {
         }
     }
 
-    /// The hierarchy attaches every vertex at its own core level, and
-    /// parents are at strictly shallower levels.
-    #[test]
-    fn hierarchy_structure(g in graph_strategy(40, 160)) {
-        let core = cpu::bz::Bz.run(&g);
-        let h = cpu::hcd::build_hierarchy(&g, &core);
-        for (v, &node) in h.vertex_node.iter().enumerate() {
-            prop_assert_eq!(h.nodes[node].k, core[v]);
-        }
-        for node in &h.nodes {
-            if let Some(p) = node.parent {
-                prop_assert!(h.nodes[p].k < node.k);
-            }
-        }
-    }
-
     /// Degeneracy bound: k_max <= max degree, and k_max*(k_max+1)/2 <= |E|.
     #[test]
     fn kmax_bounds(g in graph_strategy(50, 200)) {

@@ -17,8 +17,8 @@
 
 use kcore::cpu::{self, CoreAlgorithm};
 use kcore::gpu::{
-    decompose, decompose_multi, decompose_multi_fleet, shard_memstats, FleetRun, MultiGpuConfig,
-    MultiGpuRun, PeelConfig, SimOptions,
+    decompose, decompose_multi, decompose_multi_fleet, FleetRun, MultiGpuConfig, MultiGpuRun,
+    PeelConfig, SimOptions,
 };
 use kcore::gpusim::{Counters, LaunchConfig, SimError, TRACE_SCHEMA_VERSION};
 use kcore::graph::{gen, Csr};
@@ -163,8 +163,8 @@ proptest! {
 // Configuration errors
 // ---------------------------------------------------------------------------
 
-/// Zero devices is a typed error from both sharded entry points and from
-/// the per-shard memory forecast, on an empty graph as on any other.
+/// Zero devices is a typed error from both sharded entry points, on an
+/// empty graph as on any other.
 #[test]
 fn zero_devices_is_a_typed_error() {
     let cfg = small_cfg(0);
@@ -180,7 +180,6 @@ fn zero_devices_is_a_typed_error() {
             decompose_multi_fleet(&g, &cfg, &opts, "zero").unwrap_err(),
             want
         );
-        assert_eq!(shard_memstats(&g, &cfg, &opts).unwrap_err(), want);
     }
     assert_eq!(
         want.to_string(),
@@ -190,8 +189,7 @@ fn zero_devices_is_a_typed_error() {
 
 /// Link constants that would charge a NaN, infinite or negative time, and
 /// more devices than the owner map can index, are typed errors from both
-/// sharded entry points and the per-shard memory forecast rather than a
-/// nonsense total or a panic.
+/// sharded entry points rather than a nonsense total or a panic.
 #[test]
 fn bad_link_constants_and_device_counts_are_typed_errors() {
     let rmat = gen::rmat(9, 2_000, gen::RmatParams::graph500(), 7);
@@ -219,7 +217,6 @@ fn bad_link_constants_and_device_counts_are_typed_errors() {
         let errs = [
             decompose_multi(g, &cfg, &opts).map(|r| r.total_ms),
             decompose_multi_fleet(g, &cfg, &opts, "bad").map(|f| f.run.total_ms),
-            shard_memstats(g, &cfg, &opts).map(|m| m.devices.len() as f64),
         ];
         for err in errs {
             match err {
