@@ -22,6 +22,7 @@ use kcore_bench::{
     capture, capture_in, fleet_timeline_enabled, prepare, save_fleet, save_timeline, save_trace,
     Outcome, Program,
 };
+use kcore_gpusim::DeviceRollup;
 
 fn main() {
     let name = std::env::args()
@@ -102,7 +103,7 @@ fn main() {
             return;
         };
         fr.fleet
-            .check_well_formed()
+            .check_well_formed(&fr.traces)
             .expect("fleet ledger must reconcile with the device clocks");
         println!(
             "\nFleet p=4      {:>10.3} ms  {} rounds, {} exchange rounds, {} border packets, {} B exchanged",
@@ -125,7 +126,8 @@ fn main() {
                 c.bounding_resource,
             );
         }
-        for r in &fr.fleet.device_rollups {
+        for (d, t) in fr.traces.iter().enumerate() {
+            let r = DeviceRollup::from_trace(d, t);
             let (bucket, ms) = r.dominant();
             println!(
                 "    device {} rollup: {:.3} ms kernels, dominant {bucket} ({ms:.3} ms)",

@@ -300,34 +300,9 @@ pub fn results_dir() -> PathBuf {
     p
 }
 
-/// Writes a captured kernel [`Trace`](kcore_gpusim::Trace) as pretty-printed
-/// JSON into `results/traces/<name>.json`.
-///
-/// Overwriting a previous dump is announced rather than silent, and a
-/// previous dump written under a *different* trace schema is preserved as
-/// `<name>.schema<v>.json` instead of being mixed over — tooling scanning
-/// the directory never sees two schemas under one name.
+/// Writes a captured kernel [`Trace`](kcore_gpusim::Trace) as a JSON
+/// document into `results/traces/<name>.json`.
 pub fn save_trace(name: &str, trace: &kcore_gpusim::Trace) {
-    let dir = results_dir().join("traces");
-    let path = dir.join(format!("{name}.json"));
-    if let Ok(old) = std::fs::read_to_string(&path) {
-        let old_schema = serde_json::from_str(&old)
-            .ok()
-            .and_then(|v| v.get("schema_version").and_then(serde_json::Value::as_u64))
-            // PR 1 traces predate the schema_version field
-            .unwrap_or(1);
-        if old_schema != kcore_gpusim::TRACE_SCHEMA_VERSION as u64 {
-            let aside = dir.join(format!("{name}.schema{old_schema}.json"));
-            std::fs::rename(&path, &aside).expect("preserve old-schema trace");
-            eprintln!(
-                "[trace {name}: previous dump used schema {old_schema} (current {}); kept as {}]",
-                kcore_gpusim::TRACE_SCHEMA_VERSION,
-                aside.display()
-            );
-        } else {
-            eprintln!("[trace {name}: overwriting previous dump]");
-        }
-    }
     save(&format!("traces/{name}.json"), &trace.to_json());
 }
 
@@ -352,16 +327,46 @@ pub fn fleet_timeline_enabled() -> bool {
 
 /// Writes the observability artifacts of `dataset`'s sharded run on `p`
 /// devices, named `<dataset>_fleet_p<p>` with `-` and `.` turned into `_`:
-/// the fleet trace as `results/traces/<name>.fleet.json` and the merged
-/// multi-device Perfetto document as
+/// the fleet ledger with its worker traces as
+/// `results/traces/<name>.fleet.json` and the merged multi-device Perfetto
+/// document as
 /// `results/traces/<name>.fleet.perfetto.json` (open in
 /// <https://ui.perfetto.dev> — one process per device plus the link
 /// process with worker→master→owner flow events).
 pub fn save_fleet(dataset: &str, p: usize, fr: &kcore_gpu::FleetRun) {
     let name = format!("{}_fleet_p{p}", dataset.replace(['-', '.'], "_"));
-    save(&format!("traces/{name}.fleet.json"), &fr.fleet.to_json());
-    let merged = fr.fleet.merged_chrome_json(&fr.timelines);
+    save(
+        &format!("traces/{name}.fleet.json"),
+        &fr.fleet.to_json(&fr.traces),
+    );
+    let merged = fr.fleet.merged_chrome_json(&fr.traces, &fr.timelines);
     save(&format!("traces/{name}.fleet.perfetto.json"), &merged);
+}
+
+/// Parses a written schema document back through the workspace's JSON
+/// reader (`serde_json::from_str`) and panics unless it prints back to the
+/// same bytes and states `"schema_version":`
+/// [`SCHEMA_VERSION`](kcore_gpusim::SCHEMA_VERSION) exactly once, as the
+/// first key of its top level — the `--check` of `sweep` (on a trace) and
+/// of `table_scale` (on each fleet-table run's `.fleet.json` document).
+pub(crate) fn check_round_trip(doc: &str) {
+    let v = serde_json::from_str(doc).expect("a written document must parse");
+    let back = serde_json::to_string_pretty(&v).expect("a parsed document prints");
+    assert!(
+        back == doc,
+        "a document must survive the round trip byte for byte"
+    );
+    let version = kcore_gpusim::SCHEMA_VERSION;
+    let head = format!("{{\n  \"schema_version\": {version},\n");
+    assert!(
+        doc.starts_with(&head),
+        "a document must open with schema_version {version}"
+    );
+    assert_eq!(
+        doc.matches("\"schema_version\"").count(),
+        1,
+        "a document states its schema version once"
+    );
 }
 
 /// Checks `got` against the checked-in golden file at `path`, or writes it
@@ -582,8 +587,11 @@ mod tests {
     }
 
     fn panic_message(f: impl FnOnce() + std::panic::UnwindSafe) -> String {
-        let err = std::panic::catch_unwind(f).expect_err("assert_golden passed");
-        *err.downcast::<String>().unwrap()
+        let err = std::panic::catch_unwind(f).expect_err("the check passed");
+        match err.downcast::<String>() {
+            Ok(msg) => *msg,
+            Err(err) => err.downcast_ref::<&str>().unwrap().to_string(),
+        }
     }
 
     #[test]
@@ -635,6 +643,29 @@ mod tests {
             assert!(msg.contains("KCORE_BLESS=1"), "{msg}");
         }
         std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+    }
+
+    #[test]
+    fn round_trip_check_wants_one_current_version_on_top() {
+        let mut ctx = kcore_gpusim::SimOptions::default().context();
+        ctx.htod("x", &[1, 2, 3]).unwrap();
+        let doc = ctx.trace("probe").to_json();
+        check_round_trip(&doc);
+        let nested = doc.replacen(
+            "\"label\": \"probe\"",
+            "\"label\": {\n    \"schema_version\": 4\n  }",
+            1,
+        );
+        let old = doc.replacen("\"schema_version\": 4", "\"schema_version\": 3", 1);
+        let compact = serde_json::to_string(&serde_json::from_str(&doc).unwrap()).unwrap();
+        for (bad, why) in [
+            (nested, "states its schema version once"),
+            (old, "open with schema_version 4"),
+            (compact, "byte for byte"),
+        ] {
+            let msg = panic_message(|| check_round_trip(&bad));
+            assert!(msg.contains(why), "{msg}");
+        }
     }
 
     #[test]

@@ -26,15 +26,14 @@
 use crate::capture::sharded_config;
 use crate::sweep::{titled, to_json};
 use crate::{
-    capture, fleet_timeline_enabled, prepare, render_table, save_fleet, selected, Env, Outcome,
-    Program, RunCapture,
+    capture, check_round_trip, fleet_timeline_enabled, prepare, render_table, save_fleet, selected,
+    Env, Outcome, Program, RunCapture,
 };
 use kcore_gpu::{decompose, decompose_multi, FleetRun};
-use kcore_gpusim::{FleetTrace, FLEET_SCHEMA_VERSION, P100_DEVICE_BYTES};
+use kcore_gpusim::{DeviceRollup, FleetTrace, P100_DEVICE_BYTES};
 use kcore_graph::datasets::{self, Dataset};
 use kcore_graph::{Partition, PartitionStats};
 use serde::Serialize;
-use serde_json::Value;
 
 /// The device counts of the scaling curve and of the fit forecast.
 const CURVE_DEVICES: [usize; 4] = [1, 2, 4, 8];
@@ -221,7 +220,7 @@ impl ShardCell {
             run, traces, fleet, ..
         } = cap.fleet.as_ref().expect("the capture keeps the fleet run");
         fleet
-            .check_well_formed()
+            .check_well_formed(traces)
             .expect("fleet ledger must reconcile with the device clocks");
         let critical = CriticalAgg::from_fleet(fleet);
         let partition = Partition::build(&e.graph, p, sharded_config(e, p).partition).stats();
@@ -258,8 +257,8 @@ impl ShardCell {
                 devices: fleet.num_devices,
                 total_ms: fleet.total_ms,
                 rounds: fleet.rounds.len(),
-                exchange_rounds: fleet.exchange_rounds,
-                border_packets: fleet.border_packets,
+                exchange_rounds: run.exchange_rounds,
+                border_packets: run.border_packets,
                 exchanged_bytes: fleet.exchanged_bytes,
                 partition,
                 compute_ms: critical.compute_ms,
@@ -273,10 +272,11 @@ impl ShardCell {
                     link: critical.link_bound_rounds,
                     idle: critical.idle_rounds(),
                 },
-                devices_rollup: fleet
-                    .device_rollups
+                devices_rollup: traces
                     .iter()
-                    .map(|r| {
+                    .enumerate()
+                    .map(|(d, t)| {
+                        let r = DeviceRollup::from_trace(d, t);
                         let (bucket, ms) = r.dominant();
                         RollupRow {
                             device: r.device,
@@ -318,11 +318,11 @@ impl ShardReport {
     /// exchanges nothing and charges bit-for-bit what the single-device
     /// engine charges; the largest per-device peak shrinks as the pool
     /// grows; at four devices every worker ledger is shard-local; each
-    /// fleet-table run's ledger survives a round trip through
-    /// `serde_json::from_str` and the run is the one `decompose_multi`
-    /// returns; and uk-2005 fits on eight 16 GB devices. Whether checked
-    /// or not, every run must compute the BZ core numbers and reconcile
-    /// its fleet ledger ([`ShardCell::new`]).
+    /// fleet-table run's `.fleet.json` document survives the round trip
+    /// through `serde_json::from_str` (`check_round_trip`) and the run is
+    /// the one `decompose_multi` returns; and uk-2005 fits on eight 16 GB
+    /// devices. Whether checked or not, every run must compute the BZ core
+    /// numbers and reconcile its fleet ledger ([`ShardCell::new`]).
     pub fn run(check: bool) -> ShardReport {
         let fleet = selected();
         let curve = if check {
@@ -584,44 +584,8 @@ fn check_run(e: &Env, p: usize, fr: &FleetRun, curve_p1: bool, fleet: bool) {
         }
     }
     if fleet {
-        check_round_trip(&fr.fleet);
+        check_round_trip(&fr.fleet.to_json(&fr.traces));
         check_matches_decompose_multi(e, p, fr);
-    }
-}
-
-/// The fleet ledger must survive a round trip through the workspace's one
-/// JSON reader, its critical-path shares summing to 1.0.
-fn check_round_trip(fleet: &FleetTrace) {
-    let v = serde_json::from_str(&fleet.to_json()).expect("fleet JSON must parse");
-    let int = |key: &str| v.get(key).and_then(Value::as_u64);
-    let len = |key: &str| v.get(key).and_then(Value::as_array).map(Vec::len);
-    let schema = Some(FLEET_SCHEMA_VERSION as u64);
-    assert_eq!(
-        int("schema_version"),
-        schema,
-        "schema_version must round-trip"
-    );
-    let label = v.get("label").and_then(Value::as_str);
-    assert_eq!(label, Some(fleet.label.as_str()));
-    assert_eq!(int("num_devices"), Some(fleet.num_devices as u64));
-    let total = v.get("total_ms").and_then(Value::as_f64).expect("total_ms");
-    assert!(
-        (total - fleet.total_ms).abs() <= 1e-9 * fleet.total_ms.max(1.0),
-        "total_ms must survive the round trip ({total} vs {})",
-        fleet.total_ms
-    );
-    assert_eq!(len("rounds"), Some(fleet.rounds.len()));
-    assert_eq!(len("critical_path"), Some(fleet.critical_path.len()));
-    for c in v.get("critical_path").and_then(Value::as_array).unwrap() {
-        let shares = ["compute", "cascade", "exchange", "link"].map(|k| {
-            let share = c.get(&format!("{k}_share")).and_then(Value::as_f64);
-            share.expect("share field")
-        });
-        let share: f64 = shares.iter().sum();
-        assert!(
-            share == 0.0 || (share - 1.0).abs() < 1e-9,
-            "critical-path shares must sum to 1.0 (got {share})"
-        );
     }
 }
 

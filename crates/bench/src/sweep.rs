@@ -15,12 +15,13 @@
 //! `deg[]` atomics, so the SM makespan moves with the hardware-scheduling
 //! seed, as the paper's GPU timings varied by up to 30%.
 
-use crate::{capture, mark_best, render_table, Cell, Env, Outcome, Program, RunCapture};
+use crate::{
+    capture, check_round_trip, mark_best, render_table, Cell, Env, Outcome, Program, RunCapture,
+};
 use kcore_gpu::{Buffering, Compaction};
 use kcore_gpusim::{CapacityForecast, SimOptions, P100_DEVICE_BYTES};
 use kcore_graph::datasets::Dataset;
 use serde::Serialize;
-use serde_json::Value;
 
 /// One dataset's captures.
 pub struct DatasetSweep {
@@ -227,8 +228,8 @@ impl Sweep {
     /// Ours' seed-0 run included (Table V shows one seed for all); no run
     /// that finished without OOM is forecast above 16 GB (an OOM run's
     /// forecast is only a lower bound); the paper's kernel is forecast to
-    /// fit everywhere; and a schema-v3 trace round-trips through
-    /// `serde_json` with its `memstats` block.
+    /// fit everywhere; and a trace document survives the round trip through
+    /// `serde_json::from_str` at the current schema (`check_round_trip`).
     pub fn check(&self) {
         for d in &self.datasets {
             let name = d.dataset.name;
@@ -274,7 +275,11 @@ impl Sweep {
                 );
             }
         }
-        check_v3_round_trip();
+        let mut probe = SimOptions::default().context();
+        probe
+            .htod("probe", &[1u32, 2, 3])
+            .expect("a 12-byte probe fits the default device");
+        check_round_trip(&probe.trace("round-trip probe").to_json());
         eprintln!(
             "[sweep] check OK: correct cores, seed-independent peel memory, every finished run fits"
         );
@@ -356,23 +361,4 @@ pub(crate) fn titled(title: &str, headers: &[String], rows: &[Vec<String>]) -> S
 
 pub(crate) fn to_json<T: Serialize>(value: &T) -> String {
     serde_json::to_string_pretty(value).expect("serialize results")
-}
-
-/// A v3 trace must survive `to_json` → `serde_json::from_str` with
-/// schema_version 3 and a memstats block.
-fn check_v3_round_trip() {
-    let mut ctx = SimOptions::default().context();
-    ctx.htod("probe", &[1u32, 2, 3])
-        .expect("a 12-byte probe fits the default device");
-    let json = ctx.trace("v3 round-trip probe").to_json();
-    let v = serde_json::from_str(&json).expect("v3 trace must parse");
-    let schema = v.get("schema_version").and_then(Value::as_u64);
-    assert_eq!(schema, Some(3), "trace schema_version must be 3");
-    let peak = v.get("memstats").and_then(|m| m.get("peak_bytes"));
-    let peak = peak.and_then(Value::as_u64);
-    assert_eq!(
-        peak,
-        Some(12),
-        "memstats peak must round-trip (3 u32 words)"
-    );
 }

@@ -44,12 +44,6 @@ use std::sync::atomic::Ordering;
 pub struct DynamicConfig {
     /// Kernel launch geometry for the traversal/counter kernels.
     pub launch: LaunchConfig,
-    /// Per-block frontier buffer capacity in words; `0` = auto (`n.max(64)`,
-    /// which can never overflow because every frontier is deduplicated).
-    pub buf_capacity: usize,
-    /// Device staging capacity in *updates* per structural H2D copy; larger
-    /// batches are processed in chunks of this many net updates.
-    pub batch_capacity: usize,
     /// Net-update count at and above which the engine abandons maintenance
     /// and re-peels from scratch.
     pub crossover: usize,
@@ -70,8 +64,6 @@ impl Default for DynamicConfig {
                 blocks: 8,
                 threads_per_block: 128,
             },
-            buf_capacity: 0,
-            batch_capacity: 1024,
             crossover: 4096,
             slack: 8,
             peel: PeelConfig::default(),
@@ -160,6 +152,15 @@ pub struct BatchReport {
 /// First changed-list slot of `dyn.result`, after the op's three counters.
 const LIST: usize = 3;
 
+/// Smallest per-block frontier buffer, in words. A block's buffer holds
+/// `n.max(MIN_FRONTIER_WORDS)` words, which can never overflow because every
+/// frontier is deduplicated.
+const MIN_FRONTIER_WORDS: usize = 64;
+
+/// Net updates staged per structural H2D copy (`dyn.batch` holds two words
+/// each); a larger batch is processed in chunks of this many.
+const BATCH_CAPACITY: usize = 1024;
+
 /// Words of `dyn.result` an op copies back at once: the counters and the
 /// first five changed vertices, one 32-byte sector. Any short copy costs
 /// the same PCIe latency, and most ops change fewer vertices.
@@ -231,18 +232,13 @@ impl DynamicCore {
         let d_sup = ctx.alloc_tagged("dyn.sup", pad, SizeClass::PerVertex)?;
         let d_cand = ctx.alloc_tagged("dyn.cand", pad, SizeClass::PerVertex)?;
         let d_res = ctx.alloc_tagged("dyn.result", LIST + pad, SizeClass::PerVertex)?;
-        let bufcap = if cfg.buf_capacity == 0 {
-            n.max(64)
-        } else {
-            cfg.buf_capacity
-        };
+        let bufcap = n.max(MIN_FRONTIER_WORDS);
         let d_buf = ctx.alloc_tagged(
             "dyn.buf",
             cfg.launch.blocks as usize * bufcap,
             SizeClass::Fixed,
         )?;
-        let d_batch =
-            ctx.alloc_tagged("dyn.batch", 2 * cfg.batch_capacity.max(1), SizeClass::Batch)?;
+        let d_batch = ctx.alloc_tagged("dyn.batch", 2 * BATCH_CAPACITY, SizeClass::Batch)?;
 
         let p = DynParams {
             bufcap,
@@ -288,10 +284,10 @@ impl DynamicCore {
     /// Classification is host-side and sequential: each update is validated
     /// against the state the *prefix* of the batch leaves behind (so
     /// `Insert(a,b), Delete(a,b)` both count as accepted and then cancel).
-    /// Surviving net updates are staged to the device in
-    /// [`DynamicConfig::batch_capacity`]-sized chunks and processed deletes
-    /// first, each with its own theorem-backed traversal — or, past
-    /// [`DynamicConfig::crossover`], by one from-scratch peel.
+    /// Surviving net updates are staged to the device in chunks of 1024
+    /// (one H2D copy each) and processed deletes first, each with its own
+    /// theorem-backed traversal — or, past [`DynamicConfig::crossover`], by
+    /// one from-scratch peel.
     pub fn apply_batch(&mut self, updates: &[EdgeUpdate]) -> Result<BatchReport, SimError> {
         let t0 = self.ctx.elapsed_ms();
         let mut rep = BatchReport {
@@ -366,13 +362,12 @@ impl DynamicCore {
             self.repeel(&net_del, &net_ins)?;
         } else {
             rep.path = BatchPath::Maintained;
-            let chunk_cap = self.cfg.batch_capacity.max(1);
             let all: Vec<(bool, u32, u32)> = net_del
                 .iter()
                 .map(|&(u, v)| (false, u, v))
                 .chain(net_ins.iter().map(|&(u, v)| (true, u, v)))
                 .collect();
-            for chunk in all.chunks(chunk_cap) {
+            for chunk in all.chunks(BATCH_CAPACITY) {
                 self.ctx.set_phase("DynStruct");
                 let words: Vec<u32> = chunk.iter().flat_map(|&(_, u, v)| [u, v]).collect();
                 self.ctx.htod_into(self.p.d_batch, 0, &words)?;
@@ -435,7 +430,9 @@ impl DynamicCore {
         if self.n == 0 {
             return Vec::new();
         }
-        self.ctx.dtoh_range(self.p.d_core, 0, self.n)
+        // In bounds: `dyn.core` holds `n.max(1)` words for the engine's life.
+        let cores = self.ctx.dtoh_range(self.p.d_core, 0, self.n);
+        cores.expect("dyn.core holds n words")
     }
 
     /// Copies the device MCD array back (charged D2H).
@@ -443,7 +440,9 @@ impl DynamicCore {
         if self.n == 0 {
             return Vec::new();
         }
-        self.ctx.dtoh_range(self.p.d_mcd, 0, self.n)
+        // In bounds: `dyn.mcd` holds `n.max(1)` words for the engine's life.
+        let mcd = self.ctx.dtoh_range(self.p.d_mcd, 0, self.n);
+        mcd.expect("dyn.mcd holds n words")
     }
 
     // -- per-update processing ---------------------------------------------
@@ -480,7 +479,7 @@ impl DynamicCore {
             |blk| drop_init(blk, &p, &roots, k),
             |blk, st| drop_step(blk, st, &p, k),
         )?;
-        let (decrements, _, dropped) = self.read_result();
+        let (decrements, _, dropped) = self.read_result()?;
         for &w in &dropped {
             self.core_host[w as usize] = k - 1;
         }
@@ -542,7 +541,7 @@ impl DynamicCore {
             |blk| rise_init(blk, &p, k),
             |blk, _| rise_clear(blk, &p),
         )?;
-        let (cand_n, may_rise, risen) = self.read_result();
+        let (cand_n, may_rise, risen) = self.read_result()?;
         if !may_rise {
             rep.pruned_inserts += 1;
         }
@@ -574,16 +573,18 @@ impl DynamicCore {
     /// head of the changed list, and only a list longer than the window
     /// needs a second. Returns the work tally, the prune flag and the
     /// changed list.
-    fn read_result(&mut self) -> (u64, bool, Vec<u32>) {
+    fn read_result(&mut self) -> Result<(u64, bool, Vec<u32>), SimError> {
         self.ctx.set_phase("DynResult");
         let len = self.ctx.device.len(self.p.d_res);
-        let mut res = self.ctx.dtoh_range(self.p.d_res, 0, RESULT_WINDOW.min(len));
+        let mut res = self
+            .ctx
+            .dtoh_range(self.p.d_res, 0, RESULT_WINDOW.min(len))?;
         let end = LIST + res[1] as usize;
         if end > res.len() {
             let head = res.len();
-            res.extend(self.ctx.dtoh_range(self.p.d_res, head, end));
+            res.extend(self.ctx.dtoh_range(self.p.d_res, head, end)?);
         }
-        (u64::from(res[0]), res[2] != 0, res[LIST..end].to_vec())
+        Ok((u64::from(res[0]), res[2] != 0, res[LIST..end].to_vec()))
     }
 
     /// Crossover fallback: apply the net updates to the mirror, re-peel the

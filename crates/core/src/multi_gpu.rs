@@ -132,7 +132,8 @@ pub struct MultiGpuRun {
 pub struct FleetRun {
     /// The decomposition result, bit-identical to [`decompose_multi`].
     pub run: MultiGpuRun,
-    /// Per-worker traces, shard order.
+    /// Per-worker traces, shard order — the run's one copy, which the
+    /// ledger's flow edges index into and its methods take as an argument.
     pub traces: Vec<Trace>,
     /// Per-worker SM timelines, shard order — feed
     /// [`FleetTrace::merged_chrome_json`].
@@ -195,7 +196,7 @@ pub fn decompose_multi_fleet(
         run.total_ms,
         run.exchanged_bytes,
         rounds,
-        traces.clone(),
+        traces.len(),
     );
     Ok(FleetRun {
         run,
@@ -377,7 +378,7 @@ fn decompose_multi_impl(
     for (wi, w) in workers.iter_mut().enumerate() {
         let before = w.ctx.elapsed_ms();
         w.ctx.set_phase("Result");
-        let owned_core = w.ctx.dtoh_range(w.st.d_deg, 0, w.n_owned);
+        let owned_core = w.ctx.dtoh_range(w.st.d_deg, 0, w.n_owned)?;
         for (l, &v) in part.shards[wi].owned.iter().enumerate() {
             core[v as usize] = owned_core[l];
         }
@@ -1008,7 +1009,7 @@ mod tests {
         assert_eq!(fr.run.exchanged_bytes, base.exchanged_bytes);
         let fleet_fps: Vec<u64> = fr.traces.iter().map(|t| t.counters_fingerprint()).collect();
         assert_eq!(fleet_fps, base.worker_fingerprints);
-        fr.fleet.check_well_formed().unwrap();
+        fr.fleet.check_well_formed(&fr.traces).unwrap();
         assert_eq!(fr.fleet.rounds.len(), fr.run.rounds as usize);
         // path(400) over 4 shards bounces its 1-shell across borders
         assert!(fr.run.border_packets > 0);
@@ -1027,7 +1028,7 @@ mod tests {
             assert!(c.bounding_resource.starts_with("device") || c.bounding_resource == "link");
         }
         // the merged perfetto export renders and carries link flow events
-        let json = fr.fleet.merged_chrome_json(&fr.timelines);
+        let json = fr.fleet.merged_chrome_json(&fr.traces, &fr.timelines);
         assert!(json.contains("Fleet links"));
         assert!(json.contains("\"ph\":\"s\""));
         assert!(json.contains("border cascades"));
@@ -1037,7 +1038,7 @@ mod tests {
     fn one_gpu_fleet_has_no_flows() {
         let g = gen::erdos_renyi_gnm(300, 900, 1);
         let fr = decompose_multi_fleet(&g, &cfg(1), &SimOptions::default(), "er").unwrap();
-        fr.fleet.check_well_formed().unwrap();
+        fr.fleet.check_well_formed(&fr.traces).unwrap();
         assert_eq!(fr.run.border_packets, 0);
         assert_eq!(fr.run.exchange_rounds, 0);
         assert!(fr

@@ -18,6 +18,7 @@
 //! [`MemStats`](crate::MemStats) (per-allocation tables, per-phase
 //! high-watermarks, capacity extrapolation) and the Perfetto memory tracks.
 
+use crate::exec::SimError;
 use serde::Serialize;
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -320,21 +321,28 @@ impl Device {
         }
     }
 
-    /// Copies host data into a buffer.
-    pub fn write_slice(&self, id: BufferId, data: &[u32]) {
+    /// Copies host data into the head of a buffer. A slice longer than the
+    /// buffer is a [`SimError::InvalidConfig`], returned before anything is
+    /// written.
+    pub fn write_slice(&self, id: BufferId, data: &[u32]) -> Result<(), SimError> {
         let buf = self.buffer(id);
-        assert!(
-            data.len() <= buf.len(),
-            "host slice larger than device buffer"
-        );
-        // Transfers never overlap kernel execution (launches run to
-        // completion under `&mut GpuContext`), so no simulated block races
-        // these words: one bulk copy through the atomics' `UnsafeCell` is
-        // equivalent to the per-word relaxed stores — and vectorizes, which
-        // a loop of atomic stores never does.
+        if data.len() > buf.len() {
+            return Err(SimError::InvalidConfig {
+                what: "write_slice words",
+                value: data.len() as f64,
+                need: "at most the destination buffer's length",
+            });
+        }
+        // SAFETY: `data.len() <= buf.len()` was checked above. Transfers
+        // never overlap kernel execution (launches run to completion under
+        // `&mut GpuContext`), so no simulated block races these words: one
+        // bulk copy through the atomics' `UnsafeCell` is equivalent to the
+        // per-word relaxed stores — and vectorizes, which a loop of atomic
+        // stores never does.
         unsafe {
             std::ptr::copy_nonoverlapping(data.as_ptr(), buf.as_ptr() as *mut u32, data.len());
         }
+        Ok(())
     }
 
     /// Copies a buffer back to host.
@@ -358,11 +366,6 @@ impl Device {
     /// Total capacity in bytes.
     pub fn capacity_bytes(&self) -> u64 {
         self.capacity
-    }
-
-    /// Bytes still free.
-    pub fn free_bytes(&self) -> u64 {
-        self.capacity - self.used
     }
 }
 
@@ -405,7 +408,7 @@ mod tests {
     fn read_write_round_trip() {
         let mut d = Device::new(1024);
         let id = d.alloc("x", 4).unwrap();
-        d.write_slice(id, &[9, 8, 7, 6]);
+        d.write_slice(id, &[9, 8, 7, 6]).unwrap();
         assert_eq!(d.read_vec(id), vec![9, 8, 7, 6]);
         d.fill(id, 5);
         assert_eq!(d.read_vec(id), vec![5, 5, 5, 5]);

@@ -519,18 +519,6 @@ impl<'a> BlockCtx<'a> {
             buf[i].store(v, Ordering::Relaxed);
         }
     }
-
-    /// Warp-granularity `atomicAdd`: one RMW per lane on `buf[idxs[i]]`,
-    /// charged as `idxs.len()` global atomics in a single bulk update —
-    /// identical totals to a per-lane [`BlockCtx::atomic_add`] loop.
-    #[inline]
-    pub fn atomic_add_lanes(&mut self, buf: &[AtomicU32], idxs: &[usize], delta: u32) {
-        debug_assert!(idxs.len() <= 32);
-        self.counters.global_atomics += idxs.len() as u64;
-        for &i in idxs {
-            self.raw_atomic_add(&buf[i], delta);
-        }
-    }
 }
 
 /// Scratch reused across launches, so steady-state launches allocate
@@ -787,7 +775,10 @@ impl GpuContext {
     ) -> Result<BufferId, SimError> {
         self.check_limit()?;
         let id = self.device.alloc_with(name, data.len(), 4, class)?;
-        self.device.write_slice(id, data);
+        // In bounds: `id` was just allocated with `data.len()` words.
+        self.device
+            .write_slice(id, data)
+            .expect("a fresh allocation holds its data");
         self.record_transfer(TransferDir::HostToDevice, data.len() as u64 * 4);
         Ok(id)
     }
@@ -826,22 +817,33 @@ impl GpuContext {
 
     /// `cudaMemcpy` device→host of elements `lo..hi` only, charged for the
     /// bytes actually moved — the partial readback the dynamic engine uses
-    /// to fetch just a candidate list's prefix.
-    pub fn dtoh_range(&mut self, id: BufferId, lo: usize, hi: usize) -> Vec<u32> {
+    /// to fetch just a candidate list's prefix. A range past the buffer's
+    /// end, or one with `lo > hi`, is a [`SimError::InvalidConfig`],
+    /// returned before anything is read, recorded or charged.
+    pub fn dtoh_range(&mut self, id: BufferId, lo: usize, hi: usize) -> Result<Vec<u32>, SimError> {
         let buf = self.device.buffer(id);
-        assert!(
-            lo <= hi && hi <= buf.len(),
-            "dtoh_range {lo}..{hi} out of bounds for buffer {} (len {})",
-            self.device.buffer_name(id),
-            buf.len()
-        );
-        // See `Device::write_slice`: quiescent during transfers, so a bulk
-        // read is equivalent to the per-word relaxed loads.
+        if hi > buf.len() {
+            return Err(SimError::InvalidConfig {
+                what: "dtoh_range end (hi)",
+                value: hi as f64,
+                need: "at most the source buffer's length",
+            });
+        }
+        if lo > hi {
+            return Err(SimError::InvalidConfig {
+                what: "dtoh_range start (lo)",
+                value: lo as f64,
+                need: "at most the range's end (hi)",
+            });
+        }
+        // SAFETY: `lo <= hi <= buf.len()` was checked above. See
+        // `Device::write_slice`: quiescent during transfers, so a bulk read
+        // is equivalent to the per-word relaxed loads.
         let out: Vec<u32> =
             unsafe { std::slice::from_raw_parts(buf.as_ptr().add(lo) as *const u32, hi - lo) }
                 .to_vec();
         self.record_transfer(TransferDir::DeviceToHost, (hi - lo) as u64 * 4);
-        out
+        Ok(out)
     }
 
     /// `cudaMemcpy` device→host, charged at PCIe latency + bandwidth (a
@@ -1265,7 +1267,7 @@ mod tests {
         // run-to-completion schedule would let the first block drain it.
         let mut c = ctx();
         let pool = c.alloc("pool", 1).unwrap();
-        c.device.write_slice(pool, &[100]);
+        c.device.write_slice(pool, &[100]).unwrap();
         let taken = c.alloc("taken", 4).unwrap();
         let cfg = LaunchConfig {
             blocks: 4,
@@ -1387,7 +1389,7 @@ mod tests {
         let transfers0 = c.transfers().len();
         c.htod_into(buf, 4, &[7, 8, 9]).unwrap();
         assert_eq!(c.report().h2d_bytes - h2d0, 12);
-        let got = c.dtoh_range(buf, 3, 8);
+        let got = c.dtoh_range(buf, 3, 8).unwrap();
         assert_eq!(got, vec![0, 7, 8, 9, 0]);
         assert_eq!(c.report().d2h_bytes - d2h0, 20);
         // both copies are recorded (phase-stamped) transfer events
@@ -1419,6 +1421,45 @@ mod tests {
         assert_eq!(c.transfers().len(), transfers);
         assert_eq!(c.elapsed_ms(), clock);
         assert_eq!(c.device.read_vec(buf), vec![1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn dtoh_range_out_of_bounds_is_a_typed_error() {
+        let mut c = ctx();
+        let buf = c.htod("small", &[1, 2, 3, 4]).unwrap();
+        let transfers = c.transfers().len();
+        let clock = c.elapsed_ms();
+        for (lo, hi, what) in [
+            (0, 5, "dtoh_range end (hi)"),
+            (3, usize::MAX, "dtoh_range end (hi)"),
+            (3, 2, "dtoh_range start (lo)"),
+        ] {
+            let err = c.dtoh_range(buf, lo, hi).unwrap_err();
+            assert!(
+                matches!(err, SimError::InvalidConfig { what: w, .. } if w == what),
+                "{lo}..{hi}: {err}"
+            );
+        }
+        // Nothing was read back, recorded or charged; an empty range at the
+        // end is a valid (charged) copy.
+        assert_eq!(c.transfers().len(), transfers);
+        assert_eq!(c.elapsed_ms(), clock);
+        assert_eq!(c.dtoh_range(buf, 4, 4).unwrap(), Vec::<u32>::new());
+    }
+
+    #[test]
+    fn write_slice_overrun_is_a_typed_error() {
+        let mut c = ctx();
+        let buf = c.htod("small", &[1, 2, 3, 4]).unwrap();
+        let err = c.device.write_slice(buf, &[9; 5]).unwrap_err();
+        assert!(
+            matches!(err, SimError::InvalidConfig { what, .. } if what.starts_with("write_slice")),
+            "{err}"
+        );
+        // Nothing was written.
+        assert_eq!(c.device.read_vec(buf), vec![1, 2, 3, 4]);
+        c.device.write_slice(buf, &[9; 3]).unwrap();
+        assert_eq!(c.device.read_vec(buf), vec![9, 9, 9, 4]);
     }
 
     #[test]

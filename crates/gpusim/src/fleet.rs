@@ -1,19 +1,20 @@
-//! Fleet observability: the schema-versioned ledger of a sharded
-//! multi-device run.
+//! Fleet observability: the ledger of a sharded multi-device run.
 //!
 //! The single-device observability stack ([`crate::trace`],
 //! [`crate::timeline`], [`crate::perfetto`]) answers *what one device did*.
-//! This module answers what the **fleet** did: a [`FleetTrace`] captures,
-//! per device and per peel round, the per-device [`Trace`]s plus an
-//! **exchange ledger** — per shard-pair packet counts, bytes, the
-//! latency-vs-bandwidth split of each link hop, and the border-cascade
-//! sub-round slices — a per-round **critical-path analysis** naming the
-//! device or link hop that bounds `total_ms`, and per-device
-//! hotspot/roofline rollups ([`DeviceRollup`]).
+//! This module answers what the **fleet** did: a [`FleetTrace`] records,
+//! per peel round, an **exchange ledger** — per shard-pair packet counts,
+//! bytes, the latency-vs-bandwidth split of each link hop, and the
+//! border-cascade sub-round slices — and a per-round **critical-path
+//! analysis** naming the device or link hop that bounds `total_ms`. The
+//! ledger stores only what the worker traces do not: the traces themselves
+//! (held once, beside the ledger, by the engine's fleet run) are passed to
+//! every method that reads them, and a per-device hotspot/roofline rollup
+//! ([`DeviceRollup::from_trace`]) is derived from a trace when needed.
 //!
 //! **Observes, never charges.** Every number here is recorded alongside the
 //! engine's existing accounting: `total_ms`, `exchanged_bytes`, worker
-//! traces, and fingerprints are bit-identical with or without fleet capture,
+//! traces and fingerprints are bit-identical with or without fleet capture,
 //! and the whole ledger is derived deterministically, so fleet artifacts are
 //! bit-identical across rayon pool sizes like every prior layer.
 //!
@@ -27,7 +28,9 @@
 //! phase, those addends in order, and the result gather.
 //! [`FleetTrace::check_well_formed`] reconciles every slice against its
 //! device clocks and every exchange against its components, and replays the
-//! addends to `total_ms`, all bit-for-bit.
+//! addends to `total_ms`, all bit-for-bit. [`FleetTrace::to_json`] writes the
+//! ledger and its worker traces as one document of schema
+//! [`crate::SCHEMA_VERSION`].
 //!
 //! [`FleetTrace::merged_chrome_json`] renders the whole fleet as one
 //! Perfetto document: one process triple (GPU / PCIe / memory) per device on
@@ -38,20 +41,14 @@
 
 use crate::perfetto::{counter_event, meta_event, obj};
 use crate::timeline::Timeline;
-use crate::trace::{Trace, TRACE_SCHEMA_VERSION};
+use crate::trace::Trace;
 use serde::{Serialize, Value};
 
-/// Version of the fleet-trace serialization schema. Bumped on any shape
-/// change so golden fleet artifacts refuse to diff across schemas.
-pub const FLEET_SCHEMA_VERSION: u32 = 2;
-
-/// Serializable ledger of one sharded multi-device run.
+/// Serializable ledger of one sharded multi-device run. Its flow edges
+/// index into the run's worker traces, which the methods that read them
+/// take as an argument, in shard order.
 #[derive(Debug, Clone, Serialize)]
 pub struct FleetTrace {
-    /// Fleet serialization schema ([`FLEET_SCHEMA_VERSION`]).
-    pub schema_version: u32,
-    /// Trace-subsystem schema of the embedded per-device [`Trace`]s.
-    pub trace_schema_version: u32,
     /// Caller-chosen run label (dataset, shard count, …).
     pub label: String,
     /// Worker devices in the fleet (shard order).
@@ -66,20 +63,10 @@ pub struct FleetTrace {
     /// Bytes shipped over the links, both hops — bit-identical to
     /// `MultiGpuRun::exchanged_bytes`.
     pub exchanged_bytes: u64,
-    /// Exchanges that actually carried packets (informational; the engine
-    /// also runs one empty closing exchange per peel round).
-    pub exchange_rounds: u64,
-    /// Total worker→master packets over the run.
-    pub border_packets: u64,
     /// Per-peel-round ledger, in round (ascending `k`) order.
     pub rounds: Vec<RoundTrace>,
     /// Per-round critical-path attribution, same order as `rounds`.
     pub critical_path: Vec<RoundCritical>,
-    /// Per-device hotspot/roofline rollups, shard order.
-    pub device_rollups: Vec<DeviceRollup>,
-    /// The full per-device traces, shard order — every launch the flow
-    /// edges reference lives here.
-    pub devices: Vec<Trace>,
 }
 
 /// Ledger of one peel round (one `k`).
@@ -159,11 +146,12 @@ pub struct FlowEdge {
     pub packets: u64,
     /// Bytes on this pair (8 per packet).
     pub bytes: u64,
-    /// Index into `devices[from_device].launches` of the `mgpu_pack`
-    /// launch that staged the packets.
+    /// Index into the `from_device` worker trace's `launches` of the
+    /// `mgpu_pack` launch that staged the packets.
     pub pack_launch_seq: usize,
-    /// Index into `devices[to_device].launches` of the (final) `mgpu_apply`
-    /// launch that applied this exchange's packets on the owner.
+    /// Index into the `to_device` worker trace's `launches` of the (final)
+    /// `mgpu_apply` launch that applied this exchange's packets on the
+    /// owner.
     pub apply_launch_seq: usize,
 }
 
@@ -200,7 +188,7 @@ pub struct RoundCritical {
 }
 
 /// Per-device rollup of the hotspot attribution and data movement — the
-/// roofline view of one shard's whole run.
+/// roofline view of one shard's whole run, derived from its trace.
 #[derive(Debug, Clone, Serialize)]
 pub struct DeviceRollup {
     /// Shard / device index.
@@ -304,10 +292,8 @@ impl DeviceRollup {
 }
 
 impl FleetTrace {
-    /// Assembles a fleet trace from the engine's recorded rounds and the
-    /// captured per-device traces, deriving the critical path and the
-    /// device rollups.
-    #[allow(clippy::too_many_arguments)]
+    /// Assembles a fleet trace over `num_devices` workers from the engine's
+    /// recorded rounds, deriving the critical path.
     pub fn new(
         label: impl Into<String>,
         setup_ms: f64,
@@ -315,49 +301,37 @@ impl FleetTrace {
         total_ms: f64,
         exchanged_bytes: u64,
         rounds: Vec<RoundTrace>,
-        devices: Vec<Trace>,
+        num_devices: usize,
     ) -> FleetTrace {
         let critical_path = rounds.iter().map(round_critical).collect();
-        let device_rollups = devices
-            .iter()
-            .enumerate()
-            .map(|(d, t)| DeviceRollup::from_trace(d, t))
-            .collect();
-        let exchange_rounds = rounds
-            .iter()
-            .flat_map(|r| &r.exchanges)
-            .filter(|e| e.packets_out > 0)
-            .count() as u64;
-        let border_packets = rounds
-            .iter()
-            .flat_map(|r| &r.exchanges)
-            .map(|e| e.packets_out)
-            .sum();
         FleetTrace {
-            schema_version: FLEET_SCHEMA_VERSION,
-            trace_schema_version: TRACE_SCHEMA_VERSION,
             label: label.into(),
-            num_devices: devices.len(),
+            num_devices,
             total_ms,
             setup_ms,
             result_ms,
             exchanged_bytes,
-            exchange_rounds,
-            border_packets,
             rounds,
             critical_path,
-            device_rollups,
-            devices,
         }
     }
 
-    /// Serializes the fleet trace as pretty-printed JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("fleet trace serializes")
+    /// The ledger and the run's worker `traces` (shard order, under
+    /// `devices`) as one pretty-printed JSON document of schema
+    /// [`crate::SCHEMA_VERSION`] — the `.fleet.json` dump.
+    pub fn to_json(&self, traces: &[Trace]) -> String {
+        crate::to_document(|| {
+            let mut doc = self.to_value();
+            if let Value::Object(fields) = &mut doc {
+                fields.push(("devices".into(), traces.to_value()));
+            }
+            doc
+        })
     }
 
-    /// Structural validation of the ledger against its own embedded device
-    /// traces, which `table_scale` asserts on every sharded run:
+    /// Structural validation of the ledger against the run's worker
+    /// `traces` (shard order), which `table_scale` asserts on every sharded
+    /// run:
     ///
     /// * every slice's `charged_ms` is its slowest device's clock delta,
     ///   `max(device_ms)`, **to the bit**, and every exchange's is
@@ -367,20 +341,15 @@ impl FleetTrace {
     /// * every round's critical-path shares sum to 1 (±1e-9) and name a
     ///   real device;
     /// * every flow edge references a real `mgpu_pack` / `mgpu_apply`
-    ///   launch record in the per-device traces, and per-pair packets sum
-    ///   to the exchange's `packets_out`;
-    /// * rollup buckets tile each device's summed kernel time.
-    pub fn check_well_formed(&self) -> Result<(), String> {
-        if self.schema_version != FLEET_SCHEMA_VERSION {
+    ///   launch record in the worker traces, and per-pair packets sum to
+    ///   the exchange's `packets_out`;
+    /// * the buckets of each worker's [`DeviceRollup`] tile its summed
+    ///   kernel time.
+    pub fn check_well_formed(&self, traces: &[Trace]) -> Result<(), String> {
+        if traces.len() != self.num_devices {
             return Err(format!(
-                "fleet schema {} != current {FLEET_SCHEMA_VERSION}",
-                self.schema_version
-            ));
-        }
-        if self.devices.len() != self.num_devices {
-            return Err(format!(
-                "{} embedded device traces, num_devices says {}",
-                self.devices.len(),
+                "{} worker traces, num_devices says {}",
+                traces.len(),
                 self.num_devices
             ));
         }
@@ -446,7 +415,7 @@ impl FleetTrace {
                     if f.from_device >= self.num_devices || f.to_device >= self.num_devices {
                         return Err(format!("round {ri}: flow names a non-existent device"));
                     }
-                    let pack = self.devices[f.from_device]
+                    let pack = traces[f.from_device]
                         .launches
                         .get(f.pack_launch_seq)
                         .ok_or_else(|| format!("round {ri}: dangling pack launch seq"))?;
@@ -456,7 +425,7 @@ impl FleetTrace {
                             f.pack_launch_seq, pack.kernel
                         ));
                     }
-                    let apply = self.devices[f.to_device]
+                    let apply = traces[f.to_device]
                         .launches
                         .get(f.apply_launch_seq)
                         .ok_or_else(|| format!("round {ri}: dangling apply launch seq"))?;
@@ -495,16 +464,8 @@ impl FleetTrace {
                 self.total_ms
             ));
         }
-        let packets: u64 = self
-            .rounds
-            .iter()
-            .flat_map(|r| &r.exchanges)
-            .map(|e| e.packets_out)
-            .sum();
-        if packets != self.border_packets {
-            return Err("border_packets does not match the per-exchange sum".into());
-        }
-        for r in &self.device_rollups {
+        for (d, t) in traces.iter().enumerate() {
+            let r = DeviceRollup::from_trace(d, t);
             let bucket_sum: f64 = r.buckets().iter().map(|b| b.1).sum();
             if (bucket_sum - r.kernel_ms).abs() > 1e-9 * r.kernel_ms.max(1.0) {
                 return Err(format!(
@@ -527,9 +488,11 @@ impl FleetTrace {
     /// * flow events (`s`/`t`/`f`) tying each shard-pair's `mgpu_pack`
     ///   launch through the two hops to its owner's `mgpu_apply` launch.
     ///
-    /// `timelines` must be the per-device timelines captured from the same
-    /// run, shard order. Deterministic: same run ⇒ byte-identical JSON.
-    pub fn merged_chrome_json(&self, timelines: &[Timeline]) -> String {
+    /// `traces` and `timelines` must be the per-device traces and timelines
+    /// captured from the same run, shard order. Deterministic: same run ⇒
+    /// byte-identical JSON.
+    pub fn merged_chrome_json(&self, traces: &[Trace], timelines: &[Timeline]) -> String {
+        assert_eq!(traces.len(), self.num_devices, "one trace per device");
         assert_eq!(timelines.len(), self.num_devices, "one timeline per device");
         /// tid of the per-device cascade track: above any `sm * 64 + slot`
         /// the SM layout can produce.
@@ -644,8 +607,8 @@ impl FleetTrace {
                         ]));
                     }
                     for f in &e.flows {
-                        let pack = &self.devices[f.from_device].launches[f.pack_launch_seq];
-                        let apply = &self.devices[f.to_device].launches[f.apply_launch_seq];
+                        let pack = &traces[f.from_device].launches[f.pack_launch_seq];
+                        let apply = &traces[f.to_device].launches[f.apply_launch_seq];
                         let hops = [
                             (
                                 "s",
@@ -704,14 +667,7 @@ impl FleetTrace {
             (
                 "otherData",
                 obj(vec![
-                    (
-                        "fleet_schema_version",
-                        Value::UInt(self.schema_version as u64),
-                    ),
-                    (
-                        "trace_schema_version",
-                        Value::UInt(self.trace_schema_version as u64),
-                    ),
+                    ("schema_version", Value::UInt(crate::SCHEMA_VERSION.into())),
                     ("label", Value::Str(self.label.clone())),
                     ("num_devices", Value::UInt(self.num_devices as u64)),
                     (
@@ -878,7 +834,9 @@ mod tests {
         }
     }
 
-    fn dummy_devices() -> Vec<Trace> {
+    /// Two worker contexts: device 0 ran one `mgpu_pack`, device 1 one
+    /// `mgpu_apply` — the launches the synthetic flow edge references.
+    fn dummy_contexts() -> Vec<crate::GpuContext> {
         use crate::{CostParams, GpuContext, LaunchConfig};
         let cfg = LaunchConfig {
             blocks: 1,
@@ -886,13 +844,17 @@ mod tests {
         };
         ["mgpu_pack", "mgpu_apply"]
             .iter()
-            .enumerate()
-            .map(|(d, kernel)| {
+            .map(|kernel| {
                 let mut ctx = GpuContext::new(CostParams::p100(), 1 << 16);
                 ctx.launch(kernel, cfg, |_| Ok(())).unwrap();
-                ctx.trace(format!("d{d}"))
+                ctx
             })
             .collect()
+    }
+
+    fn dummy_devices() -> Vec<Trace> {
+        let ctxs = dummy_contexts().into_iter().enumerate();
+        ctxs.map(|(d, mut c)| c.trace(format!("d{d}"))).collect()
     }
 
     fn synthetic_rounds() -> Vec<RoundTrace> {
@@ -948,7 +910,7 @@ mod tests {
             }
         }
         total += 0.5;
-        FleetTrace::new("unit", 1.0, 0.5, total, 40, rounds, dummy_devices())
+        FleetTrace::new("unit", 1.0, 0.5, total, 40, rounds, 2)
     }
 
     fn synthetic() -> FleetTrace {
@@ -974,21 +936,16 @@ mod tests {
             let s = c.compute_share + c.cascade_share + c.exchange_share + c.link_share;
             assert!((s - 1.0).abs() < 1e-12, "{s}");
         }
-        assert_eq!(ft.exchange_rounds, 1);
-        assert_eq!(ft.border_packets, 3);
     }
 
     #[test]
     fn replay_must_reproduce_total_to_the_bit() {
+        let traces = dummy_devices();
         let ft = synthetic();
-        assert!(
-            ft.check_well_formed().is_ok(),
-            "{:?}",
-            ft.check_well_formed()
-        );
+        assert_eq!(ft.check_well_formed(&traces), Ok(()));
         let mut bad = synthetic();
         bad.total_ms += 1e-9;
-        let err = bad.check_well_formed().unwrap_err();
+        let err = bad.check_well_formed(&traces).unwrap_err();
         assert!(err.contains("bit-for-bit"), "{err}");
     }
 
@@ -999,7 +956,9 @@ mod tests {
         // inflated addends, so only the device clocks can expose it.
         let mut rounds = synthetic_rounds();
         rounds[1].slices[1].charged_ms = 3.0;
-        let err = fleet(rounds).check_well_formed().unwrap_err();
+        let err = fleet(rounds)
+            .check_well_formed(&dummy_devices())
+            .unwrap_err();
         assert!(err.contains("round 1 (k=1) sub-round 1"), "{err}");
         assert!(
             err.contains("slowest device clock advanced 0.5 ms"),
@@ -1008,26 +967,54 @@ mod tests {
 
         let mut rounds = synthetic_rounds();
         rounds[1].exchanges[0].charged_ms = 0.75;
-        let err = fleet(rounds).check_well_formed().unwrap_err();
+        let err = fleet(rounds)
+            .check_well_formed(&dummy_devices())
+            .unwrap_err();
         assert!(err.contains("exchange after sub-round 0"), "{err}");
     }
 
     #[test]
     fn check_rejects_inconsistent_ledgers() {
+        let traces = dummy_devices();
         let mut ft = synthetic();
         ft.rounds[1].exchanges[0].bytes = 41;
-        assert!(ft.check_well_formed().unwrap_err().contains("bytes"));
+        assert!(ft.check_well_formed(&traces).unwrap_err().contains("bytes"));
 
         let mut ft = synthetic();
         ft.rounds[1].exchanges[0].seeds_per_device = vec![0, 0];
         assert!(ft
-            .check_well_formed()
+            .check_well_formed(&traces)
             .unwrap_err()
             .contains("seeds_per_device"));
 
-        let mut ft = synthetic();
-        ft.schema_version = 99;
-        assert!(ft.check_well_formed().unwrap_err().contains("schema"));
+        // the flow's pack launch must be a real `mgpu_pack` record
+        let swapped: Vec<Trace> = traces.iter().rev().cloned().collect();
+        let err = synthetic().check_well_formed(&swapped).unwrap_err();
+        assert!(
+            err.contains("flow pack seq 0 is a \"mgpu_apply\" launch"),
+            "{err}"
+        );
+
+        let err = synthetic().check_well_formed(&traces[..1]).unwrap_err();
+        assert!(err.contains("1 worker traces, num_devices says 2"), "{err}");
+    }
+
+    #[test]
+    fn document_states_the_schema_once_and_holds_the_worker_traces() {
+        let traces = dummy_devices();
+        let json = synthetic().to_json(&traces);
+        assert!(json.starts_with("{\n  \"schema_version\": 4,\n  \"label\": \"unit\","));
+        assert_eq!(json.matches("schema_version").count(), 1);
+        let v = serde_json::from_str(&json).unwrap();
+        let devices = v.get("devices").and_then(Value::as_array).unwrap();
+        let labels: Vec<&str> = devices
+            .iter()
+            .map(|d| d.get("label").and_then(Value::as_str).unwrap())
+            .collect();
+        assert_eq!(labels, ["d0", "d1"]);
+        let timelines: Vec<Timeline> = dummy_contexts().iter().map(|c| c.timeline("t")).collect();
+        let merged = synthetic().merged_chrome_json(&traces, &timelines);
+        assert!(merged.contains("\"otherData\":{\"schema_version\":4,"));
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Device-memory statistics and full-scale capacity extrapolation.
 //!
 //! [`GpuContext::memstats`] snapshots the device's allocation ledger
-//! ([`crate::device`]) into a schema-versioned, serializable [`MemStats`]:
-//! the per-allocation table, per-phase live-byte high-watermarks, a
-//! H2D/D2H transfer rollup per phase, and the top-k live allocations at the
-//! global peak. Everything in it is *simulated* and *observed* — capturing
+//! ([`crate::device`]) into a serializable [`MemStats`]: the per-allocation
+//! table, per-phase live-byte high-watermarks, and the top-k live
+//! allocations at the global peak. Transfers are not repeated here: a
+//! [`crate::Trace`]'s `totals` and `phases` are the transfer record.
+//! Everything in it is *simulated* and *observed* — capturing
 //! a snapshot charges no time and perturbs no counter, so memstats can be
 //! taken from any run without changing its golden trace.
 //!
@@ -27,10 +28,6 @@ use crate::device::{LedgerEntry, SizeClass};
 use crate::exec::GpuContext;
 use serde::Serialize;
 
-/// Version of the [`MemStats`] serialization schema, recorded in every
-/// snapshot so readers can refuse shapes they don't understand.
-pub const MEMSTATS_SCHEMA_VERSION: u32 = 1;
-
 /// The paper's device: a Tesla P100 with 16 GB of global memory.
 pub const P100_DEVICE_BYTES: u64 = 16 * (1 << 30);
 
@@ -40,8 +37,6 @@ pub const PEAK_LIVE_SET_TOP_K: usize = 8;
 /// A serializable snapshot of one run's device-memory behaviour.
 #[derive(Debug, Clone, Serialize)]
 pub struct MemStats {
-    /// Serialization schema version ([`MEMSTATS_SCHEMA_VERSION`]).
-    pub schema_version: u32,
     /// Device global-memory capacity of the run, bytes.
     pub capacity_bytes: u64,
     /// Bytes live at snapshot time.
@@ -53,16 +48,10 @@ pub struct MemStats {
     pub sim_vertices: u64,
     /// Workload arc count declared via [`GpuContext::set_workload_dims`].
     pub sim_arcs: u64,
-    /// Total host→device bytes.
-    pub h2d_bytes: u64,
-    /// Total device→host bytes.
-    pub d2h_bytes: u64,
     /// Per-allocation ledger, in allocation order.
     pub allocations: Vec<LedgerEntry>,
     /// Per-phase live-byte high-watermarks, in first-activation order.
     pub phase_peaks: Vec<PhasePeak>,
-    /// Per-phase transfer rollup, in first-transfer order.
-    pub transfers: Vec<PhaseTransfers>,
     /// The largest live allocations at the moment of the global peak,
     /// descending by size (top [`PEAK_LIVE_SET_TOP_K`]).
     pub peak_live_set: Vec<LiveAlloc>,
@@ -75,19 +64,6 @@ pub struct PhasePeak {
     pub phase: &'static str,
     /// Maximum live bytes while the phase was active.
     pub peak_bytes: u64,
-}
-
-/// One phase's host↔device transfer totals.
-#[derive(Debug, Clone, Serialize)]
-pub struct PhaseTransfers {
-    /// Phase name.
-    pub phase: &'static str,
-    /// Copies issued in this phase.
-    pub transfers: u64,
-    /// Host→device bytes.
-    pub h2d_bytes: u64,
-    /// Device→host bytes.
-    pub d2h_bytes: u64,
 }
 
 /// A named allocation in a live-set snapshot.
@@ -203,9 +179,11 @@ fn top_live(
 }
 
 impl MemStats {
-    /// Serializes the snapshot as pretty-printed JSON.
+    /// The snapshot as a standalone pretty-printed JSON document of schema
+    /// [`crate::SCHEMA_VERSION`] (inside a [`crate::Trace`] it carries no
+    /// version of its own).
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("memstats serializes")
+        crate::to_document(|| self.to_value())
     }
 
     /// Predicts the full-scale peak footprint against the paper's 16 GB
@@ -243,39 +221,14 @@ impl GpuContext {
             .iter()
             .map(|&(phase, peak_bytes)| PhasePeak { phase, peak_bytes })
             .collect();
-        let mut transfers: Vec<PhaseTransfers> = Vec::new();
-        for t in self.transfers() {
-            let row = match transfers.iter_mut().find(|r| r.phase == t.phase) {
-                Some(r) => r,
-                None => {
-                    transfers.push(PhaseTransfers {
-                        phase: t.phase,
-                        transfers: 0,
-                        h2d_bytes: 0,
-                        d2h_bytes: 0,
-                    });
-                    transfers.last_mut().expect("just pushed")
-                }
-            };
-            row.transfers += 1;
-            match t.dir {
-                crate::cost::TransferDir::HostToDevice => row.h2d_bytes += t.bytes,
-                crate::cost::TransferDir::DeviceToHost => row.d2h_bytes += t.bytes,
-            }
-        }
-        let report = self.report();
         MemStats {
-            schema_version: MEMSTATS_SCHEMA_VERSION,
             capacity_bytes: self.device.capacity_bytes(),
             live_bytes: self.device.used_bytes(),
             peak_bytes: self.device.peak_bytes(),
             sim_vertices: self.workload_vertices,
             sim_arcs: self.workload_arcs,
-            h2d_bytes: report.h2d_bytes,
-            d2h_bytes: report.d2h_bytes,
             allocations: ledger,
             phase_peaks,
-            transfers,
             peak_live_set,
         }
     }
@@ -315,7 +268,6 @@ mod tests {
         let mut c = ctx();
         run(&mut c, 100, 400);
         let ms = c.memstats();
-        assert_eq!(ms.schema_version, MEMSTATS_SCHEMA_VERSION);
         assert_eq!(ms.sim_vertices, 100);
         assert_eq!(ms.sim_arcs, 400);
         assert_eq!(ms.live_bytes, 0);
@@ -336,13 +288,6 @@ mod tests {
         // the peak live set is every allocation, largest first
         let names: Vec<&str> = ms.peak_live_set.iter().map(|a| a.name.as_str()).collect();
         assert_eq!(names, ["neighbors", "offset", "buf"]);
-        // transfer rollup: Setup did the H2D, Loop the 4-byte readback
-        assert_eq!(ms.transfers[0].phase, "Setup");
-        assert_eq!(ms.transfers[0].h2d_bytes, 404 + 1600);
-        assert_eq!(ms.transfers[1].phase, "Loop");
-        assert_eq!(ms.transfers[1].d2h_bytes, 4);
-        assert_eq!(ms.h2d_bytes, 2004);
-        assert_eq!(ms.d2h_bytes, 4);
     }
 
     #[test]
@@ -410,7 +355,9 @@ mod tests {
         let a = c.memstats();
         assert_eq!(c.elapsed_ms(), before);
         let b = c.memstats();
-        assert_eq!(a.to_json(), b.to_json());
-        assert!(a.to_json().contains("\"size_class\": \"PerArc\""));
+        let json = a.to_json();
+        assert_eq!(json, b.to_json());
+        assert!(json.starts_with("{\n  \"schema_version\": 4,\n  \"capacity_bytes\""));
+        assert!(json.contains("\"size_class\": \"PerArc\""));
     }
 }

@@ -52,7 +52,7 @@ impl Timeline {
             (
                 "otherData",
                 obj(vec![
-                    ("schema_version", Value::UInt(self.schema_version as u64)),
+                    ("schema_version", Value::UInt(crate::SCHEMA_VERSION.into())),
                     ("label", Value::Str(self.label.clone())),
                     ("sm_count", Value::UInt(self.sm_count as u64)),
                 ]),
@@ -330,7 +330,7 @@ mod tests {
         assert!(json.contains("\"name\":\"device_bytes\",\"ph\":\"C\""));
         // trailer
         assert!(json.contains("\"displayTimeUnit\":\"ms\""));
-        assert!(json.contains("\"schema_version\":3"));
+        assert!(json.contains("\"otherData\":{\"schema_version\":4,"));
     }
 
     #[test]

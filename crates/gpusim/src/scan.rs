@@ -25,7 +25,8 @@ pub fn hs_inclusive_scan(blk: &mut BlockCtx<'_>, lanes: &mut [u32]) {
         // One `__shfl_up_sync` plus one masked add, fused without the
         // shuffle's temporary: sweeping high-to-low reads each
         // `lanes[i - delta]` before the sweep reaches it, so every add sees
-        // the pre-step value. Charged exactly as shfl_up (1) + add (1).
+        // the pre-step value. Charged as two warp instructions: the shuffle
+        // and the add.
         blk.charge_instr(2);
         for i in (delta..n).rev() {
             lanes[i] += lanes[i - delta];

@@ -31,14 +31,11 @@
 
 use crate::cost::{schedule_blocks, CostParams, LaunchRecord, TransferDir};
 use crate::exec::GpuContext;
-use crate::trace::TRACE_SCHEMA_VERSION;
 use serde::Serialize;
 
 /// An SM-level execution timeline of one simulated run.
 #[derive(Debug, Clone, Serialize)]
 pub struct Timeline {
-    /// Trace-subsystem schema version (shared with [`crate::trace::Trace`]).
-    pub schema_version: u32,
     /// Caller-chosen run label.
     pub label: String,
     /// SMs on the simulated device (one Perfetto track each).
@@ -50,8 +47,8 @@ pub struct Timeline {
     /// Host-sampled counter-track points, in sampling order.
     pub counters: Vec<CounterPoint>,
     /// Device-allocation lifetimes as timeline spans, in allocation order
-    /// (schema v3; drives the Perfetto memory process and `device_bytes`
-    /// counter track).
+    /// (drives the Perfetto memory process and `device_bytes` counter
+    /// track).
     pub memory: Vec<MemSpan>,
 }
 
@@ -359,7 +356,6 @@ impl GpuContext {
             })
             .collect();
         Timeline {
-            schema_version: TRACE_SCHEMA_VERSION,
             label: label.into(),
             sm_count: self.cost.sm_count,
             spans,
@@ -367,12 +363,6 @@ impl GpuContext {
             counters,
             memory,
         }
-    }
-
-    /// Per-kernel [`Hotspot`] attribution of everything recorded so far,
-    /// keeping the `top_k` worst blocks per kernel.
-    pub fn hotspots(&self, top_k: usize) -> Vec<Hotspot> {
-        hotspots(self.launches(), &self.cost, top_k)
     }
 }
 
@@ -444,7 +434,7 @@ mod tests {
     #[test]
     fn hotspot_buckets_sum_to_total() {
         let c = skewed_ctx();
-        let hs = c.hotspots(3);
+        let hs = hotspots(c.launches(), &c.cost, 3);
         assert_eq!(hs.len(), 1);
         let h = &hs[0];
         assert_eq!((h.kernel, h.launches), ("loop", 1));
@@ -475,7 +465,7 @@ mod tests {
             threads_per_block: 32,
         };
         c.launch("nop", cfg, |_| Ok(())).unwrap();
-        let h = &c.hotspots(1)[0];
+        let h = &hotspots(c.launches(), &c.cost, 1)[0];
         assert_eq!(h.dominant_bucket().0, "launch_overhead");
     }
 

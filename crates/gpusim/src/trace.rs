@@ -9,10 +9,11 @@
 //!
 //! Traces serve two purposes:
 //!
-//! 1. **Inspection** — the bench binaries dump them as JSON under
-//!    `results/traces/` so a run can be profiled offline (which kernel
-//!    dominates, whether it is compute- or bandwidth-bound, how imbalanced
-//!    its blocks are). DESIGN.md documents the schema.
+//! 1. **Inspection** — `inspect` dumps them as JSON documents of schema
+//!    [`crate::SCHEMA_VERSION`] under `results/traces/` so a run can be
+//!    profiled offline (which kernel dominates, whether it is compute- or
+//!    bandwidth-bound, how imbalanced its blocks are). DESIGN.md documents
+//!    the schema.
 //! 2. **Regression** — everything in a trace is *simulated* (counters and
 //!    simulated seconds, never wall time), so a trace is bit-for-bit
 //!    deterministic and the golden-trace tests can assert exact equality
@@ -24,29 +25,15 @@ use crate::memstats::MemStats;
 use crate::timeline::Hotspot;
 use serde::Serialize;
 
-/// Version of the trace/timeline serialization schema. Bumped whenever the
-/// shape of [`Trace`] (or the golden projection derived from it) changes, so
-/// dumps from different builds can't be compared as if they were alike:
-/// golden tests refuse mismatched versions instead of diffing garbage, and
-/// `results/traces/` dumps carry the version they were written with.
-///
-/// History: 1 = PR 1 launch/transfer/phase rollups; 2 = adds
-/// `schema_version`, per-kernel hotspot attribution, and event start
-/// timestamps (timeline support); 3 = adds `memstats` (allocation ledger,
-/// per-phase memory watermarks, capacity extrapolation inputs).
-pub const TRACE_SCHEMA_VERSION: u32 = 3;
-
 /// Worst blocks kept per kernel in a trace's hotspot records.
 pub const HOTSPOT_TOP_K: usize = 5;
 
 /// A serializable profiling snapshot of one simulated run.
 #[derive(Debug, Clone, Serialize)]
 pub struct Trace {
-    /// Serialization schema version ([`TRACE_SCHEMA_VERSION`]).
-    pub schema_version: u32,
     /// Caller-chosen run label (dataset, variant, …).
     pub label: String,
-    /// Device constants and memory high-water mark.
+    /// Device constants (capacity and peak live in `memstats`).
     pub device: DeviceInfo,
     /// Whole-run rollup.
     pub totals: Totals,
@@ -56,7 +43,7 @@ pub struct Trace {
     /// first-launch order.
     pub hotspots: Vec<Hotspot>,
     /// Device-memory snapshot: allocation ledger, per-phase watermarks,
-    /// transfer rollup, peak live set (schema v3).
+    /// peak live set.
     pub memstats: MemStats,
     /// One event per kernel launch, in launch order.
     pub launches: Vec<LaunchEvent>,
@@ -73,10 +60,6 @@ pub struct DeviceInfo {
     pub clock_hz: f64,
     /// Global-memory bandwidth, bytes/s.
     pub mem_bandwidth: f64,
-    /// Global-memory capacity, bytes.
-    pub capacity_bytes: u64,
-    /// Peak device memory used by the run, bytes.
-    pub peak_mem_bytes: u64,
 }
 
 /// Whole-run totals.
@@ -170,9 +153,10 @@ pub struct TransferEvent {
 }
 
 impl Trace {
-    /// Serializes the trace as pretty-printed JSON.
+    /// The trace as a pretty-printed JSON document of schema
+    /// [`crate::SCHEMA_VERSION`].
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("trace serializes")
+        crate::to_document(|| self.to_value())
     }
 
     /// An order-sensitive FNV-1a digest over every launch's identity and
@@ -308,14 +292,11 @@ impl GpuContext {
             .collect();
         self.set_phase("main");
         Trace {
-            schema_version: TRACE_SCHEMA_VERSION,
             label: label.into(),
             device: DeviceInfo {
                 sm_count: self.cost.sm_count,
                 clock_hz: self.cost.clock_hz,
                 mem_bandwidth: self.cost.mem_bandwidth,
-                capacity_bytes: self.device.capacity_bytes(),
-                peak_mem_bytes: report.peak_mem_bytes,
             },
             totals: Totals {
                 time_ms: report.total_ms,
@@ -444,7 +425,6 @@ mod tests {
     fn trace_events_carry_roofline_and_blocks() {
         let mut c = traced_ctx();
         let t = c.trace("unit");
-        assert_eq!(t.schema_version, super::TRACE_SCHEMA_VERSION);
         assert_eq!(t.launches.len(), 3);
         assert_eq!(t.transfers.len(), 3); // 1 htod + 2 dtoh_word
         let ev = &t.launches[0];
@@ -515,7 +495,8 @@ mod tests {
     fn trace_serializes_to_json() {
         let mut c = traced_ctx();
         let json = c.trace("unit").to_json();
-        assert!(json.contains("\"schema_version\": 3"));
+        assert!(json.starts_with("{\n  \"schema_version\": 4,\n  \"label\": \"unit\","));
+        assert_eq!(json.matches("schema_version").count(), 1);
         assert!(json.contains("\"label\": \"unit\""));
         assert!(json.contains("\"phase\": \"Scan\""));
         assert!(json.contains("\"bound\""));

@@ -1,4 +1,5 @@
-//! Warp-level primitives (`__ballot_sync`, `__shfl_sync`, `__popc`).
+//! Warp-level primitives: `__ballot_sync` and the lane masks the ballot scan
+//! pairs it with. The scans in [`crate::scan`] fuse their own shuffles.
 //!
 //! A warp is modelled as a slice of up to 32 lane values; a primitive is one
 //! SIMT instruction executed by the whole warp, charged accordingly.
@@ -20,47 +21,6 @@ pub fn ballot_sync(blk: &mut BlockCtx<'_>, predicates: &[bool]) -> u32 {
         }
     }
     bits
-}
-
-/// `__popc` on each lane's mask — one warp instruction for the whole warp.
-pub fn popc_lanes(blk: &mut BlockCtx<'_>, masks: &[u32]) -> Vec<u32> {
-    blk.charge_instr(1);
-    masks.iter().map(|m| m.count_ones()).collect()
-}
-
-/// `__shfl_sync` broadcast: every lane receives lane `src_lane`'s value.
-/// One warp instruction.
-pub fn shfl_broadcast(blk: &mut BlockCtx<'_>, values: &[u32], src_lane: usize) -> u32 {
-    assert!(src_lane < values.len());
-    blk.charge_instr(1);
-    values[src_lane]
-}
-
-/// `__shfl_up_sync(delta)`: lane `i` receives lane `i - delta`'s value (lanes
-/// below `delta` keep their own). One warp instruction. Used by the
-/// Hillis–Steele scan.
-pub fn shfl_up(blk: &mut BlockCtx<'_>, values: &[u32], delta: usize) -> Vec<u32> {
-    blk.charge_instr(1);
-    (0..values.len())
-        .map(|i| {
-            if i >= delta {
-                values[i - delta]
-            } else {
-                values[i]
-            }
-        })
-        .collect()
-}
-
-/// `__shfl_up_sync(delta)` computed in place — identical semantics and
-/// charge to [`shfl_up`] but without the per-call `Vec`. A high-to-low sweep
-/// reads each `lanes[i - delta]` before the sweep reaches it, so every read
-/// observes the pre-shuffle value.
-pub fn shfl_up_in_place(blk: &mut BlockCtx<'_>, lanes: &mut [u32], delta: usize) {
-    blk.charge_instr(1);
-    for i in (delta..lanes.len()).rev() {
-        lanes[i] = lanes[i - delta];
-    }
 }
 
 /// The mask of bits strictly below `lane` — the "last j bits" mask of the
@@ -105,36 +65,6 @@ mod tests {
     }
 
     #[test]
-    fn popc_counts() {
-        in_block(|blk| {
-            assert_eq!(popc_lanes(blk, &[0b1011, 0, u32::MAX]), vec![3, 0, 32]);
-        });
-    }
-
-    #[test]
-    fn broadcast_and_shfl_up() {
-        in_block(|blk| {
-            let vals = [10, 20, 30, 40];
-            assert_eq!(shfl_broadcast(blk, &vals, 2), 30);
-            assert_eq!(shfl_up(blk, &vals, 1), vec![10, 10, 20, 30]);
-            assert_eq!(shfl_up(blk, &vals, 2), vec![10, 20, 10, 20]);
-        });
-    }
-
-    #[test]
-    fn shfl_up_in_place_matches_allocating() {
-        in_block(|blk| {
-            let vals: Vec<u32> = (0..32).map(|i| i * 3 + 1).collect();
-            for delta in [1usize, 2, 4, 8, 16, 31] {
-                let expect = shfl_up(blk, &vals, delta);
-                let mut lanes = vals.clone();
-                shfl_up_in_place(blk, &mut lanes, delta);
-                assert_eq!(lanes, expect, "delta {delta}");
-            }
-        });
-    }
-
-    #[test]
     fn lane_masks() {
         assert_eq!(lane_mask_lt(0), 0);
         assert_eq!(lane_mask_lt(3), 0b111);
@@ -145,10 +75,8 @@ mod tests {
     fn primitives_charge_one_instruction_each() {
         let n = in_block(|blk| {
             let _ = ballot_sync(blk, &[true; 32]);
-            let _ = popc_lanes(blk, &[1; 32]);
-            let _ = shfl_broadcast(blk, &[1; 32], 0);
-            let _ = shfl_up(blk, &[1; 32], 4);
+            let _ = ballot_sync(blk, &[false; 7]);
         });
-        assert_eq!(n, 4);
+        assert_eq!(n, 2);
     }
 }

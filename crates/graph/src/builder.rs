@@ -103,11 +103,6 @@ impl GraphBuilder {
         self.edges.extend(it);
     }
 
-    /// Number of raw (pre-normalization) edges recorded so far.
-    pub fn raw_edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Builds the normalized CSR: undirected, no self-loops, no duplicate
     /// edges, sorted adjacency lists. Dispatches per [`BuildPath::Auto`].
     pub fn build(self) -> Csr {

@@ -225,98 +225,6 @@ pub fn load_edge_list<P: AsRef<Path>>(path: P) -> Result<(Csr, Recoder), IoError
     parse_edge_list_bytes(&bytes)
 }
 
-/// Parses a MatrixMarket coordinate file (the format the paper's LAW
-/// crawls are distributed in via sparse.tamu.edu). Supports
-/// `pattern`/`real`/`integer` fields and `general`/`symmetric` symmetry;
-/// entry values, if present, are ignored (the adjacency structure is what
-/// k-core needs). Entries are 1-indexed per the spec.
-pub fn parse_matrix_market<R: Read>(reader: R) -> Result<Csr, IoError> {
-    let buf = BufReader::new(reader);
-    let mut lines = buf.lines().enumerate();
-
-    // Header line.
-    let (_, header) = lines
-        .next()
-        .ok_or_else(|| IoError::Parse {
-            line_no: 1,
-            line: "<empty file>".into(),
-        })
-        .and_then(|(i, l)| l.map(|l| (i, l)).map_err(IoError::Io))?;
-    let h = header.to_ascii_lowercase();
-    if !h.starts_with("%%matrixmarket matrix coordinate") {
-        return Err(IoError::Parse {
-            line_no: 1,
-            line: header,
-        });
-    }
-
-    // Dimension line (first non-comment).
-    let mut n_rows = 0u64;
-    let mut n_cols = 0u64;
-    let mut builder = GraphBuilder::new();
-    let mut dims_seen = false;
-    for (idx, line) in lines {
-        let line = line?;
-        let t = line.trim();
-        if t.is_empty() || t.starts_with('%') {
-            continue;
-        }
-        let mut it = t.split_whitespace();
-        if !dims_seen {
-            let (Some(r), Some(c)) = (it.next(), it.next()) else {
-                return Err(IoError::Parse {
-                    line_no: idx + 1,
-                    line,
-                });
-            };
-            let (Ok(r), Ok(c)) = (r.parse::<u64>(), c.parse::<u64>()) else {
-                return Err(IoError::Parse {
-                    line_no: idx + 1,
-                    line,
-                });
-            };
-            n_rows = r;
-            n_cols = c;
-            dims_seen = true;
-            continue;
-        }
-        let (Some(a), Some(b)) = (it.next(), it.next()) else {
-            return Err(IoError::Parse {
-                line_no: idx + 1,
-                line,
-            });
-        };
-        let (Ok(u), Ok(v)) = (a.parse::<u64>(), b.parse::<u64>()) else {
-            return Err(IoError::Parse {
-                line_no: idx + 1,
-                line,
-            });
-        };
-        if u == 0 || v == 0 || u > n_rows || v > n_cols {
-            return Err(IoError::Parse {
-                line_no: idx + 1,
-                line,
-            });
-        }
-        builder.add_edge((u - 1) as u32, (v - 1) as u32);
-    }
-    if !dims_seen {
-        return Err(IoError::Parse {
-            line_no: 2,
-            line: "<missing dimension line>".into(),
-        });
-    }
-    let mut b = GraphBuilder::with_num_vertices(n_rows.max(n_cols) as u32);
-    b.extend_edges(builder.build().edges());
-    Ok(b.build())
-}
-
-/// Loads a MatrixMarket file from disk.
-pub fn load_matrix_market<P: AsRef<Path>>(path: P) -> Result<Csr, IoError> {
-    let f = std::fs::File::open(path)?;
-    parse_matrix_market(f)
-}
-
 /// Writes a graph as a SNAP-style edge list (each undirected edge once,
 /// `u < v`, internal IDs).
 pub fn write_edge_list<W: Write>(g: &Csr, mut w: W) -> std::io::Result<()> {
@@ -396,52 +304,6 @@ mod tests {
         d2.sort_unstable();
         assert_eq!(d1, d2);
         assert_eq!(rec.len() as u32, g.num_vertices());
-    }
-
-    #[test]
-    fn matrix_market_symmetric_pattern() {
-        let text = "\
-%%MatrixMarket matrix coordinate pattern symmetric
-% a triangle plus an isolated 4th vertex
-4 4 3
-1 2
-2 3
-3 1
-";
-        let g = parse_matrix_market(text.as_bytes()).unwrap();
-        assert_eq!(g.num_vertices(), 4);
-        assert_eq!(g.num_edges(), 3);
-        assert!(g.has_edge(0, 1));
-        assert_eq!(g.degree(3), 0);
-    }
-
-    #[test]
-    fn matrix_market_with_values_and_general_symmetry() {
-        let text = "\
-%%MatrixMarket matrix coordinate real general
-3 3 4
-1 2 0.5
-2 1 0.5
-2 3 1.25
-3 3 9.0
-";
-        let g = parse_matrix_market(text.as_bytes()).unwrap();
-        // (1,2)+(2,1) dedup to one edge; (3,3) self-loop dropped
-        assert_eq!(g.num_edges(), 2);
-        assert!(g.has_edge(1, 2));
-    }
-
-    #[test]
-    fn matrix_market_rejects_bad_input() {
-        assert!(parse_matrix_market("not a header\n1 1 0\n".as_bytes()).is_err());
-        let bad_idx = "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n3 1\n";
-        assert!(parse_matrix_market(bad_idx.as_bytes()).is_err());
-        let zero_idx = "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n0 1\n";
-        assert!(parse_matrix_market(zero_idx.as_bytes()).is_err());
-        assert!(parse_matrix_market(
-            "%%MatrixMarket matrix coordinate pattern general\n".as_bytes()
-        )
-        .is_err());
     }
 
     #[test]

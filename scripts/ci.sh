@@ -1,6 +1,11 @@
 #!/usr/bin/env bash
 # Tier-1 CI gate (see ROADMAP.md): formatting, lints, full test suite.
 # Usage: scripts/ci.sh
+#
+# Every cargo stage that resolves dependencies runs with --locked: the lock
+# files (Cargo.lock, kbench/Cargo.lock) are checked, never rewritten. A
+# library manifest edit would otherwise silently rewrite kbench/Cargo.lock
+# on the benchmark's next `cargo run`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -8,18 +13,18 @@ echo "== cargo fmt --check =="
 cargo fmt --all --check
 
 echo "== cargo clippy -D warnings =="
-cargo clippy --workspace --all-targets -- -D warnings
+cargo clippy --locked --workspace --all-targets -- -D warnings
 
 echo "== cargo test =="
 # Includes the goldens under tests/golden/, among them golden_bench: every
 # simulated smoke-bench cell (status, sim_ms bits, launches, counters
 # fingerprint) must match tests/golden/bench_smoke.json exactly.
-cargo test -q --workspace
+cargo test --locked -q --workspace
 
 echo "== rustdoc -D warnings =="
 # Intra-doc links that name deleted or private items fail here; build,
 # clippy and tests all accept them.
-RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
+RUSTDOCFLAGS="-D warnings" cargo doc --locked --workspace --no-deps -q
 
 echo "== kbench: fmt, clippy, tests =="
 # kbench, the repository benchmark (BENCHMARK.json), is a package with its
@@ -28,8 +33,8 @@ echo "== kbench: fmt, clippy, tests =="
 # the simulated metrics are bit-identical across runs and at 1 and 2
 # threads. About 25 s.
 cargo fmt --manifest-path kbench/Cargo.toml --check
-cargo clippy --manifest-path kbench/Cargo.toml --all-targets -- -D warnings
-cargo test -q --manifest-path kbench/Cargo.toml
+cargo clippy --locked --manifest-path kbench/Cargo.toml --all-targets -- -D warnings
+cargo test --locked -q --manifest-path kbench/Cargo.toml
 
 echo "== simulator and peel wall-clock smoke budget =="
 # The simulator and peel suites re-run (already compiled) under a wall-clock
@@ -43,7 +48,7 @@ echo "== simulator and peel wall-clock smoke budget =="
 # any order-of-magnitude host regression.
 SMOKE_BUDGET_S="${KCORE_SMOKE_BUDGET_S:-120}"
 smoke_start=$(date +%s)
-cargo test -q -p kcore-gpusim -p kcore-gpu
+cargo test --locked -q -p kcore-gpusim -p kcore-gpu
 smoke_elapsed=$(( $(date +%s) - smoke_start ))
 echo "kcore-gpusim + kcore-gpu tests took ${smoke_elapsed}s (budget ${SMOKE_BUDGET_S}s)"
 if (( smoke_elapsed > SMOKE_BUDGET_S )); then
@@ -55,7 +60,7 @@ echo "== dataset cache smoke (KCORE_CACHE_DIR) =="
 # Cold run populates the cache; warm run must serve from it without
 # rewriting any entry (byte-identical output is pinned by the test suite;
 # here we pin the hit/miss mechanics end to end through a table binary).
-cargo build --release -q -p kcore-bench
+cargo build --locked --release -q -p kcore-bench
 cache_dir="$(mktemp -d)"
 trap 'rm -rf "$cache_dir"' EXIT
 KCORE_SMOKE=1 KCORE_DATASETS=amazon0601 KCORE_CACHE_DIR="$cache_dir" \
@@ -84,9 +89,10 @@ echo "== sweep smoke (Tables II, III, V and table_mem from one capture set) =="
 # --check asserts that every cell computed the BZ core numbers, that each
 # peel variant's device peak and allocation list do not move with the
 # schedule seed, that no run finishing without OOM is forecast above 16 GB
-# (the paper's kernel included), and that a schema-v3 trace survives
-# to_json -> serde_json::from_str with its memstats block intact. All eight
-# table files must be written.
+# (the paper's kernel included), and that a trace document survives
+# to_json -> serde_json::from_str -> to_string_pretty byte for byte and states
+# schema_version 4 once, at its top level. All eight table files must be
+# written.
 sweep_results="$(mktemp -d)"
 KCORE_SMOKE=1 KCORE_CACHE_DIR="$cache_dir" \
   KCORE_RESULTS_DIR="$sweep_results" ./target/release/sweep --check > /dev/null
@@ -111,11 +117,11 @@ echo "== sharded report smoke (scaling curve, fleet table, fit forecast) =="
 # critical-path shares sum to 1.0); that one device exchanges zero bytes
 # and charges bit-for-bit what the single-device engine charges; that the
 # max per-device peak shrinks as the pool grows; that worker ledgers are
-# shard-local at 4 devices; that each fleet-table run's trace survives a
-# round trip through serde_json::from_str and equals decompose_multi's run
-# (cores, total_ms bits, worker fingerprints, exchanged bytes, sub-rounds);
-# and that the uk-2005 @1x forecast fits on <= 8 x 16 GB devices. All four
-# files must be written.
+# shard-local at 4 devices; that each fleet-table run's .fleet.json document
+# (the ledger with its worker traces) passes the same round trip as sweep's
+# trace, and the run equals decompose_multi's run (cores, total_ms bits,
+# worker fingerprints, exchanged bytes, sub-rounds); and that the uk-2005
+# @1x forecast fits on <= 8 x 16 GB devices. All four files must be written.
 scale_results="$(mktemp -d)"
 KCORE_SMOKE=1 KCORE_CACHE_DIR="$cache_dir" \
   KCORE_RESULTS_DIR="$scale_results" ./target/release/table_scale --check > /dev/null

@@ -207,6 +207,35 @@ fn empty_batches_and_all_rejected_batches_are_noops() {
     assert_eq!(dc.cores(), &before[..]);
 }
 
+/// DESIGN.md's "Why per-edge traversals" counterexample. On the 4-cycle
+/// 0-1-2-3 every core is 2, and both chords have `K = 2`. Either chord alone
+/// leaves every core at 2; both together make K4, where every core is 3. A
+/// traversal per same-`K` group would have to find that rise although no
+/// single edge of the group causes it.
+#[test]
+fn same_k_insertions_change_cores_only_together() {
+    let cycle = from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
+    let engine = || DynamicCore::from_csr(&SimOptions::default(), &cycle, engine_cfg()).unwrap();
+    for chord in [EdgeUpdate::Insert(0, 2), EdgeUpdate::Insert(1, 3)] {
+        let mut dc = engine();
+        assert_eq!(dc.cores(), [2, 2, 2, 2]);
+        let rep = dc.apply_batch(&[chord]).unwrap();
+        assert_eq!(rep.groups, [(2, 1)], "{chord:?}");
+        assert_eq!(rep.changed, 0, "{chord:?}");
+        assert_eq!(dc.cores(), [2, 2, 2, 2], "{chord:?}");
+        assert_eq!(dc.device_cores(), [2, 2, 2, 2], "{chord:?}");
+    }
+    let mut dc = engine();
+    let rep = dc
+        .apply_batch(&[EdgeUpdate::Insert(0, 2), EdgeUpdate::Insert(1, 3)])
+        .unwrap();
+    assert_eq!(rep.path, BatchPath::Maintained);
+    assert_eq!(rep.groups, [(2, 2)]);
+    assert_eq!(rep.changed, 4);
+    assert_eq!(dc.cores(), [3, 3, 3, 3]);
+    assert_eq!(dc.device_cores(), [3, 3, 3, 3]);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

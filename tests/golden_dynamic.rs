@@ -17,7 +17,7 @@
 
 use kcore_bench::{assert_golden, ValidChurn};
 use kcore_gpu::{DynamicConfig, DynamicCore};
-use kcore_gpusim::{fnv1a_bytes, Counters, SimOptions, Trace};
+use kcore_gpusim::{fnv1a_bytes, Counters, SimOptions, Trace, SCHEMA_VERSION};
 use kcore_graph::{gen, EdgeUpdate};
 use serde::Serialize;
 use std::path::PathBuf;
@@ -74,7 +74,6 @@ fn capture(label: &str) -> Trace {
 struct Golden {
     schema_version: u32,
     fingerprint: String,
-    memstats_schema_version: u32,
     memstats_fnv1a: String,
     phases: Vec<GoldenPhase>,
 }
@@ -90,9 +89,8 @@ struct GoldenPhase {
 
 fn golden_of(trace: &Trace) -> String {
     let g = Golden {
-        schema_version: trace.schema_version,
+        schema_version: SCHEMA_VERSION,
         fingerprint: format!("{:#018x}", trace.counters_fingerprint()),
-        memstats_schema_version: kcore_gpusim::MEMSTATS_SCHEMA_VERSION,
         memstats_fnv1a: format!("{:#018x}", fnv1a_bytes(trace.memstats.to_json().as_bytes())),
         phases: trace
             .phases

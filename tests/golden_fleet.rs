@@ -16,7 +16,7 @@ use kcore::cpu::{self, CoreAlgorithm};
 use kcore::gpu::{
     decompose_multi, decompose_multi_fleet, FleetRun, MultiGpuConfig, PeelConfig, SimOptions,
 };
-use kcore::gpusim::{fnv1a_bytes, LaunchConfig, FLEET_SCHEMA_VERSION, TRACE_SCHEMA_VERSION};
+use kcore::gpusim::{fnv1a_bytes, DeviceRollup, LaunchConfig, SCHEMA_VERSION};
 use kcore::graph::gen;
 use proptest::prelude::*;
 use serde::Serialize;
@@ -39,12 +39,12 @@ fn golden_run() -> FleetRun {
 }
 
 /// Digest projection of the fleet artifacts. The FNVs pin every byte of the
-/// ledger JSON and the merged Perfetto document — any reordering, a lost
-/// flow event, or a nondeterministic field fails CI.
+/// `.fleet.json` document (the ledger with its worker traces) and the merged
+/// Perfetto document — any reordering, a lost flow event, or a
+/// nondeterministic field fails CI.
 #[derive(Serialize)]
 struct GoldenFleet {
     schema_version: u32,
-    trace_schema_version: u32,
     num_devices: usize,
     rounds: usize,
     exchange_rounds: u64,
@@ -58,12 +58,12 @@ struct GoldenFleet {
 #[test]
 fn fleet_artifacts_match_golden_at_all_pool_sizes() {
     let fr = golden_run();
-    fr.fleet.check_well_formed().unwrap();
+    fr.fleet.check_well_formed(&fr.traces).unwrap();
     let g = gen::rmat(9, 2_000, gen::RmatParams::graph500(), 7);
     assert_eq!(fr.run.core, cpu::bz::Bz.run(&g));
 
-    let base_json = fr.fleet.to_json();
-    let base_perfetto = fr.fleet.merged_chrome_json(&fr.timelines);
+    let base_json = fr.fleet.to_json(&fr.traces);
+    let base_perfetto = fr.fleet.merged_chrome_json(&fr.traces, &fr.timelines);
 
     // Byte-identity across rayon pool sizes: both artifacts, not just the
     // scalars — counter ordering and flow ids must be deterministic too.
@@ -74,24 +74,23 @@ fn fleet_artifacts_match_golden_at_all_pool_sizes() {
             .unwrap();
         let fr2 = pool.install(golden_run);
         assert_eq!(
-            fr2.fleet.to_json(),
+            fr2.fleet.to_json(&fr2.traces),
             base_json,
             "fleet trace diverged at pool {threads}"
         );
         assert_eq!(
-            fr2.fleet.merged_chrome_json(&fr2.timelines),
+            fr2.fleet.merged_chrome_json(&fr2.traces, &fr2.timelines),
             base_perfetto,
             "merged Perfetto diverged at pool {threads}"
         );
     }
 
     let golden = GoldenFleet {
-        schema_version: FLEET_SCHEMA_VERSION,
-        trace_schema_version: TRACE_SCHEMA_VERSION,
+        schema_version: SCHEMA_VERSION,
         num_devices: fr.fleet.num_devices,
         rounds: fr.fleet.rounds.len(),
-        exchange_rounds: fr.fleet.exchange_rounds,
-        border_packets: fr.fleet.border_packets,
+        exchange_rounds: fr.run.exchange_rounds,
+        border_packets: fr.run.border_packets,
         exchanged_bytes: fr.fleet.exchanged_bytes,
         total_ms_bits: format!("{:#018x}", fr.fleet.total_ms.to_bits()),
         fleet_json_fnv: format!("{:#018x}", fnv1a_bytes(base_json.as_bytes())),
@@ -124,9 +123,9 @@ fn fleet_capture_is_bit_identical_to_traced_run() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Per-device rollup buckets tile each worker's kernel time: the
-    /// roofline decomposition may not lose or invent simulated time, on any
-    /// graph and at any shard count.
+    /// The rollup derived from each worker's trace tiles that worker's
+    /// kernel time: the roofline decomposition may not lose or invent
+    /// simulated time, on any graph and at any shard count.
     #[test]
     fn rollup_buckets_tile_worker_kernel_time(seed in 0u64..10_000, p in 2usize..6) {
         let g = gen::erdos_renyi_gnm(300 + (seed % 5) as u32 * 40, 900 + seed % 800, seed);
@@ -140,9 +139,10 @@ proptest! {
             ..MultiGpuConfig::default()
         };
         let fr = decompose_multi_fleet(&g, &cfg, &SimOptions::default(), "proptest").unwrap();
-        fr.fleet.check_well_formed().unwrap();
-        prop_assert_eq!(fr.fleet.device_rollups.len(), fr.traces.len());
-        for (r, t) in fr.fleet.device_rollups.iter().zip(&fr.traces) {
+        fr.fleet.check_well_formed(&fr.traces).unwrap();
+        prop_assert_eq!(fr.traces.len(), p);
+        for (d, t) in fr.traces.iter().enumerate() {
+            let r = DeviceRollup::from_trace(d, t);
             let bucket_sum: f64 = r.buckets().iter().map(|(_, ms)| ms).sum();
             let worker_total: f64 = t.launches.iter().map(|l| l.time_ms).sum();
             prop_assert!(

@@ -23,7 +23,7 @@
 
 use kcore_bench::assert_golden;
 use kcore_gpu::PeelConfig;
-use kcore_gpusim::{fnv1a_bytes, Counters, SimOptions, Timeline, Trace};
+use kcore_gpusim::{fnv1a_bytes, Counters, SimOptions, Timeline, Trace, SCHEMA_VERSION};
 use kcore_graph::gen;
 use serde::Serialize;
 use std::path::PathBuf;
@@ -102,7 +102,7 @@ struct GoldenPhase {
 
 fn golden_of(trace: &Trace) -> String {
     let g = Golden {
-        schema_version: trace.schema_version,
+        schema_version: SCHEMA_VERSION,
         fingerprint: format!("{:#018x}", trace.counters_fingerprint()),
         phases: trace
             .phases
@@ -136,15 +136,12 @@ fn trace_matches_checked_in_golden() {
 // ---------------------------------------------------------------------------
 
 /// The memstats snapshot embedded in a trace is itself golden-pinned: the
-/// full JSON (ledger, phase watermarks, transfer rollup, peak live set) is
-/// byte-identical across runs and rayon pool sizes, and its transfer totals
-/// agree with the trace totals the `peel_rmat9.json` golden pins.
+/// full JSON document (ledger, phase watermarks, peak live set) is
+/// byte-identical across runs and rayon pool sizes. Its transfers are the
+/// trace's: the `peel_rmat9.json` golden pins them per phase.
 #[test]
 fn memstats_matches_checked_in_golden() {
     let trace = capture("memstats-golden");
-    // internal consistency with the trace this snapshot rode in on
-    assert_eq!(trace.memstats.h2d_bytes, trace.totals.h2d_bytes);
-    assert_eq!(trace.memstats.d2h_bytes, trace.totals.d2h_bytes);
     let got = trace.memstats.to_json();
 
     for threads in [1usize, 2, 8] {
@@ -182,7 +179,7 @@ struct GoldenTimeline {
 
 fn golden_timeline_of(tl: &Timeline) -> String {
     let g = GoldenTimeline {
-        schema_version: tl.schema_version,
+        schema_version: SCHEMA_VERSION,
         sm_count: tl.sm_count,
         spans: tl.spans.len(),
         transfers: tl.transfers.len(),

@@ -20,7 +20,7 @@ use kcore::gpu::{
     decompose, decompose_multi, decompose_multi_fleet, FleetRun, MultiGpuConfig, MultiGpuRun,
     PeelConfig, SimOptions,
 };
-use kcore::gpusim::{Counters, LaunchConfig, SimError, TRACE_SCHEMA_VERSION};
+use kcore::gpusim::{Counters, LaunchConfig, SimError, SCHEMA_VERSION};
 use kcore::graph::{gen, Csr};
 use proptest::prelude::*;
 use serde::Serialize;
@@ -274,7 +274,7 @@ fn sharded_run_matches_checked_in_golden() {
     let (run, traces) = traced(&g, &cfg);
     assert_eq!(run.core, cpu::bz::Bz.run(&g));
     let golden = GoldenMulti {
-        schema_version: TRACE_SCHEMA_VERSION,
+        schema_version: SCHEMA_VERSION,
         sub_rounds: run.sub_rounds,
         rounds: run.rounds,
         exchanged_bytes: run.exchanged_bytes,
