@@ -1,146 +1,9 @@
-//! Regenerates the **Fig. 10 case study**: temporal co-citation network
-//! analysis. Builds two author-interaction snapshots G1 (papers ≤ 1995) and
-//! G2 (≤ 2000) from a synthetic citation corpus, extracts each snapshot's
-//! k_max-core (S1, S2) with the GPU peeling algorithm, and prints the
-//! word-cloud partition: S1∩S2 (authors most active in both periods),
-//! S2−S1 (newly most-active), S1−S2 (dropped out of the most-active core).
+//! Regenerates the **Fig. 10 case study** (temporal co-citation network
+//! analysis) with [`kcore_bench::fig10_case_study`]. Prints the word-cloud
+//! partition and writes `results/fig10.{txt,json}`.
 
-use kcore_bench::save_json;
-use kcore_gpu::{decompose, PeelConfig, SimOptions};
-use kcore_graph::gen::temporal::{generate_corpus, CorpusParams};
-use serde::Serialize;
-use std::collections::BTreeSet;
-
-#[derive(Serialize)]
-struct CaseStudy {
-    g1_year: u32,
-    g2_year: u32,
-    g1_vertices: u32,
-    g1_edges: u64,
-    g2_vertices: u32,
-    g2_edges: u64,
-    k_max_1: u32,
-    k_max_2: u32,
-    s1_size: usize,
-    s2_size: usize,
-    both: Vec<String>,
-    entered: Vec<String>,
-    left: Vec<String>,
-    gpu_ms_g1: f64,
-    gpu_ms_g2: f64,
-}
-
-fn kmax_core(core: &[u32]) -> (u32, BTreeSet<u32>) {
-    let km = core.iter().copied().max().unwrap_or(0);
-    let s = core
-        .iter()
-        .enumerate()
-        .filter_map(|(v, &c)| (c == km && km > 0).then_some(v as u32))
-        .collect();
-    (km, s)
-}
-
-/// Renders a word-cloud-ish block: names sized by rank (bigger names first,
-/// in upper case; later names lower case), wrapped.
-fn cloud(names: &[String]) -> String {
-    let mut out = String::new();
-    let mut line = String::new();
-    for (i, n) in names.iter().enumerate() {
-        let word = if i < 6 { n.to_uppercase() } else { n.clone() };
-        if line.len() + word.len() + 2 > 78 {
-            out.push_str(&line);
-            out.push('\n');
-            line.clear();
-        }
-        if !line.is_empty() {
-            line.push_str("  ");
-        }
-        line.push_str(&word);
-    }
-    out.push_str(&line);
-    out
-}
+use kcore_bench::{fig10_case_study, write_files};
 
 fn main() {
-    let corpus = generate_corpus(&CorpusParams::default(), 2023);
-    let (y1, y2) = (1995u32, 2000u32);
-    let g1 = corpus.interaction_snapshot(y1);
-    let g2 = corpus.interaction_snapshot(y2);
-
-    let cfg = PeelConfig {
-        buf_capacity: 65_536,
-        ..PeelConfig::default()
-    };
-    let opts = SimOptions::default();
-    let r1 = decompose(&g1, &cfg, &opts).expect("G1 decomposition");
-    let r2 = decompose(&g2, &cfg, &opts).expect("G2 decomposition");
-
-    let (k1, s1) = kmax_core(&r1.core);
-    let (k2, s2) = kmax_core(&r2.core);
-
-    // Order authors inside each region by their activity (degree in the
-    // later snapshot) so the "cloud" leads with the most active.
-    let by_activity = |set: &BTreeSet<u32>, g: &kcore_graph::Csr| -> Vec<String> {
-        let mut v: Vec<u32> = set.iter().copied().collect();
-        v.sort_by_key(|&a| std::cmp::Reverse(g.degree(a)));
-        v.into_iter().map(|a| corpus.author_name(a)).collect()
-    };
-    let both: BTreeSet<u32> = s1.intersection(&s2).copied().collect();
-    let entered: BTreeSet<u32> = s2.difference(&s1).copied().collect();
-    let left: BTreeSet<u32> = s1.difference(&s2).copied().collect();
-    let both_names = by_activity(&both, &g2);
-    let entered_names = by_activity(&entered, &g2);
-    let left_names = by_activity(&left, &g1);
-
-    println!("FIG. 10 — CASE STUDY: CO-CITATION NETWORK ANALYSIS (synthetic corpus)\n");
-    println!(
-        "G1 (≤{y1}): |V|={} |E|={} k_max={k1}, |S1|={}   (GPU: {:.2} ms simulated)",
-        g1.num_vertices(),
-        g1.num_edges(),
-        s1.len(),
-        r1.report.total_ms
-    );
-    println!(
-        "G2 (≤{y2}): |V|={} |E|={} k_max={k2}, |S2|={}   (GPU: {:.2} ms simulated)\n",
-        g2.num_vertices(),
-        g2.num_edges(),
-        s2.len(),
-        r2.report.total_ms
-    );
-    println!(
-        "── S1 ∩ S2 — most active in BOTH periods ({} authors) ──",
-        both_names.len()
-    );
-    println!("{}\n", cloud(&both_names));
-    println!(
-        "── S2 − S1 — became most active by {y2} ({} authors) ──",
-        entered_names.len()
-    );
-    println!("{}\n", cloud(&entered_names));
-    println!(
-        "── S1 − S2 — fell out of the most-active core ({} authors) ──",
-        left_names.len()
-    );
-    println!("{}", cloud(&left_names));
-
-    save_json(
-        "fig10_case_study",
-        &CaseStudy {
-            g1_year: y1,
-            g2_year: y2,
-            g1_vertices: g1.num_vertices(),
-            g1_edges: g1.num_edges(),
-            g2_vertices: g2.num_vertices(),
-            g2_edges: g2.num_edges(),
-            k_max_1: k1,
-            k_max_2: k2,
-            s1_size: s1.len(),
-            s2_size: s2.len(),
-            both: both_names,
-            entered: entered_names,
-            left: left_names,
-            gpu_ms_g1: r1.report.total_ms,
-            gpu_ms_g2: r2.report.total_ms,
-        },
-    );
+    write_files(&fig10_case_study());
 }

@@ -10,17 +10,12 @@
 //!
 //! `--check` (used by `scripts/ci.sh`) then runs [`kcore_bench::Sweep::check`].
 
-use kcore_bench::{prepare_all, runs, save, Sweep};
+use kcore_bench::{prepare_all, runs, write_files, Sweep};
 
 fn main() {
     let check = std::env::args().any(|a| a == "--check");
     let sweep = Sweep::run(&prepare_all(), runs());
-    for (name, text) in sweep.files() {
-        if name.ends_with(".txt") {
-            print!("{text}");
-        }
-        save(&name, &text);
-    }
+    write_files(&sweep.files());
     if check {
         sweep.check();
     }

@@ -1,26 +1,10 @@
-//! Regenerates **Table I** (datasets): |V|, |E|, d_avg, std, d_max, k_max and
-//! category for each of the 20 stand-ins, next to the paper's published
-//! values so the shape match is visible at a glance.
+//! Regenerates **Table I** (datasets) with [`kcore_bench::table1`]: the 20
+//! stand-ins next to the paper's published values, plus three
+//! higher-fidelity `@2x` rows. Prints the table and writes
+//! `results/table1.{txt,json}`.
 
-use kcore_bench::{prepare, prepare_all, print_table, save_json};
+use kcore_bench::{prepare, prepare_all, table1, write_files};
 use kcore_graph::datasets;
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct Row {
-    dataset: String,
-    category: String,
-    num_vertices: u64,
-    num_edges: u64,
-    avg_degree: f64,
-    degree_std: f64,
-    max_degree: u32,
-    k_max: u32,
-    scale: f64,
-    paper_vertices: u64,
-    paper_edges: u64,
-    paper_k_max: u32,
-}
 
 fn main() {
     let mut envs = prepare_all();
@@ -30,57 +14,5 @@ fn main() {
     if std::env::var_os("KCORE_SMOKE").is_none() && std::env::var_os("KCORE_DATASETS").is_none() {
         envs.extend(datasets::scaled_up_variants().into_iter().map(prepare));
     }
-    let headers: Vec<String> = [
-        "Dataset",
-        "|V|",
-        "|E|",
-        "davg",
-        "std",
-        "dmax",
-        "kmax",
-        "Category",
-        "scale",
-        "paper|V|",
-        "paper|E|",
-        "paper kmax",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect();
-
-    let mut rows = Vec::new();
-    let mut json = Vec::new();
-    for e in &envs {
-        rows.push(vec![
-            e.dataset.name.to_string(),
-            e.stats.num_vertices.to_string(),
-            e.stats.num_edges.to_string(),
-            format!("{:.1}", e.stats.avg_degree),
-            format!("{:.0}", e.stats.degree_std),
-            e.stats.max_degree.to_string(),
-            e.k_max.to_string(),
-            e.dataset.category.to_string(),
-            format!("1/{:.0}", e.scale),
-            e.dataset.paper.num_vertices.to_string(),
-            e.dataset.paper.num_edges.to_string(),
-            e.dataset.paper.k_max.to_string(),
-        ]);
-        json.push(Row {
-            dataset: e.dataset.name.to_string(),
-            category: e.dataset.category.to_string(),
-            num_vertices: e.stats.num_vertices,
-            num_edges: e.stats.num_edges,
-            avg_degree: e.stats.avg_degree,
-            degree_std: e.stats.degree_std,
-            max_degree: e.stats.max_degree,
-            k_max: e.k_max,
-            scale: e.scale,
-            paper_vertices: e.dataset.paper.num_vertices,
-            paper_edges: e.dataset.paper.num_edges,
-            paper_k_max: e.dataset.paper.k_max,
-        });
-    }
-    println!("TABLE I — DATASETS (synthetic stand-ins at 1/scale of the paper's graphs)\n");
-    print_table(&headers, &rows);
-    save_json("table1", &json);
+    write_files(&table1(&envs));
 }

@@ -15,14 +15,9 @@
 //! the `@2x` stand-ins and asserts the sharded contract
 //! ([`kcore_bench::ShardReport::run`]).
 
-use kcore_bench::{save, ShardReport};
+use kcore_bench::{write_files, ShardReport};
 
 fn main() {
     let check = std::env::args().any(|a| a == "--check");
-    for (name, text) in ShardReport::run(check).files() {
-        if name.ends_with(".txt") {
-            print!("{text}");
-        }
-        save(&name, &text);
-    }
+    write_files(&ShardReport::run(check).files());
 }

@@ -100,9 +100,9 @@ pub struct RunCapture {
     pub fingerprint: u64,
     /// Device peak, bytes (the largest worker peak for the sharded engine).
     pub peak_bytes: u64,
-    /// The allocation ledger (`None` for the sharded engine, whose kept
-    /// fleet run holds one ledger per worker trace).
-    pub memstats: Option<MemStats>,
+    /// The allocation ledger of a single-device run that kept no trace; a
+    /// kept trace holds it instead. Read it with [`RunCapture::memstats`].
+    memstats: Option<MemStats>,
     /// The kernel trace, when asked for (single-device programs).
     pub trace: Option<Trace>,
     /// The fleet run, when asked for (sharded engine, after a success): the
@@ -112,6 +112,14 @@ pub struct RunCapture {
 }
 
 impl RunCapture {
+    /// The allocation ledger of a single-device run, from its kept trace or
+    /// else its own snapshot (`None` for the sharded engine, whose kept
+    /// fleet run holds one ledger per worker trace).
+    pub fn memstats(&self) -> Option<&MemStats> {
+        let kept = self.trace.as_ref().map(|t| &t.memstats);
+        kept.or(self.memstats.as_ref())
+    }
+
     /// The run as a single-run table cell.
     pub fn cell(&self) -> Cell {
         match self.outcome {
@@ -174,7 +182,7 @@ pub fn capture_in(ctx: &mut GpuContext, e: &Env, program: Program, keep_trace: b
         res.as_ref()
             .map(|(core, iterations)| (&core[..], *iterations)),
     );
-    let memstats = ctx.memstats();
+    let trace = keep_trace.then(|| ctx.trace(format!("{} on {}", program.name(), e.dataset.name)));
     RunCapture {
         program,
         outcome,
@@ -185,8 +193,8 @@ pub fn capture_in(ctx: &mut GpuContext, e: &Env, program: Program, keep_trace: b
         iterations,
         fingerprint: ctx.counters_fingerprint(),
         peak_bytes: ctx.device.peak_bytes(),
-        memstats: Some(memstats),
-        trace: keep_trace.then(|| ctx.trace(format!("{} on {}", program.name(), e.dataset.name))),
+        memstats: trace.is_none().then(|| ctx.memstats()),
+        trace,
         fleet: None,
     }
 }
@@ -269,7 +277,7 @@ mod tests {
             matches!(ok.cell(), Cell::Time { avg_ms, std_ms } if avg_ms == ok.sim_ms && std_ms == 0.0)
         );
         assert!(ok.iterations > 0 && ok.launches > 0);
-        assert_eq!(Some(ok.peak_bytes), ok.memstats.map(|m| m.peak_bytes));
+        assert_eq!(Some(ok.peak_bytes), ok.memstats().map(|m| m.peak_bytes));
 
         let vetga = capture(&e, Program::Vetga, 0, false);
         assert!(
@@ -309,13 +317,19 @@ mod tests {
             assert_eq!(trace.totals.launches, cap.launches);
             assert_eq!(trace.counters_fingerprint(), cap.fingerprint);
             assert_eq!(trace.label, format!("{} on amazon0601", program.name()));
-            assert!(capture(&e, program, 2, false).trace.is_none());
+            // one ledger: the kept trace's
+            assert!(cap.memstats.is_none());
+            assert!(std::ptr::eq(cap.memstats().unwrap(), &trace.memstats));
+            let bare = capture(&e, program, 2, false);
+            assert!(bare.trace.is_none());
+            let json = bare.memstats().map(MemStats::to_json);
+            assert_eq!(json, Some(trace.memstats.to_json()));
         }
         let sharded = capture(&e, Program::Sharded(4), 0, true);
         assert_eq!(sharded.program.name(), "Sharded p=4");
-        let fr = sharded.fleet.expect("kept");
+        let fr = sharded.fleet.as_ref().expect("kept");
         assert_eq!(fr.run.total_ms.to_bits(), sharded.sim_ms.to_bits());
         assert_eq!(fr.fleet.label, "amazon0601 p=4 fleet");
-        assert!(sharded.memstats.is_none() && sharded.trace.is_none());
+        assert!(sharded.memstats().is_none() && sharded.trace.is_none());
     }
 }

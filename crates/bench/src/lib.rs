@@ -25,15 +25,23 @@
 //! [`Sweep`] runs each cell of Tables II, III and V and the capacity report
 //! once and renders the four tables from those captures, and the
 //! [`ShardReport`] does the same for the sharded engine's scaling curve,
-//! fleet table and fit forecast.
+//! fleet table and fit forecast. [`table1`], [`table4`], [`table_dynamic`],
+//! [`fig10_case_study`] and [`extensions`] render the other results. Each
+//! report returns its results files as `(name, contents)`, text and JSON
+//! from one set of row values, and every table binary writes them through
+//! [`write_files`].
 
 mod capture;
+mod dynamic;
 mod scale;
 mod sweep;
+mod tables;
 
 pub use capture::{capture, capture_in, Outcome, Program, RunCapture};
+pub use dynamic::table_dynamic;
 pub use scale::{fleet_table, ShardCell, ShardReport};
 pub use sweep::{DatasetSweep, Sweep};
+pub use tables::{extensions, fig10_case_study, table1, table4};
 
 use kcore_cpu::CoreAlgorithm;
 use kcore_gpu::PeelConfig;
@@ -239,11 +247,6 @@ impl Cell {
     }
 }
 
-/// Prints an aligned text table.
-pub fn print_table(headers: &[String], rows: &[Vec<String>]) {
-    print!("{}", render_table(headers, rows));
-}
-
 /// An aligned text table: the header line, a rule, one line per row. The
 /// first column is left-aligned, the others right-aligned.
 pub(crate) fn render_table(headers: &[String], rows: &[Vec<String>]) -> String {
@@ -279,8 +282,39 @@ pub(crate) fn render_table(headers: &[String], rows: &[Vec<String>]) -> String {
     out
 }
 
+/// A table's text as its binary prints it: a blank line, the title, a
+/// blank line, the table.
+pub(crate) fn titled(title: &str, headers: &[String], rows: &[Vec<String>]) -> String {
+    format!("\n{title}\n\n{}", render_table(headers, rows))
+}
+
+pub(crate) fn to_json<T: Serialize>(value: &T) -> String {
+    serde_json::to_string_pretty(value).expect("serialize results")
+}
+
+/// A table's two results files from its `(text, json)`: `<name>.txt` and
+/// `<name>.json`.
+pub(crate) fn table_files(name: &str, (text, json): (String, String)) -> Vec<(String, String)> {
+    vec![
+        (format!("{name}.txt"), text),
+        (format!("{name}.json"), json),
+    ]
+}
+
+/// Publishes a report's results files: prints each `.txt` file to stdout
+/// and writes every file into the results directory (`KCORE_RESULTS_DIR`,
+/// or else `results/` at the workspace root).
+pub fn write_files(files: &[(String, String)]) {
+    for (name, contents) in files {
+        if name.ends_with(".txt") {
+            print!("{contents}");
+        }
+        save(name, contents);
+    }
+}
+
 /// Marks the minimum time cell of a row with the paper's asterisk.
-pub fn mark_best(cells: &mut [String], times: &[Option<f64>]) {
+pub(crate) fn mark_best(cells: &mut [String], times: &[Option<f64>]) {
     if let Some((best, _)) = times
         .iter()
         .enumerate()
@@ -289,15 +323,6 @@ pub fn mark_best(cells: &mut [String], times: &[Option<f64>]) {
     {
         cells[best] = format!("{}*", cells[best]);
     }
-}
-
-/// Where result JSON files go (`results/` at the workspace root).
-pub fn results_dir() -> PathBuf {
-    let dir = std::env::var("KCORE_RESULTS_DIR")
-        .unwrap_or_else(|_| format!("{}/../../results", env!("CARGO_MANIFEST_DIR")));
-    let p = PathBuf::from(dir);
-    std::fs::create_dir_all(&p).expect("create results dir");
-    p
 }
 
 /// Writes a captured kernel [`Trace`](kcore_gpusim::Trace) as a JSON
@@ -491,16 +516,13 @@ impl ValidChurn {
     }
 }
 
-/// Serializes rows as JSON into `results/<name>.json`.
-pub fn save_json<T: Serialize>(name: &str, value: &T) {
-    let json = serde_json::to_string_pretty(value).expect("serialize results");
-    save(&format!("{name}.json"), &json);
-}
-
-/// Writes `contents` to `results/<path>`, creating its directory, and
-/// announces the file on stderr.
-pub fn save(path: &str, contents: &str) {
-    let path = results_dir().join(path);
+/// Writes `contents` to `<results dir>/<path>`, creating its directory,
+/// and announces the file on stderr. The results directory is
+/// `KCORE_RESULTS_DIR`, or else `results/` at the workspace root.
+pub(crate) fn save(path: &str, contents: &str) {
+    let dir = std::env::var("KCORE_RESULTS_DIR")
+        .unwrap_or_else(|_| format!("{}/../../results", env!("CARGO_MANIFEST_DIR")));
+    let path = PathBuf::from(dir).join(path);
     let dir = path.parent().expect("a file under the results dir");
     std::fs::create_dir_all(dir).expect("create results dir");
     std::fs::write(&path, contents).expect("write results file");

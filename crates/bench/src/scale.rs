@@ -24,10 +24,9 @@
 //! the fleet table's uk-2005 runs at 2 and 4 devices.
 
 use crate::capture::sharded_config;
-use crate::sweep::{titled, to_json};
 use crate::{
     capture, check_round_trip, fleet_timeline_enabled, prepare, render_table, save_fleet, selected,
-    Env, Outcome, Program, RunCapture,
+    table_files, titled, to_json, Env, Outcome, Program, RunCapture,
 };
 use kcore_gpu::{decompose, decompose_multi, FleetRun};
 use kcore_gpusim::{DeviceRollup, FleetTrace, P100_DEVICE_BYTES};
@@ -391,14 +390,11 @@ impl ShardReport {
     /// curve with the fit forecast, and the fleet table, each as text (as
     /// printed) and JSON.
     pub fn files(&self) -> Vec<(String, String)> {
-        let (scale_text, scale_json) = self.scale_table();
-        let (fleet_text, fleet_json) = fleet_table(&self.fleet);
-        vec![
-            ("table_scale.txt".into(), scale_text),
-            ("table_scale.json".into(), scale_json),
-            ("table_fleet.txt".into(), fleet_text),
-            ("table_fleet.json".into(), fleet_json),
+        [
+            table_files("table_scale", self.scale_table()),
+            table_files("table_fleet", fleet_table(&self.fleet)),
         ]
+        .concat()
     }
 
     /// The scaling curve, then the fit forecast.

@@ -16,7 +16,8 @@
 //! seed, as the paper's GPU timings varied by up to 30%.
 
 use crate::{
-    capture, check_round_trip, mark_best, render_table, Cell, Env, Outcome, Program, RunCapture,
+    capture, check_round_trip, mark_best, table_files, titled, to_json, Cell, Env, Outcome,
+    Program, RunCapture,
 };
 use kcore_gpu::{Buffering, Compaction};
 use kcore_gpusim::{CapacityForecast, SimOptions, P100_DEVICE_BYTES};
@@ -124,18 +125,13 @@ impl Sweep {
     /// The files the sweep writes, as `(name, contents)`: each table's text
     /// (as printed) and JSON.
     pub fn files(&self) -> Vec<(String, String)> {
-        let tables = [
-            ("table2", self.table2()),
-            ("table3", self.table3()),
-            ("table5", self.table5()),
-            ("table_mem", self.table_mem()),
-        ];
-        let mut files = Vec::new();
-        for (name, (text, json)) in tables {
-            files.push((format!("{name}.txt"), text));
-            files.push((format!("{name}.json"), json));
-        }
-        files
+        [
+            table_files("table2", self.table2()),
+            table_files("table3", self.table3()),
+            table_files("table5", self.table5()),
+            table_files("table_mem", self.table_mem()),
+        ]
+        .concat()
     }
 
     /// Table II: the nine peel variants, avg ± std over the seeded runs.
@@ -157,7 +153,7 @@ impl Sweep {
             "TABLE II — ABLATION STUDY (simulated ms at dataset scale; avg±std over {} runs)",
             self.runs
         );
-        time_table(&title, &variants, rows, true)
+        time_table(&title, headers(&variants), rows, true)
     }
 
     /// Table III: the seed-0 runs of the paper's kernel and the baselines.
@@ -165,7 +161,7 @@ impl Sweep {
         let cells = |d: &DatasetSweep| d.seed0.iter().map(RunCapture::cell).collect();
         let rows = self.datasets.iter().map(|d| (d.dataset.name, cells(d)));
         let title = "TABLE III — COMPUTATION TIME OF GPU PROGRAMS (simulated ms at dataset scale)";
-        time_table(title, &Program::TABLE3, rows, false)
+        time_table(title, headers(&Program::TABLE3), rows, false)
     }
 
     /// Table V: peak device memory, MB at dataset scale, N/A on OOM, the
@@ -242,7 +238,7 @@ impl Sweep {
                 );
             }
             let ledger = |c: &RunCapture| {
-                let stats = c.memstats.as_ref().expect("single-device run");
+                let stats = c.memstats().expect("single-device run");
                 let entries = stats.allocations.iter();
                 entries
                     .map(|a| (a.name.clone(), a.bytes))
@@ -305,7 +301,7 @@ impl DatasetSweep {
         self.seed0
             .iter()
             .map(|c| {
-                let stats = c.memstats.as_ref().expect("single-device run");
+                let stats = c.memstats().expect("single-device run");
                 let f: CapacityForecast = stats.extrapolate(full_v, full_a);
                 let run_oom = c.outcome == Outcome::Oom;
                 MemCell {
@@ -324,14 +320,14 @@ impl DatasetSweep {
     }
 }
 
-/// A time table (II or III): one row per dataset, the fastest cell starred.
-fn time_table<'a>(
+/// A time table (II, III or IV) under `headers` ("Dataset", then one name
+/// per cell): one row per dataset, the fastest cell starred.
+pub(crate) fn time_table<'a>(
     title: &str,
-    programs: &[Program],
+    headers: Vec<String>,
     rows: impl Iterator<Item = (&'a str, Vec<Cell>)>,
     with_std: bool,
 ) -> (String, String) {
-    let headers = headers(programs);
     let (mut text, mut json) = (Vec::new(), Vec::new());
     for (dataset, cells) in rows {
         let times: Vec<Option<f64>> = cells.iter().map(Cell::avg_ms).collect();
@@ -351,14 +347,4 @@ fn time_table<'a>(
 fn headers(programs: &[Program]) -> Vec<String> {
     let names = programs.iter().map(|p| p.name());
     std::iter::once("Dataset".into()).chain(names).collect()
-}
-
-/// A table's text as its binary printed it: a blank line, the title, a
-/// blank line, the table.
-pub(crate) fn titled(title: &str, headers: &[String], rows: &[Vec<String>]) -> String {
-    format!("\n{title}\n\n{}", render_table(headers, rows))
-}
-
-pub(crate) fn to_json<T: Serialize>(value: &T) -> String {
-    serde_json::to_string_pretty(value).expect("serialize results")
 }

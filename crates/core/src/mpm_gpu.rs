@@ -48,7 +48,7 @@ pub fn decompose_mpm_in(ctx: &mut GpuContext, g: &Csr) -> Result<(Vec<u32>, u32)
     }
     ctx.set_phase("Setup");
     ctx.set_workload_dims(n as u64, g.num_arcs());
-    let offsets32 = crate::peel::narrow_offsets(g.offsets())?;
+    let offsets32 = kcore_gpusim::narrow_offsets(g.offsets())?;
     let d_offsets = ctx.htod_tagged("gpumpm.offset", &offsets32, SizeClass::PerVertex)?;
     let d_neighbors = ctx.htod_tagged("gpumpm.neighbors", g.neighbor_array(), SizeClass::PerArc)?;
     let d_a = ctx.htod_tagged("gpumpm.a", &g.degrees(), SizeClass::PerVertex)?;

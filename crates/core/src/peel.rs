@@ -18,8 +18,8 @@ use kcore_gpusim::scan::{
     ballot_scan, ballot_scan_offsets, block_two_stage_scan, block_two_stage_scan_charges,
 };
 use kcore_gpusim::{
-    BlockCtx, BufferId, Counters, GpuContext, KernelError, LaunchConfig, SharedArray, SimError,
-    SimOptions, SimReport, SizeClass,
+    narrow_offsets, BlockCtx, BufferId, Counters, GpuContext, KernelError, LaunchConfig,
+    SharedArray, SimError, SimOptions, SimReport, SizeClass,
 };
 use kcore_graph::Csr;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -65,22 +65,6 @@ pub(crate) struct DeviceState {
     /// The frontier the next launch hands each block: the scan's k-shell,
     /// or the sharded engine's border seeds.
     pub(crate) buckets: BlockBuckets,
-}
-
-/// Narrows CSR offsets to the device's 32-bit arc offsets. A graph of
-/// `u32::MAX` or more arcs (its last offset) is a
-/// [`SimError::InvalidConfig`].
-pub(crate) fn narrow_offsets(offsets: &[u64]) -> Result<Vec<u32>, SimError> {
-    let arcs = offsets.last().copied().unwrap_or(0);
-    if arcs >= u64::from(u32::MAX) {
-        return Err(SimError::InvalidConfig {
-            what: "arcs",
-            value: arcs as f64,
-            need: "fewer than 2^32 - 1 for 32-bit arc offsets",
-        });
-    }
-    // Every offset is at most the arc count, which fits in 32 bits.
-    Ok(offsets.iter().map(|&o| o as u32).collect())
 }
 
 /// Algorithm 1, lines 1–4: loads a CSR plus the working buffers onto
@@ -1213,24 +1197,6 @@ mod tests {
         assert_eq!(run.core, fig1_core_numbers());
         assert_eq!(run.k_max, 3);
         assert_eq!(run.rounds, 4); // k = 0..3
-    }
-
-    #[test]
-    fn arc_counts_past_32_bit_offsets_are_typed_errors() {
-        // A graph this size needs 16 GiB, so the check is tested alone, on
-        // the offsets of one vertex holding every arc.
-        assert_eq!(
-            narrow_offsets(&[0, (1 << 32) - 2]),
-            Ok(vec![0, u32::MAX - 1])
-        );
-        assert_eq!(
-            narrow_offsets(&[0, (1 << 32) - 1]),
-            Err(SimError::InvalidConfig {
-                what: "arcs",
-                value: ((1u64 << 32) - 1) as f64,
-                need: "fewer than 2^32 - 1 for 32-bit arc offsets",
-            })
-        );
     }
 
     #[test]

@@ -606,6 +606,22 @@ pub struct GpuContext {
     scratch: LaunchScratch,
 }
 
+/// Narrows CSR offsets to the device's 32-bit arc offsets, the form every
+/// engine uploads with [`GpuContext::htod_tagged`]. A graph of `u32::MAX`
+/// or more arcs (its last offset) is a [`SimError::InvalidConfig`].
+pub fn narrow_offsets(offsets: &[u64]) -> Result<Vec<u32>, SimError> {
+    let arcs = offsets.last().copied().unwrap_or(0);
+    if arcs >= u64::from(u32::MAX) {
+        return Err(SimError::InvalidConfig {
+            what: "arcs",
+            value: arcs as f64,
+            need: "fewer than 2^32 - 1 for 32-bit arc offsets",
+        });
+    }
+    // Every offset is at most the arc count, which fits in 32 bits.
+    Ok(offsets.iter().map(|&o| o as u32).collect())
+}
+
 impl GpuContext {
     /// A context with the given cost model and device capacity in bytes.
     /// Shared memory defaults to the P100's 64 KiB per block.
@@ -1460,6 +1476,24 @@ mod tests {
         assert_eq!(c.device.read_vec(buf), vec![1, 2, 3, 4]);
         c.device.write_slice(buf, &[9; 3]).unwrap();
         assert_eq!(c.device.read_vec(buf), vec![9, 9, 9, 4]);
+    }
+
+    #[test]
+    fn arc_counts_past_32_bit_offsets_are_typed_errors() {
+        // A graph this size needs 16 GiB, so the check is tested alone, on
+        // the offsets of one vertex holding every arc.
+        assert_eq!(
+            narrow_offsets(&[0, (1 << 32) - 2]),
+            Ok(vec![0, u32::MAX - 1])
+        );
+        assert_eq!(
+            narrow_offsets(&[0, (1 << 32) - 1]),
+            Err(SimError::InvalidConfig {
+                what: "arcs",
+                value: ((1u64 << 32) - 1) as f64,
+                need: "fewer than 2^32 - 1 for 32-bit arc offsets",
+            })
+        );
     }
 
     #[test]

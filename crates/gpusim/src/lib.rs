@@ -72,7 +72,8 @@ pub use cost::{
 };
 pub use device::{BufferId, Device, LedgerEntry, OomError, SizeClass};
 pub use exec::{
-    BlockCtx, Coalescing, GpuContext, KernelError, LaunchConfig, SharedArray, SimError, SimOptions,
+    narrow_offsets, BlockCtx, Coalescing, GpuContext, KernelError, LaunchConfig, SharedArray,
+    SimError, SimOptions,
 };
 pub use fleet::{
     fnv1a_bytes, DeviceRollup, ExchangeTrace, FleetTrace, FlowEdge, RoundCritical, RoundTrace,

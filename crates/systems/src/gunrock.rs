@@ -17,7 +17,8 @@
 use crate::{in_block_order, FrameworkCosts, SystemRun};
 use kcore_gpusim::warp::WARP_SIZE;
 use kcore_gpusim::{
-    BlockCtx, Coalescing, GpuContext, KernelError, LaunchConfig, SimError, SimOptions, SizeClass,
+    narrow_offsets, BlockCtx, Coalescing, GpuContext, KernelError, LaunchConfig, SimError,
+    SimOptions, SizeClass,
 };
 use kcore_graph::Csr;
 use std::sync::atomic::Ordering;
@@ -46,7 +47,7 @@ pub fn peel_in(
     }
     ctx.set_phase("Setup");
     ctx.set_workload_dims(n as u64, g.num_arcs());
-    let offsets32: Vec<u32> = g.offsets().iter().map(|&o| o as u32).collect();
+    let offsets32 = narrow_offsets(g.offsets())?;
     let d_offsets = ctx.htod_tagged("gunrock.offset", &offsets32, SizeClass::PerVertex)?;
     let d_neighbors =
         ctx.htod_tagged("gunrock.neighbors", g.neighbor_array(), SizeClass::PerArc)?;

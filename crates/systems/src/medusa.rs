@@ -19,7 +19,8 @@
 use crate::{FrameworkCosts, SystemRun};
 use kcore_gpusim::warp::WARP_SIZE;
 use kcore_gpusim::{
-    BlockCtx, BufferId, Coalescing, GpuContext, LaunchConfig, SimError, SimOptions, SizeClass,
+    narrow_offsets, BlockCtx, BufferId, Coalescing, GpuContext, LaunchConfig, SimError, SimOptions,
+    SizeClass,
 };
 use kcore_graph::Csr;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -98,12 +99,14 @@ impl MedusaDev {
         ctx.set_phase("Setup");
         ctx.set_workload_dims(u64::from(g.num_vertices()), g.num_arcs());
         let n = g.num_vertices() as usize;
-        let offsets32: Vec<u32> = g.offsets().iter().map(|&o| o as u32).collect();
+        let offsets32 = narrow_offsets(g.offsets())?;
         let d_offsets = ctx.htod_tagged("medusa.offset", &offsets32, SizeClass::PerVertex)?;
         let d_neighbors =
             ctx.htod_tagged("medusa.neighbors", g.neighbor_array(), SizeClass::PerArc)?;
         // Reverse index: arc j (u→v, at position j of u's list) delivers its
         // message into v's incoming slot — the position of u in v's list.
+        // Every slot is below the arc count, which `narrow_offsets` bounded
+        // below 2^32 - 1.
         let mut ridx = vec![0u32; g.num_arcs() as usize];
         for u in 0..g.num_vertices() {
             let base = g.offsets()[u as usize] as usize;

@@ -60,11 +60,13 @@ echo "== dataset cache smoke (KCORE_CACHE_DIR) =="
 # Cold run populates the cache; warm run must serve from it without
 # rewriting any entry (byte-identical output is pinned by the test suite;
 # here we pin the hit/miss mechanics end to end through a table binary).
+# Its one-row table goes to a throwaway dir, not over results/table1.*.
 cargo build --locked --release -q -p kcore-bench
 cache_dir="$(mktemp -d)"
-trap 'rm -rf "$cache_dir"' EXIT
+cache_results="$(mktemp -d)"
+trap 'rm -rf "$cache_dir" "$cache_results"' EXIT
 KCORE_SMOKE=1 KCORE_DATASETS=amazon0601 KCORE_CACHE_DIR="$cache_dir" \
-  ./target/release/table1 > /dev/null
+  KCORE_RESULTS_DIR="$cache_results" ./target/release/table1 > /dev/null
 entries=$(find "$cache_dir" -name '*.kcsr' | wc -l)
 if (( entries != 1 )); then
   echo "ERROR: cold run should write exactly 1 cache entry, found $entries" >&2
@@ -72,7 +74,7 @@ if (( entries != 1 )); then
 fi
 stamp_before=$(find "$cache_dir" -name '*.kcsr' -exec stat -c '%y %n' {} \; | sort)
 KCORE_SMOKE=1 KCORE_DATASETS=amazon0601 KCORE_CACHE_DIR="$cache_dir" \
-  ./target/release/table1 > /dev/null
+  KCORE_RESULTS_DIR="$cache_results" ./target/release/table1 > /dev/null
 stamp_after=$(find "$cache_dir" -name '*.kcsr' -exec stat -c '%y %n' {} \; | sort)
 if [[ "$stamp_before" != "$stamp_after" ]]; then
   echo "ERROR: warm run rewrote cache entries (expected pure hits)" >&2
@@ -141,16 +143,37 @@ echo "== dynamic maintenance smoke (batched engine vs oracle) =="
 # maintenance engine, asserts that no run rejects an update, verifies
 # every run's final cores against a from-scratch BZ peel, and drives one
 # pure-insert batch plus one pure-delete batch oracle-checked after each.
-# Results go to a throwaway
-# dir so the full-scale results/table_dynamic.json is never overwritten.
+# Results go to a throwaway dir so the full-scale
+# results/table_dynamic.{txt,json} are never overwritten.
 dyn_results="$(mktemp -d)"
 KCORE_SMOKE=1 KCORE_RESULTS_DIR="$dyn_results" \
   ./target/release/table_dynamic --check > /dev/null
-if [[ ! -s "$dyn_results/table_dynamic.json" ]]; then
-  echo "ERROR: table_dynamic did not write table_dynamic.json" >&2
-  exit 1
-fi
+for ext in txt json; do
+  if [[ ! -s "$dyn_results/table_dynamic.$ext" ]]; then
+    echo "ERROR: table_dynamic did not write table_dynamic.$ext" >&2
+    exit 1
+  fi
+done
 rm -rf "$dyn_results"
 echo "dynamic smoke OK"
+
+echo "== full-size drift check (table1, table_dynamic, fig10, extensions) =="
+# The four simulated tables that regenerate in about 30 s together run at
+# full size into a throwaway dir, and each text file must equal the one
+# committed under results/ byte for byte. No dataset cache: it would hold
+# about 290 MB of full-size stand-ins. sweep, table_scale and the
+# wall-clock table4 stay in scripts/run_all_experiments.sh.
+drift_results="$(mktemp -d)"
+for t in table1 table_dynamic fig10_case_study extensions; do
+  KCORE_RESULTS_DIR="$drift_results" ./target/release/$t > /dev/null
+done
+for f in table1 table_dynamic fig10 extensions; do
+  if ! cmp "$drift_results/$f.txt" "results/$f.txt"; then
+    echo "ERROR: results/$f.txt is stale; regenerate it with scripts/run_all_experiments.sh" >&2
+    exit 1
+  fi
+done
+rm -rf "$drift_results"
+echo "drift check OK"
 
 echo "== ci.sh: all green =="

@@ -19,30 +19,18 @@ export KCORE_CACHE_DIR="${KCORE_CACHE_DIR:-$PWD/.kcore-cache}"
 
 cargo build --release -p kcore-bench
 
-for t in table1 table4 table_dynamic; do
+# Each table binary prints its tables and writes them, text and JSON, into
+# results/: table1, table4, table_dynamic and extensions as
+# <name>.{txt,json}; fig10_case_study as fig10.{txt,json}; sweep, from one
+# run per cell, Tables II, III and V and the full-scale P100 capacity report
+# as {table2,table3,table5,table_mem}.{txt,json}; and table_scale, from one
+# run per (dataset, device count) cell, the scaling curve (1/2/4/8 workers
+# on the @2x stand-ins) with the uk-2005 fit forecast and the fleet table
+# (every stand-in at 2 and 4 workers) as {table_scale,table_fleet}.{txt,json}.
+for t in table1 table4 table_dynamic fig10_case_study sweep table_scale extensions; do
   echo "== $t =="
-  ./target/release/$t | tee "results/$t.txt"
+  ./target/release/$t
 done
-
-echo "== fig10_case_study =="
-./target/release/fig10_case_study | tee results/fig10.txt
-
-# Tables II, III and V and the full-scale P100 capacity report (memstats
-# extrapolation) from one sweep that runs every cell once. Writes
-# results/{table2,table3,table5,table_mem}.{txt,json} itself.
-echo "== sweep =="
-./target/release/sweep
-
-# The sharded report from one run per (dataset, device count) cell: the
-# scaling curve (1/2/4/8 workers on the @2x stand-ins) with the uk-2005
-# full-scale fit forecast, and the fleet table (every stand-in at 2 and 4
-# workers). Writes results/{table_scale,table_fleet}.{txt,json} itself.
-echo "== table_scale =="
-./target/release/table_scale
-
-# Ring-buffer ablation and peeling vs direct GPU-MPM vs Medusa-MPM.
-echo "== extensions =="
-./target/release/extensions | tee results/extensions.txt
 
 echo "== criterion micro-benchmarks =="
 cargo bench -p kcore-bench

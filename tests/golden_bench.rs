@@ -8,7 +8,8 @@
 //! round-trip form, so a move of one ulp in `sim_ms`, either way, changes
 //! the text. `tables_smoke/` holds the eight files `sweep` writes (Tables
 //! II, III and V and `table_mem`, text and JSON) at the default three
-//! seeded runs, and the fleet table `table_scale` writes (text and JSON).
+//! seeded runs, the fleet table `table_scale` writes, and the files of
+//! `table1`, `table_dynamic` and `fig10_case_study` (text and JSON each).
 //! Every cell is deterministic and independent of the rayon width, so the
 //! exact compare cannot flake. The dataset list is
 //! `datasets::smoke_subset()` itself: no environment variable narrows it.
@@ -23,8 +24,8 @@
 //! ```
 
 use kcore_bench::{
-    assert_golden, capture, fleet_table, prepare, Env, Outcome, Program, RunCapture, ShardCell,
-    Sweep,
+    assert_golden, capture, fig10_case_study, fleet_table, prepare, table1, table_dynamic, Env,
+    Outcome, Program, RunCapture, ShardCell, Sweep,
 };
 use kcore_graph::datasets;
 use serde::Serialize;
@@ -150,6 +151,20 @@ fn smoke_fleet_table_matches_checked_in_golden() {
     let (text, json) = fleet_table(&cells);
     assert_golden(&tables_dir().join("table_fleet.txt"), &text);
     assert_golden(&tables_dir().join("table_fleet.json"), &json);
+}
+
+/// The files `KCORE_SMOKE=1 table1`, `KCORE_SMOKE=1 table_dynamic` (with
+/// its `--check`) and `fig10_case_study` write.
+#[test]
+fn smoke_reports_match_checked_in_golden() {
+    let files = [
+        table1(&smoke().envs),
+        table_dynamic(true, true),
+        fig10_case_study(),
+    ];
+    for (name, text) in files.concat() {
+        assert_golden(&tables_dir().join(name), &text);
+    }
 }
 
 #[test]
