@@ -113,15 +113,14 @@ fn main() {
             fr.run.border_packets,
             fr.run.exchanged_bytes,
         );
-        for c in &fr.fleet.critical_path {
+        for (k, c) in fr.fleet.critical_path().enumerate() {
             println!(
-                "    k={:<4} {:>9.3} ms  compute {:>5.1}% cascade {:>5.1}% exchange {:>5.1}% link {:>5.1}%  bound: {} ({})",
-                c.k,
-                c.compute_ms + c.cascade_ms + c.exchange_kernel_ms + c.link_ms,
-                100.0 * c.compute_share,
-                100.0 * c.cascade_share,
-                100.0 * c.exchange_share,
-                100.0 * c.link_share,
+                "    k={k:<4} {:>9.3} ms  compute {:>5.1}% cascade {:>5.1}% exchange {:>5.1}% link {:>5.1}%  bound: {} ({})",
+                c.total_ms(),
+                100.0 * c.share(c.compute_ms),
+                100.0 * c.share(c.cascade_ms),
+                100.0 * c.share(c.exchange_kernel_ms),
+                100.0 * c.share(c.link_ms),
                 c.bound,
                 c.bounding_resource,
             );

@@ -39,7 +39,7 @@ mod tables;
 
 pub use capture::{capture, capture_in, Outcome, Program, RunCapture};
 pub use dynamic::table_dynamic;
-pub use scale::{fleet_table, ShardCell, ShardReport};
+pub use scale::{fleet_table, scaling_curve, ShardCell, ShardReport};
 pub use sweep::{DatasetSweep, Sweep};
 pub use tables::{extensions, fig10_case_study, table1, table4};
 
@@ -675,14 +675,14 @@ mod tests {
         check_round_trip(&doc);
         let nested = doc.replacen(
             "\"label\": \"probe\"",
-            "\"label\": {\n    \"schema_version\": 4\n  }",
+            "\"label\": {\n    \"schema_version\": 5\n  }",
             1,
         );
-        let old = doc.replacen("\"schema_version\": 4", "\"schema_version\": 3", 1);
+        let old = doc.replacen("\"schema_version\": 5", "\"schema_version\": 4", 1);
         let compact = serde_json::to_string(&serde_json::from_str(&doc).unwrap()).unwrap();
         for (bad, why) in [
             (nested, "states its schema version once"),
-            (old, "open with schema_version 4"),
+            (old, "open with schema_version 5"),
             (compact, "byte for byte"),
         ] {
             let msg = panic_message(|| check_round_trip(&bad));

@@ -78,10 +78,10 @@ struct CriticalAgg {
 impl CriticalAgg {
     fn from_fleet(fleet: &FleetTrace) -> CriticalAgg {
         let mut a = CriticalAgg {
-            rounds: fleet.critical_path.len(),
+            rounds: fleet.rounds.len(),
             ..CriticalAgg::default()
         };
-        for c in &fleet.critical_path {
+        for c in fleet.critical_path() {
             a.compute_ms += c.compute_ms;
             a.cascade_ms += c.cascade_ms;
             a.exchange_ms += c.exchange_kernel_ms;
@@ -246,7 +246,7 @@ impl ShardCell {
                 sub_rounds: run.sub_rounds,
                 exchanged_bytes: run.exchanged_bytes,
                 max_device_peak_bytes: cap.peak_bytes,
-                total_peak_bytes: run.total_peak_mem_bytes,
+                total_peak_bytes: run.per_device_peak_bytes.iter().sum(),
                 exchange_rounds: run.exchange_rounds,
                 border_packets: run.border_packets,
                 critical: critical.clone(),
@@ -258,7 +258,7 @@ impl ShardCell {
                 rounds: fleet.rounds.len(),
                 exchange_rounds: run.exchange_rounds,
                 border_packets: run.border_packets,
-                exchanged_bytes: fleet.exchanged_bytes,
+                exchanged_bytes: run.exchanged_bytes,
                 partition,
                 compute_ms: critical.compute_ms,
                 cascade_ms: critical.cascade_ms,
@@ -399,38 +399,8 @@ impl ShardReport {
 
     /// The scaling curve, then the fit forecast.
     fn scale_table(&self) -> (String, String) {
-        // each dataset's curve starts at one device
-        let mut base = f64::NAN;
-        let scaling: Vec<ScaleRow> = self
-            .scaling
-            .iter()
-            .map(|c| {
-                if c.scale.devices == 1 {
-                    base = c.scale.total_ms;
-                }
-                ScaleRow {
-                    speedup: base / c.scale.total_ms,
-                    ..c.scale.clone()
-                }
-            })
-            .collect();
+        let (scaling, curve_text) = curve(&self.scaling);
         let fit: Vec<FitRow> = self.fit.iter().map(|c| c.fit.clone()).collect();
-        let mb = |b: u64| b as f64 / (1024.0 * 1024.0);
-        let rows: Vec<Vec<String>> = scaling
-            .iter()
-            .map(|r| {
-                vec![
-                    r.dataset.clone(),
-                    r.devices.to_string(),
-                    format!("{:.2}", r.total_ms),
-                    format!("{:.2}x", r.speedup),
-                    format!("{:.2}", mb(r.exchanged_bytes)),
-                    format!("{:.1}", mb(r.max_device_peak_bytes)),
-                    r.sub_rounds.to_string(),
-                    r.critical.cell(),
-                ]
-            })
-            .collect();
         let fit_rows: Vec<Vec<String>> = fit
             .iter()
             .map(|r| {
@@ -445,29 +415,13 @@ impl ShardReport {
                 ]
             })
             .collect();
-        let headers = [
-            "Dataset",
-            "Devices",
-            "ms",
-            "Speedup",
-            "Exch MB",
-            "Max dev MB",
-            "Sub-rounds",
-            "Critical path",
-        ]
-        .map(String::from);
         let fit_headers = ["Dataset", "Devices", "Max dev GB @1x", "Fits 16 GB"].map(String::from);
-        let text = format!(
-            "{}\nCritical path column: per-round aggregate shares of \
-             compute(c)/cascade(s)/exchange-kernel(x)/link(l), then the resource \
-             bounding the most rounds (bound@rounds/total).\n{}",
-            titled("SHARDED SCALING", &headers, &rows),
-            titled(
+        let text = curve_text
+            + &titled(
                 "FULL-SCALE FIT FORECAST (per-device predicted peak vs 16 GB P100)",
                 &fit_headers,
-                &fit_rows
-            ),
-        );
+                &fit_rows,
+            );
         (text, to_json(&TableScale { scaling, fit }))
     }
 
@@ -491,6 +445,66 @@ impl ShardReport {
         assert!(fits_at_8, "uk-2005 @1x must fit on 8 x 16 GB devices");
         eprintln!("[table_scale] check OK: sharded contract holds, ledgers reconcile and parse");
     }
+}
+
+/// The scaling curve over `cells`, as text and JSON. Each dataset's cells
+/// come in ascending device count from one device, the run its speedup is
+/// over.
+pub fn scaling_curve(cells: &[ShardCell]) -> (String, String) {
+    let (rows, text) = curve(cells);
+    (text, to_json(&rows))
+}
+
+/// The scaling curve's rows, with their speedups set, and its text section.
+fn curve(cells: &[ShardCell]) -> (Vec<ScaleRow>, String) {
+    // each dataset's curve starts at one device
+    let mut base = f64::NAN;
+    let scaling: Vec<ScaleRow> = cells
+        .iter()
+        .map(|c| {
+            if c.scale.devices == 1 {
+                base = c.scale.total_ms;
+            }
+            ScaleRow {
+                speedup: base / c.scale.total_ms,
+                ..c.scale.clone()
+            }
+        })
+        .collect();
+    let mb = |b: u64| b as f64 / (1024.0 * 1024.0);
+    let rows: Vec<Vec<String>> = scaling
+        .iter()
+        .map(|r| {
+            vec![
+                r.dataset.clone(),
+                r.devices.to_string(),
+                format!("{:.2}", r.total_ms),
+                format!("{:.2}x", r.speedup),
+                format!("{:.2}", mb(r.exchanged_bytes)),
+                format!("{:.1}", mb(r.max_device_peak_bytes)),
+                r.sub_rounds.to_string(),
+                r.critical.cell(),
+            ]
+        })
+        .collect();
+    let headers = [
+        "Dataset",
+        "Devices",
+        "ms",
+        "Speedup",
+        "Exch MB",
+        "Max dev MB",
+        "Sub-rounds",
+        "Critical path",
+    ]
+    .map(String::from);
+    let text = format!(
+        "{}\nCritical path column: per-round aggregate shares of \
+         compute(c)/cascade(s)/exchange-kernel(x)/link(l), then the resource \
+         bounding the most rounds (bound@rounds/total).\n",
+        titled("SHARDED SCALING", &headers, &rows),
+    );
+    (scaling, text)
 }
 
 /// The fleet table over `cells`, as text and JSON.

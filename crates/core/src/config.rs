@@ -77,38 +77,6 @@ impl PeelConfig {
         Self::default()
     }
 
-    /// Shared-memory buffering variant.
-    pub fn sm() -> Self {
-        PeelConfig {
-            buffering: Buffering::SharedMem,
-            ..Self::default()
-        }
-    }
-
-    /// Vertex-prefetching variant.
-    pub fn vp() -> Self {
-        PeelConfig {
-            buffering: Buffering::Prefetch,
-            ..Self::default()
-        }
-    }
-
-    /// Ballot-compaction variant.
-    pub fn bc() -> Self {
-        PeelConfig {
-            compaction: Compaction::Ballot,
-            ..Self::default()
-        }
-    }
-
-    /// Efficient (block-level) compaction variant.
-    pub fn ec() -> Self {
-        PeelConfig {
-            compaction: Compaction::Efficient,
-            ..Self::default()
-        }
-    }
-
     /// Applies a buffering strategy on top of `self` (builder style).
     pub fn with_buffering(mut self, b: Buffering) -> Self {
         self.buffering = b;
@@ -181,23 +149,20 @@ mod tests {
 
     #[test]
     fn variant_names() {
-        assert_eq!(PeelConfig::ours().variant_name(), "Ours");
-        assert_eq!(PeelConfig::sm().variant_name(), "SM");
-        assert_eq!(PeelConfig::vp().variant_name(), "VP");
-        assert_eq!(PeelConfig::bc().variant_name(), "BC");
-        assert_eq!(PeelConfig::ec().variant_name(), "EC");
-        assert_eq!(
-            PeelConfig::bc()
-                .with_buffering(Buffering::SharedMem)
-                .variant_name(),
-            "BC+SM"
-        );
-        assert_eq!(
-            PeelConfig::ec()
-                .with_buffering(Buffering::Prefetch)
-                .variant_name(),
-            "EC+VP"
-        );
+        let ours = PeelConfig::ours();
+        assert_eq!(ours.variant_name(), "Ours");
+        let sm = ours.with_buffering(Buffering::SharedMem);
+        assert_eq!(sm.variant_name(), "SM");
+        let vp = ours.with_buffering(Buffering::Prefetch);
+        assert_eq!(vp.variant_name(), "VP");
+        let bc = ours.with_compaction(Compaction::Ballot);
+        assert_eq!(bc.variant_name(), "BC");
+        let ec = ours.with_compaction(Compaction::Efficient);
+        assert_eq!(ec.variant_name(), "EC");
+        let bc_sm = bc.with_buffering(Buffering::SharedMem);
+        assert_eq!(bc_sm.variant_name(), "BC+SM");
+        let ec_vp = ec.with_buffering(Buffering::Prefetch);
+        assert_eq!(ec_vp.variant_name(), "EC+VP");
     }
 
     #[test]

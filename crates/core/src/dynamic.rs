@@ -95,12 +95,6 @@ impl DynamicConfig {
             (ratio as usize).max(1)
         }
     }
-
-    /// [`Self::auto_crossover`] applied in place.
-    pub fn with_auto_crossover(mut self, repeel_ms: f64, per_update_ms: f64) -> Self {
-        self.crossover = Self::auto_crossover(repeel_ms, per_update_ms);
-        self
-    }
 }
 
 /// Which path [`DynamicCore::apply_batch`] took.
@@ -1385,8 +1379,7 @@ mod tests {
         assert_eq!(DynamicConfig::auto_crossover(0.0, 1.0), 1);
         assert_eq!(DynamicConfig::auto_crossover(-3.0, 1.0), 1);
         assert_eq!(DynamicConfig::auto_crossover(f64::INFINITY, 1.0), 1);
-        let cfg = DynamicConfig::default().with_auto_crossover(12.0, 3.0);
-        assert_eq!(cfg.crossover, 4);
+        assert_eq!(DynamicConfig::auto_crossover(12.0, 3.0), 4);
     }
 
     #[test]

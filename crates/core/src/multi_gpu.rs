@@ -46,7 +46,7 @@ use crate::config::PeelConfig;
 use crate::peel;
 use kcore_gpusim::{
     BlockCtx, BufferId, ExchangeTrace, FleetTrace, FlowEdge, GpuContext, KernelError, RoundTrace,
-    SimError, SimOptions, SizeClass, SubRoundSlice, Timeline, Trace,
+    SimError, SimOptions, SizeClass, SubRoundSlice, Timeline, Trace, PACKET_BYTES,
 };
 use kcore_graph::{Csr, Partition, PartitionStrategy, Shard};
 use rayon::prelude::*;
@@ -109,8 +109,6 @@ pub struct MultiGpuRun {
     pub sub_rounds: u32,
     /// Simulated wall time (slowest device per phase + exchanges), ms.
     pub total_ms: f64,
-    /// Sum of worker device peaks, bytes.
-    pub total_peak_mem_bytes: u64,
     /// Each worker device's peak, bytes, in shard order.
     pub per_device_peak_bytes: Vec<u64>,
     /// Each worker trace's counters fingerprint, in shard order.
@@ -118,7 +116,7 @@ pub struct MultiGpuRun {
     /// Bytes exchanged between devices over the whole run.
     pub exchanged_bytes: u64,
     /// Exchanges that actually carried border packets (informational
-    /// observability rollup — never feeds the cost model).
+    /// observability rollup of the ledger — never feeds the cost model).
     pub exchange_rounds: u64,
     /// Total worker→master border packets over the run (informational).
     pub border_packets: u64,
@@ -138,7 +136,8 @@ pub struct FleetRun {
     /// Per-worker SM timelines, shard order — feed
     /// [`FleetTrace::merged_chrome_json`].
     pub timelines: Vec<Timeline>,
-    /// The fleet ledger: exchange flows, sub-round slices, critical path.
+    /// The fleet ledger: sub-round slices and exchange flows, from which
+    /// the critical path is derived.
     pub fleet: FleetTrace,
 }
 
@@ -165,7 +164,7 @@ pub fn decompose_multi(
     cfg: &MultiGpuConfig,
     opts: &SimOptions,
 ) -> Result<MultiGpuRun, SimError> {
-    decompose_multi_impl(g, cfg, opts, None).map(|(run, _)| run)
+    decompose_multi_impl(g, cfg, opts).map(|(run, ..)| run)
 }
 
 /// [`decompose_multi`] with the full fleet observability layer: the run,
@@ -180,41 +179,26 @@ pub fn decompose_multi_fleet(
     opts: &SimOptions,
     label: impl Into<String>,
 ) -> Result<FleetRun, SimError> {
-    let (run, capture) = decompose_multi_impl(g, cfg, opts, Some(label.into()))?;
-    let FleetCapture {
-        label,
-        traces,
-        timelines,
-        rounds,
-        setup_ms,
-        result_ms,
-    } = capture.expect("decompose_multi_impl captures when given a label");
-    let fleet = FleetTrace::new(
-        label,
-        setup_ms,
-        result_ms,
-        run.total_ms,
-        run.exchanged_bytes,
-        rounds,
-        traces.len(),
-    );
+    let (run, fleet, mut contexts) = decompose_multi_impl(g, cfg, opts)?;
+    let timelines: Vec<Timeline> = contexts
+        .iter()
+        .enumerate()
+        .map(|(wi, ctx)| ctx.timeline(format!("worker{wi}")))
+        .collect();
+    let traces: Vec<Trace> = contexts
+        .iter_mut()
+        .enumerate()
+        .map(|(wi, ctx)| ctx.trace(format!("worker{wi}")))
+        .collect();
     Ok(FleetRun {
         run,
         traces,
         timelines,
-        fleet,
+        fleet: FleetTrace {
+            label: label.into(),
+            ..fleet
+        },
     })
-}
-
-/// What `decompose_multi_impl` captures for [`decompose_multi_fleet`] when
-/// given a label: per-worker traces and timelines, and the per-round ledger.
-struct FleetCapture {
-    label: String,
-    traces: Vec<Trace>,
-    timelines: Vec<Timeline>,
-    rounds: Vec<RoundTrace>,
-    setup_ms: f64,
-    result_ms: f64,
 }
 
 /// The configuration checks shared by both sharded entry points;
@@ -259,38 +243,37 @@ fn check_config(g: &Csr, cfg: &MultiGpuConfig) -> Result<(), SimError> {
     Ok(())
 }
 
+/// The sharded run, its unlabelled ledger, and the worker contexts in shard
+/// order, which [`decompose_multi_fleet`] builds its traces from.
 fn decompose_multi_impl(
     g: &Csr,
     cfg: &MultiGpuConfig,
     opts: &SimOptions,
-    fleet_label: Option<String>,
-) -> Result<(MultiGpuRun, Option<FleetCapture>), SimError> {
+) -> Result<(MultiGpuRun, FleetTrace, Vec<GpuContext>), SimError> {
     check_config(g, cfg)?;
     let n = g.num_vertices() as usize;
     if n == 0 {
-        return Ok((
-            MultiGpuRun {
-                core: Vec::new(),
-                k_max: 0,
-                rounds: 0,
-                sub_rounds: 0,
-                total_ms: 0.0,
-                total_peak_mem_bytes: 0,
-                per_device_peak_bytes: Vec::new(),
-                worker_fingerprints: Vec::new(),
-                exchanged_bytes: 0,
-                exchange_rounds: 0,
-                border_packets: 0,
-            },
-            fleet_label.map(|label| FleetCapture {
-                label,
-                traces: Vec::new(),
-                timelines: Vec::new(),
-                rounds: Vec::new(),
-                setup_ms: 0.0,
-                result_ms: 0.0,
-            }),
-        ));
+        let run = MultiGpuRun {
+            core: Vec::new(),
+            k_max: 0,
+            rounds: 0,
+            sub_rounds: 0,
+            total_ms: 0.0,
+            per_device_peak_bytes: Vec::new(),
+            worker_fingerprints: Vec::new(),
+            exchanged_bytes: 0,
+            exchange_rounds: 0,
+            border_packets: 0,
+        };
+        let fleet = FleetTrace {
+            label: String::new(),
+            num_devices: 0,
+            total_ms: 0.0,
+            setup_ms: 0.0,
+            result_ms: 0.0,
+            rounds: Vec::new(),
+        };
+        return Ok((run, fleet, Vec::new()));
     }
     // ---- partition & load shards ----------------------------------------
     let part = Partition::build(g, cfg.num_gpus, cfg.partition);
@@ -299,23 +282,19 @@ fn decompose_multi_impl(
     let setup_ms = total_ms;
 
     let mut exchanged_bytes = 0u64;
-    let mut sub_rounds = 0u32;
-    let mut rounds = 0u32;
     let mut k = 0u32;
     let mut removed = 0u64;
     let mut scratch = ExchangeScratch::default();
-    // Fleet ledger: one entry per peel round. Every charged_ms below is the
+    // Fleet ledger: `round_log[k]` peels `k`. Every charged_ms below is the
     // addend folded into total_ms.
     let mut round_log: Vec<RoundTrace> = Vec::new();
 
     while removed < n as u64 {
-        rounds += 1;
         let mut slices: Vec<SubRoundSlice> = Vec::new();
         let mut exchanges: Vec<ExchangeTrace> = Vec::new();
         // Sub-round 0: every worker scans its shard for the k-shell and
         // drains the resulting cascade — the real kernels, concurrently.
-        sub_rounds += 1;
-        let slice = run_workers(&mut workers, 0, |w| {
+        let slice = run_workers(&mut workers, |w| {
             peel::run_scan_loop(&mut w.ctx, k, &mut w.st)?;
             sync_worker(w);
             Ok(())
@@ -326,22 +305,21 @@ fn decompose_multi_impl(
         // Border sub-rounds: exchange ghost decrements, seed owners, run
         // loop-only launches, until an exchange produces no seeds.
         loop {
-            let (any_seeds, ledger) = exchange(
+            let ledger = exchange(
                 &mut workers,
                 &part,
                 k,
                 cfg,
                 &mut scratch,
                 &mut exchanged_bytes,
-                slices.len() as u32 - 1,
             )?;
             total_ms += ledger.charged_ms;
+            let seeded = ledger.seeds() > 0;
             exchanges.push(ledger);
-            if !any_seeds {
+            if !seeded {
                 break;
             }
-            sub_rounds += 1;
-            let slice = run_workers(&mut workers, slices.len() as u32, |w| {
+            let slice = run_workers(&mut workers, |w| {
                 if w.seeds.is_empty() {
                     return Ok(());
                 }
@@ -355,12 +333,7 @@ fn decompose_multi_impl(
             slices.push(slice);
         }
 
-        round_log.push(RoundTrace {
-            k,
-            sub_rounds: slices.len() as u32,
-            slices,
-            exchanges,
-        });
+        round_log.push(RoundTrace { slices, exchanges });
         removed = workers.iter().map(|w| w.count).sum();
         k += 1;
         if k as usize > n + 1 {
@@ -392,60 +365,32 @@ fn decompose_multi_impl(
 
     // Fingerprints digest the launch and transfer records directly, as
     // `Trace::counters_fingerprint` would; traces and timelines are built
-    // only when the fleet layer asked. All are pure derivations.
-    let worker_fingerprints: Vec<u64> = workers
-        .iter()
-        .map(|w| w.ctx.counters_fingerprint())
-        .collect();
-    let per_device_peak_bytes: Vec<u64> =
-        workers.iter().map(|w| w.ctx.device.peak_bytes()).collect();
-    let k_max = core.iter().copied().max().unwrap_or(0);
-    let exchange_rounds = round_log
-        .iter()
-        .flat_map(|r| &r.exchanges)
-        .filter(|e| e.packets_out > 0)
-        .count() as u64;
-    let border_packets = round_log
-        .iter()
-        .flat_map(|r| &r.exchanges)
-        .map(|e| e.packets_out)
-        .sum();
-    let fleet_capture = fleet_label.map(|label| {
-        let timelines: Vec<Timeline> = workers
+    // only when the fleet layer asks. The counts are the ledger's.
+    let exchanges = || round_log.iter().flat_map(|r| &r.exchanges);
+    let run = MultiGpuRun {
+        k_max: core.iter().copied().max().unwrap_or(0),
+        core,
+        rounds: k,
+        sub_rounds: round_log.iter().map(|r| r.slices.len() as u32).sum(),
+        total_ms,
+        per_device_peak_bytes: workers.iter().map(|w| w.ctx.device.peak_bytes()).collect(),
+        worker_fingerprints: workers
             .iter()
-            .enumerate()
-            .map(|(wi, w)| w.ctx.timeline(format!("worker{wi}")))
-            .collect();
-        let traces: Vec<Trace> = workers
-            .iter_mut()
-            .enumerate()
-            .map(|(wi, w)| w.ctx.trace(format!("worker{wi}")))
-            .collect();
-        FleetCapture {
-            label,
-            traces,
-            timelines,
-            rounds: round_log,
-            setup_ms,
-            result_ms,
-        }
-    });
-    Ok((
-        MultiGpuRun {
-            core,
-            k_max,
-            rounds,
-            sub_rounds,
-            total_ms,
-            total_peak_mem_bytes: per_device_peak_bytes.iter().sum(),
-            per_device_peak_bytes,
-            worker_fingerprints,
-            exchanged_bytes,
-            exchange_rounds,
-            border_packets,
-        },
-        fleet_capture,
-    ))
+            .map(|w| w.ctx.counters_fingerprint())
+            .collect(),
+        exchanged_bytes,
+        exchange_rounds: exchanges().filter(|e| e.packets_out() > 0).count() as u64,
+        border_packets: exchanges().map(ExchangeTrace::packets_out).sum(),
+    };
+    let fleet = FleetTrace {
+        label: String::new(),
+        num_devices: workers.len(),
+        total_ms,
+        setup_ms,
+        result_ms,
+        rounds: round_log,
+    };
+    Ok((run, fleet, workers.into_iter().map(|w| w.ctx).collect()))
 }
 
 /// Loads every shard onto its own device: the local-ID CSR through
@@ -500,7 +445,6 @@ fn build_workers(
 /// field is bit-identical at any pool size.
 fn run_workers(
     workers: &mut [Worker],
-    sub_round: u32,
     f: impl Fn(&mut Worker) -> Result<(), SimError> + Sync,
 ) -> Result<SubRoundSlice, SimError> {
     let mut observed = workers
@@ -525,7 +469,6 @@ fn run_workers(
         .into_iter()
         .unzip();
     Ok(SubRoundSlice {
-        sub_round,
         charged_ms: max_f64(device_ms.iter().copied()),
         device_start_ms,
         device_ms,
@@ -562,11 +505,10 @@ const DRAIN_CHUNK: usize = 64;
 /// One border exchange: drain every worker's ghost accumulator slots, ship
 /// the packets worker → master → owner, apply them with the floor-at-`k`
 /// rule, and seed owners whose vertices crossed into the k-shell. Returns
-/// `(any seeds produced, ledger)`: the [`ExchangeTrace`] records the
-/// shard-pair flows and the cost of each stage, and its `charged_ms` is
-/// their sum `pack_ms + hop1_ms + hop2_ms + apply_ms`, the exchange's
-/// simulated wall time.
-#[allow(clippy::too_many_arguments)]
+/// the ledger: the [`ExchangeTrace`] records the shard-pair flows, the seeds
+/// and the cost of each stage, and its `charged_ms` is their sum
+/// `pack_ms + hop1_ms + hop2_ms + apply_ms`, the exchange's simulated wall
+/// time.
 fn exchange(
     workers: &mut [Worker],
     part: &Partition,
@@ -574,11 +516,9 @@ fn exchange(
     cfg: &MultiGpuConfig,
     scratch: &mut ExchangeScratch,
     exchanged_bytes: &mut u64,
-    after_sub_round: u32,
-) -> Result<(bool, ExchangeTrace), SimError> {
+) -> Result<ExchangeTrace, SimError> {
     let num = workers.len();
     let mut ledger = ExchangeTrace {
-        after_sub_round,
         charged_ms: 0.0,
         pack_ms: 0.0,
         hop1_ms: 0.0,
@@ -586,10 +526,7 @@ fn exchange(
         apply_ms: 0.0,
         pack_bounding_device: 0,
         apply_bounding_device: 0,
-        packets_out: 0,
         packets_aggregated: 0,
-        bytes: 0,
-        seeds: 0,
         seeds_per_device: vec![0; num],
         flows: Vec::new(),
     };
@@ -644,29 +581,27 @@ fn exchange(
         }
     }
     if packets.is_empty() {
-        return Ok((false, ledger));
+        return Ok(ledger);
     }
     let packets_out = packets.len() as u64;
 
     // ---- master aggregation, ascending global ID -------------------------
     merge_runs(packets, run_ends, aggregated);
-    // Each packet is (vertex, delta): 8 bytes, shipped worker → master →
-    // owner (two hops, as the paper sketches); the master dedups, so the
-    // second hop carries the aggregated packets. Each hop costs the link
-    // latency plus its packets over the bandwidth.
-    let bytes = (packets_out + aggregated.len() as u64) * 8;
-    *exchanged_bytes += bytes;
-    ledger.hop1_ms = (cfg.link_latency_s + packets_out as f64 * 8.0 / cfg.link_bandwidth) * 1e3;
+    // Each packet is (vertex, delta), shipped worker → master → owner (two
+    // hops, as the paper sketches); the master dedups, so the second hop
+    // carries the aggregated packets. Each hop costs the link latency plus
+    // its packets over the bandwidth.
+    *exchanged_bytes += (packets_out + aggregated.len() as u64) * PACKET_BYTES;
+    let packet_bytes = PACKET_BYTES as f64;
+    ledger.hop1_ms =
+        (cfg.link_latency_s + packets_out as f64 * packet_bytes / cfg.link_bandwidth) * 1e3;
     ledger.hop2_ms =
-        (cfg.link_latency_s + aggregated.len() as f64 * 8.0 / cfg.link_bandwidth) * 1e3;
-    ledger.packets_out = packets_out;
+        (cfg.link_latency_s + aggregated.len() as f64 * packet_bytes / cfg.link_bandwidth) * 1e3;
     ledger.packets_aggregated = aggregated.len() as u64;
-    ledger.bytes = bytes;
 
     // ---- owner-side apply, shard index order -----------------------------
     // O(1) owner lookup through the partition map (the old prototype did a
     // linear scan over worker ranges per update).
-    let mut any_seeds = false;
     let mut start = 0usize;
     while start < aggregated.len() {
         // Owners hold ascending vertex ranges, so each owner's packets are
@@ -703,8 +638,6 @@ fn exchange(
                     // waiting in a seed list is not re-seeded later.
                     if cur - applicable == k {
                         w.seeds.push(lv as u32);
-                        any_seeds = true;
-                        ledger.seeds += 1;
                         ledger.seeds_per_device[owner] += 1;
                     }
                 }
@@ -726,13 +659,12 @@ fn exchange(
             from_device: from,
             to_device: to,
             packets,
-            bytes: packets * 8,
             pack_launch_seq: pack_seq[from].expect("shipper ran a pack launch"),
             apply_launch_seq: apply_seq[to].expect("owner ran an apply launch"),
         })
         .collect();
     ledger.charged_ms = ledger.pack_ms + ledger.hop1_ms + ledger.hop2_ms + ledger.apply_ms;
-    Ok((any_seeds, ledger))
+    Ok(ledger)
 }
 
 /// Drains one worker's ghost accumulator slots `deg[n_owned..n_local]`: for
@@ -989,11 +921,6 @@ mod tests {
                 .unwrap();
             assert_eq!(nbrs.elems, shard.owned_arcs);
         }
-        // per-device peaks sum to the reported fleet total
-        assert_eq!(
-            run.per_device_peak_bytes.iter().sum::<u64>(),
-            run.total_peak_mem_bytes
-        );
     }
 
     #[test]
@@ -1019,11 +946,11 @@ mod tests {
             .rounds
             .iter()
             .flat_map(|r| &r.exchanges)
-            .map(|e| e.bytes)
+            .map(ExchangeTrace::bytes)
             .sum();
         assert_eq!(ledger_bytes, fr.run.exchanged_bytes);
         // every round has a named bounding resource
-        for c in &fr.fleet.critical_path {
+        for c in fr.fleet.critical_path() {
             assert_ne!(c.bound, "idle");
             assert!(c.bounding_resource.starts_with("device") || c.bounding_resource == "link");
         }

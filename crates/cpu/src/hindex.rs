@@ -19,11 +19,9 @@ pub fn h_index_bounded(
     let b = bound as usize;
     scratch.clear();
     scratch.resize(b + 1, 0);
-    let mut total = 0u32;
     for v in values {
         let capped = (v as usize).min(b);
         scratch[capped] += 1;
-        total += 1;
     }
     // Scan from the top: h is the largest i with (count of values >= i) >= i.
     let mut at_least = 0u32;
@@ -33,19 +31,17 @@ pub fn h_index_bounded(
             return i as u32;
         }
     }
-    let _ = total;
     0
-}
-
-/// Convenience h-index over a slice, unbounded (bound = len).
-pub fn h_index(values: &[u32]) -> u32 {
-    let mut scratch = Vec::new();
-    h_index_bounded(values.iter().copied(), values.len() as u32, &mut scratch)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// h-index of `values`, bounded by their count (never binding).
+    fn h_index(values: &[u32]) -> u32 {
+        h_index_bounded(values.iter().copied(), values.len() as u32, &mut Vec::new())
+    }
 
     #[test]
     fn paper_example() {

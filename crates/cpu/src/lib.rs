@@ -73,14 +73,6 @@ pub fn kcore_mask(core: &[u32], k: u32) -> Vec<bool> {
     core.iter().map(|&c| c >= k).collect()
 }
 
-/// Vertices of the k-core, ascending.
-pub fn kcore_vertices(core: &[u32], k: u32) -> Vec<u32> {
-    core.iter()
-        .enumerate()
-        .filter_map(|(v, &c)| (c >= k).then_some(v as u32))
-        .collect()
-}
-
 /// Default worker count for the parallel algorithms: the machine's available
 /// parallelism (the paper uses all 48 hardware threads of its test server).
 pub fn default_threads() -> usize {
@@ -111,7 +103,6 @@ mod tests {
     #[test]
     fn kcore_helpers() {
         let core = vec![3, 1, 2, 3];
-        assert_eq!(kcore_vertices(&core, 2), vec![0, 2, 3]);
         assert_eq!(kcore_mask(&core, 3), vec![true, false, false, true]);
     }
 }

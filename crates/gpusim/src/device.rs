@@ -121,7 +121,6 @@ impl std::fmt::Display for OomError {
 impl std::error::Error for OomError {}
 
 struct Allocation {
-    name: String,
     data: Vec<AtomicU32>,
     /// Index of this allocation's entry in the ledger (frees close it).
     ledger_idx: usize,
@@ -204,11 +203,7 @@ impl Device {
             let mut v = std::mem::ManuallyDrop::new(vec![0u32; words]);
             unsafe { Vec::from_raw_parts(v.as_mut_ptr() as *mut AtomicU32, v.len(), v.capacity()) }
         };
-        let alloc = Allocation {
-            name: name.to_owned(),
-            data,
-            ledger_idx,
-        };
+        let alloc = Allocation { data, ledger_idx };
         // Reuse a free slot if any, else push.
         let id = match self.slots.iter().position(Option::is_none) {
             Some(i) => {
@@ -301,14 +296,6 @@ impl Device {
             .data
     }
 
-    /// Name given at allocation time (for diagnostics).
-    pub fn buffer_name(&self, id: BufferId) -> &str {
-        &self.slots[id.0]
-            .as_ref()
-            .expect("freed or invalid buffer id")
-            .name
-    }
-
     /// Number of words in a buffer.
     pub fn len(&self, id: BufferId) -> usize {
         self.buffer(id).len()
@@ -387,7 +374,6 @@ mod tests {
         let c = d.alloc("c", 150).unwrap(); // reuses slot, 1000 B total
         assert_eq!(d.used_bytes(), 1000);
         assert_eq!(d.peak_bytes(), 1000);
-        assert_eq!(d.buffer_name(c), "c");
         d.free(b);
         d.free(c);
         assert_eq!(d.used_bytes(), 0);

@@ -7,13 +7,18 @@
 //! bytes, the latency-vs-bandwidth split of each link hop, and the
 //! border-cascade sub-round slices — and a per-round **critical-path
 //! analysis** naming the device or link hop that bounds `total_ms`. The
-//! ledger stores only what the worker traces do not: the traces themselves
-//! (held once, beside the ledger, by the engine's fleet run) are passed to
-//! every method that reads them, and a per-device hotspot/roofline rollup
+//! ledger stores each fact once, and nothing it or the worker traces can
+//! derive: a round's `k`, a slice's or an exchange's sub-round are their
+//! positions, an exchange's packet, seed and byte totals sum its flows and
+//! seed counts ([`ExchangeTrace::packets_out`], [`ExchangeTrace::seeds`],
+//! [`ExchangeTrace::bytes`]), the critical path is computed on read
+//! ([`FleetTrace::critical_path`]), the traces themselves (held once, beside
+//! the ledger, by the engine's fleet run) are passed to every method that
+//! reads them, and a per-device hotspot/roofline rollup
 //! ([`DeviceRollup::from_trace`]) is derived from a trace when needed.
 //!
 //! **Observes, never charges.** Every number here is recorded alongside the
-//! engine's existing accounting: `total_ms`, `exchanged_bytes`, worker
+//! engine's existing accounting: `total_ms`, the exchanged bytes, worker
 //! traces and fingerprints are bit-identical with or without fleet capture,
 //! and the whole ledger is derived deterministically, so fleet artifacts are
 //! bit-identical across rayon pool sizes like every prior layer.
@@ -44,6 +49,10 @@ use crate::timeline::Timeline;
 use crate::trace::Trace;
 use serde::{Serialize, Value};
 
+/// Bytes of one border packet, a `(vertex, delta)` pair of `u32`s: what
+/// each link hop ships per packet.
+pub const PACKET_BYTES: u64 = 8;
+
 /// Serializable ledger of one sharded multi-device run. Its flow edges
 /// index into the run's worker traces, which the methods that read them
 /// take as an argument, in shard order.
@@ -60,22 +69,13 @@ pub struct FleetTrace {
     pub setup_ms: f64,
     /// Charged result-gather phase, ms.
     pub result_ms: f64,
-    /// Bytes shipped over the links, both hops — bit-identical to
-    /// `MultiGpuRun::exchanged_bytes`.
-    pub exchanged_bytes: u64,
-    /// Per-peel-round ledger, in round (ascending `k`) order.
+    /// Per-peel-round ledger: `rounds[k]` peeled `k`.
     pub rounds: Vec<RoundTrace>,
-    /// Per-round critical-path attribution, same order as `rounds`.
-    pub critical_path: Vec<RoundCritical>,
 }
 
 /// Ledger of one peel round (one `k`).
 #[derive(Debug, Clone, Serialize)]
 pub struct RoundTrace {
-    /// The `k` this round peeled.
-    pub k: u32,
-    /// Barrier sub-rounds in this round (1 scan + cascades).
-    pub sub_rounds: u32,
     /// One slice per barrier sub-round: index 0 is the scan+drain, the rest
     /// are border cascades.
     pub slices: Vec<SubRoundSlice>,
@@ -87,8 +87,6 @@ pub struct RoundTrace {
 /// One barrier sub-round across the fleet.
 #[derive(Debug, Clone, Serialize)]
 pub struct SubRoundSlice {
-    /// 0 for the scan+drain sub-round, 1.. for border cascades.
-    pub sub_round: u32,
     /// Exact f64 addend the engine folded into `total_ms` for this
     /// sub-round: the slowest device's delta, `max(device_ms)`.
     pub charged_ms: f64,
@@ -103,15 +101,13 @@ pub struct SubRoundSlice {
 /// owner-side apply kernels → seeding.
 #[derive(Debug, Clone, Serialize)]
 pub struct ExchangeTrace {
-    /// Sub-round index the exchange followed (0 = after the scan).
-    pub after_sub_round: u32,
     /// Exact f64 addend the engine folded into `total_ms`:
     /// `pack_ms + hop1_ms + hop2_ms + apply_ms`.
     pub charged_ms: f64,
     /// Max-over-workers pack-kernel delta, ms.
     pub pack_ms: f64,
-    /// Worker→master hop: per-exchange latency + `packets_out` packets over
-    /// the link bandwidth, ms.
+    /// Worker→master hop: per-exchange latency + [`Self::packets_out`]
+    /// packets over the link bandwidth, ms.
     pub hop1_ms: f64,
     /// Master→owner hop: latency + aggregated packets, ms.
     pub hop2_ms: f64,
@@ -121,18 +117,30 @@ pub struct ExchangeTrace {
     pub pack_bounding_device: usize,
     /// Owner with the largest apply delta (0 when nothing applied).
     pub apply_bounding_device: usize,
-    /// Raw worker→master packets.
-    pub packets_out: u64,
     /// Deduplicated master→owner packets.
     pub packets_aggregated: u64,
-    /// Link bytes both hops (8 bytes per packet).
-    pub bytes: u64,
-    /// Border vertices that crossed into the k-shell and were seeded.
-    pub seeds: u64,
-    /// Seeds landing on each owner device, shard order.
+    /// Border vertices that crossed into the k-shell and were seeded, per
+    /// owner device, shard order.
     pub seeds_per_device: Vec<u64>,
     /// Per shard-pair packet flows, ascending (from, to) order.
     pub flows: Vec<FlowEdge>,
+}
+
+impl ExchangeTrace {
+    /// Raw worker→master packets: every drained packet took one flow.
+    pub fn packets_out(&self) -> u64 {
+        self.flows.iter().map(|f| f.packets).sum()
+    }
+
+    /// Border vertices seeded into the next sub-round.
+    pub fn seeds(&self) -> u64 {
+        self.seeds_per_device.iter().sum()
+    }
+
+    /// Link bytes, both hops.
+    pub fn bytes(&self) -> u64 {
+        (self.packets_out() + self.packets_aggregated) * PACKET_BYTES
+    }
 }
 
 /// Packets one worker shipped to one owner in a single exchange.
@@ -144,8 +152,6 @@ pub struct FlowEdge {
     pub to_device: usize,
     /// Packets on this pair.
     pub packets: u64,
-    /// Bytes on this pair (8 per packet).
-    pub bytes: u64,
     /// Index into the `from_device` worker trace's `launches` of the
     /// `mgpu_pack` launch that staged the packets.
     pub pack_launch_seq: usize,
@@ -157,12 +163,8 @@ pub struct FlowEdge {
 
 /// The resource bounding one peel round, with the delta-based component
 /// decomposition its shares are computed over.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct RoundCritical {
-    /// The `k` this round peeled.
-    pub k: u32,
-    /// Barrier sub-rounds in the round.
-    pub sub_rounds: u32,
     /// Max-over-devices scan+drain delta, ms.
     pub compute_ms: f64,
     /// Σ over cascade sub-rounds of the max-over-devices delta, ms.
@@ -171,20 +173,29 @@ pub struct RoundCritical {
     pub exchange_kernel_ms: f64,
     /// Σ link hop costs (latency + bandwidth terms), ms.
     pub link_ms: f64,
-    /// `compute_ms` over the component sum.
-    pub compute_share: f64,
-    /// `cascade_ms` over the component sum.
-    pub cascade_share: f64,
-    /// `exchange_kernel_ms` over the component sum.
-    pub exchange_share: f64,
-    /// `link_ms` over the component sum.
-    pub link_share: f64,
     /// Largest component: `"compute"`, `"cascade"`, `"exchange"`, `"link"`,
     /// or `"idle"` for an all-zero round.
     pub bound: &'static str,
     /// The concrete bounding resource: `"device<n>"` for kernel-side
     /// components, `"link"` for the hop costs, `"none"` when idle.
     pub bounding_resource: String,
+}
+
+impl RoundCritical {
+    /// The component sum, ms.
+    pub fn total_ms(&self) -> f64 {
+        self.compute_ms + self.cascade_ms + self.exchange_kernel_ms + self.link_ms
+    }
+
+    /// `ms`, one of the components, over their sum (0 for an idle round).
+    pub fn share(&self, ms: f64) -> f64 {
+        let sum = self.total_ms();
+        if sum > 0.0 {
+            ms / sum
+        } else {
+            0.0
+        }
+    }
 }
 
 /// Per-device rollup of the hotspot attribution and data movement — the
@@ -292,28 +303,10 @@ impl DeviceRollup {
 }
 
 impl FleetTrace {
-    /// Assembles a fleet trace over `num_devices` workers from the engine's
-    /// recorded rounds, deriving the critical path.
-    pub fn new(
-        label: impl Into<String>,
-        setup_ms: f64,
-        result_ms: f64,
-        total_ms: f64,
-        exchanged_bytes: u64,
-        rounds: Vec<RoundTrace>,
-        num_devices: usize,
-    ) -> FleetTrace {
-        let critical_path = rounds.iter().map(round_critical).collect();
-        FleetTrace {
-            label: label.into(),
-            num_devices,
-            total_ms,
-            setup_ms,
-            result_ms,
-            exchanged_bytes,
-            rounds,
-            critical_path,
-        }
+    /// Per-round critical-path attribution, in round order, derived from
+    /// the ledger on read.
+    pub fn critical_path(&self) -> impl Iterator<Item = RoundCritical> + '_ {
+        self.rounds.iter().map(round_critical)
     }
 
     /// The ledger and the run's worker `traces` (shard order, under
@@ -338,11 +331,8 @@ impl FleetTrace {
     ///   `pack_ms + hop1_ms + hop2_ms + apply_ms`;
     /// * replaying the charged addends in recorded order reproduces
     ///   `total_ms` **to the bit**;
-    /// * every round's critical-path shares sum to 1 (±1e-9) and name a
-    ///   real device;
     /// * every flow edge references a real `mgpu_pack` / `mgpu_apply`
-    ///   launch record in the worker traces, and per-pair packets sum to
-    ///   the exchange's `packets_out`;
+    ///   launch record in the worker traces;
     /// * the buckets of each worker's [`DeviceRollup`] tile its summed
     ///   kernel time.
     pub fn check_well_formed(&self, traces: &[Trace]) -> Result<(), String> {
@@ -353,108 +343,65 @@ impl FleetTrace {
                 self.num_devices
             ));
         }
-        if self.critical_path.len() != self.rounds.len() {
-            return Err("critical_path / rounds length mismatch".into());
-        }
         let mut replay = self.setup_ms;
-        for (ri, r) in self.rounds.iter().enumerate() {
+        for (k, r) in self.rounds.iter().enumerate() {
             if r.slices.is_empty() || r.slices.len() != r.exchanges.len() {
                 return Err(format!(
-                    "round {ri} (k={}): {} slices vs {} exchanges",
-                    r.k,
+                    "k={k}: {} slices vs {} exchanges",
                     r.slices.len(),
                     r.exchanges.len()
                 ));
             }
-            for (s, e) in r.slices.iter().zip(&r.exchanges) {
+            for (sub, (s, e)) in r.slices.iter().zip(&r.exchanges).enumerate() {
                 if s.device_ms.len() != self.num_devices
                     || s.device_start_ms.len() != self.num_devices
+                    || e.seeds_per_device.len() != self.num_devices
                 {
-                    return Err(format!(
-                        "round {ri} slice {}: bad device vectors",
-                        s.sub_round
-                    ));
+                    return Err(format!("k={k} sub-round {sub}: bad device vectors"));
                 }
                 let slowest = max_device_ms(&s.device_ms);
                 if s.charged_ms.to_bits() != slowest.to_bits() {
                     return Err(format!(
-                        "round {ri} (k={}) sub-round {}: charged {} ms but the slowest \
-                         device clock advanced {slowest} ms",
-                        r.k, s.sub_round, s.charged_ms
+                        "k={k} sub-round {sub}: charged {} ms but the slowest device clock \
+                         advanced {slowest} ms",
+                        s.charged_ms
                     ));
                 }
                 let components = e.pack_ms + e.hop1_ms + e.hop2_ms + e.apply_ms;
                 if e.charged_ms.to_bits() != components.to_bits() {
                     return Err(format!(
-                        "round {ri} (k={}) exchange after sub-round {}: charged {} ms, \
+                        "k={k} exchange after sub-round {sub}: charged {} ms, \
                          pack + hops + apply = {components} ms",
-                        r.k, e.after_sub_round, e.charged_ms
+                        e.charged_ms
                     ));
                 }
                 replay += s.charged_ms;
                 replay += e.charged_ms;
-                if e.bytes != (e.packets_out + e.packets_aggregated) * 8 {
-                    return Err(format!(
-                        "round {ri}: exchange bytes {} != 8·({} + {})",
-                        e.bytes, e.packets_out, e.packets_aggregated
-                    ));
-                }
-                let flow_packets: u64 = e.flows.iter().map(|f| f.packets).sum();
-                if flow_packets != e.packets_out {
-                    return Err(format!(
-                        "round {ri}: flow packets {flow_packets} != packets_out {}",
-                        e.packets_out
-                    ));
-                }
-                if e.seeds_per_device.len() != self.num_devices
-                    || e.seeds_per_device.iter().sum::<u64>() != e.seeds
-                {
-                    return Err(format!("round {ri}: seeds_per_device inconsistent"));
-                }
                 for f in &e.flows {
                     if f.from_device >= self.num_devices || f.to_device >= self.num_devices {
-                        return Err(format!("round {ri}: flow names a non-existent device"));
+                        return Err(format!("k={k}: flow names a non-existent device"));
                     }
                     let pack = traces[f.from_device]
                         .launches
                         .get(f.pack_launch_seq)
-                        .ok_or_else(|| format!("round {ri}: dangling pack launch seq"))?;
+                        .ok_or_else(|| format!("k={k}: dangling pack launch seq"))?;
                     if pack.kernel != "mgpu_pack" {
                         return Err(format!(
-                            "round {ri}: flow pack seq {} is a {:?} launch",
+                            "k={k}: flow pack seq {} is a {:?} launch",
                             f.pack_launch_seq, pack.kernel
                         ));
                     }
                     let apply = traces[f.to_device]
                         .launches
                         .get(f.apply_launch_seq)
-                        .ok_or_else(|| format!("round {ri}: dangling apply launch seq"))?;
+                        .ok_or_else(|| format!("k={k}: dangling apply launch seq"))?;
                     if apply.kernel != "mgpu_apply" {
                         return Err(format!(
-                            "round {ri}: flow apply seq {} is a {:?} launch",
+                            "k={k}: flow apply seq {} is a {:?} launch",
                             f.apply_launch_seq, apply.kernel
                         ));
                     }
                 }
-            }
-            let c = &self.critical_path[ri];
-            if c.k != r.k {
-                return Err(format!("critical_path[{ri}] k mismatch"));
-            }
-            let share_sum = c.compute_share + c.cascade_share + c.exchange_share + c.link_share;
-            let component_sum = c.compute_ms + c.cascade_ms + c.exchange_kernel_ms + c.link_ms;
-            if component_sum > 0.0 && (share_sum - 1.0).abs() > 1e-9 {
-                return Err(format!(
-                    "round {ri} (k={}): critical-path shares sum to {share_sum}",
-                    r.k
-                ));
-            }
-            if c.bound != "idle" && c.bound != "link" && !c.bounding_resource.starts_with("device")
-            {
-                return Err(format!(
-                    "round {ri}: bound {} with resource {}",
-                    c.bound, c.bounding_resource
-                ));
             }
         }
         replay += self.result_ms;
@@ -544,18 +491,15 @@ impl FleetTrace {
         // ---- sub-round + exchange slices, flows ----------------------
         let mut fleet_now = self.setup_ms;
         let mut flow_id = 0u64;
-        for r in &self.rounds {
-            for (s, e) in r.slices.iter().zip(&r.exchanges) {
+        for (k, r) in self.rounds.iter().enumerate() {
+            for (sub, (s, e)) in r.slices.iter().zip(&r.exchanges).enumerate() {
                 // cascade slices land on each active device's own track, at
                 // that device's local clock — they tile against its SM rows.
-                if s.sub_round > 0 {
+                if sub > 0 {
                     for d in 0..self.num_devices {
                         if s.device_ms[d] > 0.0 {
                             events.push(obj(vec![
-                                (
-                                    "name",
-                                    Value::Str(format!("cascade k={} #{}", r.k, s.sub_round)),
-                                ),
+                                ("name", Value::Str(format!("cascade k={k} #{sub}"))),
                                 ("cat", Value::Str("BorderCascade".into())),
                                 ("ph", Value::Str("X".into())),
                                 ("ts", Value::Float(s.device_start_ms[d] * 1e3)),
@@ -565,8 +509,8 @@ impl FleetTrace {
                                 (
                                     "args",
                                     obj(vec![
-                                        ("k", Value::UInt(r.k as u64)),
-                                        ("sub_round", Value::UInt(s.sub_round as u64)),
+                                        ("k", Value::UInt(k as u64)),
+                                        ("sub_round", Value::UInt(sub as u64)),
                                         ("charged_ms", Value::Float(s.charged_ms)),
                                     ]),
                                 ),
@@ -577,9 +521,10 @@ impl FleetTrace {
                 fleet_now += s.charged_ms;
                 let hop1_ts = (fleet_now + e.pack_ms) * 1e3;
                 let hop2_ts = hop1_ts + e.hop1_ms * 1e3;
-                if e.packets_out > 0 {
+                let packets_out = e.packets_out();
+                if packets_out > 0 {
                     for (tid, name, ts, dur, packets) in [
-                        (0u64, "worker → master", hop1_ts, e.hop1_ms, e.packets_out),
+                        (0u64, "worker → master", hop1_ts, e.hop1_ms, packets_out),
                         (
                             1,
                             "master → owner",
@@ -589,7 +534,7 @@ impl FleetTrace {
                         ),
                     ] {
                         events.push(obj(vec![
-                            ("name", Value::Str(format!("{name} k={}", r.k))),
+                            ("name", Value::Str(format!("{name} k={k}"))),
                             ("cat", Value::Str("Exchange".into())),
                             ("ph", Value::Str("X".into())),
                             ("ts", Value::Float(ts)),
@@ -600,8 +545,8 @@ impl FleetTrace {
                                 "args",
                                 obj(vec![
                                     ("packets", Value::UInt(packets)),
-                                    ("bytes", Value::UInt(e.bytes)),
-                                    ("seeds", Value::UInt(e.seeds)),
+                                    ("bytes", Value::UInt(e.bytes())),
+                                    ("seeds", Value::UInt(e.seeds())),
                                 ]),
                             ),
                         ]));
@@ -639,7 +584,7 @@ impl FleetTrace {
                                     ("from_device", Value::UInt(f.from_device as u64)),
                                     ("to_device", Value::UInt(f.to_device as u64)),
                                     ("packets", Value::UInt(f.packets)),
-                                    ("bytes", Value::UInt(f.bytes)),
+                                    ("bytes", Value::UInt(f.packets * PACKET_BYTES)),
                                     ("pack_launch", Value::UInt(f.pack_launch_seq as u64)),
                                     ("apply_launch", Value::UInt(f.apply_launch_seq as u64)),
                                 ]),
@@ -652,7 +597,7 @@ impl FleetTrace {
                 fleet_now += e.charged_ms;
             }
             // fleet-clock counter: seeds produced per round
-            let seeds: u64 = r.exchanges.iter().map(|e| e.seeds).sum();
+            let seeds: u64 = r.exchanges.iter().map(ExchangeTrace::seeds).sum();
             events.push(counter_event(
                 LINK_PID,
                 "border_seeds",
@@ -722,7 +667,6 @@ fn round_critical(r: &RoundTrace) -> RoundCritical {
         .sum::<f64>()
         + 0.0;
     let sum = compute_ms + cascade_ms + exchange_kernel_ms + link_ms;
-    let share = |x: f64| if sum > 0.0 { x / sum } else { 0.0 };
     let components = [
         ("compute", compute_ms),
         ("cascade", cascade_ms),
@@ -776,16 +720,10 @@ fn round_critical(r: &RoundTrace) -> RoundCritical {
     };
     let bound = if sum == 0.0 { "idle" } else { bound };
     RoundCritical {
-        k: r.k,
-        sub_rounds: r.slices.len() as u32,
         compute_ms,
         cascade_ms,
         exchange_kernel_ms,
         link_ms,
-        compute_share: share(compute_ms),
-        cascade_share: share(cascade_ms),
-        exchange_share: share(exchange_kernel_ms),
-        link_share: share(link_ms),
         bound,
         bounding_resource,
     }
@@ -806,18 +744,16 @@ mod tests {
     use super::*;
 
     /// A slice charging what the engine charges: the slowest device.
-    fn slice(sub: u32, per: Vec<f64>) -> SubRoundSlice {
+    fn slice(per: Vec<f64>) -> SubRoundSlice {
         SubRoundSlice {
-            sub_round: sub,
             charged_ms: max_device_ms(&per),
             device_start_ms: vec![0.0; per.len()],
             device_ms: per,
         }
     }
 
-    fn empty_exchange(after: u32, n: usize) -> ExchangeTrace {
+    fn empty_exchange(n: usize) -> ExchangeTrace {
         ExchangeTrace {
-            after_sub_round: after,
             charged_ms: 0.0,
             pack_ms: 0.0,
             hop1_ms: 0.0,
@@ -825,10 +761,7 @@ mod tests {
             apply_ms: 0.0,
             pack_bounding_device: 0,
             apply_bounding_device: 0,
-            packets_out: 0,
             packets_aggregated: 0,
-            bytes: 0,
-            seeds: 0,
             seeds_per_device: vec![0; n],
             flows: Vec::new(),
         }
@@ -860,18 +793,13 @@ mod tests {
     fn synthetic_rounds() -> Vec<RoundTrace> {
         vec![
             RoundTrace {
-                k: 0,
-                sub_rounds: 1,
-                slices: vec![slice(0, vec![1.0, 2.0])],
-                exchanges: vec![empty_exchange(0, 2)],
+                slices: vec![slice(vec![1.0, 2.0])],
+                exchanges: vec![empty_exchange(2)],
             },
             RoundTrace {
-                k: 1,
-                sub_rounds: 2,
-                slices: vec![slice(0, vec![2.0, 1.0]), slice(1, vec![0.0, 0.5])],
+                slices: vec![slice(vec![2.0, 1.0]), slice(vec![0.0, 0.5])],
                 exchanges: vec![
                     ExchangeTrace {
-                        after_sub_round: 0,
                         charged_ms: 0.25 + 0.2 + 0.15 + 0.1,
                         pack_ms: 0.25,
                         hop1_ms: 0.2,
@@ -879,21 +807,17 @@ mod tests {
                         apply_ms: 0.1,
                         pack_bounding_device: 0,
                         apply_bounding_device: 1,
-                        packets_out: 3,
                         packets_aggregated: 2,
-                        bytes: 40,
-                        seeds: 1,
                         seeds_per_device: vec![0, 1],
                         flows: vec![FlowEdge {
                             from_device: 0,
                             to_device: 1,
                             packets: 3,
-                            bytes: 24,
                             pack_launch_seq: 0,
                             apply_launch_seq: 0,
                         }],
                     },
-                    empty_exchange(1, 2),
+                    empty_exchange(2),
                 ],
             },
         ]
@@ -910,7 +834,14 @@ mod tests {
             }
         }
         total += 0.5;
-        FleetTrace::new("unit", 1.0, 0.5, total, 40, rounds, 2)
+        FleetTrace {
+            label: "unit".into(),
+            num_devices: 2,
+            total_ms: total,
+            setup_ms: 1.0,
+            result_ms: 0.5,
+            rounds,
+        }
     }
 
     fn synthetic() -> FleetTrace {
@@ -918,22 +849,32 @@ mod tests {
     }
 
     #[test]
+    fn exchange_totals_sum_its_flows_and_seeds() {
+        let e = &synthetic_rounds()[1].exchanges[0];
+        assert_eq!((e.packets_out(), e.seeds(), e.bytes()), (3, 1, 40));
+        let idle = empty_exchange(2);
+        assert_eq!((idle.packets_out(), idle.seeds(), idle.bytes()), (0, 0, 0));
+    }
+
+    #[test]
     fn critical_path_shares_sum_and_name_resources() {
         let ft = synthetic();
-        assert_eq!(ft.critical_path.len(), 2);
-        let c0 = &ft.critical_path[0];
+        let path: Vec<RoundCritical> = ft.critical_path().collect();
+        assert_eq!(path.len(), 2);
+        let c0 = &path[0];
         assert_eq!(
             (c0.bound, c0.bounding_resource.as_str()),
             ("compute", "device1")
         );
-        let c1 = &ft.critical_path[1];
+        let c1 = &path[1];
         // compute 2.0 dominates cascade 0.5, exchange 0.35, link 0.35
         assert_eq!(
             (c1.bound, c1.bounding_resource.as_str()),
             ("compute", "device0")
         );
-        for c in &ft.critical_path {
-            let s = c.compute_share + c.cascade_share + c.exchange_share + c.link_share;
+        for c in &path {
+            let components = [c.compute_ms, c.cascade_ms, c.exchange_kernel_ms, c.link_ms];
+            let s: f64 = components.iter().map(|&ms| c.share(ms)).sum();
             assert!((s - 1.0).abs() < 1e-12, "{s}");
         }
     }
@@ -959,7 +900,7 @@ mod tests {
         let err = fleet(rounds)
             .check_well_formed(&dummy_devices())
             .unwrap_err();
-        assert!(err.contains("round 1 (k=1) sub-round 1"), "{err}");
+        assert!(err.contains("k=1 sub-round 1"), "{err}");
         assert!(
             err.contains("slowest device clock advanced 0.5 ms"),
             "{err}"
@@ -977,15 +918,9 @@ mod tests {
     fn check_rejects_inconsistent_ledgers() {
         let traces = dummy_devices();
         let mut ft = synthetic();
-        ft.rounds[1].exchanges[0].bytes = 41;
-        assert!(ft.check_well_formed(&traces).unwrap_err().contains("bytes"));
-
-        let mut ft = synthetic();
-        ft.rounds[1].exchanges[0].seeds_per_device = vec![0, 0];
-        assert!(ft
-            .check_well_formed(&traces)
-            .unwrap_err()
-            .contains("seeds_per_device"));
+        ft.rounds[1].exchanges[0].seeds_per_device = vec![1];
+        let err = ft.check_well_formed(&traces).unwrap_err();
+        assert!(err.contains("k=1 sub-round 0: bad device vectors"), "{err}");
 
         // the flow's pack launch must be a real `mgpu_pack` record
         let swapped: Vec<Trace> = traces.iter().rev().cloned().collect();
@@ -999,13 +934,60 @@ mod tests {
         assert!(err.contains("1 worker traces, num_devices says 2"), "{err}");
     }
 
+    /// The keys of a JSON object, in document order.
+    fn keys(v: &Value) -> Vec<&str> {
+        match v {
+            Value::Object(fields) => fields.iter().map(|(k, _)| k.as_str()).collect(),
+            _ => panic!("not an object: {v:?}"),
+        }
+    }
+
     #[test]
     fn document_states_the_schema_once_and_holds_the_worker_traces() {
         let traces = dummy_devices();
         let json = synthetic().to_json(&traces);
-        assert!(json.starts_with("{\n  \"schema_version\": 4,\n  \"label\": \"unit\","));
+        assert!(json.starts_with("{\n  \"schema_version\": 5,\n  \"label\": \"unit\","));
         assert_eq!(json.matches("schema_version").count(), 1);
         let v = serde_json::from_str(&json).unwrap();
+        // the ledger stores facts only: no key it can derive
+        let fleet_keys = [
+            "schema_version",
+            "label",
+            "num_devices",
+            "total_ms",
+            "setup_ms",
+            "result_ms",
+            "rounds",
+            "devices",
+        ];
+        assert_eq!(keys(&v), fleet_keys);
+        let round = &v.get("rounds").and_then(Value::as_array).unwrap()[1];
+        assert_eq!(keys(round), ["slices", "exchanges"]);
+        let slice = &round.get("slices").and_then(Value::as_array).unwrap()[0];
+        assert_eq!(keys(slice), ["charged_ms", "device_start_ms", "device_ms"]);
+        let exchange = &round.get("exchanges").and_then(Value::as_array).unwrap()[0];
+        let exchange_keys = [
+            "charged_ms",
+            "pack_ms",
+            "hop1_ms",
+            "hop2_ms",
+            "apply_ms",
+            "pack_bounding_device",
+            "apply_bounding_device",
+            "packets_aggregated",
+            "seeds_per_device",
+            "flows",
+        ];
+        assert_eq!(keys(exchange), exchange_keys);
+        let flow = &exchange.get("flows").and_then(Value::as_array).unwrap()[0];
+        let flow_keys = [
+            "from_device",
+            "to_device",
+            "packets",
+            "pack_launch_seq",
+            "apply_launch_seq",
+        ];
+        assert_eq!(keys(flow), flow_keys);
         let devices = v.get("devices").and_then(Value::as_array).unwrap();
         let labels: Vec<&str> = devices
             .iter()
@@ -1014,7 +996,7 @@ mod tests {
         assert_eq!(labels, ["d0", "d1"]);
         let timelines: Vec<Timeline> = dummy_contexts().iter().map(|c| c.timeline("t")).collect();
         let merged = synthetic().merged_chrome_json(&traces, &timelines);
-        assert!(merged.contains("\"otherData\":{\"schema_version\":4,"));
+        assert!(merged.contains("\"otherData\":{\"schema_version\":5,"));
     }
 
     #[test]

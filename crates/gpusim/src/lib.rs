@@ -77,7 +77,7 @@ pub use exec::{
 };
 pub use fleet::{
     fnv1a_bytes, DeviceRollup, ExchangeTrace, FleetTrace, FlowEdge, RoundCritical, RoundTrace,
-    SubRoundSlice,
+    SubRoundSlice, PACKET_BYTES,
 };
 pub use memstats::{
     CapacityForecast, LiveAlloc, MemStats, PhasePeak, P100_DEVICE_BYTES, PEAK_LIVE_SET_TOP_K,
@@ -105,8 +105,12 @@ pub use trace::{
 /// transfer rollup (the trace's `totals` and `phases` hold it), the trace's
 /// `device` drops the capacity and peak that its `memstats` holds, and the
 /// fleet ledger drops its cloned worker traces, its stored device rollups
-/// and its second fold of the exchange counts.
-pub const SCHEMA_VERSION: u32 = 4;
+/// and its second fold of the exchange counts; 5 = the fleet ledger stores
+/// facts only: it drops its stored critical path, its top-level
+/// `exchanged_bytes`, the positional `k`, `sub_round` and `after_sub_round`,
+/// each round's `sub_rounds`, each exchange's `packets_out`, `seeds` and
+/// `bytes`, and each flow's `bytes`, which its readers derive.
+pub const SCHEMA_VERSION: u32 = 5;
 
 /// A schema document: the JSON object its closure builds, with
 /// `"schema_version":` [`SCHEMA_VERSION`] inserted as the first key.

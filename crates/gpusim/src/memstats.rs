@@ -357,7 +357,7 @@ mod tests {
         let b = c.memstats();
         let json = a.to_json();
         assert_eq!(json, b.to_json());
-        assert!(json.starts_with("{\n  \"schema_version\": 4,\n  \"capacity_bytes\""));
+        assert!(json.starts_with("{\n  \"schema_version\": 5,\n  \"capacity_bytes\""));
         assert!(json.contains("\"size_class\": \"PerArc\""));
     }
 }

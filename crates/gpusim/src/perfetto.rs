@@ -330,7 +330,7 @@ mod tests {
         assert!(json.contains("\"name\":\"device_bytes\",\"ph\":\"C\""));
         // trailer
         assert!(json.contains("\"displayTimeUnit\":\"ms\""));
-        assert!(json.contains("\"otherData\":{\"schema_version\":4,"));
+        assert!(json.contains("\"otherData\":{\"schema_version\":5,"));
     }
 
     #[test]

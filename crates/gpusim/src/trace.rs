@@ -495,7 +495,7 @@ mod tests {
     fn trace_serializes_to_json() {
         let mut c = traced_ctx();
         let json = c.trace("unit").to_json();
-        assert!(json.starts_with("{\n  \"schema_version\": 4,\n  \"label\": \"unit\","));
+        assert!(json.starts_with("{\n  \"schema_version\": 5,\n  \"label\": \"unit\","));
         assert_eq!(json.matches("schema_version").count(), 1);
         assert!(json.contains("\"label\": \"unit\""));
         assert!(json.contains("\"phase\": \"Scan\""));

@@ -93,7 +93,7 @@ echo "== sweep smoke (Tables II, III, V and table_mem from one capture set) =="
 # schedule seed, that no run finishing without OOM is forecast above 16 GB
 # (the paper's kernel included), and that a trace document survives
 # to_json -> serde_json::from_str -> to_string_pretty byte for byte and states
-# schema_version 4 once, at its top level. All eight table files must be
+# schema_version 5 once, at its top level. All eight table files must be
 # written.
 sweep_results="$(mktemp -d)"
 KCORE_SMOKE=1 KCORE_CACHE_DIR="$cache_dir" \
@@ -114,9 +114,10 @@ echo "== sharded report smoke (scaling curve, fleet table, fit forecast) =="
 # datasets at 1/2/4/8 workers (2 and 4 also feed the fleet table) and
 # uk-2005 @1x at 1/2/4/8 for the fit forecast. It asserts that every run
 # computes the BZ cores and its fleet ledger reconciles (each sub-round
-# slice charges exactly its slowest device's clock delta, bit-for-bit;
-# every exchange flow references a real pack/apply launch record; per-round
-# critical-path shares sum to 1.0); that one device exchanges zero bytes
+# slice charges exactly its slowest device's clock delta and each exchange
+# its pack, hop and apply costs, bit-for-bit; the charges replay total_ms
+# bit-for-bit; every exchange flow references a real pack/apply launch
+# record); that one device exchanges zero bytes
 # and charges bit-for-bit what the single-device engine charges; that the
 # max per-device peak shrinks as the pool grows; that worker ledgers are
 # shard-local at 4 devices; that each fleet-table run's .fleet.json document
@@ -159,8 +160,8 @@ echo "dynamic smoke OK"
 
 echo "== full-size drift check (table1, table_dynamic, fig10, extensions) =="
 # The four simulated tables that regenerate in about 30 s together run at
-# full size into a throwaway dir, and each text file must equal the one
-# committed under results/ byte for byte. No dataset cache: it would hold
+# full size into a throwaway dir, and each text and JSON file must equal the
+# one committed under results/ byte for byte. No dataset cache: it would hold
 # about 290 MB of full-size stand-ins. sweep, table_scale and the
 # wall-clock table4 stay in scripts/run_all_experiments.sh.
 drift_results="$(mktemp -d)"
@@ -168,10 +169,12 @@ for t in table1 table_dynamic fig10_case_study extensions; do
   KCORE_RESULTS_DIR="$drift_results" ./target/release/$t > /dev/null
 done
 for f in table1 table_dynamic fig10 extensions; do
-  if ! cmp "$drift_results/$f.txt" "results/$f.txt"; then
-    echo "ERROR: results/$f.txt is stale; regenerate it with scripts/run_all_experiments.sh" >&2
-    exit 1
-  fi
+  for ext in txt json; do
+    if ! cmp "$drift_results/$f.$ext" "results/$f.$ext"; then
+      echo "ERROR: results/$f.$ext is stale; regenerate it with scripts/run_all_experiments.sh" >&2
+      exit 1
+    fi
+  done
 done
 rm -rf "$drift_results"
 echo "drift check OK"

@@ -51,7 +51,8 @@ fn multi_gpu_memory_splits_but_totals_more() {
     };
     let multi = decompose_multi(&g, &cfg, &SimOptions::default()).unwrap();
     assert_eq!(multi.core, single.core);
-    assert!(multi.total_peak_mem_bytes > single.report.peak_mem_bytes);
+    let fleet_peak: u64 = multi.per_device_peak_bytes.iter().sum();
+    assert!(fleet_peak > single.report.peak_mem_bytes);
 }
 
 #[test]

@@ -8,8 +8,9 @@
 //! round-trip form, so a move of one ulp in `sim_ms`, either way, changes
 //! the text. `tables_smoke/` holds the eight files `sweep` writes (Tables
 //! II, III and V and `table_mem`, text and JSON) at the default three
-//! seeded runs, the fleet table `table_scale` writes, and the files of
-//! `table1`, `table_dynamic` and `fig10_case_study` (text and JSON each).
+//! seeded runs, the scaling curve and the fleet table `table_scale` writes,
+//! and the files of `table1`, `table_dynamic` and `fig10_case_study` (text
+//! and JSON each).
 //! Every cell is deterministic and independent of the rayon width, so the
 //! exact compare cannot flake. The dataset list is
 //! `datasets::smoke_subset()` itself: no environment variable narrows it.
@@ -24,8 +25,8 @@
 //! ```
 
 use kcore_bench::{
-    assert_golden, capture, fig10_case_study, fleet_table, prepare, table1, table_dynamic, Env,
-    Outcome, Program, RunCapture, ShardCell, Sweep,
+    assert_golden, capture, fig10_case_study, fleet_table, prepare, scaling_curve, table1,
+    table_dynamic, Env, Outcome, Program, RunCapture, ShardCell, Sweep,
 };
 use kcore_graph::datasets;
 use serde::Serialize;
@@ -73,12 +74,15 @@ impl BenchCell {
     }
 }
 
+/// The device counts of the sharded smoke runs: `table_scale`'s curve.
+const SHARDED_DEVICES: [usize; 4] = [1, 2, 4, 8];
+
 /// The smoke environments, their sweep at three seeded runs, and per
-/// dataset the sharded engine's kept runs on two and four devices.
+/// dataset the sharded engine's kept runs at each of [`SHARDED_DEVICES`].
 struct Smoke {
     envs: Vec<Env>,
     sweep: Sweep,
-    sharded: Vec<[RunCapture; 2]>,
+    sharded: Vec<[RunCapture; 4]>,
 }
 
 fn smoke() -> &'static Smoke {
@@ -88,7 +92,7 @@ fn smoke() -> &'static Smoke {
         let sweep = Sweep::run(&envs, 3);
         let sharded = envs
             .iter()
-            .map(|e| [2, 4].map(|p| capture(e, Program::Sharded(p), 0, true)))
+            .map(|e| SHARDED_DEVICES.map(|p| capture(e, Program::Sharded(p), 0, true)))
             .collect();
         Smoke {
             envs,
@@ -112,7 +116,7 @@ fn tables_dir() -> PathBuf {
 fn smoke_cells_match_checked_in_golden() {
     let smoke = smoke();
     let mut cells = Vec::new();
-    for ((e, d), [_, p4]) in smoke
+    for ((e, d), [_, _, p4, _]) in smoke
         .envs
         .iter()
         .zip(&smoke.sweep.datasets)
@@ -139,16 +143,36 @@ fn smoke_tables_match_checked_in_golden() {
     sweep.check();
 }
 
+/// The sharded smoke runs on `devices`, as `table_scale`'s cells, dataset
+/// by dataset in ascending device count.
+fn shard_cells(devices: &[usize]) -> Vec<ShardCell> {
+    let smoke = smoke();
+    let mut cells = Vec::new();
+    for (e, caps) in smoke.envs.iter().zip(&smoke.sharded) {
+        for (p, cap) in SHARDED_DEVICES.iter().zip(caps) {
+            if devices.contains(p) {
+                cells.push(ShardCell::new(e, cap));
+            }
+        }
+    }
+    cells
+}
+
+/// The scaling curve `KCORE_SMOKE=1 table_scale --check` writes as the
+/// first section of its `table_scale` files: the smoke datasets on 1, 2, 4
+/// and 8 devices.
+#[test]
+fn smoke_scaling_curve_matches_checked_in_golden() {
+    let (text, json) = scaling_curve(&shard_cells(&SHARDED_DEVICES));
+    assert_golden(&tables_dir().join("table_scale_curve.txt"), &text);
+    assert_golden(&tables_dir().join("table_scale_curve.json"), &json);
+}
+
 /// The fleet table `KCORE_SMOKE=1 table_scale` writes: the smoke datasets
 /// on two and four devices.
 #[test]
 fn smoke_fleet_table_matches_checked_in_golden() {
-    let smoke = smoke();
-    let runs = smoke.envs.iter().zip(&smoke.sharded);
-    let cells: Vec<ShardCell> = runs
-        .flat_map(|(e, caps)| caps.iter().map(move |c| ShardCell::new(e, c)))
-        .collect();
-    let (text, json) = fleet_table(&cells);
+    let (text, json) = fleet_table(&shard_cells(&[2, 4]));
     assert_golden(&tables_dir().join("table_fleet.txt"), &text);
     assert_golden(&tables_dir().join("table_fleet.json"), &json);
 }

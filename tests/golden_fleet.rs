@@ -2,8 +2,9 @@
 //! observability & the exchange ledger"): the fleet trace and the merged
 //! multi-device Perfetto export must be byte-identical at any rayon pool
 //! size and match checked-in FNV digests; per-device rollups must tile each
-//! worker's kernel time; and capturing the fleet view must not perturb the
-//! run it observes.
+//! worker's kernel time; the totals the ledger derives must equal the ones
+//! the engine counts; and capturing the fleet view must not perturb the run
+//! it observes.
 //!
 //! After an *intentional* change to the ledger schema or the merged export,
 //! regenerate the golden file:
@@ -16,7 +17,7 @@ use kcore::cpu::{self, CoreAlgorithm};
 use kcore::gpu::{
     decompose_multi, decompose_multi_fleet, FleetRun, MultiGpuConfig, PeelConfig, SimOptions,
 };
-use kcore::gpusim::{fnv1a_bytes, DeviceRollup, LaunchConfig, SCHEMA_VERSION};
+use kcore::gpusim::{fnv1a_bytes, DeviceRollup, ExchangeTrace, LaunchConfig, SCHEMA_VERSION};
 use kcore::graph::gen;
 use proptest::prelude::*;
 use serde::Serialize;
@@ -91,7 +92,7 @@ fn fleet_artifacts_match_golden_at_all_pool_sizes() {
         rounds: fr.fleet.rounds.len(),
         exchange_rounds: fr.run.exchange_rounds,
         border_packets: fr.run.border_packets,
-        exchanged_bytes: fr.fleet.exchanged_bytes,
+        exchanged_bytes: fr.run.exchanged_bytes,
         total_ms_bits: format!("{:#018x}", fr.fleet.total_ms.to_bits()),
         fleet_json_fnv: format!("{:#018x}", fnv1a_bytes(base_json.as_bytes())),
         merged_perfetto_fnv: format!("{:#018x}", fnv1a_bytes(base_perfetto.as_bytes())),
@@ -125,7 +126,10 @@ proptest! {
 
     /// The rollup derived from each worker's trace tiles that worker's
     /// kernel time: the roofline decomposition may not lose or invent
-    /// simulated time, on any graph and at any shard count.
+    /// simulated time, on any graph and at any shard count. The totals the
+    /// ledger derives equal the engine's own counts: its exchanged bytes,
+    /// summed in the exchange from the packet lists, its sub-rounds and its
+    /// rounds.
     #[test]
     fn rollup_buckets_tile_worker_kernel_time(seed in 0u64..10_000, p in 2usize..6) {
         let g = gen::erdos_renyi_gnm(300 + (seed % 5) as u32 * 40, 900 + seed % 800, seed);
@@ -141,6 +145,13 @@ proptest! {
         let fr = decompose_multi_fleet(&g, &cfg, &SimOptions::default(), "proptest").unwrap();
         fr.fleet.check_well_formed(&fr.traces).unwrap();
         prop_assert_eq!(fr.traces.len(), p);
+        let rounds = &fr.fleet.rounds;
+        let exchanges = rounds.iter().flat_map(|r| &r.exchanges);
+        let ledger_bytes: u64 = exchanges.map(ExchangeTrace::bytes).sum();
+        prop_assert_eq!(ledger_bytes, fr.run.exchanged_bytes);
+        let ledger_sub_rounds: usize = rounds.iter().map(|r| r.slices.len()).sum();
+        prop_assert_eq!(ledger_sub_rounds, fr.run.sub_rounds as usize);
+        prop_assert_eq!(rounds.len(), fr.run.rounds as usize);
         for (d, t) in fr.traces.iter().enumerate() {
             let r = DeviceRollup::from_trace(d, t);
             let bucket_sum: f64 = r.buckets().iter().map(|(_, ms)| ms).sum();
