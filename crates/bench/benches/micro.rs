@@ -13,13 +13,14 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kcore_cpu::CoreAlgorithm;
-use kcore_gpu::{decompose, decompose_reference_in, PeelConfig, SimOptions};
+use kcore_gpu::{Buffering, Compaction, PeelConfig, SimOptions};
 use kcore_gpusim::scan::{
     ballot_scan, ballot_scan_offsets, blelloch_exclusive_scan, hs_inclusive_scan,
 };
 use kcore_gpusim::warp::WARP_SIZE;
 use kcore_gpusim::{Coalescing, CostParams, GpuContext, LaunchConfig};
 use kcore_graph::gen;
+use kcore_systems::{Engine, EngineOptions};
 use std::hint::black_box;
 use std::sync::atomic::Ordering;
 
@@ -197,12 +198,9 @@ fn bench_launch_dispatch(c: &mut Criterion) {
     group.finish();
 }
 
-/// End-to-end host time of the production peel and of its per-lane
-/// reference oracle on one graph — bit-identical in output, differing only
-/// in how the host computes the charges.
-fn bench_exec_paths(c: &mut Criterion) {
-    let g = gen::rmat(12, 20_000, gen::RmatParams::graph500(), 7);
-    let base = PeelConfig {
+/// The peel geometry of the end-to-end engine groups.
+fn peel_opts() -> EngineOptions {
+    let peel = PeelConfig {
         launch: LaunchConfig {
             blocks: 16,
             threads_per_block: 256,
@@ -211,17 +209,26 @@ fn bench_exec_paths(c: &mut Criterion) {
         shared_buf_capacity: 512,
         ..PeelConfig::default()
     };
+    EngineOptions {
+        peel,
+        ..EngineOptions::default()
+    }
+}
+
+/// End-to-end host time of the production peel and of its per-lane
+/// reference oracle on one graph — bit-identical in output, differing only
+/// in how the host computes the charges.
+fn bench_exec_paths(c: &mut Criterion) {
+    let g = gen::rmat(12, 20_000, gen::RmatParams::graph500(), 7);
+    let opts = peel_opts();
     let mut group = c.benchmark_group("exec_path_rmat12");
     group.sample_size(10);
-    group.bench_function("production", |b| {
-        b.iter(|| black_box(decompose(&g, &base, &SimOptions::default()).unwrap()))
-    });
-    group.bench_function("reference", |b| {
-        b.iter(|| {
-            let mut ctx = SimOptions::default().context();
-            black_box(decompose_reference_in(&mut ctx, &g, &base).unwrap())
-        })
-    });
+    let reference = Engine::Reference(Compaction::None, Buffering::Global);
+    for (name, engine) in [("production", Engine::OURS), ("reference", reference)] {
+        group.bench_function(name, |b| {
+            b.iter(|| black_box(engine.run(&g, &SimOptions::default(), &opts).unwrap()))
+        });
+    }
     group.finish();
 }
 
@@ -265,20 +272,12 @@ fn bench_cpu_algorithms(c: &mut Criterion) {
 
 fn bench_gpu_variants(c: &mut Criterion) {
     let g = gen::rmat(12, 20_000, gen::RmatParams::graph500(), 7);
-    let base = PeelConfig {
-        launch: LaunchConfig {
-            blocks: 16,
-            threads_per_block: 256,
-        },
-        buf_capacity: 16_384,
-        shared_buf_capacity: 512,
-        ..PeelConfig::default()
-    };
+    let opts = peel_opts();
     let mut group = c.benchmark_group("gpu_peel_variants_rmat12");
     group.sample_size(10);
-    for cfg in base.all_variants() {
-        group.bench_function(cfg.variant_name(), |b| {
-            b.iter(|| black_box(decompose(&g, &cfg, &SimOptions::default()).unwrap()))
+    for engine in Engine::peel_variants() {
+        group.bench_function(engine.name(), |b| {
+            b.iter(|| black_box(engine.run(&g, &SimOptions::default(), &opts).unwrap()))
         });
     }
     group.finish();

@@ -19,10 +19,11 @@
 //! and prints a per-round critical-path breakdown.
 
 use kcore_bench::{
-    capture, capture_in, fleet_timeline_enabled, prepare, save_fleet, save_timeline, save_trace,
-    Outcome, Program,
+    capture_in, capture_sharded, fleet_timeline_enabled, prepare, save_fleet, save_timeline,
+    save_trace, Outcome,
 };
 use kcore_gpusim::DeviceRollup;
+use kcore_systems::Engine;
 
 fn main() {
     let name = std::env::args()
@@ -34,18 +35,18 @@ fn main() {
     let timeline = std::env::var_os("KCORE_TIMELINE").is_some();
     println!(
         "{}: |V|={} |E|={} k_max={} scale=1/{:.0}\n",
-        e.dataset.name, e.stats.num_vertices, e.stats.num_edges, e.k_max, e.scale
+        e.dataset.name, e.stats.num_vertices, e.stats.num_edges, e.opts.k_max, e.scale
     );
 
-    for program in Program::peel_variants().chain(Program::TABLE3[1..].iter().copied()) {
+    for engine in Engine::peel_variants().chain(Engine::TABLE3[1..].iter().copied()) {
         let mut ctx = e.sim.context();
-        ctx.set_block_profiling(profile_blocks && program == Program::OURS);
-        let cap = capture_in(&mut ctx, &e, program, true);
+        ctx.set_block_profiling(profile_blocks && engine == Engine::OURS);
+        let cap = capture_in(&mut ctx, &e, engine, true);
         let trace = cap.trace.as_ref().expect("capture keeps the trace");
         let c = &trace.totals.counters;
         println!(
             "{:<14} {:>10.3} ms  launches={:<6} iters={:<6} tx={:<9} sect={:<9} dep={:<8} atom={:<9} sh={:<9} instr={:<10} barr={:<7} peak={}MB{}",
-            program.name(),
+            cap.name,
             cap.sim_ms,
             cap.launches,
             cap.iterations,
@@ -62,7 +63,7 @@ fn main() {
                 other => format!("  {other:?}"),
             }
         );
-        if program == Program::OURS || timeline {
+        if engine == Engine::OURS || timeline {
             for h in &trace.hotspots {
                 let (bucket, ms) = h.dominant_bucket();
                 println!(
@@ -71,7 +72,7 @@ fn main() {
                 );
             }
         }
-        if program == Program::OURS {
+        if engine == Engine::OURS {
             for l in trace.launches.iter().filter(|l| l.kernel == "loop") {
                 println!(
                     "      loop launch: {:>9.1} us, max-block {:>10.0} cyc, mean-block {:>10.0} cyc",
@@ -81,8 +82,8 @@ fn main() {
                 );
             }
         }
-        let slug: String = program
-            .name()
+        let slug: String = cap
+            .name
             .to_ascii_lowercase()
             .chars()
             .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
@@ -97,7 +98,7 @@ fn main() {
     // Fleet view: the sharded p=4 run with the exchange ledger, merged
     // multi-device Perfetto export, and per-round critical path.
     if fleet_timeline_enabled() {
-        let cap = capture(&e, Program::Sharded(4), 0, true);
+        let cap = capture_sharded(&e, 4, true);
         let Some(fr) = cap.fleet else {
             println!("Fleet p=4: {:?}", cap.outcome);
             return;

@@ -1,68 +1,12 @@
-//! The cell runner: every GPU program of the evaluation, run on one dataset
-//! through one entry point, with everything a table, a golden or `inspect`
-//! reads from the run captured once.
+//! The cell runner: every GPU engine of the evaluation run on one dataset,
+//! through [`Engine::run_in`] or, for the sharded engine, its fleet run,
+//! with everything a table, a golden or `inspect` reads from the run
+//! captured once.
 
 use crate::{Cell, Env, PAPER_HOUR_MS};
-use kcore_gpu::{Buffering, Compaction, FleetRun, MultiGpuConfig, PeelConfig};
+use kcore_gpu::{FleetRun, MultiGpuConfig};
 use kcore_gpusim::{fnv1a_bytes, GpuContext, MemStats, SimError, Trace};
-use kcore_systems::{gswitch, gunrock, medusa, vetga, FrameworkCosts};
-
-/// A GPU program of the evaluation; the baselines are Table III's columns.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Program {
-    /// One of Table II's nine peel variants, at the dataset's geometry.
-    Peel(Compaction, Buffering),
-    Vetga,
-    MedusaMpm,
-    MedusaPeel,
-    Gunrock,
-    /// GSwitch, its round count taken from the known `k_max` (§V).
-    Gswitch,
-    /// The sharded peel engine on this many simulated devices.
-    Sharded(usize),
-}
-
-impl Program {
-    /// The paper's kernel.
-    pub const OURS: Program = Program::Peel(Compaction::None, Buffering::Global);
-
-    /// Table III's columns, in order.
-    pub const TABLE3: [Program; 6] = [
-        Program::OURS,
-        Program::Vetga,
-        Program::MedusaMpm,
-        Program::MedusaPeel,
-        Program::Gunrock,
-        Program::Gswitch,
-    ];
-
-    /// The nine peel variants, in Table II's column order.
-    pub fn peel_variants() -> impl Iterator<Item = Program> {
-        PeelConfig::default()
-            .all_variants()
-            .into_iter()
-            .map(|c| Program::Peel(c.compaction, c.buffering))
-    }
-
-    /// The program's column name.
-    pub fn name(self) -> String {
-        match self {
-            Program::Peel(compaction, buffering) => PeelConfig {
-                compaction,
-                buffering,
-                ..PeelConfig::default()
-            }
-            .variant_name()
-            .into(),
-            Program::Vetga => "VETGA".into(),
-            Program::MedusaMpm => "Medusa-MPM".into(),
-            Program::MedusaPeel => "Medusa-Peel".into(),
-            Program::Gunrock => "Gunrock".into(),
-            Program::Gswitch => "GSwitch".into(),
-            Program::Sharded(p) => format!("Sharded p={p}"),
-        }
-    }
-}
+use kcore_systems::{vetga, Engine};
 
 /// How a run ended. Any other simulation error panics: no table has a cell
 /// for it.
@@ -78,11 +22,11 @@ pub enum Outcome {
     Oom,
 }
 
-/// What one run of one program on one dataset leaves behind.
+/// What one run of one engine on one dataset leaves behind.
 #[derive(Debug)]
 pub struct RunCapture {
-    /// The program that ran.
-    pub program: Program,
+    /// The engine's column name ([`Engine::name`], or `Sharded p=<p>`).
+    pub name: String,
     /// How the run ended.
     pub outcome: Outcome,
     /// VETGA's load alone exceeds the scaled hour ("LD > 1hr"); it still
@@ -135,59 +79,26 @@ impl RunCapture {
     }
 }
 
-/// Runs `program` on `e` at schedule `seed`, in a fresh context of the
-/// dataset's scaled environment. `keep_trace` keeps the kernel trace (the
-/// fleet run for the sharded engine, which has no schedule seed).
-pub fn capture(e: &Env, program: Program, seed: u64, keep_trace: bool) -> RunCapture {
-    if let Program::Sharded(p) = program {
-        assert_eq!(seed, 0, "the sharded engine has no schedule seed");
-        return capture_sharded(e, p, keep_trace);
-    }
+/// Runs `engine` on `e` at schedule `seed`, in a fresh context of the
+/// dataset's scaled environment. `keep_trace` keeps the kernel trace.
+pub fn capture(e: &Env, engine: Engine, seed: u64, keep_trace: bool) -> RunCapture {
     let mut ctx = e.sim.context();
     ctx.set_schedule_seed(seed);
-    capture_in(&mut ctx, e, program, keep_trace)
+    capture_in(&mut ctx, e, engine, keep_trace)
 }
 
-/// [`capture`] of a single-device program in a caller's context, so the
-/// caller can arm block profiling before the run and derive timelines
-/// after it.
-///
-/// # Panics
-///
-/// On [`Program::Sharded`], which runs its own device contexts.
-pub fn capture_in(ctx: &mut GpuContext, e: &Env, program: Program, keep_trace: bool) -> RunCapture {
-    // framework fixed-time constants scale with the dataset, like the
-    // launch and PCIe overheads in `prepare`
-    let costs = FrameworkCosts::default().scaled(e.scale);
-    let g = &e.graph;
-    let res = match program {
-        Program::Peel(compaction, buffering) => {
-            let cfg = PeelConfig {
-                compaction,
-                buffering,
-                ..e.peel_cfg
-            };
-            kcore_gpu::decompose_in(ctx, g, &cfg).map(|(core, rounds)| (core, rounds.into()))
-        }
-        Program::Vetga => vetga::peel_in(ctx, g, &costs),
-        Program::MedusaMpm => medusa::mpm_in(ctx, g, &costs),
-        Program::MedusaPeel => medusa::peel_in(ctx, g, &costs),
-        Program::Gunrock => gunrock::peel_in(ctx, g, &costs),
-        Program::Gswitch => gswitch::peel_in(ctx, g, e.k_max, &costs),
-        Program::Sharded(_) => panic!("the sharded engine runs its own devices: use `capture`"),
-    };
-    let (outcome, iterations) = classify(
-        e,
-        program,
-        res.as_ref()
-            .map(|(core, iterations)| (&core[..], *iterations)),
-    );
-    let trace = keep_trace.then(|| ctx.trace(format!("{} on {}", program.name(), e.dataset.name)));
+/// [`capture`] in a caller's context, so the caller can arm block
+/// profiling before the run and derive timelines after it.
+pub fn capture_in(ctx: &mut GpuContext, e: &Env, engine: Engine, keep_trace: bool) -> RunCapture {
+    let res = engine.run_in(ctx, &e.graph, &e.opts);
+    let name = engine.name();
+    let checked = res.as_ref().map(|run| (&run.core[..], run.iterations));
+    let (outcome, iterations) = classify(e, &name, checked);
+    let trace = keep_trace.then(|| ctx.trace(format!("{name} on {}", e.dataset.name)));
     RunCapture {
-        program,
         outcome,
-        load_over_hour: program == Program::Vetga
-            && vetga::load_time_ms(g, &costs) > PAPER_HOUR_MS / e.scale,
+        load_over_hour: engine == Engine::Vetga
+            && vetga::load_time_ms(&e.graph, &e.opts.costs) > PAPER_HOUR_MS / e.scale,
         sim_ms: ctx.elapsed_ms(),
         launches: ctx.launches().len() as u64,
         iterations,
@@ -196,6 +107,7 @@ pub fn capture_in(ctx: &mut GpuContext, e: &Env, program: Program, keep_trace: b
         memstats: trace.is_none().then(|| ctx.memstats()),
         trace,
         fleet: None,
+        name,
     }
 }
 
@@ -204,23 +116,26 @@ pub fn capture_in(ctx: &mut GpuContext, e: &Env, program: Program, keep_trace: b
 pub(crate) fn sharded_config(e: &Env, p: usize) -> MultiGpuConfig {
     MultiGpuConfig {
         num_gpus: p,
-        peel: e.peel_cfg,
+        peel: e.opts.peel,
         ..MultiGpuConfig::default()
     }
 }
 
-fn capture_sharded(e: &Env, p: usize, keep_trace: bool) -> RunCapture {
-    let program = Program::Sharded(p);
+/// Runs the sharded engine on `e` on `p` devices, each a fresh context of
+/// the dataset's scaled environment, as the `Sharded p=<p>` cell.
+/// `keep_trace` keeps the fleet run after a success.
+pub fn capture_sharded(e: &Env, p: usize, keep_trace: bool) -> RunCapture {
+    let name = format!("Sharded p={p}");
     let label = format!("{} p={p} fleet", e.dataset.name);
     let res = kcore_gpu::decompose_multi_fleet(&e.graph, &sharded_config(e, p), &e.sim, label);
     let checked = res
         .as_ref()
         .map(|fr| (&fr.run.core[..], fr.run.rounds.into()));
-    let (outcome, iterations) = classify(e, program, checked);
+    let (outcome, iterations) = classify(e, &name, checked);
     let fr = res.ok();
     let run = fr.as_ref().map(|fr| &fr.run);
     RunCapture {
-        program,
+        name,
         outcome,
         load_over_hour: false,
         sim_ms: run.map_or(0.0, |r| r.total_ms),
@@ -247,13 +162,13 @@ fn capture_sharded(e: &Env, p: usize, keep_trace: bool) -> RunCapture {
     }
 }
 
-fn classify(e: &Env, program: Program, res: Result<(&[u32], u64), &SimError>) -> (Outcome, u64) {
+fn classify(e: &Env, name: &str, res: Result<(&[u32], u64), &SimError>) -> (Outcome, u64) {
     match res {
         Ok((core, iterations)) if core == e.truth => (Outcome::Ok, iterations),
         Ok((_, iterations)) => (Outcome::WrongCores, iterations),
         Err(SimError::TimeLimit { .. }) => (Outcome::TimeLimit, 0),
         Err(SimError::Oom(_)) => (Outcome::Oom, 0),
-        Err(err) => panic!("{} on {}: {err}", program.name(), e.dataset.name),
+        Err(err) => panic!("{name} on {}: {err}", e.dataset.name),
     }
 }
 
@@ -271,7 +186,7 @@ mod tests {
     #[test]
     fn capture_classifies_every_outcome() {
         let mut e = smoke_amazon();
-        let ok = capture(&e, Program::OURS, 0, false);
+        let ok = capture(&e, Engine::OURS, 0, false);
         assert_eq!(ok.outcome, Outcome::Ok);
         assert!(
             matches!(ok.cell(), Cell::Time { avg_ms, std_ms } if avg_ms == ok.sim_ms && std_ms == 0.0)
@@ -279,7 +194,7 @@ mod tests {
         assert!(ok.iterations > 0 && ok.launches > 0);
         assert_eq!(Some(ok.peak_bytes), ok.memstats().map(|m| m.peak_bytes));
 
-        let vetga = capture(&e, Program::Vetga, 0, false);
+        let vetga = capture(&e, Engine::Vetga, 0, false);
         assert!(
             !vetga.load_over_hour,
             "the smoke stand-in loads within the hour"
@@ -287,21 +202,25 @@ mod tests {
 
         let limits = e.sim;
         e.sim.time_limit_ms = Some(1e-6);
-        let slow = capture(&e, Program::OURS, 0, false);
+        let slow = capture(&e, Engine::OURS, 0, false);
         assert_eq!(slow.outcome, Outcome::TimeLimit);
         assert!(matches!(slow.cell(), Cell::OverHour));
         e.sim = limits;
         e.sim.device_capacity_bytes = 1024;
-        let oom = capture(&e, Program::Gswitch, 0, false);
+        let oom = capture(&e, Engine::Gswitch, 0, false);
         assert_eq!(oom.outcome, Outcome::Oom);
         assert!(matches!(oom.cell(), Cell::Oom));
         e.sim = limits;
 
         e.truth[0] += 1;
-        for program in [Program::OURS, Program::MedusaMpm, Program::Sharded(4)] {
-            let wrong = capture(&e, program, 0, false);
-            assert_eq!(wrong.outcome, Outcome::WrongCores, "{program:?}");
-            assert!(matches!(wrong.cell(), Cell::Wrong));
+        let wrong = [
+            capture(&e, Engine::OURS, 0, false),
+            capture(&e, Engine::MedusaMpm, 0, false),
+            capture_sharded(&e, 4, false),
+        ];
+        for cap in wrong {
+            assert_eq!(cap.outcome, Outcome::WrongCores, "{}", cap.name);
+            assert!(matches!(cap.cell(), Cell::Wrong));
         }
     }
 
@@ -310,23 +229,23 @@ mod tests {
     #[test]
     fn kept_trace_matches_the_capture() {
         let e = smoke_amazon();
-        for program in Program::peel_variants().chain(Program::TABLE3[1..].iter().copied()) {
-            let cap = capture(&e, program, 2, true);
+        for engine in Engine::all() {
+            let cap = capture(&e, engine, 2, true);
             let trace = cap.trace.as_ref().expect("kept");
             assert_eq!(trace.totals.time_ms.to_bits(), cap.sim_ms.to_bits());
             assert_eq!(trace.totals.launches, cap.launches);
             assert_eq!(trace.counters_fingerprint(), cap.fingerprint);
-            assert_eq!(trace.label, format!("{} on amazon0601", program.name()));
+            assert_eq!(trace.label, format!("{} on amazon0601", engine.name()));
             // one ledger: the kept trace's
             assert!(cap.memstats.is_none());
             assert!(std::ptr::eq(cap.memstats().unwrap(), &trace.memstats));
-            let bare = capture(&e, program, 2, false);
+            let bare = capture(&e, engine, 2, false);
             assert!(bare.trace.is_none());
             let json = bare.memstats().map(MemStats::to_json);
             assert_eq!(json, Some(trace.memstats.to_json()));
         }
-        let sharded = capture(&e, Program::Sharded(4), 0, true);
-        assert_eq!(sharded.program.name(), "Sharded p=4");
+        let sharded = capture_sharded(&e, 4, true);
+        assert_eq!(sharded.name, "Sharded p=4");
         let fr = sharded.fleet.as_ref().expect("kept");
         assert_eq!(fr.run.total_ms.to_bits(), sharded.sim_ms.to_bits());
         assert_eq!(fr.fleet.label, "amazon0601 p=4 fleet");

@@ -21,8 +21,8 @@
 //! * `KCORE_BLESS` — set to make [`assert_golden`] rewrite the golden files
 //!   of the tests instead of comparing against them.
 //!
-//! Every GPU program runs through one cell runner, [`capture`]; the
-//! [`Sweep`] runs each cell of Tables II, III and V and the capacity report
+//! Every GPU engine runs through one cell runner, [`capture`] (the
+//! sharded engine through [`capture_sharded`]); the [`Sweep`] runs each cell of Tables II, III and V and the capacity report
 //! once and renders the four tables from those captures, and the
 //! [`ShardReport`] does the same for the sharded engine's scaling curve,
 //! fleet table and fit forecast. [`table1`], [`table4`], [`table_dynamic`],
@@ -37,7 +37,7 @@ mod scale;
 mod sweep;
 mod tables;
 
-pub use capture::{capture, capture_in, Outcome, Program, RunCapture};
+pub use capture::{capture, capture_in, capture_sharded, Outcome, RunCapture};
 pub use dynamic::table_dynamic;
 pub use scale::{fleet_table, scaling_curve, ShardCell, ShardReport};
 pub use sweep::{DatasetSweep, Sweep};
@@ -48,6 +48,7 @@ use kcore_gpu::PeelConfig;
 use kcore_gpusim::SimOptions;
 use kcore_graph::datasets::{self, Dataset};
 use kcore_graph::{Csr, EdgeUpdate, GraphStats};
+use kcore_systems::{EngineOptions, FrameworkCosts};
 use serde::Serialize;
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
@@ -64,12 +65,11 @@ pub struct Env {
     pub scale: f64,
     /// Scaled simulation options (capacity + time budget).
     pub sim: SimOptions,
-    /// Scaled peel configuration ("Ours" baseline; derive variants from it).
-    pub peel_cfg: PeelConfig,
+    /// What every engine runs with: the scaled peel geometry, the scaled
+    /// framework costs, and the stand-in's `k_max`.
+    pub opts: EngineOptions,
     /// Ground-truth core numbers (BZ).
     pub truth: Vec<u32>,
-    /// `k_max` of the stand-in.
-    pub k_max: u32,
 }
 
 /// The paper's 1-hour budget, ms.
@@ -107,7 +107,7 @@ pub fn prepare(dataset: Dataset) -> Env {
         (dataset.paper.num_vertices as f64 / stats.num_vertices.max(1) as f64).max(1.0);
     let dim = (((1024.0 / vertex_scale) as u32) / 32 * 32).clamp(32, 1024);
     sim.cost.barrier_cycles = (dim / 32) as f64;
-    let peel_cfg = PeelConfig {
+    let peel = PeelConfig {
         launch: kcore_gpusim::LaunchConfig {
             blocks: 108,
             threads_per_block: dim,
@@ -117,16 +117,21 @@ pub fn prepare(dataset: Dataset) -> Env {
         ..PeelConfig::default()
     };
     let truth = kcore_cpu::bz::Bz.run(&graph);
-    let k_max = kcore_cpu::k_max(&truth);
+    let opts = EngineOptions {
+        peel,
+        // the frameworks' fixed-time constants scale like the launch and
+        // PCIe overheads above
+        costs: FrameworkCosts::default().scaled(scale),
+        k_max: kcore_cpu::k_max(&truth),
+    };
     Env {
         dataset,
         graph,
         stats,
         scale,
         sim,
-        peel_cfg,
+        opts,
         truth,
-        k_max,
     }
 }
 
@@ -365,6 +370,7 @@ pub fn save_fleet(dataset: &str, p: usize, fr: &kcore_gpu::FleetRun) {
         &fr.fleet.to_json(&fr.traces),
     );
     let merged = fr.fleet.merged_chrome_json(&fr.traces, &fr.timelines);
+    let merged = merged.expect("a fleet run's own traces merge with its ledger");
     save(&format!("traces/{name}.fleet.perfetto.json"), &merged);
 }
 

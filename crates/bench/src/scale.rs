@@ -1,6 +1,6 @@
 //! The sharded report: every (dataset, device count) cell of the scaling
 //! curve, the fleet table and the full-scale fit forecast runs once through
-//! [`capture`], and the three sections render from those captures
+//! [`capture_sharded`], and the three sections render from those captures
 //! (DESIGN.md "Sharded decomposition").
 //!
 //! * **Scaling curve** — on the `@2x` high-fidelity stand-ins (the selected
@@ -25,13 +25,14 @@
 
 use crate::capture::sharded_config;
 use crate::{
-    capture, check_round_trip, fleet_timeline_enabled, prepare, render_table, save_fleet, selected,
-    table_files, titled, to_json, Env, Outcome, Program, RunCapture,
+    capture_sharded, check_round_trip, fleet_timeline_enabled, prepare, render_table, save_fleet,
+    selected, table_files, titled, to_json, Env, Outcome, RunCapture,
 };
-use kcore_gpu::{decompose, decompose_multi, FleetRun};
+use kcore_gpu::{decompose_multi, FleetRun};
 use kcore_gpusim::{DeviceRollup, FleetTrace, P100_DEVICE_BYTES};
 use kcore_graph::datasets::{self, Dataset};
-use kcore_graph::{Partition, PartitionStats};
+use kcore_graph::PartitionStats;
+use kcore_systems::Engine;
 use serde::Serialize;
 
 /// The device counts of the scaling curve and of the fit forecast.
@@ -202,7 +203,7 @@ pub struct ShardCell {
 }
 
 impl ShardCell {
-    /// Summarizes `cap`, a kept [`Program::Sharded`] capture on `e`.
+    /// Summarizes `cap`, a kept [`capture_sharded`] capture on `e`.
     ///
     /// # Panics
     ///
@@ -210,19 +211,20 @@ impl ShardCell {
     /// ledger reconciles with the device clocks
     /// ([`FleetTrace::check_well_formed`]).
     pub fn new(e: &Env, cap: &RunCapture) -> ShardCell {
-        let Program::Sharded(p) = cap.program else {
-            panic!("{} is not the sharded engine", cap.program.name());
-        };
         let name = e.dataset.name.to_string();
-        assert_eq!(cap.outcome, Outcome::Ok, "{name} p={p}");
+        assert_eq!(cap.outcome, Outcome::Ok, "{} on {name}", cap.name);
         let FleetRun {
-            run, traces, fleet, ..
+            run,
+            traces,
+            fleet,
+            partition,
+            ..
         } = cap.fleet.as_ref().expect("the capture keeps the fleet run");
         fleet
             .check_well_formed(traces)
             .expect("fleet ledger must reconcile with the device clocks");
         let critical = CriticalAgg::from_fleet(fleet);
-        let partition = Partition::build(&e.graph, p, sharded_config(e, p).partition).stats();
+        let p = fleet.num_devices;
         // each worker's ledger scaled to its share of the paper-scale
         // dimensions: shard-local dims × the stand-in's vertex/arc ratios
         let full_vertices = e.dataset.paper.num_vertices;
@@ -259,7 +261,7 @@ impl ShardCell {
                 exchange_rounds: run.exchange_rounds,
                 border_packets: run.border_packets,
                 exchanged_bytes: run.exchanged_bytes,
-                partition,
+                partition: partition.clone(),
                 compute_ms: critical.compute_ms,
                 cascade_ms: critical.cascade_ms,
                 exchange_kernel_ms: critical.exchange_ms,
@@ -350,7 +352,7 @@ impl ShardReport {
             eprintln!("[table_scale] {}", d.name);
             let counts = CURVE_DEVICES.into_iter();
             for p in counts.filter(|&p| sections.iter().any(|&s| wants(s, d, p))) {
-                let cap = capture(&e, Program::Sharded(p), 0, true);
+                let cap = capture_sharded(&e, p, true);
                 let cell = ShardCell::new(&e, &cap);
                 let fr = cap.fleet.as_ref().expect("kept");
                 if check {
@@ -565,7 +567,7 @@ fn check_run(e: &Env, p: usize, fr: &FleetRun, curve_p1: bool, fleet: bool) {
     let name = e.dataset.name;
     if curve_p1 {
         assert_eq!(fr.run.exchanged_bytes, 0, "one device must not exchange");
-        let single = decompose(&e.graph, &e.peel_cfg, &e.sim).unwrap();
+        let single = Engine::OURS.run(&e.graph, &e.sim, &e.opts).unwrap();
         let single = single.report.total_ms;
         assert_eq!(
             fr.run.total_ms.to_bits(),

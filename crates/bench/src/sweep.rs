@@ -17,11 +17,12 @@
 
 use crate::{
     capture, check_round_trip, mark_best, table_files, titled, to_json, Cell, Env, Outcome,
-    Program, RunCapture,
+    RunCapture,
 };
 use kcore_gpu::{Buffering, Compaction};
 use kcore_gpusim::{CapacityForecast, SimOptions, P100_DEVICE_BYTES};
 use kcore_graph::datasets::Dataset;
+use kcore_systems::Engine;
 use serde::Serialize;
 
 /// One dataset's captures.
@@ -31,7 +32,7 @@ pub struct DatasetSweep {
     /// Per peel variant, in Table II's column order: the runs at seeds
     /// `1, 2, …`, ending at the first run that did not finish correctly.
     pub seeded: Vec<Vec<RunCapture>>,
-    /// Table III's programs ([`Program::TABLE3`]) at seed 0.
+    /// Table III's engines ([`Engine::TABLE3`]) at seed 0.
     pub seed0: [RunCapture; 6],
 }
 
@@ -82,17 +83,17 @@ struct MemRow {
 
 /// Table V's columns. Ours and the baselines show their seed-0 run, the
 /// other peel variants their first seeded run.
-const TABLE5: [Program; 10] = [
-    Program::OURS,
-    Program::Peel(Compaction::None, Buffering::SharedMem),
-    Program::Peel(Compaction::None, Buffering::Prefetch),
-    Program::Peel(Compaction::Efficient, Buffering::Global),
-    Program::Peel(Compaction::Ballot, Buffering::Global),
-    Program::Vetga,
-    Program::MedusaMpm,
-    Program::MedusaPeel,
-    Program::Gunrock,
-    Program::Gswitch,
+const TABLE5: [Engine; 10] = [
+    Engine::OURS,
+    Engine::Peel(Compaction::None, Buffering::SharedMem),
+    Engine::Peel(Compaction::None, Buffering::Prefetch),
+    Engine::Peel(Compaction::Efficient, Buffering::Global),
+    Engine::Peel(Compaction::Ballot, Buffering::Global),
+    Engine::Vetga,
+    Engine::MedusaMpm,
+    Engine::MedusaPeel,
+    Engine::Gunrock,
+    Engine::Gswitch,
 ];
 
 impl Sweep {
@@ -103,20 +104,20 @@ impl Sweep {
             let (name, edges) = (e.dataset.name, e.stats.num_edges);
             eprintln!("[sweep] {name} (|E|={edges}, {runs} seeded runs)");
             let mut seeded = Vec::new();
-            for program in Program::peel_variants() {
+            for engine in Engine::peel_variants() {
                 let mut caps: Vec<RunCapture> = Vec::new();
                 for seed in 1..=runs as u64 {
                     if caps.last().is_some_and(|c| c.outcome != Outcome::Ok) {
                         break;
                     }
-                    caps.push(capture(e, program, seed, false));
+                    caps.push(capture(e, engine, seed, false));
                 }
                 seeded.push(caps);
             }
             datasets.push(DatasetSweep {
                 dataset: e.dataset.clone(),
                 seeded,
-                seed0: Program::TABLE3.map(|program| capture(e, program, 0, false)),
+                seed0: Engine::TABLE3.map(|engine| capture(e, engine, 0, false)),
             });
         }
         Sweep { runs, datasets }
@@ -136,7 +137,7 @@ impl Sweep {
 
     /// Table II: the nine peel variants, avg ± std over the seeded runs.
     fn table2(&self) -> (String, String) {
-        let variants: Vec<Program> = Program::peel_variants().collect();
+        let variants: Vec<Engine> = Engine::peel_variants().collect();
         let rows = self.datasets.iter().map(|d| {
             let cells = d.seeded.iter().map(|caps| {
                 let last = caps.last().expect("every variant runs at least once");
@@ -161,7 +162,7 @@ impl Sweep {
         let cells = |d: &DatasetSweep| d.seed0.iter().map(RunCapture::cell).collect();
         let rows = self.datasets.iter().map(|d| (d.dataset.name, cells(d)));
         let title = "TABLE III — COMPUTATION TIME OF GPU PROGRAMS (simulated ms at dataset scale)";
-        time_table(title, headers(&Program::TABLE3), rows, false)
+        time_table(title, headers(&Engine::TABLE3), rows, false)
     }
 
     /// Table V: peak device memory, MB at dataset scale, N/A on OOM, the
@@ -193,7 +194,7 @@ impl Sweep {
     /// The capacity report: each seed-0 run's footprint extrapolated to the
     /// paper's dataset size against the 16 GB P100.
     fn table_mem(&self) -> (String, String) {
-        let headers = headers(&Program::TABLE3);
+        let headers = headers(&Engine::TABLE3);
         let (mut text, mut json) = (Vec::new(), Vec::new());
         for d in &self.datasets {
             let cells = d.mem_cells();
@@ -234,7 +235,7 @@ impl Sweep {
                     c.outcome,
                     Outcome::WrongCores,
                     "{} on {name}: wrong core numbers",
-                    c.program.name()
+                    c.name
                 );
             }
             let ledger = |c: &RunCapture| {
@@ -246,16 +247,16 @@ impl Sweep {
             };
             for caps in &d.seeded {
                 let first = &caps[0];
-                let ours0 = d.seed0.iter().filter(|c| c.program == first.program);
+                let ours0 = d.seed0.iter().filter(|c| c.name == first.name);
                 for c in caps[1..].iter().chain(ours0) {
                     assert!(
                         c.peak_bytes == first.peak_bytes && ledger(c) == ledger(first),
                         "{} on {name}: device memory moved with the schedule seed",
-                        c.program.name()
+                        c.name
                     );
                 }
             }
-            for (p, c) in Program::TABLE3.iter().zip(d.mem_cells()) {
+            for (p, c) in Engine::TABLE3.iter().zip(d.mem_cells()) {
                 assert!(
                     c.run_oom || c.fits,
                     "{} on {name}: finished at scale but forecast {} B > {} B at full size",
@@ -264,7 +265,7 @@ impl Sweep {
                     P100_DEVICE_BYTES
                 );
                 assert!(
-                    *p != Program::OURS || c.fits,
+                    *p != Engine::OURS || c.fits,
                     "peel predicted OOM on {name} (predicted {} B > {} B)",
                     c.predicted_peak_bytes,
                     P100_DEVICE_BYTES
@@ -283,13 +284,13 @@ impl Sweep {
 }
 
 impl DatasetSweep {
-    /// `program`'s seed-0 run, or else its first seeded run.
-    fn run_of(&self, program: Program) -> &RunCapture {
+    /// `engine`'s seed-0 run, or else its first seeded run.
+    fn run_of(&self, engine: Engine) -> &RunCapture {
         self.seed0
             .iter()
             .chain(self.seeded.iter().map(|caps| &caps[0]))
-            .find(|c| c.program == program)
-            .expect("every program of the tables runs")
+            .find(|c| c.name == engine.name())
+            .expect("every engine of the tables runs")
     }
 
     fn mem_cells(&self) -> Vec<MemCell> {
@@ -305,7 +306,7 @@ impl DatasetSweep {
                 let f: CapacityForecast = stats.extrapolate(full_v, full_a);
                 let run_oom = c.outcome == Outcome::Oom;
                 MemCell {
-                    system: c.program.name(),
+                    system: c.name.clone(),
                     run_oom,
                     sim_peak_bytes: stats.peak_bytes,
                     predicted_peak_bytes: f.predicted_peak_bytes,
@@ -343,8 +344,8 @@ pub(crate) fn time_table<'a>(
     (titled(title, &headers, &text), to_json(&json))
 }
 
-/// A table's header row: "Dataset", then the programs' names.
-fn headers(programs: &[Program]) -> Vec<String> {
-    let names = programs.iter().map(|p| p.name());
+/// A table's header row: "Dataset", then the engines' names.
+fn headers(engines: &[Engine]) -> Vec<String> {
+    let names = engines.iter().map(|e| e.name());
     std::iter::once("Dataset".into()).chain(names).collect()
 }

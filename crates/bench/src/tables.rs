@@ -4,13 +4,13 @@
 //! row values.
 
 use crate::sweep::time_table;
-use crate::{capture, prepare, render_table, table_files, titled, to_json, Cell, Env, Program};
+use crate::{capture, prepare, render_table, table_files, titled, to_json, Cell, Env};
 use kcore_cpu::{bz, mpm, naive, park, pkc, CoreAlgorithm};
-use kcore_gpu::{decompose, mpm_gpu, PeelConfig, SimOptions};
+use kcore_gpu::{decompose, PeelConfig, SimOptions};
 use kcore_gpusim::{KernelError, SimError};
 use kcore_graph::datasets;
 use kcore_graph::gen::temporal::{generate_corpus, CorpusParams};
-use kcore_systems::{medusa, FrameworkCosts};
+use kcore_systems::Engine;
 use serde::Serialize;
 use std::collections::BTreeSet;
 use std::time::Instant;
@@ -45,7 +45,7 @@ pub fn table1(envs: &[Env]) -> Vec<(String, String)> {
             avg_degree: e.stats.avg_degree,
             degree_std: e.stats.degree_std,
             max_degree: e.stats.max_degree,
-            k_max: e.k_max,
+            k_max: e.opts.k_max,
             scale: e.scale,
             paper_vertices: e.dataset.paper.num_vertices,
             paper_edges: e.dataset.paper.num_edges,
@@ -112,7 +112,7 @@ pub fn table4(envs: &[Env]) -> Vec<(String, String)> {
     headers.extend(algs.iter().map(|a| a.name().to_string()));
     let rows = envs.iter().map(|e| {
         eprintln!("[table4] {}", e.dataset.name);
-        let ours = capture(e, Program::OURS, 0, false).cell();
+        let ours = capture(e, Engine::OURS, 0, false).cell();
         let cpu = algs.iter().map(|a| {
             let t0 = Instant::now();
             let core = a.run(&e.graph);
@@ -288,17 +288,19 @@ pub fn extensions() -> Vec<(String, String)> {
         ]);
         out.ring_ablation.push((name.into(), ring, flat));
 
-        let peel = decompose(&e.graph, &e.peel_cfg, &e.sim).expect("the peel completes");
-        let peel_ms = peel.report.total_ms;
-        let gpu_mpm = mpm_gpu::decompose_mpm(&e.graph, &e.sim).expect("GPU-MPM completes");
+        let run = |engine: Engine| engine.run(&e.graph, &e.sim, &e.opts);
+        let peel_ms = run(Engine::OURS)
+            .expect("the peel completes")
+            .report
+            .total_ms;
+        let gpu_mpm = run(Engine::GpuMpm).expect("GPU-MPM completes");
         assert_eq!(gpu_mpm.core, e.truth);
-        let costs = FrameworkCosts::default().scaled(e.scale);
-        let med = medusa::mpm(&e.graph, &e.sim, &costs).map_or(f64::NAN, |r| r.report.total_ms);
+        let med = run(Engine::MedusaMpm).map_or(f64::NAN, |r| r.report.total_ms);
         let mpm_ms = gpu_mpm.report.total_ms;
         mpm_rows.push(vec![
             name.to_string(),
             format!("{peel_ms:.2}"),
-            format!("{mpm_ms:.2} ({} sweeps)", gpu_mpm.sweeps),
+            format!("{mpm_ms:.2} ({} sweeps)", gpu_mpm.iterations),
             format!("{med:.2}"),
         ]);
         out.mpm_vs_peel.push((name.into(), peel_ms, mpm_ms, med));
@@ -329,7 +331,7 @@ fn min_buf_capacity(e: &Env, ring: bool) -> usize {
         let cfg = PeelConfig {
             buf_capacity: cap,
             ring_buffer: ring,
-            ..e.peel_cfg
+            ..e.opts.peel
         };
         match decompose(&e.graph, &cfg, &e.sim) {
             Ok(run) => {

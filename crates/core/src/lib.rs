@@ -26,6 +26,13 @@
 //! Everything runs on the [`kcore_gpusim`] simulator; see DESIGN.md for the
 //! hardware-substitution rationale.
 //!
+//! Entry points: [`decompose`] on a fresh device and [`decompose_in`] in a
+//! caller's context, [`decompose_reference_in`] (the per-lane oracle of
+//! the same kernels), [`mpm_gpu::decompose_mpm_in`] (direct GPU-MPM), and
+//! the sharded [`decompose_multi`] / [`decompose_multi_fleet`]. [`Run`] is
+//! the result of every single-device engine: `kcore-systems`' `Engine`
+//! runs these kernels and the five baselines behind one `run`.
+//!
 //! # Example
 //!
 //! ```
@@ -34,7 +41,7 @@
 //! let g = kcore_graph::fig1_graph();
 //! let run = decompose(&g, &PeelConfig::ours(), &SimOptions::default()).unwrap();
 //! assert_eq!(run.core, kcore_graph::fig1_core_numbers());
-//! assert_eq!(run.k_max, 3);
+//! assert_eq!(run.k_max(), 3);
 //! println!("simulated time: {:.3} ms", run.report.total_ms);
 //! ```
 
@@ -55,4 +62,4 @@ pub use kcore_gpusim::SimOptions;
 pub use multi_gpu::{
     decompose_multi, decompose_multi_fleet, FleetRun, MultiGpuConfig, MultiGpuRun,
 };
-pub use peel::{decompose, decompose_in, decompose_reference_in, GpuRun};
+pub use peel::{decompose, decompose_in, decompose_reference_in, Run};

@@ -12,33 +12,12 @@
 //! beyond the convergence flag.
 
 use kcore_gpusim::warp::WARP_SIZE;
-use kcore_gpusim::{BlockCtx, Coalescing, GpuContext, SimError, SimOptions, SimReport, SizeClass};
+use kcore_gpusim::{BlockCtx, Coalescing, GpuContext, SimError, SizeClass};
 use kcore_graph::Csr;
 use std::sync::atomic::Ordering;
 
-/// Result of a direct GPU-MPM run.
-#[derive(Debug, Clone)]
-pub struct GpuMpmRun {
-    /// Per-vertex core numbers.
-    pub core: Vec<u32>,
-    /// Jacobi sweeps until convergence.
-    pub sweeps: u32,
-    /// Simulated-time / traffic / memory report.
-    pub report: SimReport,
-}
-
-/// Runs Jacobi h-index refinement on the simulated GPU until convergence.
-pub fn decompose_mpm(g: &Csr, opts: &SimOptions) -> Result<GpuMpmRun, SimError> {
-    let mut ctx = opts.context();
-    let (core, sweeps) = decompose_mpm_in(&mut ctx, g)?;
-    Ok(GpuMpmRun {
-        core,
-        sweeps,
-        report: ctx.report(),
-    })
-}
-
-/// [`decompose_mpm`] against a caller-owned context. A graph of
+/// Runs Jacobi h-index refinement on the simulated GPU in `ctx` until
+/// convergence, returning the core numbers and the sweep count. A graph of
 /// `u32::MAX` or more arcs is a [`SimError::InvalidConfig`]: the device
 /// CSR indexes arcs with 32-bit offsets.
 pub fn decompose_mpm_in(ctx: &mut GpuContext, g: &Csr) -> Result<(Vec<u32>, u32), SimError> {
@@ -154,57 +133,14 @@ fn h_from_buckets(buckets: &[u32], bound: u32) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kcore_cpu::CoreAlgorithm;
-    use kcore_graph::{fig1_core_numbers, fig1_graph, gen};
-
-    #[test]
-    fn fig1() {
-        let run = decompose_mpm(&fig1_graph(), &SimOptions::default()).unwrap();
-        assert_eq!(run.core, fig1_core_numbers());
-        assert!(run.sweeps >= 2);
-    }
-
-    #[test]
-    fn agrees_with_bz_on_random_graphs() {
-        for seed in 0..3 {
-            let g = gen::erdos_renyi_gnm(500, 2_000, seed);
-            let run = decompose_mpm(&g, &SimOptions::default()).unwrap();
-            assert_eq!(run.core, kcore_cpu::bz::Bz.run(&g), "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn cheaper_than_medusa_mpm() {
-        // the point of the tailor-made kernel: no message materialization,
-        // no reverse index — less traffic and time than the Medusa version
-        let g = gen::rmat(12, 30_000, gen::RmatParams::graph500(), 3);
-        let direct = decompose_mpm(&g, &SimOptions::default()).unwrap();
-        let medusa = kcore_systems::medusa::mpm(
-            &g,
-            &SimOptions::default(),
-            &kcore_systems::FrameworkCosts::default(),
-        )
-        .unwrap();
-        assert_eq!(direct.core, medusa.core);
-        assert!(
-            direct.report.total_ms < medusa.report.total_ms,
-            "direct {} !< medusa {}",
-            direct.report.total_ms,
-            medusa.report.total_ms
-        );
-        assert!(direct.report.peak_mem_bytes < medusa.report.peak_mem_bytes);
-    }
-
-    #[test]
-    fn empty_graph() {
-        let run = decompose_mpm(&kcore_graph::Csr::empty(3), &SimOptions::default()).unwrap();
-        assert_eq!(run.core, vec![0; 3]);
-    }
+    use kcore_graph::gen;
 
     #[test]
     fn sweeps_track_structure() {
-        let path = decompose_mpm(&gen::path(64), &SimOptions::default()).unwrap();
-        let clique = decompose_mpm(&gen::complete(64), &SimOptions::default()).unwrap();
-        assert!(path.sweeps > clique.sweeps);
+        let sweeps = |g: &Csr| {
+            let mut ctx = kcore_gpusim::SimOptions::default().context();
+            decompose_mpm_in(&mut ctx, g).unwrap().1
+        };
+        assert!(sweeps(&gen::path(64)) > sweeps(&gen::complete(64)));
     }
 }

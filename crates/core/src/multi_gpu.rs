@@ -48,7 +48,7 @@ use kcore_gpusim::{
     BlockCtx, BufferId, ExchangeTrace, FleetTrace, FlowEdge, GpuContext, KernelError, RoundTrace,
     SimError, SimOptions, SizeClass, SubRoundSlice, Timeline, Trace, PACKET_BYTES,
 };
-use kcore_graph::{Csr, Partition, PartitionStrategy, Shard};
+use kcore_graph::{Csr, Partition, PartitionStats, PartitionStrategy, Shard};
 use rayon::prelude::*;
 use std::sync::atomic::Ordering;
 
@@ -100,8 +100,6 @@ impl Default for MultiGpuConfig {
 pub struct MultiGpuRun {
     /// Per-vertex core numbers.
     pub core: Vec<u32>,
-    /// `max_v core(v)`.
-    pub k_max: u32,
     /// Peeling rounds (`k_max + 1`).
     pub rounds: u32,
     /// Total sub-rounds across all rounds (> rounds when k-shells span
@@ -139,6 +137,8 @@ pub struct FleetRun {
     /// The fleet ledger: sub-round slices and exchange flows, from which
     /// the critical path is derived.
     pub fleet: FleetTrace,
+    /// The border structure of the partition the run peeled.
+    pub partition: PartitionStats,
 }
 
 /// One worker: a device context holding its shard's peel working set.
@@ -179,7 +179,7 @@ pub fn decompose_multi_fleet(
     opts: &SimOptions,
     label: impl Into<String>,
 ) -> Result<FleetRun, SimError> {
-    let (run, fleet, mut contexts) = decompose_multi_impl(g, cfg, opts)?;
+    let (run, fleet, mut contexts, part) = decompose_multi_impl(g, cfg, opts)?;
     let timelines: Vec<Timeline> = contexts
         .iter()
         .enumerate()
@@ -198,6 +198,7 @@ pub fn decompose_multi_fleet(
             label: label.into(),
             ..fleet
         },
+        partition: part.stats(),
     })
 }
 
@@ -243,19 +244,20 @@ fn check_config(g: &Csr, cfg: &MultiGpuConfig) -> Result<(), SimError> {
     Ok(())
 }
 
-/// The sharded run, its unlabelled ledger, and the worker contexts in shard
-/// order, which [`decompose_multi_fleet`] builds its traces from.
+/// The sharded run, its unlabelled ledger, the worker contexts in shard
+/// order and the partition, which [`decompose_multi_fleet`] builds its
+/// traces and border stats from.
 fn decompose_multi_impl(
     g: &Csr,
     cfg: &MultiGpuConfig,
     opts: &SimOptions,
-) -> Result<(MultiGpuRun, FleetTrace, Vec<GpuContext>), SimError> {
+) -> Result<(MultiGpuRun, FleetTrace, Vec<GpuContext>, Partition), SimError> {
     check_config(g, cfg)?;
+    let part = Partition::build(g, cfg.num_gpus, cfg.partition);
     let n = g.num_vertices() as usize;
     if n == 0 {
         let run = MultiGpuRun {
             core: Vec::new(),
-            k_max: 0,
             rounds: 0,
             sub_rounds: 0,
             total_ms: 0.0,
@@ -273,10 +275,9 @@ fn decompose_multi_impl(
             result_ms: 0.0,
             rounds: Vec::new(),
         };
-        return Ok((run, fleet, Vec::new()));
+        return Ok((run, fleet, Vec::new(), part));
     }
-    // ---- partition & load shards ----------------------------------------
-    let part = Partition::build(g, cfg.num_gpus, cfg.partition);
+    // ---- load shards ------------------------------------------------------
     let mut workers = build_workers(&part, cfg, opts)?;
     let mut total_ms = max_f64(workers.iter().map(|w| w.ctx.elapsed_ms()));
     let setup_ms = total_ms;
@@ -368,7 +369,6 @@ fn decompose_multi_impl(
     // only when the fleet layer asks. The counts are the ledger's.
     let exchanges = || round_log.iter().flat_map(|r| &r.exchanges);
     let run = MultiGpuRun {
-        k_max: core.iter().copied().max().unwrap_or(0),
         core,
         rounds: k,
         sub_rounds: round_log.iter().map(|r| r.slices.len() as u32).sum(),
@@ -390,7 +390,8 @@ fn decompose_multi_impl(
         result_ms,
         rounds: round_log,
     };
-    Ok((run, fleet, workers.into_iter().map(|w| w.ctx).collect()))
+    let contexts = workers.into_iter().map(|w| w.ctx).collect();
+    Ok((run, fleet, contexts, part))
 }
 
 /// Loads every shard onto its own device: the local-ID CSR through
@@ -824,7 +825,6 @@ mod tests {
         let run = decompose_multi(g, &cfg(p), &SimOptions::default()).unwrap();
         let expect = kcore_cpu::bz::Bz.run(g);
         assert_eq!(run.core, expect, "{p} GPUs");
-        assert_eq!(run.k_max, expect.iter().copied().max().unwrap_or(0));
     }
 
     #[test]
@@ -956,6 +956,7 @@ mod tests {
         }
         // the merged perfetto export renders and carries link flow events
         let json = fr.fleet.merged_chrome_json(&fr.traces, &fr.timelines);
+        let json = json.unwrap();
         assert!(json.contains("Fleet links"));
         assert!(json.contains("\"ph\":\"s\""));
         assert!(json.contains("border cascades"));

@@ -25,17 +25,23 @@ use kcore_graph::Csr;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::OnceLock;
 
-/// Result of a GPU decomposition run.
+/// Result of a single-device decomposition run, whichever engine ran it.
 #[derive(Debug, Clone)]
-pub struct GpuRun {
+pub struct Run {
     /// Per-vertex core numbers.
     pub core: Vec<u32>,
-    /// `max_v core(v)`.
-    pub k_max: u32,
-    /// Number of peeling rounds executed (`k_max + 1`).
-    pub rounds: u32,
+    /// The engine's own iteration count: peel rounds (`k_max + 1`), MPM
+    /// sweeps, BSP supersteps or frontier sub-iterations.
+    pub iterations: u64,
     /// Simulated-time / traffic / memory report.
     pub report: SimReport,
+}
+
+impl Run {
+    /// `max_v core(v)` (0 for an empty graph).
+    pub fn k_max(&self) -> u32 {
+        self.core.iter().copied().max().unwrap_or(0)
+    }
 }
 
 /// The peel working set resident on one device: the graph arrays, the
@@ -171,16 +177,12 @@ pub(crate) fn free_device(ctx: &mut GpuContext, st: &DeviceState) {
 
 /// Runs the full k-core decomposition of `g` under `cfg` on a fresh
 /// simulated device described by `opts`.
-pub fn decompose(g: &Csr, cfg: &PeelConfig, opts: &SimOptions) -> Result<GpuRun, SimError> {
+pub fn decompose(g: &Csr, cfg: &PeelConfig, opts: &SimOptions) -> Result<Run, SimError> {
     let mut ctx = opts.context();
-    decompose_in(&mut ctx, g, cfg).map(|(core, rounds)| {
-        let k_max = core.iter().copied().max().unwrap_or(0);
-        GpuRun {
-            core,
-            k_max,
-            rounds,
-            report: ctx.report(),
-        }
+    decompose_in(&mut ctx, g, cfg).map(|(core, rounds)| Run {
+        core,
+        iterations: rounds.into(),
+        report: ctx.report(),
     })
 }
 
@@ -1187,7 +1189,7 @@ mod tests {
         let run = decompose(g, cfg, &SimOptions::default()).expect("decompose");
         let expect = bz::Bz.run(g);
         assert_eq!(run.core, expect, "variant {}", cfg.variant_name());
-        assert_eq!(run.k_max, expect.iter().copied().max().unwrap_or(0));
+        assert_eq!(run.k_max(), expect.iter().copied().max().unwrap_or(0));
     }
 
     #[test]
@@ -1195,8 +1197,8 @@ mod tests {
         let g = fig1_graph();
         let run = decompose(&g, &small_cfg(), &SimOptions::default()).unwrap();
         assert_eq!(run.core, fig1_core_numbers());
-        assert_eq!(run.k_max, 3);
-        assert_eq!(run.rounds, 4); // k = 0..3
+        assert_eq!(run.k_max(), 3);
+        assert_eq!(run.iterations, 4); // k = 0..3
     }
 
     #[test]
@@ -1271,10 +1273,10 @@ mod tests {
         let cfg = small_cfg();
         let run = decompose(&kcore_graph::Csr::empty(0), &cfg, &SimOptions::default()).unwrap();
         assert!(run.core.is_empty());
-        assert_eq!(run.rounds, 0);
+        assert_eq!(run.iterations, 0);
         let run = decompose(&kcore_graph::Csr::empty(9), &cfg, &SimOptions::default()).unwrap();
         assert_eq!(run.core, vec![0; 9]);
-        assert_eq!(run.rounds, 1); // everything removed in round k=0
+        assert_eq!(run.iterations, 1); // everything removed in round k=0
     }
 
     #[test]
@@ -1395,7 +1397,7 @@ mod tests {
         let g = gen::erdos_renyi_gnm(500, 2_000, 3);
         let run = decompose(&g, &small_cfg(), &SimOptions::default()).unwrap();
         assert!(run.report.total_ms > 0.0);
-        assert_eq!(run.report.launches as u32, 2 * run.rounds);
+        assert_eq!(run.report.launches, 2 * run.iterations);
         assert!(run.report.peak_mem_bytes > 0);
         assert!(run.report.counters.global_atomics > 0);
     }
@@ -1440,7 +1442,7 @@ mod tests {
     fn rounds_equal_kmax_plus_one_when_all_shells_nonempty() {
         // cycle: only shell 2 is non-empty, but rounds still run k=0,1,2
         let run = decompose(&gen::cycle(50), &small_cfg(), &SimOptions::default()).unwrap();
-        assert_eq!(run.k_max, 2);
-        assert_eq!(run.rounds, 3);
+        assert_eq!(run.k_max(), 2);
+        assert_eq!(run.iterations, 3);
     }
 }

@@ -436,11 +436,20 @@ impl FleetTrace {
     ///   launch through the two hops to its owner's `mgpu_apply` launch.
     ///
     /// `traces` and `timelines` must be the per-device traces and timelines
-    /// captured from the same run, shard order. Deterministic: same run ⇒
-    /// byte-identical JSON.
-    pub fn merged_chrome_json(&self, traces: &[Trace], timelines: &[Timeline]) -> String {
-        assert_eq!(traces.len(), self.num_devices, "one trace per device");
-        assert_eq!(timelines.len(), self.num_devices, "one timeline per device");
+    /// captured from the same run, shard order; inputs from another run
+    /// are a [`MergeError`] where they disagree with the ledger.
+    /// Deterministic: same run ⇒ byte-identical JSON.
+    pub fn merged_chrome_json(
+        &self,
+        traces: &[Trace],
+        timelines: &[Timeline],
+    ) -> Result<String, MergeError> {
+        for (what, got) in [("traces", traces.len()), ("timelines", timelines.len())] {
+            if got != self.num_devices {
+                let devices = self.num_devices;
+                return Err(MergeError::DeviceCount { what, got, devices });
+            }
+        }
         /// tid of the per-device cascade track: above any `sm * 64 + slot`
         /// the SM layout can produce.
         const CASCADE_TID: u64 = 4000;
@@ -496,14 +505,15 @@ impl FleetTrace {
                 // cascade slices land on each active device's own track, at
                 // that device's local clock — they tile against its SM rows.
                 if sub > 0 {
-                    for d in 0..self.num_devices {
-                        if s.device_ms[d] > 0.0 {
+                    let clocks = s.device_start_ms.iter().zip(&s.device_ms);
+                    for (d, (&start_ms, &ms)) in clocks.enumerate() {
+                        if ms > 0.0 {
                             events.push(obj(vec![
                                 ("name", Value::Str(format!("cascade k={k} #{sub}"))),
                                 ("cat", Value::Str("BorderCascade".into())),
                                 ("ph", Value::Str("X".into())),
-                                ("ts", Value::Float(s.device_start_ms[d] * 1e3)),
-                                ("dur", Value::Float(s.device_ms[d] * 1e3)),
+                                ("ts", Value::Float(start_ms * 1e3)),
+                                ("dur", Value::Float(ms * 1e3)),
                                 ("pid", Value::UInt(gpu_pid(d))),
                                 ("tid", Value::UInt(CASCADE_TID)),
                                 (
@@ -552,8 +562,12 @@ impl FleetTrace {
                         ]));
                     }
                     for f in &e.flows {
-                        let pack = &traces[f.from_device].launches[f.pack_launch_seq];
-                        let apply = &traces[f.to_device].launches[f.apply_launch_seq];
+                        let launch = |device: usize, seq: usize| {
+                            let found = traces.get(device).and_then(|t| t.launches.get(seq));
+                            found.ok_or(MergeError::MissingLaunch { k, device, seq })
+                        };
+                        let pack = launch(f.from_device, f.pack_launch_seq)?;
+                        let apply = launch(f.to_device, f.apply_launch_seq)?;
                         let hops = [
                             (
                                 "s",
@@ -627,9 +641,51 @@ impl FleetTrace {
                 ]),
             ),
         ]);
-        serde_json::to_string(&doc).expect("fleet timeline serializes")
+        Ok(serde_json::to_string(&doc).expect("fleet timeline serializes"))
     }
 }
+
+/// Why [`FleetTrace::merged_chrome_json`] cannot merge a ledger with the
+/// traces and timelines it was handed: they are not that run's.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum MergeError {
+    /// `what` (`"traces"` or `"timelines"`) holds `got` entries for a
+    /// ledger of `devices` devices.
+    DeviceCount {
+        /// The mismatched input.
+        what: &'static str,
+        /// Its length.
+        got: usize,
+        /// The ledger's `num_devices`.
+        devices: usize,
+    },
+    /// A flow edge of round `k` names launch `seq` of `device`, which the
+    /// traces do not hold.
+    MissingLaunch {
+        /// The round.
+        k: usize,
+        /// The flow's pack or apply device.
+        device: usize,
+        /// The launch sequence number it names.
+        seq: usize,
+    },
+}
+
+impl std::fmt::Display for MergeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            MergeError::DeviceCount { what, got, devices } => {
+                write!(f, "{got} worker {what}, num_devices says {devices}")
+            }
+            MergeError::MissingLaunch { k, device, seq } => write!(
+                f,
+                "k={k}: a flow names launch {seq} of device {device}, which its trace does not hold"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for MergeError {}
 
 /// The slowest device's delta over a sub-round: what the fleet clock
 /// charges for it.
@@ -995,8 +1051,42 @@ mod tests {
             .collect();
         assert_eq!(labels, ["d0", "d1"]);
         let timelines: Vec<Timeline> = dummy_contexts().iter().map(|c| c.timeline("t")).collect();
-        let merged = synthetic().merged_chrome_json(&traces, &timelines);
+        let merged = synthetic().merged_chrome_json(&traces, &timelines).unwrap();
         assert!(merged.contains("\"otherData\":{\"schema_version\":5,"));
+    }
+
+    /// A ledger merged with another run's traces and timelines is an error,
+    /// not a panic.
+    #[test]
+    fn merge_rejects_another_runs_inputs() {
+        let ft = synthetic();
+        let timelines: Vec<Timeline> = dummy_contexts().iter().map(|c| c.timeline("t")).collect();
+        // a run whose devices launched nothing
+        let idle: Vec<crate::GpuContext> = (0..2)
+            .map(|_| crate::GpuContext::new(crate::CostParams::p100(), 1 << 16))
+            .collect();
+        let traces: Vec<Trace> = idle.into_iter().map(|mut c| c.trace("idle")).collect();
+        let missing = MergeError::MissingLaunch {
+            k: 1,
+            device: 0,
+            seq: 0,
+        };
+        assert_eq!(ft.merged_chrome_json(&traces, &timelines), Err(missing));
+        // a run on one device
+        let err = ft.merged_chrome_json(&traces[..1], &timelines);
+        assert_eq!(
+            err.unwrap_err().to_string(),
+            "1 worker traces, num_devices says 2"
+        );
+        let err = ft.merged_chrome_json(&traces, &timelines[..1]);
+        assert!(matches!(
+            err,
+            Err(MergeError::DeviceCount {
+                what: "timelines",
+                got: 1,
+                ..
+            })
+        ));
     }
 
     #[test]

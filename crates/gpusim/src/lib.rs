@@ -76,8 +76,8 @@ pub use exec::{
     SimError, SimOptions,
 };
 pub use fleet::{
-    fnv1a_bytes, DeviceRollup, ExchangeTrace, FleetTrace, FlowEdge, RoundCritical, RoundTrace,
-    SubRoundSlice, PACKET_BYTES,
+    fnv1a_bytes, DeviceRollup, ExchangeTrace, FleetTrace, FlowEdge, MergeError, RoundCritical,
+    RoundTrace, SubRoundSlice, PACKET_BYTES,
 };
 pub use memstats::{
     CapacityForecast, LiveAlloc, MemStats, PhasePeak, P100_DEVICE_BYTES, PEAK_LIVE_SET_TOP_K,

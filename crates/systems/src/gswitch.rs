@@ -11,40 +11,25 @@
 //! One faithful quirk (§V): GSWITCH "does not support an easy way to write
 //! the outer loop of rounds, so we simply repeat the iterative computations
 //! for n rounds, where n is hardcoded as the core number of each input
-//! graph" — [`peel`] therefore takes the number of rounds as an input
-//! instead of tracking a removal count.
+//! graph" — [`Engine::Gswitch`](crate::Engine::Gswitch) therefore takes
+//! the number of rounds as an input
+//! ([`EngineOptions::k_max`](crate::EngineOptions::k_max)) instead of
+//! tracking a removal count.
 
-use crate::{in_block_order, FrameworkCosts, SystemRun};
+use crate::{in_block_order, FrameworkCosts};
 use kcore_gpusim::warp::WARP_SIZE;
 use kcore_gpusim::{
-    narrow_offsets, BlockCtx, Coalescing, GpuContext, LaunchConfig, SimError, SimOptions, SizeClass,
+    narrow_offsets, BlockCtx, Coalescing, GpuContext, LaunchConfig, SimError, SizeClass,
 };
 use kcore_graph::Csr;
 use std::sync::atomic::Ordering;
 
-/// Runs GSWITCH-style peeling for rounds `k = 0 ..= k_max_hint`.
+/// Runs GSWITCH-style peeling for rounds `k = 0 ..= k_max_hint` in `ctx`.
 ///
 /// With `k_max_hint >= k_max(G)` the result is the exact decomposition; a
 /// smaller hint leaves deeper cores unpeeled, exactly as the hardcoded
 /// round count would on the real system.
-pub fn peel(
-    g: &Csr,
-    k_max_hint: u32,
-    opts: &SimOptions,
-    costs: &FrameworkCosts,
-) -> Result<SystemRun, SimError> {
-    let mut ctx = opts.context();
-    let (core, iterations) = peel_in(&mut ctx, g, k_max_hint, costs)?;
-    Ok(SystemRun {
-        core,
-        iterations,
-        report: ctx.report(),
-    })
-}
-
-/// [`peel`] against a caller-owned context, so peak memory and partial time
-/// remain observable after an OOM or time-limit failure.
-pub fn peel_in(
+pub(crate) fn peel_in(
     ctx: &mut GpuContext,
     g: &Csr,
     k_max_hint: u32,
@@ -181,49 +166,25 @@ pub fn peel_in(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::testutil::expect;
-    use kcore_graph::{fig1_graph, gen};
+    use crate::{Engine, EngineOptions};
+    use kcore_gpu::Run;
+    use kcore_gpusim::SimOptions;
+    use kcore_graph::{gen, Csr};
 
-    fn kmax(core: &[u32]) -> u32 {
-        core.iter().copied().max().unwrap_or(0)
-    }
-
-    #[test]
-    fn fig1_with_exact_hint() {
-        let g = fig1_graph();
-        let e = expect(&g);
-        let run = peel(
-            &g,
-            kmax(&e),
-            &SimOptions::default(),
-            &FrameworkCosts::default(),
-        )
-        .unwrap();
-        assert_eq!(run.core, e);
-    }
-
-    #[test]
-    fn random_graphs() {
-        for seed in 0..3 {
-            let g = gen::erdos_renyi_gnm(500, 2_500, seed);
-            let e = expect(&g);
-            let run = peel(
-                &g,
-                kmax(&e),
-                &SimOptions::default(),
-                &FrameworkCosts::default(),
-            )
-            .unwrap();
-            assert_eq!(run.core, e, "seed {seed}");
-        }
+    fn gswitch(g: &Csr, k_max: u32) -> Run {
+        let opts = EngineOptions {
+            k_max,
+            ..EngineOptions::default()
+        };
+        Engine::Gswitch
+            .run(g, &SimOptions::default(), &opts)
+            .unwrap()
     }
 
     #[test]
     fn oversized_hint_is_harmless() {
-        let g = gen::cycle(30);
-        let run = peel(&g, 10, &SimOptions::default(), &FrameworkCosts::default()).unwrap();
-        assert_eq!(run.core, vec![2; 30]);
+        assert_eq!(gswitch(&gen::cycle(30), 10).core, vec![2; 30]);
     }
 
     #[test]
@@ -232,7 +193,7 @@ mod tests {
         // With hint 0 no round-1 peeling happens, so the center's degree
         // never converges down to its core number.
         let g = gen::star(4);
-        let run = peel(&g, 0, &SimOptions::default(), &FrameworkCosts::default()).unwrap();
+        let run = gswitch(&g, 0);
         assert_ne!(run.core, expect(&g));
         assert_eq!(run.core[0], 4); // untouched raw degree
     }
@@ -245,13 +206,7 @@ mod tests {
         // termination sweep, per non-empty round.
         let g = gen::path(100);
         let e = expect(&g);
-        let run = peel(
-            &g,
-            kmax(&e),
-            &SimOptions::default(),
-            &FrameworkCosts::default(),
-        )
-        .unwrap();
+        let run = gswitch(&g, kcore_cpu::k_max(&e));
         assert_eq!(run.core, e);
         assert!(run.iterations >= 3, "got {}", run.iterations);
     }

@@ -14,29 +14,17 @@
 //! edge-capacity frontier scratch that inflates the memory footprint
 //! (Table V).
 
-use crate::{in_block_order, FrameworkCosts, SystemRun};
+use crate::{in_block_order, FrameworkCosts};
 use kcore_gpusim::warp::WARP_SIZE;
 use kcore_gpusim::{
     narrow_offsets, BlockCtx, Coalescing, GpuContext, KernelError, LaunchConfig, SimError,
-    SimOptions, SizeClass,
+    SizeClass,
 };
 use kcore_graph::Csr;
 use std::sync::atomic::Ordering;
 
-/// Runs Gunrock-style peeling to completion.
-pub fn peel(g: &Csr, opts: &SimOptions, costs: &FrameworkCosts) -> Result<SystemRun, SimError> {
-    let mut ctx = opts.context();
-    let (core, iterations) = peel_in(&mut ctx, g, costs)?;
-    Ok(SystemRun {
-        core,
-        iterations,
-        report: ctx.report(),
-    })
-}
-
-/// [`peel`] against a caller-owned context, so peak memory and partial time
-/// remain observable after an OOM or time-limit failure.
-pub fn peel_in(
+/// Runs Gunrock-style peeling to completion in `ctx`.
+pub(crate) fn peel_in(
     ctx: &mut GpuContext,
     g: &Csr,
     costs: &FrameworkCosts,
@@ -234,51 +222,19 @@ pub fn peel_in(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::testutil::expect;
-    use kcore_graph::{fig1_graph, gen};
-
-    #[test]
-    fn fig1() {
-        let g = fig1_graph();
-        let run = peel(&g, &SimOptions::default(), &FrameworkCosts::default()).unwrap();
-        assert_eq!(run.core, expect(&g));
-        assert!(run.iterations > 0);
-    }
-
-    #[test]
-    fn random_graphs() {
-        for seed in 0..3 {
-            let g = gen::erdos_renyi_gnm(500, 2_000, seed);
-            let run = peel(&g, &SimOptions::default(), &FrameworkCosts::default()).unwrap();
-            assert_eq!(run.core, expect(&g), "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn skewed_graph() {
-        let g = gen::power_law_hubs(2_000, 4_000, 2, 0.2, 9);
-        let run = peel(&g, &SimOptions::default(), &FrameworkCosts::default()).unwrap();
-        assert_eq!(run.core, expect(&g));
-    }
+    use crate::{Engine, EngineOptions};
+    use kcore_gpusim::SimOptions;
+    use kcore_graph::gen;
 
     #[test]
     fn memory_footprint_includes_edge_scratch() {
         let g = gen::erdos_renyi_gnm(1_000, 8_000, 4);
-        let run = peel(&g, &SimOptions::default(), &FrameworkCosts::default()).unwrap();
+        let run = Engine::Gunrock
+            .run(&g, &SimOptions::default(), &EngineOptions::default())
+            .unwrap();
         // CSR ~ (n+1 + 2m + n) words; scratch adds 2m words more
         let csr_words = (1_001 + 16_000 + 1_000) as u64;
         assert!(run.report.peak_mem_bytes > csr_words * 4 + 16_000 * 4);
-    }
-
-    #[test]
-    fn empty_graph() {
-        let run = peel(
-            &kcore_graph::Csr::empty(0),
-            &SimOptions::default(),
-            &FrameworkCosts::default(),
-        )
-        .unwrap();
-        assert!(run.core.is_empty());
+        assert!(run.iterations > 0);
     }
 }

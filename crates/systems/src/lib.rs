@@ -29,18 +29,25 @@
 //! Framework cost constants live in [`FrameworkCosts`] with their rationale.
 //! All implementations produce exact core numbers (validated against BZ in
 //! the test suites); only their *cost profiles* differ.
+//!
+//! The crate also hosts [`Engine`], the one interface over every
+//! single-device engine: these five baselines and `kcore-gpu`'s peel
+//! variants, reference peel and GPU-MPM, each run through
+//! [`Engine::run`] or [`Engine::run_in`] into one [`kcore_gpu::Run`]. The
+//! baselines' own entry points are private to the crate.
 
 // Kernel-style code indexes several parallel device arrays with one
 // explicit loop variable, mirroring the CUDA idiom it simulates; iterator
 // rewrites would obscure that correspondence.
 #![allow(clippy::needless_range_loop)]
 
+mod engine;
 pub mod gswitch;
 pub mod gunrock;
 pub mod medusa;
 pub mod vetga;
 
-use kcore_gpusim::SimReport;
+pub use engine::{Engine, EngineOptions};
 
 /// Runs `f` at a rayon width of one, so every launch inside it runs its
 /// blocks in index order on the calling thread. For kernels whose blocks
@@ -54,17 +61,6 @@ pub(crate) fn in_block_order<R>(f: impl FnOnce() -> R) -> R {
         .build()
         .expect("a one-thread pool always builds")
         .install(f)
-}
-
-/// Result of running a baseline system.
-#[derive(Debug, Clone)]
-pub struct SystemRun {
-    /// Per-vertex core numbers.
-    pub core: Vec<u32>,
-    /// BSP supersteps (Medusa) / sub-iterations (Gunrock, GSWITCH, VETGA).
-    pub iterations: u64,
-    /// Simulated-time / traffic / memory report.
-    pub report: SimReport,
 }
 
 /// Calibrated framework-overhead constants (see DESIGN.md; these model the

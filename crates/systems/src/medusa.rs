@@ -13,14 +13,14 @@
 //! * **three kernels + a host round trip per superstep** (send,
 //!   combine/update, flag readback).
 //!
-//! Two programs, as in §V: [`mpm`] (h-index refinement) and [`peel`]
+//! Two programs, as in §V: [`Engine::MedusaMpm`](crate::Engine::MedusaMpm)
+//! (h-index refinement) and [`Engine::MedusaPeel`](crate::Engine::MedusaPeel)
 //! (edge-centric peeling with an added outer round loop).
 
-use crate::{FrameworkCosts, SystemRun};
+use crate::FrameworkCosts;
 use kcore_gpusim::warp::WARP_SIZE;
 use kcore_gpusim::{
-    narrow_offsets, BlockCtx, BufferId, Coalescing, GpuContext, LaunchConfig, SimError, SimOptions,
-    SizeClass,
+    narrow_offsets, BlockCtx, BufferId, Coalescing, GpuContext, LaunchConfig, SimError, SizeClass,
 };
 use kcore_graph::Csr;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -154,22 +154,10 @@ impl MedusaDev {
     }
 }
 
-/// Medusa-MPM: every vertex repeatedly refines its core estimate with the
-/// h-index of its neighbors' estimates, under BSP supersteps, until no
-/// estimate changes.
-pub fn mpm(g: &Csr, opts: &SimOptions, costs: &FrameworkCosts) -> Result<SystemRun, SimError> {
-    let mut ctx = opts.context();
-    let (core, iterations) = mpm_in(&mut ctx, g, costs)?;
-    Ok(SystemRun {
-        core,
-        iterations,
-        report: ctx.report(),
-    })
-}
-
-/// [`mpm`] against a caller-owned context, so peak memory and partial time
-/// remain observable after an OOM or time-limit failure.
-pub fn mpm_in(
+/// Medusa-MPM in `ctx`: every vertex repeatedly refines its core estimate
+/// with the h-index of its neighbors' estimates, under BSP supersteps,
+/// until no estimate changes.
+pub(crate) fn mpm_in(
     ctx: &mut GpuContext,
     g: &Csr,
     costs: &FrameworkCosts,
@@ -270,21 +258,10 @@ pub fn mpm_in(
     Ok((core, iterations))
 }
 
-/// Medusa-Peel: the edge-centric peeling program of §V, with the added
-/// outer loop of rounds. Every superstep all vertices send (0 or 1), the
-/// sum combiner counts deleted neighbors, and UpdateVertex decrements.
-pub fn peel(g: &Csr, opts: &SimOptions, costs: &FrameworkCosts) -> Result<SystemRun, SimError> {
-    let mut ctx = opts.context();
-    let (core, iterations) = peel_in(&mut ctx, g, costs)?;
-    Ok(SystemRun {
-        core,
-        iterations,
-        report: ctx.report(),
-    })
-}
-
-/// [`peel`] against a caller-owned context (see [`mpm_in`]).
-pub fn peel_in(
+/// Medusa-Peel in `ctx`: the edge-centric peeling program of §V, with the
+/// added outer loop of rounds. Every superstep all vertices send (0 or 1),
+/// the sum combiner counts deleted neighbors, and UpdateVertex decrements.
+pub(crate) fn peel_in(
     ctx: &mut GpuContext,
     g: &Csr,
     costs: &FrameworkCosts,
@@ -425,59 +402,21 @@ fn h_index_bounded(values: impl Iterator<Item = u32>, bound: u32, scratch: &mut 
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::testutil::expect;
-    use kcore_graph::{fig1_graph, gen};
+    use crate::{Engine, EngineOptions};
+    use kcore_gpu::Run;
+    use kcore_gpusim::{SimError, SimOptions};
+    use kcore_graph::{gen, Csr};
 
-    fn opts() -> SimOptions {
-        SimOptions::default()
-    }
-
-    #[test]
-    fn mpm_fig1() {
-        let g = fig1_graph();
-        let run = mpm(&g, &opts(), &FrameworkCosts::default()).unwrap();
-        assert_eq!(run.core, expect(&g));
-        assert!(run.iterations >= 2);
-    }
-
-    #[test]
-    fn peel_fig1() {
-        let g = fig1_graph();
-        let run = peel(&g, &opts(), &FrameworkCosts::default()).unwrap();
-        assert_eq!(run.core, expect(&g));
-    }
-
-    #[test]
-    fn both_agree_on_random_graphs() {
-        for seed in 0..3 {
-            let g = gen::erdos_renyi_gnm(400, 1_600, seed);
-            let e = expect(&g);
-            assert_eq!(
-                mpm(&g, &opts(), &FrameworkCosts::default()).unwrap().core,
-                e
-            );
-            assert_eq!(
-                peel(&g, &opts(), &FrameworkCosts::default()).unwrap().core,
-                e
-            );
-        }
-    }
-
-    #[test]
-    fn peel_handles_isolated_vertices() {
-        let g = kcore_graph::Csr::empty(5);
-        let run = peel(&g, &opts(), &FrameworkCosts::default()).unwrap();
-        assert_eq!(run.core, vec![0; 5]);
+    fn run(engine: Engine, g: &Csr, sim: &SimOptions) -> Result<Run, SimError> {
+        engine.run(g, sim, &EngineOptions::default())
     }
 
     #[test]
     fn mpm_slower_than_fewer_supersteps_graph() {
         // a path needs many supersteps; a clique converges immediately
-        let path = gen::path(128);
-        let clique = gen::complete(64);
-        let rp = mpm(&path, &opts(), &FrameworkCosts::default()).unwrap();
-        let rc = mpm(&clique, &opts(), &FrameworkCosts::default()).unwrap();
+        let sim = SimOptions::default();
+        let rp = run(Engine::MedusaMpm, &gen::path(128), &sim).unwrap();
+        let rc = run(Engine::MedusaMpm, &gen::complete(64), &sim).unwrap();
         assert!(rp.iterations > rc.iterations);
     }
 
@@ -489,7 +428,7 @@ mod tests {
             ..SimOptions::default()
         };
         assert!(matches!(
-            mpm(&g, &small, &FrameworkCosts::default()),
+            run(Engine::MedusaMpm, &g, &small),
             Err(SimError::Oom(_))
         ));
     }
@@ -502,7 +441,7 @@ mod tests {
             ..SimOptions::default()
         };
         assert!(matches!(
-            peel(&g, &o, &FrameworkCosts::default()),
+            run(Engine::MedusaPeel, &g, &o),
             Err(SimError::TimeLimit { .. })
         ));
     }

@@ -11,24 +11,14 @@
 //! orders of magnitude.
 //!
 //! The Python-side **graph loading** phase is also modelled
-//! ([`VetgaRun::load_time_ms`]): the paper's Table III reports "LD > 1hr"
-//! for the four billion-edge crawls even after the authors optimized the
-//! loader.
+//! ([`load_time_ms`]), apart from the run: the paper's Table III reports
+//! "LD > 1hr" for the four billion-edge crawls even after the authors
+//! optimized the loader.
 
-use crate::{FrameworkCosts, SystemRun};
-use kcore_gpusim::{BlockCtx, GpuContext, LaunchConfig, SimError, SimOptions, SizeClass};
+use crate::FrameworkCosts;
+use kcore_gpusim::{BlockCtx, GpuContext, LaunchConfig, SimError, SizeClass};
 use kcore_graph::Csr;
 use std::sync::atomic::Ordering;
-
-/// VETGA result: a [`SystemRun`] plus the modelled loading time.
-#[derive(Debug, Clone)]
-pub struct VetgaRun {
-    /// Computation result and stats.
-    pub run: SystemRun,
-    /// Host-side (Python) loading time, ms — reported separately, as the
-    /// paper excludes it from computation time but flags "LD > 1hr".
-    pub load_time_ms: f64,
-}
 
 /// Charges one vector primitive: dispatch overhead + a streaming pass.
 fn vec_pass(
@@ -48,29 +38,15 @@ fn vec_pass(
     })
 }
 
-/// Runs VETGA's vector-primitive peeling.
-pub fn peel(g: &Csr, opts: &SimOptions, costs: &FrameworkCosts) -> Result<VetgaRun, SimError> {
-    let mut ctx = opts.context();
-    let load_time_ms = load_time_ms(g, costs);
-    let (core, iterations) = peel_in(&mut ctx, g, costs)?;
-    Ok(VetgaRun {
-        run: SystemRun {
-            core,
-            iterations,
-            report: ctx.report(),
-        },
-        load_time_ms,
-    })
-}
-
-/// Modelled Python-side loading time for `g`, ms.
+/// Modelled Python-side loading time for `g`, ms — reported apart from
+/// the run, as the paper excludes it from computation time but flags
+/// "LD > 1hr".
 pub fn load_time_ms(g: &Csr, costs: &FrameworkCosts) -> f64 {
     g.num_edges() as f64 * costs.vetga_load_s_per_edge * 1e3
 }
 
-/// [`peel`] against a caller-owned context, so peak memory and partial time
-/// remain observable after an OOM or time-limit failure.
-pub fn peel_in(
+/// Runs VETGA's vector-primitive peeling in `ctx`.
+pub(crate) fn peel_in(
     ctx: &mut GpuContext,
     g: &Csr,
     costs: &FrameworkCosts,
@@ -201,42 +177,16 @@ pub fn peel_in(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::expect;
-    use kcore_graph::{fig1_graph, gen};
-
-    #[test]
-    fn fig1() {
-        let g = fig1_graph();
-        let r = peel(&g, &SimOptions::default(), &FrameworkCosts::default()).unwrap();
-        assert_eq!(r.run.core, expect(&g));
-        assert!(r.load_time_ms > 0.0);
-    }
-
-    #[test]
-    fn random_graphs() {
-        for seed in 0..3 {
-            let g = gen::erdos_renyi_gnm(400, 1_600, seed);
-            let r = peel(&g, &SimOptions::default(), &FrameworkCosts::default()).unwrap();
-            assert_eq!(r.run.core, expect(&g), "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn structured_graphs() {
-        for g in [gen::complete(20), gen::cycle(50), gen::star(40)] {
-            let r = peel(&g, &SimOptions::default(), &FrameworkCosts::default()).unwrap();
-            assert_eq!(r.run.core, expect(&g));
-        }
-    }
+    use crate::{Engine, EngineOptions};
+    use kcore_gpusim::SimOptions;
+    use kcore_graph::gen;
 
     #[test]
     fn load_time_scales_with_edges() {
         let small = gen::erdos_renyi_gnm(100, 200, 1);
         let large = gen::erdos_renyi_gnm(100, 2_000, 1);
         let c = FrameworkCosts::default();
-        let rs = peel(&small, &SimOptions::default(), &c).unwrap();
-        let rl = peel(&large, &SimOptions::default(), &c).unwrap();
-        assert!(rl.load_time_ms > 5.0 * rs.load_time_ms);
+        assert!(load_time_ms(&large, &c) > 5.0 * load_time_ms(&small, &c));
     }
 
     #[test]
@@ -244,10 +194,12 @@ mod tests {
         // a single-round graph (path) still pays full-array passes per
         // sub-iteration: iterations * (n+m) traffic dwarfs the shell sizes
         let g = gen::path(2_000);
-        let r = peel(&g, &SimOptions::default(), &FrameworkCosts::default()).unwrap();
-        assert_eq!(r.run.core, vec![1; 2_000]);
+        let r = Engine::Vetga
+            .run(&g, &SimOptions::default(), &EngineOptions::default())
+            .unwrap();
+        assert_eq!(r.core, vec![1; 2_000]);
         assert!(
-            r.run.iterations > 500,
+            r.iterations > 500,
             "path cascades one hop per sub-iteration"
         );
     }

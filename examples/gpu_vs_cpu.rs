@@ -8,9 +8,9 @@
 //! ```
 
 use kcore::cpu::{self, CoreAlgorithm};
-use kcore::gpu::{decompose, PeelConfig, SimOptions};
+use kcore::gpu::{PeelConfig, SimOptions};
 use kcore::graph::gen;
-use kcore::systems::{gswitch, gunrock, medusa, vetga, FrameworkCosts};
+use kcore::systems::{vetga, Engine, EngineOptions};
 use std::time::Instant;
 
 fn main() {
@@ -23,55 +23,39 @@ fn main() {
     );
 
     let truth = cpu::bz::Bz.run(&g);
-    let k_max = cpu::k_max(&truth);
     println!("{:<24} {:>12}  notes", "implementation", "time (ms)");
     println!("{}", "-".repeat(64));
 
-    // --- direct GPU kernels (simulated) ---
-    let cfg = PeelConfig {
-        buf_capacity: 65_536,
-        ..PeelConfig::default()
+    // --- the direct kernel and the GPU systems (simulated) ---
+    let opts = EngineOptions {
+        peel: PeelConfig {
+            buf_capacity: 65_536,
+            ..PeelConfig::default()
+        },
+        k_max: cpu::k_max(&truth),
+        ..EngineOptions::default()
     };
-    let opts = SimOptions::default();
-    let run = decompose(&g, &cfg, &opts).expect("gpu");
-    assert_eq!(run.core, truth);
-    println!(
-        "{:<24} {:>12.2}  simulated P100, {} rounds",
-        "GPU: Ours", run.report.total_ms, run.rounds
-    );
-
-    // --- GPU systems (simulated) ---
-    let costs = FrameworkCosts::default();
-    let r = vetga::peel(&g, &opts, &costs).expect("vetga");
-    assert_eq!(r.run.core, truth);
-    println!(
-        "{:<24} {:>12.2}  + {:.0} ms Python loading",
-        "GPU: VETGA", r.run.report.total_ms, r.load_time_ms
-    );
-    let r = gswitch::peel(&g, k_max, &opts, &costs).expect("gswitch");
-    assert_eq!(r.core, truth);
-    println!(
-        "{:<24} {:>12.2}  autotuned frontier engine",
-        "GPU: GSwitch", r.report.total_ms
-    );
-    let r = gunrock::peel(&g, &opts, &costs).expect("gunrock");
-    assert_eq!(r.core, truth);
-    println!(
-        "{:<24} {:>12.2}  {} sub-iterations",
-        "GPU: Gunrock", r.report.total_ms, r.iterations
-    );
-    let r = medusa::peel(&g, &opts, &costs).expect("medusa peel");
-    assert_eq!(r.core, truth);
-    println!(
-        "{:<24} {:>12.2}  {} BSP supersteps",
-        "GPU: Medusa-Peel", r.report.total_ms, r.iterations
-    );
-    let r = medusa::mpm(&g, &opts, &costs).expect("medusa mpm");
-    assert_eq!(r.core, truth);
-    println!(
-        "{:<24} {:>12.2}  {} h-index sweeps",
-        "GPU: Medusa-MPM", r.report.total_ms, r.iterations
-    );
+    for engine in Engine::TABLE3 {
+        let run = engine.run(&g, &SimOptions::default(), &opts);
+        let run = run.unwrap_or_else(|e| panic!("{}: {e}", engine.name()));
+        assert_eq!(run.core, truth, "{}", engine.name());
+        let note = match engine {
+            Engine::Vetga => format!(
+                "+ {:.0} ms Python loading",
+                vetga::load_time_ms(&g, &opts.costs)
+            ),
+            Engine::Gswitch => "autotuned frontier engine".into(),
+            Engine::MedusaMpm => format!("{} h-index sweeps", run.iterations),
+            Engine::MedusaPeel => format!("{} BSP supersteps", run.iterations),
+            Engine::Gunrock => format!("{} sub-iterations", run.iterations),
+            _ => format!("simulated P100, {} rounds", run.iterations),
+        };
+        println!(
+            "{:<24} {:>12.2}  {note}",
+            format!("GPU: {}", engine.name()),
+            run.report.total_ms
+        );
+    }
 
     // --- CPU algorithms (real wall-clock on this machine) ---
     let algs: Vec<Box<dyn CoreAlgorithm>> = vec![

@@ -25,7 +25,8 @@ fn main() {
     println!("core numbers: {:?}", run.core);
     println!(
         "k_max = {} (found in {} peeling rounds)",
-        run.k_max, run.rounds
+        run.k_max(),
+        run.iterations
     );
     println!(
         "simulated GPU time: {:.3} ms over {} kernel launches, peak device mem {} B",

@@ -28,17 +28,18 @@ fn main() {
         ..PeelConfig::default()
     };
     let run = decompose(&g, &cfg, &SimOptions::default()).expect("decompose");
+    let k_max = run.k_max();
     println!(
-        "decomposed in {:.2} simulated ms ({} rounds); k_max = {}",
-        run.report.total_ms, run.rounds, run.k_max
+        "decomposed in {:.2} simulated ms ({} rounds); k_max = {k_max}",
+        run.report.total_ms, run.iterations
     );
 
     // Core-size distribution: how many members survive at each depth?
     println!("\nk-core sizes (vertices with core >= k):");
     let mut levels: Vec<u32> = std::iter::successors(Some(1u32), |k| Some(k * 2))
-        .take_while(|&k| k < run.k_max)
+        .take_while(|&k| k < k_max)
         .collect();
-    levels.push(run.k_max);
+    levels.push(k_max);
     for k in levels {
         let size = run.core.iter().filter(|&&c| c >= k).count();
         println!("  {k:>4}-core: {size:>7} vertices");
@@ -46,6 +47,6 @@ fn main() {
 
     // The deepest community: the k_max-core (the planted clique should
     // dominate it).
-    let deepest = run.core.iter().filter(|&&c| c == run.k_max).count();
+    let deepest = run.core.iter().filter(|&&c| c == k_max).count();
     println!("\nmost tightly-knit community (k_max-core): {deepest} members");
 }

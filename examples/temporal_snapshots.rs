@@ -41,7 +41,7 @@ fn main() {
     for year in params.start_year..=params.end_year {
         let g = corpus.interaction_snapshot(year);
         let run = decompose(&g, &cfg, &opts).expect("decompose");
-        let km = run.k_max;
+        let km = run.k_max();
         let members: BTreeSet<u32> = run
             .core
             .iter()

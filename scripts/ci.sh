@@ -139,6 +139,40 @@ done
 rm -rf "$scale_results"
 echo "table_scale smoke OK"
 
+echo "== inspect smoke (one trace per engine, the fleet dumps) =="
+# inspect is the one binary that runs engines in its own contexts
+# (kcore_bench::capture_in, with block profiling armed on Ours) and the one
+# that writes traces. On amazon0601 with KCORE_FLEET_TIMELINE it must write
+# one non-empty trace per engine it prints, named by the engine's slug, and
+# the sharded p=4 run's non-empty .fleet.json ledger and merged Perfetto
+# document. About 4 s.
+inspect_results="$(mktemp -d)"
+KCORE_FLEET_TIMELINE=1 KCORE_RESULTS_DIR="$inspect_results" \
+  ./target/release/inspect amazon0601 > "$inspect_results/stdout.txt" 2> /dev/null
+printed=0
+for name in $(awk '/ ms  launches=/ {print $1}' "$inspect_results/stdout.txt"); do
+  slug=$(tr 'A-Z' 'a-z' <<< "$name" | sed 's/[^a-z0-9]/_/g')
+  if [[ ! -s "$inspect_results/traces/amazon0601_$slug.json" ]]; then
+    echo "ERROR: inspect printed $name but wrote no amazon0601_$slug.json" >&2
+    exit 1
+  fi
+  printed=$((printed + 1))
+done
+traces=$(find "$inspect_results/traces" -name 'amazon0601_*.json' \
+  ! -name '*.fleet.json' ! -name '*.perfetto.json' | wc -l)
+if (( printed == 0 || traces != printed )); then
+  echo "ERROR: inspect printed $printed engines but wrote $traces traces" >&2
+  exit 1
+fi
+for f in amazon0601_fleet_p4.fleet.json amazon0601_fleet_p4.fleet.perfetto.json; do
+  if [[ ! -s "$inspect_results/traces/$f" ]]; then
+    echo "ERROR: inspect did not write $f" >&2
+    exit 1
+  fi
+done
+rm -rf "$inspect_results"
+echo "inspect smoke OK ($printed engine traces and the fleet dumps)"
+
 echo "== dynamic maintenance smoke (batched engine vs oracle) =="
 # --check replays the CI-sized valid churn stream through the batched GPU
 # maintenance engine, asserts that no run rejects an update, verifies

@@ -1,12 +1,12 @@
 //! Cross-implementation agreement: every decomposition implementation in
-//! the workspace — 9 CPU algorithms, 9 GPU peel variants, 4 system
-//! baselines — must produce identical core numbers on every graph.
+//! the workspace — the CPU algorithms and every GPU engine of
+//! `Engine::all()` — must produce identical core numbers on every graph.
 
 use kcore::cpu::{self, CoreAlgorithm};
-use kcore::gpu::{decompose, PeelConfig, SimOptions};
+use kcore::gpu::{PeelConfig, SimOptions};
 use kcore::gpusim::LaunchConfig;
 use kcore::graph::{gen, Csr};
-use kcore::systems::{gswitch, gunrock, medusa, vetga, FrameworkCosts};
+use kcore::systems::{Engine, EngineOptions};
 
 fn cpu_algorithms() -> Vec<Box<dyn CoreAlgorithm>> {
     vec![
@@ -23,58 +23,29 @@ fn cpu_algorithms() -> Vec<Box<dyn CoreAlgorithm>> {
     ]
 }
 
-fn small_gpu_cfg() -> PeelConfig {
-    PeelConfig {
-        launch: LaunchConfig {
-            blocks: 6,
-            threads_per_block: 128,
-        },
-        buf_capacity: 8_192,
-        shared_buf_capacity: 128,
-        ..PeelConfig::default()
-    }
-}
-
 fn check_all(g: &Csr, label: &str) {
     let truth = cpu::verify::reference_core_numbers(g);
-    // CPU algorithms
     for alg in cpu_algorithms() {
         assert_eq!(alg.run(g), truth, "{label}: CPU {}", alg.name());
     }
-    // GPU peel variants
-    let opts = SimOptions::default();
-    for cfg in small_gpu_cfg().all_variants() {
-        let run = decompose(g, &cfg, &opts).unwrap_or_else(|e| panic!("{label}: {e}"));
-        assert_eq!(run.core, truth, "{label}: GPU {}", cfg.variant_name());
+    let opts = EngineOptions {
+        peel: PeelConfig {
+            launch: LaunchConfig {
+                blocks: 6,
+                threads_per_block: 128,
+            },
+            buf_capacity: 8_192,
+            shared_buf_capacity: 128,
+            ..PeelConfig::default()
+        },
+        k_max: cpu::k_max(&truth),
+        ..EngineOptions::default()
+    };
+    for engine in Engine::all() {
+        let run = engine.run(g, &SimOptions::default(), &opts);
+        let run = run.unwrap_or_else(|e| panic!("{label}: {}: {e}", engine.name()));
+        assert_eq!(run.core, truth, "{label}: GPU {}", engine.name());
     }
-    // System baselines
-    let costs = FrameworkCosts::default();
-    let k_max = truth.iter().copied().max().unwrap_or(0);
-    assert_eq!(
-        medusa::mpm(g, &opts, &costs).unwrap().core,
-        truth,
-        "{label}: Medusa-MPM"
-    );
-    assert_eq!(
-        medusa::peel(g, &opts, &costs).unwrap().core,
-        truth,
-        "{label}: Medusa-Peel"
-    );
-    assert_eq!(
-        gunrock::peel(g, &opts, &costs).unwrap().core,
-        truth,
-        "{label}: Gunrock"
-    );
-    assert_eq!(
-        gswitch::peel(g, k_max, &opts, &costs).unwrap().core,
-        truth,
-        "{label}: GSwitch"
-    );
-    assert_eq!(
-        vetga::peel(g, &opts, &costs).unwrap().run.core,
-        truth,
-        "{label}: VETGA"
-    );
 }
 
 #[test]

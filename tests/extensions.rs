@@ -3,9 +3,10 @@
 //! maintenance — all cross-validated against the core pipeline.
 
 use kcore::cpu::{self, CoreAlgorithm};
-use kcore::gpu::{decompose, decompose_multi, mpm_gpu, MultiGpuConfig, PeelConfig, SimOptions};
+use kcore::gpu::{decompose, decompose_multi, MultiGpuConfig, PeelConfig, SimOptions};
 use kcore::gpusim::LaunchConfig;
 use kcore::graph::gen;
+use kcore::systems::{Engine, EngineOptions};
 use proptest::prelude::*;
 
 fn small_peel() -> PeelConfig {
@@ -33,7 +34,6 @@ fn multi_gpu_matches_single_gpu_and_bz() {
         };
         let multi = decompose_multi(&g, &cfg, &SimOptions::default()).unwrap();
         assert_eq!(multi.core, truth, "{gpus} GPUs");
-        assert_eq!(multi.k_max, single.k_max);
     }
 }
 
@@ -61,8 +61,12 @@ fn gpu_mpm_agrees_and_pays_more_total_work_than_peeling() {
     // peeling's — the §I trade-off), but every implementation agrees.
     let g = gen::rmat(12, 25_000, gen::RmatParams::graph500(), 8);
     let truth = cpu::bz::Bz.run(&g);
-    let peel = decompose(&g, &small_peel(), &SimOptions::default()).unwrap();
-    let mpm = mpm_gpu::decompose_mpm(&g, &SimOptions::default()).unwrap();
+    let opts = EngineOptions {
+        peel: small_peel(),
+        ..EngineOptions::default()
+    };
+    let [peel, mpm] =
+        [Engine::OURS, Engine::GpuMpm].map(|e| e.run(&g, &SimOptions::default(), &opts).unwrap());
     assert_eq!(peel.core, truth);
     assert_eq!(mpm.core, truth);
     // total traffic of MPM exceeds peeling's (each sweep touches all arcs)
@@ -72,6 +76,25 @@ fn gpu_mpm_agrees_and_pays_more_total_work_than_peeling() {
         mpm_traffic > peel_traffic,
         "MPM traffic {mpm_traffic} should exceed peeling's {peel_traffic}"
     );
+}
+
+#[test]
+fn gpu_mpm_is_cheaper_than_medusa_mpm() {
+    // the point of the tailor-made kernel: no message materialization,
+    // no reverse index — less traffic and time than the Medusa version
+    let g = gen::rmat(12, 30_000, gen::RmatParams::graph500(), 3);
+    let [direct, medusa] = [Engine::GpuMpm, Engine::MedusaMpm].map(|e| {
+        e.run(&g, &SimOptions::default(), &EngineOptions::default())
+            .unwrap()
+    });
+    assert_eq!(direct.core, medusa.core);
+    assert!(
+        direct.report.total_ms < medusa.report.total_ms,
+        "direct {} !< medusa {}",
+        direct.report.total_ms,
+        medusa.report.total_ms
+    );
+    assert!(direct.report.peak_mem_bytes < medusa.report.peak_mem_bytes);
 }
 
 #[test]
@@ -119,14 +142,5 @@ proptest! {
             prop_assert!(dg.remove_edge(u, v));
         }
         prop_assert_eq!(dg.cores(), &before[..]);
-    }
-
-    /// GPU MPM equals GPU peeling on random graphs.
-    #[test]
-    fn gpu_mpm_random(seed in 0u64..500) {
-        let g = gen::erdos_renyi_gnm(100, 350, seed);
-        let a = mpm_gpu::decompose_mpm(&g, &SimOptions::default()).unwrap().core;
-        let b = decompose(&g, &small_peel(), &SimOptions::default()).unwrap().core;
-        prop_assert_eq!(a, b);
     }
 }

@@ -1,38 +1,54 @@
 //! Differential tests: the production peel against its per-lane reference
 //! oracle (DESIGN.md "Fast-path cost accounting").
 //!
-//! [`kcore_gpu::decompose_in`] runs the warp-vectorized kernels;
-//! [`kcore_gpu::decompose_reference_in`] runs the original per-access
-//! kernels. Both dispatch a scan launch and a stepped loop launch per
-//! round. The contract is that the choice is
-//! **unobservable**: identical core numbers, identical per-phase counters,
-//! identical trace fingerprints, identical Perfetto timeline bytes, and
-//! identical errors — across every Table II variant, on randomized graphs,
-//! at every rayon pool size.
+//! `Engine::Peel` runs the warp-vectorized kernels of
+//! [`kcore_gpu::decompose_in`]; `Engine::Reference` runs the original
+//! per-access kernels of [`kcore_gpu::decompose_reference_in`]. Both
+//! dispatch a scan launch and a stepped loop launch per round. The
+//! contract is that the choice is **unobservable**: identical core
+//! numbers, identical per-phase counters, identical trace fingerprints,
+//! identical Perfetto timeline bytes, and identical errors — across every
+//! Table II variant, on randomized graphs, at every rayon pool size.
 
 use kcore_gpu::{Compaction, PeelConfig};
-use kcore_gpusim::{GpuContext, LaunchConfig, SimError, SimOptions, Trace};
+use kcore_gpusim::{GpuContext, LaunchConfig, SimOptions, Trace};
 use kcore_graph::{gen, Csr, GraphBuilder};
+use kcore_systems::{Engine, EngineOptions};
 
-/// A peel entry point: production or reference.
-type Peel = fn(&mut GpuContext, &Csr, &PeelConfig) -> Result<(Vec<u32>, u32), SimError>;
+/// `cfg`'s variant on the production kernels and on the reference ones.
+fn paths(cfg: &PeelConfig) -> [Engine; 2] {
+    let (c, b) = (cfg.compaction, cfg.buffering);
+    [Engine::Peel(c, b), Engine::Reference(c, b)]
+}
 
-const PRODUCTION: Peel = kcore_gpu::decompose_in;
-const REFERENCE: Peel = kcore_gpu::decompose_reference_in;
+/// Runs `engine` under `cfg`'s geometry in `ctx`.
+fn run_in(
+    engine: Engine,
+    ctx: &mut GpuContext,
+    g: &Csr,
+    cfg: &PeelConfig,
+) -> Result<kcore_gpu::Run, kcore_gpusim::SimError> {
+    let opts = EngineOptions {
+        peel: *cfg,
+        ..EngineOptions::default()
+    };
+    engine.run_in(ctx, g, &opts)
+}
 
 /// Runs one full decomposition and captures (core, rounds, trace JSON,
 /// Perfetto JSON).
-fn run(peel: Peel, g: &Csr, cfg: &PeelConfig) -> (Vec<u32>, u32, String, String) {
+fn run(engine: Engine, g: &Csr, cfg: &PeelConfig) -> (Vec<u32>, u64, String, String) {
     let mut ctx = SimOptions::default().context();
     ctx.set_block_profiling(true);
-    let (core, rounds) = peel(&mut ctx, g, cfg).expect("decompose");
+    let r = run_in(engine, &mut ctx, g, cfg).expect("decompose");
     let timeline = ctx.timeline("diff").to_chrome_json();
-    (core, rounds, ctx.trace("diff").to_json(), timeline)
+    (r.core, r.iterations, ctx.trace("diff").to_json(), timeline)
 }
 
 fn assert_paths_identical(g: &Csr, cfg: &PeelConfig, what: &str) {
-    let reference = run(REFERENCE, g, cfg);
-    let got = run(PRODUCTION, g, cfg);
+    let [production, reference] = paths(cfg);
+    let reference = run(reference, g, cfg);
+    let got = run(production, g, cfg);
     assert_eq!(got.0, reference.0, "{what}: core numbers diverged");
     assert_eq!(got.1, reference.1, "{what}: round count diverged");
     assert_eq!(got.2, reference.2, "{what}: trace JSON diverged");
@@ -132,14 +148,14 @@ fn identical_across_rayon_pool_sizes() {
     // must not notice.
     let g = gen::rmat(9, 2_000, gen::RmatParams::graph500(), 7);
     let cfg = small_cfg();
-    let reference = run(REFERENCE, &g, &cfg);
+    let reference = run(paths(&cfg)[1], &g, &cfg);
     for threads in [1usize, 2, 8] {
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
             .build()
             .unwrap();
-        for peel in [PRODUCTION, REFERENCE] {
-            let got = pool.install(|| run(peel, &g, &cfg));
+        for engine in paths(&cfg) {
+            let got = pool.install(|| run(engine, &g, &cfg));
             assert_eq!(
                 got.0, reference.0,
                 "core numbers diverged at pool size {threads}"
@@ -158,13 +174,13 @@ fn counter_fingerprints_match() {
     // Direct fingerprint comparison (the quantity the golden files pin).
     let g = gen::power_law_hubs(2_000, 5_000, 4, 0.25, 11);
     for cfg in [small_cfg(), small_cfg().with_buf_capacity(1_024)] {
-        let fp = |peel: Peel| -> u64 {
+        let [production, reference] = paths(&cfg).map(|engine| {
             let mut ctx = SimOptions::default().context();
             ctx.set_block_profiling(true);
-            peel(&mut ctx, &g, &cfg).unwrap();
+            run_in(engine, &mut ctx, &g, &cfg).unwrap();
             Trace::counters_fingerprint(&ctx.trace("fp"))
-        };
-        assert_eq!(fp(PRODUCTION), fp(REFERENCE));
+        });
+        assert_eq!(production, reference);
     }
 }
 
@@ -182,11 +198,14 @@ fn overflow_errors_are_path_invariant() {
         ring_buffer: false,
         ..PeelConfig::default()
     };
-    let err_of = |peel: Peel, g: &Csr, cfg: &PeelConfig| {
-        let mut ctx = SimOptions::default().context();
-        peel(&mut ctx, g, cfg).unwrap_err().to_string()
+    let errs_of = |g: &Csr, cfg: &PeelConfig| {
+        paths(cfg).map(|engine| {
+            let mut ctx = SimOptions::default().context();
+            run_in(engine, &mut ctx, g, cfg).unwrap_err().to_string()
+        })
     };
-    assert_eq!(err_of(PRODUCTION, &g, &cfg), err_of(REFERENCE, &g, &cfg));
+    let [production, reference] = errs_of(&g, &cfg);
+    assert_eq!(production, reference);
 
     // A scan overflow in block 2 while blocks 0 and 1 fit: four 32-vertex
     // chunks, one per block. Round 0's hits are the isolated vertices: 5 in
@@ -209,11 +228,11 @@ fn overflow_errors_are_path_invariant() {
             ..PeelConfig::default()
         }
         .with_compaction(compaction);
-        let err = err_of(PRODUCTION, &g, &cfg);
+        let [err, reference] = errs_of(&g, &cfg);
         assert!(
             err.contains("block 2: scan filled buffer (capacity 16)"),
             "{compaction:?}: {err}"
         );
-        assert_eq!(err, err_of(REFERENCE, &g, &cfg), "{compaction:?}");
+        assert_eq!(err, reference, "{compaction:?}");
     }
 }

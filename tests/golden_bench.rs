@@ -2,7 +2,7 @@
 //!
 //! Each cell is one (dataset, implementation) run in the scaled environment
 //! the table sweep uses (`kcore_bench::prepare`), read through the sweep's
-//! cell runner (`kcore_bench::capture`). `bench_smoke.json` stores each
+//! cell runners (`kcore_bench::capture` and `capture_sharded`). `bench_smoke.json` stores each
 //! GPU implementation's status, simulated milliseconds, launch count and
 //! counters fingerprint. `serde_json` prints an f64 in its shortest
 //! round-trip form, so a move of one ulp in `sim_ms`, either way, changes
@@ -25,8 +25,8 @@
 //! ```
 
 use kcore_bench::{
-    assert_golden, capture, fig10_case_study, fleet_table, prepare, scaling_curve, table1,
-    table_dynamic, Env, Outcome, Program, RunCapture, ShardCell, Sweep,
+    assert_golden, capture_sharded, fig10_case_study, fleet_table, prepare, scaling_curve, table1,
+    table_dynamic, Env, Outcome, RunCapture, ShardCell, Sweep,
 };
 use kcore_graph::datasets;
 use serde::Serialize;
@@ -48,7 +48,7 @@ impl BenchCell {
     fn new(dataset: &'static str, cap: &RunCapture) -> BenchCell {
         let cell = BenchCell {
             dataset,
-            impl_name: cap.program.name(),
+            impl_name: cap.name.clone(),
             status: match cap.outcome {
                 Outcome::Ok => "ok",
                 Outcome::WrongCores => "wrong",
@@ -92,7 +92,7 @@ fn smoke() -> &'static Smoke {
         let sweep = Sweep::run(&envs, 3);
         let sharded = envs
             .iter()
-            .map(|e| SHARDED_DEVICES.map(|p| capture(e, Program::Sharded(p), 0, true)))
+            .map(|e| SHARDED_DEVICES.map(|p| capture_sharded(e, p, true)))
             .collect();
         Smoke {
             envs,

@@ -65,6 +65,7 @@ fn fleet_artifacts_match_golden_at_all_pool_sizes() {
 
     let base_json = fr.fleet.to_json(&fr.traces);
     let base_perfetto = fr.fleet.merged_chrome_json(&fr.traces, &fr.timelines);
+    let base_perfetto = base_perfetto.expect("the run's own traces merge");
 
     // Byte-identity across rayon pool sizes: both artifacts, not just the
     // scalars — counter ordering and flow ids must be deterministic too.
@@ -81,7 +82,7 @@ fn fleet_artifacts_match_golden_at_all_pool_sizes() {
         );
         assert_eq!(
             fr2.fleet.merged_chrome_json(&fr2.traces, &fr2.timelines),
-            base_perfetto,
+            Ok(base_perfetto.clone()),
             "merged Perfetto diverged at pool {threads}"
         );
     }

@@ -5,12 +5,12 @@
 //! cheaper than EC) hold on a mid-size graph.
 
 use kcore::cpu::CoreAlgorithm;
-use kcore::gpu::{decompose, decompose_in, PeelConfig, SimOptions};
+use kcore::gpu::{Buffering, Compaction, PeelConfig, Run, SimOptions};
 use kcore::gpusim::{LaunchConfig, SimError};
-use kcore::graph::gen;
-use kcore::systems::{gswitch, gunrock, medusa, vetga, FrameworkCosts};
+use kcore::graph::{gen, Csr};
+use kcore::systems::{Engine, EngineOptions, FrameworkCosts};
 
-fn mid_graph() -> kcore::graph::Csr {
+fn mid_graph() -> Csr {
     // relabel: break R-MAT's hub-at-low-ID correlation, as the dataset
     // registry does (see kcore_graph::gen::relabel)
     //
@@ -39,41 +39,45 @@ fn opts() -> SimOptions {
     o
 }
 
-fn costs() -> FrameworkCosts {
-    FrameworkCosts::default().scaled(SCALE)
-}
-
-fn cfg() -> PeelConfig {
-    PeelConfig {
+/// The harness-style engine options on `g`: the scaled framework costs,
+/// the scaled peel geometry, and GSwitch's round count from `g`'s `k_max`.
+fn engine_opts(g: &Csr) -> EngineOptions {
+    EngineOptions {
         // scaled geometry, as the harness derives it: BLK_DIM shrinks with
         // the vertex count so blocks keep multiple grid-stride stripes
-        launch: LaunchConfig {
-            blocks: 108,
-            threads_per_block: 32,
+        peel: PeelConfig {
+            launch: LaunchConfig {
+                blocks: 108,
+                threads_per_block: 32,
+            },
+            buf_capacity: 512, // ~1 M IDs / scale, as the harness sizes it
+            shared_buf_capacity: 64,
+            ..PeelConfig::default()
         },
-        buf_capacity: 512, // ~1 M IDs / scale, as the harness sizes it
-        shared_buf_capacity: 64,
-        ..PeelConfig::default()
+        costs: FrameworkCosts::default().scaled(SCALE),
+        k_max: kcore::cpu::k_max(&kcore::cpu::bz::Bz.run(g)),
     }
+}
+
+/// Runs `engine` on the mid-size graph under `sim`.
+fn run(engine: Engine, sim: &SimOptions) -> Result<Run, SimError> {
+    let g = mid_graph();
+    engine.run(&g, sim, &engine_opts(&g))
+}
+
+/// Simulated ms of each engine on the mid-size graph.
+fn total_ms(engine: Engine) -> f64 {
+    run(engine, &opts()).unwrap().report.total_ms
 }
 
 #[test]
 fn ours_is_fastest_gpu_program() {
-    let g = mid_graph();
-    let opts = opts();
-    let costs = costs();
-    let truth = kcore::cpu::bz::Bz.run(&g);
-    let k_max = kcore::cpu::k_max(&truth);
-
-    let ours = decompose(&g, &cfg(), &opts).unwrap().report.total_ms;
-    let gsw = gswitch::peel(&g, k_max, &opts, &costs)
-        .unwrap()
-        .report
-        .total_ms;
-    let gun = gunrock::peel(&g, &opts, &costs).unwrap().report.total_ms;
-    let med_peel = medusa::peel(&g, &opts, &costs).unwrap().report.total_ms;
-    let med_mpm = medusa::mpm(&g, &opts, &costs).unwrap().report.total_ms;
-    let vet = vetga::peel(&g, &opts, &costs).unwrap().run.report.total_ms;
+    let ours = total_ms(Engine::OURS);
+    let gsw = total_ms(Engine::Gswitch);
+    let gun = total_ms(Engine::Gunrock);
+    let med_peel = total_ms(Engine::MedusaPeel);
+    let med_mpm = total_ms(Engine::MedusaMpm);
+    let vet = total_ms(Engine::Vetga);
 
     // Table III's ordering. (Medusa-Peel vs Medusa-MPM flips by dataset in
     // the paper itself — e.g. patentcite has MPM faster — so we only assert
@@ -87,29 +91,13 @@ fn ours_is_fastest_gpu_program() {
 
 #[test]
 fn memory_footprints_order_like_table5() {
-    let g = mid_graph();
-    let opts = opts();
-    let costs = costs();
-
     // Use a modest buffer budget for Ours, as the harness does.
-    let ours = decompose(&g, &cfg(), &opts).unwrap().report.peak_mem_bytes;
-    let gsw = gswitch::peel(&g, 64, &opts, &costs)
-        .unwrap()
-        .report
-        .peak_mem_bytes;
-    let gun = gunrock::peel(&g, &opts, &costs)
-        .unwrap()
-        .report
-        .peak_mem_bytes;
-    let med = medusa::peel(&g, &opts, &costs)
-        .unwrap()
-        .report
-        .peak_mem_bytes;
-    let vet = vetga::peel(&g, &opts, &costs)
-        .unwrap()
-        .run
-        .report
-        .peak_mem_bytes;
+    let peak = |engine| run(engine, &opts()).unwrap().report.peak_mem_bytes;
+    let ours = peak(Engine::OURS);
+    let gsw = peak(Engine::Gswitch);
+    let gun = peak(Engine::Gunrock);
+    let med = peak(Engine::MedusaPeel);
+    let vet = peak(Engine::Vetga);
 
     assert!(ours < gsw, "Ours {ours} !< GSwitch {gsw}");
     assert!(gsw < gun, "GSwitch {gsw} !< Gunrock {gun}");
@@ -119,13 +107,11 @@ fn memory_footprints_order_like_table5() {
 
 #[test]
 fn oom_points_differ_by_framework() {
-    let g = mid_graph();
     // Pick a capacity between Ours' footprint and Medusa's: Ours fits,
     // Medusa OOMs — the Table III/V cut.
     let opts = opts();
-    let ours_peak = decompose(&g, &cfg(), &opts).unwrap().report.peak_mem_bytes;
-    let costs = costs();
-    let med_peak = medusa::peel(&g, &opts, &costs)
+    let ours_peak = run(Engine::OURS, &opts).unwrap().report.peak_mem_bytes;
+    let med_peak = run(Engine::MedusaPeel, &opts)
         .unwrap()
         .report
         .peak_mem_bytes;
@@ -137,29 +123,25 @@ fn oom_points_differ_by_framework() {
         ..opts
     };
     assert!(
-        decompose(&g, &cfg(), &tight).is_ok(),
+        run(Engine::OURS, &tight).is_ok(),
         "Ours should fit in {capacity} B"
     );
     assert!(
-        matches!(medusa::peel(&g, &tight, &costs), Err(SimError::Oom(_))),
+        matches!(run(Engine::MedusaPeel, &tight), Err(SimError::Oom(_))),
         "Medusa should OOM in {capacity} B"
     );
 }
 
 #[test]
 fn time_budget_produces_over_hour_outcomes() {
-    let g = mid_graph();
-    let costs = costs();
     // Budget below Medusa-MPM's needs but above Ours'.
-    let opts = opts();
-    let ours_ms = decompose(&g, &cfg(), &opts).unwrap().report.total_ms;
     let budget = SimOptions {
-        time_limit_ms: Some(ours_ms * 3.0),
-        ..opts
+        time_limit_ms: Some(total_ms(Engine::OURS) * 3.0),
+        ..opts()
     };
-    assert!(decompose(&g, &cfg(), &budget).is_ok());
+    assert!(run(Engine::OURS, &budget).is_ok());
     assert!(matches!(
-        medusa::mpm(&g, &budget, &costs),
+        run(Engine::MedusaMpm, &budget),
         Err(SimError::TimeLimit { .. })
     ));
 }
@@ -168,26 +150,23 @@ fn time_budget_produces_over_hour_outcomes() {
 fn compaction_ordering_matches_table2() {
     // On a mid-size graph the §VI ablation ordering holds:
     // Ours <= BC <= EC in simulated time.
-    let g = mid_graph();
-    let opts = opts();
-    let t = |c: PeelConfig| decompose(&g, &c, &opts).unwrap().report.total_ms;
-    let ours = t(cfg());
-    let bc = t(cfg().with_compaction(kcore::gpu::Compaction::Ballot));
-    let ec = t(cfg().with_compaction(kcore::gpu::Compaction::Efficient));
+    let ours = total_ms(Engine::OURS);
+    let bc = total_ms(Engine::Peel(Compaction::Ballot, Buffering::Global));
+    let ec = total_ms(Engine::Peel(Compaction::Efficient, Buffering::Global));
     assert!(ours < bc, "Ours {ours} !< BC {bc}");
     assert!(bc < ec, "BC {bc} !< EC {ec}");
 }
 
 #[test]
 fn partial_state_observable_after_failure() {
-    // The `_in` API exposes peak memory even when the run fails on time.
+    // `run_in` exposes peak memory even when the run fails on time.
     let g = mid_graph();
-    let opts = SimOptions {
+    let sim = SimOptions {
         time_limit_ms: Some(0.05),
         ..opts()
     };
-    let mut ctx = opts.context();
-    let res = decompose_in(&mut ctx, &g, &cfg());
+    let mut ctx = sim.context();
+    let res = Engine::OURS.run_in(&mut ctx, &g, &engine_opts(&g));
     assert!(matches!(res, Err(SimError::TimeLimit { .. })));
     assert!(
         ctx.device.peak_bytes() > 0,
@@ -199,7 +178,9 @@ fn partial_state_observable_after_failure() {
 #[test]
 fn gpu_count_rounds_match_kmax() {
     let g = gen::plant_clique(&gen::erdos_renyi_gnm(500, 1_000, 4), 12, 5);
-    let run = decompose(&g, &cfg(), &SimOptions::default()).unwrap();
-    assert_eq!(run.rounds, run.k_max + 1);
-    assert_eq!(run.report.launches as u32, 2 * run.rounds);
+    let run = Engine::OURS
+        .run(&g, &SimOptions::default(), &engine_opts(&g))
+        .unwrap();
+    assert_eq!(run.iterations, u64::from(run.k_max()) + 1);
+    assert_eq!(run.report.launches, 2 * run.iterations);
 }

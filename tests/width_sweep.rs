@@ -1,6 +1,4 @@
-//! Rayon-width invariance of the engines that the golden pool-size sweeps
-//! do not already pin: the four baseline systems (Medusa, Gunrock, GSWITCH,
-//! VETGA), Medusa's MPM program, and the direct GPU MPM.
+//! Rayon-width invariance of every engine of `Engine::all()`.
 //!
 //! Each engine runs once at width 1 and three times each at widths 2 and 8.
 //! Every run must reproduce the width-1 core numbers, iteration count,
@@ -8,11 +6,16 @@
 //! counters. A kernel whose blocks race on device memory while they run
 //! breaks this at widths above 1 — the run-to-run drift a plain launch's
 //! contract rules out.
+//!
+//! `every_engine_is_width_invariant` loops over `Engine::all()`; the
+//! engines that the golden pool-size sweeps do not already pin (the four
+//! baseline systems, Medusa's MPM program and the direct GPU MPM) keep a
+//! test of their own as well.
 
-use kcore::gpu::mpm_gpu;
-use kcore::gpusim::{Counters, SimOptions, SimReport};
-use kcore::graph::{gen, Csr};
-use kcore::systems::{gswitch, gunrock, medusa, vetga, FrameworkCosts};
+use kcore::gpu::{PeelConfig, Run, SimOptions};
+use kcore::gpusim::{Counters, LaunchConfig};
+use kcore::graph::gen;
+use kcore::systems::{Engine, EngineOptions};
 
 /// Everything a run reports that must not depend on the rayon width.
 #[derive(Debug, PartialEq)]
@@ -24,37 +27,50 @@ struct Outcome {
     counters: Counters,
 }
 
-fn outcome(core: Vec<u32>, iterations: u64, report: &SimReport) -> Outcome {
-    Outcome {
-        core,
-        iterations,
-        total_ms_bits: report.total_ms.to_bits(),
-        launches: report.launches,
-        counters: report.counters,
+impl From<Run> for Outcome {
+    fn from(run: Run) -> Outcome {
+        Outcome {
+            core: run.core,
+            iterations: run.iterations,
+            total_ms_bits: run.report.total_ms.to_bits(),
+            launches: run.report.launches,
+            counters: run.report.counters,
+        }
     }
 }
 
-/// Hubs over a sparse background: cascades cross block ranges, so racing
-/// blocks would see each other's degree updates in host-timing order.
-fn graph() -> Csr {
-    gen::power_law_hubs(6_000, 24_000, 4, 0.25, 11)
-}
-
-fn assert_width_invariant(name: &str, run: impl Fn(&Csr) -> Outcome) {
-    let g = graph();
+fn assert_width_invariant(engine: Engine) {
+    // Hubs over a sparse background: cascades cross block ranges, so racing
+    // blocks would see each other's degree updates in host-timing order.
+    let g = gen::power_law_hubs(6_000, 24_000, 4, 0.25, 11);
+    let opts = EngineOptions {
+        peel: PeelConfig {
+            launch: LaunchConfig {
+                blocks: 16,
+                threads_per_block: 128,
+            },
+            buf_capacity: 8_192,
+            shared_buf_capacity: 128,
+            ..PeelConfig::default()
+        },
+        k_max: kcore::cpu::k_max(&kcore::cpu::bz::core_numbers(&g)),
+        ..EngineOptions::default()
+    };
     let width = |n: usize| {
         rayon::ThreadPoolBuilder::new()
             .num_threads(n)
             .build()
             .unwrap()
     };
-    let want = width(1).install(|| run(&g));
+    let run = || Outcome::from(engine.run(&g, &SimOptions::default(), &opts).unwrap());
+    let want = width(1).install(run);
     for threads in [2usize, 8] {
         for rep in 0..3 {
-            let got = width(threads).install(|| run(&g));
+            let got = width(threads).install(run);
             assert!(
                 got == want,
-                "{name} at width {threads} (run {rep}) differs from width 1: total {} ms vs {} ms",
+                "{} at width {threads} (run {rep}) differs from width 1: total {} ms vs {} ms",
+                engine.name(),
                 f64::from_bits(got.total_ms_bits),
                 f64::from_bits(want.total_ms_bits),
             );
@@ -62,58 +78,37 @@ fn assert_width_invariant(name: &str, run: impl Fn(&Csr) -> Outcome) {
     }
 }
 
-fn opts() -> SimOptions {
-    SimOptions::default()
+#[test]
+fn every_engine_is_width_invariant() {
+    Engine::all().for_each(assert_width_invariant);
 }
 
 #[test]
 fn medusa_peel_is_width_invariant() {
-    assert_width_invariant("medusa peel", |g| {
-        let r = medusa::peel(g, &opts(), &FrameworkCosts::default()).unwrap();
-        outcome(r.core, r.iterations, &r.report)
-    });
+    assert_width_invariant(Engine::MedusaPeel);
 }
 
 #[test]
 fn medusa_mpm_is_width_invariant() {
-    assert_width_invariant("medusa mpm", |g| {
-        let r = medusa::mpm(g, &opts(), &FrameworkCosts::default()).unwrap();
-        outcome(r.core, r.iterations, &r.report)
-    });
+    assert_width_invariant(Engine::MedusaMpm);
 }
 
 #[test]
 fn gunrock_is_width_invariant() {
-    assert_width_invariant("gunrock", |g| {
-        let r = gunrock::peel(g, &opts(), &FrameworkCosts::default()).unwrap();
-        outcome(r.core, r.iterations, &r.report)
-    });
+    assert_width_invariant(Engine::Gunrock);
 }
 
 #[test]
 fn gswitch_is_width_invariant() {
-    let k_max = kcore::cpu::bz::core_numbers(&graph())
-        .into_iter()
-        .max()
-        .unwrap_or(0);
-    assert_width_invariant("gswitch", |g| {
-        let r = gswitch::peel(g, k_max, &opts(), &FrameworkCosts::default()).unwrap();
-        outcome(r.core, r.iterations, &r.report)
-    });
+    assert_width_invariant(Engine::Gswitch);
 }
 
 #[test]
 fn vetga_is_width_invariant() {
-    assert_width_invariant("vetga", |g| {
-        let r = vetga::peel(g, &opts(), &FrameworkCosts::default()).unwrap();
-        outcome(r.run.core, r.run.iterations, &r.run.report)
-    });
+    assert_width_invariant(Engine::Vetga);
 }
 
 #[test]
 fn gpu_mpm_is_width_invariant() {
-    assert_width_invariant("gpu mpm", |g| {
-        let r = mpm_gpu::decompose_mpm(g, &opts()).unwrap();
-        outcome(r.core, u64::from(r.sweeps), &r.report)
-    });
+    assert_width_invariant(Engine::GpuMpm);
 }
