@@ -17,10 +17,10 @@
 //! the engine's configured fallback threshold.
 
 use crate::{table_files, titled, to_json, ValidChurn};
-use kcore_cpu::{bz, incremental::DynamicGraph, CoreAlgorithm};
+use kcore_cpu::{bz, CoreAlgorithm};
 use kcore_gpu::{BatchPath, DynamicConfig, DynamicCore, PeelConfig};
 use kcore_gpusim::{LaunchConfig, SimOptions};
-use kcore_graph::{gen, EdgeUpdate};
+use kcore_graph::{gen, EdgeSet, EdgeUpdate};
 use serde::Serialize;
 
 #[derive(Serialize, Default)]
@@ -62,7 +62,7 @@ struct Table {
 /// `check` additionally asserts that no run rejects an update, verifies the
 /// final core numbers of every run against a from-scratch BZ peel of the
 /// final graph, pins `auto_crossover` to the measured break-even, drives
-/// one pure-insert batch and one pure-delete batch oracle-checked after
+/// one pure-insert batch and one pure-delete batch checked against BZ after
 /// each, and at full scale asserts the ≥ 10x acceptance bar.
 pub fn table_dynamic(smoke: bool, check: bool) -> Vec<(String, String)> {
     let (scale, m, updates, samples) = if smoke {
@@ -92,20 +92,20 @@ pub fn table_dynamic(smoke: bool, check: bool) -> Vec<(String, String)> {
         .take(updates)
         .collect();
 
-    // Oracle replay: snapshots for the sampled re-peel baseline and the
-    // ground truth for `check`.
-    let mut oracle = DynamicGraph::from_csr(&g);
+    // Host replay of the stream: snapshots for the sampled re-peel baseline
+    // and the final graph, the ground truth for `check`.
+    let mut graph = EdgeSet::from_csr(&g);
     let stride = (updates / samples).max(1);
     let mut repeel_ms = Vec::new();
-    for (i, op) in ops.iter().enumerate() {
-        oracle.apply_batch(std::slice::from_ref(op));
-        if i % stride == stride - 1 {
-            let snap = oracle.to_csr();
+    for (i, chunk) in ops.chunks(stride).enumerate() {
+        graph.apply(&graph.classify(chunk));
+        if chunk.len() == stride {
+            let snap = graph.to_csr();
             let run = kcore_gpu::decompose(&snap, &peel_cfg, &SimOptions::default())
                 .expect("baseline peel");
             eprintln!(
                 "[table_dynamic] re-peel sample at update {}: {:.3} ms",
-                i + 1,
+                (i + 1) * stride,
                 run.report.total_ms
             );
             repeel_ms.push(run.report.total_ms);
@@ -113,7 +113,7 @@ pub fn table_dynamic(smoke: bool, check: bool) -> Vec<(String, String)> {
     }
     let repeel_avg_ms = repeel_ms.iter().sum::<f64>() / repeel_ms.len() as f64;
     let baseline_ups = 1_000.0 / repeel_avg_ms;
-    let last = oracle.to_csr();
+    let last = graph.to_csr();
     let truth = bz::Bz.run(&last);
 
     let mut rows = Vec::new();
@@ -235,10 +235,10 @@ pub fn table_dynamic(smoke: bool, check: bool) -> Vec<(String, String)> {
             "engine-derived crossover diverges from the table's measured one"
         );
         // One pure-insert batch followed by one pure-delete batch of the
-        // same edges, oracle-checked after each.
+        // same edges, checked against BZ after each.
         let mut dc =
             DynamicCore::from_csr(&SimOptions::default(), &g, dyn_cfg).expect("smoke engine init");
-        let mut orc = DynamicGraph::from_csr(&g);
+        let mut graph = EdgeSet::from_csr(&g);
         let pairs: Vec<(u32, u32)> = (0..32u32).map(|i| (i, i + n / 2)).collect();
         for mk in [
             EdgeUpdate::Insert as fn(u32, u32) -> EdgeUpdate,
@@ -246,11 +246,10 @@ pub fn table_dynamic(smoke: bool, check: bool) -> Vec<(String, String)> {
         ] {
             let batch: Vec<EdgeUpdate> = pairs.iter().map(|&(u, v)| mk(u, v)).collect();
             dc.apply_batch(&batch).expect("smoke batch");
-            orc.apply_batch(&batch);
-            assert_eq!(dc.cores(), orc.cores(), "smoke batch diverges from oracle");
+            graph.apply(&graph.classify(&batch));
             assert_eq!(
                 dc.cores(),
-                &bz::Bz.run(&orc.to_csr())[..],
+                &bz::Bz.run(&graph.to_csr())[..],
                 "smoke batch diverges from from-scratch BZ"
             );
         }

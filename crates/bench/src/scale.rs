@@ -531,7 +531,7 @@ pub fn fleet_table(cells: &[ShardCell]) -> (String, String) {
             let dominant = r
                 .devices_rollup
                 .iter()
-                .max_by(|a, b| a.kernel_ms.partial_cmp(&b.kernel_ms).unwrap())
+                .max_by(|a, b| a.kernel_ms.total_cmp(&b.kernel_ms))
                 .map(|d| format!("d{} {}", d.device, d.dominant_bucket))
                 .unwrap_or_else(|| "-".into());
             let b = &r.bound_counts;

@@ -4,7 +4,7 @@
 //! row values.
 
 use crate::sweep::time_table;
-use crate::{capture, prepare, render_table, table_files, titled, to_json, Cell, Env};
+use crate::{capture, prepare, render_table, runs, table_files, titled, to_json, Cell, Env};
 use kcore_cpu::{bz, mpm, naive, park, pkc, CoreAlgorithm};
 use kcore_gpu::{decompose, PeelConfig, SimOptions};
 use kcore_gpusim::{KernelError, SimError};
@@ -94,8 +94,9 @@ pub fn table1(envs: &[Env]) -> Vec<(String, String)> {
 /// **Table IV** over `envs`: Ours (simulated GPU, P100-calibrated) against
 /// the host wall-clock of NetworkX-profile, BZ, serial/parallel ParK,
 /// serial/parallel PKC-o, MPM and serial/parallel PKC, as
-/// `table4.{txt,json}`. A CPU program that misses the BZ core numbers shows
-/// `WRONG!`.
+/// `table4.{txt,json}`. Each CPU cell is the mean of [`runs`] timed runs
+/// (its JSON keeps their spread); a CPU program that misses the BZ core
+/// numbers on any run shows `WRONG!`.
 pub fn table4(envs: &[Env]) -> Vec<(String, String)> {
     let algs: [Box<dyn CoreAlgorithm>; 9] = [
         Box::new(naive::Naive),
@@ -114,17 +115,15 @@ pub fn table4(envs: &[Env]) -> Vec<(String, String)> {
         eprintln!("[table4] {}", e.dataset.name);
         let ours = capture(e, Engine::OURS, 0, false).cell();
         let cpu = algs.iter().map(|a| {
-            let t0 = Instant::now();
-            let core = a.run(&e.graph);
-            let avg_ms = t0.elapsed().as_secs_f64() * 1e3;
-            if core == e.truth {
-                Cell::Time {
-                    avg_ms,
-                    std_ms: 0.0,
-                }
-            } else {
-                Cell::Wrong
-            }
+            let times: Option<Vec<f64>> = (0..runs())
+                .map(|_| {
+                    let t0 = Instant::now();
+                    let core = a.run(&e.graph);
+                    let ms = t0.elapsed().as_secs_f64() * 1e3;
+                    (core == e.truth).then_some(ms)
+                })
+                .collect();
+            times.map_or(Cell::Wrong, |t| Cell::from_times(&t))
         });
         (e.dataset.name, std::iter::once(ours).chain(cpu).collect())
     });

@@ -19,14 +19,13 @@
 //!   `K + 1` with their MCD set to their final support.
 //!
 //! Batches are *net-effect* processed: cores are a function of the final
-//! graph only, so cancelling insert/delete pairs are elided, duplicates and
-//! self-loops rejected, and the surviving updates grouped (deletes first,
-//! then inserts) and walked one edge at a time. The traversals are
-//! kernelized on [`kcore_gpusim`] with the same block-granularity frontier
-//! buffers, ballot compaction and stepped wave discipline as the peel
-//! kernels — traces are bit-identical at any rayon pool size. Past
-//! [`DynamicConfig::crossover`] net updates the engine falls back to a
-//! from-scratch [`peel::decompose_in`].
+//! graph only, so [`EdgeSet::classify`] rejects and nets each batch, and the
+//! net deletes, then the net inserts, are walked one edge at a time. The
+//! traversals are kernelized on [`kcore_gpusim`] with the same
+//! block-granularity frontier buffers, ballot compaction and stepped wave
+//! discipline as the peel kernels — traces are bit-identical at any rayon
+//! pool size. Past [`DynamicConfig::crossover`] net updates the engine
+//! falls back to a from-scratch [`peel::decompose_in`].
 
 use crate::config::PeelConfig;
 use crate::peel;
@@ -35,8 +34,7 @@ use kcore_gpusim::{
     BlockCtx, BufferId, Coalescing, GpuContext, KernelError, LaunchConfig, SharedArray, SimError,
     SimOptions, SizeClass,
 };
-use kcore_graph::{Csr, EdgeUpdate};
-use std::collections::BTreeMap;
+use kcore_graph::{Csr, EdgeSet, EdgeUpdate, NetBatch};
 use std::sync::atomic::Ordering;
 
 /// Tuning knobs of the dynamic engine.
@@ -111,13 +109,11 @@ pub enum BatchPath {
 /// Per-batch outcome and work accounting.
 #[derive(Debug, Clone)]
 pub struct BatchReport {
-    /// Insertions accepted during classification (edge absent at that point
-    /// of the batch sequence).
+    /// [`NetBatch::accepted_inserts`] of the batch.
     pub accepted_inserts: usize,
-    /// Deletions accepted during classification.
+    /// [`NetBatch::accepted_deletes`] of the batch.
     pub accepted_deletes: usize,
-    /// Updates rejected: self-loops, out-of-range endpoints, duplicate
-    /// inserts, deletes of absent edges.
+    /// [`NetBatch::rejected`] of the batch.
     pub rejected: usize,
     /// Insertions surviving net-effect cancellation.
     pub net_inserts: usize,
@@ -125,9 +121,6 @@ pub struct BatchReport {
     pub net_deletes: usize,
     /// The processing path taken.
     pub path: BatchPath,
-    /// Net updates grouped by `K = min(core(u), core(v))` at batch start,
-    /// ascending — the superior-edge groups of the classification phase.
-    pub groups: Vec<(u32, usize)>,
     /// Vertices the batch's traversals examined. An insertion counts the
     /// candidates its search gathered. A deletion counts its core-`K`
     /// endpoints plus the MCD decrements its cascade issued, one per
@@ -182,20 +175,17 @@ struct DynParams {
 ///
 /// Owns a [`GpuContext`]; the graph lives on the device as a slack-padded
 /// CSR (`dyn.offset` / `dyn.len` / `dyn.adj`) beside the core numbers
-/// (`dyn.core`) and MCD counters (`dyn.mcd`). A host adjacency mirror
-/// validates updates and rebuilds the padding when slack runs out.
+/// (`dyn.core`) and MCD counters (`dyn.mcd`). A host [`EdgeSet`] mirror
+/// classifies updates and rebuilds the padding when slack runs out.
 pub struct DynamicCore {
     ctx: GpuContext,
     cfg: DynamicConfig,
-    n: usize,
-    /// Host mirror: sorted adjacency lists, kept exactly in sync with the
-    /// device CSR (up to within-list order, which the device's swap-remove
-    /// deletes permute).
-    adj: Vec<Vec<u32>>,
+    /// Host mirror, kept exactly in sync with the device CSR (up to
+    /// within-list order, which the device's swap-remove deletes permute).
+    graph: EdgeSet,
     core_host: Vec<u32>,
     /// Per-vertex device slot capacity (degree + slack at last build).
     cap: Vec<u32>,
-    arcs: u64,
     rebuilds: u64,
     p: DynParams,
 }
@@ -211,12 +201,12 @@ impl DynamicCore {
         let n = g.num_vertices() as usize;
         let mut ctx = opts.context();
         let (core_host, _rounds) = peel::decompose_in(&mut ctx, g, &cfg.peel)?;
-        let adj: Vec<Vec<u32>> = (0..n as u32).map(|v| g.neighbors(v).to_vec()).collect();
+        let graph = EdgeSet::from_csr(g);
 
         ctx.set_phase("DynInit");
         ctx.set_workload_dims(n as u64, g.num_arcs());
-        let off = padded_offsets(&adj, cfg.slack.max(1))?;
-        let (d_off, d_len, d_adj, cap) = upload_csr(&mut ctx, &adj, off)?;
+        let off = padded_offsets(&graph, cfg.slack.max(1))?;
+        let (d_off, d_len, d_adj, cap) = upload_csr(&mut ctx, &graph, off)?;
         let pad = n.max(1);
         let core_padded: Vec<u32> = if n == 0 { vec![0] } else { core_host.clone() };
         let d_core = ctx.htod_tagged("dyn.core", &core_padded, SizeClass::PerVertex)?;
@@ -252,11 +242,9 @@ impl DynamicCore {
         let mut this = DynamicCore {
             ctx,
             cfg,
-            n,
-            adj,
+            graph,
             core_host,
             cap,
-            arcs: g.num_arcs(),
             rebuilds: 0,
             p,
         };
@@ -267,99 +255,43 @@ impl DynamicCore {
         Ok(this)
     }
 
-    /// An engine over `n` isolated vertices (the streaming-from-nothing
-    /// entry point).
-    pub fn new(opts: &SimOptions, n: usize, cfg: DynamicConfig) -> Result<Self, SimError> {
-        Self::from_csr(opts, &Csr::empty(n), cfg)
-    }
-
     /// Applies one batch of updates and returns what happened.
     ///
-    /// Classification is host-side and sequential: each update is validated
-    /// against the state the *prefix* of the batch leaves behind (so
-    /// `Insert(a,b), Delete(a,b)` both count as accepted and then cancel).
-    /// Surviving net updates are staged to the device in chunks of 1024
-    /// (one H2D copy each) and processed deletes first, each with its own
-    /// theorem-backed traversal — or, past [`DynamicConfig::crossover`], by
-    /// one from-scratch peel.
+    /// [`EdgeSet::classify`] checks and nets the batch on the host. The net
+    /// updates are staged to the device in chunks of 1024 (one H2D copy
+    /// each) and processed deletes first, each with its own theorem-backed
+    /// traversal — or, past [`DynamicConfig::crossover`], by one
+    /// from-scratch peel.
     pub fn apply_batch(&mut self, updates: &[EdgeUpdate]) -> Result<BatchReport, SimError> {
         let t0 = self.ctx.elapsed_ms();
+        self.ctx.set_phase("DynClassify");
+        let net = self.graph.classify(updates);
         let mut rep = BatchReport {
-            accepted_inserts: 0,
-            accepted_deletes: 0,
-            rejected: 0,
-            net_inserts: 0,
-            net_deletes: 0,
+            accepted_inserts: net.accepted_inserts,
+            accepted_deletes: net.accepted_deletes,
+            rejected: net.rejected,
+            net_inserts: net.inserts.len(),
+            net_deletes: net.deletes.len(),
             path: BatchPath::Noop,
-            groups: Vec::new(),
             candidates: 0,
             changed: 0,
             pruned_inserts: 0,
             rebuilds: self.rebuilds,
             sim_ms: 0.0,
         };
-        self.ctx.set_phase("DynClassify");
-        let n = self.n as u32;
-        // Presence of each touched edge after the batch prefix seen so far.
-        let mut pending: BTreeMap<(u32, u32), bool> = BTreeMap::new();
-        for up in updates {
-            let (x, y) = up.endpoints();
-            if x == y || x >= n || y >= n {
-                rep.rejected += 1;
-                continue;
-            }
-            let key = up.key();
-            let present = pending
-                .get(&key)
-                .copied()
-                .unwrap_or_else(|| has_adj(&self.adj, key.0, key.1));
-            if up.is_insert() {
-                if present {
-                    rep.rejected += 1;
-                } else {
-                    pending.insert(key, true);
-                    rep.accepted_inserts += 1;
-                }
-            } else if present {
-                pending.insert(key, false);
-                rep.accepted_deletes += 1;
-            } else {
-                rep.rejected += 1;
-            }
-        }
-        let mut net_del: Vec<(u32, u32)> = Vec::new();
-        let mut net_ins: Vec<(u32, u32)> = Vec::new();
-        for (&(u, v), &fin) in &pending {
-            if fin == has_adj(&self.adj, u, v) {
-                continue; // cancelled out
-            }
-            if fin {
-                net_ins.push((u, v));
-            } else {
-                net_del.push((u, v));
-            }
-        }
-        rep.net_inserts = net_ins.len();
-        rep.net_deletes = net_del.len();
-        let mut groups: BTreeMap<u32, usize> = BTreeMap::new();
-        for &(u, v) in net_del.iter().chain(net_ins.iter()) {
-            let k = self.core_host[u as usize].min(self.core_host[v as usize]);
-            *groups.entry(k).or_insert(0) += 1;
-        }
-        rep.groups = groups.into_iter().collect();
-
-        let net = net_del.len() + net_ins.len();
-        if net == 0 {
+        let count = net.deletes.len() + net.inserts.len();
+        if count == 0 {
             rep.path = BatchPath::Noop;
-        } else if net >= self.cfg.crossover {
+        } else if count >= self.cfg.crossover {
             rep.path = BatchPath::Repeeled;
-            self.repeel(&net_del, &net_ins)?;
+            self.repeel(&net)?;
         } else {
             rep.path = BatchPath::Maintained;
-            let all: Vec<(bool, u32, u32)> = net_del
+            let all: Vec<(bool, u32, u32)> = net
+                .deletes
                 .iter()
                 .map(|&(u, v)| (false, u, v))
-                .chain(net_ins.iter().map(|&(u, v)| (true, u, v)))
+                .chain(net.inserts.iter().map(|&(u, v)| (true, u, v)))
                 .collect();
             for chunk in all.chunks(BATCH_CAPACITY) {
                 self.ctx.set_phase("DynStruct");
@@ -375,7 +307,8 @@ impl DynamicCore {
             }
         }
         self.ctx.set_phase("DynSync");
-        self.ctx.set_workload_dims(self.n as u64, self.arcs);
+        let (n, arcs) = (self.num_vertices() as u64, self.num_arcs());
+        self.ctx.set_workload_dims(n, arcs);
         rep.rebuilds = self.rebuilds;
         rep.sim_ms = self.ctx.elapsed_ms() - t0;
         Ok(rep)
@@ -390,12 +323,12 @@ impl DynamicCore {
 
     /// Number of vertices.
     pub fn num_vertices(&self) -> usize {
-        self.n
+        self.graph.num_vertices()
     }
 
     /// Number of directed arcs currently stored.
     pub fn num_arcs(&self) -> u64 {
-        self.arcs
+        self.graph.num_arcs()
     }
 
     /// Lifetime adjacency rebuild count (slack exhaustion).
@@ -421,21 +354,23 @@ impl DynamicCore {
     /// Copies the device core array back (charged D2H). Differential tests
     /// use this to pin host mirror ≡ device state.
     pub fn device_cores(&mut self) -> Vec<u32> {
-        if self.n == 0 {
+        let n = self.num_vertices();
+        if n == 0 {
             return Vec::new();
         }
         // In bounds: `dyn.core` holds `n.max(1)` words for the engine's life.
-        let cores = self.ctx.dtoh_range(self.p.d_core, 0, self.n);
+        let cores = self.ctx.dtoh_range(self.p.d_core, 0, n);
         cores.expect("dyn.core holds n words")
     }
 
     /// Copies the device MCD array back (charged D2H).
     pub fn device_mcd(&mut self) -> Vec<u32> {
-        if self.n == 0 {
+        let n = self.num_vertices();
+        if n == 0 {
             return Vec::new();
         }
         // In bounds: `dyn.mcd` holds `n.max(1)` words for the engine's life.
-        let mcd = self.ctx.dtoh_range(self.p.d_mcd, 0, self.n);
+        let mcd = self.ctx.dtoh_range(self.p.d_mcd, 0, n);
         mcd.expect("dyn.mcd holds n words")
     }
 
@@ -451,9 +386,7 @@ impl DynamicCore {
         rep: &mut BatchReport,
     ) -> Result<(), SimError> {
         let k = self.core_host[a as usize].min(self.core_host[b as usize]);
-        del_adj(&mut self.adj[a as usize], b);
-        del_adj(&mut self.adj[b as usize], a);
-        self.arcs -= 2;
+        self.graph.remove(a, b);
 
         self.ctx.set_phase("DynStruct");
         let p = self.p;
@@ -494,16 +427,14 @@ impl DynamicCore {
         b: u32,
         rep: &mut BatchReport,
     ) -> Result<(), SimError> {
-        if self.adj[a as usize].len() as u32 == self.cap[a as usize]
-            || self.adj[b as usize].len() as u32 == self.cap[b as usize]
+        if self.graph.degree(a) == self.cap[a as usize]
+            || self.graph.degree(b) == self.cap[b as usize]
         {
             self.rebuilds += 1;
             self.rebuild_adjacency()?;
         }
         let k = self.core_host[a as usize].min(self.core_host[b as usize]);
-        add_adj(&mut self.adj[a as usize], b);
-        add_adj(&mut self.adj[b as usize], a);
-        self.arcs += 2;
+        self.graph.insert(a, b);
 
         self.ctx.set_phase("DynStruct");
         let p = self.p;
@@ -583,24 +514,15 @@ impl DynamicCore {
 
     /// Crossover fallback: apply the net updates to the mirror, re-peel the
     /// whole graph on-device, rebuild the padded CSR and refresh every MCD.
-    fn repeel(&mut self, net_del: &[(u32, u32)], net_ins: &[(u32, u32)]) -> Result<(), SimError> {
-        for &(u, v) in net_del {
-            del_adj(&mut self.adj[u as usize], v);
-            del_adj(&mut self.adj[v as usize], u);
-            self.arcs -= 2;
-        }
-        for &(u, v) in net_ins {
-            add_adj(&mut self.adj[u as usize], v);
-            add_adj(&mut self.adj[v as usize], u);
-            self.arcs += 2;
-        }
+    fn repeel(&mut self, net: &NetBatch) -> Result<(), SimError> {
+        self.graph.apply(net);
         self.ctx.set_phase("DynRepeel");
-        let csr = self.mirror_csr();
+        let csr = self.graph.to_csr();
         let (core, _rounds) = peel::decompose_in(&mut self.ctx, &csr, &self.cfg.peel)?;
         self.core_host = core;
         self.ctx.set_phase("DynRepeel");
         self.rebuild_adjacency()?;
-        if self.n > 0 {
+        if self.num_vertices() > 0 {
             self.ctx.htod_into(self.p.d_core, 0, &self.core_host)?;
             self.ctx.set_phase("DynMcd");
             self.run_mcd_full()?;
@@ -610,7 +532,7 @@ impl DynamicCore {
 
     fn run_mcd_full(&mut self) -> Result<(), SimError> {
         let p = self.p;
-        let count = self.n;
+        let count = self.num_vertices();
         self.ctx
             .launch("dyn_mcd", self.cfg.launch, move |blk| k_mcd(blk, &p, count))
     }
@@ -620,67 +542,37 @@ impl DynamicCore {
     /// before anything is freed, so an oversized one leaves the engine as
     /// it was.
     fn rebuild_adjacency(&mut self) -> Result<(), SimError> {
-        let off = padded_offsets(&self.adj, self.cfg.slack.max(1))?;
+        let off = padded_offsets(&self.graph, self.cfg.slack.max(1))?;
         self.ctx.device.free(self.p.d_adj);
         self.ctx.device.free(self.p.d_len);
         self.ctx.device.free(self.p.d_off);
-        let (d_off, d_len, d_adj, cap) = upload_csr(&mut self.ctx, &self.adj, off)?;
+        let (d_off, d_len, d_adj, cap) = upload_csr(&mut self.ctx, &self.graph, off)?;
         self.p.d_off = d_off;
         self.p.d_len = d_len;
         self.p.d_adj = d_adj;
         self.cap = cap;
         Ok(())
     }
-
-    /// The mirror as a validated [`Csr`] (repeel input, test oracle).
-    fn mirror_csr(&self) -> Csr {
-        let mut offsets = Vec::with_capacity(self.n + 1);
-        let mut neighbors: Vec<u32> = Vec::with_capacity(self.arcs as usize);
-        let mut cur = 0u64;
-        offsets.push(0u64);
-        for l in &self.adj {
-            neighbors.extend_from_slice(l);
-            cur += l.len() as u64;
-            offsets.push(cur);
-        }
-        Csr::new(offsets, neighbors).expect("dynamic mirror is a valid simple graph")
-    }
 }
 
 // ---------------------------------------------------------------------------
-// Host-side adjacency mirror helpers
+// Device CSR layout
 // ---------------------------------------------------------------------------
-
-fn has_adj(adj: &[Vec<u32>], u: u32, v: u32) -> bool {
-    adj[u as usize].binary_search(&v).is_ok()
-}
-
-fn add_adj(list: &mut Vec<u32>, v: u32) {
-    if let Err(i) = list.binary_search(&v) {
-        list.insert(i, v);
-    }
-}
-
-fn del_adj(list: &mut Vec<u32>, v: u32) {
-    if let Ok(i) = list.binary_search(&v) {
-        list.remove(i);
-    }
-}
 
 /// Slot offsets of the slack-padded device CSR: vertex `v` owns
 /// `deg(v) + slack` slots from `off[v]`. Summed in `u64`; a total beyond
 /// 32-bit indexing is a [`SimError::InvalidConfig`].
-fn padded_offsets(adj: &[Vec<u32>], slack: u32) -> Result<Vec<u32>, SimError> {
-    let mut off: Vec<u32> = Vec::with_capacity(adj.len() + 1);
+fn padded_offsets(graph: &EdgeSet, slack: u32) -> Result<Vec<u32>, SimError> {
+    let n = graph.num_vertices();
+    let mut off: Vec<u32> = Vec::with_capacity(n + 1);
     let mut cur = 0u64;
     off.push(0);
-    for l in adj {
-        cur += l.len() as u64 + u64::from(slack);
+    for v in 0..n as u32 {
+        cur += u64::from(graph.degree(v)) + u64::from(slack);
         let Ok(o) = u32::try_from(cur) else {
             return Err(SimError::InvalidConfig {
                 what: "dynamic adjacency slots (arcs plus slack per vertex)",
-                value: adj.iter().map(|l| l.len() as f64).sum::<f64>()
-                    + adj.len() as f64 * f64::from(slack),
+                value: graph.num_arcs() as f64 + n as f64 * f64::from(slack),
                 need: "at most 2^32 - 1 slots in total",
             });
         };
@@ -694,17 +586,18 @@ fn padded_offsets(adj: &[Vec<u32>], slack: u32) -> Result<Vec<u32>, SimError> {
 /// per-vertex capacity.
 fn upload_csr(
     ctx: &mut GpuContext,
-    adj: &[Vec<u32>],
+    graph: &EdgeSet,
     off: Vec<u32>,
 ) -> Result<(BufferId, BufferId, BufferId, Vec<u32>), SimError> {
+    let n = graph.num_vertices();
     let cap: Vec<u32> = off.windows(2).map(|w| w[1] - w[0]).collect();
-    let mut len: Vec<u32> = adj.iter().map(|l| l.len() as u32).collect();
+    let mut len: Vec<u32> = (0..n as u32).map(|v| graph.degree(v)).collect();
     if len.is_empty() {
         len.push(0);
     }
-    let mut flat = vec![0u32; (off[adj.len()] as usize).max(1)];
-    for (v, l) in adj.iter().enumerate() {
-        let o = off[v] as usize;
+    let mut flat = vec![0u32; (off[n] as usize).max(1)];
+    for v in 0..n as u32 {
+        let (o, l) = (off[v as usize] as usize, graph.neighbors(v));
         flat[o..o + l.len()].copy_from_slice(l);
     }
     let d_off = ctx.htod_tagged("dyn.offset", &off, SizeClass::PerVertex)?;
@@ -1330,7 +1223,7 @@ mod tests {
     /// Re-peels the mirror from scratch with the CPU oracle and checks the
     /// host cores, the device cores and the device MCD all agree with it.
     fn assert_consistent(dc: &mut DynamicCore) {
-        let g = dc.mirror_csr();
+        let g = dc.graph.to_csr();
         let expect = bz::Bz.run(&g);
         assert_eq!(dc.cores(), &expect[..], "host cores diverge from oracle");
         assert_eq!(dc.device_cores(), expect, "device cores diverge from host");
@@ -1441,7 +1334,8 @@ mod tests {
 
     #[test]
     fn insert_between_isolated_vertices_from_empty() {
-        let mut dc = DynamicCore::new(&SimOptions::default(), 6, small_cfg()).unwrap();
+        let mut dc =
+            DynamicCore::from_csr(&SimOptions::default(), &Csr::empty(6), small_cfg()).unwrap();
         assert_eq!(dc.cores(), &[0; 6]);
         let rep = dc.apply_batch(&[EdgeUpdate::Insert(0, 1)]).unwrap();
         assert_eq!(rep.path, BatchPath::Maintained);
@@ -1503,7 +1397,7 @@ mod tests {
             slack: 1,
             ..small_cfg()
         };
-        let mut dc = DynamicCore::new(&SimOptions::default(), 12, cfg).unwrap();
+        let mut dc = DynamicCore::from_csr(&SimOptions::default(), &Csr::empty(12), cfg).unwrap();
         // Grow a star around vertex 0: each insert raises deg(0) by one,
         // exhausting the 1-slot slack repeatedly.
         for v in 1..12u32 {
@@ -1619,7 +1513,8 @@ mod tests {
 
     #[test]
     fn empty_engine_rejects_everything() {
-        let mut dc = DynamicCore::new(&SimOptions::default(), 0, small_cfg()).unwrap();
+        let mut dc =
+            DynamicCore::from_csr(&SimOptions::default(), &Csr::empty(0), small_cfg()).unwrap();
         let rep = dc
             .apply_batch(&[EdgeUpdate::Insert(0, 1), EdgeUpdate::Delete(2, 3)])
             .unwrap();

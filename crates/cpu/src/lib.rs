@@ -15,8 +15,9 @@
 //!   refinement, serial and parallel;
 //! * [`naive`] — a deliberately allocation-heavy dict-of-sets implementation
 //!   mirroring the algorithmic profile of NetworkX's `core_number`;
-//! * [`incremental`] — streaming core maintenance under edge
-//!   insertions/deletions (related-work extension, §II-C).
+//! * [`incremental`] — the oracle of dynamic core maintenance under edge
+//!   insertions/deletions (related-work extension, §II-C): an edge set
+//!   whose cores BZ re-derives after every batch.
 //!
 //! # Example
 //!

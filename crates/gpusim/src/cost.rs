@@ -373,8 +373,7 @@ pub fn schedule_blocks(block_cycles: &[f64], sm_count: u32, occupancy: u32) -> V
 
 /// Heap key for the greedy schedulers: least load first, ties broken by
 /// lowest machine/context index — the order the old linear `min_by` scans
-/// established. Loads are finite sums of non-negative cycles, so the
-/// `partial_cmp` unwrap cannot see a NaN.
+/// established. `total_cmp` orders a NaN load (a NaN cost constant) too.
 #[derive(PartialEq)]
 struct SlotKey(f64, usize);
 
@@ -388,10 +387,7 @@ impl PartialOrd for SlotKey {
 
 impl Ord for SlotKey {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0
-            .partial_cmp(&other.0)
-            .unwrap()
-            .then(self.1.cmp(&other.1))
+        self.0.total_cmp(&other.0).then(self.1.cmp(&other.1))
     }
 }
 

@@ -21,6 +21,9 @@ use crate::device::{BufferId, Device, OomError, SizeClass};
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU32, Ordering};
 
+/// Shared memory per thread block: the P100's 64 KiB.
+const SHARED_CAPACITY_BYTES: u64 = 64 * 1024;
+
 /// Simulation environment for a run: device cost constants, memory capacity,
 /// and an optional simulated-time budget.
 #[derive(Debug, Clone, Copy)]
@@ -38,7 +41,7 @@ impl Default for SimOptions {
     fn default() -> Self {
         SimOptions {
             cost: CostParams::p100(),
-            device_capacity_bytes: 16 * (1 << 30),
+            device_capacity_bytes: crate::P100_DEVICE_BYTES,
             time_limit_ms: None,
         }
     }
@@ -253,7 +256,6 @@ pub struct BlockCtx<'a> {
     /// Event counters for this block.
     pub counters: Counters,
     shared: Vec<u32>,
-    shared_capacity_bytes: u64,
     /// True when the engine guarantees no other block is executing
     /// concurrently on this device (the inline path of one-shot launches
     /// and every stepped wave). Lets the global-atomic helpers use
@@ -269,7 +271,6 @@ impl<'a> BlockCtx<'a> {
         device: &'a Device,
         block_idx: u32,
         cfg: LaunchConfig,
-        shared_capacity_bytes: u64,
         mut shared: Vec<u32>,
         exclusive: bool,
     ) -> Self {
@@ -280,7 +281,6 @@ impl<'a> BlockCtx<'a> {
             cfg,
             counters: Counters::default(),
             shared,
-            shared_capacity_bytes,
             exclusive,
         }
     }
@@ -295,10 +295,10 @@ impl<'a> BlockCtx<'a> {
     /// Allocates `len` words of block shared memory (zeroed).
     pub fn shared_alloc(&mut self, len: usize) -> Result<SharedArray, KernelError> {
         let new_bytes = (self.shared.len() + len) as u64 * 4;
-        if new_bytes > self.shared_capacity_bytes {
+        if new_bytes > SHARED_CAPACITY_BYTES {
             return Err(KernelError::SharedMemExceeded {
-                requested_bytes: new_bytes - self.shared_capacity_bytes,
-                capacity_bytes: self.shared_capacity_bytes,
+                requested_bytes: new_bytes - SHARED_CAPACITY_BYTES,
+                capacity_bytes: SHARED_CAPACITY_BYTES,
             });
         }
         let start = self.shared.len();
@@ -583,7 +583,6 @@ pub struct GpuContext {
     pub device: Device,
     /// Cost constants.
     pub cost: CostParams,
-    shared_capacity_bytes: u64,
     time_s: f64,
     limit_s: Option<f64>,
     launches: Vec<LaunchRecord>,
@@ -624,12 +623,11 @@ pub fn narrow_offsets(offsets: &[u64]) -> Result<Vec<u32>, SimError> {
 
 impl GpuContext {
     /// A context with the given cost model and device capacity in bytes.
-    /// Shared memory defaults to the P100's 64 KiB per block.
+    /// Shared memory is the P100's 64 KiB per block.
     pub fn new(cost: CostParams, device_capacity_bytes: u64) -> Self {
         GpuContext {
             device: Device::new(device_capacity_bytes),
             cost,
-            shared_capacity_bytes: 64 * 1024,
             time_s: 0.0,
             limit_s: None,
             launches: Vec::new(),
@@ -678,11 +676,6 @@ impl GpuContext {
     /// memory proportional to `blocks × launches`.
     pub fn set_block_profiling(&mut self, on: bool) {
         self.profile_blocks = on;
-    }
-
-    /// Overrides per-block shared memory capacity.
-    pub fn set_shared_capacity(&mut self, bytes: u64) {
-        self.shared_capacity_bytes = bytes;
     }
 
     /// Sets a simulated-time budget; once exceeded, further launches and
@@ -929,11 +922,10 @@ impl GpuContext {
         F: Fn(&mut BlockCtx<'_>) -> Result<(), KernelError> + Sync,
     {
         let device = &self.device;
-        let cap = self.shared_capacity_bytes;
         let threads = rayon::current_num_threads() as u32;
         if threads <= 1 || cfg.blocks == 1 {
             for (b, backing) in (0..cfg.blocks).zip(shared.iter_mut()) {
-                let mut blk = BlockCtx::new(device, b, cfg, cap, std::mem::take(backing), true);
+                let mut blk = BlockCtx::new(device, b, cfg, std::mem::take(backing), true);
                 let r = kernel(&mut blk);
                 *backing = blk.shared;
                 per_block.push(blk.counters);
@@ -949,7 +941,7 @@ impl GpuContext {
         let results: Vec<(Result<(), KernelError>, Counters, Vec<u32>)> = inputs
             .into_par_iter()
             .map(|(b, backing)| {
-                let mut blk = BlockCtx::new(device, b, cfg, cap, backing, false);
+                let mut blk = BlockCtx::new(device, b, cfg, backing, false);
                 let r = kernel(&mut blk);
                 (r, blk.counters, blk.shared)
             })
@@ -1044,14 +1036,7 @@ impl GpuContext {
         let mut scratch = self.take_scratch(cfg);
         let mut blocks = Vec::with_capacity(cfg.blocks as usize);
         for (b, backing) in (0..cfg.blocks).zip(scratch.shared.iter_mut()) {
-            let mut blk = BlockCtx::new(
-                &self.device,
-                b,
-                cfg,
-                self.shared_capacity_bytes,
-                std::mem::take(backing),
-                true,
-            );
+            let mut blk = BlockCtx::new(&self.device, b, cfg, std::mem::take(backing), true);
             let state = init(&mut blk)?;
             blocks.push((blk, state));
         }
@@ -1170,7 +1155,6 @@ mod tests {
     #[test]
     fn shared_memory_is_per_block_and_limited() {
         let mut c = ctx();
-        c.set_shared_capacity(1024); // 256 words
         let out = c.alloc("out", 4).unwrap();
         let cfg = LaunchConfig {
             blocks: 4,
@@ -1186,10 +1170,10 @@ mod tests {
         .unwrap();
         assert_eq!(c.dtoh(out), vec![0, 1, 2, 3]);
 
-        // over-allocate fails
+        // over-allocating the 64 KiB (16 Ki words) fails
         let err = c
             .launch("too_big", cfg, |blk| {
-                let _ = blk.shared_alloc(1000)?;
+                let _ = blk.shared_alloc(16 * 1024 + 1)?;
                 Ok(())
             })
             .unwrap_err();

@@ -239,7 +239,7 @@ fn device_bytes(tl: &Timeline) -> Vec<(f64, i64)> {
 /// timestamp. Negative edges sort first at equal timestamps (retire before
 /// dispatch), so back-to-back occupants of one slot don't double-count.
 fn merge_edges(mut edges: Vec<(f64, i64)>) -> Vec<(f64, i64)> {
-    edges.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
+    edges.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
     let mut out: Vec<(f64, i64)> = Vec::new();
     let mut level = 0i64;
     for (ts, delta) in edges {

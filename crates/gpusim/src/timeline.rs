@@ -196,7 +196,7 @@ impl Hotspot {
             ("barriers", self.barrier_ms),
         ]
         .into_iter()
-        .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(b.0.cmp(a.0)))
+        .max_by(|a, b| a.1.total_cmp(&b.1).then(b.0.cmp(a.0)))
         .unwrap()
     }
 }
@@ -274,8 +274,7 @@ pub fn hotspots(launches: &[LaunchRecord], cost: &CostParams, top_k: usize) -> V
     for (h, mut bl) in out.iter_mut().zip(blocks) {
         bl.sort_by(|a, b| {
             b.cycles
-                .partial_cmp(&a.cycles)
-                .unwrap()
+                .total_cmp(&a.cycles)
                 .then(a.launch_seq.cmp(&b.launch_seq))
                 .then(a.block.cmp(&b.block))
         });
@@ -373,7 +372,11 @@ mod tests {
     use crate::CostParams;
 
     fn skewed_ctx() -> GpuContext {
-        let mut c = GpuContext::new(CostParams::p100(), 1 << 20);
+        skewed_ctx_with(CostParams::p100())
+    }
+
+    fn skewed_ctx_with(cost: CostParams) -> GpuContext {
+        let mut c = GpuContext::new(cost, 1 << 20);
         let buf = c.htod("x", &[0u32; 64]).unwrap();
         let cfg = LaunchConfig {
             blocks: 4,
@@ -390,6 +393,22 @@ mod tests {
         c.dtoh_word(buf, 0);
         c.sample_counter("frontier", 3.0);
         c
+    }
+
+    /// `CostParams` is public and unchecked: a NaN constant makes NaN block
+    /// cycles and times, which every ordering of the views must accept.
+    #[test]
+    fn nan_cost_constant_does_not_panic_the_views() {
+        let cost = CostParams {
+            instr_cycles: f64::NAN,
+            ..CostParams::p100()
+        };
+        let mut c = skewed_ctx_with(cost);
+        assert!(c.launches()[0].block_cycles.iter().all(|b| b.is_nan()));
+        let trace = c.trace("nan");
+        assert_eq!((trace.launches.len(), trace.hotspots.len()), (1, 1));
+        trace.hotspots[0].dominant_bucket();
+        assert!(!c.timeline("nan").to_chrome_json().is_empty());
     }
 
     #[test]

@@ -19,11 +19,9 @@
 //! **Robustness.** A cache entry that cannot be read for *any* reason —
 //! missing, truncated, wrong magic, stale format or generator version,
 //! checksum mismatch — is regenerated, never a panic; a corrupt (non-NotFound)
-//! entry always earns one `stderr` note naming the decode error. With
-//! `KCORE_VERBOSE=1` every lookup logs one line (hit / miss / generated) so
-//! cache behaviour can be audited per dataset. Writes go through a temp
-//! file + rename so a crash mid-write leaves no half-written entry under
-//! the final name.
+//! entry earns one `stderr` note naming the decode error, and so does a
+//! failed write. Writes go through a temp file + rename so a crash
+//! mid-write leaves no half-written entry under the final name.
 
 use crate::binio::CSR_BINARY_VERSION;
 use crate::csr::Csr;
@@ -34,27 +32,6 @@ use std::path::{Path, PathBuf};
 /// disables caching (every call regenerates, exactly as before the cache
 /// existed).
 pub const CACHE_ENV: &str = "KCORE_CACHE_DIR";
-
-/// Environment variable enabling chatty cache logging (`KCORE_VERBOSE=1`):
-/// one `stderr` line per dataset saying whether it was a cache hit, a miss
-/// that populated the cache, or a regeneration. Unreadable-entry and
-/// write-failure notes are printed regardless — those carry a reason the
-/// user should see.
-pub const VERBOSE_ENV: &str = "KCORE_VERBOSE";
-
-/// True when [`VERBOSE_ENV`] is set to anything but `""` or `"0"`.
-fn verbose() -> bool {
-    std::env::var_os(VERBOSE_ENV).is_some_and(|v| !v.is_empty() && v != "0")
-}
-
-/// Prints one cache outcome line to stderr when [`VERBOSE_ENV`] is set, or
-/// always when `always_print` is true (the unreadable-entry and
-/// write-failure notes).
-fn note(always_print: bool, line: String) {
-    if always_print || verbose() {
-        eprintln!("{line}");
-    }
-}
 
 /// The configured cache directory, if caching is enabled.
 pub fn cache_dir() -> Option<PathBuf> {
@@ -115,41 +92,23 @@ pub fn load_or_generate(d: &Dataset) -> Csr {
 pub fn load_or_generate_in(dir: &Path, d: &Dataset) -> Csr {
     let path = dir.join(cache_file_name(d));
     match Csr::load_binary(&path) {
-        Ok(g) => {
-            note(
-                false,
-                format!("[cache: hit {} <- {}]", d.name, path.display()),
-            );
-            return g;
-        }
-        Err(crate::binio::BinError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
-            note(false, format!("[cache: miss {}; generating]", d.name));
-        }
-        // Always note a *corrupt* entry, with the decode error as the
-        // reason — silent data loss is worth a line even when not verbose.
-        Err(e) => note(
-            true,
-            format!(
-                "[cache: {} unreadable ({e}); regenerating {}]",
-                path.display(),
-                d.name
-            ),
+        Ok(g) => return g,
+        Err(crate::binio::BinError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {}
+        // Note a *corrupt* entry, with the decode error as the reason:
+        // silent data loss is worth a line.
+        Err(e) => eprintln!(
+            "[cache: {} unreadable ({e}); regenerating {}]",
+            path.display(),
+            d.name
         ),
     }
     let g = d.generate();
-    match persist(dir, &path, &g) {
-        Ok(()) => note(
-            false,
-            format!("[cache: generated {} -> {}]", d.name, path.display()),
-        ),
-        Err(e) => note(
-            true,
-            format!(
-                "[cache: generated {} but could not write {} ({e})]",
-                d.name,
-                path.display()
-            ),
-        ),
+    if let Err(e) = persist(dir, &path, &g) {
+        eprintln!(
+            "[cache: generated {} but could not write {} ({e})]",
+            d.name,
+            path.display()
+        );
     }
     g
 }

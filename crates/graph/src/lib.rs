@@ -52,7 +52,7 @@ pub use builder::{BuildPath, GraphBuilder};
 pub use csr::{Csr, VertexId};
 pub use partition::{Partition, PartitionStats, PartitionStrategy, PeerStats, Shard, ShardStats};
 pub use stats::GraphStats;
-pub use update::EdgeUpdate;
+pub use update::{EdgeSet, EdgeUpdate, NetBatch};
 
 /// Canonical example graph of the paper's Fig. 1.
 ///

@@ -46,7 +46,7 @@ echo "== simulator and peel wall-clock smoke budget =="
 # vertex work again. Already compiled, the two suites take a few seconds
 # on a 2-core x86-64 box; 120 s absorbs slow-VM phases while still catching
 # any order-of-magnitude host regression.
-SMOKE_BUDGET_S="${KCORE_SMOKE_BUDGET_S:-120}"
+SMOKE_BUDGET_S=120
 smoke_start=$(date +%s)
 cargo test --locked -q -p kcore-gpusim -p kcore-gpu
 smoke_elapsed=$(( $(date +%s) - smoke_start ))
@@ -173,11 +173,12 @@ done
 rm -rf "$inspect_results"
 echo "inspect smoke OK ($printed engine traces and the fleet dumps)"
 
-echo "== dynamic maintenance smoke (batched engine vs oracle) =="
+echo "== dynamic maintenance smoke (batched engine vs BZ) =="
 # --check replays the CI-sized valid churn stream through the batched GPU
 # maintenance engine, asserts that no run rejects an update, verifies
 # every run's final cores against a from-scratch BZ peel, and drives one
-# pure-insert batch plus one pure-delete batch oracle-checked after each.
+# pure-insert batch plus one pure-delete batch checked against BZ after
+# each.
 # Results go to a throwaway dir so the full-scale
 # results/table_dynamic.{txt,json} are never overwritten.
 dyn_results="$(mktemp -d)"

@@ -5,9 +5,8 @@ use serde::Serialize;
 pub use serde::Value;
 use std::fmt::Write as _;
 
-/// Serialization or parse error. The only serialization failure real
-/// serde_json has on this data model is a non-finite float; we keep that
-/// contract.
+/// Parse error. Serialization cannot fail on this data model: like real
+/// serde_json, a non-finite float is written as `null`.
 #[derive(Debug)]
 pub struct Error(String);
 
@@ -22,14 +21,14 @@ impl std::error::Error for Error {}
 /// Compact JSON.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
-    write_value(&mut out, &value.to_value(), None, 0)?;
+    write_value(&mut out, &value.to_value(), None, 0);
     Ok(out)
 }
 
 /// Pretty JSON, 2-space indent (matching real serde_json's pretty writer).
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
-    write_value(&mut out, &value.to_value(), Some(2), 0)?;
+    write_value(&mut out, &value.to_value(), Some(2), 0);
     Ok(out)
 }
 
@@ -55,12 +54,7 @@ pub fn from_str(s: &str) -> Result<Value, Error> {
     Ok(v)
 }
 
-fn write_value(
-    out: &mut String,
-    v: &Value,
-    indent: Option<usize>,
-    depth: usize,
-) -> Result<(), Error> {
+fn write_value(out: &mut String, v: &Value, indent: Option<usize>, depth: usize) {
     match v {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -72,9 +66,8 @@ fn write_value(
         }
         Value::Float(f) => {
             if !f.is_finite() {
-                return Err(Error(format!("non-finite float {f} is not valid JSON")));
-            }
-            if *f == f.trunc() && f.abs() < 1e15 {
+                out.push_str("null");
+            } else if *f == f.trunc() && f.abs() < 1e15 {
                 // Integral floats print with a trailing `.0`, like serde_json.
                 let _ = write!(out, "{f:.1}");
             } else {
@@ -85,7 +78,7 @@ fn write_value(
         Value::Array(items) => {
             if items.is_empty() {
                 out.push_str("[]");
-                return Ok(());
+                return;
             }
             out.push('[');
             for (k, item) in items.iter().enumerate() {
@@ -93,7 +86,7 @@ fn write_value(
                     out.push(',');
                 }
                 newline_indent(out, indent, depth + 1);
-                write_value(out, item, indent, depth + 1)?;
+                write_value(out, item, indent, depth + 1);
             }
             newline_indent(out, indent, depth);
             out.push(']');
@@ -101,7 +94,7 @@ fn write_value(
         Value::Object(entries) => {
             if entries.is_empty() {
                 out.push_str("{}");
-                return Ok(());
+                return;
             }
             out.push('{');
             for (k, (key, item)) in entries.iter().enumerate() {
@@ -114,13 +107,12 @@ fn write_value(
                 if indent.is_some() {
                     out.push(' ');
                 }
-                write_value(out, item, indent, depth + 1)?;
+                write_value(out, item, indent, depth + 1);
             }
             newline_indent(out, indent, depth);
             out.push('}');
         }
     }
-    Ok(())
 }
 
 fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
@@ -401,8 +393,9 @@ mod tests {
     }
 
     #[test]
-    fn non_finite_errors() {
-        assert!(to_string(&f64::NAN).is_err());
+    fn non_finite_floats_write_null() {
+        assert_eq!(to_string(&f64::NAN).unwrap(), "null");
+        assert_eq!(to_string(&f64::NEG_INFINITY).unwrap(), "null");
     }
 
     #[test]

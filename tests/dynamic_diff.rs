@@ -1,10 +1,10 @@
 //! Differential tests for the GPU dynamic k-core maintenance engine
 //! (`kcore_gpu::dynamic`): after **every** batch the engine must agree with
-//!
-//! 1. the CPU incremental oracle (`kcore_cpu::incremental::DynamicGraph`),
-//!    which repairs cores per-update with the same locality theorems but a
-//!    completely independent (host, hash-set based) implementation;
-//! 2. a from-scratch BZ peel of the current graph — the definitional truth.
+//! the CPU oracle (`kcore_cpu::incremental::DynamicGraph`), an edge set
+//! whose cores a from-scratch BZ peel re-derives after each batch — the
+//! definitional truth. The two share only the batch rule
+//! (`kcore_graph::EdgeSet::classify`, tested on its own in `kcore-graph`);
+//! no traversal code.
 //!
 //! The engine's host mirror, its device core array, and its device-resident
 //! MCD counters are all checked. Updates are adversarial: interleaved
@@ -15,7 +15,7 @@
 //! present edges, inserts of absent pairs) rides along at batch sizes
 //! 1 / 16 / 64, so every delete is accepted and runs the deletion path.
 
-use kcore::cpu::{bz, incremental::DynamicGraph, CoreAlgorithm};
+use kcore::cpu::incremental::DynamicGraph;
 use kcore::gpu::{BatchPath, DynamicConfig, DynamicCore, SimOptions};
 use kcore::gpusim::LaunchConfig;
 use kcore::graph::{builder::from_edges, gen, Csr, EdgeUpdate};
@@ -54,9 +54,10 @@ fn churn_ops(n: u32, count: usize, mut state: u32) -> Vec<EdgeUpdate> {
         .collect()
 }
 
-/// Runs `ops` through the GPU engine in `batch_size` chunks, checking the
-/// three-way agreement after every batch, and that nothing is rejected when
-/// the stream is `valid`. Returns the final core numbers.
+/// Runs `ops` through the GPU engine in `batch_size` chunks, checking after
+/// every batch that the engine's host cores, device cores and device MCD
+/// equal the oracle's, and that nothing is rejected when the stream is
+/// `valid`. Returns the final core numbers.
 fn run_diff(
     g: &Csr,
     ops: &[EdgeUpdate],
@@ -83,7 +84,7 @@ fn run_diff(
         );
         assert_eq!(
             rep.accepted_inserts + rep.accepted_deletes,
-            out.inserted + out.deleted,
+            out.accepted_inserts + out.accepted_deletes,
             "batch {bi}: accepted count diverges from the CPU oracle"
         );
         assert_eq!(
@@ -100,12 +101,6 @@ fn run_diff(
             dc.device_mcd(),
             oracle.mcd(),
             "batch {bi}: device MCD counters diverge from oracle"
-        );
-        let truth = bz::Bz.run(&oracle.to_csr());
-        assert_eq!(
-            dc.cores(),
-            &truth[..],
-            "batch {bi}: maintained cores diverge from from-scratch BZ"
         );
     }
     dc.cores().to_vec()
@@ -220,7 +215,6 @@ fn same_k_insertions_change_cores_only_together() {
         let mut dc = engine();
         assert_eq!(dc.cores(), [2, 2, 2, 2]);
         let rep = dc.apply_batch(&[chord]).unwrap();
-        assert_eq!(rep.groups, [(2, 1)], "{chord:?}");
         assert_eq!(rep.changed, 0, "{chord:?}");
         assert_eq!(dc.cores(), [2, 2, 2, 2], "{chord:?}");
         assert_eq!(dc.device_cores(), [2, 2, 2, 2], "{chord:?}");
@@ -230,7 +224,7 @@ fn same_k_insertions_change_cores_only_together() {
         .apply_batch(&[EdgeUpdate::Insert(0, 2), EdgeUpdate::Insert(1, 3)])
         .unwrap();
     assert_eq!(rep.path, BatchPath::Maintained);
-    assert_eq!(rep.groups, [(2, 2)]);
+    assert_eq!(rep.net_inserts, 2);
     assert_eq!(rep.changed, 4);
     assert_eq!(dc.cores(), [3, 3, 3, 3]);
     assert_eq!(dc.device_cores(), [3, 3, 3, 3]);

@@ -3,9 +3,11 @@
 //! maintenance — all cross-validated against the core pipeline.
 
 use kcore::cpu::{self, CoreAlgorithm};
-use kcore::gpu::{decompose, decompose_multi, MultiGpuConfig, PeelConfig, SimOptions};
+use kcore::gpu::{
+    decompose, decompose_multi, DynamicConfig, DynamicCore, MultiGpuConfig, PeelConfig, SimOptions,
+};
 use kcore::gpusim::LaunchConfig;
-use kcore::graph::gen;
+use kcore::graph::{builder::from_edges, gen, Csr, EdgeUpdate};
 use kcore::systems::{Engine, EngineOptions};
 use proptest::prelude::*;
 
@@ -18,6 +20,19 @@ fn small_peel() -> PeelConfig {
         buf_capacity: 4_096,
         ..PeelConfig::default()
     }
+}
+
+/// A dynamic engine over `g` with a small launch geometry.
+fn small_dynamic(g: &Csr) -> DynamicCore {
+    let cfg = DynamicConfig {
+        launch: LaunchConfig {
+            blocks: 4,
+            threads_per_block: 64,
+        },
+        peel: small_peel(),
+        ..DynamicConfig::default()
+    };
+    DynamicCore::from_csr(&SimOptions::default(), g, cfg).unwrap()
 }
 
 #[test]
@@ -99,8 +114,9 @@ fn gpu_mpm_is_cheaper_than_medusa_mpm() {
 
 #[test]
 fn incremental_maintenance_tracks_growing_snapshot() {
-    // mirror the temporal case study: maintain cores incrementally while the
-    // co-authorship network grows; cross-check against full recomputation.
+    // mirror the temporal case study: maintain cores on the GPU while the
+    // co-authorship network grows a year at a time; cross-check each year
+    // against full recomputation.
     let params = kcore::graph::gen::temporal::CorpusParams {
         start_year: 1990,
         end_year: 1996,
@@ -108,12 +124,20 @@ fn incremental_maintenance_tracks_growing_snapshot() {
         ..Default::default()
     };
     let corpus = kcore::graph::gen::temporal::generate_corpus(&params, 4);
-    let final_g = corpus.interaction_snapshot(1996);
-    let mut dyn_g = cpu::incremental::DynamicGraph::new(final_g.num_vertices() as usize);
-    for (u, v) in final_g.edges() {
-        dyn_g.insert_edge(u, v);
+    let mut prev = corpus.interaction_snapshot(1990);
+    let mut dc = small_dynamic(&prev);
+    for year in 1991..=1996 {
+        let snap = corpus.interaction_snapshot(year);
+        let grown: Vec<EdgeUpdate> = snap
+            .edges()
+            .filter(|&(u, v)| !prev.has_edge(u, v))
+            .map(|(u, v)| EdgeUpdate::Insert(u, v))
+            .collect();
+        let rep = dc.apply_batch(&grown).unwrap();
+        assert_eq!(rep.net_inserts, grown.len(), "{year}");
+        assert_eq!(dc.cores(), &cpu::bz::Bz.run(&snap)[..], "{year}");
+        prev = snap;
     }
-    assert_eq!(dyn_g.cores(), &cpu::bz::Bz.run(&final_g)[..]);
 }
 
 proptest! {
@@ -128,19 +152,22 @@ proptest! {
         prop_assert_eq!(run.core, cpu::bz::Bz.run(&g));
     }
 
-    /// Incremental insert+remove round trip restores the original cores.
+    /// Dynamic insert+remove round trip restores the original cores, and
+    /// the grown graph's cores match BZ in between.
     #[test]
     fn incremental_round_trip(seed in 0u64..500) {
         let g = gen::erdos_renyi_gnm(60, 150, seed);
-        let mut dg = cpu::incremental::DynamicGraph::from_csr(&g);
-        let before = dg.cores().to_vec();
+        let mut dc = small_dynamic(&g);
+        let before = dc.cores().to_vec();
         // add a random batch of extra edges, then remove them again
         let extra = gen::erdos_renyi_gnm(60, 80, seed ^ 0xABCD);
-        let added: Vec<(u32, u32)> =
-            extra.edges().filter(|&(u, v)| dg.insert_edge(u, v)).collect();
-        for &(u, v) in added.iter().rev() {
-            prop_assert!(dg.remove_edge(u, v));
-        }
-        prop_assert_eq!(dg.cores(), &before[..]);
+        let added: Vec<(u32, u32)> = extra.edges().filter(|&(u, v)| !g.has_edge(u, v)).collect();
+        let ins: Vec<EdgeUpdate> = added.iter().map(|&(u, v)| EdgeUpdate::Insert(u, v)).collect();
+        prop_assert_eq!(dc.apply_batch(&ins).unwrap().rejected, 0);
+        let grown: Vec<(u32, u32)> = g.edges().chain(added.iter().copied()).collect();
+        prop_assert_eq!(dc.cores(), &cpu::bz::Bz.run(&from_edges(60, &grown))[..]);
+        let del: Vec<EdgeUpdate> = added.iter().rev().map(|&(u, v)| EdgeUpdate::Delete(u, v)).collect();
+        prop_assert_eq!(dc.apply_batch(&del).unwrap().rejected, 0);
+        prop_assert_eq!(dc.cores(), &before[..]);
     }
 }
