@@ -8,12 +8,12 @@
 //!
 //! Besides the console breakdown, every implementation's kernel trace
 //! (DESIGN.md "Profiling & traces") is dumped to
-//! `results/traces/<dataset>_<impl>.json`. Knobs: `KCORE_TRACE_BLOCKS=1`
-//! records per-block counters in "Ours"' trace (large output);
-//! `KCORE_TIMELINE=1` exports each implementation's SM timeline as Chrome
-//! trace-event JSON (`<dataset>_<impl>.perfetto.json`, open in
-//! <https://ui.perfetto.dev>) and prints every implementation's per-kernel
-//! hotspots ("Ours" always prints its own); `KCORE_FLEET_TIMELINE=1` also
+//! `results/traces/<dataset>_<impl>.json`; "Ours"' trace also holds its
+//! per-block counters. Knobs: `KCORE_TIMELINE=1` exports each
+//! implementation's SM timeline as Chrome trace-event JSON
+//! (`<dataset>_<impl>.perfetto.json`, open in <https://ui.perfetto.dev>)
+//! and prints every implementation's per-kernel hotspots ("Ours" always
+//! prints its own); `KCORE_FLEET_TIMELINE=1` also
 //! runs the sharded p=4 decomposition, dumps its fleet ledger and merged
 //! multi-device Perfetto file (`<dataset>_fleet_p4.fleet{,.perfetto}.json`)
 //! and prints a per-round critical-path breakdown.
@@ -22,7 +22,7 @@ use kcore_bench::{
     capture_in, capture_sharded, fleet_timeline_enabled, prepare, save_fleet, save_timeline,
     save_trace, Outcome,
 };
-use kcore_gpusim::DeviceRollup;
+use kcore_gpusim::Hotspot;
 use kcore_systems::Engine;
 
 fn main() {
@@ -31,7 +31,6 @@ fn main() {
         .unwrap_or_else(|| "soc-LiveJournal1".into());
     let d = kcore_graph::datasets::by_name(&name).expect("unknown dataset");
     let e = prepare(d);
-    let profile_blocks = std::env::var("KCORE_TRACE_BLOCKS").is_ok();
     let timeline = std::env::var_os("KCORE_TIMELINE").is_some();
     println!(
         "{}: |V|={} |E|={} k_max={} scale=1/{:.0}\n",
@@ -40,7 +39,7 @@ fn main() {
 
     for engine in Engine::peel_variants().chain(Engine::TABLE3[1..].iter().copied()) {
         let mut ctx = e.sim.context();
-        ctx.set_block_profiling(profile_blocks && engine == Engine::OURS);
+        ctx.set_block_profiling(engine == Engine::OURS);
         let cap = capture_in(&mut ctx, &e, engine, true);
         let trace = cap.trace.as_ref().expect("capture keeps the trace");
         let c = &trace.totals.counters;
@@ -127,11 +126,11 @@ fn main() {
             );
         }
         for (d, t) in fr.traces.iter().enumerate() {
-            let r = DeviceRollup::from_trace(d, t);
-            let (bucket, ms) = r.dominant();
+            let all = Hotspot::sum(&t.hotspots);
+            let (bucket, ms) = all.dominant_bucket();
             println!(
-                "    device {} rollup: {:.3} ms kernels, dominant {bucket} ({ms:.3} ms)",
-                r.device, r.kernel_ms
+                "    device {d} rollup: {:.3} ms kernels, dominant {bucket} ({ms:.3} ms)",
+                all.total_ms
             );
         }
         save_fleet(e.dataset.name, 4, &fr);

@@ -91,8 +91,7 @@ pub fn prepare(dataset: Dataset) -> Env {
     // with the graph, so the fixed-to-variable cost ratio stays
     // paper-comparable: a 1/100-scale graph with full-size launch overhead
     // would be entirely launch-bound and hide every variant difference.
-    sim.cost.kernel_launch_s /= scale;
-    sim.cost.pcie_latency_s /= scale;
+    sim.cost = sim.cost.scaled(scale);
     // Scale the grid geometry so each block covers the same number of
     // grid-stride stripes as at paper scale (Algorithm 2 assigns blocks
     // contiguous BLK_DIM-sized stripes every NUM_THREADS vertices; with the

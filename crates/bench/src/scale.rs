@@ -29,7 +29,7 @@ use crate::{
     selected, table_files, titled, to_json, Env, Outcome, RunCapture,
 };
 use kcore_gpu::{decompose_multi, FleetRun};
-use kcore_gpusim::{DeviceRollup, FleetTrace, P100_DEVICE_BYTES};
+use kcore_gpusim::{FleetTrace, Hotspot, P100_DEVICE_BYTES};
 use kcore_graph::datasets::{self, Dataset};
 use kcore_graph::PartitionStats;
 use kcore_systems::Engine;
@@ -276,14 +276,14 @@ impl ShardCell {
                 devices_rollup: traces
                     .iter()
                     .enumerate()
-                    .map(|(d, t)| {
-                        let r = DeviceRollup::from_trace(d, t);
-                        let (bucket, ms) = r.dominant();
+                    .map(|(device, t)| {
+                        let all = Hotspot::sum(&t.hotspots);
+                        let (bucket, ms) = all.dominant_bucket();
                         RollupRow {
-                            device: r.device,
-                            total_ms: r.total_ms,
-                            kernel_ms: r.kernel_ms,
-                            launches: r.launches,
+                            device,
+                            total_ms: t.totals.time_ms,
+                            kernel_ms: all.total_ms,
+                            launches: t.totals.launches,
                             dominant_bucket: bucket.to_string(),
                             dominant_ms: ms,
                         }

@@ -111,7 +111,8 @@ pub struct MultiGpuRun {
     pub per_device_peak_bytes: Vec<u64>,
     /// Each worker trace's counters fingerprint, in shard order.
     pub worker_fingerprints: Vec<u64>,
-    /// Bytes exchanged between devices over the whole run.
+    /// Bytes exchanged between devices over the whole run: the ledger's
+    /// [`ExchangeTrace::bytes`], summed.
     pub exchanged_bytes: u64,
     /// Exchanges that actually carried border packets (informational
     /// observability rollup of the ledger — never feeds the cost model).
@@ -282,7 +283,6 @@ fn decompose_multi_impl(
     let mut total_ms = max_f64(workers.iter().map(|w| w.ctx.elapsed_ms()));
     let setup_ms = total_ms;
 
-    let mut exchanged_bytes = 0u64;
     let mut k = 0u32;
     let mut removed = 0u64;
     let mut scratch = ExchangeScratch::default();
@@ -306,14 +306,7 @@ fn decompose_multi_impl(
         // Border sub-rounds: exchange ghost decrements, seed owners, run
         // loop-only launches, until an exchange produces no seeds.
         loop {
-            let ledger = exchange(
-                &mut workers,
-                &part,
-                k,
-                cfg,
-                &mut scratch,
-                &mut exchanged_bytes,
-            )?;
+            let ledger = exchange(&mut workers, &part, k, cfg, &mut scratch)?;
             total_ms += ledger.charged_ms;
             let seeded = ledger.seeds() > 0;
             exchanges.push(ledger);
@@ -366,7 +359,8 @@ fn decompose_multi_impl(
 
     // Fingerprints digest the launch and transfer records directly, as
     // `Trace::counters_fingerprint` would; traces and timelines are built
-    // only when the fleet layer asks. The counts are the ledger's.
+    // only when the fleet layer asks. The counts and the bytes are the
+    // ledger's.
     let exchanges = || round_log.iter().flat_map(|r| &r.exchanges);
     let run = MultiGpuRun {
         core,
@@ -378,7 +372,7 @@ fn decompose_multi_impl(
             .iter()
             .map(|w| w.ctx.counters_fingerprint())
             .collect(),
-        exchanged_bytes,
+        exchanged_bytes: exchanges().map(ExchangeTrace::bytes).sum(),
         exchange_rounds: exchanges().filter(|e| e.packets_out() > 0).count() as u64,
         border_packets: exchanges().map(ExchangeTrace::packets_out).sum(),
     };
@@ -516,7 +510,6 @@ fn exchange(
     k: u32,
     cfg: &MultiGpuConfig,
     scratch: &mut ExchangeScratch,
-    exchanged_bytes: &mut u64,
 ) -> Result<ExchangeTrace, SimError> {
     let num = workers.len();
     let mut ledger = ExchangeTrace {
@@ -592,7 +585,6 @@ fn exchange(
     // hops, as the paper sketches); the master dedups, so the second hop
     // carries the aggregated packets. Each hop costs the link latency plus
     // its packets over the bandwidth.
-    *exchanged_bytes += (packets_out + aggregated.len() as u64) * PACKET_BYTES;
     let packet_bytes = PACKET_BYTES as f64;
     ledger.hop1_ms =
         (cfg.link_latency_s + packets_out as f64 * packet_bytes / cfg.link_bandwidth) * 1e3;
@@ -941,14 +933,6 @@ mod tests {
         // path(400) over 4 shards bounces its 1-shell across borders
         assert!(fr.run.border_packets > 0);
         assert!(fr.run.exchange_rounds > 0);
-        let ledger_bytes: u64 = fr
-            .fleet
-            .rounds
-            .iter()
-            .flat_map(|r| &r.exchanges)
-            .map(ExchangeTrace::bytes)
-            .sum();
-        assert_eq!(ledger_bytes, fr.run.exchanged_bytes);
         // every round has a named bounding resource
         for c in fr.fleet.critical_path() {
             assert_ne!(c.bound, "idle");

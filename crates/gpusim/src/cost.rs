@@ -14,6 +14,9 @@
 //! non-trivial"); the bandwidth term captures the memory-bound scans and
 //! adjacency walks. The makespan models the paper's block scheduling ("as
 //! thread blocks terminate, new blocks are launched on the vacated SMs").
+//! [`makespan`] is the simulator's one block scheduler: pricing reads its
+//! horizon, and [`crate::GpuContext::timeline`] draws each block where it
+//! placed it.
 //!
 //! Constants for the paper's test device are in [`CostParams::p100`]; each
 //! value cites its source. The model is calibrated for *relative* orderings
@@ -22,8 +25,6 @@
 
 use crate::exec::LaunchConfig;
 use serde::Serialize;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Per-block event counters accumulated by kernels.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -194,10 +195,6 @@ pub struct CostParams {
     /// Global-traffic bytes attributed to one global atomic (read-modify-
     /// write of one 32-byte sector).
     pub atomic_traffic_bytes: u64,
-    /// Maximum resident threads per SM (occupancy ceiling).
-    pub max_threads_per_sm: u32,
-    /// Maximum resident blocks per SM (hardware scheduler limit).
-    pub max_blocks_per_sm: u32,
 }
 
 impl CostParams {
@@ -225,31 +222,45 @@ impl CostParams {
             instr_cycles: 1.0,
             barrier_cycles: 32.0,
             atomic_traffic_bytes: 32,
-            max_threads_per_sm: 2048,
-            max_blocks_per_sm: 32,
         }
     }
 
-    /// Blocks of `cfg`'s width that can be *resident* on one SM at once:
-    /// the thread-count ceiling (`max_threads_per_sm / BLK_DIM`) clamped by
-    /// the hardware block-scheduler limit, never below one. With the paper's
-    /// 1024-thread blocks a P100 SM holds 2 blocks.
-    pub fn occupancy(&self, cfg: &LaunchConfig) -> u32 {
-        (self.max_threads_per_sm / cfg.threads_per_block.max(1))
-            .min(self.max_blocks_per_sm)
-            .max(1)
+    /// These constants for a graph `scale` times smaller than the one they
+    /// were measured on: the fixed per-event costs (kernel launch, PCIe
+    /// round trip) shrink by `scale`, so the fixed-to-variable cost ratio
+    /// stays what it is at full size.
+    pub fn scaled(self, scale: f64) -> Self {
+        CostParams {
+            kernel_launch_s: self.kernel_launch_s / scale,
+            pcie_latency_s: self.pcie_latency_s / scale,
+            ..self
+        }
     }
 
-    /// Compute cycles a block's counters cost on one SM.
+    /// The cycles each counter of `c` costs on one SM, in [`Counters`]
+    /// field order: coalesced transactions, random sectors, dependent
+    /// reads, global atomics, shared atomics, shared accesses, warp
+    /// instructions, barriers. [`CostParams::block_cycles`] sums them and
+    /// [`crate::timeline::hotspots`] attributes time by them.
+    pub(crate) fn cycle_terms(&self, c: &Counters) -> [f64; 8] {
+        [
+            c.global_tx as f64 * self.tx_issue_cycles,
+            c.global_sectors as f64 * self.sector_issue_cycles,
+            c.dependent_reads as f64 * self.dependent_latency_cycles,
+            c.global_atomics as f64 * self.global_atomic_cycles,
+            c.shared_atomics as f64 * self.shared_atomic_cycles,
+            c.shared_accesses as f64 * self.shared_access_cycles,
+            c.warp_instrs as f64 * self.instr_cycles,
+            c.barriers as f64 * self.barrier_cycles,
+        ]
+    }
+
+    /// Compute cycles a block's counters cost on one SM: its cycle terms,
+    /// summed in order.
     pub fn block_cycles(&self, c: &Counters) -> f64 {
-        c.global_tx as f64 * self.tx_issue_cycles
-            + c.global_sectors as f64 * self.sector_issue_cycles
-            + c.dependent_reads as f64 * self.dependent_latency_cycles
-            + c.global_atomics as f64 * self.global_atomic_cycles
-            + c.shared_atomics as f64 * self.shared_atomic_cycles
-            + c.shared_accesses as f64 * self.shared_access_cycles
-            + c.warp_instrs as f64 * self.instr_cycles
-            + c.barriers as f64 * self.barrier_cycles
+        let [tx, sectors, dependent, atomics, shared_atomics, shared, instrs, barriers] =
+            self.cycle_terms(c);
+        tx + sectors + dependent + atomics + shared_atomics + shared + instrs + barriers
     }
 
     /// Global-memory traffic in bytes implied by the counters.
@@ -265,7 +276,7 @@ impl CostParams {
     /// one entry per block, in dispatch order; blocks are greedily assigned
     /// to the least-loaded SM (the hardware's dispatch behaviour).
     pub fn roofline(&self, block_cycles: &[f64], total_traffic_bytes: u64) -> Roofline {
-        let makespan = makespan(block_cycles, self.sm_count as usize);
+        let makespan = makespan(block_cycles, self.sm_count as usize, |_, _, _| {});
         Roofline {
             launch_overhead_s: self.kernel_launch_s,
             compute_s: makespan / self.clock_hz,
@@ -315,92 +326,18 @@ impl Roofline {
     }
 }
 
-/// One block's placement in the per-SM schedule of a launch
-/// ([`schedule_blocks`]): which SM (and residency slot on it) ran the block
-/// and over which simulated cycle interval.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-pub struct BlockSchedule {
-    /// Block index within the grid (`blockIdx.x`).
-    pub block: u32,
-    /// SM the block ran on.
-    pub sm: u32,
-    /// Residency slot on that SM (0-based; bounded by
-    /// [`CostParams::occupancy`]).
-    pub slot: u32,
-    /// Cycle at which the block began executing, relative to launch start.
-    pub start_cycles: f64,
-    /// Cycle at which the block retired.
-    pub end_cycles: f64,
-}
-
-/// Deterministic per-SM block scheduling of a launch: each of `sm_count` SMs
-/// offers `occupancy` residency slots; a slot executes its blocks
-/// back-to-back. Blocks dispatch in index order to the earliest-free slot
-/// (ties → lowest SM, then lowest slot), so uniform grids round-robin across
-/// the SMs first and only then stack residency — the hardware's "as thread
-/// blocks terminate, new blocks are launched on the vacated SMs" behaviour
-/// with occupancy-limited residency. The returned spans drive the
-/// [`crate::timeline::Timeline`] events; their makespan is the schedule's
-/// compute horizon.
-pub fn schedule_blocks(block_cycles: &[f64], sm_count: u32, occupancy: u32) -> Vec<BlockSchedule> {
-    let sms = sm_count.max(1) as usize;
-    let occ = occupancy.max(1) as usize;
-    // context index = slot * sms + sm, so the tie-break "lowest context
-    // index" fills slot 0 of every SM before any SM hosts a second block.
-    // A min-heap keyed (free_at, ctx) pops exactly the lexicographic
-    // minimum the old linear min-scan selected, so assignments — and the
-    // float addition order behind every timestamp — are bit-identical,
-    // in O(blocks log contexts) instead of O(blocks · contexts).
-    let mut heap: BinaryHeap<Reverse<SlotKey>> =
-        (0..sms * occ).map(|i| Reverse(SlotKey(0.0, i))).collect();
-    block_cycles
-        .iter()
-        .enumerate()
-        .map(|(b, &cycles)| {
-            let Reverse(SlotKey(start, ctx_idx)) = heap.pop().unwrap();
-            let end = start + cycles;
-            heap.push(Reverse(SlotKey(end, ctx_idx)));
-            BlockSchedule {
-                block: b as u32,
-                sm: (ctx_idx % sms) as u32,
-                slot: (ctx_idx / sms) as u32,
-                start_cycles: start,
-                end_cycles: end,
-            }
-        })
-        .collect()
-}
-
-/// Heap key for the greedy schedulers: least load first, ties broken by
-/// lowest machine/context index — the order the old linear `min_by` scans
-/// established. `total_cmp` orders a NaN load (a NaN cost constant) too.
-#[derive(PartialEq)]
-struct SlotKey(f64, usize);
-
-impl Eq for SlotKey {}
-
-impl PartialOrd for SlotKey {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for SlotKey {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0).then(self.1.cmp(&other.1))
-    }
-}
-
 /// Machine counts [`makespan`] schedules without allocating: every SM count
 /// a [`CostParams`] preset uses.
 const MAKESPAN_STACK_MACHINES: usize = 128;
 
 /// Greedy list-scheduling makespan of `jobs` on `machines` (dispatch order,
 /// least-loaded machine first, lowest index on load ties) — how block grids
-/// fill SMs. A tournament tree keeps the least-loaded machine at its root,
-/// so each job costs O(log machines); the picks, and so the float sums, are
-/// those of a linear min-scan.
-pub fn makespan(jobs: &[f64], machines: usize) -> f64 {
+/// fill SMs, one block at a time per SM. `place(machine, start, end)` sees
+/// each job's placement, in job order, as it is made: pricing passes a
+/// no-op, the timeline draws its spans from them. A tournament tree keeps
+/// the least-loaded machine at its root, so each job costs O(log machines);
+/// the picks, and so the float sums, are those of a linear min-scan.
+pub fn makespan(jobs: &[f64], machines: usize, mut place: impl FnMut(usize, f64, f64)) -> f64 {
     assert!(machines > 0);
     // Leaves `leaves..2 * leaves` of `winner` hold machine indices, padding
     // beyond `machines` loads +inf; inner node `i` holds the winner of its
@@ -435,7 +372,9 @@ pub fn makespan(jobs: &[f64], machines: usize) -> f64 {
     for &j in jobs {
         // Node 1 is the root (with one machine, the lone leaf).
         let m = winner[1] as usize;
+        let start = loads[m];
         loads[m] += j;
+        place(m, start, loads[m]);
         let mut i = (leaves + m) / 2;
         while i >= 1 {
             winner[i] = pick(loads, winner[2 * i], winner[2 * i + 1]);
@@ -469,7 +408,7 @@ pub struct LaunchRecord {
     /// Total cycle count across blocks.
     pub sum_block_cycles: f64,
     /// Every block's priced cycle count, in dispatch order — the input the
-    /// timeline's per-SM scheduler replays ([`schedule_blocks`]).
+    /// timeline replays through [`makespan`] to place each block.
     pub block_cycles: Vec<f64>,
     /// Per-block counter deltas, recorded only when block profiling is on
     /// ([`crate::GpuContext::set_block_profiling`]) — `counters` is their sum.
@@ -545,24 +484,31 @@ pub struct SimReport {
 mod tests {
     use super::*;
 
-    #[test]
-    fn makespan_balances() {
-        // 4 equal jobs on 2 machines -> 2 jobs each
-        assert_eq!(makespan(&[1.0, 1.0, 1.0, 1.0], 2), 2.0);
-        // one big job dominates
-        assert_eq!(makespan(&[10.0, 1.0, 1.0], 4), 10.0);
-        // empty
-        assert_eq!(makespan(&[], 8), 0.0);
-        // more machines than jobs
-        assert_eq!(makespan(&[3.0, 2.0], 56), 3.0);
+    /// Every job's `(machine, start, end)`, in job order, and the makespan.
+    fn schedule(jobs: &[f64], machines: usize) -> (Vec<(usize, f64, f64)>, f64) {
+        let mut placed = Vec::new();
+        let horizon = makespan(jobs, machines, |m, start, end| placed.push((m, start, end)));
+        (placed, horizon)
     }
 
     #[test]
-    fn makespan_scan_matches_heap() {
-        // The tournament tree must make bit-identical float sums to a heap
-        // of (load, index) keys (same per-job machine selection), below,
-        // at and above the allocation-free machine count, with tied loads
-        // and zero-cycle jobs.
+    fn makespan_balances() {
+        // 4 equal jobs on 2 machines -> 2 jobs each
+        assert_eq!(schedule(&[1.0, 1.0, 1.0, 1.0], 2).1, 2.0);
+        // one big job dominates
+        assert_eq!(schedule(&[10.0, 1.0, 1.0], 4).1, 10.0);
+        // empty
+        assert_eq!(schedule(&[], 8).1, 0.0);
+        // more machines than jobs
+        assert_eq!(schedule(&[3.0, 2.0], 56).1, 3.0);
+    }
+
+    #[test]
+    fn makespan_matches_a_linear_min_scan() {
+        // The tournament tree must pick what a linear scan for the
+        // lowest-index least-loaded machine picks, job by job, and so make
+        // bit-identical float sums, below, at and above the allocation-free
+        // machine count, with tied loads and zero-cycle jobs.
         let job_sets: [Vec<f64>; 3] = [
             (0..108).map(|i| ((i * 37 % 19) as f64) + 0.25).collect(),
             (0..700).map(|i| [0.0, 3.0, 3.0, 0.5][i % 4]).collect(),
@@ -578,22 +524,18 @@ mod tests {
         ];
         for jobs in &job_sets {
             for m in [1usize, 2, 56, 128, 129, 300] {
-                let mut heap: BinaryHeap<Reverse<SlotKey>> =
-                    (0..m).map(|i| Reverse(SlotKey(0.0, i))).collect();
+                let mut loads = vec![0.0f64; m];
+                let mut expect = Vec::new();
                 for &j in jobs {
-                    let Reverse(SlotKey(load, idx)) = heap.pop().unwrap();
-                    heap.push(Reverse(SlotKey(load + j, idx)));
+                    let idx = (0..m).min_by(|&a, &b| loads[a].total_cmp(&loads[b]));
+                    let idx = idx.unwrap();
+                    expect.push((idx, loads[idx], loads[idx] + j));
+                    loads[idx] += j;
                 }
-                let expect = heap
-                    .into_iter()
-                    .map(|Reverse(SlotKey(l, _))| l)
-                    .fold(0.0, f64::max);
-                assert_eq!(
-                    makespan(jobs, m).to_bits(),
-                    expect.to_bits(),
-                    "{m} machines, {} jobs",
-                    jobs.len()
-                );
+                let (placed, horizon) = schedule(jobs, m);
+                assert_eq!(placed, expect, "{m} machines, {} jobs", jobs.len());
+                let expect = loads.into_iter().fold(0.0, f64::max);
+                assert_eq!(horizon.to_bits(), expect.to_bits());
             }
         }
     }
@@ -684,59 +626,6 @@ mod tests {
             barriers: 8,
         };
         assert_eq!(Counters::from_words(c.to_words()), c);
-    }
-
-    #[test]
-    fn occupancy_respects_thread_and_block_limits() {
-        let p = CostParams::p100();
-        let cfg = |tpb: u32| LaunchConfig {
-            blocks: 108,
-            threads_per_block: tpb,
-        };
-        assert_eq!(p.occupancy(&cfg(1024)), 2); // 2048 / 1024
-        assert_eq!(p.occupancy(&cfg(256)), 8);
-        assert_eq!(p.occupancy(&cfg(32)), 32); // block-scheduler limit binds
-        assert_eq!(p.occupancy(&cfg(2048)), 1);
-    }
-
-    #[test]
-    fn schedule_round_robins_before_stacking_residency() {
-        // 6 equal blocks, 4 SMs, occupancy 2: blocks 0-3 land on SMs 0-3
-        // slot 0 at cycle 0; blocks 4-5 stack onto slot 1 of SMs 0-1.
-        let s = schedule_blocks(&[10.0; 6], 4, 2);
-        for b in 0..4 {
-            assert_eq!((s[b].sm, s[b].slot, s[b].start_cycles), (b as u32, 0, 0.0));
-        }
-        assert_eq!((s[4].sm, s[4].slot), (0, 1));
-        assert_eq!((s[5].sm, s[5].slot), (1, 1));
-        assert_eq!(s[5].end_cycles, 10.0);
-    }
-
-    #[test]
-    fn schedule_backfills_vacated_slots() {
-        // occupancy 1, 2 SMs: the third block waits for the earliest SM.
-        let s = schedule_blocks(&[5.0, 20.0, 7.0], 2, 1);
-        assert_eq!(
-            (s[2].sm, s[2].start_cycles, s[2].end_cycles),
-            (0, 5.0, 12.0)
-        );
-        // schedule makespan matches the greedy makespan on the same machines
-        let horizon = s.iter().map(|b| b.end_cycles).fold(0.0, f64::max);
-        assert_eq!(horizon, makespan(&[5.0, 20.0, 7.0], 2));
-    }
-
-    #[test]
-    fn schedule_is_deterministic_and_covers_all_blocks() {
-        let cycles: Vec<f64> = (0..200).map(|i| ((i * 37) % 97) as f64).collect();
-        let a = schedule_blocks(&cycles, 56, 2);
-        let b = schedule_blocks(&cycles, 56, 2);
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 200);
-        for (i, sp) in a.iter().enumerate() {
-            assert_eq!(sp.block as usize, i);
-            assert!(sp.sm < 56 && sp.slot < 2);
-            assert!((sp.end_cycles - sp.start_cycles - cycles[i]).abs() < 1e-12);
-        }
     }
 
     #[test]

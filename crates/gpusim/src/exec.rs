@@ -375,11 +375,10 @@ impl<'a> BlockCtx<'a> {
         self.raw_atomic_sub(cell, delta)
     }
 
-    /// *Uncharged* global `atomicAdd` for bulk-charged fast paths: the
-    /// caller must add the matching `global_atomics` count itself (one `+=`
-    /// per warp/chunk instead of per lane). Exclusive-execution aware.
+    /// *Uncharged* global `atomicAdd`: the caller adds the matching
+    /// `global_atomics` count. Exclusive-execution aware.
     #[inline]
-    pub fn raw_atomic_add(&self, cell: &AtomicU32, delta: u32) -> u32 {
+    fn raw_atomic_add(&self, cell: &AtomicU32, delta: u32) -> u32 {
         if self.exclusive {
             let old = cell.load(Ordering::Relaxed);
             cell.store(old.wrapping_add(delta), Ordering::Relaxed);
@@ -391,7 +390,7 @@ impl<'a> BlockCtx<'a> {
 
     /// *Uncharged* global `atomicSub`; see [`BlockCtx::raw_atomic_add`].
     #[inline]
-    pub fn raw_atomic_sub(&self, cell: &AtomicU32, delta: u32) -> u32 {
+    fn raw_atomic_sub(&self, cell: &AtomicU32, delta: u32) -> u32 {
         if self.exclusive {
             let old = cell.load(Ordering::Relaxed);
             cell.store(old.wrapping_sub(delta), Ordering::Relaxed);
@@ -401,15 +400,8 @@ impl<'a> BlockCtx<'a> {
         }
     }
 
-    /// *Uncharged* shared-memory read for bulk-charged fast paths (caller
+    /// *Uncharged* shared-memory write for bulk-charged fast paths (caller
     /// accounts `shared_accesses` / `shared_atomics` in bulk).
-    #[inline]
-    pub fn sh_peek(&self, arr: SharedArray, idx: usize) -> u32 {
-        debug_assert!(idx < arr.len);
-        self.shared[arr.start + idx]
-    }
-
-    /// *Uncharged* shared-memory write; see [`BlockCtx::sh_peek`].
     #[inline]
     pub fn sh_poke(&mut self, arr: SharedArray, idx: usize, value: u32) {
         debug_assert!(idx < arr.len);

@@ -14,8 +14,8 @@
 //! [`ExchangeTrace::bytes`]), the critical path is computed on read
 //! ([`FleetTrace::critical_path`]), the traces themselves (held once, beside
 //! the ledger, by the engine's fleet run) are passed to every method that
-//! reads them, and a per-device hotspot/roofline rollup
-//! ([`DeviceRollup::from_trace`]) is derived from a trace when needed.
+//! reads them, and a device's roofline rollup is the sum of its trace's
+//! hotspots ([`Hotspot::sum`]).
 //!
 //! **Observes, never charges.** Every number here is recorded alongside the
 //! engine's existing accounting: `total_ms`, the exchanged bytes, worker
@@ -45,7 +45,7 @@
 //! on each owner device's tracks.
 
 use crate::perfetto::{counter_event, meta_event, obj};
-use crate::timeline::Timeline;
+use crate::timeline::{Hotspot, Timeline};
 use crate::trace::Trace;
 use serde::{Serialize, Value};
 
@@ -198,110 +198,6 @@ impl RoundCritical {
     }
 }
 
-/// Per-device rollup of the hotspot attribution and data movement — the
-/// roofline view of one shard's whole run, derived from its trace.
-#[derive(Debug, Clone, Serialize)]
-pub struct DeviceRollup {
-    /// Shard / device index.
-    pub device: usize,
-    /// The device's local simulated clock at capture, ms.
-    pub total_ms: f64,
-    /// Σ kernel durations (what the bucket columns tile), ms.
-    pub kernel_ms: f64,
-    /// Kernel launches on the device.
-    pub launches: u64,
-    /// Host→device bytes.
-    pub h2d_bytes: u64,
-    /// Device→host bytes.
-    pub d2h_bytes: u64,
-    /// Fixed launch overheads, ms.
-    pub launch_overhead_ms: f64,
-    /// Divergence / load-imbalance exposure, ms.
-    pub divergence_ms: f64,
-    /// Bandwidth stall, ms.
-    pub mem_stall_ms: f64,
-    /// Atomic contention share, ms.
-    pub atomics_ms: f64,
-    /// Uncoalesced-traffic share, ms.
-    pub uncoalesced_ms: f64,
-    /// Coalesced-transaction share, ms.
-    pub coalesced_ms: f64,
-    /// Shared-memory share, ms.
-    pub shared_ms: f64,
-    /// Plain-instruction share, ms.
-    pub instr_ms: f64,
-    /// Barrier share, ms.
-    pub barrier_ms: f64,
-    /// Largest bucket name.
-    pub dominant_bucket: &'static str,
-    /// That bucket's share, ms.
-    pub dominant_ms: f64,
-}
-
-impl DeviceRollup {
-    /// Sums a device [`Trace`]'s per-kernel hotspot buckets into one
-    /// roofline rollup.
-    pub fn from_trace(device: usize, t: &Trace) -> DeviceRollup {
-        let mut r = DeviceRollup {
-            device,
-            total_ms: t.totals.time_ms,
-            kernel_ms: 0.0,
-            launches: t.totals.launches,
-            h2d_bytes: t.totals.h2d_bytes,
-            d2h_bytes: t.totals.d2h_bytes,
-            launch_overhead_ms: 0.0,
-            divergence_ms: 0.0,
-            mem_stall_ms: 0.0,
-            atomics_ms: 0.0,
-            uncoalesced_ms: 0.0,
-            coalesced_ms: 0.0,
-            shared_ms: 0.0,
-            instr_ms: 0.0,
-            barrier_ms: 0.0,
-            dominant_bucket: "idle",
-            dominant_ms: 0.0,
-        };
-        for h in &t.hotspots {
-            r.kernel_ms += h.total_ms;
-            r.launch_overhead_ms += h.launch_overhead_ms;
-            r.divergence_ms += h.divergence_ms;
-            r.mem_stall_ms += h.mem_stall_ms;
-            r.atomics_ms += h.atomics_ms;
-            r.uncoalesced_ms += h.uncoalesced_ms;
-            r.coalesced_ms += h.coalesced_ms;
-            r.shared_ms += h.shared_ms;
-            r.instr_ms += h.instr_ms;
-            r.barrier_ms += h.barrier_ms;
-        }
-        let (name, ms) = r.dominant();
-        r.dominant_bucket = name;
-        r.dominant_ms = ms;
-        r
-    }
-
-    /// The nine attribution buckets, in the canonical order.
-    pub fn buckets(&self) -> [(&'static str, f64); 9] {
-        [
-            ("launch_overhead", self.launch_overhead_ms),
-            ("divergence", self.divergence_ms),
-            ("mem_stall", self.mem_stall_ms),
-            ("atomics", self.atomics_ms),
-            ("uncoalesced", self.uncoalesced_ms),
-            ("coalesced", self.coalesced_ms),
-            ("shared", self.shared_ms),
-            ("instr", self.instr_ms),
-            ("barriers", self.barrier_ms),
-        ]
-    }
-
-    pub fn dominant(&self) -> (&'static str, f64) {
-        self.buckets()
-            .into_iter()
-            .max_by(|a, b| a.1.total_cmp(&b.1).then(b.0.cmp(a.0)))
-            .unwrap()
-    }
-}
-
 impl FleetTrace {
     /// Per-round critical-path attribution, in round order, derived from
     /// the ledger on read.
@@ -333,8 +229,8 @@ impl FleetTrace {
     ///   `total_ms` **to the bit**;
     /// * every flow edge references a real `mgpu_pack` / `mgpu_apply`
     ///   launch record in the worker traces;
-    /// * the buckets of each worker's [`DeviceRollup`] tile its summed
-    ///   kernel time.
+    /// * the hotspot buckets of each worker's trace, summed
+    ///   ([`Hotspot::sum`]), tile its summed kernel time.
     pub fn check_well_formed(&self, traces: &[Trace]) -> Result<(), String> {
         if traces.len() != self.num_devices {
             return Err(format!(
@@ -412,12 +308,12 @@ impl FleetTrace {
             ));
         }
         for (d, t) in traces.iter().enumerate() {
-            let r = DeviceRollup::from_trace(d, t);
-            let bucket_sum: f64 = r.buckets().iter().map(|b| b.1).sum();
-            if (bucket_sum - r.kernel_ms).abs() > 1e-9 * r.kernel_ms.max(1.0) {
+            let all = Hotspot::sum(&t.hotspots);
+            let bucket_sum: f64 = all.buckets().iter().map(|b| b.1).sum();
+            if (bucket_sum - all.total_ms).abs() > 1e-9 * all.total_ms.max(1.0) {
                 return Err(format!(
-                    "device {} rollup buckets {bucket_sum} don't tile kernel_ms {}",
-                    r.device, r.kernel_ms
+                    "device {d} hotspot buckets {bucket_sum} don't tile its kernel time {}",
+                    all.total_ms
                 ));
             }
         }
@@ -450,8 +346,8 @@ impl FleetTrace {
                 return Err(MergeError::DeviceCount { what, got, devices });
             }
         }
-        /// tid of the per-device cascade track: above any `sm * 64 + slot`
-        /// the SM layout can produce.
+        /// tid of the per-device cascade track: above any SM index, the
+        /// tid of an SM track.
         const CASCADE_TID: u64 = 4000;
         const LINK_PID: u64 = 0;
         let gpu_pid = |d: usize| 1 + 3 * d as u64;

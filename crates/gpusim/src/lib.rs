@@ -67,8 +67,8 @@ pub mod trace;
 pub mod warp;
 
 pub use cost::{
-    BlockSchedule, CostParams, CounterSample, Counters, LaunchRecord, Roofline, SimReport,
-    TransferDir, TransferRecord,
+    CostParams, CounterSample, Counters, LaunchRecord, Roofline, SimReport, TransferDir,
+    TransferRecord,
 };
 pub use device::{BufferId, Device, LedgerEntry, OomError, SizeClass};
 pub use exec::{
@@ -76,8 +76,8 @@ pub use exec::{
     SimError, SimOptions,
 };
 pub use fleet::{
-    fnv1a_bytes, DeviceRollup, ExchangeTrace, FleetTrace, FlowEdge, MergeError, RoundCritical,
-    RoundTrace, SubRoundSlice, PACKET_BYTES,
+    fnv1a_bytes, ExchangeTrace, FleetTrace, FlowEdge, MergeError, RoundCritical, RoundTrace,
+    SubRoundSlice, PACKET_BYTES,
 };
 pub use memstats::{
     CapacityForecast, LiveAlloc, MemStats, PhasePeak, P100_DEVICE_BYTES, PEAK_LIVE_SET_TOP_K,

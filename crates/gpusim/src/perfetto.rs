@@ -6,11 +6,10 @@
 //! microseconds) that <https://ui.perfetto.dev> and `chrome://tracing`
 //! open directly:
 //!
-//! * **pid 0 — the GPU.** One thread track per SM; a block executing on a
-//!   residency slot beyond the first gets a sibling `SM nn · slot s` track
-//!   so concurrent residents never overlap within one track. Each block is
-//!   an `"X"` span named after its kernel, with the phase as category and
-//!   launch/block/slot/warps in `args`.
+//! * **pid 0 — the GPU.** One thread track per SM (`tid` = the SM index),
+//!   on which the priced block schedule runs one block at a time. Each
+//!   block is an `"X"` span named after its kernel, with the phase as
+//!   category and launch/block/warps in `args`.
 //! * **pid 1 — PCIe.** Host↔device copies as `"X"` spans (`h2d` / `d2h`).
 //! * **pid 2 — device memory.** One `"X"` lifetime slice per allocation
 //!   (named after the buffer, phase as category, bytes/size-class in
@@ -29,12 +28,6 @@
 
 use crate::timeline::Timeline;
 use serde::{Serialize, Value};
-
-/// Track-id stride separating residency slots of one SM: `tid = sm * 64 +
-/// slot`. 64 > [`crate::CostParams::max_blocks_per_sm`] on every modelled
-/// device, so slot tracks of adjacent SMs can't collide and sorting by tid
-/// groups each SM with its slots.
-const SLOT_STRIDE: u32 = 64;
 
 const GPU_PID: u64 = 0;
 const PCIE_PID: u64 = 1;
@@ -113,18 +106,13 @@ impl Timeline {
                 ));
             }
         }
-        // name only the (sm, slot) tracks that actually ran a block, in
-        // (sm, slot) order
-        let mut tids: Vec<(u32, u32)> = self.spans.iter().map(|s| (s.sm, s.slot)).collect();
-        tids.sort_unstable();
-        tids.dedup();
-        for (sm, slot) in tids {
-            let tid = (sm * SLOT_STRIDE + slot) as u64;
-            let name = if slot == 0 {
-                format!("SM {sm:02}")
-            } else {
-                format!("SM {sm:02} · slot {slot}")
-            };
+        // name only the SM tracks that actually ran a block, in SM order
+        let mut sms: Vec<u32> = self.spans.iter().map(|s| s.sm).collect();
+        sms.sort_unstable();
+        sms.dedup();
+        for sm in sms {
+            let tid = sm as u64;
+            let name = format!("SM {sm:02}");
             events.push(meta_event("thread_name", gpu_pid, Some(tid), name));
             events.push(obj(vec![
                 ("name", Value::Str("thread_sort_index".into())),
@@ -144,7 +132,7 @@ impl Timeline {
                 ("ts", Value::Float(s.start_ms * 1e3)),
                 ("dur", Value::Float((s.end_ms - s.start_ms) * 1e3)),
                 ("pid", Value::UInt(gpu_pid)),
-                ("tid", Value::UInt((s.sm * SLOT_STRIDE + s.slot) as u64)),
+                ("tid", Value::UInt(s.sm as u64)),
                 (
                     "args",
                     obj(vec![
@@ -237,7 +225,7 @@ fn device_bytes(tl: &Timeline) -> Vec<(f64, i64)> {
 
 /// Accumulates +/− edges into a step curve with one point per distinct
 /// timestamp. Negative edges sort first at equal timestamps (retire before
-/// dispatch), so back-to-back occupants of one slot don't double-count.
+/// dispatch), so back-to-back blocks on one SM don't double-count.
 fn merge_edges(mut edges: Vec<(f64, i64)>) -> Vec<(f64, i64)> {
     edges.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
     let mut out: Vec<(f64, i64)> = Vec::new();

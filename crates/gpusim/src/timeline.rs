@@ -4,32 +4,36 @@
 //! cost; this module answers **when and where** inside the device those
 //! costs arose:
 //!
-//! * [`Timeline`] — every block of every launch placed on the SM (and
-//!   residency slot) that ran it, with sim-clock begin/end timestamps
-//!   derived from the cost model's per-block cycle counts via the
-//!   deterministic scheduler in [`crate::cost::schedule_blocks`]. Host↔device
-//!   copies and host-sampled counter tracks (frontier size per round, …)
-//!   ride along so the whole run renders as one coherent picture.
+//! * [`Timeline`] — every block of every launch placed on the SM that ran
+//!   it, with sim-clock begin/end timestamps: the placements of the one
+//!   block scheduler, [`crate::cost::makespan`], whose horizon the launch
+//!   was priced on. Host↔device copies and host-sampled counter tracks
+//!   (frontier size per round, …) ride along so the whole run renders as
+//!   one coherent picture.
 //! * [`Hotspot`] — per-kernel attribution of the charged time to *why* it
 //!   was charged: launch overhead, divergence/load-imbalance exposure,
 //!   atomic contention, uncoalesced sector traffic, coalesced transactions,
 //!   shared-memory work, plain instructions, barriers, and bandwidth stall,
 //!   plus the top-k most expensive blocks (the simulator charges at warp
 //!   granularity inside a block, so a skewed warp surfaces as a skewed
-//!   block).
+//!   block). The cycle buckets group the per-counter cycle terms the
+//!   launch was priced from (`CostParams::cycle_terms`).
 //!
 //! **Timestamp derivation.** A launch's record stores its issue time
-//! (`start_s`) and each block's priced cycle count. The scheduler replays
-//! dispatch onto `sm_count × occupancy` residency slots; the resulting cycle
-//! offsets are then scaled so the schedule spans exactly the launch's
-//! roofline-charged execution window (`time_s − launch_overhead_s`). For a
-//! compute-bound launch that scale is just `1/clock_hz`; for a
-//! bandwidth-bound launch the blocks stretch proportionally — the DRAM stall
-//! is distributed over the blocks that caused the traffic. Everything is
-//! simulated arithmetic over recorded values, so a timeline (and its
-//! Perfetto export) is bit-identical across runs and host thread counts.
+//! (`start_s`) and each block's priced cycle count. [`crate::cost::makespan`]
+//! replays dispatch onto the `sm_count` SMs, one block at a time per SM, as
+//! pricing did; the resulting cycle offsets are then scaled so the schedule
+//! spans exactly the launch's roofline-charged execution window
+//! (`time_s − launch_overhead_s`). For a compute-bound launch that scale is
+//! `1/clock_hz`, so each span lasts its block's cycles and the SMs' idle
+//! time inside the window is `sm_count ×` the launch's divergence bucket;
+//! for a bandwidth-bound launch the blocks stretch proportionally — the
+//! DRAM stall is distributed over the blocks that caused the traffic.
+//! Everything is simulated arithmetic over recorded values, so a timeline
+//! (and its Perfetto export) is bit-identical across runs and host thread
+//! counts.
 
-use crate::cost::{schedule_blocks, CostParams, LaunchRecord, TransferDir};
+use crate::cost::{makespan, CostParams, LaunchRecord, TransferDir};
 use crate::exec::GpuContext;
 use serde::Serialize;
 
@@ -63,8 +67,6 @@ pub struct TimelineSpan {
     pub phase: &'static str,
     /// SM that ran the block.
     pub sm: u32,
-    /// Residency slot on the SM (occupancy-limited).
-    pub slot: u32,
     /// Block index within the grid.
     pub block: u32,
     /// Warps the block occupied while resident.
@@ -145,7 +147,8 @@ pub struct Hotspot {
     pub launch_overhead_ms: f64,
     /// Divergence / load-imbalance exposure: SM-idle time caused by skewed
     /// per-block (and therefore per-warp) cycle counts — the makespan minus
-    /// the perfectly balanced compute time, ms.
+    /// the perfectly balanced compute time, which is the priced schedule's
+    /// idle SM time over `sm_count`, ms.
     pub divergence_ms: f64,
     /// Bandwidth stall: execution time beyond the compute makespan on
     /// memory-bound launches, ms.
@@ -180,10 +183,28 @@ pub struct BlockCost {
 }
 
 impl Hotspot {
-    /// The largest attribution bucket, as `(name, ms)` — what to blame
-    /// first. Launch overhead competes too (the paper's many-tiny-launch
-    /// pathology shows up here).
-    pub fn dominant_bucket(&self) -> (&'static str, f64) {
+    /// An attribution of `kernel` with no launches yet.
+    fn zero(kernel: &'static str) -> Hotspot {
+        Hotspot {
+            kernel,
+            launches: 0,
+            total_ms: 0.0,
+            launch_overhead_ms: 0.0,
+            divergence_ms: 0.0,
+            mem_stall_ms: 0.0,
+            atomics_ms: 0.0,
+            uncoalesced_ms: 0.0,
+            coalesced_ms: 0.0,
+            shared_ms: 0.0,
+            instr_ms: 0.0,
+            barrier_ms: 0.0,
+            top_blocks: Vec::new(),
+        }
+    }
+
+    /// The nine attribution buckets as `(name, ms)`, in the canonical
+    /// order. They tile `total_ms`.
+    pub fn buckets(&self) -> [(&'static str, f64); 9] {
         [
             ("launch_overhead", self.launch_overhead_ms),
             ("divergence", self.divergence_ms),
@@ -195,9 +216,37 @@ impl Hotspot {
             ("instr", self.instr_ms),
             ("barriers", self.barrier_ms),
         ]
-        .into_iter()
-        .max_by(|a, b| a.1.total_cmp(&b.1).then(b.0.cmp(a.0)))
-        .unwrap()
+    }
+
+    /// The largest attribution bucket, as `(name, ms)` — what to blame
+    /// first. Launch overhead competes too (the paper's many-tiny-launch
+    /// pathology shows up here). Ties go to the name that sorts first.
+    pub fn dominant_bucket(&self) -> (&'static str, f64) {
+        self.buckets()
+            .into_iter()
+            .max_by(|a, b| a.1.total_cmp(&b.1).then(b.0.cmp(a.0)))
+            .unwrap()
+    }
+
+    /// One run's attribution: the per-kernel `hotspots` (a trace's, say)
+    /// summed field by field, in order from 0.0, as kernel `"all"` with no
+    /// top blocks.
+    pub fn sum(hotspots: &[Hotspot]) -> Hotspot {
+        let mut all = Hotspot::zero("all");
+        for h in hotspots {
+            all.launches += h.launches;
+            all.total_ms += h.total_ms;
+            all.launch_overhead_ms += h.launch_overhead_ms;
+            all.divergence_ms += h.divergence_ms;
+            all.mem_stall_ms += h.mem_stall_ms;
+            all.atomics_ms += h.atomics_ms;
+            all.uncoalesced_ms += h.uncoalesced_ms;
+            all.coalesced_ms += h.coalesced_ms;
+            all.shared_ms += h.shared_ms;
+            all.instr_ms += h.instr_ms;
+            all.barrier_ms += h.barrier_ms;
+        }
+        all
     }
 }
 
@@ -210,21 +259,7 @@ pub fn hotspots(launches: &[LaunchRecord], cost: &CostParams, top_k: usize) -> V
         let idx = if let Some(i) = out.iter().position(|h| h.kernel == l.name) {
             i
         } else {
-            out.push(Hotspot {
-                kernel: l.name,
-                launches: 0,
-                total_ms: 0.0,
-                launch_overhead_ms: 0.0,
-                divergence_ms: 0.0,
-                mem_stall_ms: 0.0,
-                atomics_ms: 0.0,
-                uncoalesced_ms: 0.0,
-                coalesced_ms: 0.0,
-                shared_ms: 0.0,
-                instr_ms: 0.0,
-                barrier_ms: 0.0,
-                top_blocks: Vec::new(),
-            });
+            out.push(Hotspot::zero(l.name));
             blocks.push(Vec::new());
             out.len() - 1
         };
@@ -242,17 +277,12 @@ pub fn hotspots(launches: &[LaunchRecord], cost: &CostParams, top_k: usize) -> V
         let balanced_s = l.sum_block_cycles / cost.sm_count as f64 / cost.clock_hz;
         let divergence_s = (l.roofline.compute_s - balanced_s).max(0.0);
         h.divergence_ms += divergence_s * 1e3;
-        // The balanced share splits proportionally to the cycle buckets the
-        // blocks actually charged.
-        let c = &l.counters;
-        let atomics = c.global_atomics as f64 * cost.global_atomic_cycles
-            + c.shared_atomics as f64 * cost.shared_atomic_cycles;
-        let uncoalesced = c.global_sectors as f64 * cost.sector_issue_cycles
-            + c.dependent_reads as f64 * cost.dependent_latency_cycles;
-        let coalesced = c.global_tx as f64 * cost.tx_issue_cycles;
-        let shared = c.shared_accesses as f64 * cost.shared_access_cycles;
-        let instr = c.warp_instrs as f64 * cost.instr_cycles;
-        let barrier = c.barriers as f64 * cost.barrier_cycles;
+        // The balanced share splits proportionally to the cycle terms the
+        // launch was priced from.
+        let [coalesced, sectors, dependent, global_atomics, shared_atomics, shared, instr, barrier] =
+            cost.cycle_terms(&l.counters);
+        let atomics = global_atomics + shared_atomics;
+        let uncoalesced = sectors + dependent;
         let total_cycles = atomics + uncoalesced + coalesced + shared + instr + barrier;
         if total_cycles > 0.0 {
             let per_cycle_ms = balanced_s / total_cycles * 1e3;
@@ -291,24 +321,26 @@ impl GpuContext {
     /// derive from the cost model).
     pub fn timeline(&self, label: impl Into<String>) -> Timeline {
         let mut spans = Vec::new();
+        let mut placed = Vec::new();
         for (seq, l) in self.launches().iter().enumerate() {
-            let occ = self.cost.occupancy(&l.config);
-            let sched = schedule_blocks(&l.block_cycles, self.cost.sm_count, occ);
-            let horizon = sched.iter().map(|s| s.end_cycles).fold(0.0, f64::max);
+            // the schedule the launch was priced on, block by block
+            let sms = self.cost.sm_count as usize;
+            let horizon = makespan(&l.block_cycles, sms, |sm, start, end| {
+                placed.push((sm as u32, start, end))
+            });
             let exec_s = l.time_s - l.roofline.launch_overhead_s;
             let scale_s = if horizon > 0.0 { exec_s / horizon } else { 0.0 };
             let exec_start_s = l.start_s + l.roofline.launch_overhead_s;
-            for s in sched {
+            for (block, (sm, start, end)) in placed.drain(..).enumerate() {
                 spans.push(TimelineSpan {
                     launch_seq: seq,
                     kernel: l.name,
                     phase: l.phase,
-                    sm: s.sm,
-                    slot: s.slot,
-                    block: s.block,
+                    sm,
+                    block: block as u32,
                     warps: l.config.warps_per_block(),
-                    start_ms: (exec_start_s + s.start_cycles * scale_s) * 1e3,
-                    end_ms: (exec_start_s + s.end_cycles * scale_s) * 1e3,
+                    start_ms: (exec_start_s + start * scale_s) * 1e3,
+                    end_ms: (exec_start_s + end * scale_s) * 1e3,
                 });
             }
         }
@@ -426,10 +458,10 @@ mod tests {
             assert!(s.start_ms >= exec_start_ms - 1e-12);
             assert!(s.end_ms <= end_ms + 1e-12);
         }
-        // with 56 SMs and 4 blocks, every block gets its own SM at slot 0
-        // and starts at the window's opening edge
+        // with 56 SMs and 4 blocks, every block gets its own SM and starts
+        // at the window's opening edge
         for s in &tl.spans {
-            assert_eq!((s.sm, s.slot), (s.block, 0));
+            assert_eq!(s.sm, s.block);
             assert!((s.start_ms - exec_start_ms).abs() < 1e-12);
         }
         // the worst block (4× cycles) closes the window exactly

@@ -15,7 +15,7 @@ proptest! {
     /// bound (classic Graham bound).
     #[test]
     fn makespan_bounds(jobs in proptest::collection::vec(0.0f64..1e6, 0..200), machines in 1usize..64) {
-        let ms = makespan(&jobs, machines);
+        let ms = makespan(&jobs, machines, |_, _, _| {});
         let sum: f64 = jobs.iter().sum();
         let max = jobs.iter().copied().fold(0.0, f64::max);
         let lower = max.max(sum / machines as f64);

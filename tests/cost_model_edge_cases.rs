@@ -1,9 +1,12 @@
 //! Edge-case tests for the simulator's cost model and memory accounting:
 //! the degenerate inputs where a bug would silently skew every table in
 //! the evaluation (a free empty launch, an OOM that misreports its peak,
-//! counter aggregation that depends on merge order).
+//! counter aggregation that depends on merge order, a timeline that draws
+//! another schedule than the one the launch was priced on).
 
+use kcore::gpu::{decompose_in, PeelConfig};
 use kcore::gpusim::{Counters, GpuContext, LaunchConfig, SimError, SimOptions};
+use kcore::graph::gen;
 use proptest::prelude::*;
 
 fn ctx() -> GpuContext {
@@ -54,6 +57,79 @@ fn oom_reports_accurate_sizes_and_peak() {
     }
     // the failed allocation does not count toward the recorded peak
     assert_eq!(c.report().peak_mem_bytes, 512);
+}
+
+/// The timeline draws every block where the priced schedule ran it, one
+/// block at a time per SM. On each compute-bound launch no two spans on one
+/// SM overlap, each span lasts its block's cycles / `clock_hz`, and the SMs'
+/// idle time inside the execution window is `sm_count ×` the launch's
+/// divergence term. A peel at the paper's 108 × 1024 geometry and a skewed
+/// 200-block launch both put more blocks than SMs on the device, where a
+/// second scheduler would place them differently.
+#[test]
+fn timeline_spans_are_the_priced_block_schedule() {
+    let mut c = ctx();
+    let g = gen::rmat(11, 8_000, gen::RmatParams::graph500(), 3);
+    decompose_in(&mut c, &g, &PeelConfig::default()).unwrap();
+    let cfg = LaunchConfig {
+        blocks: 200,
+        threads_per_block: 256,
+    };
+    c.launch("skewed", cfg, |blk| {
+        blk.charge_instr(1_000 * (blk.block_idx as u64 % 7 + 1));
+        Ok(())
+    })
+    .unwrap();
+    let tl = c.timeline("schedule");
+    let (sms, clock_hz) = (c.cost.sm_count as f64, c.cost.clock_hz);
+    let mut crowded = Vec::new();
+    for (seq, l) in c.launches().iter().enumerate() {
+        let r = &l.roofline;
+        if r.compute_s == 0.0 || r.compute_s < r.mem_s {
+            continue;
+        }
+        let mut spans: Vec<_> = tl.spans.iter().filter(|s| s.launch_seq == seq).collect();
+        spans.sort_by(|a, b| {
+            let key = |s: &&kcore::gpusim::TimelineSpan| (s.sm, s.start_ms, s.end_ms);
+            key(a).partial_cmp(&key(b)).unwrap()
+        });
+        for w in spans.windows(2) {
+            let (a, b) = (w[0], w[1]);
+            assert!(
+                a.sm != b.sm || a.end_ms <= b.start_ms,
+                "launch {seq} ({}): blocks {} and {} overlap on SM {}",
+                l.name,
+                a.block,
+                b.block,
+                a.sm
+            );
+        }
+        let window_ms = (l.time_s - r.launch_overhead_s) * 1e3;
+        let mut busy_ms = 0.0;
+        for s in &spans {
+            let (lasts, priced) = (s.end_ms - s.start_ms, l.block_cycles[s.block as usize]);
+            let priced_ms = priced / clock_hz * 1e3;
+            assert!(
+                (lasts - priced_ms).abs() <= 1e-9 * window_ms,
+                "launch {seq} ({}) block {}: drawn {lasts} ms, priced {priced_ms} ms",
+                l.name,
+                s.block
+            );
+            busy_ms += lasts;
+        }
+        let idle_ms = sms * window_ms - busy_ms;
+        let divergence_ms = (r.compute_s - l.sum_block_cycles / (sms * clock_hz)) * 1e3;
+        assert!(
+            (idle_ms - sms * divergence_ms).abs() <= 1e-9 * sms * window_ms,
+            "launch {seq} ({}): {idle_ms} SM·ms idle, divergence {divergence_ms} ms",
+            l.name
+        );
+        if l.blocks() > c.cost.sm_count {
+            crowded.push(l.name);
+        }
+    }
+    assert!(crowded.contains(&"skewed"), "{crowded:?}");
+    assert!(crowded.iter().any(|&k| k != "skewed"), "{crowded:?}");
 }
 
 fn arb_counters() -> impl Strategy<Value = Counters> {

@@ -17,7 +17,7 @@ use kcore::cpu::{self, CoreAlgorithm};
 use kcore::gpu::{
     decompose_multi, decompose_multi_fleet, FleetRun, MultiGpuConfig, PeelConfig, SimOptions,
 };
-use kcore::gpusim::{fnv1a_bytes, DeviceRollup, ExchangeTrace, LaunchConfig, SCHEMA_VERSION};
+use kcore::gpusim::{fnv1a_bytes, Hotspot, LaunchConfig, SCHEMA_VERSION};
 use kcore::graph::gen;
 use proptest::prelude::*;
 use serde::Serialize;
@@ -125,12 +125,10 @@ fn fleet_capture_is_bit_identical_to_traced_run() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// The rollup derived from each worker's trace tiles that worker's
+    /// The summed hotspots of each worker's trace tile that worker's
     /// kernel time: the roofline decomposition may not lose or invent
-    /// simulated time, on any graph and at any shard count. The totals the
-    /// ledger derives equal the engine's own counts: its exchanged bytes,
-    /// summed in the exchange from the packet lists, its sub-rounds and its
-    /// rounds.
+    /// simulated time, on any graph and at any shard count. The ledger's
+    /// slices and rounds count the engine's sub-rounds and rounds.
     #[test]
     fn rollup_buckets_tile_worker_kernel_time(seed in 0u64..10_000, p in 2usize..6) {
         let g = gen::erdos_renyi_gnm(300 + (seed % 5) as u32 * 40, 900 + seed % 800, seed);
@@ -147,23 +145,20 @@ proptest! {
         fr.fleet.check_well_formed(&fr.traces).unwrap();
         prop_assert_eq!(fr.traces.len(), p);
         let rounds = &fr.fleet.rounds;
-        let exchanges = rounds.iter().flat_map(|r| &r.exchanges);
-        let ledger_bytes: u64 = exchanges.map(ExchangeTrace::bytes).sum();
-        prop_assert_eq!(ledger_bytes, fr.run.exchanged_bytes);
         let ledger_sub_rounds: usize = rounds.iter().map(|r| r.slices.len()).sum();
         prop_assert_eq!(ledger_sub_rounds, fr.run.sub_rounds as usize);
         prop_assert_eq!(rounds.len(), fr.run.rounds as usize);
-        for (d, t) in fr.traces.iter().enumerate() {
-            let r = DeviceRollup::from_trace(d, t);
-            let bucket_sum: f64 = r.buckets().iter().map(|(_, ms)| ms).sum();
+        for t in &fr.traces {
+            let all = Hotspot::sum(&t.hotspots);
+            let bucket_sum: f64 = all.buckets().iter().map(|(_, ms)| ms).sum();
             let worker_total: f64 = t.launches.iter().map(|l| l.time_ms).sum();
             prop_assert!(
-                (bucket_sum - r.kernel_ms).abs() <= 1e-9 * r.kernel_ms.max(1.0),
-                "buckets {} != rollup kernel_ms {}", bucket_sum, r.kernel_ms
+                (bucket_sum - all.total_ms).abs() <= 1e-9 * all.total_ms.max(1.0),
+                "buckets {} != summed kernel time {}", bucket_sum, all.total_ms
             );
             prop_assert!(
-                (r.kernel_ms - worker_total).abs() <= 1e-9 * worker_total.max(1.0),
-                "rollup {} != worker kernel total {}", r.kernel_ms, worker_total
+                (all.total_ms - worker_total).abs() <= 1e-9 * worker_total.max(1.0),
+                "summed hotspots {} != worker kernel total {}", all.total_ms, worker_total
             );
         }
     }

@@ -33,8 +33,7 @@ const SCALE: f64 = 1_000.0;
 
 fn opts() -> SimOptions {
     let mut o = SimOptions::default();
-    o.cost.kernel_launch_s /= SCALE;
-    o.cost.pcie_latency_s /= SCALE;
+    o.cost = o.cost.scaled(SCALE);
     o.cost.barrier_cycles = 1.0; // one-warp blocks
     o
 }
