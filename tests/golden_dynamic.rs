@@ -7,7 +7,9 @@
 //! [`kcore_gpu::DynamicCore`], and the per-phase launch counts,
 //! transfer bytes and kernel counters are pinned against
 //! `tests/golden/dynamic_rmat9.json`. The memstats snapshot rides along as
-//! an FNV-1a hash so allocation-ledger changes are caught too.
+//! an FNV-1a hash so allocation-ledger changes are caught too, and each
+//! batch's [`kcore_gpu::BatchReport`] counts are pinned beside them, so a
+//! change to how the engine charges its work cannot move what it reports.
 //!
 //! After an *intentional* accounting change, regenerate the golden file:
 //!
@@ -16,7 +18,7 @@
 //! ```
 
 use kcore_bench::{assert_golden, ValidChurn};
-use kcore_gpu::{DynamicConfig, DynamicCore};
+use kcore_gpu::{BatchReport, DynamicConfig, DynamicCore};
 use kcore_gpusim::{fnv1a_bytes, Counters, SimOptions, Trace, SCHEMA_VERSION};
 use kcore_graph::{gen, EdgeUpdate};
 use serde::Serialize;
@@ -29,7 +31,7 @@ use std::path::PathBuf;
 /// also carries 32 valid updates, about half of them deletes that reach
 /// the deletion cascade. Same base graph and reduced grid as the static
 /// peel golden.
-fn capture(label: &str) -> Trace {
+fn capture(label: &str) -> (Trace, Vec<BatchReport>) {
     let g = gen::rmat(9, 2_000, gen::RmatParams::graph500(), 7);
     let n = g.num_vertices();
     let cfg = DynamicConfig {
@@ -49,6 +51,7 @@ fn capture(label: &str) -> Trace {
         state
     };
     let mut churn = ValidChurn::new(&g, 0x9e37_79b9);
+    let mut reports = Vec::new();
     for _ in 0..4 {
         let mut batch: Vec<EdgeUpdate> = (0..64)
             .map(|_| {
@@ -62,20 +65,36 @@ fn capture(label: &str) -> Trace {
             })
             .collect();
         batch.extend(churn.next_batch(32));
-        dc.apply_batch(&batch).unwrap();
+        reports.push(dc.apply_batch(&batch).unwrap());
     }
-    dc.ctx_mut().trace(label)
+    (dc.ctx_mut().trace(label), reports)
 }
 
 /// Timing-free golden projection, identical in shape to the static peel
 /// golden (`golden_trace.rs`), plus a hash of the memstats JSON so the
-/// dynamic engine's allocation ledger is pinned without a second file.
+/// dynamic engine's allocation ledger is pinned without a second file, and
+/// each batch's report counts.
 #[derive(Serialize)]
 struct Golden {
     schema_version: u32,
     fingerprint: String,
     memstats_fnv1a: String,
+    batches: Vec<GoldenBatch>,
     phases: Vec<GoldenPhase>,
+}
+
+/// A [`BatchReport`] without its simulated time and lifetime rebuild count.
+#[derive(Serialize)]
+struct GoldenBatch {
+    accepted_inserts: usize,
+    accepted_deletes: usize,
+    rejected: usize,
+    net_inserts: usize,
+    net_deletes: usize,
+    candidates: u64,
+    changed: u64,
+    pruned_inserts: usize,
+    path: String,
 }
 
 #[derive(Serialize)]
@@ -87,11 +106,25 @@ struct GoldenPhase {
     counters: Counters,
 }
 
-fn golden_of(trace: &Trace) -> String {
+fn golden_of(trace: &Trace, reports: &[BatchReport]) -> String {
     let g = Golden {
         schema_version: SCHEMA_VERSION,
         fingerprint: format!("{:#018x}", trace.counters_fingerprint()),
         memstats_fnv1a: format!("{:#018x}", fnv1a_bytes(trace.memstats.to_json().as_bytes())),
+        batches: reports
+            .iter()
+            .map(|r| GoldenBatch {
+                accepted_inserts: r.accepted_inserts,
+                accepted_deletes: r.accepted_deletes,
+                rejected: r.rejected,
+                net_inserts: r.net_inserts,
+                net_deletes: r.net_deletes,
+                candidates: r.candidates,
+                changed: r.changed,
+                pruned_inserts: r.pruned_inserts,
+                path: format!("{:?}", r.path),
+            })
+            .collect(),
         phases: trace
             .phases
             .iter()
@@ -109,15 +142,15 @@ fn golden_of(trace: &Trace) -> String {
 
 #[test]
 fn dynamic_trace_is_bit_identical_across_runs_and_pool_sizes() {
-    let reference = capture("run");
+    let (reference, _) = capture("run");
     let reference_json = reference.to_json();
-    assert_eq!(capture("run").to_json(), reference_json);
+    assert_eq!(capture("run").0.to_json(), reference_json);
     for threads in [1usize, 2, 8] {
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
             .build()
             .unwrap();
-        let t = pool.install(|| capture("run"));
+        let (t, _) = pool.install(|| capture("run"));
         assert_eq!(
             t.counters_fingerprint(),
             reference.counters_fingerprint(),
@@ -133,7 +166,8 @@ fn dynamic_trace_is_bit_identical_across_runs_and_pool_sizes() {
 
 #[test]
 fn dynamic_trace_matches_checked_in_golden() {
-    let got = golden_of(&capture("golden"));
+    let (trace, reports) = capture("golden");
+    let got = golden_of(&trace, &reports);
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/dynamic_rmat9.json");
     assert_golden(&path, &got);
 }
