@@ -18,8 +18,8 @@
 
 use crate::{table_files, titled, to_json, ValidChurn};
 use kcore_cpu::{bz, CoreAlgorithm};
-use kcore_gpu::{BatchPath, DynamicConfig, DynamicCore, PeelConfig};
-use kcore_gpusim::{LaunchConfig, SimOptions};
+use kcore_gpu::{BatchPath, BatchReport, DynamicConfig, DynamicCore, PeelConfig};
+use kcore_gpusim::{LaunchConfig, SimOptions, TransferDir};
 use kcore_graph::{gen, EdgeSet, EdgeUpdate};
 use serde::Serialize;
 
@@ -59,11 +59,13 @@ struct Table {
 /// updates on rmat-16 (the acceptance workload), or 256 on rmat-9 under
 /// `smoke`.
 ///
-/// `check` additionally asserts that no run rejects an update, verifies the
-/// final core numbers of every run against a from-scratch BZ peel of the
-/// final graph, pins `auto_crossover` to the measured break-even, drives
-/// one pure-insert batch and one pure-delete batch checked against BZ after
-/// each, and at full scale asserts the ≥ 10x acceptance bar.
+/// `check` additionally asserts that no run rejects an update, that every
+/// maintained batch reads its results back only at its end (at most two
+/// D2H copies, and no launch after them), verifies the final core numbers
+/// of every run against a from-scratch BZ peel of the final graph, pins
+/// `auto_crossover` to the measured break-even, drives one pure-insert
+/// batch and one pure-delete batch checked against BZ after each, and at
+/// full scale asserts the ≥ 10x acceptance bar.
 pub fn table_dynamic(smoke: bool, check: bool) -> Vec<(String, String)> {
     let (scale, m, updates, samples) = if smoke {
         (9u32, 2_000u64, 256usize, 4usize)
@@ -126,7 +128,7 @@ pub fn table_dynamic(smoke: bool, check: bool) -> Vec<(String, String)> {
         };
         let mut rejected = 0usize;
         for batch in ops.chunks(bs) {
-            let rep = dc.apply_batch(batch).expect("apply_batch");
+            let rep = apply_checked(&mut dc, batch, check);
             rejected += rep.rejected;
             row.sim_ms += rep.sim_ms;
             row.batches += 1;
@@ -245,7 +247,7 @@ pub fn table_dynamic(smoke: bool, check: bool) -> Vec<(String, String)> {
             EdgeUpdate::Delete as fn(u32, u32) -> EdgeUpdate,
         ] {
             let batch: Vec<EdgeUpdate> = pairs.iter().map(|&(u, v)| mk(u, v)).collect();
-            dc.apply_batch(&batch).expect("smoke batch");
+            apply_checked(&mut dc, &batch, true);
             graph.apply(&graph.classify(&batch));
             assert_eq!(
                 dc.cores(),
@@ -267,4 +269,35 @@ pub fn table_dynamic(smoke: bool, check: bool) -> Vec<(String, String)> {
         }
     }
     table_files("table_dynamic", (text, to_json(&table)))
+}
+
+/// Applies one batch. With `check`, a maintained batch must make no host
+/// round trip between its updates, as its transfer records show: at most
+/// two D2H copies (the counters with the head of the changed list, and the
+/// rest of a long list), and no launch after the first of them.
+fn apply_checked(dc: &mut DynamicCore, batch: &[EdgeUpdate], check: bool) -> BatchReport {
+    let (l0, x0) = (dc.ctx().launches().len(), dc.ctx().transfers().len());
+    let rep = dc.apply_batch(batch).expect("apply_batch");
+    if check && rep.path == BatchPath::Maintained {
+        let ctx = dc.ctx();
+        let mut reads = ctx.transfers()[x0..]
+            .iter()
+            .filter(|t| t.dir == TransferDir::DeviceToHost);
+        let first = reads
+            .next()
+            .expect("a maintained batch reads its result back");
+        assert!(
+            reads.count() <= 1,
+            "a maintained batch of {} updates made more than two D2H copies",
+            batch.len()
+        );
+        assert!(
+            ctx.launches()[l0..]
+                .iter()
+                .all(|l| l.start_s < first.start_s),
+            "a maintained batch of {} updates launched after reading back",
+            batch.len()
+        );
+    }
+    rep
 }

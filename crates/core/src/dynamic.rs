@@ -26,6 +26,15 @@
 //! discipline as the peel kernels — traces are bit-identical at any rayon
 //! pool size. Past [`DynamicConfig::crossover`] net updates the engine
 //! falls back to a from-scratch [`peel::decompose_in`].
+//!
+//! A maintained batch makes no host round trip between its updates. Each
+//! update's first launch applies its structure on the device and finds its
+//! `K` and roots there; an insertion makes three launches and a deletion
+//! one. The batch's tallies and its changed vertices accumulate on the
+//! device, and one batch-end launch and one readback (two for a long list)
+//! bring them back. On `table_dynamic`'s rmat-16 stream an update costs
+//! 31.9 µs at batch 1 and 10.8 µs at batch 1024, 106–313× the updates/sec
+//! of a re-peel per update.
 
 use crate::config::PeelConfig;
 use crate::peel;
@@ -136,8 +145,17 @@ pub struct BatchReport {
     pub sim_ms: f64,
 }
 
-/// First changed-list slot of `dyn.result`, after the op's three counters.
-const LIST: usize = 3;
+/// The batch's counters at the head of `dyn.result`, one sector: three
+/// 64-bit counters as (low, high) word pairs, then the changed-list length.
+/// `WORK` is the work tally ([`BatchReport::candidates`]), `CHANGED` the
+/// core-change count and `PRUNED` the pruned-insertion count.
+const WORK: usize = 0;
+const CHANGED: usize = 2;
+const PRUNED: usize = 4;
+const LEN: usize = 6;
+/// First changed-list word of `dyn.result`: each changed vertex once, as a
+/// `(vertex, final core)` pair.
+const LIST: usize = 8;
 
 /// Smallest per-block frontier buffer, in words. A block's buffer holds
 /// `n.max(MIN_FRONTIER_WORDS)` words, which can never overflow because every
@@ -148,10 +166,26 @@ const MIN_FRONTIER_WORDS: usize = 64;
 /// each); a larger batch is processed in chunks of this many.
 const BATCH_CAPACITY: usize = 1024;
 
-/// Words of `dyn.result` an op copies back at once: the counters and the
-/// first five changed vertices, one 32-byte sector. Any short copy costs
-/// the same PCIe latency, and most ops change fewer vertices.
-const RESULT_WINDOW: usize = 8;
+/// Changed-list entries the batch's one readback brings with the counters.
+/// A 64-update batch of valid churn on rmat-16 makes a median of about 60
+/// core changes and 73 at the 90th percentile, so most batches need one
+/// copy; only a longer list needs a second. The spare bytes cost next to
+/// nothing beside the copy's PCIe latency (1 KiB at 12 GB/s is 0.09 µs
+/// against 8 µs).
+const WINDOW_ENTRIES: usize = 128;
+/// Words of `dyn.result` the batch's readback copies at once.
+const RESULT_WINDOW: usize = LIST + 2 * WINDOW_ENTRIES;
+
+/// `dyn.op`, the current update's slot (one sector). The update's first
+/// launch writes its `K` (`OP_K`) and, for a deletion on a grid of two or
+/// more blocks, the root block 1 checks (`OP_ROOT`, [`NO_ROOT`] if none).
+/// An insertion's search counts its candidates in `OP_CAND`.
+const OP_K: usize = 0;
+const OP_ROOT: usize = 1;
+const OP_CAND: usize = 2;
+const OP_WORDS: usize = 8;
+/// `OP_ROOT` of a deletion with one root: no vertex id is `u32::MAX`.
+const NO_ROOT: u32 = u32::MAX;
 
 /// Copyable bundle of everything the kernels need.
 #[derive(Clone, Copy)]
@@ -166,7 +200,9 @@ struct DynParams {
     d_evic: BufferId,
     d_sup: BufferId,
     d_cand: BufferId,
+    d_mark: BufferId,
     d_res: BufferId,
+    d_op: BufferId,
     d_buf: BufferId,
     d_batch: BufferId,
 }
@@ -215,7 +251,9 @@ impl DynamicCore {
         let d_evic = ctx.alloc_tagged("dyn.evic", pad, SizeClass::PerVertex)?;
         let d_sup = ctx.alloc_tagged("dyn.sup", pad, SizeClass::PerVertex)?;
         let d_cand = ctx.alloc_tagged("dyn.cand", pad, SizeClass::PerVertex)?;
-        let d_res = ctx.alloc_tagged("dyn.result", LIST + pad, SizeClass::PerVertex)?;
+        let d_mark = ctx.alloc_tagged("dyn.mark", pad, SizeClass::PerVertex)?;
+        let d_res = ctx.alloc_tagged("dyn.result", LIST + 2 * pad, SizeClass::PerVertex)?;
+        let d_op = ctx.alloc_tagged("dyn.op", OP_WORDS, SizeClass::Fixed)?;
         let bufcap = n.max(MIN_FRONTIER_WORDS);
         let d_buf = ctx.alloc_tagged(
             "dyn.buf",
@@ -235,7 +273,9 @@ impl DynamicCore {
             d_evic,
             d_sup,
             d_cand,
+            d_mark,
             d_res,
+            d_op,
             d_buf,
             d_batch,
         };
@@ -261,7 +301,9 @@ impl DynamicCore {
     /// updates are staged to the device in chunks of 1024 (one H2D copy
     /// each) and processed deletes first, each with its own theorem-backed
     /// traversal — or, past [`DynamicConfig::crossover`], by one
-    /// from-scratch peel.
+    /// from-scratch peel. A maintained batch reads its results back once,
+    /// at its end. A failed launch or copy returns its error and leaves
+    /// the engine partly updated: build a new one.
     pub fn apply_batch(&mut self, updates: &[EdgeUpdate]) -> Result<BatchReport, SimError> {
         let t0 = self.ctx.elapsed_ms();
         self.ctx.set_phase("DynClassify");
@@ -287,24 +329,7 @@ impl DynamicCore {
             self.repeel(&net)?;
         } else {
             rep.path = BatchPath::Maintained;
-            let all: Vec<(bool, u32, u32)> = net
-                .deletes
-                .iter()
-                .map(|&(u, v)| (false, u, v))
-                .chain(net.inserts.iter().map(|&(u, v)| (true, u, v)))
-                .collect();
-            for chunk in all.chunks(BATCH_CAPACITY) {
-                self.ctx.set_phase("DynStruct");
-                let words: Vec<u32> = chunk.iter().flat_map(|&(_, u, v)| [u, v]).collect();
-                self.ctx.htod_into(self.p.d_batch, 0, &words)?;
-                for (i, &(ins, u, v)) in chunk.iter().enumerate() {
-                    if ins {
-                        self.process_insert(i, u, v, &mut rep)?;
-                    } else {
-                        self.process_delete(i, u, v, &mut rep)?;
-                    }
-                }
-            }
+            self.maintain(&net, &mut rep)?;
         }
         self.ctx.set_phase("DynSync");
         let (n, arcs) = (self.num_vertices() as u64, self.num_arcs());
@@ -374,142 +399,108 @@ impl DynamicCore {
         mcd.expect("dyn.mcd holds n words")
     }
 
-    // -- per-update processing ---------------------------------------------
+    // -- batch maintenance --------------------------------------------------
 
-    /// One net deletion: the structural kernel, then the MCD cascade from
-    /// the core-`k` endpoints.
-    fn process_delete(
-        &mut self,
-        i: usize,
-        a: u32,
-        b: u32,
-        rep: &mut BatchReport,
-    ) -> Result<(), SimError> {
-        let k = self.core_host[a as usize].min(self.core_host[b as usize]);
-        self.graph.remove(a, b);
-
-        self.ctx.set_phase("DynStruct");
+    /// Walks a net batch on the device with no host round trip between
+    /// updates, then lists the changed vertices' final cores and reads the
+    /// batch's counters and list back in one copy (two for a list longer
+    /// than the window).
+    fn maintain(&mut self, net: &NetBatch, rep: &mut BatchReport) -> Result<(), SimError> {
+        let all: Vec<(bool, u32, u32)> = net
+            .deletes
+            .iter()
+            .map(|&(u, v)| (false, u, v))
+            .chain(net.inserts.iter().map(|&(u, v)| (true, u, v)))
+            .collect();
+        for (c, chunk) in all.chunks(BATCH_CAPACITY).enumerate() {
+            self.ctx.set_phase("DynStage");
+            let words: Vec<u32> = chunk.iter().flat_map(|&(_, u, v)| [u, v]).collect();
+            self.ctx.htod_into(self.p.d_batch, 0, &words)?;
+            for (i, &(ins, u, v)) in chunk.iter().enumerate() {
+                let op = Op {
+                    i,
+                    first: c == 0 && i == 0,
+                };
+                if ins {
+                    self.insert(op, u, v)?;
+                } else {
+                    self.delete(op, u, v)?;
+                }
+            }
+        }
+        self.ctx.set_phase("DynResult");
         let p = self.p;
-        let one = self.one_block();
         self.ctx
-            .launch("dyn_edge_del", one, |blk| k_edge(blk, &p, i, false))?;
-        if k == 0 {
-            // Core numbers of 0 cannot drop; the theorem confines all other
-            // vertices (core > K = 0) to no change.
-            return Ok(());
+            .launch("dyn_list", self.cfg.launch, |blk| k_list(blk, &p))?;
+        let len = self.ctx.device.len(self.p.d_res);
+        let mut res = self
+            .ctx
+            .dtoh_range(self.p.d_res, 0, RESULT_WINDOW.min(len))?;
+        let end = LIST + 2 * res[LEN] as usize;
+        if end > res.len() {
+            let head = res.len();
+            res.extend(self.ctx.dtoh_range(self.p.d_res, head, end)?);
         }
-        let roots = self.roots(a, b, k);
-        self.ctx.set_phase("DynCascade");
-        self.ctx.launch_stepped(
-            "dyn_drop",
-            self.cfg.launch,
-            |blk| drop_init(blk, &p, &roots, k),
-            |blk, st| drop_step(blk, st, &p, k),
-        )?;
-        let (decrements, _, dropped) = self.read_result()?;
-        for &w in &dropped {
-            self.core_host[w as usize] = k - 1;
+        let counter = |at: usize| u64::from(res[at]) | u64::from(res[at + 1]) << 32;
+        rep.candidates = counter(WORK);
+        rep.changed = counter(CHANGED);
+        rep.pruned_inserts = counter(PRUNED) as usize;
+        for pair in res[LIST..end].chunks_exact(2) {
+            self.core_host[pair[0] as usize] = pair[1];
         }
-        rep.candidates += roots.len() as u64 + decrements;
-        rep.changed += dropped.len() as u64;
         Ok(())
     }
 
-    /// One net insertion: the structural kernel with the PCD prune, then
-    /// the candidate search, the support kernel, the eviction cascade at
-    /// threshold `k + 1` and the rise. The search of an insertion the prune
-    /// retired seeds nothing, so the later kernels find no candidates; the
-    /// host learns of the prune from the op's one result copy.
-    fn process_insert(
-        &mut self,
-        i: usize,
-        a: u32,
-        b: u32,
-        rep: &mut BatchReport,
-    ) -> Result<(), SimError> {
+    /// One net deletion: a single launch, the MCD cascade, whose init
+    /// applies the structure and finds the roots on the device.
+    fn delete(&mut self, op: Op, a: u32, b: u32) -> Result<(), SimError> {
+        self.graph.remove(a, b);
+        self.ctx.set_phase("DynCascade");
+        let p = self.p;
+        self.ctx.launch_stepped(
+            "dyn_drop",
+            self.cfg.launch,
+            |blk| drop_init(blk, &p, op),
+            |blk, st| drop_step(blk, st, &p),
+        )
+    }
+
+    /// One net insertion: the candidate search, whose init applies the
+    /// structure and the PCD prune; the eviction cascade at threshold
+    /// `K + 1`, whose init counts the candidates' support; and the rise.
+    /// The search of an insertion the prune retired seeds nothing, so the
+    /// later launches find no candidates.
+    fn insert(&mut self, op: Op, a: u32, b: u32) -> Result<(), SimError> {
         if self.graph.degree(a) == self.cap[a as usize]
             || self.graph.degree(b) == self.cap[b as usize]
         {
             self.rebuilds += 1;
             self.rebuild_adjacency()?;
         }
-        let k = self.core_host[a as usize].min(self.core_host[b as usize]);
         self.graph.insert(a, b);
-
-        self.ctx.set_phase("DynStruct");
         let p = self.p;
-        let one = self.one_block();
-        self.ctx
-            .launch("dyn_edge_ins", one, |blk| k_edge(blk, &p, i, true))?;
-        let roots = self.roots(a, b, k);
+        let launch = self.cfg.launch;
         self.ctx.set_phase("DynSubcore");
         self.ctx.launch_stepped(
             "dyn_subcore",
-            self.cfg.launch,
-            |blk| bfs_init(blk, &p, &roots, k),
-            |blk, st| bfs_step(blk, st, &p, k),
+            launch,
+            |blk| bfs_init(blk, &p, op),
+            |blk, st| bfs_step(blk, st, &p),
         )?;
-        self.ctx.set_phase("DynSupport");
-        self.ctx
-            .launch("dyn_support", self.cfg.launch, |blk| k_support(blk, &p, k))?;
         self.ctx.set_phase("DynCascade");
         self.ctx.launch_stepped(
             "dyn_cascade",
-            self.cfg.launch,
-            |blk| casc_init(blk, &p, k + 1),
-            |blk, st| casc_step(blk, st, &p, k + 1),
+            launch,
+            |blk| casc_init(blk, &p),
+            |blk, st| casc_step(blk, st, &p),
         )?;
         self.ctx.set_phase("DynRise");
         self.ctx.launch_stepped(
             "dyn_rise",
-            self.cfg.launch,
-            |blk| rise_init(blk, &p, k),
-            |blk, _| rise_clear(blk, &p),
-        )?;
-        let (cand_n, may_rise, risen) = self.read_result()?;
-        if !may_rise {
-            rep.pruned_inserts += 1;
-        }
-        for &w in &risen {
-            self.core_host[w as usize] = k + 1;
-        }
-        rep.candidates += cand_n;
-        rep.changed += risen.len() as u64;
-        Ok(())
-    }
-
-    /// The endpoints of `{a, b}` whose core is `k`, the traversal roots.
-    fn roots(&self, a: u32, b: u32, k: u32) -> Vec<u32> {
-        [a, b]
-            .into_iter()
-            .filter(|&w| self.core_host[w as usize] == k)
-            .collect()
-    }
-
-    /// One block of the configured width: the structural kernel's grid.
-    fn one_block(&self) -> LaunchConfig {
-        LaunchConfig {
-            blocks: 1,
-            threads_per_block: self.cfg.launch.threads_per_block,
-        }
-    }
-
-    /// Reads an op's result back: one copy brings the counters and the
-    /// head of the changed list, and only a list longer than the window
-    /// needs a second. Returns the work tally, the prune flag and the
-    /// changed list.
-    fn read_result(&mut self) -> Result<(u64, bool, Vec<u32>), SimError> {
-        self.ctx.set_phase("DynResult");
-        let len = self.ctx.device.len(self.p.d_res);
-        let mut res = self
-            .ctx
-            .dtoh_range(self.p.d_res, 0, RESULT_WINDOW.min(len))?;
-        let end = LIST + res[1] as usize;
-        if end > res.len() {
-            let head = res.len();
-            res.extend(self.ctx.dtoh_range(self.p.d_res, head, end)?);
-        }
-        Ok((u64::from(res[0]), res[2] != 0, res[LIST..end].to_vec()))
+            launch,
+            |blk| rise_init(blk, &p),
+            |blk, cand_n| rise_clear(blk, &p, *cand_n),
+        )
     }
 
     /// Crossover fallback: apply the net updates to the mirror, re-peel the
@@ -610,20 +601,29 @@ fn upload_csr(
 // Kernels
 // ---------------------------------------------------------------------------
 //
-// `dyn.result` holds one op's result: [0] the traversal's work tally (the
-// insertion candidate cursor, or the deletion cascade's MCD decrements),
-// [1] the changed-list cursor, [2] the insertion's PCD prune flag, and the
-// changed list from [LIST]. The op's structural kernel resets the three
-// counters.
+// `dyn.result` holds one batch's result: its three 64-bit counters (the
+// work tally, the core-change count and the pruned-insertion count), the
+// changed-list length, and from [LIST] the changed list, each changed vertex
+// once as a `(vertex, final core)` pair. The batch's first update zeroes
+// the counters; a vertex's first change of the batch sets its `dyn.mark`
+// and appends it, and the batch-end `k_list` writes each listed vertex's
+// final core beside it and clears its mark. `dyn.op` carries the current
+// update's `K`, deletion root and candidate count between blocks and
+// launches.
+//
+// Each update's first launch applies its structure in block 0's init. A
+// block's init writes nothing another block's init reads: other blocks
+// read it in that launch's waves or in later launches.
 //
 // Determinism discipline:
 //
-// * plain `launch` kernels (`k_mcd`, `k_support` and the one-block
-//   `k_edge`) only perform block-disjoint writes — no shared atomic
-//   cursors across concurrent blocks;
-// * list compaction (candidate / changed cursors) and the deletion's MCD
-//   decrement tally happen only on serial lanes: the stepped launches'
-//   init (block order) and steps (one block at a time, in wave order);
+// * plain `launch` kernels (`k_mcd`, `k_list`) only perform block-disjoint
+//   writes — no shared atomic cursors across concurrent blocks;
+// * list compaction (candidate / changed cursors) happens only on serial
+//   lanes: the stepped launches' init (block order) and steps (one block
+//   at a time, in wave order); a block adds its work and change tallies to
+//   the batch counters there too, with the carry into the high word
+//   raised by the add that wraps the low one;
 // * the rise kernel's MCD increments land on other blocks' vertices. They
 //   are commutative atomic adds to non-candidates, whose MCD nothing else
 //   writes in that launch, so every block order gives the same counts;
@@ -688,22 +688,61 @@ fn k_mcd(blk: &mut BlockCtx<'_>, p: &DynParams, count: usize) -> Result<(), Kern
     Ok(())
 }
 
-/// Structural edge kernel (one block): resets the op's counters, reads op
-/// `i`'s `[u, v]` from the staging buffer, splices both adjacency
-/// directions (append for insert, swap-remove for delete) and applies the
-/// endpoint MCD deltas against the current cores.
-///
-/// An insertion then runs the PCD prune against the new structure: for
-/// each root `r` (an endpoint of core `K = min(core(u), core(v))`),
-/// `pcd(r) = |{x ∈ N(r) : core(x) > K ∨ (core(x) == K ∧ mcd(x) > K)}|`,
-/// and `result[2]` is raised if some root has `pcd > K`. If none does, no
-/// core number can rise and the insertion retires without a traversal.
-fn k_edge(
+/// Batch-end kernel, the changed list striped over blocks: writes each
+/// listed vertex's final core beside it and clears its mark for the next
+/// batch.
+fn k_list(blk: &mut BlockCtx<'_>, p: &DynParams) -> Result<(), KernelError> {
+    let dev = blk.device;
+    let res = dev.buffer(p.d_res);
+    let core = dev.buffer(p.d_core);
+    let mark = dev.buffer(p.d_mark);
+    let blocks = blk.cfg.blocks as usize;
+    let len = blk.gread(&res[LEN]) as usize;
+    let mut j = blk.block_idx as usize;
+    while j < len {
+        let x = blk.gread(&res[LIST + 2 * j]) as usize;
+        let c = blk.gread(&core[x]);
+        blk.gwrite(&res[LIST + 2 * j + 1], c);
+        blk.gwrite(&mark[x], 0);
+        j += blocks;
+    }
+    Ok(())
+}
+
+/// Which staged update a launch applies: the index `i` of its `[u, v]`
+/// pair in `dyn.batch`, and whether it is the batch's first.
+#[derive(Clone, Copy)]
+struct Op {
+    i: usize,
+    first: bool,
+}
+
+/// An update's `K = min(core(u), core(v))` and its roots, the endpoints of
+/// core `K`, in `[u, v]` order.
+struct Roots {
+    k: u32,
+    ids: [u32; 2],
+    len: usize,
+}
+
+impl Roots {
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.ids[..self.len].iter().map(|&r| r as usize)
+    }
+}
+
+/// The structure of update `op`, applied by block 0's init of the update's
+/// first launch. On the batch's first update it zeroes the batch counters.
+/// It reads the `[u, v]` pair from the staging buffer, splices both
+/// adjacency directions (append for insert, swap-remove for delete) and
+/// applies the endpoint MCD deltas against the current cores. A delete
+/// whose edge the probe does not find is a [`KernelError::Other`].
+fn splice(
     blk: &mut BlockCtx<'_>,
     p: &DynParams,
-    i: usize,
+    op: Op,
     insert: bool,
-) -> Result<(), KernelError> {
+) -> Result<Roots, KernelError> {
     let dev = blk.device;
     let batch = dev.buffer(p.d_batch);
     let off = dev.buffer(p.d_off);
@@ -711,13 +750,15 @@ fn k_edge(
     let adjb = dev.buffer(p.d_adj);
     let core = dev.buffer(p.d_core);
     let mcd = dev.buffer(p.d_mcd);
-    let res = dev.buffer(p.d_res);
-    for m in &res[..LIST] {
-        blk.gwrite(m, 0);
+    if op.first {
+        blk.charge_sector(1); // the counter sector
+        for w in &dev.buffer(p.d_res)[..LIST] {
+            w.store(0, Ordering::Relaxed);
+        }
     }
     blk.charge_sector(1); // the op's adjacent [u, v] pair
-    let u = batch[2 * i].load(Ordering::Relaxed);
-    let v = batch[2 * i + 1].load(Ordering::Relaxed);
+    let u = batch[2 * op.i].load(Ordering::Relaxed);
+    let v = batch[2 * op.i + 1].load(Ordering::Relaxed);
     let cu = blk.gread(&core[u as usize]);
     let cv = blk.gread(&core[v as usize]);
     for &(a, b, ca, cb) in &[(u, v, cu, cv), (v, u, cv, cu)] {
@@ -730,25 +771,22 @@ fn k_edge(
             blk.gwrite(&lenb[a], l as u32 + 1);
         } else {
             // Linear probe for `b`, 32-lane chunks, early exit per chunk.
-            let mut found = usize::MAX;
+            let mut found = None;
             let mut chunk = o;
             let oe = o + l;
-            while chunk < oe {
+            while chunk < oe && found.is_none() {
                 let cend = (chunk + 32).min(oe);
                 blk.sync_warp();
                 blk.charge_tx(BlockCtx::coalesced_tx((cend - chunk) as u64));
                 blk.charge_instr(1);
-                for j in chunk..cend {
-                    if adjb[j].load(Ordering::Relaxed) == b {
-                        found = j;
-                    }
-                }
-                if found != usize::MAX {
-                    break;
-                }
+                found = (chunk..cend).rfind(|&j| adjb[j].load(Ordering::Relaxed) == b);
                 chunk = cend;
             }
-            assert!(found != usize::MAX, "delete of edge absent on device");
+            let Some(found) = found else {
+                return Err(KernelError::Other(format!(
+                    "delete of edge {{{u}, {v}}} absent on device"
+                )));
+            };
             let last = o + l - 1;
             if found != last {
                 let w = blk.gread(&adjb[last]);
@@ -766,38 +804,77 @@ fn k_edge(
             }
         }
     }
-    if insert {
-        let k = cu.min(cv);
-        for (r, _) in [(u, cu), (v, cv)].into_iter().filter(|&(_, c)| c == k) {
-            let mut pcd = 0u32;
-            scan_neighbors(blk, p, r as usize, &[p.d_core, p.d_mcd], |_, idxs, w| {
-                pcd += (0..idxs.len())
-                    .filter(|&t| w[0][t] > k || (w[0][t] == k && w[1][t] > k))
-                    .count() as u32;
-            });
-            if pcd > k {
-                blk.gwrite(&res[2], 1);
-            }
+    let k = cu.min(cv);
+    let mut roots = Roots {
+        k,
+        ids: [0; 2],
+        len: 0,
+    };
+    for (w, c) in [(u, cu), (v, cv)] {
+        if c == k {
+            roots.ids[roots.len] = w;
+            roots.len += 1;
         }
     }
-    Ok(())
+    Ok(roots)
+}
+
+/// Writes the update's slot to `dyn.op` (one sector): its `K`, the root
+/// for block 1, and a zero candidate count.
+fn write_op(blk: &mut BlockCtx<'_>, p: &DynParams, k: u32, root: u32) {
+    blk.charge_sector(1);
+    let op = blk.device.buffer(p.d_op);
+    for (at, x) in [(OP_K, k), (OP_ROOT, root), (OP_CAND, 0)] {
+        op[at].store(x, Ordering::Relaxed);
+    }
+}
+
+/// Reads the update's slot `[K, root, candidates]` from `dyn.op` (one
+/// sector).
+fn read_op(blk: &mut BlockCtx<'_>, p: &DynParams) -> [u32; 3] {
+    blk.charge_sector(1);
+    let op = blk.device.buffer(p.d_op);
+    [OP_K, OP_ROOT, OP_CAND].map(|at| op[at].load(Ordering::Relaxed))
+}
+
+/// Adds `d` to the batch's 64-bit counter at `dyn.result[at]` (low word)
+/// and `[at + 1]` (high word): the add that wraps the low word carries.
+fn add_counter(blk: &mut BlockCtx<'_>, p: &DynParams, at: usize, d: u32) {
+    let res = blk.device.buffer(p.d_res);
+    if blk.atomic_add(&res[at], d).checked_add(d).is_none() {
+        blk.atomic_add(&res[at + 1], 1);
+    }
 }
 
 /// Per-block state of the stepped traversal kernels.
 struct TravState {
     /// Shared `[s, e]`: the block's frontier window in `dyn.buf`.
     se: SharedArray,
-    /// MCD decrements this block has issued (the deletion cascade's tally).
-    decrements: u32,
+    /// The update's `K`.
+    k: u32,
+    /// The deletion's work this block tallies: its roots (block 0) and the
+    /// MCD decrements it issued.
+    work: u32,
+    /// Vertices this block dropped.
+    changed: u32,
+    /// Block 1 of a deletion, until its first wave checks the root that
+    /// block 0 left in `dyn.op`.
+    root_pending: bool,
 }
 
 impl TravState {
     /// Publishes a frontier of `e` seeds (init lane).
-    fn new(blk: &mut BlockCtx<'_>, e: u32) -> Result<TravState, KernelError> {
+    fn new(blk: &mut BlockCtx<'_>, k: u32, e: u32) -> Result<TravState, KernelError> {
         let se = blk.shared_alloc(2)?;
         blk.sh_write(se, 0, 0);
         blk.sh_write(se, 1, e);
-        Ok(TravState { se, decrements: 0 })
+        Ok(TravState {
+            se,
+            k,
+            work: 0,
+            changed: 0,
+            root_pending: false,
+        })
     }
 }
 
@@ -807,7 +884,8 @@ fn overflow(b: u32, what: &str, cap: usize) -> KernelError {
     }
 }
 
-/// Appends `v` to this block's frontier at slot `*e` (init lane).
+/// Appends `v` to this block's frontier at slot `*e` (init lane, or the
+/// first wave of a deletion's block 1).
 fn seed(
     blk: &mut BlockCtx<'_>,
     p: &DynParams,
@@ -825,11 +903,15 @@ fn seed(
     Ok(())
 }
 
-/// Appends `x` to the changed list (cursor `result[1]`).
-fn note_changed(blk: &mut BlockCtx<'_>, p: &DynParams, x: usize) {
-    let res = blk.device.buffer(p.d_res);
-    let slot = LIST + blk.atomic_add(&res[1], 1) as usize;
-    blk.gwrite(&res[slot], x as u32);
+/// Lists `x` as changed on its first change of the batch: the mark that
+/// returns 0 appends it (cursor `result[LEN]`).
+fn list_changed(blk: &mut BlockCtx<'_>, p: &DynParams, x: usize) {
+    let dev = blk.device;
+    if blk.atomic_add(&dev.buffer(p.d_mark)[x], 1) == 0 {
+        let res = dev.buffer(p.d_res);
+        let j = blk.atomic_add(&res[LEN], 1) as usize;
+        blk.gwrite(&res[LIST + 2 * j], x as u32);
+    }
 }
 
 /// One wave of a stepped traversal, shared by the deletion cascade, the
@@ -925,36 +1007,58 @@ fn walk_wave(
     Ok(true)
 }
 
-/// Drops `x` from core `k` to `k − 1` and notes it as changed.
+/// Drops `x` from core `k` to `k − 1` and lists it as changed.
 fn drop_vertex(blk: &mut BlockCtx<'_>, p: &DynParams, x: usize, k: u32) {
     let dev = blk.device;
     blk.gwrite(&dev.buffer(p.d_core)[x], k - 1);
-    note_changed(blk, p, x);
+    list_changed(blk, p, x);
 }
 
-/// Deletion cascade, init (block order): stripes the roots over blocks. A
-/// root whose MCD, already net of the deleted edge, is below `k` has too
-/// few neighbors left at core `>= k`: it drops and seeds this block's
-/// frontier.
-fn drop_init(
+/// Checks deletion root `r`: its MCD, already net of the deleted edge,
+/// below `k` means too few neighbors left at core `>= k`, so it drops and
+/// seeds this block's frontier at slot `*e`. Returns whether it dropped.
+fn drop_root(
     blk: &mut BlockCtx<'_>,
     p: &DynParams,
-    roots: &[u32],
     k: u32,
-) -> Result<TravState, KernelError> {
-    let dev = blk.device;
-    let mcd = dev.buffer(p.d_mcd);
-    let b = blk.block_idx as usize;
-    let blocks = blk.cfg.blocks as usize;
-    let mut e = 0u32;
-    for (idx, &r) in roots.iter().enumerate() {
-        let r = r as usize;
-        if idx % blocks == b && blk.gread(&mcd[r]) < k {
-            drop_vertex(blk, p, r, k);
-            seed(blk, p, &mut e, r, "cascade")?;
-        }
+    e: &mut u32,
+    r: usize,
+) -> Result<bool, KernelError> {
+    if blk.gread(&blk.device.buffer(p.d_mcd)[r]) >= k {
+        return Ok(false);
     }
-    TravState::new(blk, e)
+    drop_vertex(blk, p, r, k);
+    seed(blk, p, e, r, "cascade")?;
+    Ok(true)
+}
+
+/// Deletion cascade, init (block order). Block 0 applies the deletion
+/// ([`splice`]), counts its roots as work and checks the roots striped
+/// onto it: both on a one-block grid, else the first. It leaves `K` and
+/// the second root in `dyn.op` for block 1, which checks it at its first
+/// wave; no other block gets a root.
+fn drop_init(blk: &mut BlockCtx<'_>, p: &DynParams, op: Op) -> Result<TravState, KernelError> {
+    if blk.block_idx != 0 {
+        let mut st = TravState::new(blk, 0, 0)?;
+        st.root_pending = blk.block_idx == 1;
+        return Ok(st);
+    }
+    let roots = splice(blk, p, op, false)?;
+    let own = if blk.cfg.blocks == 1 {
+        roots.len
+    } else {
+        let second = if roots.len > 1 { roots.ids[1] } else { NO_ROOT };
+        write_op(blk, p, roots.k, second);
+        1
+    };
+    let (mut e, mut dropped) = (0u32, 0u32);
+    for r in roots.iter().take(own) {
+        dropped += u32::from(drop_root(blk, p, roots.k, &mut e, r)?);
+    }
+    let mut st = TravState::new(blk, roots.k, e)?;
+    st.work = roots.len as u32;
+    st.changed = dropped;
+    Ok(st)
 }
 
 /// Deletion cascade, one wave: walks each dropped vertex's neighbors of
@@ -963,17 +1067,26 @@ fn drop_init(
 /// still at `k` loses one MCD, as the walked vertex no longer counts for
 /// it; a decrement from exactly `k` drops that neighbor too. A core-`k`
 /// vertex's MCD stays at least `k` until it drops, so no decrement
-/// underflows. When the block retires it adds its decrements to
-/// `result[0]`.
+/// underflows. Block 1's first wave first checks its root. When a block
+/// retires it adds its work and changes to the batch counters.
 fn drop_step(
     blk: &mut BlockCtx<'_>,
     st: &mut TravState,
     p: &DynParams,
-    k: u32,
 ) -> Result<bool, KernelError> {
+    if std::mem::take(&mut st.root_pending) {
+        let [k, root, _] = read_op(blk, p);
+        st.k = k;
+        let mut e = 0u32;
+        if root != NO_ROOT && drop_root(blk, p, k, &mut e, root as usize)? {
+            st.changed += 1;
+            blk.sh_write(st.se, 1, e);
+        }
+    }
     let dev = blk.device;
     let mcd = dev.buffer(p.d_mcd);
-    let mut decrements = 0u32;
+    let k = st.k;
+    let (mut decrements, mut dropped) = (0u32, 0u32);
     let more = walk_wave(
         blk,
         st,
@@ -993,48 +1106,72 @@ fn drop_step(
                 return Ok(false);
             }
             drop_vertex(blk, p, x, k);
+            dropped += 1;
             Ok(true)
         },
     )?;
-    st.decrements += decrements;
-    if !more && st.decrements > 0 {
-        blk.atomic_add(&dev.buffer(p.d_res)[0], st.decrements);
+    st.work += decrements;
+    st.changed += dropped;
+    if !more {
+        if st.work > 0 {
+            add_counter(blk, p, WORK, st.work);
+        }
+        if st.changed > 0 {
+            add_counter(blk, p, CHANGED, st.changed);
+        }
     }
     Ok(more)
 }
 
 /// Makes `x` an insertion candidate if it can rise — its MCD is above `k`
 /// — and this visit flags it first: appends it to the candidate list
-/// (cursor `result[0]`).
+/// (cursor `dyn.op[OP_CAND]`).
 fn claim(blk: &mut BlockCtx<'_>, p: &DynParams, x: usize, k: u32) -> bool {
     let dev = blk.device;
     if blk.gread(&dev.buffer(p.d_mcd)[x]) <= k || blk.atomic_add(&dev.buffer(p.d_flag)[x], 1) != 0 {
         return false;
     }
-    let slot = blk.atomic_add(&dev.buffer(p.d_res)[0], 1) as usize;
+    let slot = blk.atomic_add(&dev.buffer(p.d_op)[OP_CAND], 1) as usize;
     blk.gwrite(&dev.buffer(p.d_cand)[slot], x as u32);
     true
 }
 
-/// Insertion search, init (block order): stripes the roots over blocks and
-/// seeds this block's frontier with each root it claims — none if the PCD
-/// prune retired the insertion (`result[2] == 0`).
-fn bfs_init(
-    blk: &mut BlockCtx<'_>,
-    p: &DynParams,
-    roots: &[u32],
-    k: u32,
-) -> Result<TravState, KernelError> {
-    let res = blk.device.buffer(p.d_res);
-    let b = blk.block_idx as usize;
-    let blocks = blk.cfg.blocks as usize;
-    let mut e = 0u32;
-    for (idx, &r) in roots.iter().enumerate() {
-        if idx % blocks == b && blk.gread(&res[2]) != 0 && claim(blk, p, r as usize, k) {
-            seed(blk, p, &mut e, r as usize, "subcore")?;
-        }
+/// Insertion search, init (block order). Block 0 applies the insertion
+/// ([`splice`]) and leaves `K` and a zero candidate count in `dyn.op`.
+/// Then it runs the PCD prune against the new structure: for each root
+/// `r`, `pcd(r) = |{x ∈ N(r) : core(x) > K ∨ (core(x) == K ∧ mcd(x) > K)}|`.
+/// If no root has `pcd > K`, no core number can rise: the insertion is
+/// counted as pruned and seeds nothing. Otherwise block 0 claims the roots
+/// and seeds its frontier with them; the candidate set is a closure, so
+/// it does not depend on which block seeds it. Other blocks start empty.
+fn bfs_init(blk: &mut BlockCtx<'_>, p: &DynParams, op: Op) -> Result<TravState, KernelError> {
+    if blk.block_idx != 0 {
+        return TravState::new(blk, 0, 0);
     }
-    TravState::new(blk, e)
+    let roots = splice(blk, p, op, true)?;
+    let k = roots.k;
+    write_op(blk, p, k, NO_ROOT);
+    let mut may_rise = false;
+    for r in roots.iter() {
+        let mut pcd = 0u32;
+        scan_neighbors(blk, p, r, &[p.d_core, p.d_mcd], |_, idxs, w| {
+            pcd += (0..idxs.len())
+                .filter(|&t| w[0][t] > k || (w[0][t] == k && w[1][t] > k))
+                .count() as u32;
+        });
+        may_rise |= pcd > k;
+    }
+    let mut e = 0u32;
+    if may_rise {
+        for r in roots.iter() {
+            if claim(blk, p, r, k) {
+                seed(blk, p, &mut e, r, "subcore")?;
+            }
+        }
+    } else {
+        add_counter(blk, p, PRUNED, 1);
+    }
+    TravState::new(blk, k, e)
 }
 
 /// Insertion search, one wave: walks the frontier's core-`k` neighbors and
@@ -1045,8 +1182,8 @@ fn bfs_step(
     blk: &mut BlockCtx<'_>,
     st: &mut TravState,
     p: &DynParams,
-    k: u32,
 ) -> Result<bool, KernelError> {
+    let k = st.k;
     walk_wave(
         blk,
         st,
@@ -1059,18 +1196,23 @@ fn bfs_step(
     )
 }
 
-/// Support kernel (insertions): for each of the `result[0]` candidates `v`,
+/// Eviction cascade, init (block order): stripes the search's candidates
+/// over blocks. For each, it counts the support
 /// `sup[v] = |{x ∈ N(v) : core(x) > k ∨ flag(x)}|` — supporters either
-/// already above `k` or fellow candidates. Plain launch: `flag` is
-/// immutable here, writes are block-disjoint.
-fn k_support(blk: &mut BlockCtx<'_>, p: &DynParams, k: u32) -> Result<(), KernelError> {
+/// already above `k` or fellow candidates — and evicts it at once if that
+/// is below the threshold `k + 1`, seeding this block's frontier with it.
+/// `flag` and `core` do not change in this launch, and each block writes
+/// only its own candidates' `sup`.
+fn casc_init(blk: &mut BlockCtx<'_>, p: &DynParams) -> Result<TravState, KernelError> {
     let dev = blk.device;
-    let sup = dev.buffer(p.d_sup);
     let cand = dev.buffer(p.d_cand);
-    let cand_n = blk.gread(&dev.buffer(p.d_res)[0]) as usize;
+    let sup = dev.buffer(p.d_sup);
+    let evic = dev.buffer(p.d_evic);
     let blocks = blk.cfg.blocks as usize;
+    let [k, _, cand_n] = read_op(blk, p);
+    let mut e = 0u32;
     let mut i = blk.block_idx as usize;
-    while i < cand_n {
+    while i < cand_n as usize {
         let v = blk.gread(&cand[i]) as usize;
         let mut m = 0u32;
         scan_neighbors(blk, p, v, &[p.d_core, p.d_flag], |_, idxs, w| {
@@ -1079,48 +1221,29 @@ fn k_support(blk: &mut BlockCtx<'_>, p: &DynParams, k: u32) -> Result<(), Kernel
                 .count() as u32;
         });
         blk.gwrite(&sup[v], m);
-        i += blocks;
-    }
-    Ok(())
-}
-
-/// Eviction cascade, init (block order): stripes the candidate list over
-/// blocks and immediately evicts every candidate whose support is already
-/// below `thresh`, seeding this block's frontier with it.
-fn casc_init(blk: &mut BlockCtx<'_>, p: &DynParams, thresh: u32) -> Result<TravState, KernelError> {
-    let dev = blk.device;
-    let cand = dev.buffer(p.d_cand);
-    let sup = dev.buffer(p.d_sup);
-    let evic = dev.buffer(p.d_evic);
-    let blocks = blk.cfg.blocks as usize;
-    let cand_n = blk.gread(&dev.buffer(p.d_res)[0]) as usize;
-    let mut e = 0u32;
-    let mut i = blk.block_idx as usize;
-    while i < cand_n {
-        let v = blk.gread(&cand[i]) as usize;
-        if blk.gread(&sup[v]) < thresh {
+        if m <= k {
             blk.gwrite(&evic[v], 1);
             seed(blk, p, &mut e, v, "cascade")?;
         }
         i += blocks;
     }
-    TravState::new(blk, e)
+    TravState::new(blk, k, e)
 }
 
 /// Eviction cascade, one wave: walks the evicted frontier's neighbors
 /// inside the candidate set (`flag`) and decrements each un-evicted one's
-/// support; a decrement from exactly `thresh` evicts it too. An
-/// un-evicted candidate always has `sup >= thresh >= 1`, so the decrement
-/// cannot underflow.
+/// support; a decrement from exactly the threshold `k + 1` evicts it too.
+/// An un-evicted candidate always has `sup >= k + 1 >= 1`, so the
+/// decrement cannot underflow.
 fn casc_step(
     blk: &mut BlockCtx<'_>,
     st: &mut TravState,
     p: &DynParams,
-    thresh: u32,
 ) -> Result<bool, KernelError> {
     let dev = blk.device;
     let sup = dev.buffer(p.d_sup);
     let evic = dev.buffer(p.d_evic);
+    let thresh = st.k + 1;
     walk_wave(
         blk,
         st,
@@ -1145,14 +1268,16 @@ fn casc_step(
 }
 
 /// Rise kernel, init (block order): stripes the candidates over blocks.
-/// Each survivor (never evicted) rises to `k + 1` and is noted as changed.
-/// Its MCD becomes its final support: its neighbors of core `> k` plus its
-/// surviving fellow candidates. It now counts for each non-candidate
-/// neighbor already at `k + 1`, which gains one MCD; no other MCD moves.
-/// Candidate flags stay set until every block's init has run, so the
-/// neighbor test never mistakes a survivor risen in an earlier block for
-/// a non-candidate.
-fn rise_init(blk: &mut BlockCtx<'_>, p: &DynParams, k: u32) -> Result<(), KernelError> {
+/// Each survivor (never evicted) rises to `k + 1` and is listed as
+/// changed. Its MCD becomes its final support: its neighbors of core
+/// `> k` plus its surviving fellow candidates. It now counts for each
+/// non-candidate neighbor already at `k + 1`, which gains one MCD; no other
+/// MCD moves. Candidate flags stay set until every block's init has run,
+/// so the neighbor test never mistakes a survivor risen in an earlier
+/// block for a non-candidate. Block 0 adds the candidates to the work
+/// tally, and each block its risen vertices to the change count. Returns
+/// the candidate count for the clearing wave.
+fn rise_init(blk: &mut BlockCtx<'_>, p: &DynParams) -> Result<u32, KernelError> {
     let dev = blk.device;
     let cand = dev.buffer(p.d_cand);
     let evic = dev.buffer(p.d_evic);
@@ -1160,15 +1285,20 @@ fn rise_init(blk: &mut BlockCtx<'_>, p: &DynParams, k: u32) -> Result<(), Kernel
     let core = dev.buffer(p.d_core);
     let mcd = dev.buffer(p.d_mcd);
     let blocks = blk.cfg.blocks as usize;
-    let cand_n = blk.gread(&dev.buffer(p.d_res)[0]) as usize;
+    let [k, _, cand_n] = read_op(blk, p);
+    if blk.block_idx == 0 && cand_n > 0 {
+        add_counter(blk, p, WORK, cand_n);
+    }
+    let mut risen = 0u32;
     let mut i = blk.block_idx as usize;
-    while i < cand_n {
+    while i < cand_n as usize {
         let v = blk.gread(&cand[i]) as usize;
         if blk.gread(&evic[v]) == 0 {
             blk.gwrite(&core[v], k + 1);
             let s = blk.gread(&sup[v]);
             blk.gwrite(&mcd[v], s);
-            note_changed(blk, p, v);
+            list_changed(blk, p, v);
+            risen += 1;
             scan_neighbors(blk, p, v, &[p.d_core, p.d_flag], |blk, idxs, w| {
                 for (t, &x) in idxs.iter().enumerate() {
                     if w[0][t] == k + 1 && w[1][t] == 0 {
@@ -1179,23 +1309,25 @@ fn rise_init(blk: &mut BlockCtx<'_>, p: &DynParams, k: u32) -> Result<(), Kernel
         }
         i += blocks;
     }
-    Ok(())
+    if risen > 0 {
+        add_counter(blk, p, CHANGED, risen);
+    }
+    Ok(cand_n)
 }
 
 /// Rise kernel, second wave (after every block's init): clears this
 /// block's candidates' flags and eviction marks for the next insertion.
-/// `sup` needs no reset: `k_support` writes every candidate's before
-/// anything reads it.
-fn rise_clear(blk: &mut BlockCtx<'_>, p: &DynParams) -> Result<bool, KernelError> {
+/// `sup` needs no reset: the eviction cascade's init writes every
+/// candidate's before anything reads it.
+fn rise_clear(blk: &mut BlockCtx<'_>, p: &DynParams, cand_n: u32) -> Result<bool, KernelError> {
     let dev = blk.device;
     let cand = dev.buffer(p.d_cand);
     let flag = dev.buffer(p.d_flag);
     let evic = dev.buffer(p.d_evic);
     blk.sync_threads();
     let blocks = blk.cfg.blocks as usize;
-    let cand_n = blk.gread(&dev.buffer(p.d_res)[0]) as usize;
     let mut i = blk.block_idx as usize;
-    while i < cand_n {
+    while i < cand_n as usize {
         let v = blk.gread(&cand[i]) as usize;
         blk.gwrite(&flag[v], 0);
         blk.gwrite(&evic[v], 0);
@@ -1476,6 +1608,100 @@ mod tests {
         let c = run(true, 1);
         assert_eq!(a, b);
         assert_eq!(a, c);
+    }
+
+    /// A maintained batch's launches and copies as a formula in its net
+    /// insertions `I` and net deletions `D`: `3I + D` launches plus the
+    /// batch-end `dyn_list`, one H2D copy per 1,024-update chunk, and one
+    /// D2H copy, or two when the changed list outgrows the readback window.
+    #[test]
+    fn launches_and_copies_per_batch_follow_net_updates() {
+        use kcore_gpusim::TransferDir;
+        /// Disjoint edges `{2j, 2j + 1}` for `j` in `range`.
+        fn pairs(range: std::ops::Range<u32>, mk: fn(u32, u32) -> EdgeUpdate) -> Vec<EdgeUpdate> {
+            range.map(|j| mk(2 * j, 2 * j + 1)).collect()
+        }
+        let ins = EdgeUpdate::Insert as fn(u32, u32) -> EdgeUpdate;
+        let del = EdgeUpdate::Delete as fn(u32, u32) -> EdgeUpdate;
+        let w = WINDOW_ENTRIES as u32;
+        let big = BATCH_CAPACITY as u32 + 76;
+        let mut dc = DynamicCore::from_csr(
+            &SimOptions::default(),
+            &Csr::empty(2 * big as usize),
+            small_cfg(),
+        )
+        .unwrap();
+        let mixed: Vec<EdgeUpdate> = pairs(3..5, ins)
+            .into_iter()
+            .chain(pairs(0..1, del))
+            .collect();
+        // (batch, D2H copies): each disjoint edge changes both endpoints.
+        let cases = [
+            ("pure insert", pairs(0..3, ins), 1),
+            ("pure delete", pairs(1..3, del), 1),
+            ("mixed", mixed, 1),
+            ("list past the window", pairs(5..w / 2 + 6, ins), 2),
+            ("two chunks", pairs(w / 2 + 6..big, ins), 2),
+        ];
+        for (label, batch, d2h) in cases {
+            let (l0, x0) = (dc.ctx().launches().len(), dc.ctx().transfers().len());
+            let rep = dc.apply_batch(&batch).unwrap();
+            assert_eq!(rep.path, BatchPath::Maintained, "{label}");
+            assert_eq!(rep.rebuilds, 0, "{label}: a rebuild adds copies");
+            assert_eq!(rep.changed as usize, 2 * batch.len(), "{label}");
+            let (i, d) = (rep.net_inserts, rep.net_deletes);
+            let copies = &dc.ctx().transfers()[x0..];
+            let h2d = copies
+                .iter()
+                .filter(|t| t.dir == TransferDir::HostToDevice)
+                .count();
+            let got = (dc.ctx().launches().len() - l0, h2d, copies.len() - h2d);
+            let want = (3 * i + d + 1, (i + d).div_ceil(BATCH_CAPACITY), d2h);
+            assert_eq!(
+                got, want,
+                "{label}: (launches, H2D, D2H) with I = {i}, D = {d}"
+            );
+        }
+        assert_consistent(&mut dc);
+    }
+
+    /// A batch counter is 64 bits wide: the add that wraps its low word
+    /// carries into the high word, so no tally the host used to sum in
+    /// `u64` wraps on the device.
+    #[test]
+    fn batch_counters_carry_into_the_high_word() {
+        let mut dc =
+            DynamicCore::from_csr(&SimOptions::default(), &Csr::empty(4), small_cfg()).unwrap();
+        let p = dc.p;
+        dc.ctx.htod_into(p.d_res, WORK, &[u32::MAX - 1, 7]).unwrap();
+        let one = LaunchConfig {
+            blocks: 1,
+            threads_per_block: 32,
+        };
+        for d in [1, 3] {
+            dc.ctx
+                .launch("carry", one, |blk| {
+                    add_counter(blk, &p, WORK, d);
+                    Ok(())
+                })
+                .unwrap();
+        }
+        assert_eq!(dc.ctx.dtoh_range(p.d_res, WORK, WORK + 2).unwrap(), [2, 8]);
+    }
+
+    /// A device adjacency that lacks an edge the mirror holds fails the
+    /// delete's probe with a typed error instead of a panic.
+    #[test]
+    fn delete_absent_on_device_is_a_typed_error() {
+        let g = kcore_graph::builder::from_edges(3, &[(0, 1), (1, 2)]);
+        let mut dc = DynamicCore::from_csr(&SimOptions::default(), &g, small_cfg()).unwrap();
+        let p = dc.p;
+        dc.ctx.htod_into(p.d_len, 0, &[0]).unwrap();
+        let err = dc.apply_batch(&[EdgeUpdate::Delete(0, 1)]).err();
+        assert!(
+            matches!(err, Some(SimError::Kernel(KernelError::Other(_)))),
+            "{err:?}"
+        );
     }
 
     #[test]

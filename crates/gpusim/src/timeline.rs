@@ -252,6 +252,8 @@ impl Hotspot {
 
 /// Builds per-kernel [`Hotspot`] records from launch records, keeping the
 /// `top_k` worst blocks per kernel. Kernels appear in first-launch order.
+/// Only a positive `top_k` collects blocks, and only the kept ones are
+/// sorted.
 pub fn hotspots(launches: &[LaunchRecord], cost: &CostParams, top_k: usize) -> Vec<Hotspot> {
     let mut out: Vec<Hotspot> = Vec::new();
     let mut blocks: Vec<Vec<BlockCost>> = Vec::new();
@@ -293,25 +295,34 @@ pub fn hotspots(launches: &[LaunchRecord], cost: &CostParams, top_k: usize) -> V
             h.instr_ms += instr * per_cycle_ms;
             h.barrier_ms += barrier * per_cycle_ms;
         }
-        for (b, &cyc) in l.block_cycles.iter().enumerate() {
-            blocks[idx].push(BlockCost {
-                launch_seq: seq,
-                block: b as u32,
-                cycles: cyc,
-            });
+        if top_k > 0 {
+            for (b, &cyc) in l.block_cycles.iter().enumerate() {
+                blocks[idx].push(BlockCost {
+                    launch_seq: seq,
+                    block: b as u32,
+                    cycles: cyc,
+                });
+            }
         }
     }
     for (h, mut bl) in out.iter_mut().zip(blocks) {
-        bl.sort_by(|a, b| {
-            b.cycles
-                .total_cmp(&a.cycles)
-                .then(a.launch_seq.cmp(&b.launch_seq))
-                .then(a.block.cmp(&b.block))
-        });
-        bl.truncate(top_k);
+        if bl.len() > top_k {
+            bl.select_nth_unstable_by(top_k, worse_first);
+            bl.truncate(top_k);
+        }
+        bl.sort_by(worse_first);
         h.top_blocks = bl;
     }
     out
+}
+
+/// The order of [`Hotspot::top_blocks`]: most cycles first, ties to the
+/// earlier launch, then to the lower block index. No two blocks tie.
+fn worse_first(a: &BlockCost, b: &BlockCost) -> std::cmp::Ordering {
+    b.cycles
+        .total_cmp(&a.cycles)
+        .then(a.launch_seq.cmp(&b.launch_seq))
+        .then(a.block.cmp(&b.block))
 }
 
 impl GpuContext {
@@ -506,6 +517,43 @@ mod tests {
         // top blocks ranked worst-first: block 3 charged the most
         assert_eq!(h.top_blocks[0].block, 3);
         assert_eq!(h.top_blocks.len(), 3);
+    }
+
+    /// The kept blocks are the full sort's prefix, ties included: two
+    /// launches of the same kernel with equal and skewed block cycles.
+    #[test]
+    fn top_blocks_are_the_full_sorts_prefix() {
+        let mut c = GpuContext::new(CostParams::p100(), 1 << 20);
+        let cfg = LaunchConfig {
+            blocks: 6,
+            threads_per_block: 32,
+        };
+        for skew in [[1, 3, 3, 1, 2, 3], [3, 1, 2, 3, 3, 1]] {
+            c.launch("k", cfg, |blk| {
+                blk.charge_instr(skew[blk.block_idx as usize]);
+                Ok(())
+            })
+            .unwrap();
+        }
+        let mut all: Vec<(usize, u32, f64)> = c
+            .launches()
+            .iter()
+            .enumerate()
+            .flat_map(|(seq, l)| {
+                let cycles = l.block_cycles.iter().enumerate();
+                cycles.map(move |(b, &cyc)| (seq, b as u32, cyc))
+            })
+            .collect();
+        all.sort_by(|a, b| b.2.total_cmp(&a.2).then(a.0.cmp(&b.0)).then(a.1.cmp(&b.1)));
+        for top_k in [0, 1, 3, all.len(), all.len() + 1] {
+            let h = &hotspots(c.launches(), &c.cost, top_k)[0];
+            let kept: Vec<(usize, u32, f64)> = h
+                .top_blocks
+                .iter()
+                .map(|b| (b.launch_seq, b.block, b.cycles))
+                .collect();
+            assert_eq!(kept, all[..top_k.min(all.len())], "top_k = {top_k}");
+        }
     }
 
     #[test]

@@ -182,7 +182,9 @@ echo "== dynamic maintenance smoke (batched engine vs BZ) =="
 # maintenance engine, asserts that no run rejects an update, verifies
 # every run's final cores against a from-scratch BZ peel, and drives one
 # pure-insert batch plus one pure-delete batch checked against BZ after
-# each.
+# each. From the transfer records it also asserts that every maintained
+# batch, at every batch size, makes no host round trip between its
+# updates: at most two D2H copies, and no launch after the first of them.
 # Results go to a throwaway dir so the full-scale
 # results/table_dynamic.{txt,json} are never overwritten.
 dyn_results="$(mktemp -d)"
