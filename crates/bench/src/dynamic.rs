@@ -12,8 +12,8 @@
 //! simulated cost of a full peel sampled at evenly spaced points of the
 //! same stream (graph size barely moves, so the sample mean is
 //! representative). The measured maintenance/re-peel **crossover** — the
-//! net batch size at which one re-peel becomes cheaper than per-edge
-//! maintenance — is derived from the largest-batch run and reported next to
+//! net batch size at which one re-peel becomes cheaper than maintaining
+//! the batch — is derived from the largest-batch run and reported next to
 //! the engine's configured fallback threshold.
 
 use crate::{table_files, titled, to_json, ValidChurn};
@@ -22,6 +22,7 @@ use kcore_gpu::{BatchPath, BatchReport, DynamicConfig, DynamicCore, PeelConfig};
 use kcore_gpusim::{LaunchConfig, SimOptions, TransferDir};
 use kcore_graph::{gen, EdgeSet, EdgeUpdate};
 use serde::Serialize;
+use std::collections::HashMap;
 
 #[derive(Serialize, Default)]
 struct Row {
@@ -45,7 +46,7 @@ struct Table {
     repeel_avg_ms: f64,
     baseline_updates_per_sec: f64,
     /// Measured: net updates at which one full re-peel costs less than
-    /// per-edge maintenance (derived from the largest-batch run).
+    /// maintaining them (derived from the largest-batch run).
     crossover_updates: u64,
     /// [`DynamicConfig::auto_crossover`] on the same measurements — what the
     /// engine would pick as its fallback threshold if tuned from this run.
@@ -61,7 +62,8 @@ struct Table {
 ///
 /// `check` additionally asserts that no run rejects an update, that every
 /// maintained batch reads its results back only at its end (at most two
-/// D2H copies, and no launch after them), verifies the final core numbers
+/// D2H copies, and no launch after them) and runs one traversal per
+/// matching (a launch bound in its updates), verifies the final core numbers
 /// of every run against a from-scratch BZ peel of the final graph, pins
 /// `auto_crossover` to the measured break-even, drives one pure-insert
 /// batch and one pure-delete batch checked against BZ after each, and at
@@ -274,7 +276,14 @@ pub fn table_dynamic(smoke: bool, check: bool) -> Vec<(String, String)> {
 /// Applies one batch. With `check`, a maintained batch must make no host
 /// round trip between its updates, as its transfer records show: at most
 /// two D2H copies (the counters with the head of the changed list, and the
-/// rest of a long list), and no launch after the first of them.
+/// rest of a long list), and no launch after the first of them. It must
+/// also run one traversal per matching: at most `3·(2Δ_I − 1) +
+/// (2Δ_D − 1) + 1` launches, where `Δ` is the most net inserts (`Δ_I`) or
+/// net deletes (`Δ_D`) that share one vertex. First fit needs at most
+/// `2Δ − 1` matchings, a phase with no edges needs none, and a matching
+/// may split once per 1024-edge staging chunk past the first (three more
+/// launches at most). A valid stream nets nothing away, so `Δ` comes from
+/// the batch's own updates.
 fn apply_checked(dc: &mut DynamicCore, batch: &[EdgeUpdate], check: bool) -> BatchReport {
     let (l0, x0) = (dc.ctx().launches().len(), dc.ctx().transfers().len());
     let rep = dc.apply_batch(batch).expect("apply_batch");
@@ -296,6 +305,27 @@ fn apply_checked(dc: &mut DynamicCore, batch: &[EdgeUpdate], check: bool) -> Bat
                 .iter()
                 .all(|l| l.start_s < first.start_s),
             "a maintained batch of {} updates launched after reading back",
+            batch.len()
+        );
+        let matchings = |insert: bool| {
+            let mut share: HashMap<u32, usize> = HashMap::new();
+            for (u, v) in batch
+                .iter()
+                .filter(|e| e.is_insert() == insert)
+                .map(|e| e.endpoints())
+            {
+                *share.entry(u).or_default() += 1;
+                *share.entry(v).or_default() += 1;
+            }
+            share.values().max().map_or(0, |&delta| 2 * delta - 1)
+        };
+        let splits = (rep.net_inserts + rep.net_deletes).div_ceil(1024) - 1;
+        let bound = 3 * matchings(true) + matchings(false) + 1 + 3 * splits;
+        let launches = ctx.launches().len() - l0;
+        assert!(
+            launches <= bound,
+            "a maintained batch of {} updates made {launches} launches, more than one \
+             traversal per matching allows ({bound})",
             batch.len()
         );
     }

@@ -3,38 +3,43 @@
 //! Where [`crate::peel`] recomputes every core number from scratch, this
 //! module *maintains* them under a stream of [`EdgeUpdate`] batches. It
 //! keeps every vertex's MCD — its count of neighbors whose core is at least
-//! its own — exact on the device, and uses it to confine each edge's
-//! traversal to vertices that can change (DESIGN.md, "Dynamic
-//! maintenance"). For an edge `{u, v}` with `K = min(core(u), core(v))`,
-//! only core-`K` vertices can change, and by at most 1:
+//! its own — exact on the device, and uses it to confine each traversal to
+//! vertices that can change (DESIGN.md, "Dynamic maintenance").
 //!
-//! * a deletion peels MCD directly from the core-`K` endpoints: a vertex
-//!   whose MCD falls below `K` drops to `K − 1`, recounts its own MCD while
-//!   its adjacency is walked, and takes one off the MCD of each neighbor
-//!   still at `K`;
+//! Batches are *net-effect* processed: cores are a function of the final
+//! graph only, so [`EdgeSet::classify`] rejects and nets each batch. The
+//! net deletes, then the net inserts, are split into matchings, groups of
+//! edges that share no vertex, and each matching runs one traversal from
+//! all of its roots. Deleting or inserting a matching moves every core by
+//! at most 1 (Jin et al., TPDS 2018), so for an edge `{u, v}` with
+//! `K = min(core(u), core(v))` only core-`K` vertices can change through
+//! it. All core levels share the traversal's grid, each vertex taking its
+//! own core from before the matching as its `K`:
+//!
+//! * a deletion peels MCD directly from its roots, the core-`K` endpoints:
+//!   a vertex whose MCD falls below `K` drops to `K − 1`, recounts its own
+//!   MCD while its adjacency is walked, and takes one off the MCD of each
+//!   neighbor still at `K`;
 //! * an insertion first runs the PCD prune, which retires it when no
 //!   endpoint can rise. Otherwise a search through core-`K` vertices whose
 //!   MCD is above `K` gathers the candidates, an eviction cascade removes
-//!   those left with at most `K` supporters, and the survivors rise to
-//!   `K + 1` with their MCD set to their final support.
+//!   those left with at most `K` supporters at or above their level, and
+//!   the survivors rise to `K + 1` with their MCD set to their final
+//!   support.
 //!
-//! Batches are *net-effect* processed: cores are a function of the final
-//! graph only, so [`EdgeSet::classify`] rejects and nets each batch, and the
-//! net deletes, then the net inserts, are walked one edge at a time. The
-//! traversals are kernelized on [`kcore_gpusim`] with the same
+//! The traversals are kernelized on [`kcore_gpusim`] with the same
 //! block-granularity frontier buffers, ballot compaction and stepped wave
 //! discipline as the peel kernels — traces are bit-identical at any rayon
 //! pool size. Past [`DynamicConfig::crossover`] net updates the engine
 //! falls back to a from-scratch [`peel::decompose_in`].
 //!
-//! A maintained batch makes no host round trip between its updates. Each
-//! update's first launch applies its structure on the device and finds its
-//! `K` and roots there; an insertion makes three launches and a deletion
-//! one. The batch's tallies and its changed vertices accumulate on the
-//! device, and one batch-end launch and one readback (two for a long list)
-//! bring them back. On `table_dynamic`'s rmat-16 stream an update costs
-//! 31.9 µs at batch 1 and 10.8 µs at batch 1024, 106–313× the updates/sec
-//! of a re-peel per update.
+//! A maintained batch makes no host round trip between its traversals: a
+//! matching of deletes makes one launch and a matching of inserts three.
+//! The batch's tallies and its changed vertices accumulate on the device,
+//! and one batch-end launch and one readback (two for a long list) bring
+//! them back. On `table_dynamic`'s rmat-16 stream an update costs 31.9 µs
+//! at batch 1, where every matching holds one edge, and 0.52 µs at batch
+//! 1024: 106–6432× the updates/sec of a re-peel per update.
 
 use crate::config::PeelConfig;
 use crate::peel;
@@ -44,7 +49,9 @@ use kcore_gpusim::{
     SimOptions, SizeClass,
 };
 use kcore_graph::{Csr, EdgeSet, EdgeUpdate, NetBatch};
-use std::sync::atomic::Ordering;
+use std::iter::StepBy;
+use std::ops::Range;
+use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Tuning knobs of the dynamic engine.
 #[derive(Debug, Clone)]
@@ -81,8 +88,12 @@ impl Default for DynamicConfig {
 impl DynamicConfig {
     /// Derives the maintenance/re-peel crossover from measured costs: the
     /// smallest net-update count at which one from-scratch peel
-    /// (`repeel_ms`) is no more expensive than per-edge maintenance at
-    /// `per_update_ms` each — i.e. `ceil(repeel_ms / per_update_ms)`.
+    /// (`repeel_ms`) is no more expensive than maintenance at
+    /// `per_update_ms` per net update — i.e. `ceil(repeel_ms /
+    /// per_update_ms)`. Maintenance amortizes over each matching's edges, so
+    /// `per_update_ms` depends on the batch size it was measured at: on
+    /// `table_dynamic`'s rmat-16 stream, at batch 1024, it gives 6,432
+    /// updates against a 3.37 ms re-peel.
     ///
     /// Degenerate inputs keep the engine on a sane path: a non-positive
     /// `per_update_ms` (maintenance is free or unmeasured) disables the
@@ -109,7 +120,8 @@ impl DynamicConfig {
 pub enum BatchPath {
     /// Every accepted update cancelled out (or none were accepted).
     Noop,
-    /// Theorem-backed per-edge maintenance traversals.
+    /// Theorem-backed maintenance: one traversal per matching of the net
+    /// deletes, then of the net inserts.
     Maintained,
     /// Net updates reached [`DynamicConfig::crossover`]: from-scratch peel.
     Repeeled,
@@ -130,14 +142,18 @@ pub struct BatchReport {
     pub net_deletes: usize,
     /// The processing path taken.
     pub path: BatchPath,
-    /// Vertices the batch's traversals examined. An insertion counts the
-    /// candidates its search gathered. A deletion counts its core-`K`
-    /// endpoints plus the MCD decrements its cascade issued, one per
-    /// neighbor still at `K` when a dropped vertex is walked.
+    /// Vertices the batch's traversals examined. A matching of insertions
+    /// counts the candidates its search gathered. A matching of deletions
+    /// counts its edges' core-`K` endpoints plus the MCD decrements its
+    /// cascade issued, one per neighbor at the walked vertex's old core and
+    /// not yet dropping. Each traversal sees the cores its matching's
+    /// edges leave together, so the tally depends on the batching: 15,302
+    /// to 15,361 on `table_dynamic`'s stream.
     pub candidates: u64,
     /// Total vertices whose core number changed.
     pub changed: u64,
-    /// Insertions the PCD prune retired: their search seeds no candidate.
+    /// Insertions the PCD prune retired, judged against the structure of
+    /// their whole matching: their search seeds no candidate.
     pub pruned_inserts: usize,
     /// Lifetime adjacency rebuilds (slack exhaustion) so far.
     pub rebuilds: u64,
@@ -148,11 +164,13 @@ pub struct BatchReport {
 /// The batch's counters at the head of `dyn.result`, one sector: three
 /// 64-bit counters as (low, high) word pairs, then the changed-list length.
 /// `WORK` is the work tally ([`BatchReport::candidates`]), `CHANGED` the
-/// core-change count and `PRUNED` the pruned-insertion count.
+/// core-change count and `PRUNED` the pruned-insertion count. The sector's
+/// last word, `CAND`, is the current insertion group's candidate count.
 const WORK: usize = 0;
 const CHANGED: usize = 2;
 const PRUNED: usize = 4;
 const LEN: usize = 6;
+const CAND: usize = 7;
 /// First changed-list word of `dyn.result`: each changed vertex once, as a
 /// `(vertex, final core)` pair.
 const LIST: usize = 8;
@@ -176,17 +194,6 @@ const WINDOW_ENTRIES: usize = 128;
 /// Words of `dyn.result` the batch's readback copies at once.
 const RESULT_WINDOW: usize = LIST + 2 * WINDOW_ENTRIES;
 
-/// `dyn.op`, the current update's slot (one sector). The update's first
-/// launch writes its `K` (`OP_K`) and, for a deletion on a grid of two or
-/// more blocks, the root block 1 checks (`OP_ROOT`, [`NO_ROOT`] if none).
-/// An insertion's search counts its candidates in `OP_CAND`.
-const OP_K: usize = 0;
-const OP_ROOT: usize = 1;
-const OP_CAND: usize = 2;
-const OP_WORDS: usize = 8;
-/// `OP_ROOT` of a deletion with one root: no vertex id is `u32::MAX`.
-const NO_ROOT: u32 = u32::MAX;
-
 /// Copyable bundle of everything the kernels need.
 #[derive(Clone, Copy)]
 struct DynParams {
@@ -202,7 +209,6 @@ struct DynParams {
     d_cand: BufferId,
     d_mark: BufferId,
     d_res: BufferId,
-    d_op: BufferId,
     d_buf: BufferId,
     d_batch: BufferId,
 }
@@ -223,6 +229,13 @@ pub struct DynamicCore {
     /// Per-vertex device slot capacity (degree + slack at last build).
     cap: Vec<u32>,
     rebuilds: u64,
+    /// Per vertex, the partition sweep that last took it (see
+    /// [`DynamicCore::matchings`]).
+    stamp: Vec<u32>,
+    /// The latest partition sweep's stamp.
+    sweep: u32,
+    /// The first error a batch returned; every later batch returns it.
+    failed: Option<SimError>,
     p: DynParams,
 }
 
@@ -253,7 +266,6 @@ impl DynamicCore {
         let d_cand = ctx.alloc_tagged("dyn.cand", pad, SizeClass::PerVertex)?;
         let d_mark = ctx.alloc_tagged("dyn.mark", pad, SizeClass::PerVertex)?;
         let d_res = ctx.alloc_tagged("dyn.result", LIST + 2 * pad, SizeClass::PerVertex)?;
-        let d_op = ctx.alloc_tagged("dyn.op", OP_WORDS, SizeClass::Fixed)?;
         let bufcap = n.max(MIN_FRONTIER_WORDS);
         let d_buf = ctx.alloc_tagged(
             "dyn.buf",
@@ -275,7 +287,6 @@ impl DynamicCore {
             d_cand,
             d_mark,
             d_res,
-            d_op,
             d_buf,
             d_batch,
         };
@@ -286,6 +297,9 @@ impl DynamicCore {
             core_host,
             cap,
             rebuilds: 0,
+            stamp: vec![0; n],
+            sweep: 0,
+            failed: None,
             p,
         };
         if n > 0 {
@@ -298,13 +312,29 @@ impl DynamicCore {
     /// Applies one batch of updates and returns what happened.
     ///
     /// [`EdgeSet::classify`] checks and nets the batch on the host. The net
-    /// updates are staged to the device in chunks of 1024 (one H2D copy
-    /// each) and processed deletes first, each with its own theorem-backed
-    /// traversal — or, past [`DynamicConfig::crossover`], by one
-    /// from-scratch peel. A maintained batch reads its results back once,
-    /// at its end. A failed launch or copy returns its error and leaves
-    /// the engine partly updated: build a new one.
+    /// deletes, then the net inserts, are split into matchings, staged to
+    /// the device in chunks of 1024 edges (one H2D copy each) and processed
+    /// with one theorem-backed traversal per matching — or, past
+    /// [`DynamicConfig::crossover`], by one from-scratch peel. A maintained
+    /// batch reads its results back once, at its end.
+    ///
+    /// A failed launch or copy (an OOM, a time-limit trip) returns its
+    /// error and leaves the engine partly updated, its host and device
+    /// state out of step. The engine keeps that first error and returns it
+    /// from every later call, also after the cause is lifted; build a new
+    /// engine to go on.
     pub fn apply_batch(&mut self, updates: &[EdgeUpdate]) -> Result<BatchReport, SimError> {
+        if let Some(e) = &self.failed {
+            return Err(e.clone());
+        }
+        let rep = self.apply(updates);
+        if let Err(e) = &rep {
+            self.failed = Some(e.clone());
+        }
+        rep
+    }
+
+    fn apply(&mut self, updates: &[EdgeUpdate]) -> Result<BatchReport, SimError> {
         let t0 = self.ctx.elapsed_ms();
         self.ctx.set_phase("DynClassify");
         let net = self.graph.classify(updates);
@@ -401,31 +431,44 @@ impl DynamicCore {
 
     // -- batch maintenance --------------------------------------------------
 
-    /// Walks a net batch on the device with no host round trip between
-    /// updates, then lists the changed vertices' final cores and reads the
-    /// batch's counters and list back in one copy (two for a list longer
-    /// than the window).
+    /// Walks a net batch on the device, one traversal per matching and no
+    /// host round trip between them, then lists the changed vertices' final
+    /// cores and reads the batch's counters and list back in one copy (two
+    /// for a list longer than the window).
+    ///
+    /// The edges are staged in matching order, deletes first. A matching
+    /// that crosses a 1024-edge staging chunk runs as two groups, one per
+    /// chunk: a part of a matching is a matching, and every group's edges
+    /// then sit in the staging buffer its launches read.
     fn maintain(&mut self, net: &NetBatch, rep: &mut BatchReport) -> Result<(), SimError> {
-        let all: Vec<(bool, u32, u32)> = net
-            .deletes
-            .iter()
-            .map(|&(u, v)| (false, u, v))
-            .chain(net.inserts.iter().map(|&(u, v)| (true, u, v)))
-            .collect();
-        for (c, chunk) in all.chunks(BATCH_CAPACITY).enumerate() {
+        let mut order = Vec::with_capacity(net.deletes.len() + net.inserts.len());
+        let mut ends = Vec::new();
+        self.matchings(&net.deletes, &mut order, &mut ends);
+        let delete_matchings = ends.len();
+        self.matchings(&net.inserts, &mut order, &mut ends);
+        let (mut m, mut lo) = (0, 0);
+        for (c, chunk) in order.chunks(BATCH_CAPACITY).enumerate() {
             self.ctx.set_phase("DynStage");
-            let words: Vec<u32> = chunk.iter().flat_map(|&(_, u, v)| [u, v]).collect();
+            let words: Vec<u32> = chunk.iter().flat_map(|&(u, v)| [u, v]).collect();
             self.ctx.htod_into(self.p.d_batch, 0, &words)?;
-            for (i, &(ins, u, v)) in chunk.iter().enumerate() {
-                let op = Op {
-                    i,
-                    first: c == 0 && i == 0,
+            let base = c * BATCH_CAPACITY;
+            let top = base + chunk.len();
+            while lo < top {
+                let hi = ends[m].min(top);
+                let grp = Group {
+                    lo: lo - base,
+                    hi: hi - base,
+                    first: lo == 0,
                 };
-                if ins {
-                    self.insert(op, u, v)?;
+                if m < delete_matchings {
+                    self.delete(grp, &order[lo..hi])?;
                 } else {
-                    self.delete(op, u, v)?;
+                    self.insert(grp, &order[lo..hi])?;
                 }
+                if hi == ends[m] {
+                    m += 1;
+                }
+                lo = hi;
             }
         }
         self.ctx.set_phase("DynResult");
@@ -451,41 +494,78 @@ impl DynamicCore {
         Ok(())
     }
 
-    /// One net deletion: a single launch, the MCD cascade, whose init
-    /// applies the structure and finds the roots on the device.
-    fn delete(&mut self, op: Op, a: u32, b: u32) -> Result<(), SimError> {
-        self.graph.remove(a, b);
+    /// Splits `edges` into matchings by first fit in list order (each edge
+    /// joins the first matching that holds neither of its endpoints),
+    /// appends them to `order` one matching after another and pushes each
+    /// one's end. Each sweep over the edges left forms one matching; a
+    /// vertex's stamp says whether the current sweep took it, so nothing is
+    /// cleared between sweeps.
+    fn matchings(
+        &mut self,
+        edges: &[(u32, u32)],
+        order: &mut Vec<(u32, u32)>,
+        ends: &mut Vec<usize>,
+    ) {
+        let mut rest = edges.to_vec();
+        while !rest.is_empty() {
+            self.sweep = self.sweep.wrapping_add(1);
+            if self.sweep == 0 {
+                self.stamp.fill(0);
+                self.sweep = 1;
+            }
+            let (now, stamp) = (self.sweep, &mut self.stamp);
+            rest.retain(|&(u, v)| {
+                let (a, b) = (u as usize, v as usize);
+                if stamp[a] == now || stamp[b] == now {
+                    return true;
+                }
+                stamp[a] = now;
+                stamp[b] = now;
+                order.push((u, v));
+                false
+            });
+            ends.push(order.len());
+        }
+    }
+
+    /// One group of net deletions: a single launch, the MCD cascade, whose
+    /// init applies the structure and checks the roots on the device.
+    fn delete(&mut self, grp: Group, edges: &[(u32, u32)]) -> Result<(), SimError> {
+        for &(a, b) in edges {
+            self.graph.remove(a, b);
+        }
         self.ctx.set_phase("DynCascade");
         let p = self.p;
         self.ctx.launch_stepped(
             "dyn_drop",
             self.cfg.launch,
-            |blk| drop_init(blk, &p, op),
+            |blk| drop_init(blk, &p, grp),
             |blk, st| drop_step(blk, st, &p),
         )
     }
 
-    /// One net insertion: the candidate search, whose init applies the
-    /// structure and the PCD prune; the eviction cascade at threshold
-    /// `K + 1`, whose init counts the candidates' support; and the rise.
-    /// The search of an insertion the prune retired seeds nothing, so the
-    /// later launches find no candidates.
-    fn insert(&mut self, op: Op, a: u32, b: u32) -> Result<(), SimError> {
-        if self.graph.degree(a) == self.cap[a as usize]
-            || self.graph.degree(b) == self.cap[b as usize]
-        {
+    /// One group of net insertions: the candidate search, whose init
+    /// applies the structure and whose first wave runs the PCD prune; the
+    /// eviction cascade, whose init counts the candidates' support; and
+    /// the rise. The search of a group the prune retired seeds nothing, so
+    /// the later launches find no candidates.
+    fn insert(&mut self, grp: Group, edges: &[(u32, u32)]) -> Result<(), SimError> {
+        let full = |a: u32| self.graph.degree(a) == self.cap[a as usize];
+        if edges.iter().any(|&(a, b)| full(a) || full(b)) {
             self.rebuilds += 1;
             self.rebuild_adjacency()?;
         }
-        self.graph.insert(a, b);
+        for &(a, b) in edges {
+            self.graph.insert(a, b);
+        }
         let p = self.p;
         let launch = self.cfg.launch;
         self.ctx.set_phase("DynSubcore");
         self.ctx.launch_stepped(
             "dyn_subcore",
             launch,
-            |blk| bfs_init(blk, &p, op),
-            |blk, st| bfs_step(blk, st, &p),
+            |blk| bfs_init(blk, &p, grp),
+            |blk, st| bfs_step(blk, st, &p, grp),
         )?;
         self.ctx.set_phase("DynCascade");
         self.ctx.launch_stepped(
@@ -603,17 +683,20 @@ fn upload_csr(
 //
 // `dyn.result` holds one batch's result: its three 64-bit counters (the
 // work tally, the core-change count and the pruned-insertion count), the
-// changed-list length, and from [LIST] the changed list, each changed vertex
-// once as a `(vertex, final core)` pair. The batch's first update zeroes
-// the counters; a vertex's first change of the batch sets its `dyn.mark`
-// and appends it, and the batch-end `k_list` writes each listed vertex's
-// final core beside it and clears its mark. `dyn.op` carries the current
-// update's `K`, deletion root and candidate count between blocks and
-// launches.
+// changed-list length, the current insertion group's candidate count, and
+// from [LIST] the changed list, each changed vertex once as a `(vertex,
+// final core)` pair. The batch's first launch zeroes the counter sector; a
+// vertex's first change of the batch sets its `dyn.mark` and appends it,
+// and the batch-end `k_list` writes each listed vertex's final core beside
+// it and clears its mark.
 //
-// Each update's first launch applies its structure in block 0's init. A
-// block's init writes nothing another block's init reads: other blocks
-// read it in that launch's waves or in later launches.
+// Each traversal runs one group: a matching, whose edges share no vertex,
+// so no core moves by more than 1 (DESIGN.md, "Dynamic maintenance"). All
+// core levels share the group's grid, and every rule takes a vertex's own
+// core from before the group as its `K`. The group's first launch applies
+// its edges in the blocks' inits, striped over the grid. A block's init
+// writes nothing another block's init reads: other blocks read it in that
+// launch's waves or in later launches.
 //
 // Determinism discipline:
 //
@@ -625,11 +708,24 @@ fn upload_csr(
 //   the batch counters there too, with the carry into the high word
 //   raised by the add that wraps the low one;
 // * the rise kernel's MCD increments land on other blocks' vertices. They
-//   are commutative atomic adds to non-candidates, whose MCD nothing else
-//   writes in that launch, so every block order gives the same counts;
-// * the deletion cascade decrements a vertex's MCD only while it is still
-//   at `K`. The decrement that returns exactly `K` drops it, so exactly
-//   one walker drops it, and its recount comes in a later wave.
+//   are commutative atomic adds to vertices that do not rise, whose MCD
+//   nothing else writes in that launch, so every block order gives the
+//   same counts;
+// * the deletion cascade decrements a vertex's MCD only while it sits at
+//   the walker's level and is not yet dropping. The decrement that returns
+//   exactly that level marks it dropping, so exactly one walker drops it;
+//   its core falls, and its MCD is recounted, when it is walked in a later
+//   wave.
+
+/// The ids at adjacency slots `lo..hi`, one warp chunk of at most 32, in a
+/// stack array whose first `hi - lo` entries are live.
+fn chunk_ids(adjb: &[AtomicU32], lo: usize, hi: usize) -> [usize; 32] {
+    let mut ids = [0usize; 32];
+    for (id, slot) in ids.iter_mut().zip(&adjb[lo..hi]) {
+        *id = slot.load(Ordering::Relaxed) as usize;
+    }
+    ids
+}
 
 /// Walks `v`'s live adjacency in 32-lane warp chunks. Per chunk it charges
 /// one warp sync, the coalesced read of the neighbor ids, one gather of
@@ -655,14 +751,13 @@ fn scan_neighbors(
         let cend = (chunk + 32).min(oe);
         blk.sync_warp();
         blk.charge_tx(BlockCtx::coalesced_tx((cend - chunk) as u64));
-        let idxs: Vec<usize> = (chunk..cend)
-            .map(|j| adjb[j].load(Ordering::Relaxed) as usize)
-            .collect();
+        let ids = chunk_ids(adjb, chunk, cend);
+        let idxs = &ids[..cend - chunk];
         let mut words = [[0u32; 32]; 2];
         for (out, &buf) in words.iter_mut().zip(gathered) {
-            blk.gather(dev.buffer(buf), &idxs, out, Coalescing::Classified);
+            blk.gather(dev.buffer(buf), idxs, out, Coalescing::Classified);
         }
-        f(blk, &idxs, &words);
+        f(blk, idxs, &words);
         blk.charge_instr(1);
         chunk = cend;
     }
@@ -674,16 +769,13 @@ fn k_mcd(blk: &mut BlockCtx<'_>, p: &DynParams, count: usize) -> Result<(), Kern
     let dev = blk.device;
     let core = dev.buffer(p.d_core);
     let mcd = dev.buffer(p.d_mcd);
-    let blocks = blk.cfg.blocks as usize;
-    let mut v = blk.block_idx as usize;
-    while v < count {
+    for v in striped(blk, 0, count) {
         let cv = blk.gread(&core[v]);
         let mut m = 0u32;
         scan_neighbors(blk, p, v, &[p.d_core], |_, idxs, w| {
             m += w[0][..idxs.len()].iter().filter(|&&c| c >= cv).count() as u32;
         });
         blk.gwrite(&mcd[v], m);
-        v += blocks;
     }
     Ok(())
 }
@@ -696,71 +788,81 @@ fn k_list(blk: &mut BlockCtx<'_>, p: &DynParams) -> Result<(), KernelError> {
     let res = dev.buffer(p.d_res);
     let core = dev.buffer(p.d_core);
     let mark = dev.buffer(p.d_mark);
-    let blocks = blk.cfg.blocks as usize;
     let len = blk.gread(&res[LEN]) as usize;
-    let mut j = blk.block_idx as usize;
-    while j < len {
+    for j in striped(blk, 0, len) {
         let x = blk.gread(&res[LIST + 2 * j]) as usize;
         let c = blk.gread(&core[x]);
         blk.gwrite(&res[LIST + 2 * j + 1], c);
         blk.gwrite(&mark[x], 0);
-        j += blocks;
     }
     Ok(())
 }
 
-/// Which staged update a launch applies: the index `i` of its `[u, v]`
-/// pair in `dyn.batch`, and whether it is the batch's first.
+/// This block's share of the indices `lo..hi`: striped over the grid.
+fn striped(blk: &BlockCtx<'_>, lo: usize, hi: usize) -> StepBy<Range<usize>> {
+    (lo + blk.block_idx as usize..hi).step_by(blk.cfg.blocks as usize)
+}
+
+/// The group a traversal applies: the staged pairs `lo..hi` of
+/// `dyn.batch`, one matching, and whether it opens the batch.
 #[derive(Clone, Copy)]
-struct Op {
-    i: usize,
+struct Group {
+    lo: usize,
+    hi: usize,
     first: bool,
 }
 
-/// An update's `K = min(core(u), core(v))` and its roots, the endpoints of
-/// core `K`, in `[u, v]` order.
-struct Roots {
-    k: u32,
-    ids: [u32; 2],
-    len: usize,
+/// A staged edge `[u, v]` and its endpoints' cores from before its group.
+struct Edge {
+    ends: [u32; 2],
+    cores: [u32; 2],
 }
 
-impl Roots {
-    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.ids[..self.len].iter().map(|&r| r as usize)
+impl Edge {
+    /// `K = min(core(u), core(v))`.
+    fn k(&self) -> u32 {
+        self.cores[0].min(self.cores[1])
+    }
+
+    /// The roots: the endpoints of core `K`, in `[u, v]` order.
+    fn roots(&self) -> impl Iterator<Item = usize> + '_ {
+        let k = self.k();
+        (0..2)
+            .filter(move |&i| self.cores[i] == k)
+            .map(move |i| self.ends[i] as usize)
     }
 }
 
-/// The structure of update `op`, applied by block 0's init of the update's
-/// first launch. On the batch's first update it zeroes the batch counters.
-/// It reads the `[u, v]` pair from the staging buffer, splices both
-/// adjacency directions (append for insert, swap-remove for delete) and
-/// applies the endpoint MCD deltas against the current cores. A delete
-/// whose edge the probe does not find is a [`KernelError::Other`].
+/// Reads staged pair `i` (one sector) and both endpoints' cores.
+fn read_edge(blk: &mut BlockCtx<'_>, p: &DynParams, i: usize) -> Edge {
+    let dev = blk.device;
+    let batch = dev.buffer(p.d_batch);
+    let core = dev.buffer(p.d_core);
+    blk.charge_sector(1); // the adjacent [u, v] pair
+    let ends = [2 * i, 2 * i + 1].map(|w| batch[w].load(Ordering::Relaxed));
+    let cores = ends.map(|w| blk.gread(&core[w as usize]));
+    Edge { ends, cores }
+}
+
+/// Applies staged edge `i` in the init of its group's first launch: splices
+/// both adjacency directions (append for insert, swap-remove for delete)
+/// and applies the endpoint MCD deltas against the cores from before the
+/// group. No other edge of the group touches these endpoints' lists or
+/// counters. A delete whose edge the probe does not find is a
+/// [`KernelError::Other`].
 fn splice(
     blk: &mut BlockCtx<'_>,
     p: &DynParams,
-    op: Op,
+    i: usize,
     insert: bool,
-) -> Result<Roots, KernelError> {
+) -> Result<Edge, KernelError> {
     let dev = blk.device;
-    let batch = dev.buffer(p.d_batch);
     let off = dev.buffer(p.d_off);
     let lenb = dev.buffer(p.d_len);
     let adjb = dev.buffer(p.d_adj);
-    let core = dev.buffer(p.d_core);
     let mcd = dev.buffer(p.d_mcd);
-    if op.first {
-        blk.charge_sector(1); // the counter sector
-        for w in &dev.buffer(p.d_res)[..LIST] {
-            w.store(0, Ordering::Relaxed);
-        }
-    }
-    blk.charge_sector(1); // the op's adjacent [u, v] pair
-    let u = batch[2 * op.i].load(Ordering::Relaxed);
-    let v = batch[2 * op.i + 1].load(Ordering::Relaxed);
-    let cu = blk.gread(&core[u as usize]);
-    let cv = blk.gread(&core[v as usize]);
+    let edge = read_edge(blk, p, i);
+    let ([u, v], [cu, cv]) = (edge.ends, edge.cores);
     for &(a, b, ca, cb) in &[(u, v, cu, cv), (v, u, cv, cu)] {
         let a = a as usize;
         blk.charge_sector(2); // off[a] + len[a]
@@ -804,37 +906,22 @@ fn splice(
             }
         }
     }
-    let k = cu.min(cv);
-    let mut roots = Roots {
-        k,
-        ids: [0; 2],
-        len: 0,
-    };
-    for (w, c) in [(u, cu), (v, cv)] {
-        if c == k {
-            roots.ids[roots.len] = w;
-            roots.len += 1;
-        }
-    }
-    Ok(roots)
+    Ok(edge)
 }
 
-/// Writes the update's slot to `dyn.op` (one sector): its `K`, the root
-/// for block 1, and a zero candidate count.
-fn write_op(blk: &mut BlockCtx<'_>, p: &DynParams, k: u32, root: u32) {
+/// Zeroes the batch's counter sector: block 0's init of the batch's first
+/// launch, before any block adds to it.
+fn open_batch(blk: &mut BlockCtx<'_>, p: &DynParams) {
     blk.charge_sector(1);
-    let op = blk.device.buffer(p.d_op);
-    for (at, x) in [(OP_K, k), (OP_ROOT, root), (OP_CAND, 0)] {
-        op[at].store(x, Ordering::Relaxed);
+    for w in &blk.device.buffer(p.d_res)[..LIST] {
+        w.store(0, Ordering::Relaxed);
     }
 }
 
-/// Reads the update's slot `[K, root, candidates]` from `dyn.op` (one
-/// sector).
-fn read_op(blk: &mut BlockCtx<'_>, p: &DynParams) -> [u32; 3] {
-    blk.charge_sector(1);
-    let op = blk.device.buffer(p.d_op);
-    [OP_K, OP_ROOT, OP_CAND].map(|at| op[at].load(Ordering::Relaxed))
+/// Reads the insertion group's candidate count (one sector).
+fn read_cand(blk: &mut BlockCtx<'_>, p: &DynParams) -> usize {
+    let res = blk.device.buffer(p.d_res);
+    blk.gread(&res[CAND]) as usize
 }
 
 /// Adds `d` to the batch's 64-bit counter at `dyn.result[at]` (low word)
@@ -850,30 +937,27 @@ fn add_counter(blk: &mut BlockCtx<'_>, p: &DynParams, at: usize, d: u32) {
 struct TravState {
     /// Shared `[s, e]`: the block's frontier window in `dyn.buf`.
     se: SharedArray,
-    /// The update's `K`.
-    k: u32,
-    /// The deletion's work this block tallies: its roots (block 0) and the
-    /// MCD decrements it issued.
+    /// The deletion's work this block tallies: its roots and the MCD
+    /// decrements it issued.
     work: u32,
     /// Vertices this block dropped.
     changed: u32,
-    /// Block 1 of a deletion, until its first wave checks the root that
-    /// block 0 left in `dyn.op`.
-    root_pending: bool,
+    /// The insertion search's first wave, which runs the PCD prune and
+    /// claims the roots of this block's edges, is still to come.
+    roots_pending: bool,
 }
 
 impl TravState {
     /// Publishes a frontier of `e` seeds (init lane).
-    fn new(blk: &mut BlockCtx<'_>, k: u32, e: u32) -> Result<TravState, KernelError> {
+    fn new(blk: &mut BlockCtx<'_>, e: u32) -> Result<TravState, KernelError> {
         let se = blk.shared_alloc(2)?;
         blk.sh_write(se, 0, 0);
         blk.sh_write(se, 1, e);
         Ok(TravState {
             se,
-            k,
             work: 0,
             changed: 0,
-            root_pending: false,
+            roots_pending: false,
         })
     }
 }
@@ -885,7 +969,7 @@ fn overflow(b: u32, what: &str, cap: usize) -> KernelError {
 }
 
 /// Appends `v` to this block's frontier at slot `*e` (init lane, or the
-/// first wave of a deletion's block 1).
+/// insertion search's first wave).
 fn seed(
     blk: &mut BlockCtx<'_>,
     p: &DynParams,
@@ -916,29 +1000,30 @@ fn list_changed(blk: &mut BlockCtx<'_>, p: &DynParams, x: usize) {
 
 /// One wave of a stepped traversal, shared by the deletion cascade, the
 /// insertion search and the eviction cascade: each warp takes one frontier
-/// vertex and walks its adjacency in 32-neighbor chunks, gathering
-/// `gathered[x]` for every neighbor `x` and ballot-compacting the neighbors
-/// whose word satisfies `pick`. `visit` handles each compacted neighbor and
-/// its word in order and returns whether it joins this block's frontier
-/// (overflow reported as `what`). With `count_into`, each walked vertex's
-/// count of picked neighbors is written there. Returns `false` once the
-/// frontier has drained.
+/// vertex, learns its level `k` from `level`, and walks its adjacency in
+/// 32-neighbor chunks, gathering `gathered[x]` for every neighbor `x` and
+/// ballot-compacting the neighbors whose word `pick(k, word)` accepts.
+/// `visit` handles each compacted neighbor and its word in order and
+/// returns whether it joins this block's frontier (overflow reported as
+/// `what`). With `count_into`, each walked vertex's count of picked
+/// neighbors is written there. Returns `false` once the frontier has
+/// drained.
 ///
 /// A neighbor appears once per adjacency list and its word is gathered
-/// just before its chunk is visited, so `visit` sees its current word even
-/// when visits rewrite `gathered` (the deletion cascade lowers the cores it
-/// gathers). Appends land past the frontier's tail, so reads and writes
-/// may interleave in any order.
+/// just before its chunk is visited, so `visit` sees its current word.
+/// Appends land past the frontier's tail, so reads and writes may
+/// interleave in any order.
 #[allow(clippy::too_many_arguments)]
 fn walk_wave(
     blk: &mut BlockCtx<'_>,
     st: &mut TravState,
     p: &DynParams,
     gathered: BufferId,
-    pick: impl Fn(u32) -> bool,
     count_into: Option<BufferId>,
     what: &str,
-    mut visit: impl FnMut(&mut BlockCtx<'_>, usize, u32) -> Result<bool, KernelError>,
+    mut level: impl FnMut(&mut BlockCtx<'_>, usize) -> u32,
+    pick: impl Fn(u32, u32) -> bool,
+    mut visit: impl FnMut(&mut BlockCtx<'_>, u32, usize, u32) -> Result<bool, KernelError>,
 ) -> Result<bool, KernelError> {
     let dev = blk.device;
     let b = blk.block_idx as usize;
@@ -961,6 +1046,7 @@ fn walk_wave(
     blk.charge_instr(warps);
     for w in 0..batch {
         let v = blk.gread_dependent(&bufb[(s + w) as usize]) as usize;
+        let k = level(blk, v);
         blk.charge_sector(2);
         let o = off[v].load(Ordering::Relaxed) as usize;
         let l = lenb[v].load(Ordering::Relaxed) as usize;
@@ -972,14 +1058,13 @@ fn walk_wave(
             let cnt = cend - chunk;
             blk.sync_warp();
             blk.charge_tx(BlockCtx::coalesced_tx(cnt as u64));
-            let idxs: Vec<usize> = (chunk..cend)
-                .map(|j| adjb[j].load(Ordering::Relaxed) as usize)
-                .collect();
+            let ids = chunk_ids(adjb, chunk, cend);
+            let idxs = &ids[..cnt];
             let mut vals = [0u32; 32];
-            blk.gather(words, &idxs, &mut vals, Coalescing::Classified);
+            blk.gather(words, idxs, &mut vals, Coalescing::Classified);
             let mut bits = 0u32;
             for t in 0..cnt {
-                if pick(vals[t]) {
+                if pick(k, vals[t]) {
                     bits |= 1 << t;
                 }
             }
@@ -987,7 +1072,7 @@ fn walk_wave(
             picked += total;
             if total > 0 {
                 for t in 0..cnt {
-                    if bits >> t & 1 == 1 && visit(blk, idxs[t], vals[t])? {
+                    if bits >> t & 1 == 1 && visit(blk, k, idxs[t], vals[t])? {
                         if e as usize >= p.bufcap {
                             return Err(overflow(blk.block_idx, what, p.bufcap));
                         }
@@ -1007,96 +1092,81 @@ fn walk_wave(
     Ok(true)
 }
 
-/// Drops `x` from core `k` to `k − 1` and lists it as changed.
-fn drop_vertex(blk: &mut BlockCtx<'_>, p: &DynParams, x: usize, k: u32) {
+/// Deletion cascade, init (block order). Each block applies its share of
+/// the group ([`splice`]), counts the edges' roots as work and checks each
+/// root: its MCD, already net of the deleted edge, below `K` means too few
+/// neighbors left at core `>= K`, so the root is marked dropping
+/// (`dyn.flag`) and seeds this block's frontier. Only the block that
+/// splices an edge writes its roots' MCD, so the check reads nothing
+/// another block's init writes, and every root is checked before any
+/// walker can reach it.
+fn drop_init(blk: &mut BlockCtx<'_>, p: &DynParams, grp: Group) -> Result<TravState, KernelError> {
+    if grp.first && blk.block_idx == 0 {
+        open_batch(blk, p);
+    }
     let dev = blk.device;
-    blk.gwrite(&dev.buffer(p.d_core)[x], k - 1);
-    list_changed(blk, p, x);
-}
-
-/// Checks deletion root `r`: its MCD, already net of the deleted edge,
-/// below `k` means too few neighbors left at core `>= k`, so it drops and
-/// seeds this block's frontier at slot `*e`. Returns whether it dropped.
-fn drop_root(
-    blk: &mut BlockCtx<'_>,
-    p: &DynParams,
-    k: u32,
-    e: &mut u32,
-    r: usize,
-) -> Result<bool, KernelError> {
-    if blk.gread(&blk.device.buffer(p.d_mcd)[r]) >= k {
-        return Ok(false);
+    let mcd = dev.buffer(p.d_mcd);
+    let flag = dev.buffer(p.d_flag);
+    let (mut e, mut roots) = (0u32, 0u32);
+    for i in striped(blk, grp.lo, grp.hi) {
+        let edge = splice(blk, p, i, false)?;
+        let k = edge.k();
+        for r in edge.roots() {
+            roots += 1;
+            if blk.gread(&mcd[r]) < k {
+                blk.gwrite(&flag[r], 1);
+                seed(blk, p, &mut e, r, "cascade")?;
+            }
+        }
     }
-    drop_vertex(blk, p, r, k);
-    seed(blk, p, e, r, "cascade")?;
-    Ok(true)
-}
-
-/// Deletion cascade, init (block order). Block 0 applies the deletion
-/// ([`splice`]), counts its roots as work and checks the roots striped
-/// onto it: both on a one-block grid, else the first. It leaves `K` and
-/// the second root in `dyn.op` for block 1, which checks it at its first
-/// wave; no other block gets a root.
-fn drop_init(blk: &mut BlockCtx<'_>, p: &DynParams, op: Op) -> Result<TravState, KernelError> {
-    if blk.block_idx != 0 {
-        let mut st = TravState::new(blk, 0, 0)?;
-        st.root_pending = blk.block_idx == 1;
-        return Ok(st);
-    }
-    let roots = splice(blk, p, op, false)?;
-    let own = if blk.cfg.blocks == 1 {
-        roots.len
-    } else {
-        let second = if roots.len > 1 { roots.ids[1] } else { NO_ROOT };
-        write_op(blk, p, roots.k, second);
-        1
-    };
-    let (mut e, mut dropped) = (0u32, 0u32);
-    for r in roots.iter().take(own) {
-        dropped += u32::from(drop_root(blk, p, roots.k, &mut e, r)?);
-    }
-    let mut st = TravState::new(blk, roots.k, e)?;
-    st.work = roots.len as u32;
-    st.changed = dropped;
+    let mut st = TravState::new(blk, e)?;
+    st.work = roots;
     Ok(st)
 }
 
-/// Deletion cascade, one wave: walks each dropped vertex's neighbors of
-/// core `>= k − 1`. Their count is the vertex's new MCD, since a
-/// neighbor's core only moves from `k` to `k − 1` meanwhile. Each neighbor
-/// still at `k` loses one MCD, as the walked vertex no longer counts for
-/// it; a decrement from exactly `k` drops that neighbor too. A core-`k`
-/// vertex's MCD stays at least `k` until it drops, so no decrement
-/// underflows. Block 1's first wave first checks its root. When a block
-/// retires it adds its work and changes to the batch counters.
+/// Deletion cascade, one wave. A dropping vertex drops as it is walked:
+/// from its level `k` to `k − 1`, its dropping mark cleared, listed as
+/// changed. Its walk counts its neighbors of core `>= k − 1`, its new MCD,
+/// and takes one off the MCD of each neighbor at `k` that is not dropping
+/// already, as the walked vertex no longer counts for it; a decrement from
+/// exactly `k` marks that neighbor dropping too.
+///
+/// A core falls only as its vertex is walked, so a recount counts each
+/// neighbor that will still fall, and that neighbor's walk takes it off
+/// again. A vertex dropped from `k + 1` therefore reaches core `k` only
+/// with its exact recount, and since no core falls twice in a group, a
+/// level-`k` walker's decrement never takes it below `k`. A vertex at its
+/// own level keeps at least that much MCD until it is marked, so no
+/// decrement underflows. When a block retires it adds its work and
+/// changes to the batch counters.
 fn drop_step(
     blk: &mut BlockCtx<'_>,
     st: &mut TravState,
     p: &DynParams,
 ) -> Result<bool, KernelError> {
-    if std::mem::take(&mut st.root_pending) {
-        let [k, root, _] = read_op(blk, p);
-        st.k = k;
-        let mut e = 0u32;
-        if root != NO_ROOT && drop_root(blk, p, k, &mut e, root as usize)? {
-            st.changed += 1;
-            blk.sh_write(st.se, 1, e);
-        }
-    }
     let dev = blk.device;
+    let core = dev.buffer(p.d_core);
     let mcd = dev.buffer(p.d_mcd);
-    let k = st.k;
+    let flag = dev.buffer(p.d_flag);
     let (mut decrements, mut dropped) = (0u32, 0u32);
     let more = walk_wave(
         blk,
         st,
         p,
         p.d_core,
-        |c| c + 1 >= k,
         Some(p.d_mcd),
         "cascade",
-        |blk, x, c| {
-            if c != k {
+        |blk, v| {
+            let k = blk.gread(&core[v]);
+            blk.gwrite(&core[v], k - 1);
+            blk.gwrite(&flag[v], 0);
+            list_changed(blk, p, v);
+            dropped += 1;
+            k
+        },
+        |k, c| c + 1 >= k,
+        |blk, k, x, c| {
+            if c != k || blk.gread(&flag[x]) != 0 {
                 return Ok(false);
             }
             decrements += 1;
@@ -1105,8 +1175,7 @@ fn drop_step(
             if old != k {
                 return Ok(false);
             }
-            drop_vertex(blk, p, x, k);
-            dropped += 1;
+            blk.gwrite(&flag[x], 1);
             Ok(true)
         },
     )?;
@@ -1123,101 +1192,137 @@ fn drop_step(
     Ok(more)
 }
 
-/// Makes `x` an insertion candidate if it can rise — its MCD is above `k`
-/// — and this visit flags it first: appends it to the candidate list
-/// (cursor `dyn.op[OP_CAND]`).
+/// Makes `x`, of core `k`, an insertion candidate if it can rise — its MCD
+/// is above `k` — and this visit flags it first: appends it to the
+/// candidate list (cursor `dyn.result[CAND]`).
 fn claim(blk: &mut BlockCtx<'_>, p: &DynParams, x: usize, k: u32) -> bool {
     let dev = blk.device;
     if blk.gread(&dev.buffer(p.d_mcd)[x]) <= k || blk.atomic_add(&dev.buffer(p.d_flag)[x], 1) != 0 {
         return false;
     }
-    let slot = blk.atomic_add(&dev.buffer(p.d_op)[OP_CAND], 1) as usize;
+    let slot = blk.atomic_add(&dev.buffer(p.d_res)[CAND], 1) as usize;
     blk.gwrite(&dev.buffer(p.d_cand)[slot], x as u32);
     true
 }
 
-/// Insertion search, init (block order). Block 0 applies the insertion
-/// ([`splice`]) and leaves `K` and a zero candidate count in `dyn.op`.
-/// Then it runs the PCD prune against the new structure: for each root
-/// `r`, `pcd(r) = |{x ∈ N(r) : core(x) > K ∨ (core(x) == K ∧ mcd(x) > K)}|`.
-/// If no root has `pcd > K`, no core number can rise: the insertion is
-/// counted as pruned and seeds nothing. Otherwise block 0 claims the roots
-/// and seeds its frontier with them; the candidate set is a closure, so
-/// it does not depend on which block seeds it. Other blocks start empty.
-fn bfs_init(blk: &mut BlockCtx<'_>, p: &DynParams, op: Op) -> Result<TravState, KernelError> {
-    if blk.block_idx != 0 {
-        return TravState::new(blk, 0, 0);
-    }
-    let roots = splice(blk, p, op, true)?;
-    let k = roots.k;
-    write_op(blk, p, k, NO_ROOT);
-    let mut may_rise = false;
-    for r in roots.iter() {
-        let mut pcd = 0u32;
-        scan_neighbors(blk, p, r, &[p.d_core, p.d_mcd], |_, idxs, w| {
-            pcd += (0..idxs.len())
-                .filter(|&t| w[0][t] > k || (w[0][t] == k && w[1][t] > k))
-                .count() as u32;
-        });
-        may_rise |= pcd > k;
-    }
-    let mut e = 0u32;
-    if may_rise {
-        for r in roots.iter() {
-            if claim(blk, p, r, k) {
-                seed(blk, p, &mut e, r, "subcore")?;
-            }
+/// Insertion search, init (block order). Each block applies its share of
+/// the group ([`splice`]), and block 0 zeroes the candidate count (with
+/// the whole counter sector on the batch's first launch). The roots wait
+/// for the first wave: their PCD prune reads neighbors' MCD, which other
+/// blocks' splices write.
+fn bfs_init(blk: &mut BlockCtx<'_>, p: &DynParams, grp: Group) -> Result<TravState, KernelError> {
+    if blk.block_idx == 0 {
+        if grp.first {
+            open_batch(blk, p);
+        } else {
+            let res = blk.device.buffer(p.d_res);
+            blk.gwrite(&res[CAND], 0);
         }
-    } else {
-        add_counter(blk, p, PRUNED, 1);
     }
-    TravState::new(blk, k, e)
+    for i in striped(blk, grp.lo, grp.hi) {
+        splice(blk, p, i, true)?;
+    }
+    let mut st = TravState::new(blk, 0)?;
+    st.roots_pending = true;
+    Ok(st)
 }
 
-/// Insertion search, one wave: walks the frontier's core-`k` neighbors and
-/// claims each one that can rise. Nothing rising is missed: a vertex that
-/// rises has more than `k` neighbors of core `>= k`, and risen vertices
-/// reach a root through other risen vertices.
+/// Insertion search, one wave: walks the frontier's neighbors at the
+/// walked vertex's own level `k` and claims each one that can rise. Nothing
+/// rising is missed: a vertex that rises has more than `k` neighbors of
+/// core `>= k`, and risen vertices reach a root of their level through
+/// other risen vertices. A block's first wave first seeds its frontier
+/// ([`claim_roots`]).
 fn bfs_step(
     blk: &mut BlockCtx<'_>,
     st: &mut TravState,
     p: &DynParams,
+    grp: Group,
 ) -> Result<bool, KernelError> {
-    let k = st.k;
+    if std::mem::take(&mut st.roots_pending) {
+        claim_roots(blk, st, p, grp)?;
+    }
+    let core = blk.device.buffer(p.d_core);
     walk_wave(
         blk,
         st,
         p,
         p.d_core,
-        |c| c == k,
         None,
         "subcore",
-        |blk, x, _| Ok(claim(blk, p, x, k)),
+        |blk, v| blk.gread(&core[v]),
+        |k, c| c == k,
+        |blk, k, x, _| Ok(claim(blk, p, x, k)),
     )
 }
 
+/// The PCD prune and the root claims for this block's edges, against the
+/// whole group's structure. For each root `r` of an edge of level `K`,
+/// `pcd(r) = |{x ∈ N(r) : core(x) > K ∨ (core(x) == K ∧ mcd(x) > K)}|`.
+/// If no root has `pcd > K`, no core can rise through the edge: it is
+/// counted as pruned and seeds nothing. Otherwise the block claims its
+/// roots and seeds its frontier with them; a candidate set is a closure,
+/// so it does not depend on which block seeds it.
+fn claim_roots(
+    blk: &mut BlockCtx<'_>,
+    st: &mut TravState,
+    p: &DynParams,
+    grp: Group,
+) -> Result<(), KernelError> {
+    let (mut e, mut pruned) = (0u32, 0u32);
+    for i in striped(blk, grp.lo, grp.hi) {
+        let edge = read_edge(blk, p, i);
+        let k = edge.k();
+        let mut may_rise = false;
+        for r in edge.roots() {
+            let mut pcd = 0u32;
+            scan_neighbors(blk, p, r, &[p.d_core, p.d_mcd], |_, idxs, w| {
+                pcd += (0..idxs.len())
+                    .filter(|&t| w[0][t] > k || (w[0][t] == k && w[1][t] > k))
+                    .count() as u32;
+            });
+            may_rise |= pcd > k;
+        }
+        if !may_rise {
+            pruned += 1;
+            continue;
+        }
+        for r in edge.roots() {
+            if claim(blk, p, r, k) {
+                seed(blk, p, &mut e, r, "subcore")?;
+            }
+        }
+    }
+    if pruned > 0 {
+        add_counter(blk, p, PRUNED, pruned);
+    }
+    blk.sh_write(st.se, 1, e);
+    Ok(())
+}
+
 /// Eviction cascade, init (block order): stripes the search's candidates
-/// over blocks. For each, it counts the support
-/// `sup[v] = |{x ∈ N(v) : core(x) > k ∨ flag(x)}|` — supporters either
-/// already above `k` or fellow candidates — and evicts it at once if that
-/// is below the threshold `k + 1`, seeding this block's frontier with it.
-/// `flag` and `core` do not change in this launch, and each block writes
-/// only its own candidates' `sup`.
+/// over blocks. For each, of level `k`, it counts the support
+/// `sup[v] = |{x ∈ N(v) : core(x) > k ∨ (core(x) == k ∧ flag(x))}|` —
+/// supporters either already above `k` or fellow candidates of its level;
+/// a candidate of level `k − 1` rises at most to `k` — and evicts it at
+/// once if that is below the threshold `k + 1`, seeding this block's
+/// frontier with it. `flag` and `core` do not change in this launch, and
+/// each block writes only its own candidates' `sup`.
 fn casc_init(blk: &mut BlockCtx<'_>, p: &DynParams) -> Result<TravState, KernelError> {
     let dev = blk.device;
     let cand = dev.buffer(p.d_cand);
+    let core = dev.buffer(p.d_core);
     let sup = dev.buffer(p.d_sup);
     let evic = dev.buffer(p.d_evic);
-    let blocks = blk.cfg.blocks as usize;
-    let [k, _, cand_n] = read_op(blk, p);
+    let cand_n = read_cand(blk, p);
     let mut e = 0u32;
-    let mut i = blk.block_idx as usize;
-    while i < cand_n as usize {
+    for i in striped(blk, 0, cand_n) {
         let v = blk.gread(&cand[i]) as usize;
+        let k = blk.gread(&core[v]);
         let mut m = 0u32;
         scan_neighbors(blk, p, v, &[p.d_core, p.d_flag], |_, idxs, w| {
             m += (0..idxs.len())
-                .filter(|&t| w[0][t] > k || w[1][t] != 0)
+                .filter(|&t| w[0][t] > k || (w[0][t] == k && w[1][t] != 0))
                 .count() as u32;
         });
         blk.gwrite(&sup[v], m);
@@ -1225,89 +1330,91 @@ fn casc_init(blk: &mut BlockCtx<'_>, p: &DynParams) -> Result<TravState, KernelE
             blk.gwrite(&evic[v], 1);
             seed(blk, p, &mut e, v, "cascade")?;
         }
-        i += blocks;
     }
-    TravState::new(blk, k, e)
+    TravState::new(blk, e)
 }
 
-/// Eviction cascade, one wave: walks the evicted frontier's neighbors
-/// inside the candidate set (`flag`) and decrements each un-evicted one's
-/// support; a decrement from exactly the threshold `k + 1` evicts it too.
-/// An un-evicted candidate always has `sup >= k + 1 >= 1`, so the
-/// decrement cannot underflow.
+/// Eviction cascade, one wave: walks each evicted vertex's candidate
+/// neighbors (`flag`) and decrements the support of each un-evicted one of
+/// the evicted vertex's own level `k`; a decrement from exactly the
+/// threshold `k + 1` evicts it too. A candidate of level `k − 1` keeps its
+/// support: the evicted vertex stays at `k`, above it. An un-evicted
+/// candidate always has `sup >= k + 1 >= 1`, so the decrement cannot
+/// underflow.
 fn casc_step(
     blk: &mut BlockCtx<'_>,
     st: &mut TravState,
     p: &DynParams,
 ) -> Result<bool, KernelError> {
     let dev = blk.device;
+    let core = dev.buffer(p.d_core);
     let sup = dev.buffer(p.d_sup);
     let evic = dev.buffer(p.d_evic);
-    let thresh = st.k + 1;
     walk_wave(
         blk,
         st,
         p,
         p.d_flag,
-        |f| f != 0,
         None,
         "cascade",
-        |blk, x, _| {
-            if blk.gread(&evic[x]) != 0 {
+        |blk, x| blk.gread(&core[x]),
+        |_, f| f != 0,
+        |blk, k, y, _| {
+            if blk.gread(&core[y]) != k || blk.gread(&evic[y]) != 0 {
                 return Ok(false);
             }
-            let old = blk.atomic_sub(&sup[x], 1);
-            debug_assert!(old >= thresh, "support underflow on un-evicted candidate");
-            if old != thresh {
+            let old = blk.atomic_sub(&sup[y], 1);
+            debug_assert!(old > k, "support underflow on un-evicted candidate");
+            if old != k + 1 {
                 return Ok(false);
             }
-            blk.gwrite(&evic[x], 1);
+            blk.gwrite(&evic[y], 1);
             Ok(true)
         },
     )
 }
 
 /// Rise kernel, init (block order): stripes the candidates over blocks.
-/// Each survivor (never evicted) rises to `k + 1` and is listed as
-/// changed. Its MCD becomes its final support: its neighbors of core
-/// `> k` plus its surviving fellow candidates. It now counts for each
-/// non-candidate neighbor already at `k + 1`, which gains one MCD; no other
-/// MCD moves. Candidate flags stay set until every block's init has run,
-/// so the neighbor test never mistakes a survivor risen in an earlier
-/// block for a non-candidate. Block 0 adds the candidates to the work
-/// tally, and each block its risen vertices to the change count. Returns
-/// the candidate count for the clearing wave.
-fn rise_init(blk: &mut BlockCtx<'_>, p: &DynParams) -> Result<u32, KernelError> {
+/// Each survivor (never evicted) rises from its level `k` to `k + 1` and
+/// is listed as changed. Its MCD becomes its final support: its neighbors
+/// of core `> k` plus its surviving fellow candidates. It now counts for
+/// each neighbor that had core `k + 1` before the group and does not rise
+/// — a non-candidate, or a candidate of level `k + 1` the cascade evicted
+/// — which gains one MCD; no other MCD moves. Flags and eviction marks stay
+/// set until every block's init has run, so the test never mistakes a
+/// survivor risen in an earlier block for a vertex that stays. Block 0 adds
+/// the candidates to the work tally, and each block its risen vertices to
+/// the change count. Returns the candidate count for the clearing wave.
+fn rise_init(blk: &mut BlockCtx<'_>, p: &DynParams) -> Result<usize, KernelError> {
     let dev = blk.device;
     let cand = dev.buffer(p.d_cand);
     let evic = dev.buffer(p.d_evic);
     let sup = dev.buffer(p.d_sup);
     let core = dev.buffer(p.d_core);
     let mcd = dev.buffer(p.d_mcd);
-    let blocks = blk.cfg.blocks as usize;
-    let [k, _, cand_n] = read_op(blk, p);
+    let cand_n = read_cand(blk, p);
     if blk.block_idx == 0 && cand_n > 0 {
-        add_counter(blk, p, WORK, cand_n);
+        add_counter(blk, p, WORK, cand_n as u32);
     }
     let mut risen = 0u32;
-    let mut i = blk.block_idx as usize;
-    while i < cand_n as usize {
+    for i in striped(blk, 0, cand_n) {
         let v = blk.gread(&cand[i]) as usize;
-        if blk.gread(&evic[v]) == 0 {
-            blk.gwrite(&core[v], k + 1);
-            let s = blk.gread(&sup[v]);
-            blk.gwrite(&mcd[v], s);
-            list_changed(blk, p, v);
-            risen += 1;
-            scan_neighbors(blk, p, v, &[p.d_core, p.d_flag], |blk, idxs, w| {
-                for (t, &x) in idxs.iter().enumerate() {
-                    if w[0][t] == k + 1 && w[1][t] == 0 {
-                        blk.atomic_add(&mcd[x], 1);
-                    }
-                }
-            });
+        if blk.gread(&evic[v]) != 0 {
+            continue;
         }
-        i += blocks;
+        let k = blk.gread(&core[v]);
+        blk.gwrite(&core[v], k + 1);
+        let s = blk.gread(&sup[v]);
+        blk.gwrite(&mcd[v], s);
+        list_changed(blk, p, v);
+        risen += 1;
+        scan_neighbors(blk, p, v, &[p.d_core, p.d_flag], |blk, idxs, w| {
+            for (t, &x) in idxs.iter().enumerate() {
+                if w[0][t] == k + 1 && (w[1][t] == 0 || blk.gread(&evic[x]) != 0) {
+                    blk.atomic_add(&mcd[x], 1);
+                }
+            }
+        });
     }
     if risen > 0 {
         add_counter(blk, p, CHANGED, risen);
@@ -1316,22 +1423,19 @@ fn rise_init(blk: &mut BlockCtx<'_>, p: &DynParams) -> Result<u32, KernelError> 
 }
 
 /// Rise kernel, second wave (after every block's init): clears this
-/// block's candidates' flags and eviction marks for the next insertion.
+/// block's candidates' flags and eviction marks for the next group.
 /// `sup` needs no reset: the eviction cascade's init writes every
 /// candidate's before anything reads it.
-fn rise_clear(blk: &mut BlockCtx<'_>, p: &DynParams, cand_n: u32) -> Result<bool, KernelError> {
+fn rise_clear(blk: &mut BlockCtx<'_>, p: &DynParams, cand_n: usize) -> Result<bool, KernelError> {
     let dev = blk.device;
     let cand = dev.buffer(p.d_cand);
     let flag = dev.buffer(p.d_flag);
     let evic = dev.buffer(p.d_evic);
     blk.sync_threads();
-    let blocks = blk.cfg.blocks as usize;
-    let mut i = blk.block_idx as usize;
-    while i < cand_n as usize {
+    for i in striped(blk, 0, cand_n) {
         let v = blk.gread(&cand[i]) as usize;
         blk.gwrite(&flag[v], 0);
         blk.gwrite(&evic[v], 0);
-        i += blocks;
     }
     Ok(false)
 }
@@ -1610,10 +1714,12 @@ mod tests {
         assert_eq!(a, c);
     }
 
-    /// A maintained batch's launches and copies as a formula in its net
-    /// insertions `I` and net deletions `D`: `3I + D` launches plus the
-    /// batch-end `dyn_list`, one H2D copy per 1,024-update chunk, and one
-    /// D2H copy, or two when the changed list outgrows the readback window.
+    /// A maintained batch's launches and copies as a formula in its insert
+    /// and delete groups `G_I` and `G_D`: `3·G_I + G_D` launches plus the
+    /// batch-end `dyn_list`, one H2D copy per 1,024-edge chunk, and one D2H
+    /// copy, or two when the changed list outgrows the readback window.
+    /// Disjoint edges make one group per phase, or one per chunk when they
+    /// fill two; a star's edges share its center, so each is a group.
     #[test]
     fn launches_and_copies_per_batch_follow_net_updates() {
         use kcore_gpusim::TransferDir;
@@ -1625,9 +1731,13 @@ mod tests {
         let del = EdgeUpdate::Delete as fn(u32, u32) -> EdgeUpdate;
         let w = WINDOW_ENTRIES as u32;
         let big = BATCH_CAPACITY as u32 + 76;
+        let center = 2 * big;
+        let star = |mk: fn(u32, u32) -> EdgeUpdate| -> Vec<EdgeUpdate> {
+            (1..5).map(|x| mk(center, center + x)).collect()
+        };
         let mut dc = DynamicCore::from_csr(
             &SimOptions::default(),
-            &Csr::empty(2 * big as usize),
+            &Csr::empty(center as usize + 5),
             small_cfg(),
         )
         .unwrap();
@@ -1635,34 +1745,70 @@ mod tests {
             .into_iter()
             .chain(pairs(0..1, del))
             .collect();
-        // (batch, D2H copies): each disjoint edge changes both endpoints.
+        // (batch, (G_I, G_D), changed, D2H copies): each disjoint edge
+        // changes both endpoints, a star its center and its leaves.
         let cases = [
-            ("pure insert", pairs(0..3, ins), 1),
-            ("pure delete", pairs(1..3, del), 1),
-            ("mixed", mixed, 1),
-            ("list past the window", pairs(5..w / 2 + 6, ins), 2),
-            ("two chunks", pairs(w / 2 + 6..big, ins), 2),
+            ("pure insert", pairs(0..3, ins), (1, 0), 6, 1),
+            ("pure delete", pairs(1..3, del), (0, 1), 4, 1),
+            ("mixed", mixed, (1, 1), 6, 1),
+            (
+                "list past the window",
+                pairs(5..w / 2 + 6, ins),
+                (1, 0),
+                w + 2,
+                2,
+            ),
+            (
+                "two chunks",
+                pairs(w / 2 + 6..big, ins),
+                (2, 0),
+                2 * big - w - 12,
+                2,
+            ),
+            ("star insert", star(ins), (4, 0), 5, 1),
+            ("star delete", star(del), (0, 4), 5, 1),
         ];
-        for (label, batch, d2h) in cases {
+        for (label, batch, (gi, gd), changed, d2h) in cases {
             let (l0, x0) = (dc.ctx().launches().len(), dc.ctx().transfers().len());
             let rep = dc.apply_batch(&batch).unwrap();
             assert_eq!(rep.path, BatchPath::Maintained, "{label}");
             assert_eq!(rep.rebuilds, 0, "{label}: a rebuild adds copies");
-            assert_eq!(rep.changed as usize, 2 * batch.len(), "{label}");
-            let (i, d) = (rep.net_inserts, rep.net_deletes);
+            assert_eq!(rep.changed, u64::from(changed), "{label}");
             let copies = &dc.ctx().transfers()[x0..];
             let h2d = copies
                 .iter()
                 .filter(|t| t.dir == TransferDir::HostToDevice)
                 .count();
             let got = (dc.ctx().launches().len() - l0, h2d, copies.len() - h2d);
-            let want = (3 * i + d + 1, (i + d).div_ceil(BATCH_CAPACITY), d2h);
+            let want = (3 * gi + gd + 1, batch.len().div_ceil(BATCH_CAPACITY), d2h);
             assert_eq!(
                 got, want,
-                "{label}: (launches, H2D, D2H) with I = {i}, D = {d}"
+                "{label}: (launches, H2D, D2H) with G_I = {gi}, G_D = {gd}"
             );
         }
         assert_consistent(&mut dc);
+    }
+
+    /// The partition is first fit in list order, one sweep per matching,
+    /// and a wrapped sweep stamp does not mistake old stamps for new.
+    #[test]
+    fn matchings_are_first_fit_in_list_order() {
+        let mut dc =
+            DynamicCore::from_csr(&SimOptions::default(), &Csr::empty(6), small_cfg()).unwrap();
+        let edges = [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (0, 2)];
+        let want = (
+            vec![(0, 1), (2, 3), (4, 5), (1, 2), (3, 0), (0, 2)],
+            vec![3, 5, 6],
+        );
+        for stale in [None, Some(u32::MAX)] {
+            if let Some(sweep) = stale {
+                dc.sweep = sweep;
+                dc.stamp.fill(1);
+            }
+            let (mut order, mut ends) = (Vec::new(), Vec::new());
+            dc.matchings(&edges, &mut order, &mut ends);
+            assert_eq!((order, ends), want, "sweep {stale:?}");
+        }
     }
 
     /// A batch counter is 64 bits wide: the add that wraps its low word
@@ -1687,6 +1833,25 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(dc.ctx.dtoh_range(p.d_res, WORK, WORK + 2).unwrap(), [2, 8]);
+    }
+
+    /// A batch that fails mid-way leaves the host mirror ahead of the
+    /// device, so the engine keeps the error: lifting the time limit that
+    /// tripped it does not let a later batch run on the half-applied state.
+    #[test]
+    fn a_failed_batch_fails_every_later_batch() {
+        let mut dc =
+            DynamicCore::from_csr(&SimOptions::default(), &Csr::empty(12), small_cfg()).unwrap();
+        // A star of four insert groups: the limit trips after the staging copy.
+        let star: Vec<EdgeUpdate> = (1..5).map(|x| EdgeUpdate::Insert(0, x)).collect();
+        let t = dc.ctx().elapsed_ms();
+        dc.ctx_mut().set_time_limit_ms(t + 0.001);
+        let err = dc.apply_batch(&star).unwrap_err();
+        assert!(matches!(err, SimError::TimeLimit { .. }), "{err:?}");
+        dc.ctx_mut().set_time_limit_ms(f64::INFINITY);
+        let later = dc.apply_batch(&[EdgeUpdate::Insert(6, 7)]);
+        assert_eq!(later.err(), Some(err));
+        assert_eq!(dc.cores(), &[0; 12], "the host cores saw no change");
     }
 
     /// A device adjacency that lacks an edge the mirror holds fails the

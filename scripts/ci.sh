@@ -184,7 +184,11 @@ echo "== dynamic maintenance smoke (batched engine vs BZ) =="
 # pure-insert batch plus one pure-delete batch checked against BZ after
 # each. From the transfer records it also asserts that every maintained
 # batch, at every batch size, makes no host round trip between its
-# updates: at most two D2H copies, and no launch after the first of them.
+# traversals: at most two D2H copies, and no launch after the first of
+# them. From the launch records it asserts one traversal per matching: at
+# most 3·(2Δ_I − 1) + (2Δ_D − 1) + 1 launches a batch, where Δ is the most
+# net inserts (Δ_I) or net deletes (Δ_D) that share one vertex, plus three
+# per 1024-edge staging chunk past the first.
 # Results go to a throwaway dir so the full-scale
 # results/table_dynamic.{txt,json} are never overwritten.
 dyn_results="$(mktemp -d)"

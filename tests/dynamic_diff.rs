@@ -14,11 +14,17 @@
 //! sizes 1 / 2 / 8. A valid stream (`kcore_bench::ValidChurn`: deletes of
 //! present edges, inserts of absent pairs) rides along at batch sizes
 //! 1 / 16 / 64, so every delete is accepted and runs the deletion path.
+//!
+//! The engine runs one traversal per matching of a batch's net deletes or
+//! net inserts, every core level on one grid. Batches that are matchings
+//! over several core levels, and one small case per hazard of that shared
+//! grid, check it at grids of 1, 2 and 16 blocks.
 
+use kcore::cpu::bz;
 use kcore::cpu::incremental::DynamicGraph;
 use kcore::gpu::{BatchPath, DynamicConfig, DynamicCore, SimOptions};
 use kcore::gpusim::LaunchConfig;
-use kcore::graph::{builder::from_edges, gen, Csr, EdgeUpdate};
+use kcore::graph::{builder::from_edges, gen, Csr, EdgeSet, EdgeUpdate};
 use kcore_bench::ValidChurn;
 use proptest::prelude::*;
 
@@ -202,11 +208,11 @@ fn empty_batches_and_all_rejected_batches_are_noops() {
     assert_eq!(dc.cores(), &before[..]);
 }
 
-/// DESIGN.md's "Why per-edge traversals" counterexample. On the 4-cycle
+/// DESIGN.md's "Why one traversal per matching" example. On the 4-cycle
 /// 0-1-2-3 every core is 2, and both chords have `K = 2`. Either chord alone
-/// leaves every core at 2; both together make K4, where every core is 3. A
-/// traversal per same-`K` group would have to find that rise although no
-/// single edge of the group causes it.
+/// leaves every core at 2; both together make K4, where every core is 3.
+/// The chords form one matching, whose one traversal must find that rise
+/// although no single edge of it causes it.
 #[test]
 fn same_k_insertions_change_cores_only_together() {
     let cycle = from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
@@ -220,6 +226,7 @@ fn same_k_insertions_change_cores_only_together() {
         assert_eq!(dc.device_cores(), [2, 2, 2, 2], "{chord:?}");
     }
     let mut dc = engine();
+    let launches = dc.ctx().launches().len();
     let rep = dc
         .apply_batch(&[EdgeUpdate::Insert(0, 2), EdgeUpdate::Insert(1, 3)])
         .unwrap();
@@ -228,6 +235,165 @@ fn same_k_insertions_change_cores_only_together() {
     assert_eq!(rep.changed, 4);
     assert_eq!(dc.cores(), [3, 3, 3, 3]);
     assert_eq!(dc.device_cores(), [3, 3, 3, 3]);
+    // The chords share no vertex: one search, cascade and rise find the
+    // rise together, and the batch-end list makes the fourth launch.
+    assert_eq!(dc.ctx().launches().len() - launches, 3 + 1);
+}
+
+/// The engine configuration at a grid of `blocks` one-warp blocks, so each
+/// wave of a block walks one frontier vertex and blocks interleave finely.
+fn grid(blocks: u32) -> DynamicConfig {
+    DynamicConfig {
+        launch: LaunchConfig {
+            blocks,
+            threads_per_block: 32,
+        },
+        ..DynamicConfig::default()
+    }
+}
+
+/// Applies `batch` to `n` vertices with `edges` at grids of 1, 2 and 16
+/// blocks, checking host cores, device cores and device MCD against BZ.
+fn one_matching(n: u32, edges: &[(u32, u32)], batch: &[EdgeUpdate]) {
+    let g = from_edges(n, edges);
+    for blocks in [1, 2, 16] {
+        run_diff(&g, batch, batch.len(), grid(blocks), true);
+    }
+}
+
+/// Shared-grid hazard 1, support. The path 1-0-3 has core 1 and vertex 2
+/// core 0. Inserting {2, 0} (level 0) and {1, 3} (level 1) together lifts
+/// the triangle to 2 and vertex 2 to 1. Vertex 2 is a candidate of level 0
+/// beside level-1 candidate 0, but it ends at core 1, so it must not count
+/// in 0's support, which becomes 0's MCD.
+#[test]
+fn support_counts_only_candidates_of_the_same_level() {
+    use EdgeUpdate::Insert;
+    one_matching(4, &[(0, 1), (0, 3)], &[Insert(2, 0), Insert(1, 3)]);
+}
+
+/// Shared-grid hazard 1, eviction. Vertices 1, 2, 3, 4 and 6 have core 2,
+/// and 0 and 5 are isolated. Inserting {4, 6} makes level-2 candidates that
+/// the cascade evicts, while {3, 5} and {1, 0} lift 5 and 0 to core 1.
+/// Vertex 3 is an evicted candidate that stays at core 2, so its eviction
+/// must not take away 5's support, which 3 alone gives.
+#[test]
+fn eviction_spares_candidates_of_other_levels() {
+    use EdgeUpdate::Insert;
+    let edges = [(1, 2), (1, 3), (2, 4), (2, 6), (3, 4), (3, 6)];
+    one_matching(7, &edges, &[Insert(4, 6), Insert(3, 5), Insert(1, 0)]);
+}
+
+/// Shared-grid hazard 2, rise. Vertices 0-4 have core 2 and pendant 5 on
+/// vertex 3 core 1. Inserting {1, 0} makes level-2 candidates the cascade
+/// evicts, while {2, 5} lifts 5 to core 2. Vertices 2 and 3 are evicted
+/// candidates that stay at 2, so each gains one MCD when 5 reaches their
+/// core.
+#[test]
+fn rise_credits_evicted_candidates_of_the_level_above() {
+    use EdgeUpdate::Insert;
+    let edges = [(0, 2), (0, 3), (1, 2), (1, 4), (2, 3), (3, 4), (3, 5)];
+    one_matching(6, &edges, &[Insert(1, 0), Insert(2, 5)]);
+}
+
+/// Shared-grid hazard 3, deletion. Vertices 0, 1, 3, 4 form a K4 (core 3)
+/// and vertex 2, adjacent to 0 and 4, has core 2. Deleting {0, 2} drops 2
+/// to core 1, and deleting {1, 4} drops the K4 to core 2. Walking 2 must
+/// not take MCD from 4, which reaches core 2 only as it is walked: taking
+/// it from a stale count would drop 4 a second time.
+#[test]
+fn deletion_recounts_a_dropped_vertex_before_the_level_below_meets_it() {
+    use EdgeUpdate::Delete;
+    let edges = [
+        (0, 1),
+        (0, 2),
+        (0, 3),
+        (0, 4),
+        (1, 3),
+        (1, 4),
+        (2, 4),
+        (3, 4),
+    ];
+    one_matching(5, &edges, &[Delete(4, 1), Delete(0, 2)]);
+}
+
+/// Up to `count` batches of `m` updates, each a matching over the graph the
+/// batches before it leave: a delete of each present pair, an insert of
+/// each absent one. A batch first takes one pair at each of three core
+/// levels (the greatest, a middle and the least core present, in that
+/// order, so a lower level's pair never takes the vertices a higher one
+/// needs), then pairs of random unused vertices; the stream ends early once
+/// the graph has fewer than three core levels. Returns the updates and the
+/// fewest levels a batch touched, a pair's level being
+/// `min(core(u), core(v))` before its batch.
+fn matching_batches(g: &Csr, mut state: u32, m: usize, count: usize) -> (Vec<EdgeUpdate>, usize) {
+    let n = g.num_vertices();
+    let mut rng = move || {
+        state ^= state << 13;
+        state ^= state >> 17;
+        state ^= state << 5;
+        state as usize
+    };
+    let mut set = EdgeSet::from_csr(g);
+    let (mut ops, mut fewest) = (Vec::new(), usize::MAX);
+    for _ in 0..count {
+        let core = bz::core_numbers(&set.to_csr());
+        let mut levels = core.clone();
+        levels.sort_unstable();
+        levels.dedup();
+        if levels.len() < 3 {
+            break;
+        }
+        let wanted = [
+            levels[levels.len() - 1],
+            levels[levels.len() / 2],
+            levels[0],
+        ];
+        let mut used = vec![false; n as usize];
+        let mut batch = Vec::new();
+        // A pair of unused vertices: `u` at level `l` and `v` at `l` or
+        // above, or any two without a level.
+        let mut pick = |want: Option<u32>, batch: &mut Vec<EdgeUpdate>| {
+            let mut draw = |fits: &dyn Fn(usize) -> bool, used: &[bool]| {
+                let free: Vec<usize> = (0..n as usize).filter(|&x| !used[x] && fits(x)).collect();
+                (!free.is_empty()).then(|| free[rng() % free.len()])
+            };
+            let Some(u) = draw(&|x| want.is_none_or(|l| core[x] == l), &used) else {
+                return;
+            };
+            used[u] = true;
+            let Some(v) = draw(&|x| want.is_none_or(|l| core[x] >= l), &used) else {
+                used[u] = false;
+                return;
+            };
+            used[v] = true;
+            let (u, v) = (u as u32, v as u32);
+            batch.push(if set.contains(u, v) {
+                EdgeUpdate::Delete(u, v)
+            } else {
+                EdgeUpdate::Insert(u, v)
+            });
+        };
+        for l in wanted {
+            pick(Some(l), &mut batch);
+        }
+        for _ in batch.len()..m {
+            pick(None, &mut batch);
+        }
+        let mut touched: Vec<u32> = batch
+            .iter()
+            .map(|e| {
+                let (u, v) = e.endpoints();
+                core[u as usize].min(core[v as usize])
+            })
+            .collect();
+        touched.sort_unstable();
+        touched.dedup();
+        fewest = fewest.min(touched.len());
+        set.apply(&set.classify(&batch));
+        ops.extend(batch);
+    }
+    (ops, fewest)
 }
 
 proptest! {
@@ -262,5 +428,38 @@ proptest! {
             .collect();
         let bs = [1usize, 16, 1024][bs_sel];
         run_diff(&g, &ops, bs, engine_cfg(), false);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Random graphs with planted cliques of cores 2, 4 and 6, and batches
+    /// that are matchings of deletes and inserts over at least three core
+    /// levels, so each phase of a batch is one traversal on one grid. At
+    /// grids of 1, 2 and 16 blocks and in rayon pools of 1, 2 and 8
+    /// threads, host cores, device cores and device MCD equal BZ after
+    /// every batch.
+    #[test]
+    fn matchings_over_three_core_levels_match_bz(
+        n in 20u32..40,
+        extra in proptest::collection::vec((0u32..40, 0u32..40), 0..20),
+        seed in 1u32..u32::MAX,
+        m in 3usize..8,
+        blocks_sel in 0usize..3,
+        threads_sel in 0usize..3,
+    ) {
+        let mut edges: Vec<(u32, u32)> = extra.into_iter().map(|(u, v)| (u % n, v % n)).collect();
+        for clique in [0..3u32, 3..8, 8..15] {
+            for u in clique.clone() {
+                edges.extend((u + 1..clique.end).map(|v| (u, v)));
+            }
+        }
+        let g = from_edges(n, &edges);
+        let (ops, fewest) = matching_batches(&g, seed, m, 6);
+        prop_assert!(!ops.is_empty() && fewest >= 3, "a batch touched only {} core levels", fewest);
+        let threads = [1usize, 2, 8][threads_sel];
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+        pool.install(|| run_diff(&g, &ops, m, grid([1, 2, 16][blocks_sel]), true));
     }
 }

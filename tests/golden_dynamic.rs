@@ -26,8 +26,8 @@ use std::path::PathBuf;
 
 /// The fixed churn workload: every update class the engine distinguishes
 /// (insert, delete, duplicate/self-loop/out-of-range reject) appears, and
-/// batches are large enough that classification and the per-edge kernels
-/// all run. Random pairs almost never name a present edge, so each batch
+/// batches are large enough that classification and the maintenance
+/// kernels all run, several matchings to a phase. Random pairs almost never name a present edge, so each batch
 /// also carries 32 valid updates, about half of them deletes that reach
 /// the deletion cascade. Same base graph and reduced grid as the static
 /// peel golden.
