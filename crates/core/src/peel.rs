@@ -902,7 +902,7 @@ fn process_vertex(
 
 /// Warp-vectorized [`loop_step`]: the same iteration, interleaving, counters
 /// and errors, with the frontier tail `e` mirrored in a local (see
-/// [`Appender`]) and each warp's adjacency chunk charged in bulk (see
+/// [`Appender`]) and each vertex's adjacency charged in bulk (see
 /// [`process_vertex_fast`]). Blocks step one at a time in wave order, so
 /// the launch-immutable `offset` and `neighbors` arrays are read as plain
 /// words. A step that leaves entries in the block's global buffer
@@ -1082,19 +1082,29 @@ fn append_fast(
     Ok(())
 }
 
-/// Bulk-charged twin of [`process_vertex`]: per-lane probes and decrements
-/// become one branch-free pass with bulk counter updates; ballot predicates
-/// stay packed as a mask. The recover branch (line 24) cannot fire while
-/// blocks step one at a time — `deg[u]` cannot change between the probe and
-/// the decrement — matching the reference wave loop, where it also never
-/// executes.
+/// Bulk-charged twin of [`process_vertex`]: the same decrements, appends,
+/// counters and errors, with per-lane charges summed into bulk updates. The
+/// recover branch (line 24) cannot fire while blocks step one at a time —
+/// `deg[u]` cannot change between the probe and the decrement — matching
+/// the reference wave loop, where it also never executes.
 ///
-/// Each lane stores `old - (old > k)` to `deg[u]` unconditionally and ORs
-/// `old == k + 1` into the mask. Stepped blocks run one at a time, so the
-/// store is exact: a lane that does not decrement rewrites the value it
-/// just loaded, which no other block can have changed (the sharded engine's
-/// drain still finds its ghost slots by value). Only the decrements are
-/// counted as atomics, as in the reference.
+/// Each lane stores `old - (old > k)` to `deg[u]` unconditionally. Stepped
+/// blocks run one at a time, so the store is exact: a lane that does not
+/// decrement rewrites the value it just loaded, which no other block can
+/// have changed (the sharded engine's drain still finds its ghost slots by
+/// value). Only the decrements are counted as atomics, as in the reference.
+///
+/// Without compaction the whole list is one pass: the per-chunk charges
+/// depend only on the degree `d`, so they are billed once — `⌈d/32⌉` chunks
+/// of a `__syncwarp` and two index instructions, one coalesced transaction
+/// each (`coalesced_tx` of 1 to 32 words is 1), and `d` probe sectors — and
+/// a neighbor that reaches `k` is appended as the walk meets it, which is
+/// the reference's order (lanes within a chunk, chunks in order). An append
+/// writes the buffer, never `deg`, so appending before the chunk's later
+/// decrements moves only the device state an overflow error leaves behind,
+/// and a failed launch records nothing. BC and EC keep the chunk loop:
+/// their ballot scan runs once per chunk, with the predicates packed as a
+/// mask.
 #[allow(clippy::too_many_arguments)]
 fn process_vertex_fast(
     blk: &mut BlockCtx<'_>,
@@ -1108,9 +1118,26 @@ fn process_vertex_fast(
     pe: usize,
     k: u32,
 ) -> Result<(), KernelError> {
-    // Hoisted out of the chunk loop; every chunk rewrites its lanes' slots
-    // before any is read.
-    let mut vals = [0u32; 32];
+    if !warp_compact {
+        let d = (pe - ps) as u64;
+        let chunks = d.div_ceil(32);
+        blk.charge_instr(3 * chunks); // line 15 sync + lines 16-18, per chunk
+        blk.charge_tx(chunks); // line 19 neighbor reads
+        blk.charge_sector(d); // line 20 deg probes
+        let mut decs = 0u64;
+        for &u in &nbrs[ps..pe] {
+            let slot = &deg[u as usize];
+            let old = slot.load(Ordering::Relaxed);
+            let dec = (old > k) as u32;
+            slot.store(old - dec, Ordering::Relaxed);
+            decs += u64::from(dec);
+            if old == k + 1 {
+                append_fast(bc, ap, blk, bufb, &[u], false)?;
+            }
+        }
+        blk.counters.global_atomics += decs;
+        return Ok(());
+    }
     let mut chunk = ps;
     while chunk < pe {
         let cend = (chunk + 32).min(pe);
@@ -1134,31 +1161,22 @@ fn process_vertex_fast(
             slot.store(old - dec, Ordering::Relaxed);
             decs += dec;
             bits |= ((old == k + 1) as u32) << lane;
-            vals[lane] = u;
         }
         blk.counters.global_atomics += u64::from(decs);
 
-        if warp_compact {
-            blk.counters.shared_accesses += 3 * cnt;
-            let (offs, total) = ballot_scan_offsets(blk, bits);
-            if total > 0 {
-                let mut batch = [0u32; 32];
-                let mut m = 0usize;
-                for lane in 0..(cend - chunk) {
-                    if bits >> lane & 1 == 1 {
-                        debug_assert_eq!(offs[lane] as usize, m);
-                        batch[m] = vals[lane];
-                        m += 1;
-                    }
-                }
-                append_fast(bc, ap, blk, bufb, &batch[..m], true)?;
-            }
-        } else if bits != 0 {
-            for lane in 0..(cend - chunk) {
+        blk.counters.shared_accesses += 3 * cnt;
+        let (offs, total) = ballot_scan_offsets(blk, bits);
+        if total > 0 {
+            let mut batch = [0u32; 32];
+            let mut m = 0usize;
+            for (lane, &u) in ids.iter().enumerate() {
                 if bits >> lane & 1 == 1 {
-                    append_fast(bc, ap, blk, bufb, &[vals[lane]], false)?;
+                    debug_assert_eq!(offs[lane] as usize, m);
+                    batch[m] = u;
+                    m += 1;
                 }
             }
+            append_fast(bc, ap, blk, bufb, &batch[..m], true)?;
         }
         chunk = cend;
     }

@@ -337,6 +337,12 @@ const MAKESPAN_STACK_MACHINES: usize = 128;
 /// no-op, the timeline draws its spans from them. A tournament tree keeps
 /// the least-loaded machine at its root, so each job costs O(log machines);
 /// the picks, and so the float sums, are those of a linear min-scan.
+///
+/// While machines sit idle the tree is not needed: if jobs `0..j` are all
+/// positive and `j < machines`, machines `0..j` carry positive loads and
+/// the rest carry 0, so job `j` lands on machine `j` at start 0, and
+/// `0.0 + x == x`. The tree is built at the first job that finds no machine
+/// idle or is not positive (zero, negative or NaN).
 pub fn makespan(jobs: &[f64], machines: usize, mut place: impl FnMut(usize, f64, f64)) -> f64 {
     assert!(machines > 0);
     // Leaves `leaves..2 * leaves` of `winner` hold machine indices, padding
@@ -355,30 +361,37 @@ pub fn makespan(jobs: &[f64], machines: usize, mut place: impl FnMut(usize, f64,
         heap_winner.resize(2 * leaves, 0);
         (&mut heap_loads, &mut heap_winner)
     };
-    loads[machines..].fill(f64::INFINITY);
-    let pick = |loads: &[f64], a: u32, b: u32| {
-        if loads[b as usize] < loads[a as usize] {
-            b
-        } else {
-            a
+    let idle = jobs.iter().take(machines).take_while(|&&j| j > 0.0).count();
+    for (m, &j) in jobs[..idle].iter().enumerate() {
+        loads[m] = j;
+        place(m, 0.0, j);
+    }
+    if idle < jobs.len() {
+        loads[machines..].fill(f64::INFINITY);
+        let pick = |loads: &[f64], a: u32, b: u32| {
+            if loads[b as usize] < loads[a as usize] {
+                b
+            } else {
+                a
+            }
+        };
+        for (m, w) in winner[leaves..].iter_mut().enumerate() {
+            *w = m as u32;
         }
-    };
-    for (m, w) in winner[leaves..].iter_mut().enumerate() {
-        *w = m as u32;
-    }
-    for i in (1..leaves).rev() {
-        winner[i] = pick(loads, winner[2 * i], winner[2 * i + 1]);
-    }
-    for &j in jobs {
-        // Node 1 is the root (with one machine, the lone leaf).
-        let m = winner[1] as usize;
-        let start = loads[m];
-        loads[m] += j;
-        place(m, start, loads[m]);
-        let mut i = (leaves + m) / 2;
-        while i >= 1 {
+        for i in (1..leaves).rev() {
             winner[i] = pick(loads, winner[2 * i], winner[2 * i + 1]);
-            i /= 2;
+        }
+        for &j in &jobs[idle..] {
+            // Node 1 is the root (with one machine, the lone leaf).
+            let m = winner[1] as usize;
+            let start = loads[m];
+            loads[m] += j;
+            place(m, start, loads[m]);
+            let mut i = (leaves + m) / 2;
+            while i >= 1 {
+                winner[i] = pick(loads, winner[2 * i], winner[2 * i + 1]);
+                i /= 2;
+            }
         }
     }
     loads[..machines]
@@ -508,7 +521,16 @@ mod tests {
         // The tournament tree must pick what a linear scan for the
         // lowest-index least-loaded machine picks, job by job, and so make
         // bit-identical float sums, below, at and above the allocation-free
-        // machine count, with tied loads and zero-cycle jobs.
+        // machine count, with tied loads and zero-cycle jobs. The sets made
+        // per machine count aim at the idle-machine prefix: its first zero
+        // job at index 1, `m - 1` or `m`, fewer jobs than machines, and
+        // exactly `m` jobs.
+        let positive = |n: usize| -> Vec<f64> { (0..n).map(|i| (i % 5) as f64 + 0.5).collect() };
+        let zero_at = |at: usize, m: usize| {
+            let mut jobs = positive(m + 40);
+            jobs[at] = 0.0;
+            jobs
+        };
         let job_sets: [Vec<f64>; 3] = [
             (0..108).map(|i| ((i * 37 % 19) as f64) + 0.25).collect(),
             (0..700).map(|i| [0.0, 3.0, 3.0, 0.5][i % 4]).collect(),
@@ -522,8 +544,15 @@ mod tests {
                 })
                 .collect(),
         ];
-        for jobs in &job_sets {
-            for m in [1usize, 2, 56, 128, 129, 300] {
+        for m in [1usize, 2, 56, 128, 129, 300] {
+            let prefix_sets = [
+                zero_at(1, m),
+                zero_at(m - 1, m),
+                zero_at(m, m),
+                positive(m / 2),
+                positive(m),
+            ];
+            for jobs in job_sets.iter().chain(&prefix_sets) {
                 let mut loads = vec![0.0f64; m];
                 let mut expect = Vec::new();
                 for &j in jobs {

@@ -18,7 +18,6 @@
 //! [`MemStats`](crate::MemStats) (per-allocation tables, per-phase
 //! high-watermarks, capacity extrapolation) and the Perfetto memory tracks.
 
-use crate::exec::SimError;
 use serde::Serialize;
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -180,6 +179,35 @@ impl Device {
         elem_bytes: usize,
         class: SizeClass,
     ) -> Result<BufferId, OomError> {
+        // calloc-backed zero fill: `vec![0u32; n]` lowers to alloc_zeroed
+        // (lazily zeroed pages from the OS), where a per-element
+        // `AtomicU32::new(0)` collect would write every word up front.
+        self.alloc_backing(name, elems, elem_bytes, class, |words| vec![0u32; words])
+    }
+
+    /// Allocates `data.len()` 32-bit words holding a copy of `data`, tagged
+    /// with `class`: the ledger entry and accounting of [`Device::alloc_with`]
+    /// with 4-byte elements, and each word written once, where an
+    /// allocation followed by a copy writes it twice.
+    pub(crate) fn alloc_copy(
+        &mut self,
+        name: &str,
+        data: &[u32],
+        class: SizeClass,
+    ) -> Result<BufferId, OomError> {
+        self.alloc_backing(name, data.len(), 4, class, |_| data.to_vec())
+    }
+
+    /// Accounts `elems * elem_bytes` bytes, then stores the backing
+    /// `fill(words)` builds, `words` long, in a slot and the ledger.
+    fn alloc_backing(
+        &mut self,
+        name: &str,
+        elems: usize,
+        elem_bytes: usize,
+        class: SizeClass,
+        fill: impl FnOnce(usize) -> Vec<u32>,
+    ) -> Result<BufferId, OomError> {
         let bytes = elems as u64 * elem_bytes as u64;
         if self.used + bytes > self.capacity {
             return Err(OomError {
@@ -194,13 +222,13 @@ impl Device {
         self.bump_phase_peak();
         let words = (bytes as usize).div_ceil(4);
         let ledger_idx = self.ledger.len();
-        // calloc-backed zero fill: `vec![0u32; n]` lowers to alloc_zeroed
-        // (lazily zeroed pages from the OS), where a per-element
-        // `AtomicU32::new(0)` collect would write every word up front.
-        // AtomicU32 is layout-identical to u32 (same size and alignment,
-        // every bit pattern valid), so rewrapping the backing is sound.
+        let backing = fill(words);
+        debug_assert_eq!(backing.len(), words);
+        // SAFETY: AtomicU32 is layout-identical to u32 (same size and
+        // alignment, every bit pattern valid), so rewrapping the backing is
+        // sound.
         let data = {
-            let mut v = std::mem::ManuallyDrop::new(vec![0u32; words]);
+            let mut v = std::mem::ManuallyDrop::new(backing);
             unsafe { Vec::from_raw_parts(v.as_mut_ptr() as *mut AtomicU32, v.len(), v.capacity()) }
         };
         let alloc = Allocation { data, ledger_idx };
@@ -308,35 +336,13 @@ impl Device {
         }
     }
 
-    /// Copies host data into the head of a buffer. A slice longer than the
-    /// buffer is a [`SimError::InvalidConfig`], returned before anything is
-    /// written.
-    pub fn write_slice(&self, id: BufferId, data: &[u32]) -> Result<(), SimError> {
-        let buf = self.buffer(id);
-        if data.len() > buf.len() {
-            return Err(SimError::InvalidConfig {
-                what: "write_slice words",
-                value: data.len() as f64,
-                need: "at most the destination buffer's length",
-            });
-        }
-        // SAFETY: `data.len() <= buf.len()` was checked above. Transfers
-        // never overlap kernel execution (launches run to completion under
-        // `&mut GpuContext`), so no simulated block races these words: one
-        // bulk copy through the atomics' `UnsafeCell` is equivalent to the
-        // per-word relaxed stores — and vectorizes, which a loop of atomic
-        // stores never does.
-        unsafe {
-            std::ptr::copy_nonoverlapping(data.as_ptr(), buf.as_ptr() as *mut u32, data.len());
-        }
-        Ok(())
-    }
-
     /// Copies a buffer back to host.
     pub fn read_vec(&self, id: BufferId) -> Vec<u32> {
         let buf = self.buffer(id);
-        // See `write_slice`: the device is quiescent during transfers, so a
-        // bulk read is equivalent to per-word relaxed loads.
+        // SAFETY: transfers never overlap kernel execution (launches run to
+        // completion under `&mut GpuContext`), so no simulated block races
+        // these words: one bulk read through the atomics' `UnsafeCell` is
+        // equivalent to the per-word relaxed loads.
         unsafe { std::slice::from_raw_parts(buf.as_ptr() as *const u32, buf.len()) }.to_vec()
     }
 
@@ -393,8 +399,7 @@ mod tests {
     #[test]
     fn read_write_round_trip() {
         let mut d = Device::new(1024);
-        let id = d.alloc("x", 4).unwrap();
-        d.write_slice(id, &[9, 8, 7, 6]).unwrap();
+        let id = d.alloc_copy("x", &[9, 8, 7, 6], SizeClass::Fixed).unwrap();
         assert_eq!(d.read_vec(id), vec![9, 8, 7, 6]);
         d.fill(id, 5);
         assert_eq!(d.read_vec(id), vec![5, 5, 5, 5]);

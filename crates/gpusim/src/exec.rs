@@ -514,44 +514,123 @@ impl<'a> BlockCtx<'a> {
 }
 
 /// Scratch reused across launches, so steady-state launches allocate
-/// nothing per dispatch: the wave order and per-block liveness of stepped
+/// nothing per dispatch: the wave orders and per-block liveness of stepped
 /// launches, and one shared-memory backing per block index, which every
 /// launch lends to its blocks and takes back.
 #[derive(Default)]
 struct LaunchScratch {
-    order: Vec<usize>,
+    waves: WaveTable,
     alive: Vec<bool>,
     shared: Vec<Vec<u32>>,
 }
 
-/// The wave loop of the stepped engine. Every wave reshuffles `order` with
-/// the xorshift stream seeded by `seed` (see
-/// [`GpuContext::set_schedule_seed`]) and then steps each live block on
-/// this thread, in that order, at every rayon width. A block retires when
-/// its step returns `false`.
+/// Entries [`WaveTable`] holds at most: 1 MiB of block indices.
+const WAVE_TABLE_ENTRIES: usize = (1 << 20) / std::mem::size_of::<u32>();
+
+/// The wave orders a context's stepped launches have drawn. Every stepped
+/// launch starts from the identity order and the xorshift stream of its
+/// schedule seed, and reshuffles once per wave, so wave `w`'s order depends
+/// only on (seed, block count, `w`). Row `w` is drawn by the first launch
+/// that reaches wave `w` and read by every later one. A launch under
+/// another seed or block count rebuilds the table.
+#[derive(Default)]
+struct WaveTable {
+    seed: u64,
+    /// 0 until the first launch keys the table (a grid has at least one
+    /// block).
+    blocks: usize,
+    /// Row `w` is `rows[w * blocks..(w + 1) * blocks]`.
+    rows: Vec<u32>,
+    /// The stream's state after the last row's draw.
+    rng: u64,
+}
+
+impl WaveTable {
+    /// Keys the table on `(seed, blocks)`, dropping its rows on a change.
+    fn key(&mut self, seed: u64, blocks: usize) {
+        if (self.seed, self.blocks) != (seed, blocks) {
+            self.seed = seed;
+            self.blocks = blocks;
+            self.rows.clear();
+            self.rng = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        }
+    }
+
+    /// Whether row `wave` is in the table. The first request for the row
+    /// after the last draws it, if it fits in [`WAVE_TABLE_ENTRIES`].
+    fn has(&mut self, wave: usize) -> bool {
+        let at = self.rows.len();
+        if wave < at / self.blocks {
+            return true;
+        }
+        if wave > at / self.blocks || at + self.blocks > WAVE_TABLE_ENTRIES {
+            return false;
+        }
+        self.rows
+            .reserve_exact((2 * at).clamp(at + self.blocks, WAVE_TABLE_ENTRIES) - at);
+        match at {
+            0 => self.rows.extend(0..self.blocks as u32),
+            _ => self.rows.extend_from_within(at - self.blocks..),
+        }
+        shuffle(&mut self.rows[at..], &mut self.rng);
+        true
+    }
+
+    fn row(&self, wave: usize) -> &[u32] {
+        &self.rows[wave * self.blocks..(wave + 1) * self.blocks]
+    }
+
+    /// The last row drawn, or the identity order before the first.
+    fn last(&self) -> Vec<u32> {
+        match self.rows.len() {
+            0 => (0..self.blocks as u32).collect(),
+            at => self.rows[at - self.blocks..].to_vec(),
+        }
+    }
+}
+
+/// Fisher–Yates with the xorshift stream `rng`.
+fn shuffle(order: &mut [u32], rng: &mut u64) {
+    for i in (1..order.len()).rev() {
+        *rng ^= *rng << 13;
+        *rng ^= *rng >> 7;
+        *rng ^= *rng << 17;
+        let j = (*rng % (i as u64 + 1)) as usize;
+        order.swap(i, j);
+    }
+}
+
+/// The wave loop of the stepped engine. Every wave reshuffles the previous
+/// wave's order, starting from the identity, with the xorshift stream
+/// seeded by `seed` (see [`GpuContext::set_schedule_seed`]), and then steps
+/// each live block on this thread, in that order, at every rayon width. A
+/// block retires when its step returns `false`. The orders come from
+/// `table`; waves past its budget reshuffle a working copy of its last row.
 fn run_waves<S>(
     seed: u64,
-    order: &mut Vec<usize>,
+    table: &mut WaveTable,
     alive: &mut Vec<bool>,
     blocks: &mut [(BlockCtx<'_>, S)],
     step: impl Fn(&mut BlockCtx<'_>, &mut S) -> Result<bool, KernelError>,
 ) -> Result<(), SimError> {
-    order.clear();
-    order.extend(0..blocks.len());
+    table.key(seed, blocks.len());
     alive.clear();
     alive.resize(blocks.len(), true);
-    let mut rng = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut live = blocks.len();
+    let (mut spill, mut rng) = (Vec::new(), 0);
+    let mut wave = 0;
     while live > 0 {
-        // Fisher–Yates with the xorshift stream
-        for i in (1..order.len()).rev() {
-            rng ^= rng << 13;
-            rng ^= rng >> 7;
-            rng ^= rng << 17;
-            let j = (rng % (i as u64 + 1)) as usize;
-            order.swap(i, j);
-        }
-        for &i in order.iter() {
+        let order = if table.has(wave) {
+            table.row(wave)
+        } else {
+            if spill.is_empty() {
+                (spill, rng) = (table.last(), table.rng);
+            }
+            shuffle(&mut spill, &mut rng);
+            &spill
+        };
+        for &i in order {
+            let i = i as usize;
             if !alive[i] {
                 continue;
             }
@@ -565,6 +644,7 @@ fn run_waves<S>(
                 Err(e) => return Err(SimError::Kernel(e)),
             }
         }
+        wave += 1;
     }
     Ok(())
 }
@@ -593,7 +673,7 @@ pub struct GpuContext {
     /// Recycled per-launch `Vec<Counters>` scratch (reused whenever
     /// per-block profiling is off and the vector isn't retained).
     counters_scratch: Vec<Counters>,
-    /// Recycled launch scratch (wave order, liveness, shared backings).
+    /// Recycled launch scratch (wave orders, liveness, shared backings).
     scratch: LaunchScratch,
 }
 
@@ -775,11 +855,7 @@ impl GpuContext {
         class: SizeClass,
     ) -> Result<BufferId, SimError> {
         self.check_limit()?;
-        let id = self.device.alloc_with(name, data.len(), 4, class)?;
-        // In bounds: `id` was just allocated with `data.len()` words.
-        self.device
-            .write_slice(id, data)
-            .expect("a fresh allocation holds its data");
+        let id = self.device.alloc_copy(name, data, class)?;
         self.record_transfer(TransferDir::HostToDevice, data.len() as u64 * 4);
         Ok(id)
     }
@@ -802,9 +878,12 @@ impl GpuContext {
                 need: "at most the destination buffer's length",
             });
         }
-        // SAFETY: `offset + data.len() <= buf.len()` was checked above. See
-        // `Device::write_slice`: quiescent during transfers, so a bulk copy
-        // is equivalent to the per-word relaxed stores.
+        // SAFETY: `offset + data.len() <= buf.len()` was checked above.
+        // Transfers never overlap kernel execution (launches run to
+        // completion under `&mut GpuContext`), so no simulated block races
+        // these words: one bulk copy through the atomics' `UnsafeCell` is
+        // equivalent to the per-word relaxed stores, and vectorizes, which a
+        // loop of atomic stores never does.
         unsafe {
             std::ptr::copy_nonoverlapping(
                 data.as_ptr(),
@@ -837,9 +916,9 @@ impl GpuContext {
                 need: "at most the range's end (hi)",
             });
         }
-        // SAFETY: `lo <= hi <= buf.len()` was checked above. See
-        // `Device::write_slice`: quiescent during transfers, so a bulk read
-        // is equivalent to the per-word relaxed loads.
+        // SAFETY: `lo <= hi <= buf.len()` was checked above. As in
+        // `htod_into`, the device is quiescent during transfers, so a bulk
+        // read is equivalent to the per-word relaxed loads.
         let out: Vec<u32> =
             unsafe { std::slice::from_raw_parts(buf.as_ptr().add(lo) as *const u32, hi - lo) }
                 .to_vec();
@@ -1034,7 +1113,7 @@ impl GpuContext {
         }
         run_waves(
             self.schedule_seed,
-            &mut scratch.order,
+            &mut scratch.waves,
             &mut scratch.alive,
             &mut blocks,
             step,
@@ -1259,7 +1338,7 @@ mod tests {
         // run-to-completion schedule would let the first block drain it.
         let mut c = ctx();
         let pool = c.alloc("pool", 1).unwrap();
-        c.device.write_slice(pool, &[100]).unwrap();
+        c.htod_into(pool, 0, &[100]).unwrap();
         let taken = c.alloc("taken", 4).unwrap();
         let cfg = LaunchConfig {
             blocks: 4,
@@ -1339,6 +1418,83 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, SimError::Kernel(KernelError::Other(_))));
+    }
+
+    /// Block `b` of a stepped launch with `lives.len()` blocks steps in
+    /// waves `0..lives[b]`. Returns each step as `(wave, block)`, in the
+    /// order the engine ran them.
+    fn stepped_waves(c: &mut GpuContext, lives: &[usize]) -> Vec<(usize, u32)> {
+        let log = std::cell::RefCell::new(Vec::new());
+        let cfg = LaunchConfig {
+            blocks: lives.len() as u32,
+            threads_per_block: 32,
+        };
+        c.launch_stepped(
+            "waves",
+            cfg,
+            |_| Ok(0usize),
+            |blk, wave| {
+                log.borrow_mut().push((*wave, blk.block_idx));
+                *wave += 1;
+                Ok(*wave < lives[blk.block_idx as usize])
+            },
+        )
+        .unwrap();
+        log.into_inner()
+    }
+
+    /// What [`stepped_waves`] must return, drawn without the engine from
+    /// the documented schedule: the identity order, reshuffled every wave
+    /// by Fisher–Yates with the xorshift stream from `seed + 0x9e37…7c15`,
+    /// with retired blocks skipped.
+    fn predicted_waves(seed: u64, lives: &[usize]) -> Vec<(usize, u32)> {
+        let mut order: Vec<u32> = (0..lives.len() as u32).collect();
+        let mut x = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut steps = Vec::new();
+        for wave in 0..lives.iter().copied().max().unwrap_or(0) {
+            for i in (1..order.len()).rev() {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                order.swap(i, (x % (i as u64 + 1)) as usize);
+            }
+            let live = order.iter().filter(|&&b| lives[b as usize] > wave);
+            steps.extend(live.map(|&b| (wave, b)));
+        }
+        steps
+    }
+
+    #[test]
+    fn wave_orders_follow_the_documented_schedule() {
+        // Blocks retire at different waves, so retired blocks are skipped.
+        let lives = |blocks: usize, waves: usize| -> Vec<usize> {
+            (0..blocks).map(|b| waves - b * 7 % 5).collect()
+        };
+        let mut c = ctx();
+        c.set_schedule_seed(7);
+        let table_waves = |c: &GpuContext| c.scratch.waves.rows.len() / c.scratch.waves.blocks;
+        // The first launch draws 40 rows; the second, shorter one reads
+        // them; the third draws 20 more.
+        for waves in [40, 30, 60] {
+            let lives = lives(108, waves);
+            assert_eq!(stepped_waves(&mut c, &lives), predicted_waves(7, &lives));
+        }
+        assert_eq!(table_waves(&c), 60);
+        // Another seed, then another block count, rebuild the table.
+        c.set_schedule_seed(8);
+        let l = lives(108, 25);
+        assert_eq!(stepped_waves(&mut c, &l), predicted_waves(8, &l));
+        assert_eq!(table_waves(&c), 25);
+        let l = lives(5, 50);
+        assert_eq!(stepped_waves(&mut c, &l), predicted_waves(8, &l));
+        // Past the budget, waves reshuffle a copy of the last row: 3,000
+        // blocks leave room for 87 rows.
+        let l = lives(3_000, 95);
+        assert_eq!(stepped_waves(&mut c, &l), predicted_waves(8, &l));
+        assert_eq!(table_waves(&c), WAVE_TABLE_ENTRIES / 3_000);
+        assert!(c.scratch.waves.rows.capacity() <= WAVE_TABLE_ENTRIES);
+        // A second launch past the budget reads the table, then spills.
+        assert_eq!(stepped_waves(&mut c, &l), predicted_waves(8, &l));
     }
 
     #[test]
@@ -1437,21 +1593,6 @@ mod tests {
         assert_eq!(c.transfers().len(), transfers);
         assert_eq!(c.elapsed_ms(), clock);
         assert_eq!(c.dtoh_range(buf, 4, 4).unwrap(), Vec::<u32>::new());
-    }
-
-    #[test]
-    fn write_slice_overrun_is_a_typed_error() {
-        let mut c = ctx();
-        let buf = c.htod("small", &[1, 2, 3, 4]).unwrap();
-        let err = c.device.write_slice(buf, &[9; 5]).unwrap_err();
-        assert!(
-            matches!(err, SimError::InvalidConfig { what, .. } if what.starts_with("write_slice")),
-            "{err}"
-        );
-        // Nothing was written.
-        assert_eq!(c.device.read_vec(buf), vec![1, 2, 3, 4]);
-        c.device.write_slice(buf, &[9; 3]).unwrap();
-        assert_eq!(c.device.read_vec(buf), vec![9, 9, 9, 4]);
     }
 
     #[test]

@@ -40,11 +40,12 @@ echo "== simulator and peel wall-clock smoke budget =="
 # The simulator and peel suites re-run (already compiled) under a wall-clock
 # ceiling: a blow-up here means a host-side perf regression that the
 # simulated-time goldens cannot see — the stepped engine allocating per
-# wave, a bulk-charged helper in gpusim falling back to per-lane charging,
-# or the peel's fast path in kcore-gpu (the k-shell hit pass, the scan
-# kernel's cached sweep charges, the branch-free neighbor walk) doing per-
-# vertex work again. Already compiled, the two suites take a few seconds
-# on a 2-core x86-64 box; 120 s absorbs slow-VM phases while still catching
+# wave instead of reading its context's wave-order table, a bulk-charged
+# helper in gpusim falling back to per-lane charging, or the peel's fast
+# path in kcore-gpu (the k-shell hit pass, the scan kernel's cached sweep
+# charges, the one-pass neighbor walk charged once per vertex) doing per-
+# lane work again. Already compiled, the two suites take a few seconds on
+# a 2-core x86-64 box; 120 s absorbs slow-VM phases while still catching
 # any order-of-magnitude host regression.
 SMOKE_BUDGET_S=120
 smoke_start=$(date +%s)
@@ -53,6 +54,34 @@ smoke_elapsed=$(( $(date +%s) - smoke_start ))
 echo "kcore-gpusim + kcore-gpu tests took ${smoke_elapsed}s (budget ${SMOKE_BUDGET_S}s)"
 if (( smoke_elapsed > SMOKE_BUDGET_S )); then
   echo "ERROR: kcore-gpusim + kcore-gpu test suites exceeded the ${SMOKE_BUDGET_S}s wall-clock budget" >&2
+  exit 1
+fi
+
+echo "== peel host-time gate (kbench peel-deep host_ms_p50) =="
+# The benchmark's thin-round workload (375 peel rounds on 108 one-warp
+# blocks, one thread) in release, at seed 1 for at least 5 s and its 330
+# timed ops. Its host_ms_p50 is wall time rescaled by kbench's reference
+# probe to nominal machine speed, which absorbs most of a shared box's slow
+# phases. The ceiling is 1.5x the slowest of five calibration runs of this
+# stage's command on a 2-core x86-64 box (19.99, 20.61, 22.05, 22.23 and
+# 23.07 ms), rounded up to a whole ms; an earlier set on the same box, in
+# a calmer phase, read 18.55-19.19 ms. It passes the peel from before the
+# one-pass walk and the wave table (23-28 ms on that box) and flags a
+# regression of half an op's host time or more, such as the neighbor walk
+# charging lane by lane again, not noise.
+PEEL_HOST_CEILING_MS=35
+gate_out="$(mktemp -d)"
+cargo run --locked --release -q --manifest-path kbench/Cargo.toml --bin kbench -- \
+  --workload peel-deep --seed 1 --seconds 5 --out "$gate_out" > "$gate_out/stdout.txt"
+p50=$(awk '$1 == "host_ms_p50" && $3 == "ms" {print $2}' "$gate_out/stdout.txt")
+rm -rf "$gate_out"
+if [[ -z "$p50" ]]; then
+  echo "ERROR: kbench printed no host_ms_p50 line" >&2
+  exit 1
+fi
+echo "peel-deep host_ms_p50 ${p50} ms (ceiling ${PEEL_HOST_CEILING_MS} ms)"
+if awk -v p="$p50" -v c="$PEEL_HOST_CEILING_MS" 'BEGIN {exit !(p > c)}'; then
+  echo "ERROR: peel-deep host_ms_p50 ${p50} ms exceeds the ${PEEL_HOST_CEILING_MS} ms ceiling" >&2
   exit 1
 fi
 

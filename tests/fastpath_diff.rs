@@ -108,6 +108,17 @@ fn all_variants_identical_on_random_graphs() {
             assert_paths_identical(&g, &cfg, &format!("{what} {}", cfg.variant_name()));
         }
     }
+    // Degrees at the loop's 32-neighbor chunk boundaries: the walk charges
+    // each vertex's chunk terms from ⌈d/32⌉. A star's hub walks d leaves
+    // that no longer decrement; a clique's vertices decrement and append.
+    for d in [31u32, 32, 33, 64, 65] {
+        for (g, shape) in [(gen::star(d), "star"), (gen::complete(d + 1), "clique")] {
+            for cfg in small_cfg().all_variants() {
+                let what = format!("{shape} of degree {d} {}", cfg.variant_name());
+                assert_paths_identical(&g, &cfg, &what);
+            }
+        }
+    }
 }
 
 #[test]
