@@ -18,7 +18,7 @@ use kcore_gpusim::scan::{
     ballot_scan, ballot_scan_offsets, blelloch_exclusive_scan, hs_inclusive_scan,
 };
 use kcore_gpusim::warp::WARP_SIZE;
-use kcore_gpusim::{Coalescing, CostParams, GpuContext, LaunchConfig};
+use kcore_gpusim::{Coalescing, CostParams, GpuContext, LaunchConfig, SizeClass};
 use kcore_graph::gen;
 use kcore_systems::{Engine, EngineOptions};
 use std::hint::black_box;
@@ -113,7 +113,7 @@ fn bench_warp_memops(c: &mut Criterion) {
     let mut group = c.benchmark_group("warp_memops");
     group.bench_function("per_lane_gather", |b| {
         let mut ctx = GpuContext::new(CostParams::p100(), 1 << 16);
-        let d_buf = ctx.htod("bench.buf", &data).unwrap();
+        let d_buf = ctx.htod("bench.buf", &data, SizeClass::Fixed).unwrap();
         b.iter(|| {
             ctx.launch(
                 "pl",
@@ -141,7 +141,7 @@ fn bench_warp_memops(c: &mut Criterion) {
     ] {
         group.bench_function(name, |b| {
             let mut ctx = GpuContext::new(CostParams::p100(), 1 << 16);
-            let d_buf = ctx.htod("bench.buf", &data).unwrap();
+            let d_buf = ctx.htod("bench.buf", &data, SizeClass::Fixed).unwrap();
             b.iter(|| {
                 ctx.launch(
                     "wg",

@@ -675,7 +675,8 @@ mod tests {
     #[test]
     fn round_trip_check_wants_one_current_version_on_top() {
         let mut ctx = kcore_gpusim::SimOptions::default().context();
-        ctx.htod("x", &[1, 2, 3]).unwrap();
+        ctx.htod("x", &[1, 2, 3], kcore_gpusim::SizeClass::Fixed)
+            .unwrap();
         let doc = ctx.trace("probe").to_json();
         check_round_trip(&doc);
         let nested = doc.replacen(

@@ -20,7 +20,7 @@ use crate::{
     RunCapture,
 };
 use kcore_gpu::{Buffering, Compaction};
-use kcore_gpusim::{CapacityForecast, SimOptions, P100_DEVICE_BYTES};
+use kcore_gpusim::{CapacityForecast, SimOptions, SizeClass, P100_DEVICE_BYTES};
 use kcore_graph::datasets::Dataset;
 use kcore_systems::Engine;
 use serde::Serialize;
@@ -274,7 +274,7 @@ impl Sweep {
         }
         let mut probe = SimOptions::default().context();
         probe
-            .htod("probe", &[1u32, 2, 3])
+            .htod("probe", &[1u32, 2, 3], SizeClass::Fixed)
             .expect("a 12-byte probe fits the default device");
         check_round_trip(&probe.trace("round-trip probe").to_json());
         eprintln!(

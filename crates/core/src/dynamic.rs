@@ -258,21 +258,21 @@ impl DynamicCore {
         let (d_off, d_len, d_adj, cap) = upload_csr(&mut ctx, &graph, off)?;
         let pad = n.max(1);
         let core_padded: Vec<u32> = if n == 0 { vec![0] } else { core_host.clone() };
-        let d_core = ctx.htod_tagged("dyn.core", &core_padded, SizeClass::PerVertex)?;
-        let d_mcd = ctx.alloc_tagged("dyn.mcd", pad, SizeClass::PerVertex)?;
-        let d_flag = ctx.alloc_tagged("dyn.flag", pad, SizeClass::PerVertex)?;
-        let d_evic = ctx.alloc_tagged("dyn.evic", pad, SizeClass::PerVertex)?;
-        let d_sup = ctx.alloc_tagged("dyn.sup", pad, SizeClass::PerVertex)?;
-        let d_cand = ctx.alloc_tagged("dyn.cand", pad, SizeClass::PerVertex)?;
-        let d_mark = ctx.alloc_tagged("dyn.mark", pad, SizeClass::PerVertex)?;
-        let d_res = ctx.alloc_tagged("dyn.result", LIST + 2 * pad, SizeClass::PerVertex)?;
+        let d_core = ctx.htod("dyn.core", &core_padded, SizeClass::PerVertex)?;
+        let d_mcd = ctx.alloc("dyn.mcd", pad, SizeClass::PerVertex)?;
+        let d_flag = ctx.alloc("dyn.flag", pad, SizeClass::PerVertex)?;
+        let d_evic = ctx.alloc("dyn.evic", pad, SizeClass::PerVertex)?;
+        let d_sup = ctx.alloc("dyn.sup", pad, SizeClass::PerVertex)?;
+        let d_cand = ctx.alloc("dyn.cand", pad, SizeClass::PerVertex)?;
+        let d_mark = ctx.alloc("dyn.mark", pad, SizeClass::PerVertex)?;
+        let d_res = ctx.alloc("dyn.result", LIST + 2 * pad, SizeClass::PerVertex)?;
         let bufcap = n.max(MIN_FRONTIER_WORDS);
-        let d_buf = ctx.alloc_tagged(
+        let d_buf = ctx.alloc(
             "dyn.buf",
             cfg.launch.blocks as usize * bufcap,
             SizeClass::Fixed,
         )?;
-        let d_batch = ctx.alloc_tagged("dyn.batch", 2 * BATCH_CAPACITY, SizeClass::Batch)?;
+        let d_batch = ctx.alloc("dyn.batch", 2 * BATCH_CAPACITY, SizeClass::Batch)?;
 
         let p = DynParams {
             bufcap,
@@ -414,7 +414,7 @@ impl DynamicCore {
             return Vec::new();
         }
         // In bounds: `dyn.core` holds `n.max(1)` words for the engine's life.
-        let cores = self.ctx.dtoh_range(self.p.d_core, 0, n);
+        let cores = self.ctx.dtoh(self.p.d_core, 0..n);
         cores.expect("dyn.core holds n words")
     }
 
@@ -425,7 +425,7 @@ impl DynamicCore {
             return Vec::new();
         }
         // In bounds: `dyn.mcd` holds `n.max(1)` words for the engine's life.
-        let mcd = self.ctx.dtoh_range(self.p.d_mcd, 0, n);
+        let mcd = self.ctx.dtoh(self.p.d_mcd, 0..n);
         mcd.expect("dyn.mcd holds n words")
     }
 
@@ -476,13 +476,11 @@ impl DynamicCore {
         self.ctx
             .launch("dyn_list", self.cfg.launch, |blk| k_list(blk, &p))?;
         let len = self.ctx.device.len(self.p.d_res);
-        let mut res = self
-            .ctx
-            .dtoh_range(self.p.d_res, 0, RESULT_WINDOW.min(len))?;
+        let mut res = self.ctx.dtoh(self.p.d_res, 0..RESULT_WINDOW.min(len))?;
         let end = LIST + 2 * res[LEN] as usize;
         if end > res.len() {
             let head = res.len();
-            res.extend(self.ctx.dtoh_range(self.p.d_res, head, end)?);
+            res.extend(self.ctx.dtoh(self.p.d_res, head..end)?);
         }
         let counter = |at: usize| u64::from(res[at]) | u64::from(res[at + 1]) << 32;
         rep.candidates = counter(WORK);
@@ -671,9 +669,9 @@ fn upload_csr(
         let (o, l) = (off[v as usize] as usize, graph.neighbors(v));
         flat[o..o + l.len()].copy_from_slice(l);
     }
-    let d_off = ctx.htod_tagged("dyn.offset", &off, SizeClass::PerVertex)?;
-    let d_len = ctx.htod_tagged("dyn.len", &len, SizeClass::PerVertex)?;
-    let d_adj = ctx.htod_tagged("dyn.adj", &flat, SizeClass::PerArc)?;
+    let d_off = ctx.htod("dyn.offset", &off, SizeClass::PerVertex)?;
+    let d_len = ctx.htod("dyn.len", &len, SizeClass::PerVertex)?;
+    let d_adj = ctx.htod("dyn.adj", &flat, SizeClass::PerArc)?;
     Ok((d_off, d_len, d_adj, cap))
 }
 
@@ -1832,7 +1830,7 @@ mod tests {
                 })
                 .unwrap();
         }
-        assert_eq!(dc.ctx.dtoh_range(p.d_res, WORK, WORK + 2).unwrap(), [2, 8]);
+        assert_eq!(dc.ctx.dtoh(p.d_res, WORK..WORK + 2).unwrap(), [2, 8]);
     }
 
     /// A batch that fails mid-way leaves the host mirror ahead of the

@@ -28,11 +28,11 @@ pub fn decompose_mpm_in(ctx: &mut GpuContext, g: &Csr) -> Result<(Vec<u32>, u32)
     ctx.set_phase("Setup");
     ctx.set_workload_dims(n as u64, g.num_arcs());
     let offsets32 = kcore_gpusim::narrow_offsets(g.offsets())?;
-    let d_offsets = ctx.htod_tagged("gpumpm.offset", &offsets32, SizeClass::PerVertex)?;
-    let d_neighbors = ctx.htod_tagged("gpumpm.neighbors", g.neighbor_array(), SizeClass::PerArc)?;
-    let d_a = ctx.htod_tagged("gpumpm.a", &g.degrees(), SizeClass::PerVertex)?;
-    let d_a_new = ctx.alloc_tagged("gpumpm.a_new", n, SizeClass::PerVertex)?;
-    let d_flag = ctx.alloc_tagged("gpumpm.flag", 1, SizeClass::Fixed)?;
+    let d_offsets = ctx.htod("gpumpm.offset", &offsets32, SizeClass::PerVertex)?;
+    let d_neighbors = ctx.htod("gpumpm.neighbors", g.neighbor_array(), SizeClass::PerArc)?;
+    let d_a = ctx.htod("gpumpm.a", &g.degrees(), SizeClass::PerVertex)?;
+    let d_a_new = ctx.alloc("gpumpm.a_new", n, SizeClass::PerVertex)?;
+    let d_flag = ctx.alloc("gpumpm.flag", 1, SizeClass::Fixed)?;
     let launch = kcore_gpusim::LaunchConfig::paper();
 
     let mut bufs = [d_a, d_a_new];
@@ -98,7 +98,7 @@ pub fn decompose_mpm_in(ctx: &mut GpuContext, g: &Csr) -> Result<(Vec<u32>, u32)
             Ok(())
         })?;
         ctx.set_phase("Sync");
-        let changed = ctx.dtoh_word(d_flag, 0);
+        let changed = ctx.dtoh(d_flag, 0..1)?[0];
         // Observability: vertices whose estimate moved this sweep, on the
         // "changed" counter track (free — sampling charges nothing).
         ctx.sample_counter("changed", changed as f64);
@@ -113,7 +113,7 @@ pub fn decompose_mpm_in(ctx: &mut GpuContext, g: &Csr) -> Result<(Vec<u32>, u32)
         }
     }
     ctx.set_phase("Result");
-    let core = ctx.dtoh(bufs[0]);
+    let core = ctx.dtoh(bufs[0], ..)?;
     Ok((core, sweeps))
 }
 

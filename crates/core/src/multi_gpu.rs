@@ -297,8 +297,7 @@ fn decompose_multi_impl(
         // drains the resulting cascade — the real kernels, concurrently.
         let slice = run_workers(&mut workers, |w| {
             peel::run_scan_loop(&mut w.ctx, k, &mut w.st)?;
-            sync_worker(w);
-            Ok(())
+            sync_worker(w)
         })?;
         total_ms += slice.charged_ms;
         slices.push(slice);
@@ -320,8 +319,7 @@ fn decompose_multi_impl(
                 let seeds = std::mem::take(&mut w.seeds);
                 seed_frontier(&mut w.ctx, &mut w.st, &seeds)?;
                 peel::run_loop_only(&mut w.ctx, k, &w.st)?;
-                sync_worker(w);
-                Ok(())
+                sync_worker(w)
             })?;
             total_ms += slice.charged_ms;
             slices.push(slice);
@@ -345,7 +343,7 @@ fn decompose_multi_impl(
     for (wi, w) in workers.iter_mut().enumerate() {
         let before = w.ctx.elapsed_ms();
         w.ctx.set_phase("Result");
-        let owned_core = w.ctx.dtoh_range(w.st.d_deg, 0, w.n_owned)?;
+        let owned_core = w.ctx.dtoh(w.st.d_deg, ..w.n_owned)?;
         for (l, &v) in part.shards[wi].owned.iter().enumerate() {
             core[v as usize] = owned_core[l];
         }
@@ -418,7 +416,7 @@ fn build_workers(
         let d_xfer = if shard.ghosts.is_empty() {
             None
         } else {
-            Some(ctx.alloc_tagged("mgpu.xfer", 2 * shard.ghosts.len(), SizeClass::Batch)?)
+            Some(ctx.alloc("mgpu.xfer", 2 * shard.ghosts.len(), SizeClass::Batch)?)
         };
         workers.push(Worker {
             ctx,
@@ -472,12 +470,13 @@ fn run_workers(
 
 /// The synchronizing `gpu_count` readback (Algorithm 1 line 8) on one
 /// worker, plus the frontier observability sample.
-fn sync_worker(w: &mut Worker) {
+fn sync_worker(w: &mut Worker) -> Result<(), SimError> {
     let before_sync = w.count;
     w.ctx.set_phase("Sync");
-    w.count = w.ctx.dtoh_word(w.st.d_count, 0) as u64;
+    w.count = w.ctx.dtoh(w.st.d_count, 0..1)?[0] as u64;
     w.ctx
         .sample_counter("frontier", (w.count - before_sync) as f64);
+    Ok(())
 }
 
 /// Host scratch of [`exchange`], reused across exchanges.

@@ -89,17 +89,17 @@ pub(crate) fn load_device(
     // Algorithm 1, line 1: load G (offset / neighbors / deg) to the device.
     ctx.set_phase("Setup");
     ctx.set_workload_dims(n as u64, neighbors.len() as u64);
-    let d_offsets = ctx.htod_tagged("offset", &offsets32, SizeClass::PerVertex)?;
-    let d_neighbors = ctx.htod_tagged("neighbors", neighbors, SizeClass::PerArc)?;
-    let d_deg = ctx.htod_tagged("deg", degrees, SizeClass::PerVertex)?;
+    let d_offsets = ctx.htod("offset", &offsets32, SizeClass::PerVertex)?;
+    let d_neighbors = ctx.htod("neighbors", neighbors, SizeClass::PerArc)?;
+    let d_deg = ctx.htod("deg", degrees, SizeClass::PerVertex)?;
     // Line 4: per-block buffers + the persisted buffer tails + gpu_count.
     // All three are sized by the launch configuration, not the graph, so
     // they extrapolate as `Fixed` (the forecast carries the configured
     // scratch capacity through unscaled).
     let blocks = cfg.launch.blocks as usize;
-    let d_buf = ctx.alloc_tagged("buf", blocks * cfg.buf_capacity, SizeClass::Fixed)?;
-    let d_buf_e = ctx.alloc_tagged("buf_e", blocks, SizeClass::Fixed)?;
-    let d_count = ctx.alloc_tagged("gpu_count", 1, SizeClass::Fixed)?;
+    let d_buf = ctx.alloc("buf", blocks * cfg.buf_capacity, SizeClass::Fixed)?;
+    let d_buf_e = ctx.alloc("buf_e", blocks, SizeClass::Fixed)?;
+    let d_count = ctx.alloc("gpu_count", 1, SizeClass::Fixed)?;
     Ok(DeviceState {
         cfg: *cfg,
         n,
@@ -240,7 +240,7 @@ fn peel_rounds(
         // Algorithm 1 line 8: the synchronizing gpu_count readback.
         ctx.set_phase("Sync");
         let prev = count;
-        count = ctx.dtoh_word(st.d_count, 0) as u64;
+        count = ctx.dtoh(st.d_count, 0..1)?[0] as u64;
         // Observability: this round's k-shell size on the "frontier" counter
         // track (free — sampling charges nothing).
         ctx.sample_counter("frontier", (count - prev) as f64);
@@ -254,7 +254,7 @@ fn peel_rounds(
     }
     // Line 10: deg[] has converged to the core numbers.
     ctx.set_phase("Result");
-    let core = ctx.dtoh(st.d_deg);
+    let core = ctx.dtoh(st.d_deg, ..)?;
     free_device(ctx, &st);
     Ok((core, rounds))
 }

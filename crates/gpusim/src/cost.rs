@@ -100,55 +100,15 @@ impl Counters {
         self.barriers += other.barriers;
     }
 
-    /// Flat-combining sum of a counter slice: four fixed-width accumulator
-    /// lanes of 8 words each, combined at the end — a shape the
-    /// auto-vectorizer turns into packed 64-bit adds. Because u64 addition
-    /// is associative and commutative, the total is bit-identical to a
-    /// serial [`Counters::merge`] loop (pinned by a unit test), so launch
-    /// epilogues and trace rollups can use it freely without perturbing a
-    /// single golden byte.
-    pub fn flat_sum(items: &[Counters]) -> Counters {
-        const LANES: usize = 4;
-        let mut acc = [[0u64; 8]; LANES];
-        let mut chunks = items.chunks_exact(LANES);
-        for chunk in &mut chunks {
-            for (lane, c) in acc.iter_mut().zip(chunk) {
-                let w = c.to_words();
-                for (a, x) in lane.iter_mut().zip(w) {
-                    *a += x;
-                }
-            }
-        }
+    /// Element-wise sum of `items`, added as [`Counters::to_words`] arrays.
+    /// u64 addition is exact, so the total is bit-identical to a serial
+    /// [`Counters::merge`] loop (pinned by a unit test), and launch
+    /// epilogues and trace rollups use it without moving a golden byte.
+    pub fn flat_sum<'a>(items: impl IntoIterator<Item = &'a Counters>) -> Counters {
         let mut total = [0u64; 8];
-        for lane in &acc {
-            for (t, a) in total.iter_mut().zip(lane) {
-                *t += a;
-            }
-        }
-        for c in chunks.remainder() {
+        for c in items {
             for (t, x) in total.iter_mut().zip(c.to_words()) {
                 *t += x;
-            }
-        }
-        Counters::from_words(total)
-    }
-
-    /// [`Counters::flat_sum`] over an iterator (e.g. a projection of launch
-    /// records): round-robins items across the same four word-array lanes.
-    /// Identical totals to a serial merge loop, for the same reason.
-    pub fn flat_sum_iter<'a>(items: impl Iterator<Item = &'a Counters>) -> Counters {
-        const LANES: usize = 4;
-        let mut acc = [[0u64; 8]; LANES];
-        for (i, c) in items.enumerate() {
-            let lane = &mut acc[i % LANES];
-            for (a, x) in lane.iter_mut().zip(c.to_words()) {
-                *a += x;
-            }
-        }
-        let mut total = [0u64; 8];
-        for lane in &acc {
-            for (t, a) in total.iter_mut().zip(lane) {
-                *t += a;
             }
         }
         Counters::from_words(total)
@@ -282,12 +242,6 @@ impl CostParams {
             compute_s: makespan / self.clock_hz,
             mem_s: total_traffic_bytes as f64 / self.mem_bandwidth,
         }
-    }
-
-    /// Kernel time: launch overhead + roofline of compute makespan vs
-    /// bandwidth (see [`CostParams::roofline`] for the decomposition).
-    pub fn kernel_time_s(&self, block_cycles: &[f64], total_traffic_bytes: u64) -> f64 {
-        self.roofline(block_cycles, total_traffic_bytes).total_s()
     }
 }
 
@@ -428,13 +382,6 @@ pub struct LaunchRecord {
     pub block_counters: Option<Vec<Counters>>,
 }
 
-impl LaunchRecord {
-    /// Number of blocks in the launch grid.
-    pub fn blocks(&self) -> u32 {
-        self.config.blocks
-    }
-}
-
 /// Direction of a recorded host↔device copy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum TransferDir {
@@ -573,10 +520,10 @@ mod tests {
     fn roofline_picks_binding_constraint() {
         let p = CostParams::p100();
         // pure compute: 1 block, lots of instructions, no traffic
-        let t_compute = p.kernel_time_s(&[1.33e9], 0); // 1e9-cycle block = 1 s
+        let t_compute = p.roofline(&[1.33e9], 0).total_s(); // 1e9-cycle block = 1 s
         assert!((t_compute - (1.0 + p.kernel_launch_s)).abs() < 1e-9);
         // pure memory: trivial compute, 732 GB of traffic = 1 s
-        let t_mem = p.kernel_time_s(&[1.0], 732_000_000_000);
+        let t_mem = p.roofline(&[1.0], 732_000_000_000).total_s();
         assert!((t_mem - (1.0 + p.kernel_launch_s)).abs() < 1e-6);
     }
 
@@ -660,7 +607,7 @@ mod tests {
     #[test]
     fn launch_overhead_dominates_empty_kernel() {
         let p = CostParams::p100();
-        let t = p.kernel_time_s(&[0.0; 108], 0);
+        let t = p.roofline(&[0.0; 108], 0).total_s();
         assert!((t - p.kernel_launch_s).abs() < 1e-12);
     }
 }

@@ -161,12 +161,6 @@ impl Device {
         }
     }
 
-    /// Allocates `len` 32-bit words, zero-initialized. Equivalent to
-    /// [`Device::alloc_with`] with 4-byte elements and [`SizeClass::Fixed`].
-    pub fn alloc(&mut self, name: &str, len: usize) -> Result<BufferId, OomError> {
-        self.alloc_with(name, len, 4, SizeClass::Fixed)
-    }
-
     /// Allocates `elems` elements of `elem_bytes` bytes each,
     /// zero-initialized, tagged with `class` for capacity extrapolation.
     /// Byte accounting is exact (`elems * elem_bytes`); the backing store is
@@ -336,16 +330,6 @@ impl Device {
         }
     }
 
-    /// Copies a buffer back to host.
-    pub fn read_vec(&self, id: BufferId) -> Vec<u32> {
-        let buf = self.buffer(id);
-        // SAFETY: transfers never overlap kernel execution (launches run to
-        // completion under `&mut GpuContext`), so no simulated block races
-        // these words: one bulk read through the atomics' `UnsafeCell` is
-        // equivalent to the per-word relaxed loads.
-        unsafe { std::slice::from_raw_parts(buf.as_ptr() as *const u32, buf.len()) }.to_vec()
-    }
-
     /// Bytes currently allocated.
     pub fn used_bytes(&self) -> u64 {
         self.used
@@ -369,15 +353,15 @@ mod tests {
     #[test]
     fn alloc_free_accounting() {
         let mut d = Device::new(1024);
-        let a = d.alloc("a", 100).unwrap(); // 400 B
+        let a = d.alloc_with("a", 100, 4, SizeClass::Fixed).unwrap(); // 400 B
         assert_eq!(d.used_bytes(), 400);
-        let b = d.alloc("b", 100).unwrap(); // 800 B
+        let b = d.alloc_with("b", 100, 4, SizeClass::Fixed).unwrap(); // 800 B
         assert_eq!(d.used_bytes(), 800);
         assert_eq!(d.peak_bytes(), 800);
         d.free(a);
         assert_eq!(d.used_bytes(), 400);
         assert_eq!(d.peak_bytes(), 800); // peak sticks
-        let c = d.alloc("c", 150).unwrap(); // reuses slot, 1000 B total
+        let c = d.alloc_with("c", 150, 4, SizeClass::Fixed).unwrap(); // reuses slot, 1000 B total
         assert_eq!(d.used_bytes(), 1000);
         assert_eq!(d.peak_bytes(), 1000);
         d.free(b);
@@ -388,28 +372,36 @@ mod tests {
     #[test]
     fn oom_reports_details() {
         let mut d = Device::new(100);
-        let _a = d.alloc("a", 20).unwrap(); // 80 B
-        let err = d.alloc("big", 10).unwrap_err(); // 40 B > 20 free
+        let _a = d.alloc_with("a", 20, 4, SizeClass::Fixed).unwrap(); // 80 B
+        let err = d.alloc_with("big", 10, 4, SizeClass::Fixed).unwrap_err(); // 40 B > 20 free
         assert_eq!(err.requested_bytes, 40);
         assert_eq!(err.available_bytes, 20);
         assert_eq!(err.name, "big");
         assert!(err.to_string().contains("OOM"));
     }
 
+    /// The words of buffer `id`, read with relaxed loads.
+    fn words(d: &Device, id: BufferId) -> Vec<u32> {
+        d.buffer(id)
+            .iter()
+            .map(|w| w.load(Ordering::Relaxed))
+            .collect()
+    }
+
     #[test]
     fn read_write_round_trip() {
         let mut d = Device::new(1024);
         let id = d.alloc_copy("x", &[9, 8, 7, 6], SizeClass::Fixed).unwrap();
-        assert_eq!(d.read_vec(id), vec![9, 8, 7, 6]);
+        assert_eq!(words(&d, id), vec![9, 8, 7, 6]);
         d.fill(id, 5);
-        assert_eq!(d.read_vec(id), vec![5, 5, 5, 5]);
+        assert_eq!(words(&d, id), vec![5, 5, 5, 5]);
     }
 
     #[test]
     #[should_panic(expected = "double free")]
     fn double_free_panics() {
         let mut d = Device::new(1024);
-        let id = d.alloc("x", 1).unwrap();
+        let id = d.alloc_with("x", 1, 4, SizeClass::Fixed).unwrap();
         d.free(id);
         d.free(id);
     }
@@ -417,8 +409,8 @@ mod tests {
     #[test]
     fn zero_initialized() {
         let mut d = Device::new(1024);
-        let id = d.alloc("z", 8).unwrap();
-        assert_eq!(d.read_vec(id), vec![0; 8]);
+        let id = d.alloc_with("z", 8, 4, SizeClass::Fixed).unwrap();
+        assert_eq!(words(&d, id), vec![0; 8]);
     }
 
     #[test]
@@ -469,11 +461,11 @@ mod tests {
     fn phase_peaks_track_watermarks() {
         let mut d = Device::new(1 << 20);
         d.note_phase("Setup");
-        let a = d.alloc("a", 100).unwrap(); // 400 B
-        let b = d.alloc("b", 50).unwrap(); // 600 B
+        let a = d.alloc_with("a", 100, 4, SizeClass::Fixed).unwrap(); // 400 B
+        let b = d.alloc_with("b", 50, 4, SizeClass::Fixed).unwrap(); // 600 B
         d.note_phase("Loop");
         d.free(a); // frees don't raise any watermark
-        let _c = d.alloc("c", 25).unwrap(); // 300 B live
+        let _c = d.alloc_with("c", 25, 4, SizeClass::Fixed).unwrap(); // 300 B live
         d.note_phase("Result");
         d.free(b);
         assert_eq!(

@@ -19,6 +19,7 @@ use crate::cost::{
 };
 use crate::device::{BufferId, Device, OomError, SizeClass};
 use rayon::prelude::*;
+use std::ops::{Bound, RangeBounds};
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Shared memory per thread block: the P100's 64 KiB.
@@ -612,7 +613,7 @@ fn run_waves<S>(
     alive: &mut Vec<bool>,
     blocks: &mut [(BlockCtx<'_>, S)],
     step: impl Fn(&mut BlockCtx<'_>, &mut S) -> Result<bool, KernelError>,
-) -> Result<(), SimError> {
+) -> Result<(), KernelError> {
     table.key(seed, blocks.len());
     alive.clear();
     alive.resize(blocks.len(), true);
@@ -635,18 +636,61 @@ fn run_waves<S>(
                 continue;
             }
             let (blk, st) = &mut blocks[i];
-            match step(blk, st) {
-                Ok(true) => {}
-                Ok(false) => {
-                    alive[i] = false;
-                    live -= 1;
-                }
-                Err(e) => return Err(SimError::Kernel(e)),
+            if !step(blk, st)? {
+                alive[i] = false;
+                live -= 1;
             }
         }
         wave += 1;
     }
     Ok(())
+}
+
+/// The block runner of a plain launch: runs `kernel` once per block of
+/// `cfg`, each on its backing from `shared`, which it hands back, and
+/// appends every block's counters to `per_block` in block order. Returns
+/// the first error in block order. At a rayon width of one, or on a
+/// one-block grid, the blocks run inline in index order, with
+/// exclusive-execution atomics; otherwise they fan out.
+fn run_blocks<F>(
+    device: &Device,
+    cfg: LaunchConfig,
+    shared: &mut Vec<Vec<u32>>,
+    per_block: &mut Vec<Counters>,
+    kernel: &F,
+) -> Result<(), KernelError>
+where
+    F: Fn(&mut BlockCtx<'_>) -> Result<(), KernelError> + Sync,
+{
+    let threads = rayon::current_num_threads() as u32;
+    if threads <= 1 || cfg.blocks == 1 {
+        for (b, backing) in (0..cfg.blocks).zip(shared.iter_mut()) {
+            let mut blk = BlockCtx::new(device, b, cfg, std::mem::take(backing), true);
+            let r = kernel(&mut blk);
+            *backing = blk.shared;
+            per_block.push(blk.counters);
+            r?;
+        }
+        return Ok(());
+    }
+    let inputs: Vec<(u32, Vec<u32>)> = (0..cfg.blocks)
+        .zip(shared.drain(..cfg.blocks as usize))
+        .collect();
+    let results: Vec<(Result<(), KernelError>, Counters, Vec<u32>)> = inputs
+        .into_par_iter()
+        .map(|(b, backing)| {
+            let mut blk = BlockCtx::new(device, b, cfg, backing, false);
+            let r = kernel(&mut blk);
+            (r, blk.counters, blk.shared)
+        })
+        .collect();
+    let mut first = Ok(());
+    for (r, counters, backing) in results {
+        shared.push(backing);
+        per_block.push(counters);
+        first = first.and(r);
+    }
+    first
 }
 
 /// The simulated GPU program context: device + cost model + simulated clock.
@@ -678,7 +722,7 @@ pub struct GpuContext {
 }
 
 /// Narrows CSR offsets to the device's 32-bit arc offsets, the form every
-/// engine uploads with [`GpuContext::htod_tagged`]. A graph of `u32::MAX`
+/// engine uploads with [`GpuContext::htod`]. A graph of `u32::MAX`
 /// or more arcs (its last offset) is a [`SimError::InvalidConfig`].
 pub fn narrow_offsets(offsets: &[u64]) -> Result<Vec<u32>, SimError> {
     let arcs = offsets.last().copied().unwrap_or(0);
@@ -715,17 +759,6 @@ impl GpuContext {
             counters_scratch: Vec::new(),
             scratch: LaunchScratch::default(),
         }
-    }
-
-    /// Takes the launch scratch with at least one shared backing per block
-    /// of `cfg`.
-    fn take_scratch(&mut self, cfg: LaunchConfig) -> LaunchScratch {
-        let mut s = std::mem::take(&mut self.scratch);
-        let n = cfg.blocks as usize;
-        if s.shared.len() < n {
-            s.shared.resize_with(n, Vec::new);
-        }
-        s
     }
 
     /// Sets the algorithm phase stamped onto subsequent launch and transfer
@@ -767,16 +800,11 @@ impl GpuContext {
         Ok(())
     }
 
-    /// Allocates a device buffer without a host transfer.
-    pub fn alloc(&mut self, name: &str, len: usize) -> Result<BufferId, SimError> {
-        Ok(self.device.alloc(name, len)?)
-    }
-
-    /// [`GpuContext::alloc`] with an explicit [`SizeClass`] tag, so the
-    /// allocation extrapolates correctly in
-    /// [`MemStats::extrapolate`](crate::MemStats::extrapolate). Identical
-    /// cost and accounting to `alloc` — the tag is pure observability.
-    pub fn alloc_tagged(
+    /// `cudaMalloc` of `len` zeroed words, without a host transfer. The
+    /// [`SizeClass`] tag says how the buffer scales with the graph, for
+    /// [`MemStats::extrapolate`](crate::MemStats::extrapolate); it charges
+    /// nothing.
+    pub fn alloc(
         &mut self,
         name: &str,
         len: usize,
@@ -841,14 +869,9 @@ impl GpuContext {
         &self.counter_samples
     }
 
-    /// `cudaMalloc` + `cudaMemcpy` host→device, charged at PCIe bandwidth.
-    pub fn htod(&mut self, name: &str, data: &[u32]) -> Result<BufferId, SimError> {
-        self.htod_tagged(name, data, SizeClass::Fixed)
-    }
-
-    /// [`GpuContext::htod`] with an explicit [`SizeClass`] tag (see
-    /// [`GpuContext::alloc_tagged`]). Identical cost and accounting.
-    pub fn htod_tagged(
+    /// `cudaMalloc` + `cudaMemcpy` host→device, charged at PCIe latency +
+    /// bandwidth; `class` tags the allocation as in [`GpuContext::alloc`].
+    pub fn htod(
         &mut self,
         name: &str,
         data: &[u32],
@@ -895,25 +918,41 @@ impl GpuContext {
         Ok(())
     }
 
-    /// `cudaMemcpy` device→host of elements `lo..hi` only, charged for the
-    /// bytes actually moved — the partial readback the dynamic engine uses
-    /// to fetch just a candidate list's prefix. A range past the buffer's
-    /// end, or one with `lo > hi`, is a [`SimError::InvalidConfig`],
-    /// returned before anything is read, recorded or charged.
-    pub fn dtoh_range(&mut self, id: BufferId, lo: usize, hi: usize) -> Result<Vec<u32>, SimError> {
+    /// `cudaMemcpy` device→host of the words in `range`, charged at PCIe
+    /// latency + bandwidth for the bytes moved: `..` for a whole buffer,
+    /// `0..1` for the one-word `gpu_count` sync Algorithm 1 pays every
+    /// round. A range past the buffer's end, or one that starts after it
+    /// ends, is a [`SimError::InvalidConfig`], returned before anything is
+    /// read, recorded or charged.
+    pub fn dtoh(
+        &mut self,
+        id: BufferId,
+        range: impl RangeBounds<usize>,
+    ) -> Result<Vec<u32>, SimError> {
         let buf = self.device.buffer(id);
+        // A saturated bound lies past any buffer, so it fails below.
+        let lo = match range.start_bound() {
+            Bound::Included(&lo) => lo,
+            Bound::Excluded(&lo) => lo.saturating_add(1),
+            Bound::Unbounded => 0,
+        };
+        let hi = match range.end_bound() {
+            Bound::Included(&hi) => hi.saturating_add(1),
+            Bound::Excluded(&hi) => hi,
+            Bound::Unbounded => buf.len(),
+        };
         if hi > buf.len() {
             return Err(SimError::InvalidConfig {
-                what: "dtoh_range end (hi)",
+                what: "dtoh range end",
                 value: hi as f64,
                 need: "at most the source buffer's length",
             });
         }
         if lo > hi {
             return Err(SimError::InvalidConfig {
-                what: "dtoh_range start (lo)",
+                what: "dtoh range start",
                 value: lo as f64,
-                need: "at most the range's end (hi)",
+                need: "at most the range's end",
             });
         }
         // SAFETY: `lo <= hi <= buf.len()` was checked above. As in
@@ -924,23 +963,6 @@ impl GpuContext {
                 .to_vec();
         self.record_transfer(TransferDir::DeviceToHost, (hi - lo) as u64 * 4);
         Ok(out)
-    }
-
-    /// `cudaMemcpy` device→host, charged at PCIe latency + bandwidth (a
-    /// synchronizing copy — Algorithm 1 pays this every round for
-    /// `gpu_count`).
-    pub fn dtoh(&mut self, id: BufferId) -> Vec<u32> {
-        let out = self.device.read_vec(id);
-        self.record_transfer(TransferDir::DeviceToHost, out.len() as u64 * 4);
-        out
-    }
-
-    /// Reads a single device word back to the host (the `gpu_count`
-    /// pattern), charged as one synchronizing D2H copy.
-    pub fn dtoh_word(&mut self, id: BufferId, idx: usize) -> u32 {
-        let v = self.device.buffer(id)[idx].load(Ordering::Relaxed);
-        self.record_transfer(TransferDir::DeviceToHost, 4);
-        v
     }
 
     /// Launches a kernel: runs `kernel` once per block (in parallel),
@@ -964,115 +986,9 @@ impl GpuContext {
     where
         F: Fn(&mut BlockCtx<'_>) -> Result<(), KernelError> + Sync,
     {
-        cfg.validate()?;
-        self.check_limit()?;
-        let mut scratch = self.take_scratch(cfg);
-        let mut per_block = std::mem::take(&mut self.counters_scratch);
-        per_block.clear();
-        let err = self.run_blocks(cfg, &mut scratch.shared, &mut per_block, &kernel);
-        self.scratch = scratch;
-        if let Some(e) = err {
-            per_block.clear();
-            self.counters_scratch = per_block;
-            return Err(SimError::Kernel(e));
-        }
-        self.finish_launch(name, cfg, per_block)
-    }
-
-    /// Runs `kernel` once per block, each on its shared backing from
-    /// `shared`, and appends every block's counters to `per_block` in block
-    /// order. Returns the first error in block order.
-    fn run_blocks<F>(
-        &self,
-        cfg: LaunchConfig,
-        shared: &mut Vec<Vec<u32>>,
-        per_block: &mut Vec<Counters>,
-        kernel: &F,
-    ) -> Option<KernelError>
-    where
-        F: Fn(&mut BlockCtx<'_>) -> Result<(), KernelError> + Sync,
-    {
-        let device = &self.device;
-        let threads = rayon::current_num_threads() as u32;
-        if threads <= 1 || cfg.blocks == 1 {
-            for (b, backing) in (0..cfg.blocks).zip(shared.iter_mut()) {
-                let mut blk = BlockCtx::new(device, b, cfg, std::mem::take(backing), true);
-                let r = kernel(&mut blk);
-                *backing = blk.shared;
-                per_block.push(blk.counters);
-                if let Err(e) = r {
-                    return Some(e);
-                }
-            }
-            return None;
-        }
-        let inputs: Vec<(u32, Vec<u32>)> = (0..cfg.blocks)
-            .zip(shared.drain(..cfg.blocks as usize))
-            .collect();
-        let results: Vec<(Result<(), KernelError>, Counters, Vec<u32>)> = inputs
-            .into_par_iter()
-            .map(|(b, backing)| {
-                let mut blk = BlockCtx::new(device, b, cfg, backing, false);
-                let r = kernel(&mut blk);
-                (r, blk.counters, blk.shared)
-            })
-            .collect();
-        let mut err = None;
-        for (r, counters, backing) in results {
-            shared.push(backing);
-            per_block.push(counters);
-            if err.is_none() {
-                err = r.err();
-            }
-        }
-        err
-    }
-
-    /// Shared launch epilogue: prices the per-block counters with the
-    /// roofline model, advances the clock, and appends a [`LaunchRecord`]
-    /// stamped with the active phase.
-    fn finish_launch(
-        &mut self,
-        name: &'static str,
-        cfg: LaunchConfig,
-        mut per_block: Vec<Counters>,
-    ) -> Result<(), SimError> {
-        let block_cycles: Vec<f64> = per_block
-            .iter()
-            .map(|c| self.cost.block_cycles(c))
-            .collect();
-        // flat-combining SIMD reduction — bit-identical to a serial merge
-        let total = Counters::flat_sum(&per_block);
-        let traffic = self.cost.traffic_bytes(&total);
-        let roofline = self.cost.roofline(&block_cycles, traffic);
-        let t = roofline.total_s();
-        let start_s = self.time_s;
-        self.time_s += t;
-        let max_block_cycles = block_cycles.iter().copied().fold(0.0, f64::max);
-        let sum_block_cycles = block_cycles.iter().sum();
-        let block_counters = if self.profile_blocks {
-            Some(per_block)
-        } else {
-            // arena: hand the per-launch counters vector back for reuse
-            per_block.clear();
-            self.counters_scratch = per_block;
-            None
-        };
-        self.launches.push(LaunchRecord {
-            name,
-            phase: self.phase,
-            config: cfg,
-            start_s,
-            time_s: t,
-            counters: total,
-            roofline,
-            max_block_cycles,
-            sum_block_cycles,
-            block_cycles,
-            block_counters,
-        });
-        self.sync_device_stamp();
-        self.check_limit()
+        self.run_launch(name, cfg, |device, scratch, per_block| {
+            run_blocks(device, cfg, &mut scratch.shared, per_block, &kernel)
+        })
     }
 
     /// Launches a kernel whose blocks interact through global memory *while
@@ -1102,30 +1018,92 @@ impl GpuContext {
         FI: Fn(&mut BlockCtx<'_>) -> Result<S, KernelError>,
         FS: Fn(&mut BlockCtx<'_>, &mut S) -> Result<bool, KernelError>,
     {
+        let seed = self.schedule_seed;
+        self.run_launch(name, cfg, |device, scratch, per_block| {
+            let LaunchScratch {
+                waves,
+                alive,
+                shared,
+            } = scratch;
+            let mut blocks = Vec::with_capacity(cfg.blocks as usize);
+            let mut result = Ok(());
+            for (b, backing) in (0..cfg.blocks).zip(shared.iter_mut()) {
+                let mut blk = BlockCtx::new(device, b, cfg, std::mem::take(backing), true);
+                match init(&mut blk) {
+                    Ok(state) => blocks.push((blk, state)),
+                    Err(e) => {
+                        *backing = blk.shared;
+                        result = Err(e);
+                        break;
+                    }
+                }
+            }
+            if result.is_ok() {
+                result = run_waves(seed, waves, alive, &mut blocks, step);
+            }
+            for ((blk, _), backing) in blocks.into_iter().zip(shared.iter_mut()) {
+                per_block.push(blk.counters);
+                *backing = blk.shared;
+            }
+            result
+        })
+    }
+
+    /// The one launch lifecycle; `run` runs the blocks. It checks the
+    /// geometry and the time limit, then lends `run` the device, the launch
+    /// scratch (with a shared backing for every block) and the empty
+    /// counter vector, to which `run` appends each block's counters in
+    /// block order. `run` hands back every backing it takes, on success and
+    /// on failure, so the context keeps its scratch either way. Then the
+    /// launch is priced with the roofline model: the clock advances and a
+    /// [`LaunchRecord`] stamped with the active phase is appended. A failed
+    /// launch records and charges nothing.
+    fn run_launch(
+        &mut self,
+        name: &'static str,
+        cfg: LaunchConfig,
+        run: impl FnOnce(&Device, &mut LaunchScratch, &mut Vec<Counters>) -> Result<(), KernelError>,
+    ) -> Result<(), SimError> {
         cfg.validate()?;
         self.check_limit()?;
-        let mut scratch = self.take_scratch(cfg);
-        let mut blocks = Vec::with_capacity(cfg.blocks as usize);
-        for (b, backing) in (0..cfg.blocks).zip(scratch.shared.iter_mut()) {
-            let mut blk = BlockCtx::new(&self.device, b, cfg, std::mem::take(backing), true);
-            let state = init(&mut blk)?;
-            blocks.push((blk, state));
+        let scratch = &mut self.scratch;
+        if scratch.shared.len() < cfg.blocks as usize {
+            scratch.shared.resize_with(cfg.blocks as usize, Vec::new);
         }
-        run_waves(
-            self.schedule_seed,
-            &mut scratch.waves,
-            &mut scratch.alive,
-            &mut blocks,
-            step,
-        )?;
-        let mut per_block = std::mem::take(&mut self.counters_scratch);
-        per_block.clear();
-        for ((blk, _), backing) in blocks.into_iter().zip(scratch.shared.iter_mut()) {
-            per_block.push(blk.counters);
-            *backing = blk.shared;
-        }
-        self.scratch = scratch;
-        self.finish_launch(name, cfg, per_block)
+        self.counters_scratch.clear();
+        run(&self.device, scratch, &mut self.counters_scratch)?;
+        let per_block = &self.counters_scratch;
+        let block_cycles: Vec<f64> = per_block
+            .iter()
+            .map(|c| self.cost.block_cycles(c))
+            .collect();
+        let total = Counters::flat_sum(per_block);
+        let traffic = self.cost.traffic_bytes(&total);
+        let roofline = self.cost.roofline(&block_cycles, traffic);
+        let t = roofline.total_s();
+        let start_s = self.time_s;
+        self.time_s += t;
+        let max_block_cycles = block_cycles.iter().copied().fold(0.0, f64::max);
+        let sum_block_cycles = block_cycles.iter().sum();
+        // Without block profiling the vector stays, for the next launch.
+        let block_counters = self
+            .profile_blocks
+            .then(|| std::mem::take(&mut self.counters_scratch));
+        self.launches.push(LaunchRecord {
+            name,
+            phase: self.phase,
+            config: cfg,
+            start_s,
+            time_s: t,
+            counters: total,
+            roofline,
+            max_block_cycles,
+            sum_block_cycles,
+            block_cycles,
+            block_counters,
+        });
+        self.sync_device_stamp();
+        self.check_limit()
     }
 
     /// Sets the wave-scheduling seed used by [`GpuContext::launch_stepped`].
@@ -1159,7 +1137,7 @@ impl GpuContext {
 
     /// Rollup of the whole run.
     pub fn report(&self) -> SimReport {
-        let counters = Counters::flat_sum_iter(self.launches.iter().map(|l| &l.counters));
+        let counters = Counters::flat_sum(self.launches.iter().map(|l| &l.counters));
         SimReport {
             total_ms: self.elapsed_ms(),
             launches: self.launches.len() as u64,
@@ -1183,7 +1161,7 @@ mod tests {
     fn grid_stride_kernel_touches_everything() {
         let mut c = ctx();
         let n = 1000usize;
-        let buf = c.htod("x", &vec![1u32; n]).unwrap();
+        let buf = c.htod("x", &vec![1u32; n], SizeClass::Fixed).unwrap();
         let cfg = LaunchConfig {
             blocks: 8,
             threads_per_block: 64,
@@ -1199,7 +1177,7 @@ mod tests {
             Ok(())
         })
         .unwrap();
-        assert_eq!(c.dtoh(buf), vec![2u32; n]);
+        assert_eq!(c.dtoh(buf, ..).unwrap(), vec![2u32; n]);
         assert_eq!(c.launches().len(), 1);
         assert_eq!(c.launches()[0].counters.global_sectors, 2 * n as u64);
     }
@@ -1207,7 +1185,7 @@ mod tests {
     #[test]
     fn atomics_are_cross_block_safe() {
         let mut c = ctx();
-        let counter = c.alloc("counter", 1).unwrap();
+        let counter = c.alloc("counter", 1, SizeClass::Fixed).unwrap();
         let cfg = LaunchConfig {
             blocks: 64,
             threads_per_block: 32,
@@ -1220,13 +1198,13 @@ mod tests {
             Ok(())
         })
         .unwrap();
-        assert_eq!(c.dtoh(counter)[0], 6400);
+        assert_eq!(c.dtoh(counter, ..).unwrap()[0], 6400);
     }
 
     #[test]
     fn shared_memory_is_per_block_and_limited() {
         let mut c = ctx();
-        let out = c.alloc("out", 4).unwrap();
+        let out = c.alloc("out", 4, SizeClass::Fixed).unwrap();
         let cfg = LaunchConfig {
             blocks: 4,
             threads_per_block: 32,
@@ -1239,7 +1217,7 @@ mod tests {
             Ok(())
         })
         .unwrap();
-        assert_eq!(c.dtoh(out), vec![0, 1, 2, 3]);
+        assert_eq!(c.dtoh(out, ..).unwrap(), vec![0, 1, 2, 3]);
 
         // over-allocating the 64 KiB (16 Ki words) fails
         let err = c
@@ -1257,7 +1235,7 @@ mod tests {
     #[test]
     fn shared_atomic_returns_old_value() {
         let mut c = ctx();
-        let out = c.alloc("out", 3).unwrap();
+        let out = c.alloc("out", 3, SizeClass::Fixed).unwrap();
         let cfg = LaunchConfig {
             blocks: 1,
             threads_per_block: 32,
@@ -1274,13 +1252,13 @@ mod tests {
             Ok(())
         })
         .unwrap();
-        assert_eq!(c.dtoh(out), vec![0, 5, 7]);
+        assert_eq!(c.dtoh(out, ..).unwrap(), vec![0, 5, 7]);
     }
 
     #[test]
     fn time_advances_and_limit_trips() {
         let mut c = ctx();
-        let buf = c.htod("x", &[0u32; 256]).unwrap();
+        let buf = c.htod("x", &[0u32; 256], SizeClass::Fixed).unwrap();
         assert!(c.elapsed_ms() > 0.0);
         c.set_time_limit_ms(c.elapsed_ms() + 1e-6);
         // one launch is fine (limit checked after)...
@@ -1302,8 +1280,8 @@ mod tests {
     #[test]
     fn oom_propagates() {
         let mut c = GpuContext::new(CostParams::p100(), 64);
-        assert!(c.htod("small", &[1, 2, 3]).is_ok()); // 12 B
-        let err = c.htod("big", &[0u32; 100]).unwrap_err();
+        assert!(c.htod("small", &[1, 2, 3], SizeClass::Fixed).is_ok()); // 12 B
+        let err = c.htod("big", &[0u32; 100], SizeClass::Fixed).unwrap_err();
         assert!(matches!(err, SimError::Oom(_)));
     }
 
@@ -1337,9 +1315,9 @@ mod tests {
         // Lockstep waves give each block ~a quarter of the pool — a
         // run-to-completion schedule would let the first block drain it.
         let mut c = ctx();
-        let pool = c.alloc("pool", 1).unwrap();
+        let pool = c.alloc("pool", 1, SizeClass::Fixed).unwrap();
         c.htod_into(pool, 0, &[100]).unwrap();
-        let taken = c.alloc("taken", 4).unwrap();
+        let taken = c.alloc("taken", 4, SizeClass::Fixed).unwrap();
         let cfg = LaunchConfig {
             blocks: 4,
             threads_per_block: 32,
@@ -1360,7 +1338,7 @@ mod tests {
             },
         )
         .unwrap();
-        let shares = c.dtoh(taken);
+        let shares = c.dtoh(taken, ..).unwrap();
         assert_eq!(shares.iter().sum::<u32>(), 100);
         for (b, &s) in shares.iter().enumerate() {
             assert!(
@@ -1498,6 +1476,53 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_launch_keeps_its_contexts_scratch() {
+        // An 8-block stepped launch leaves one shared backing per block and
+        // the five wave rows it drew. A launch on the same grid that fails
+        // in a block's init, in a step or in a plain kernel hands them back.
+        let mut c = ctx();
+        let cfg = LaunchConfig {
+            blocks: 8,
+            threads_per_block: 32,
+        };
+        let kept = |c: &GpuContext| (c.scratch.shared.len(), c.scratch.waves.rows.len());
+        let fails_at = |blk: &BlockCtx<'_>, at: u32| {
+            if blk.block_idx == at {
+                Err(KernelError::Other(format!("block {at} fails")))
+            } else {
+                Ok(())
+            }
+        };
+        let five_waves = |_: &mut BlockCtx<'_>, wave: &mut u32| {
+            *wave += 1;
+            Ok(*wave < 5)
+        };
+        c.launch_stepped("five_waves", cfg, |_| Ok(0), five_waves)
+            .unwrap();
+        assert_eq!(kept(&c), (8, 40));
+        let init = c.launch_stepped("init_fails", cfg, |blk| fails_at(blk, 3), |_, _| Ok(false));
+        assert!(matches!(init, Err(SimError::Kernel(_))), "{init:?}");
+        assert_eq!(kept(&c), (8, 40), "after a failed init");
+        let step = c.launch_stepped(
+            "step_fails",
+            cfg,
+            |_| Ok(0),
+            |blk, wave| {
+                if *wave == 1 {
+                    fails_at(blk, 5)?;
+                }
+                five_waves(blk, wave)
+            },
+        );
+        assert!(matches!(step, Err(SimError::Kernel(_))), "{step:?}");
+        assert_eq!(kept(&c), (8, 40), "after a failed step");
+        let plain = c.launch("kernel_fails", cfg, |blk| fails_at(blk, 6));
+        assert!(matches!(plain, Err(SimError::Kernel(_))), "{plain:?}");
+        assert_eq!(kept(&c), (8, 40), "after a failed kernel");
+        assert_eq!(c.launches().len(), 1);
+    }
+
+    #[test]
     fn coalesced_tx_math() {
         assert_eq!(BlockCtx::coalesced_tx(0), 0);
         assert_eq!(BlockCtx::coalesced_tx(1), 1);
@@ -1509,7 +1534,7 @@ mod tests {
     #[test]
     fn records_carry_start_timestamps_and_block_cycles() {
         let mut c = ctx();
-        let buf = c.htod("x", &[0u32; 64]).unwrap();
+        let buf = c.htod("x", &[0u32; 64], SizeClass::Fixed).unwrap();
         let cfg = LaunchConfig {
             blocks: 3,
             threads_per_block: 32,
@@ -1530,21 +1555,21 @@ mod tests {
     }
 
     #[test]
-    fn htod_into_and_dtoh_range_are_charged_partial_copies() {
+    fn htod_into_and_ranged_dtoh_are_charged_partial_copies() {
         let mut c = ctx();
-        let buf = c.htod("stage", &[0u32; 16]).unwrap();
+        let buf = c.htod("stage", &[0u32; 16], SizeClass::Fixed).unwrap();
         let (h2d0, d2h0) = (c.report().h2d_bytes, c.report().d2h_bytes);
         let transfers0 = c.transfers().len();
         c.htod_into(buf, 4, &[7, 8, 9]).unwrap();
         assert_eq!(c.report().h2d_bytes - h2d0, 12);
-        let got = c.dtoh_range(buf, 3, 8).unwrap();
+        let got = c.dtoh(buf, 3..8).unwrap();
         assert_eq!(got, vec![0, 7, 8, 9, 0]);
         assert_eq!(c.report().d2h_bytes - d2h0, 20);
         // both copies are recorded (phase-stamped) transfer events
         assert_eq!(c.transfers().len() - transfers0, 2);
         // full readback still sees the in-place write, and no reallocation
         // happened: the ledger holds exactly one entry for the buffer
-        assert_eq!(c.dtoh(buf)[4..7], [7, 8, 9]);
+        assert_eq!(c.dtoh(buf, ..).unwrap()[4..7], [7, 8, 9]);
         let ms = c.memstats();
         assert_eq!(
             ms.allocations.iter().filter(|a| a.name == "stage").count(),
@@ -1555,7 +1580,7 @@ mod tests {
     #[test]
     fn htod_into_overrun_is_a_typed_error() {
         let mut c = ctx();
-        let buf = c.htod("small", &[1, 2, 3, 4]).unwrap();
+        let buf = c.htod("small", &[1, 2, 3, 4], SizeClass::Fixed).unwrap();
         let transfers = c.transfers().len();
         let clock = c.elapsed_ms();
         for offset in [2, usize::MAX] {
@@ -1568,31 +1593,40 @@ mod tests {
         // Nothing was copied, recorded or charged.
         assert_eq!(c.transfers().len(), transfers);
         assert_eq!(c.elapsed_ms(), clock);
-        assert_eq!(c.device.read_vec(buf), vec![1, 2, 3, 4]);
+        assert_eq!(c.dtoh(buf, ..).unwrap(), vec![1, 2, 3, 4]);
     }
 
     #[test]
-    fn dtoh_range_out_of_bounds_is_a_typed_error() {
+    fn dtoh_out_of_bounds_is_a_typed_error() {
         let mut c = ctx();
-        let buf = c.htod("small", &[1, 2, 3, 4]).unwrap();
+        let buf = c.htod("small", &[1, 2, 3, 4], SizeClass::Fixed).unwrap();
         let transfers = c.transfers().len();
         let clock = c.elapsed_ms();
-        for (lo, hi, what) in [
-            (0, 5, "dtoh_range end (hi)"),
-            (3, usize::MAX, "dtoh_range end (hi)"),
-            (3, 2, "dtoh_range start (lo)"),
-        ] {
-            let err = c.dtoh_range(buf, lo, hi).unwrap_err();
+        let (end, start) = ("dtoh range end", "dtoh range start");
+        #[allow(clippy::reversed_empty_ranges)]
+        let failures = [
+            (c.dtoh(buf, 0..5), end),
+            (c.dtoh(buf, 3..usize::MAX), end),
+            (c.dtoh(buf, ..=4), end),
+            (c.dtoh(buf, ..=usize::MAX), end),
+            (c.dtoh(buf, 3..2), start),
+        ];
+        for (r, what) in failures {
+            let err = r.unwrap_err();
             assert!(
                 matches!(err, SimError::InvalidConfig { what: w, .. } if w == what),
-                "{lo}..{hi}: {err}"
+                "{err}"
             );
         }
         // Nothing was read back, recorded or charged; an empty range at the
-        // end is a valid (charged) copy.
+        // end is a valid (charged) copy, and `..` reads the whole buffer.
         assert_eq!(c.transfers().len(), transfers);
         assert_eq!(c.elapsed_ms(), clock);
-        assert_eq!(c.dtoh_range(buf, 4, 4).unwrap(), Vec::<u32>::new());
+        assert_eq!(c.dtoh(buf, 4..4).unwrap(), Vec::<u32>::new());
+        assert_eq!(c.dtoh(buf, 1..=2).unwrap(), vec![2, 3]);
+        assert_eq!(c.dtoh(buf, ..).unwrap(), vec![1, 2, 3, 4]);
+        let bytes: Vec<u64> = c.transfers()[transfers..].iter().map(|t| t.bytes).collect();
+        assert_eq!(bytes, [0, 8, 16]);
     }
 
     #[test]
@@ -1628,7 +1662,7 @@ mod tests {
     #[test]
     fn report_aggregates() {
         let mut c = ctx();
-        let buf = c.htod("x", &[0u32; 64]).unwrap();
+        let buf = c.htod("x", &[0u32; 64], SizeClass::Fixed).unwrap();
         let cfg = LaunchConfig {
             blocks: 2,
             threads_per_block: 32,

@@ -32,10 +32,10 @@
 //! # Example
 //!
 //! ```
-//! use kcore_gpusim::{GpuContext, CostParams, LaunchConfig};
+//! use kcore_gpusim::{GpuContext, CostParams, LaunchConfig, SizeClass};
 //!
 //! let mut ctx = GpuContext::new(CostParams::p100(), 1 << 20);
-//! let data = ctx.htod("numbers", &[1, 2, 3, 4]).unwrap();
+//! let data = ctx.htod("numbers", &[1, 2, 3, 4], SizeClass::Fixed).unwrap();
 //! let cfg = LaunchConfig { blocks: 2, threads_per_block: 64 };
 //! ctx.launch("double", cfg, |blk| {
 //!     let buf = blk.device.buffer(data);
@@ -46,7 +46,7 @@
 //!     }
 //!     Ok(())
 //! }).unwrap();
-//! assert_eq!(ctx.dtoh(data), vec![2, 4, 6, 8]);
+//! assert_eq!(ctx.dtoh(data, ..).unwrap(), vec![2, 4, 6, 8]);
 //! assert!(ctx.elapsed_ms() > 0.0);
 //! ```
 

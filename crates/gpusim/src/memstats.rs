@@ -249,14 +249,14 @@ mod tests {
         c.set_workload_dims(n as u64, arcs as u64);
         c.set_phase("Setup");
         let offsets = c
-            .htod_tagged("offset", &vec![0u32; n + 1], SizeClass::PerVertex)
+            .htod("offset", &vec![0u32; n + 1], SizeClass::PerVertex)
             .unwrap();
         let neigh = c
-            .htod_tagged("neighbors", &vec![0u32; arcs], SizeClass::PerArc)
+            .htod("neighbors", &vec![0u32; arcs], SizeClass::PerArc)
             .unwrap();
-        let buf = c.alloc_tagged("buf", 64, SizeClass::Fixed).unwrap();
+        let buf = c.alloc("buf", 64, SizeClass::Fixed).unwrap();
         c.set_phase("Loop");
-        c.dtoh_word(buf, 0);
+        c.dtoh(buf, 0..1).unwrap();
         c.set_phase("Result");
         c.device.free(buf);
         c.device.free(neigh);
@@ -327,9 +327,9 @@ mod tests {
         // replay the live curve (peak = one buffer), not sum the ledger.
         let mut c = ctx();
         c.set_workload_dims(10, 1000);
-        let a = c.alloc_tagged("a", 250, SizeClass::PerArc).unwrap(); // 1000 B
+        let a = c.alloc("a", 250, SizeClass::PerArc).unwrap(); // 1000 B
         c.device.free(a);
-        let _b = c.alloc_tagged("b", 250, SizeClass::PerArc).unwrap();
+        let _b = c.alloc("b", 250, SizeClass::PerArc).unwrap();
         let ms = c.memstats();
         assert_eq!(ms.peak_bytes, 1000);
         let f = ms.extrapolate(10, 2000);
@@ -340,7 +340,7 @@ mod tests {
     #[test]
     fn undeclared_dims_pass_through_unscaled() {
         let mut c = ctx();
-        let _ = c.alloc_tagged("x", 100, SizeClass::PerVertex).unwrap();
+        let _ = c.alloc("x", 100, SizeClass::PerVertex).unwrap();
         let ms = c.memstats();
         assert_eq!((ms.sim_vertices, ms.sim_arcs), (0, 0));
         let f = ms.extrapolate(1_000_000, 2_000_000);

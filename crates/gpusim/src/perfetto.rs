@@ -271,11 +271,11 @@ pub(crate) fn obj(entries: Vec<(&str, Value)>) -> Value {
 #[cfg(test)]
 mod tests {
     use crate::exec::{GpuContext, LaunchConfig};
-    use crate::CostParams;
+    use crate::{CostParams, SizeClass};
 
     fn ctx() -> GpuContext {
         let mut c = GpuContext::new(CostParams::p100(), 1 << 20);
-        let buf = c.htod("x", &[0u32; 64]).unwrap();
+        let buf = c.htod("x", &[0u32; 64], SizeClass::Fixed).unwrap();
         let cfg = LaunchConfig {
             blocks: 3,
             threads_per_block: 64,
@@ -287,7 +287,7 @@ mod tests {
         })
         .unwrap();
         c.set_phase("Sync");
-        c.dtoh_word(buf, 0);
+        c.dtoh(buf, 0..1).unwrap();
         c.sample_counter("frontier", 7.0);
         c
     }
@@ -339,7 +339,7 @@ mod tests {
     #[test]
     fn device_bytes_steps_with_alloc_and_free() {
         let mut c = ctx();
-        let tmp = c.alloc("scratch", 16).unwrap(); // +64 B
+        let tmp = c.alloc("scratch", 16, SizeClass::Fixed).unwrap(); // +64 B
         c.device.free(tmp);
         let tl = c.timeline("t");
         let steps = super::device_bytes(&tl);

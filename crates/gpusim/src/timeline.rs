@@ -412,7 +412,7 @@ impl GpuContext {
 mod tests {
     use super::*;
     use crate::exec::LaunchConfig;
-    use crate::CostParams;
+    use crate::{CostParams, SizeClass};
 
     fn skewed_ctx() -> GpuContext {
         skewed_ctx_with(CostParams::p100())
@@ -420,7 +420,7 @@ mod tests {
 
     fn skewed_ctx_with(cost: CostParams) -> GpuContext {
         let mut c = GpuContext::new(cost, 1 << 20);
-        let buf = c.htod("x", &[0u32; 64]).unwrap();
+        let buf = c.htod("x", &[0u32; 64], SizeClass::Fixed).unwrap();
         let cfg = LaunchConfig {
             blocks: 4,
             threads_per_block: 64,
@@ -433,7 +433,7 @@ mod tests {
         })
         .unwrap();
         c.set_phase("Sync");
-        c.dtoh_word(buf, 0);
+        c.dtoh(buf, 0..1).unwrap();
         c.sample_counter("frontier", 3.0);
         c
     }
@@ -484,12 +484,12 @@ mod tests {
     fn transfers_and_counters_carry_timestamps() {
         let c = skewed_ctx();
         let tl = c.timeline("unit");
-        assert_eq!(tl.transfers.len(), 2); // htod + dtoh_word
+        assert_eq!(tl.transfers.len(), 2); // htod + one-word dtoh
         assert_eq!(tl.transfers[0].dir, "h2d");
         assert!(tl.transfers[0].start_ms < tl.transfers[0].end_ms);
         let cp = &tl.counters[0];
         assert_eq!((cp.track, cp.phase, cp.value), ("frontier", "Sync", 3.0));
-        // sampled after the dtoh_word finished
+        // sampled after the one-word dtoh finished
         assert!((cp.time_ms - tl.transfers[1].end_ms).abs() < 1e-12);
     }
 

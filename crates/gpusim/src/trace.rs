@@ -193,7 +193,7 @@ fn counters_digest<'a>(
         }
         h = fnv1a(h, blocks as u64);
         h = fnv1a(h, threads_per_block as u64);
-        for w in counter_words(counters) {
+        for w in counters.to_words() {
             h = fnv1a(h, w);
         }
     }
@@ -205,19 +205,6 @@ fn counters_digest<'a>(
 
 fn fnv1a(h: u64, word: u64) -> u64 {
     (h ^ word).wrapping_mul(0x0000_0100_0000_01b3)
-}
-
-fn counter_words(c: &Counters) -> [u64; 8] {
-    [
-        c.global_tx,
-        c.global_sectors,
-        c.dependent_reads,
-        c.global_atomics,
-        c.shared_atomics,
-        c.shared_accesses,
-        c.warp_instrs,
-        c.barriers,
-    ]
 }
 
 impl GpuContext {
@@ -351,10 +338,10 @@ fn summarize_phases(
         p.compute_ms += l.roofline.compute_s * 1e3;
         p.mem_ms += l.roofline.mem_s * 1e3;
     }
-    // Counters are u64 sums, so unlike the f64 columns above they can be
-    // flat-combined per phase in one vectorized pass each.
+    // Counters are exact u64 sums, so unlike the f64 columns above they can
+    // be summed per phase in one pass each, in any order.
     for p in &mut phases {
-        p.counters = Counters::flat_sum_iter(
+        p.counters = Counters::flat_sum(
             launches
                 .iter()
                 .filter(|l| l.phase == p.phase)
@@ -376,12 +363,12 @@ fn summarize_phases(
 #[cfg(test)]
 mod tests {
     use crate::exec::{GpuContext, LaunchConfig};
-    use crate::CostParams;
+    use crate::{CostParams, SizeClass};
 
     fn traced_ctx() -> GpuContext {
         let mut c = GpuContext::new(CostParams::p100(), 1 << 20);
         c.set_block_profiling(true);
-        let buf = c.htod("x", &[0u32; 64]).unwrap();
+        let buf = c.htod("x", &[0u32; 64], SizeClass::Fixed).unwrap();
         let cfg = LaunchConfig {
             blocks: 4,
             threads_per_block: 32,
@@ -399,7 +386,7 @@ mod tests {
                 Ok(())
             })
             .unwrap();
-            c.dtoh_word(buf, 0);
+            c.dtoh(buf, 0..1).unwrap();
         }
         c
     }
@@ -426,7 +413,7 @@ mod tests {
         let mut c = traced_ctx();
         let t = c.trace("unit");
         assert_eq!(t.launches.len(), 3);
-        assert_eq!(t.transfers.len(), 3); // 1 htod + 2 dtoh_word
+        assert_eq!(t.transfers.len(), 3); // 1 htod + 2 one-word dtoh
         let ev = &t.launches[0];
         assert_eq!((ev.seq, ev.kernel, ev.phase), (0, "scan", "Scan"));
         assert_eq!(ev.blocks, 4);

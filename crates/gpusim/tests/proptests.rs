@@ -87,7 +87,7 @@ proptest! {
                 d.free(id);
                 used -= bytes;
             }
-            let id = d.alloc("x", len).unwrap();
+            let id = d.alloc_with("x", len, 4, SizeClass::Fixed).unwrap();
             let bytes = len as u64 * 4;
             live.push((id, bytes));
             used += bytes;

@@ -240,12 +240,6 @@ pub fn write_edge_list<W: Write>(g: &Csr, mut w: W) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Saves a graph to a file in edge-list format.
-pub fn save_edge_list<P: AsRef<Path>>(g: &Csr, path: P) -> std::io::Result<()> {
-    let f = std::fs::File::create(path)?;
-    write_edge_list(g, std::io::BufWriter::new(f))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -312,7 +306,7 @@ mod tests {
         let dir = std::env::temp_dir().join("kcore_graph_io_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("fig1.txt");
-        save_edge_list(&g, &path).unwrap();
+        write_edge_list(&g, std::fs::File::create(&path).unwrap()).unwrap();
         let (g2, _) = load_edge_list(&path).unwrap();
         assert_eq!(g2.num_edges(), g.num_edges());
         std::fs::remove_file(&path).ok();

@@ -42,21 +42,20 @@ pub(crate) fn peel_in(
     ctx.set_phase("Setup");
     ctx.set_workload_dims(n as u64, g.num_arcs());
     let offsets32 = narrow_offsets(g.offsets())?;
-    let d_offsets = ctx.htod_tagged("gswitch.offset", &offsets32, SizeClass::PerVertex)?;
-    let d_neighbors =
-        ctx.htod_tagged("gswitch.neighbors", g.neighbor_array(), SizeClass::PerArc)?;
-    let d_deg = ctx.htod_tagged("gswitch.deg", &g.degrees(), SizeClass::PerVertex)?;
+    let d_offsets = ctx.htod("gswitch.offset", &offsets32, SizeClass::PerVertex)?;
+    let d_neighbors = ctx.htod("gswitch.neighbors", g.neighbor_array(), SizeClass::PerArc)?;
+    let d_deg = ctx.htod("gswitch.deg", &g.degrees(), SizeClass::PerVertex)?;
     // Frontier list + bitmap (the autotuner keeps both representations), a
     // removed bitmap, and the engine's generic per-arc message slots.
-    let d_flist = ctx.alloc_tagged("gswitch.frontier_list", n, SizeClass::PerVertex)?;
-    let d_fbitmap = ctx.alloc_tagged(
+    let d_flist = ctx.alloc("gswitch.frontier_list", n, SizeClass::PerVertex)?;
+    let d_fbitmap = ctx.alloc(
         "gswitch.frontier_bitmap",
         n.div_ceil(32),
         SizeClass::PerVertex,
     )?;
-    let d_removed = ctx.alloc_tagged("gswitch.removed", n, SizeClass::PerVertex)?;
-    let d_eaux = ctx.alloc_tagged("gswitch.edge_aux", g.num_arcs() as usize, SizeClass::PerArc)?;
-    let d_len = ctx.alloc_tagged("gswitch.frontier_len", 1, SizeClass::Fixed)?;
+    let d_removed = ctx.alloc("gswitch.removed", n, SizeClass::PerVertex)?;
+    let d_eaux = ctx.alloc("gswitch.edge_aux", g.num_arcs() as usize, SizeClass::PerArc)?;
+    let d_len = ctx.alloc("gswitch.frontier_len", 1, SizeClass::Fixed)?;
     let launch = LaunchConfig::paper();
 
     let mut iterations = 0u64;
@@ -148,7 +147,7 @@ pub(crate) fn peel_in(
             in_block_order(|| ctx.launch("gswitch_fused", launch, fused))?;
             ctx.add_overhead_s(costs.gswitch_subiter_s)?;
             ctx.set_phase("Sync");
-            let processed = ctx.dtoh_word(d_len, 0);
+            let processed = ctx.dtoh(d_len, 0..1)?[0];
             // Observability: vertices this sweep peeled (free — charges
             // nothing).
             ctx.sample_counter("frontier", processed as f64);
@@ -159,7 +158,7 @@ pub(crate) fn peel_in(
         let _ = k;
     }
     ctx.set_phase("Result");
-    let core = ctx.dtoh(d_deg);
+    let core = ctx.dtoh(d_deg, ..)?;
     let _ = (d_flist, d_fbitmap, d_eaux);
     Ok((core, iterations))
 }

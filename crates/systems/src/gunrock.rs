@@ -36,14 +36,13 @@ pub(crate) fn peel_in(
     ctx.set_phase("Setup");
     ctx.set_workload_dims(n as u64, g.num_arcs());
     let offsets32 = narrow_offsets(g.offsets())?;
-    let d_offsets = ctx.htod_tagged("gunrock.offset", &offsets32, SizeClass::PerVertex)?;
-    let d_neighbors =
-        ctx.htod_tagged("gunrock.neighbors", g.neighbor_array(), SizeClass::PerArc)?;
-    let d_deg = ctx.htod_tagged("gunrock.deg", &g.degrees(), SizeClass::PerVertex)?;
+    let d_offsets = ctx.htod("gunrock.offset", &offsets32, SizeClass::PerVertex)?;
+    let d_neighbors = ctx.htod("gunrock.neighbors", g.neighbor_array(), SizeClass::PerArc)?;
+    let d_deg = ctx.htod("gunrock.deg", &g.degrees(), SizeClass::PerVertex)?;
     // Frontier double buffer (vertex frontiers) + edge-capacity scratch the
     // runtime keeps for advance output before filtering.
-    let d_f_in = ctx.alloc_tagged("gunrock.frontier_in", n, SizeClass::PerVertex)?;
-    let d_f_out = ctx.alloc_tagged("gunrock.frontier_out", n, SizeClass::PerVertex)?;
+    let d_f_in = ctx.alloc("gunrock.frontier_in", n, SizeClass::PerVertex)?;
+    let d_f_out = ctx.alloc("gunrock.frontier_out", n, SizeClass::PerVertex)?;
     // Edge-sized runtime structures: a CSC duplicate (Gunrock builds both
     // orientations), the advance output scratch, and per-edge flags for the
     // load-balanced partitioning — the footprint that makes Gunrock OOM
@@ -51,22 +50,22 @@ pub(crate) fn peel_in(
     // arcs + n + 1 words: arc-dominated, so `PerArc` is the closest
     // linear tag (the n+1 offset tail under-scales by a hair — see
     // DESIGN.md on why extrapolation is linear per class)
-    let d_csc = ctx.alloc_tagged(
+    let d_csc = ctx.alloc(
         "gunrock.csc",
         g.num_arcs() as usize + n + 1,
         SizeClass::PerArc,
     )?;
-    let d_escratch = ctx.alloc_tagged(
+    let d_escratch = ctx.alloc(
         "gunrock.edge_scratch",
         g.num_arcs() as usize,
         SizeClass::PerArc,
     )?;
-    let d_eflags = ctx.alloc_tagged(
+    let d_eflags = ctx.alloc(
         "gunrock.edge_flags",
         g.num_arcs() as usize,
         SizeClass::PerArc,
     )?;
-    let d_len = ctx.alloc_tagged("gunrock.frontier_len", 1, SizeClass::Fixed)?;
+    let d_len = ctx.alloc("gunrock.frontier_len", 1, SizeClass::Fixed)?;
     let launch = LaunchConfig::paper();
 
     let mut removed = 0u64;
@@ -97,7 +96,7 @@ pub(crate) fn peel_in(
         // blocks race on the frontier cursor while running
         in_block_order(|| ctx.launch("gunrock_filter_init", launch, filter_init))?;
         ctx.set_phase("Sync");
-        let mut flen = ctx.dtoh_word(d_len, 0) as u64;
+        let mut flen = ctx.dtoh(d_len, 0..1)?[0] as u64;
         // Observability: post-filter frontier length (free — charges nothing).
         ctx.sample_counter("frontier", flen as f64);
         ctx.add_overhead_s(costs.gunrock_subiter_s)?;
@@ -186,7 +185,7 @@ pub(crate) fn peel_in(
             // blocks race on `deg` and the frontier cursor while running
             in_block_order(|| ctx.launch("gunrock_advance", launch, advance))?;
             ctx.set_phase("Sync");
-            let out_len = ctx.dtoh_word(d_len, 0) as u64;
+            let out_len = ctx.dtoh(d_len, 0..1)?[0] as u64;
             ctx.sample_counter("frontier", out_len as f64);
             // Filter: compaction/validation pass over the output frontier.
             if out_len > 0 {
@@ -215,7 +214,7 @@ pub(crate) fn peel_in(
         }
     }
     ctx.set_phase("Result");
-    let core = ctx.dtoh(d_deg);
+    let core = ctx.dtoh(d_deg, ..)?;
     let _ = (d_csc, d_escratch, d_eflags); // retained for the runtime's footprint
     Ok((core, iterations))
 }

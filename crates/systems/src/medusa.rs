@@ -100,9 +100,8 @@ impl MedusaDev {
         ctx.set_workload_dims(u64::from(g.num_vertices()), g.num_arcs());
         let n = g.num_vertices() as usize;
         let offsets32 = narrow_offsets(g.offsets())?;
-        let d_offsets = ctx.htod_tagged("medusa.offset", &offsets32, SizeClass::PerVertex)?;
-        let d_neighbors =
-            ctx.htod_tagged("medusa.neighbors", g.neighbor_array(), SizeClass::PerArc)?;
+        let d_offsets = ctx.htod("medusa.offset", &offsets32, SizeClass::PerVertex)?;
+        let d_neighbors = ctx.htod("medusa.neighbors", g.neighbor_array(), SizeClass::PerArc)?;
         // Reverse index: arc j (u→v, at position j of u's list) delivers its
         // message into v's incoming slot — the position of u in v's list.
         // Every slot is below the arc count, which `narrow_offsets` bounded
@@ -115,16 +114,14 @@ impl MedusaDev {
                 ridx[base + off] = (g.offsets()[v as usize] as usize + pos_in_v) as u32;
             }
         }
-        let d_ridx = ctx.htod_tagged("medusa.ridx", &ridx, SizeClass::PerArc)?;
-        let d_msg = ctx.alloc_tagged("medusa.msg", g.num_arcs() as usize, SizeClass::PerArc)?;
+        let d_ridx = ctx.htod("medusa.ridx", &ridx, SizeClass::PerArc)?;
+        let d_msg = ctx.alloc("medusa.msg", g.num_arcs() as usize, SizeClass::PerArc)?;
         // Medusa's runtime additionally materializes an edge list (source
         // and destination arrays) for its edge-oriented message plumbing —
         // part of why the system OOMs the large crawls in Table III/V.
-        let _d_esrc =
-            ctx.alloc_tagged("medusa.edge_src", g.num_arcs() as usize, SizeClass::PerArc)?;
-        let _d_edst =
-            ctx.alloc_tagged("medusa.edge_dst", g.num_arcs() as usize, SizeClass::PerArc)?;
-        let d_flag = ctx.alloc_tagged("medusa.flag", 1, SizeClass::Fixed)?;
+        let _d_esrc = ctx.alloc("medusa.edge_src", g.num_arcs() as usize, SizeClass::PerArc)?;
+        let _d_edst = ctx.alloc("medusa.edge_dst", g.num_arcs() as usize, SizeClass::PerArc)?;
+        let d_flag = ctx.alloc("medusa.flag", 1, SizeClass::Fixed)?;
         Ok(MedusaDev {
             n,
             d_offsets,
@@ -167,8 +164,8 @@ pub(crate) fn mpm_in(
         return Ok((Vec::new(), 0));
     }
     let dev = MedusaDev::load(ctx, g)?;
-    let d_a = ctx.htod_tagged("medusa.a", &g.degrees(), SizeClass::PerVertex)?;
-    let d_a_new = ctx.alloc_tagged("medusa.a_new", n, SizeClass::PerVertex)?;
+    let d_a = ctx.htod("medusa.a", &g.degrees(), SizeClass::PerVertex)?;
+    let d_a_new = ctx.alloc("medusa.a_new", n, SizeClass::PerVertex)?;
 
     let mut iterations = 0u64;
     let mut bufs = [d_a, d_a_new]; // ping-pong
@@ -245,7 +242,7 @@ pub(crate) fn mpm_in(
         })?;
 
         ctx.set_phase("Sync");
-        let changed = ctx.dtoh_word(dev.d_flag, 0);
+        let changed = ctx.dtoh(dev.d_flag, 0..1)?[0];
         // Observability: estimates that moved this superstep (free).
         ctx.sample_counter("changed", changed as f64);
         bufs.swap(0, 1);
@@ -254,7 +251,7 @@ pub(crate) fn mpm_in(
         }
     }
     ctx.set_phase("Result");
-    let core = ctx.dtoh(bufs[0]);
+    let core = ctx.dtoh(bufs[0], ..)?;
     Ok((core, iterations))
 }
 
@@ -271,9 +268,9 @@ pub(crate) fn peel_in(
         return Ok((Vec::new(), 0));
     }
     let dev = MedusaDev::load(ctx, g)?;
-    let d_deg = ctx.htod_tagged("medusa.deg", &g.degrees(), SizeClass::PerVertex)?;
-    let d_core = ctx.alloc_tagged("medusa.core", n, SizeClass::PerVertex)?;
-    let d_deleted = ctx.alloc_tagged("medusa.deleted", n, SizeClass::PerVertex)?;
+    let d_deg = ctx.htod("medusa.deg", &g.degrees(), SizeClass::PerVertex)?;
+    let d_core = ctx.alloc("medusa.core", n, SizeClass::PerVertex)?;
+    let d_deleted = ctx.alloc("medusa.deleted", n, SizeClass::PerVertex)?;
 
     let mut iterations = 0u64;
     let mut total_deleted = 0u64;
@@ -361,7 +358,7 @@ pub(crate) fn peel_in(
             })?;
 
             ctx.set_phase("Sync");
-            let deleted_now = ctx.dtoh_word(dev.d_flag, 0) as u64;
+            let deleted_now = ctx.dtoh(dev.d_flag, 0..1)?[0] as u64;
             // Observability: vertices deleted this superstep (free).
             ctx.sample_counter("frontier", deleted_now as f64);
             total_deleted += deleted_now;
@@ -377,7 +374,7 @@ pub(crate) fn peel_in(
         }
     }
     ctx.set_phase("Result");
-    let core = ctx.dtoh(d_core);
+    let core = ctx.dtoh(d_core, ..)?;
     Ok((core, iterations))
 }
 

@@ -69,13 +69,13 @@ pub(crate) fn peel_in(
         );
         src[s..e].fill(v);
     }
-    let d_src = ctx.htod_tagged("vetga.src", &src, SizeClass::PerArc)?;
-    let d_dst = ctx.htod_tagged("vetga.dst", g.neighbor_array(), SizeClass::PerArc)?;
-    let d_deg = ctx.htod_tagged("vetga.deg", &g.degrees(), SizeClass::PerVertex)?;
-    let d_core = ctx.alloc_tagged("vetga.core", n, SizeClass::PerVertex)?;
-    let d_alive = ctx.alloc_tagged("vetga.alive", n, SizeClass::PerVertex)?;
-    let d_frontier = ctx.alloc_tagged("vetga.frontier", n, SizeClass::PerVertex)?;
-    let d_contrib = ctx.alloc_tagged("vetga.contrib", m_arcs, SizeClass::PerArc)?;
+    let d_src = ctx.htod("vetga.src", &src, SizeClass::PerArc)?;
+    let d_dst = ctx.htod("vetga.dst", g.neighbor_array(), SizeClass::PerArc)?;
+    let d_deg = ctx.htod("vetga.deg", &g.degrees(), SizeClass::PerVertex)?;
+    let d_core = ctx.alloc("vetga.core", n, SizeClass::PerVertex)?;
+    let d_alive = ctx.alloc("vetga.alive", n, SizeClass::PerVertex)?;
+    let d_frontier = ctx.alloc("vetga.frontier", n, SizeClass::PerVertex)?;
+    let d_contrib = ctx.alloc("vetga.contrib", m_arcs, SizeClass::PerArc)?;
     ctx.device.fill(d_alive, 1);
 
     let nn = n as u64;
@@ -103,7 +103,7 @@ pub(crate) fn peel_in(
             // 2) any(frontier)                            [n-pass reduce + sync]
             vec_pass(ctx, "vetga_any", nn, costs.vetga_dispatch_s)?;
             ctx.set_phase("Sync");
-            ctx.dtoh_word(d_frontier, 0); // host sync for the Python `if`
+            ctx.dtoh(d_frontier, 0..1)?; // host sync for the Python `if`
             if any == 0 {
                 break;
             }
@@ -170,7 +170,7 @@ pub(crate) fn peel_in(
         }
     }
     ctx.set_phase("Result");
-    let core = ctx.dtoh(d_core);
+    let core = ctx.dtoh(d_core, ..)?;
     Ok((core, iterations))
 }
 

@@ -57,33 +57,49 @@ if (( smoke_elapsed > SMOKE_BUDGET_S )); then
   exit 1
 fi
 
+# host_gate WORKLOAD CEILING_MS: runs the benchmark's WORKLOAD in release,
+# at seed 1 for at least 5 s, and fails if its host_ms_p50 exceeds
+# CEILING_MS. host_ms_p50 is wall time rescaled by kbench's reference probe
+# to nominal machine speed, which absorbs most of a shared box's slow
+# phases.
+host_gate() {
+  local workload=$1 ceiling=$2 out p50
+  out="$(mktemp -d)"
+  cargo run --locked --release -q --manifest-path kbench/Cargo.toml --bin kbench -- \
+    --workload "$workload" --seed 1 --seconds 5 --out "$out" > "$out/stdout.txt"
+  p50=$(awk '$1 == "host_ms_p50" && $3 == "ms" {print $2}' "$out/stdout.txt")
+  rm -rf "$out"
+  if [[ -z "$p50" ]]; then
+    echo "ERROR: kbench $workload printed no host_ms_p50 line" >&2
+    exit 1
+  fi
+  echo "$workload host_ms_p50 ${p50} ms (ceiling ${ceiling} ms)"
+  if awk -v p="$p50" -v c="$ceiling" 'BEGIN {exit !(p > c)}'; then
+    echo "ERROR: $workload host_ms_p50 ${p50} ms exceeds the ${ceiling} ms ceiling" >&2
+    exit 1
+  fi
+}
+
 echo "== peel host-time gate (kbench peel-deep host_ms_p50) =="
 # The benchmark's thin-round workload (375 peel rounds on 108 one-warp
-# blocks, one thread) in release, at seed 1 for at least 5 s and its 330
-# timed ops. Its host_ms_p50 is wall time rescaled by kbench's reference
-# probe to nominal machine speed, which absorbs most of a shared box's slow
-# phases. The ceiling is 1.5x the slowest of five calibration runs of this
-# stage's command on a 2-core x86-64 box (19.99, 20.61, 22.05, 22.23 and
-# 23.07 ms), rounded up to a whole ms; an earlier set on the same box, in
-# a calmer phase, read 18.55-19.19 ms. It passes the peel from before the
-# one-pass walk and the wave table (23-28 ms on that box) and flags a
-# regression of half an op's host time or more, such as the neighbor walk
-# charging lane by lane again, not noise.
-PEEL_HOST_CEILING_MS=35
-gate_out="$(mktemp -d)"
-cargo run --locked --release -q --manifest-path kbench/Cargo.toml --bin kbench -- \
-  --workload peel-deep --seed 1 --seconds 5 --out "$gate_out" > "$gate_out/stdout.txt"
-p50=$(awk '$1 == "host_ms_p50" && $3 == "ms" {print $2}' "$gate_out/stdout.txt")
-rm -rf "$gate_out"
-if [[ -z "$p50" ]]; then
-  echo "ERROR: kbench printed no host_ms_p50 line" >&2
-  exit 1
-fi
-echo "peel-deep host_ms_p50 ${p50} ms (ceiling ${PEEL_HOST_CEILING_MS} ms)"
-if awk -v p="$p50" -v c="$PEEL_HOST_CEILING_MS" 'BEGIN {exit !(p > c)}'; then
-  echo "ERROR: peel-deep host_ms_p50 ${p50} ms exceeds the ${PEEL_HOST_CEILING_MS} ms ceiling" >&2
-  exit 1
-fi
+# blocks, one thread, 330 timed ops in 5 s), whose launches all run inline.
+# The ceiling is 1.5x the slowest of five calibration runs of this stage's
+# command on a 2-core x86-64 box (19.99, 20.61, 22.05, 22.23 and 23.07 ms),
+# rounded up to a whole ms; an earlier set on the same box, in a calmer
+# phase, read 18.55-19.19 ms. It passes the peel from before the one-pass
+# walk and the wave table (23-28 ms on that box) and flags a regression of
+# half an op's host time or more, such as the neighbor walk charging lane
+# by lane again, not noise.
+host_gate peel-deep 35
+
+echo "== fan-out host-time gate (kbench peel-hub host_ms_p50) =="
+# The benchmark's only workload whose plain launches fan out (wiki-Talk
+# stand-in at two rayon threads), so it guards the parallel block path of
+# the launch driver, which peel-deep never takes. The ceiling is 1.5x the
+# slowest of five calibration runs of this stage's command on a 2-core
+# x86-64 box (14.28, 14.71, 14.76, 15.26 and 15.34 ms), rounded up to a
+# whole ms.
+host_gate peel-hub 24
 
 echo "== dataset cache smoke (KCORE_CACHE_DIR) =="
 # Cold run populates the cache; warm run must serve from it without

@@ -5,7 +5,7 @@
 //! another schedule than the one the launch was priced on).
 
 use kcore::gpu::{decompose_in, PeelConfig};
-use kcore::gpusim::{Counters, GpuContext, LaunchConfig, SimError, SimOptions};
+use kcore::gpusim::{Counters, GpuContext, LaunchConfig, SimError, SimOptions, SizeClass};
 use kcore::graph::gen;
 use proptest::prelude::*;
 
@@ -44,8 +44,8 @@ fn oom_reports_accurate_sizes_and_peak() {
         ..SimOptions::default()
     };
     let mut c = opts.context();
-    c.alloc("fits", 128).unwrap(); // 512 B
-    let err = c.alloc("too-big", 256).unwrap_err(); // 1024 B > 512 B free
+    c.alloc("fits", 128, SizeClass::Fixed).unwrap(); // 512 B
+    let err = c.alloc("too-big", 256, SizeClass::Fixed).unwrap_err(); // 1024 B > 512 B free
     match err {
         SimError::Oom(e) => {
             assert_eq!(e.name, "too-big");
@@ -124,7 +124,7 @@ fn timeline_spans_are_the_priced_block_schedule() {
             "launch {seq} ({}): {idle_ms} SM·ms idle, divergence {divergence_ms} ms",
             l.name
         );
-        if l.blocks() > c.cost.sm_count {
+        if l.config.blocks > c.cost.sm_count {
             crowded.push(l.name);
         }
     }
