@@ -9,18 +9,18 @@
 //! Besides the console breakdown, every implementation's kernel trace
 //! (DESIGN.md "Profiling & traces") is dumped to
 //! `results/traces/<dataset>_<impl>.json`; "Ours"' trace also holds its
-//! per-block counters. Knobs: `KCORE_TIMELINE=1` exports each
-//! implementation's SM timeline as Chrome trace-event JSON
-//! (`<dataset>_<impl>.perfetto.json`, open in <https://ui.perfetto.dev>)
-//! and prints every implementation's per-kernel hotspots ("Ours" always
-//! prints its own); `KCORE_FLEET_TIMELINE=1` also
-//! runs the sharded p=4 decomposition, dumps its fleet ledger and merged
-//! multi-device Perfetto file (`<dataset>_fleet_p4.fleet{,.perfetto}.json`)
-//! and prints a per-round critical-path breakdown.
+//! per-block counters. `KCORE_TIMELINE=1` also writes each
+//! implementation's trace as a Perfetto document
+//! (`<dataset>_<impl>.perfetto.json`, open in <https://ui.perfetto.dev>),
+//! prints every implementation's per-kernel hotspots ("Ours" always prints
+//! its own), runs the sharded p=4 decomposition, dumps its fleet ledger and
+//! merged multi-device Perfetto document
+//! (`<dataset>_fleet_p4.fleet{,.perfetto}.json`) and prints a per-round
+//! critical-path breakdown.
 
 use kcore_bench::{
-    capture_in, capture_sharded, fleet_timeline_enabled, prepare, save_fleet, save_timeline,
-    save_trace, Outcome,
+    capture_in, capture_sharded, prepare, save_fleet, save_timeline, save_trace, timeline_enabled,
+    Outcome,
 };
 use kcore_gpusim::Hotspot;
 use kcore_systems::Engine;
@@ -31,7 +31,7 @@ fn main() {
         .unwrap_or_else(|| "soc-LiveJournal1".into());
     let d = kcore_graph::datasets::by_name(&name).expect("unknown dataset");
     let e = prepare(d);
-    let timeline = std::env::var_os("KCORE_TIMELINE").is_some();
+    let timeline = timeline_enabled();
     println!(
         "{}: |V|={} |E|={} k_max={} scale=1/{:.0}\n",
         e.dataset.name, e.stats.num_vertices, e.stats.num_edges, e.opts.k_max, e.scale
@@ -72,12 +72,12 @@ fn main() {
             }
         }
         if engine == Engine::OURS {
-            for l in trace.launches.iter().filter(|l| l.kernel == "loop") {
+            for l in trace.launches.iter().filter(|l| l.name == "loop") {
                 println!(
                     "      loop launch: {:>9.1} us, max-block {:>10.0} cyc, mean-block {:>10.0} cyc",
-                    l.time_ms * 1e3,
+                    l.time_s * 1e3 * 1e3,
                     l.max_block_cycles,
-                    l.sum_block_cycles / l.blocks as f64
+                    l.sum_block_cycles / l.config.blocks as f64
                 );
             }
         }
@@ -90,13 +90,13 @@ fn main() {
         let file = format!("{}_{slug}", e.dataset.name);
         save_trace(&file, trace);
         if timeline {
-            save_timeline(&file, &ctx.timeline(trace.label.clone()));
+            save_timeline(&file, trace);
         }
     }
 
     // Fleet view: the sharded p=4 run with the exchange ledger, merged
     // multi-device Perfetto export, and per-round critical path.
-    if fleet_timeline_enabled() {
+    if timeline {
         let cap = capture_sharded(&e, 4, true);
         let Some(fr) = cap.fleet else {
             println!("Fleet p=4: {:?}", cap.outcome);

@@ -9,7 +9,7 @@
 //! ```
 //!
 //! The fleet table honors `KCORE_SMOKE` / `KCORE_DATASETS`; set
-//! `KCORE_FLEET_TIMELINE=1` to also dump each run's fleet trace and merged
+//! `KCORE_TIMELINE=1` to also dump each run's fleet trace and merged
 //! multi-device Perfetto document under `results/traces/`. `--check` (used
 //! by `scripts/ci.sh`) runs the curve on the selected datasets instead of
 //! the `@2x` stand-ins and asserts the sharded contract

@@ -50,8 +50,8 @@ pub struct RunCapture {
     /// The kernel trace, when asked for (single-device programs).
     pub trace: Option<Trace>,
     /// The fleet run, when asked for (sharded engine, after a success): the
-    /// exchange ledger, and per worker a trace, with its allocation ledger,
-    /// and a timeline.
+    /// exchange ledger, and per worker one trace, with its allocation
+    /// ledger.
     pub fleet: Option<FleetRun>,
 }
 
@@ -88,7 +88,8 @@ pub fn capture(e: &Env, engine: Engine, seed: u64, keep_trace: bool) -> RunCaptu
 }
 
 /// [`capture`] in a caller's context, so the caller can arm block
-/// profiling before the run and derive timelines after it.
+/// profiling before the run. The kept trace is the run's one capture: its
+/// JSON document and its Perfetto rendering both come from it.
 pub fn capture_in(ctx: &mut GpuContext, e: &Env, engine: Engine, keep_trace: bool) -> RunCapture {
     let res = engine.run_in(ctx, &e.graph, &e.opts);
     let name = engine.name();

@@ -19,7 +19,10 @@
 //! * `KCORE_SMOKE` — set to use the miniature smoke-test registry subset
 //!   (fast CI runs);
 //! * `KCORE_BLESS` — set to make [`assert_golden`] rewrite the golden files
-//!   of the tests instead of comparing against them.
+//!   of the tests instead of comparing against them;
+//! * `KCORE_TIMELINE` ([`TIMELINE_ENV`]) — set to make `inspect` write
+//!   each engine's Perfetto document and the sharded p=4 fleet dumps, and
+//!   `table_scale` each run's fleet dumps.
 //!
 //! Every GPU engine runs through one cell runner, [`capture`] (the
 //! sharded engine through [`capture_sharded`]); the [`Sweep`] runs each cell of Tables II, III and V and the capacity report
@@ -333,23 +336,25 @@ pub fn save_trace(name: &str, trace: &kcore_gpusim::Trace) {
     save(&format!("traces/{name}.json"), &trace.to_json());
 }
 
-/// Writes a [`Timeline`](kcore_gpusim::Timeline) as Chrome trace-event JSON
-/// into `results/traces/<name>.perfetto.json` (open in <https://ui.perfetto.dev>).
-pub fn save_timeline(name: &str, timeline: &kcore_gpusim::Timeline) {
+/// Writes a trace's Perfetto rendering
+/// ([`Trace::to_chrome_json`](kcore_gpusim::Trace::to_chrome_json)) into
+/// `results/traces/<name>.perfetto.json` (open in <https://ui.perfetto.dev>).
+pub fn save_timeline(name: &str, trace: &kcore_gpusim::Trace) {
     save(
         &format!("traces/{name}.perfetto.json"),
-        &timeline.to_chrome_json(),
+        &trace.to_chrome_json(),
     );
 }
 
-/// Env knob: set `KCORE_FLEET_TIMELINE=1` to make `inspect` and
-/// `table_scale` export fleet observability artifacts (the fleet trace plus
-/// the merged multi-device Perfetto document) beside their normal output.
-pub const FLEET_TIMELINE_ENV: &str = "KCORE_FLEET_TIMELINE";
+/// Env knob: set `KCORE_TIMELINE=1` to make `inspect` write each engine's
+/// Perfetto document and run and dump the sharded p=4 fleet, and
+/// `table_scale` dump each run's fleet artifacts (the fleet ledger plus the
+/// merged multi-device Perfetto document) beside their normal output.
+pub const TIMELINE_ENV: &str = "KCORE_TIMELINE";
 
-/// Whether [`FLEET_TIMELINE_ENV`] is set.
-pub fn fleet_timeline_enabled() -> bool {
-    std::env::var_os(FLEET_TIMELINE_ENV).is_some()
+/// Whether [`TIMELINE_ENV`] is set.
+pub fn timeline_enabled() -> bool {
+    std::env::var_os(TIMELINE_ENV).is_some()
 }
 
 /// Writes the observability artifacts of `dataset`'s sharded run on `p`
@@ -366,7 +371,7 @@ pub fn save_fleet(dataset: &str, p: usize, fr: &kcore_gpu::FleetRun) {
         &format!("traces/{name}.fleet.json"),
         &fr.fleet.to_json(&fr.traces),
     );
-    let merged = fr.fleet.merged_chrome_json(&fr.traces, &fr.timelines);
+    let merged = fr.fleet.merged_chrome_json(&fr.traces);
     let merged = merged.expect("a fleet run's own traces merge with its ledger");
     save(&format!("traces/{name}.fleet.perfetto.json"), &merged);
 }

@@ -25,8 +25,8 @@
 
 use crate::capture::sharded_config;
 use crate::{
-    capture_sharded, check_round_trip, fleet_timeline_enabled, prepare, render_table, save_fleet,
-    selected, table_files, titled, to_json, Env, Outcome, RunCapture,
+    capture_sharded, check_round_trip, prepare, render_table, save_fleet, selected, table_files,
+    timeline_enabled, titled, to_json, Env, Outcome, RunCapture,
 };
 use kcore_gpu::{decompose_multi, FleetRun};
 use kcore_gpusim::{FleetTrace, Hotspot, P100_DEVICE_BYTES};
@@ -312,7 +312,7 @@ pub struct ShardReport {
 
 impl ShardReport {
     /// Runs every cell of the three sections once, one dataset environment
-    /// at a time. `KCORE_FLEET_TIMELINE` dumps each run's fleet artifacts.
+    /// at a time. `KCORE_TIMELINE` dumps each run's fleet artifacts.
     ///
     /// `check` runs the curve on the selected datasets instead of the
     /// `@2x` stand-ins and asserts the sharded contract: one device
@@ -359,7 +359,7 @@ impl ShardReport {
                     let curve_p1 = p == 1 && wants(sections[0], d, p);
                     check_run(&e, p, fr, curve_p1, wants(sections[1], d, p));
                 }
-                if fleet_timeline_enabled() {
+                if timeline_enabled() {
                     save_fleet(d.name, p, fr);
                 }
                 cells.push((d.name, p, cell));

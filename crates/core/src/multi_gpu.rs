@@ -46,7 +46,7 @@ use crate::config::PeelConfig;
 use crate::peel;
 use kcore_gpusim::{
     BlockCtx, BufferId, ExchangeTrace, FleetTrace, FlowEdge, GpuContext, KernelError, RoundTrace,
-    SimError, SimOptions, SizeClass, SubRoundSlice, Timeline, Trace, PACKET_BYTES,
+    SimError, SimOptions, SizeClass, SubRoundSlice, Trace, PACKET_BYTES,
 };
 use kcore_graph::{Csr, Partition, PartitionStats, PartitionStrategy, Shard};
 use rayon::prelude::*;
@@ -122,19 +122,17 @@ pub struct MultiGpuRun {
 }
 
 /// A traced fleet run: the result plus every observability artifact the
-/// fleet layer derives — per-device traces/timelines and the
-/// [`FleetTrace`] ledger. Everything here observes the same run; none of it
-/// perturbs `total_ms`, fingerprints, or `exchanged_bytes`.
+/// fleet layer derives — one trace per device and the [`FleetTrace`]
+/// ledger. Everything here observes the same run; none of it perturbs
+/// `total_ms`, fingerprints, or `exchanged_bytes`.
 #[derive(Debug, Clone)]
 pub struct FleetRun {
     /// The decomposition result, bit-identical to [`decompose_multi`].
     pub run: MultiGpuRun,
-    /// Per-worker traces, shard order — the run's one copy, which the
-    /// ledger's flow edges index into and its methods take as an argument.
+    /// Per-worker traces, shard order — the run's one capture of each
+    /// device, which the ledger's flow edges index into and its methods
+    /// (the merged Perfetto rendering included) take as an argument.
     pub traces: Vec<Trace>,
-    /// Per-worker SM timelines, shard order — feed
-    /// [`FleetTrace::merged_chrome_json`].
-    pub timelines: Vec<Timeline>,
     /// The fleet ledger: sub-round slices and exchange flows, from which
     /// the critical path is derived.
     pub fleet: FleetTrace,
@@ -169,9 +167,9 @@ pub fn decompose_multi(
 }
 
 /// [`decompose_multi`] with the full fleet observability layer: the run,
-/// the per-worker traces (for golden pinning and per-device memstats) and
-/// timelines, and the [`FleetTrace`] ledger (exchange flows, sub-round
-/// slices, per-round critical path). The run itself — `total_ms`,
+/// one trace per worker (for golden pinning, per-device memstats and the
+/// Perfetto rendering), and the [`FleetTrace`] ledger (exchange flows,
+/// sub-round slices, per-round critical path). The run itself — `total_ms`,
 /// fingerprints, `exchanged_bytes` — is bit-identical to
 /// [`decompose_multi`]; the fleet layer only observes.
 pub fn decompose_multi_fleet(
@@ -181,11 +179,6 @@ pub fn decompose_multi_fleet(
     label: impl Into<String>,
 ) -> Result<FleetRun, SimError> {
     let (run, fleet, mut contexts, part) = decompose_multi_impl(g, cfg, opts)?;
-    let timelines: Vec<Timeline> = contexts
-        .iter()
-        .enumerate()
-        .map(|(wi, ctx)| ctx.timeline(format!("worker{wi}")))
-        .collect();
     let traces: Vec<Trace> = contexts
         .iter_mut()
         .enumerate()
@@ -194,7 +187,6 @@ pub fn decompose_multi_fleet(
     Ok(FleetRun {
         run,
         traces,
-        timelines,
         fleet: FleetTrace {
             label: label.into(),
             ..fleet
@@ -356,9 +348,8 @@ fn decompose_multi_impl(
     total_ms += result_ms;
 
     // Fingerprints digest the launch and transfer records directly, as
-    // `Trace::counters_fingerprint` would; traces and timelines are built
-    // only when the fleet layer asks. The counts and the bytes are the
-    // ledger's.
+    // `Trace::counters_fingerprint` would; traces are captured only when
+    // the fleet layer asks. The counts and the bytes are the ledger's.
     let exchanges = || round_log.iter().flat_map(|r| &r.exchanges);
     let run = MultiGpuRun {
         core,
@@ -938,7 +929,7 @@ mod tests {
             assert!(c.bounding_resource.starts_with("device") || c.bounding_resource == "link");
         }
         // the merged perfetto export renders and carries link flow events
-        let json = fr.fleet.merged_chrome_json(&fr.traces, &fr.timelines);
+        let json = fr.fleet.merged_chrome_json(&fr.traces);
         let json = json.unwrap();
         assert!(json.contains("Fleet links"));
         assert!(json.contains("\"ph\":\"s\""));

@@ -15,8 +15,8 @@
 //! adjacency walks. The makespan models the paper's block scheduling ("as
 //! thread blocks terminate, new blocks are launched on the vacated SMs").
 //! [`makespan`] is the simulator's one block scheduler: pricing reads its
-//! horizon, and [`crate::GpuContext::timeline`] draws each block where it
-//! placed it.
+//! horizon, and a trace's Perfetto rendering
+//! ([`crate::Trace::to_chrome_json`]) draws each block where it placed it.
 //!
 //! Constants for the paper's test device are in [`CostParams::p100`]; each
 //! value cites its source. The model is calibrated for *relative* orderings
@@ -288,7 +288,7 @@ const MAKESPAN_STACK_MACHINES: usize = 128;
 /// least-loaded machine first, lowest index on load ties) — how block grids
 /// fill SMs, one block at a time per SM. `place(machine, start, end)` sees
 /// each job's placement, in job order, as it is made: pricing passes a
-/// no-op, the timeline draws its spans from them. A tournament tree keeps
+/// no-op, the Perfetto rendering draws its block spans from them. A tournament tree keeps
 /// the least-loaded machine at its root, so each job costs O(log machines);
 /// the picks, and so the float sums, are those of a linear min-scan.
 ///
@@ -375,7 +375,7 @@ pub struct LaunchRecord {
     /// Total cycle count across blocks.
     pub sum_block_cycles: f64,
     /// Every block's priced cycle count, in dispatch order — the input the
-    /// timeline replays through [`makespan`] to place each block.
+    /// Perfetto rendering replays through [`makespan`] to place each block.
     pub block_cycles: Vec<f64>,
     /// Per-block counter deltas, recorded only when block profiling is on
     /// ([`crate::GpuContext::set_block_profiling`]) — `counters` is their sum.

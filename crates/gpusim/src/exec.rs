@@ -240,10 +240,6 @@ pub enum Coalescing {
     /// may charge less than `Scattered`, so converting an existing call
     /// site to it would change golden traces.
     Classified,
-    /// The warp touches a contiguous run: charge 128-byte transactions
-    /// (`global_tx += coalesced_tx(lanes)`), like the hand-written
-    /// `charge_tx(coalesced_tx(..))` sites.
-    Contiguous,
 }
 
 /// Per-block execution context handed to kernel closures.
@@ -457,7 +453,7 @@ impl<'a> BlockCtx<'a> {
     /// 32-byte sectors (8 words each) in a single pass, returning the
     /// sector count a coalescer would issue. Insertion-dedups into a stack
     /// array — no allocation, O(lanes·distinct) with distinct ≤ 32.
-    pub fn warp_sector_count(addrs: &[usize]) -> u64 {
+    fn warp_sector_count(addrs: &[usize]) -> u64 {
         debug_assert!(addrs.len() <= 32);
         let mut sectors = [0usize; 32];
         let mut n = 0usize;
@@ -476,7 +472,7 @@ impl<'a> BlockCtx<'a> {
 
     /// Charges one warp memory access over `lanes` addresses under the
     /// given [`Coalescing`] policy. `addrs` is only inspected for
-    /// [`Coalescing::Classified`]; the other policies need just the count.
+    /// [`Coalescing::Classified`]; `Scattered` needs just the count.
     #[inline]
     fn charge_warp_access(&mut self, mode: Coalescing, lanes: usize, addrs: &[usize]) {
         match mode {
@@ -484,7 +480,6 @@ impl<'a> BlockCtx<'a> {
             Coalescing::Classified => {
                 self.counters.global_sectors += Self::warp_sector_count(addrs)
             }
-            Coalescing::Contiguous => self.counters.global_tx += Self::coalesced_tx(lanes as u64),
         }
     }
 
@@ -864,8 +859,9 @@ impl GpuContext {
         });
     }
 
-    /// Counter-track samples recorded so far, in sampling order.
-    pub fn counter_samples(&self) -> &[CounterSample] {
+    /// Counter-track samples recorded so far, in sampling order; a
+    /// [`crate::Trace`] keeps them.
+    pub(crate) fn counter_samples(&self) -> &[CounterSample] {
         &self.counter_samples
     }
 

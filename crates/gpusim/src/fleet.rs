@@ -1,7 +1,7 @@
 //! Fleet observability: the ledger of a sharded multi-device run.
 //!
-//! The single-device observability stack ([`crate::trace`],
-//! [`crate::timeline`], [`crate::perfetto`]) answers *what one device did*.
+//! The single-device observability stack (a [`Trace`] with its hotspots
+//! and its Perfetto rendering) answers *what one device did*.
 //! This module answers what the **fleet** did: a [`FleetTrace`] records,
 //! per peel round, an **exchange ledger** — per shard-pair packet counts,
 //! bytes, the latency-vs-bandwidth split of each link hop, and the
@@ -45,7 +45,7 @@
 //! on each owner device's tracks.
 
 use crate::perfetto::{counter_event, meta_event, obj};
-use crate::timeline::{Hotspot, Timeline};
+use crate::timeline::Hotspot;
 use crate::trace::Trace;
 use serde::{Serialize, Value};
 
@@ -281,20 +281,20 @@ impl FleetTrace {
                         .launches
                         .get(f.pack_launch_seq)
                         .ok_or_else(|| format!("k={k}: dangling pack launch seq"))?;
-                    if pack.kernel != "mgpu_pack" {
+                    if pack.name != "mgpu_pack" {
                         return Err(format!(
                             "k={k}: flow pack seq {} is a {:?} launch",
-                            f.pack_launch_seq, pack.kernel
+                            f.pack_launch_seq, pack.name
                         ));
                     }
                     let apply = traces[f.to_device]
                         .launches
                         .get(f.apply_launch_seq)
                         .ok_or_else(|| format!("k={k}: dangling apply launch seq"))?;
-                    if apply.kernel != "mgpu_apply" {
+                    if apply.name != "mgpu_apply" {
                         return Err(format!(
                             "k={k}: flow apply seq {} is a {:?} launch",
-                            f.apply_launch_seq, apply.kernel
+                            f.apply_launch_seq, apply.name
                         ));
                     }
                 }
@@ -322,29 +322,23 @@ impl FleetTrace {
 
     /// Renders the fleet as one merged Chrome trace-event document:
     ///
-    /// * per device `d`: the full single-device track set (GPU SM tracks,
-    ///   PCIe, memory) under pids `1+3d..3+3d` with a `D<d> · ` name
-    ///   prefix, on the device's **local** clock, plus a `border cascades`
-    ///   track carrying that device's sub-round slices;
+    /// * per device `d`: its trace's full single-device track set
+    ///   ([`Trace::to_chrome_json`]: GPU SM tracks, PCIe, memory) under pids
+    ///   `1+3d..3+3d` with a `D<d> · ` name prefix, on the device's
+    ///   **local** clock, plus a `border cascades` track carrying that
+    ///   device's sub-round slices;
     /// * pid 0: the link process on the **fleet** clock, with
     ///   `worker → master` / `master → owner` hop slices per exchange;
     /// * flow events (`s`/`t`/`f`) tying each shard-pair's `mgpu_pack`
     ///   launch through the two hops to its owner's `mgpu_apply` launch.
     ///
-    /// `traces` and `timelines` must be the per-device traces and timelines
-    /// captured from the same run, shard order; inputs from another run
-    /// are a [`MergeError`] where they disagree with the ledger.
-    /// Deterministic: same run ⇒ byte-identical JSON.
-    pub fn merged_chrome_json(
-        &self,
-        traces: &[Trace],
-        timelines: &[Timeline],
-    ) -> Result<String, MergeError> {
-        for (what, got) in [("traces", traces.len()), ("timelines", timelines.len())] {
-            if got != self.num_devices {
-                let devices = self.num_devices;
-                return Err(MergeError::DeviceCount { what, got, devices });
-            }
+    /// `traces` must be the run's per-device traces, shard order; traces
+    /// from another run are a [`MergeError`] where they disagree with the
+    /// ledger. Deterministic: same run ⇒ byte-identical JSON.
+    pub fn merged_chrome_json(&self, traces: &[Trace]) -> Result<String, MergeError> {
+        if traces.len() != self.num_devices {
+            let (got, devices) = (traces.len(), self.num_devices);
+            return Err(MergeError::DeviceCount { got, devices });
         }
         /// tid of the per-device cascade track: above any SM index, the
         /// tid of an SM track.
@@ -377,8 +371,8 @@ impl FleetTrace {
         ));
 
         // ---- per-device track sets (local clocks) --------------------
-        for (d, tl) in timelines.iter().enumerate() {
-            tl.push_chrome_events(
+        for (d, t) in traces.iter().enumerate() {
+            t.push_chrome_events(
                 &mut events,
                 gpu_pid(d),
                 gpu_pid(d) + 1,
@@ -464,16 +458,16 @@ impl FleetTrace {
                         };
                         let pack = launch(f.from_device, f.pack_launch_seq)?;
                         let apply = launch(f.to_device, f.apply_launch_seq)?;
+                        // the pack launch's end and the apply launch's
+                        // start in µs, from the ms values the trace
+                        // document writes
+                        let pack_ts = (pack.start_s * 1e3 + pack.time_s * 1e3) * 1e3;
+                        let apply_ts = apply.start_s * 1e3 * 1e3;
                         let hops = [
-                            (
-                                "s",
-                                gpu_pid(f.from_device),
-                                CASCADE_TID,
-                                (pack.start_ms + pack.time_ms) * 1e3,
-                            ),
+                            ("s", gpu_pid(f.from_device), CASCADE_TID, pack_ts),
                             ("t", LINK_PID, 0, hop1_ts),
                             ("t", LINK_PID, 1, hop2_ts),
-                            ("f", gpu_pid(f.to_device), CASCADE_TID, apply.start_ms * 1e3),
+                            ("f", gpu_pid(f.to_device), CASCADE_TID, apply_ts),
                         ];
                         for (ph, pid, tid, ts) in hops {
                             let mut fields = vec![
@@ -537,20 +531,17 @@ impl FleetTrace {
                 ]),
             ),
         ]);
-        Ok(serde_json::to_string(&doc).expect("fleet timeline serializes"))
+        Ok(serde_json::to_string(&doc).expect("a fleet Perfetto document serializes"))
     }
 }
 
 /// Why [`FleetTrace::merged_chrome_json`] cannot merge a ledger with the
-/// traces and timelines it was handed: they are not that run's.
+/// traces it was handed: they are not that run's.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MergeError {
-    /// `what` (`"traces"` or `"timelines"`) holds `got` entries for a
-    /// ledger of `devices` devices.
+    /// `got` worker traces for a ledger of `devices` devices.
     DeviceCount {
-        /// The mismatched input.
-        what: &'static str,
-        /// Its length.
+        /// The number of traces.
         got: usize,
         /// The ledger's `num_devices`.
         devices: usize,
@@ -570,8 +561,8 @@ pub enum MergeError {
 impl std::fmt::Display for MergeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            MergeError::DeviceCount { what, got, devices } => {
-                write!(f, "{got} worker {what}, num_devices says {devices}")
+            MergeError::DeviceCount { got, devices } => {
+                write!(f, "{got} worker traces, num_devices says {devices}")
             }
             MergeError::MissingLaunch { k, device, seq } => write!(
                 f,
@@ -719,9 +710,9 @@ mod tests {
         }
     }
 
-    /// Two worker contexts: device 0 ran one `mgpu_pack`, device 1 one
+    /// Two worker traces: device 0 ran one `mgpu_pack`, device 1 one
     /// `mgpu_apply` — the launches the synthetic flow edge references.
-    fn dummy_contexts() -> Vec<crate::GpuContext> {
+    fn dummy_devices() -> Vec<Trace> {
         use crate::{CostParams, GpuContext, LaunchConfig};
         let cfg = LaunchConfig {
             blocks: 1,
@@ -729,17 +720,13 @@ mod tests {
         };
         ["mgpu_pack", "mgpu_apply"]
             .iter()
-            .map(|kernel| {
+            .enumerate()
+            .map(|(d, kernel)| {
                 let mut ctx = GpuContext::new(CostParams::p100(), 1 << 16);
                 ctx.launch(kernel, cfg, |_| Ok(())).unwrap();
-                ctx
+                ctx.trace(format!("d{d}"))
             })
             .collect()
-    }
-
-    fn dummy_devices() -> Vec<Trace> {
-        let ctxs = dummy_contexts().into_iter().enumerate();
-        ctxs.map(|(d, mut c)| c.trace(format!("d{d}"))).collect()
     }
 
     fn synthetic_rounds() -> Vec<RoundTrace> {
@@ -946,17 +933,14 @@ mod tests {
             .map(|d| d.get("label").and_then(Value::as_str).unwrap())
             .collect();
         assert_eq!(labels, ["d0", "d1"]);
-        let timelines: Vec<Timeline> = dummy_contexts().iter().map(|c| c.timeline("t")).collect();
-        let merged = synthetic().merged_chrome_json(&traces, &timelines).unwrap();
+        let merged = synthetic().merged_chrome_json(&traces).unwrap();
         assert!(merged.contains("\"otherData\":{\"schema_version\":5,"));
     }
 
-    /// A ledger merged with another run's traces and timelines is an error,
-    /// not a panic.
+    /// A ledger merged with another run's traces is an error, not a panic.
     #[test]
     fn merge_rejects_another_runs_inputs() {
         let ft = synthetic();
-        let timelines: Vec<Timeline> = dummy_contexts().iter().map(|c| c.timeline("t")).collect();
         // a run whose devices launched nothing
         let idle: Vec<crate::GpuContext> = (0..2)
             .map(|_| crate::GpuContext::new(crate::CostParams::p100(), 1 << 16))
@@ -967,22 +951,14 @@ mod tests {
             device: 0,
             seq: 0,
         };
-        assert_eq!(ft.merged_chrome_json(&traces, &timelines), Err(missing));
+        assert_eq!(ft.merged_chrome_json(&traces), Err(missing));
         // a run on one device
-        let err = ft.merged_chrome_json(&traces[..1], &timelines);
+        let err = ft.merged_chrome_json(&traces[..1]);
+        assert_eq!(err, Err(MergeError::DeviceCount { got: 1, devices: 2 }));
         assert_eq!(
             err.unwrap_err().to_string(),
             "1 worker traces, num_devices says 2"
         );
-        let err = ft.merged_chrome_json(&traces, &timelines[..1]);
-        assert!(matches!(
-            err,
-            Err(MergeError::DeviceCount {
-                what: "timelines",
-                got: 1,
-                ..
-            })
-        ));
     }
 
     #[test]

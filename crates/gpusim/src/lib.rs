@@ -29,6 +29,13 @@
 //! capacity forecasts ([`MemStats::extrapolate`]) — observability that
 //! charges nothing and cannot perturb a golden trace.
 //!
+//! A context is captured once, by [`GpuContext::trace`]: the [`Trace`]
+//! holds the context's own launch, transfer and counter-sample records and
+//! its ledger, and renders them two ways — as a JSON document
+//! ([`Trace::to_json`]) and as an SM-level Perfetto document
+//! ([`Trace::to_chrome_json`]). A sharded run's [`FleetTrace`] ledger
+//! renders beside its worker traces the same two ways.
+//!
 //! # Example
 //!
 //! ```
@@ -82,17 +89,14 @@ pub use fleet::{
 pub use memstats::{
     CapacityForecast, LiveAlloc, MemStats, PhasePeak, P100_DEVICE_BYTES, PEAK_LIVE_SET_TOP_K,
 };
-pub use timeline::{
-    BlockCost, CounterPoint, Hotspot, MemSpan, Timeline, TimelineSpan, TransferSpan,
-};
-pub use trace::{
-    DeviceInfo, LaunchEvent, PhaseSummary, Totals, Trace, TransferEvent, HOTSPOT_TOP_K,
-};
+pub use timeline::{BlockCost, Hotspot};
+pub use trace::{DeviceInfo, PhaseSummary, Totals, Trace, HOTSPOT_TOP_K};
 
 /// Version of every document the observability layer writes: a [`Trace`]
-/// (with the [`MemStats`] inside it), a standalone [`MemStats`], both
-/// Perfetto exports of a [`Timeline`], and a [`FleetTrace`] with its worker
-/// traces. A version describes a written document, not a run, so no
+/// (with the [`MemStats`] inside it), a standalone [`MemStats`], a trace's
+/// Perfetto rendering ([`Trace::to_chrome_json`]) and the fleet's
+/// ([`FleetTrace::merged_chrome_json`]), and a [`FleetTrace`] with its
+/// worker traces. A version describes a written document, not a run, so no
 /// in-memory value carries one: each writer states it once, as the first
 /// key of the document's top level (`otherData.schema_version` in the
 /// Perfetto exports). Bumped on any change to a document's shape, so a

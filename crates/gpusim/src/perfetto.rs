@@ -1,10 +1,9 @@
-//! Chrome trace-event export of a [`Timeline`], loadable in Perfetto.
+//! The Perfetto rendering of a [`Trace`]: Chrome trace-event JSON.
 //!
-//! [`Timeline::to_chrome_json`] serializes an SM-level timeline to the
-//! Chrome trace-event JSON format (the `traceEvents` array of `"X"`
-//! complete / `"M"` metadata / `"C"` counter events, timestamps in
-//! microseconds) that <https://ui.perfetto.dev> and `chrome://tracing`
-//! open directly:
+//! [`Trace::to_chrome_json`] renders a trace as the Chrome trace-event
+//! JSON format (the `traceEvents` array of `"X"` complete / `"M"` metadata
+//! / `"C"` counter events, timestamps in microseconds) that
+//! <https://ui.perfetto.dev> and `chrome://tracing` open directly:
 //!
 //! * **pid 0 — the GPU.** One thread track per SM (`tid` = the SM index),
 //!   on which the priced block schedule runs one block at a time. Each
@@ -12,30 +11,85 @@
 //!   category and launch/block/warps in `args`.
 //! * **pid 1 — PCIe.** Host↔device copies as `"X"` spans (`h2d` / `d2h`).
 //! * **pid 2 — device memory.** One `"X"` lifetime slice per allocation
-//!   (named after the buffer, phase as category, bytes/size-class in
-//!   `args`), laned by the device slot the allocation occupied, plus a
-//!   `device_bytes` counter stepping through the live-footprint curve — so
-//!   footprint tiling renders directly against the SM tracks.
-//! * **Counter tracks.** Every [`crate::timeline::CounterPoint`] sampled via
+//!   of the trace's ledger (named after the buffer, phase as category,
+//!   bytes/size-class in `args`), laned by the device slot the allocation
+//!   occupied, plus a `device_bytes` counter stepping through the
+//!   live-footprint curve — so footprint tiling renders directly against
+//!   the SM tracks. An allocation never freed lasts to the end of the run
+//!   (`totals.time_ms`).
+//! * **Counter tracks.** Every [`crate::CounterSample`] recorded via
 //!   [`crate::GpuContext::sample_counter`] (frontier size per round, …)
 //!   becomes a `"C"` event, and an `active_warps` counter is derived from
 //!   the block spans' begin/end edges — the live-occupancy sawtooth that
 //!   makes divergence tails visible at a glance.
 //!
-//! The export is plain arithmetic over the timeline's recorded values in a
-//! fixed order — same timeline ⇒ byte-identical JSON (asserted by the
-//! golden tests across runs and rayon pool sizes).
+//! **Block placement.** A launch record stores its issue time (`start_s`)
+//! and each block's priced cycle count. [`crate::cost::makespan`] replays
+//! dispatch onto the `sm_count` SMs, one block at a time per SM, as
+//! pricing did; the resulting cycle offsets are then scaled so the schedule
+//! spans exactly the launch's roofline-charged execution window
+//! (`time_s − launch_overhead_s`). For a compute-bound launch that scale is
+//! `1/clock_hz`, so each span lasts its block's cycles and the SMs' idle
+//! time inside the window is `sm_count ×` the launch's divergence bucket
+//! ([`crate::Hotspot`]); for a bandwidth-bound launch the blocks stretch
+//! proportionally — the DRAM stall is distributed over the blocks that
+//! caused the traffic.
+//!
+//! The rendering is plain arithmetic over the trace's recorded values in a
+//! fixed order — same trace ⇒ byte-identical JSON (asserted by the golden
+//! tests across runs and rayon pool sizes).
 
-use crate::timeline::Timeline;
+use crate::cost::makespan;
+use crate::trace::{dir_name, Trace};
 use serde::{Serialize, Value};
 
 const GPU_PID: u64 = 0;
 const PCIE_PID: u64 = 1;
 const MEM_PID: u64 = 2;
 
-impl Timeline {
-    /// Serializes the timeline as compact Chrome trace-event JSON (see the
-    /// module docs for the track layout).
+/// One block's residency on one SM, where the priced schedule ran it.
+struct BlockSpan {
+    /// Index of the block's launch in [`Trace::launches`].
+    launch: usize,
+    /// Block index within the grid.
+    block: u32,
+    /// SM that ran the block.
+    sm: u32,
+    /// Sim-clock begin, ms.
+    start_ms: f64,
+    /// Sim-clock end, ms.
+    end_ms: f64,
+}
+
+/// Every block of every launch in `trace`, in (launch, block) order.
+fn block_spans(trace: &Trace) -> Vec<BlockSpan> {
+    let sms = trace.device.sm_count as usize;
+    let mut spans = Vec::new();
+    let mut placed = Vec::new();
+    for (launch, l) in trace.launches.iter().enumerate() {
+        // the schedule the launch was priced on, block by block
+        let horizon = makespan(&l.block_cycles, sms, |sm, start, end| {
+            placed.push((sm as u32, start, end))
+        });
+        let exec_s = l.time_s - l.roofline.launch_overhead_s;
+        let scale_s = if horizon > 0.0 { exec_s / horizon } else { 0.0 };
+        let exec_start_s = l.start_s + l.roofline.launch_overhead_s;
+        for (block, (sm, start, end)) in placed.drain(..).enumerate() {
+            spans.push(BlockSpan {
+                launch,
+                block: block as u32,
+                sm,
+                start_ms: (exec_start_s + start * scale_s) * 1e3,
+                end_ms: (exec_start_s + end * scale_s) * 1e3,
+            });
+        }
+    }
+    spans
+}
+
+impl Trace {
+    /// Renders the trace as compact Chrome trace-event JSON, the Perfetto
+    /// document (see the module docs for the track layout).
     pub fn to_chrome_json(&self) -> String {
         let mut events: Vec<Value> = Vec::new();
         self.push_chrome_events(&mut events, GPU_PID, PCIE_PID, MEM_PID, "");
@@ -47,19 +101,19 @@ impl Timeline {
                 obj(vec![
                     ("schema_version", Value::UInt(crate::SCHEMA_VERSION.into())),
                     ("label", Value::Str(self.label.clone())),
-                    ("sm_count", Value::UInt(self.sm_count as u64)),
+                    ("sm_count", Value::UInt(self.device.sm_count as u64)),
                 ]),
             ),
         ]);
-        serde_json::to_string(&doc).expect("timeline serializes")
+        serde_json::to_string(&doc).expect("a Perfetto document serializes")
     }
 
-    /// Appends this timeline's track metadata, block/transfer/memory spans,
+    /// Appends this trace's track metadata, block/transfer/memory spans,
     /// and counter events onto `events`, parameterized over the three
-    /// process ids and a process-name prefix. The single-device exports call
-    /// this with `(0, 1, 2, "")` — byte-identical to the pre-refactor
-    /// output — while the fleet export ([`crate::fleet`]) lays several
-    /// devices side by side under distinct pids and `"D<n> · "` prefixes.
+    /// process ids and a process-name prefix. [`Trace::to_chrome_json`]
+    /// calls this with `(0, 1, 2, "")`, while the fleet rendering
+    /// ([`crate::fleet`]) lays several devices side by side under distinct
+    /// pids and `"D<n> · "` prefixes.
     pub(crate) fn push_chrome_events(
         &self,
         events: &mut Vec<Value>,
@@ -68,12 +122,17 @@ impl Timeline {
         mem_pid: u64,
         prefix: &str,
     ) {
+        let spans = block_spans(self);
+        let allocations = &self.memstats.allocations;
         // ---- track metadata ------------------------------------------
         events.push(meta_event(
             "process_name",
             gpu_pid,
             None,
-            format!("{prefix}GPU · {} SMs · {}", self.sm_count, self.label),
+            format!(
+                "{prefix}GPU · {} SMs · {}",
+                self.device.sm_count, self.label
+            ),
         ));
         events.push(meta_event(
             "process_name",
@@ -87,14 +146,14 @@ impl Timeline {
             Some(0),
             "Host ↔ Device".into(),
         ));
-        if !self.memory.is_empty() {
+        if !allocations.is_empty() {
             events.push(meta_event(
                 "process_name",
                 mem_pid,
                 None,
                 format!("{prefix}Device memory"),
             ));
-            let mut lanes: Vec<u64> = self.memory.iter().map(|m| m.slot).collect();
+            let mut lanes: Vec<u64> = allocations.iter().map(|e| e.slot).collect();
             lanes.sort_unstable();
             lanes.dedup();
             for lane in lanes {
@@ -107,7 +166,7 @@ impl Timeline {
             }
         }
         // name only the SM tracks that actually ran a block, in SM order
-        let mut sms: Vec<u32> = self.spans.iter().map(|s| s.sm).collect();
+        let mut sms: Vec<u32> = spans.iter().map(|s| s.sm).collect();
         sms.sort_unstable();
         sms.dedup();
         for sm in sms {
@@ -124,10 +183,11 @@ impl Timeline {
         }
 
         // ---- block spans ---------------------------------------------
-        for s in &self.spans {
+        for s in &spans {
+            let l = &self.launches[s.launch];
             events.push(obj(vec![
-                ("name", Value::Str(s.kernel.into())),
-                ("cat", Value::Str(s.phase.into())),
+                ("name", Value::Str(l.name.into())),
+                ("cat", Value::Str(l.phase.into())),
                 ("ph", Value::Str("X".into())),
                 ("ts", Value::Float(s.start_ms * 1e3)),
                 ("dur", Value::Float((s.end_ms - s.start_ms) * 1e3)),
@@ -136,28 +196,29 @@ impl Timeline {
                 (
                     "args",
                     obj(vec![
-                        ("launch", Value::UInt(s.launch_seq as u64)),
+                        ("launch", Value::UInt(s.launch as u64)),
                         ("block", Value::UInt(s.block as u64)),
-                        ("warps", Value::UInt(s.warps as u64)),
+                        ("warps", Value::UInt(l.config.warps_per_block() as u64)),
                     ]),
                 ),
             ]));
         }
 
         // ---- PCIe transfer spans -------------------------------------
-        for t in &self.transfers {
+        for (seq, t) in self.transfers.iter().enumerate() {
+            let (start_ms, end_ms) = (t.start_s * 1e3, (t.start_s + t.time_s) * 1e3);
             events.push(obj(vec![
-                ("name", Value::Str(t.dir.into())),
+                ("name", Value::Str(dir_name(t.dir).into())),
                 ("cat", Value::Str(t.phase.into())),
                 ("ph", Value::Str("X".into())),
-                ("ts", Value::Float(t.start_ms * 1e3)),
-                ("dur", Value::Float((t.end_ms - t.start_ms) * 1e3)),
+                ("ts", Value::Float(start_ms * 1e3)),
+                ("dur", Value::Float((end_ms - start_ms) * 1e3)),
                 ("pid", Value::UInt(pcie_pid)),
                 ("tid", Value::UInt(0)),
                 (
                     "args",
                     obj(vec![
-                        ("seq", Value::UInt(t.seq as u64)),
+                        ("seq", Value::UInt(seq as u64)),
                         ("bytes", Value::UInt(t.bytes)),
                     ]),
                 ),
@@ -165,62 +226,66 @@ impl Timeline {
         }
 
         // ---- device-memory lifetime slices ---------------------------
-        for m in &self.memory {
+        for e in allocations {
+            let end_ms = e.free_ms.unwrap_or(self.totals.time_ms);
             events.push(obj(vec![
-                ("name", Value::Str(m.name.clone())),
-                ("cat", Value::Str(m.phase.into())),
+                ("name", Value::Str(e.name.clone())),
+                ("cat", Value::Str(e.phase.into())),
                 ("ph", Value::Str("X".into())),
-                ("ts", Value::Float(m.start_ms * 1e3)),
-                ("dur", Value::Float((m.end_ms - m.start_ms) * 1e3)),
+                ("ts", Value::Float(e.alloc_ms * 1e3)),
+                ("dur", Value::Float((end_ms - e.alloc_ms) * 1e3)),
                 ("pid", Value::UInt(mem_pid)),
-                ("tid", Value::UInt(m.slot)),
+                ("tid", Value::UInt(e.slot)),
                 (
                     "args",
                     obj(vec![
-                        ("bytes", Value::UInt(m.bytes)),
-                        ("size_class", m.size_class.to_value()),
-                        ("freed", Value::Bool(m.freed)),
+                        ("bytes", Value::UInt(e.bytes)),
+                        ("size_class", e.size_class.to_value()),
+                        ("freed", Value::Bool(!e.is_live())),
                     ]),
                 ),
             ]));
         }
 
         // ---- counter tracks ------------------------------------------
-        for c in &self.counters {
-            events.push(counter_event(gpu_pid, c.track, c.time_ms, c.value));
+        for c in &self.samples {
+            events.push(counter_event(gpu_pid, c.track, c.time_s * 1e3, c.value));
         }
-        for (ts_ms, warps) in active_warps(self) {
+        for (ts_ms, warps) in self.active_warps(&spans) {
             events.push(counter_event(gpu_pid, "active_warps", ts_ms, warps as f64));
         }
-        for (ts_ms, bytes) in device_bytes(self) {
+        for (ts_ms, bytes) in self.device_bytes() {
             events.push(counter_event(mem_pid, "device_bytes", ts_ms, bytes as f64));
         }
     }
-}
 
-/// The `active_warps` sawtooth: net resident warps after each distinct span
-/// edge, in timestamp order.
-fn active_warps(tl: &Timeline) -> Vec<(f64, i64)> {
-    let mut edges: Vec<(f64, i64)> = Vec::with_capacity(tl.spans.len() * 2);
-    for s in &tl.spans {
-        edges.push((s.start_ms, s.warps as i64));
-        edges.push((s.end_ms, -(s.warps as i64)));
-    }
-    merge_edges(edges)
-}
-
-/// The `device_bytes` step function: live footprint after each distinct
-/// alloc/free edge. Allocations never freed contribute no closing edge, so
-/// the curve ends at the still-live level instead of draining to zero.
-fn device_bytes(tl: &Timeline) -> Vec<(f64, i64)> {
-    let mut edges: Vec<(f64, i64)> = Vec::with_capacity(tl.memory.len() * 2);
-    for m in &tl.memory {
-        edges.push((m.start_ms, m.bytes as i64));
-        if m.freed {
-            edges.push((m.end_ms, -(m.bytes as i64)));
+    /// The `active_warps` sawtooth: net resident warps after each distinct
+    /// edge of `spans` (this trace's blocks), in timestamp order.
+    fn active_warps(&self, spans: &[BlockSpan]) -> Vec<(f64, i64)> {
+        let mut edges: Vec<(f64, i64)> = Vec::with_capacity(spans.len() * 2);
+        for s in spans {
+            let warps = self.launches[s.launch].config.warps_per_block() as i64;
+            edges.push((s.start_ms, warps));
+            edges.push((s.end_ms, -warps));
         }
+        merge_edges(edges)
     }
-    merge_edges(edges)
+
+    /// The `device_bytes` step function: live footprint after each
+    /// distinct alloc/free edge. Allocations never freed contribute no
+    /// closing edge, so the curve ends at the still-live level instead of
+    /// draining to zero.
+    fn device_bytes(&self) -> Vec<(f64, i64)> {
+        let allocations = &self.memstats.allocations;
+        let mut edges: Vec<(f64, i64)> = Vec::with_capacity(allocations.len() * 2);
+        for e in allocations {
+            edges.push((e.alloc_ms, e.bytes as i64));
+            if let Some(free_ms) = e.free_ms {
+                edges.push((free_ms, -(e.bytes as i64)));
+            }
+        }
+        merge_edges(edges)
+    }
 }
 
 /// Accumulates +/− edges into a step curve with one point per distinct
@@ -270,8 +335,10 @@ pub(crate) fn obj(entries: Vec<(&str, Value)>) -> Value {
 
 #[cfg(test)]
 mod tests {
+    use super::block_spans;
     use crate::exec::{GpuContext, LaunchConfig};
-    use crate::{CostParams, SizeClass};
+    use crate::{CostParams, SizeClass, TransferDir};
+    use serde::Value;
 
     fn ctx() -> GpuContext {
         let mut c = GpuContext::new(CostParams::p100(), 1 << 20);
@@ -294,7 +361,7 @@ mod tests {
 
     #[test]
     fn export_contains_tracks_spans_and_counters() {
-        let json = ctx().timeline("rmat9/peel").to_chrome_json();
+        let json = ctx().trace("rmat9/peel").to_chrome_json();
         assert!(json.starts_with("{\"traceEvents\":["));
         // track naming
         assert!(json.contains("\"GPU · 56 SMs · rmat9/peel\""));
@@ -322,9 +389,71 @@ mod tests {
     }
 
     #[test]
+    fn spans_tile_the_launch_window() {
+        let mut c = ctx();
+        let spans = block_spans(&c.trace("unit"));
+        assert_eq!(spans.len(), 3);
+        let l = &c.launches()[0];
+        let exec_start_ms = (l.start_s + l.roofline.launch_overhead_s) * 1e3;
+        let end_ms = (l.start_s + l.time_s) * 1e3;
+        for s in &spans {
+            assert_eq!(s.launch, 0);
+            assert!(s.start_ms >= exec_start_ms - 1e-12);
+            assert!(s.end_ms <= end_ms + 1e-12);
+        }
+        // with 56 SMs and 3 blocks, every block gets its own SM and starts
+        // at the window's opening edge
+        for s in &spans {
+            assert_eq!(s.sm, s.block);
+            assert!((s.start_ms - exec_start_ms).abs() < 1e-12);
+        }
+        // the worst block (3× cycles) closes the window exactly
+        let worst = spans.iter().find(|s| s.block == 2).unwrap();
+        assert!((worst.end_ms - end_ms).abs() < 1e-12);
+    }
+
+    #[test]
+    fn transfers_and_counters_carry_timestamps() {
+        let t = ctx().trace("unit");
+        assert_eq!(t.transfers.len(), 2); // htod + one-word dtoh
+        assert_eq!(t.transfers[0].dir, TransferDir::HostToDevice);
+        assert!(t.transfers[0].time_s > 0.0);
+        let s = &t.samples[0];
+        assert_eq!((s.track, s.phase, s.value), ("frontier", "Sync", 7.0));
+        // sampled after the one-word dtoh finished
+        let d2h = &t.transfers[1];
+        assert!((s.time_s - (d2h.start_s + d2h.time_s)).abs() < 1e-15);
+    }
+
+    /// The memory process draws each ledger entry from its allocation to
+    /// its free, or to the end of the run while it is live.
+    #[test]
+    fn memory_spans_cover_allocation_lifetimes() {
+        let mut c = ctx();
+        let json = c.trace("unit").to_chrome_json();
+        let doc = serde_json::from_str(&json).unwrap();
+        let events = doc.get("traceEvents").and_then(Value::as_array).unwrap();
+        let slices: Vec<&Value> = events
+            .iter()
+            .filter(|e| e.get("pid").and_then(Value::as_u64) == Some(2))
+            .filter(|e| e.get("ph").and_then(Value::as_str) == Some("X"))
+            .collect();
+        assert_eq!(slices.len(), 1); // the htod'd "x"
+        let m = slices[0];
+        let field = |k: &str| m.get(k).and_then(Value::as_f64).unwrap();
+        assert_eq!(m.get("name").and_then(Value::as_str), Some("x"));
+        assert_eq!((field("tid"), field("ts")), (0.0, 0.0));
+        let args = m.get("args").unwrap();
+        assert_eq!(args.get("bytes").and_then(Value::as_u64), Some(256));
+        // never freed → the slice extends to the end of the run
+        assert_eq!(args.get("freed"), Some(&Value::Bool(false)));
+        assert!((field("dur") - c.elapsed_ms() * 1e3).abs() < 1e-9);
+    }
+
+    #[test]
     fn active_warps_rises_and_drains_to_zero() {
-        let tl = ctx().timeline("t");
-        let steps = super::active_warps(&tl);
+        let t = ctx().trace("t");
+        let steps = t.active_warps(&block_spans(&t));
         assert!(!steps.is_empty());
         // 3 blocks × 2 warps all start together at the window edge
         assert_eq!(steps[0].1, 6);
@@ -341,8 +470,7 @@ mod tests {
         let mut c = ctx();
         let tmp = c.alloc("scratch", 16, SizeClass::Fixed).unwrap(); // +64 B
         c.device.free(tmp);
-        let tl = c.timeline("t");
-        let steps = super::device_bytes(&tl);
+        let steps = c.trace("t").device_bytes();
         // htod (256 B) at t=0, then +64/−64 at the current clock (merged to
         // one point back at the pre-alloc level)
         assert_eq!(steps.first().unwrap().1, 256);
@@ -354,8 +482,8 @@ mod tests {
 
     #[test]
     fn export_is_byte_identical_across_captures() {
-        let a = ctx().timeline("t").to_chrome_json();
-        let b = ctx().timeline("t").to_chrome_json();
+        let a = ctx().trace("t").to_chrome_json();
+        let b = ctx().trace("t").to_chrome_json();
         assert_eq!(a, b);
     }
 }

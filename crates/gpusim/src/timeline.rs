@@ -1,134 +1,20 @@
-//! SM-level execution timeline and hotspot attribution.
+//! Hotspot attribution: where inside the device each kernel's charged
+//! time arose.
 //!
-//! The trace subsystem ([`crate::trace`]) answers *how much* each launch
-//! cost; this module answers **when and where** inside the device those
-//! costs arose:
-//!
-//! * [`Timeline`] — every block of every launch placed on the SM that ran
-//!   it, with sim-clock begin/end timestamps: the placements of the one
-//!   block scheduler, [`crate::cost::makespan`], whose horizon the launch
-//!   was priced on. Host↔device copies and host-sampled counter tracks
-//!   (frontier size per round, …) ride along so the whole run renders as
-//!   one coherent picture.
-//! * [`Hotspot`] — per-kernel attribution of the charged time to *why* it
-//!   was charged: launch overhead, divergence/load-imbalance exposure,
-//!   atomic contention, uncoalesced sector traffic, coalesced transactions,
-//!   shared-memory work, plain instructions, barriers, and bandwidth stall,
-//!   plus the top-k most expensive blocks (the simulator charges at warp
-//!   granularity inside a block, so a skewed warp surfaces as a skewed
-//!   block). The cycle buckets group the per-counter cycle terms the
-//!   launch was priced from (`CostParams::cycle_terms`).
-//!
-//! **Timestamp derivation.** A launch's record stores its issue time
-//! (`start_s`) and each block's priced cycle count. [`crate::cost::makespan`]
-//! replays dispatch onto the `sm_count` SMs, one block at a time per SM, as
-//! pricing did; the resulting cycle offsets are then scaled so the schedule
-//! spans exactly the launch's roofline-charged execution window
-//! (`time_s − launch_overhead_s`). For a compute-bound launch that scale is
-//! `1/clock_hz`, so each span lasts its block's cycles and the SMs' idle
-//! time inside the window is `sm_count ×` the launch's divergence bucket;
-//! for a bandwidth-bound launch the blocks stretch proportionally — the
-//! DRAM stall is distributed over the blocks that caused the traffic.
-//! Everything is simulated arithmetic over recorded values, so a timeline
-//! (and its Perfetto export) is bit-identical across runs and host thread
-//! counts.
+//! The trace ([`crate::trace`]) answers *how much* each launch cost, and
+//! its Perfetto rendering ([`crate::Trace::to_chrome_json`]) *when and
+//! where*: every block on the SM the priced schedule ran it on. This module
+//! answers **why**: [`Hotspot`] attributes each kernel's charged time to
+//! launch overhead, divergence/load-imbalance exposure, atomic contention,
+//! uncoalesced sector traffic, coalesced transactions, shared-memory work,
+//! plain instructions, barriers, and bandwidth stall, plus the top-k most
+//! expensive blocks (the simulator charges at warp granularity inside a
+//! block, so a skewed warp surfaces as a skewed block). The cycle buckets
+//! group the per-counter cycle terms the launch was priced from
+//! (`CostParams::cycle_terms`).
 
-use crate::cost::{makespan, CostParams, LaunchRecord, TransferDir};
-use crate::exec::GpuContext;
+use crate::cost::{CostParams, LaunchRecord};
 use serde::Serialize;
-
-/// An SM-level execution timeline of one simulated run.
-#[derive(Debug, Clone, Serialize)]
-pub struct Timeline {
-    /// Caller-chosen run label.
-    pub label: String,
-    /// SMs on the simulated device (one Perfetto track each).
-    pub sm_count: u32,
-    /// One span per executed block, in (launch, block) order.
-    pub spans: Vec<TimelineSpan>,
-    /// Host↔device copies as timeline spans, in issue order.
-    pub transfers: Vec<TransferSpan>,
-    /// Host-sampled counter-track points, in sampling order.
-    pub counters: Vec<CounterPoint>,
-    /// Device-allocation lifetimes as timeline spans, in allocation order
-    /// (drives the Perfetto memory process and `device_bytes` counter
-    /// track).
-    pub memory: Vec<MemSpan>,
-}
-
-/// One block's residency on one SM.
-#[derive(Debug, Clone, Serialize)]
-pub struct TimelineSpan {
-    /// Launch ordinal the block belongs to.
-    pub launch_seq: usize,
-    /// Kernel name.
-    pub kernel: &'static str,
-    /// Phase active at launch time.
-    pub phase: &'static str,
-    /// SM that ran the block.
-    pub sm: u32,
-    /// Block index within the grid.
-    pub block: u32,
-    /// Warps the block occupied while resident.
-    pub warps: u32,
-    /// Sim-clock begin, ms.
-    pub start_ms: f64,
-    /// Sim-clock end, ms.
-    pub end_ms: f64,
-}
-
-/// One host↔device copy on the timeline.
-#[derive(Debug, Clone, Serialize)]
-pub struct TransferSpan {
-    /// Transfer ordinal.
-    pub seq: usize,
-    /// Phase active at issue time.
-    pub phase: &'static str,
-    /// `"h2d"` or `"d2h"`.
-    pub dir: &'static str,
-    /// Payload bytes.
-    pub bytes: u64,
-    /// Sim-clock begin, ms.
-    pub start_ms: f64,
-    /// Sim-clock end, ms.
-    pub end_ms: f64,
-}
-
-/// One device allocation's lifetime on the timeline.
-#[derive(Debug, Clone, Serialize)]
-pub struct MemSpan {
-    /// Allocation name.
-    pub name: String,
-    /// Size in bytes.
-    pub bytes: u64,
-    /// Scaling tag declared at the alloc site.
-    pub size_class: crate::device::SizeClass,
-    /// Phase the allocation was made in.
-    pub phase: &'static str,
-    /// Device slot the allocation occupied (its lane: slots are reused
-    /// after a free, so consecutive lifetimes can share a lane).
-    pub slot: u64,
-    /// Sim-clock allocation time, ms.
-    pub start_ms: f64,
-    /// Sim-clock free time, ms (allocations never freed extend to the end
-    /// of the run).
-    pub end_ms: f64,
-    /// Whether the allocation was freed before the snapshot.
-    pub freed: bool,
-}
-
-/// One sampled point on a named counter track.
-#[derive(Debug, Clone, Serialize)]
-pub struct CounterPoint {
-    /// Track name.
-    pub track: &'static str,
-    /// Phase active at sampling time.
-    pub phase: &'static str,
-    /// Sim-clock timestamp, ms.
-    pub time_ms: f64,
-    /// Sampled value.
-    pub value: f64,
-}
 
 /// Per-kernel attribution of charged time to its causes. All `*_ms` buckets
 /// sum to `total_ms` (up to float rounding): the fixed launch overheads,
@@ -325,94 +211,11 @@ fn worse_first(a: &BlockCost, b: &BlockCost) -> std::cmp::Ordering {
         .then(a.block.cmp(&b.block))
 }
 
-impl GpuContext {
-    /// Builds the SM-level [`Timeline`] of everything recorded so far. Pure
-    /// derivation over the launch/transfer/sample records — cheap, callable
-    /// mid-run, and deterministic (see the module docs for how timestamps
-    /// derive from the cost model).
-    pub fn timeline(&self, label: impl Into<String>) -> Timeline {
-        let mut spans = Vec::new();
-        let mut placed = Vec::new();
-        for (seq, l) in self.launches().iter().enumerate() {
-            // the schedule the launch was priced on, block by block
-            let sms = self.cost.sm_count as usize;
-            let horizon = makespan(&l.block_cycles, sms, |sm, start, end| {
-                placed.push((sm as u32, start, end))
-            });
-            let exec_s = l.time_s - l.roofline.launch_overhead_s;
-            let scale_s = if horizon > 0.0 { exec_s / horizon } else { 0.0 };
-            let exec_start_s = l.start_s + l.roofline.launch_overhead_s;
-            for (block, (sm, start, end)) in placed.drain(..).enumerate() {
-                spans.push(TimelineSpan {
-                    launch_seq: seq,
-                    kernel: l.name,
-                    phase: l.phase,
-                    sm,
-                    block: block as u32,
-                    warps: l.config.warps_per_block(),
-                    start_ms: (exec_start_s + start * scale_s) * 1e3,
-                    end_ms: (exec_start_s + end * scale_s) * 1e3,
-                });
-            }
-        }
-        let transfers = self
-            .transfers()
-            .iter()
-            .enumerate()
-            .map(|(seq, t)| TransferSpan {
-                seq,
-                phase: t.phase,
-                dir: match t.dir {
-                    TransferDir::HostToDevice => "h2d",
-                    TransferDir::DeviceToHost => "d2h",
-                },
-                bytes: t.bytes,
-                start_ms: t.start_s * 1e3,
-                end_ms: (t.start_s + t.time_s) * 1e3,
-            })
-            .collect();
-        let counters = self
-            .counter_samples()
-            .iter()
-            .map(|s| CounterPoint {
-                track: s.track,
-                phase: s.phase,
-                time_ms: s.time_s * 1e3,
-                value: s.value,
-            })
-            .collect();
-        let end_ms = self.elapsed_ms();
-        let memory = self
-            .device
-            .ledger()
-            .iter()
-            .map(|e| MemSpan {
-                name: e.name.clone(),
-                bytes: e.bytes,
-                size_class: e.size_class,
-                phase: e.phase,
-                slot: e.slot,
-                start_ms: e.alloc_ms,
-                end_ms: e.free_ms.unwrap_or(end_ms),
-                freed: !e.is_live(),
-            })
-            .collect();
-        Timeline {
-            label: label.into(),
-            sm_count: self.cost.sm_count,
-            spans,
-            transfers,
-            counters,
-            memory,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::LaunchConfig;
-    use crate::{CostParams, SizeClass};
+    use crate::exec::{GpuContext, LaunchConfig};
+    use crate::SizeClass;
 
     fn skewed_ctx() -> GpuContext {
         skewed_ctx_with(CostParams::p100())
@@ -451,46 +254,7 @@ mod tests {
         let trace = c.trace("nan");
         assert_eq!((trace.launches.len(), trace.hotspots.len()), (1, 1));
         trace.hotspots[0].dominant_bucket();
-        assert!(!c.timeline("nan").to_chrome_json().is_empty());
-    }
-
-    #[test]
-    fn spans_tile_the_launch_window() {
-        let c = skewed_ctx();
-        let tl = c.timeline("unit");
-        assert_eq!(tl.sm_count, 56);
-        assert_eq!(tl.spans.len(), 4);
-        let l = &c.launches()[0];
-        let exec_start_ms = (l.start_s + l.roofline.launch_overhead_s) * 1e3;
-        let end_ms = (l.start_s + l.time_s) * 1e3;
-        for s in &tl.spans {
-            assert_eq!((s.kernel, s.phase), ("loop", "Loop"));
-            assert_eq!(s.warps, 2);
-            assert!(s.start_ms >= exec_start_ms - 1e-12);
-            assert!(s.end_ms <= end_ms + 1e-12);
-        }
-        // with 56 SMs and 4 blocks, every block gets its own SM and starts
-        // at the window's opening edge
-        for s in &tl.spans {
-            assert_eq!(s.sm, s.block);
-            assert!((s.start_ms - exec_start_ms).abs() < 1e-12);
-        }
-        // the worst block (4× cycles) closes the window exactly
-        let worst = tl.spans.iter().find(|s| s.block == 3).unwrap();
-        assert!((worst.end_ms - end_ms).abs() < 1e-12);
-    }
-
-    #[test]
-    fn transfers_and_counters_carry_timestamps() {
-        let c = skewed_ctx();
-        let tl = c.timeline("unit");
-        assert_eq!(tl.transfers.len(), 2); // htod + one-word dtoh
-        assert_eq!(tl.transfers[0].dir, "h2d");
-        assert!(tl.transfers[0].start_ms < tl.transfers[0].end_ms);
-        let cp = &tl.counters[0];
-        assert_eq!((cp.track, cp.phase, cp.value), ("frontier", "Sync", 3.0));
-        // sampled after the one-word dtoh finished
-        assert!((cp.time_ms - tl.transfers[1].end_ms).abs() < 1e-12);
+        assert!(!trace.to_chrome_json().is_empty());
     }
 
     #[test]
@@ -566,28 +330,5 @@ mod tests {
         c.launch("nop", cfg, |_| Ok(())).unwrap();
         let h = &hotspots(c.launches(), &c.cost, 1)[0];
         assert_eq!(h.dominant_bucket().0, "launch_overhead");
-    }
-
-    #[test]
-    fn memory_spans_cover_allocation_lifetimes() {
-        let c = skewed_ctx();
-        let tl = c.timeline("unit");
-        assert_eq!(tl.memory.len(), 1); // the htod'd "x"
-        let m = &tl.memory[0];
-        assert_eq!((m.name.as_str(), m.bytes, m.slot), ("x", 256, 0));
-        // never freed → the span extends to the end of the run
-        assert!(!m.freed);
-        assert_eq!(m.start_ms, 0.0);
-        assert!((m.end_ms - c.elapsed_ms()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn timeline_is_deterministic() {
-        let a = skewed_ctx().timeline("t");
-        let b = skewed_ctx().timeline("t");
-        assert_eq!(
-            serde_json::to_string(&a).unwrap(),
-            serde_json::to_string(&b).unwrap()
-        );
     }
 }

@@ -1,35 +1,42 @@
 //! Structured profiling traces for simulated runs.
 //!
-//! A [`Trace`] is a serializable snapshot of everything a [`GpuContext`]
-//! recorded: every kernel launch with its grid geometry, summed (and
-//! optionally per-block) [`Counters`], and [`Roofline`] decomposition; every
-//! host↔device transfer; and per-phase rollups driven by the
-//! [`GpuContext::set_phase`] annotations the algorithms thread through
-//! their rounds (`"Scan"`, `"Loop"`, …).
+//! A [`Trace`] is the one snapshot of everything a [`GpuContext`]
+//! recorded: the context's own launch, transfer and counter-sample records
+//! ([`LaunchRecord`], [`TransferRecord`], [`CounterSample`]), its
+//! allocation ledger ([`MemStats`]), and per-phase and per-kernel rollups
+//! derived from them, driven by the [`GpuContext::set_phase`] annotations
+//! the algorithms thread through their rounds (`"Scan"`, `"Loop"`, …).
 //!
-//! Traces serve two purposes:
+//! A trace has two renderings:
 //!
-//! 1. **Inspection** — `inspect` dumps them as JSON documents of schema
-//!    [`crate::SCHEMA_VERSION`] under `results/traces/` so a run can be
-//!    profiled offline (which kernel dominates, whether it is compute- or
-//!    bandwidth-bound, how imbalanced its blocks are). DESIGN.md documents
-//!    the schema.
-//! 2. **Regression** — everything in a trace is *simulated* (counters and
-//!    simulated seconds, never wall time), so a trace is bit-for-bit
-//!    deterministic and the golden-trace tests can assert exact equality
-//!    across runs and host thread counts.
+//! 1. **[`Trace::to_json`]** — the JSON document of schema
+//!    [`crate::SCHEMA_VERSION`] that `inspect` dumps under
+//!    `results/traces/`, so a run can be profiled offline (which kernel
+//!    dominates, whether it is compute- or bandwidth-bound, how imbalanced
+//!    its blocks are). DESIGN.md documents the schema.
+//! 2. **[`Trace::to_chrome_json`]** — the SM-level Perfetto document
+//!    ([`crate::perfetto`]).
+//!
+//! Everything in a trace is *simulated* (counters and simulated seconds,
+//! never wall time), so a trace and both its renderings are bit-for-bit
+//! deterministic, and the golden-trace tests assert exact equality across
+//! runs and host thread counts.
 
-use crate::cost::{Counters, Roofline, TransferDir, TransferRecord};
+use crate::cost::{CounterSample, Counters, LaunchRecord, TransferDir, TransferRecord};
 use crate::exec::GpuContext;
 use crate::memstats::MemStats;
+use crate::perfetto::obj;
 use crate::timeline::Hotspot;
-use serde::Serialize;
+use serde::{Serialize, Value};
 
 /// Worst blocks kept per kernel in a trace's hotspot records.
 pub const HOTSPOT_TOP_K: usize = 5;
 
-/// A serializable profiling snapshot of one simulated run.
-#[derive(Debug, Clone, Serialize)]
+/// A profiling snapshot of one simulated run. Its JSON document
+/// ([`Trace::to_json`]) writes each launch and transfer with its ordinal
+/// as `seq` and its times in ms, and leaves out the per-block cycles and
+/// the counter samples, which only the Perfetto rendering draws.
+#[derive(Debug, Clone)]
 pub struct Trace {
     /// Caller-chosen run label (dataset, variant, …).
     pub label: String,
@@ -45,10 +52,12 @@ pub struct Trace {
     /// Device-memory snapshot: allocation ledger, per-phase watermarks,
     /// peak live set.
     pub memstats: MemStats,
-    /// One event per kernel launch, in launch order.
-    pub launches: Vec<LaunchEvent>,
-    /// One event per host↔device copy, in issue order.
-    pub transfers: Vec<TransferEvent>,
+    /// Every kernel launch, in launch order.
+    pub launches: Vec<LaunchRecord>,
+    /// Every host↔device copy, in issue order.
+    pub transfers: Vec<TransferRecord>,
+    /// Every host-sampled counter-track point, in sampling order.
+    pub samples: Vec<CounterSample>,
 }
 
 /// The simulated device a trace was captured on.
@@ -104,52 +113,54 @@ pub struct PhaseSummary {
     pub counters: Counters,
 }
 
-/// One kernel launch, flattened for serialization.
-#[derive(Debug, Clone, Serialize)]
-pub struct LaunchEvent {
-    /// Launch ordinal within the run (0-based).
-    pub seq: usize,
-    /// Phase active at launch time.
-    pub phase: &'static str,
-    /// Kernel name.
-    pub kernel: &'static str,
-    /// Grid blocks.
-    pub blocks: u32,
-    /// Threads per block.
-    pub threads_per_block: u32,
-    /// Sim-clock issue timestamp, ms.
-    pub start_ms: f64,
-    /// Simulated duration, ms.
-    pub time_ms: f64,
-    /// Binding roofline term: `"launch"`, `"compute"`, or `"memory"`.
-    pub bound: &'static str,
-    /// Roofline decomposition of the duration (seconds, as modelled).
-    pub roofline: Roofline,
-    /// Largest single-block cycle count (load-imbalance diagnostics).
-    pub max_block_cycles: f64,
-    /// Total cycle count across blocks.
-    pub sum_block_cycles: f64,
-    /// Summed counters over all blocks.
-    pub counters: Counters,
-    /// Per-block counter deltas, when block profiling was enabled.
-    pub block_counters: Option<Vec<Counters>>,
+/// A transfer direction as the documents name it: `"h2d"` or `"d2h"`.
+pub(crate) fn dir_name(dir: TransferDir) -> &'static str {
+    match dir {
+        TransferDir::HostToDevice => "h2d",
+        TransferDir::DeviceToHost => "d2h",
+    }
 }
 
-/// One host↔device copy, flattened for serialization.
-#[derive(Debug, Clone, Serialize)]
-pub struct TransferEvent {
-    /// Transfer ordinal within the run (0-based).
-    pub seq: usize,
-    /// Phase active at transfer time.
-    pub phase: &'static str,
-    /// `"h2d"` or `"d2h"`.
-    pub dir: &'static str,
-    /// Payload bytes.
-    pub bytes: u64,
-    /// Sim-clock issue timestamp, ms.
-    pub start_ms: f64,
-    /// Simulated duration, ms.
-    pub time_ms: f64,
+impl Serialize for Trace {
+    fn to_value(&self) -> Value {
+        let launches = self.launches.iter().enumerate().map(|(seq, l)| {
+            obj(vec![
+                ("seq", seq.to_value()),
+                ("phase", l.phase.to_value()),
+                ("kernel", l.name.to_value()),
+                ("blocks", l.config.blocks.to_value()),
+                ("threads_per_block", l.config.threads_per_block.to_value()),
+                ("start_ms", (l.start_s * 1e3).to_value()),
+                ("time_ms", (l.time_s * 1e3).to_value()),
+                ("bound", l.roofline.bound().to_value()),
+                ("roofline", l.roofline.to_value()),
+                ("max_block_cycles", l.max_block_cycles.to_value()),
+                ("sum_block_cycles", l.sum_block_cycles.to_value()),
+                ("counters", l.counters.to_value()),
+                ("block_counters", l.block_counters.to_value()),
+            ])
+        });
+        let transfers = self.transfers.iter().enumerate().map(|(seq, t)| {
+            obj(vec![
+                ("seq", seq.to_value()),
+                ("phase", t.phase.to_value()),
+                ("dir", dir_name(t.dir).to_value()),
+                ("bytes", t.bytes.to_value()),
+                ("start_ms", (t.start_s * 1e3).to_value()),
+                ("time_ms", (t.time_s * 1e3).to_value()),
+            ])
+        });
+        obj(vec![
+            ("label", self.label.to_value()),
+            ("device", self.device.to_value()),
+            ("totals", self.totals.to_value()),
+            ("phases", self.phases.to_value()),
+            ("hotspots", self.hotspots.to_value()),
+            ("memstats", self.memstats.to_value()),
+            ("launches", Value::Array(launches.collect())),
+            ("transfers", Value::Array(transfers.collect())),
+        ])
+    }
 }
 
 impl Trace {
@@ -164,41 +175,27 @@ impl Trace {
     /// with identical per-event counters share a fingerprint; timing fields
     /// are excluded, so the digest is stable under cost-constant changes.
     pub fn counters_fingerprint(&self) -> u64 {
-        counters_digest(
-            self.launches.iter().map(|l| {
-                (
-                    l.phase,
-                    l.kernel,
-                    l.blocks,
-                    l.threads_per_block,
-                    &l.counters,
-                )
-            }),
-            self.transfers.iter().map(|t| t.bytes),
-        )
+        counters_digest(&self.launches, &self.transfers)
     }
 }
 
 /// The digest behind [`Trace::counters_fingerprint`] and
 /// [`GpuContext::counters_fingerprint`]: each launch as `(phase, kernel,
 /// blocks, threads per block, counters)`, then each transfer's bytes.
-fn counters_digest<'a>(
-    launches: impl Iterator<Item = (&'a str, &'a str, u32, u32, &'a Counters)>,
-    transfer_bytes: impl Iterator<Item = u64>,
-) -> u64 {
+fn counters_digest(launches: &[LaunchRecord], transfers: &[TransferRecord]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for (phase, kernel, blocks, threads_per_block, counters) in launches {
-        for b in phase.bytes().chain(kernel.bytes()) {
+    for l in launches {
+        for b in l.phase.bytes().chain(l.name.bytes()) {
             h = fnv1a(h, b as u64);
         }
-        h = fnv1a(h, blocks as u64);
-        h = fnv1a(h, threads_per_block as u64);
-        for w in counters.to_words() {
+        h = fnv1a(h, l.config.blocks as u64);
+        h = fnv1a(h, l.config.threads_per_block as u64);
+        for w in l.counters.to_words() {
             h = fnv1a(h, w);
         }
     }
-    for bytes in transfer_bytes {
-        h = fnv1a(h, bytes);
+    for t in transfers {
+        h = fnv1a(h, t.bytes);
     }
     h
 }
@@ -212,25 +209,14 @@ impl GpuContext {
     /// digested from the launch and transfer records without building a
     /// trace.
     pub fn counters_fingerprint(&self) -> u64 {
-        counters_digest(
-            self.launches().iter().map(|l| {
-                (
-                    l.phase,
-                    l.name,
-                    l.config.blocks,
-                    l.config.threads_per_block,
-                    &l.counters,
-                )
-            }),
-            self.transfers().iter().map(|t| t.bytes),
-        )
+        counters_digest(self.launches(), self.transfers())
     }
 
     /// Captures a [`Trace`] of everything recorded so far.
     ///
-    /// The snapshot is cheap relative to a run (it clones records), can be
-    /// taken mid-run, and contains only simulated quantities — capturing it
-    /// twice from the same context yields identical traces.
+    /// The snapshot clones the context's records, can be taken mid-run,
+    /// and contains only simulated quantities — capturing it twice from
+    /// the same context yields identical traces.
     ///
     /// Taking a snapshot **resets the active phase to `"main"`**: a trace
     /// marks the end of a measured episode, so whatever label the episode
@@ -241,42 +227,6 @@ impl GpuContext {
         // snapshot memory before the phase reset below, so the memstats
         // embedded here match a standalone `memstats()` call exactly
         let memstats = self.memstats();
-        let launches: Vec<LaunchEvent> = self
-            .launches()
-            .iter()
-            .enumerate()
-            .map(|(seq, l)| LaunchEvent {
-                seq,
-                phase: l.phase,
-                kernel: l.name,
-                blocks: l.config.blocks,
-                threads_per_block: l.config.threads_per_block,
-                start_ms: l.start_s * 1e3,
-                time_ms: l.time_s * 1e3,
-                bound: l.roofline.bound(),
-                roofline: l.roofline,
-                max_block_cycles: l.max_block_cycles,
-                sum_block_cycles: l.sum_block_cycles,
-                counters: l.counters,
-                block_counters: l.block_counters.clone(),
-            })
-            .collect();
-        let transfers: Vec<TransferEvent> = self
-            .transfers()
-            .iter()
-            .enumerate()
-            .map(|(seq, t)| TransferEvent {
-                seq,
-                phase: t.phase,
-                dir: match t.dir {
-                    TransferDir::HostToDevice => "h2d",
-                    TransferDir::DeviceToHost => "d2h",
-                },
-                bytes: t.bytes,
-                start_ms: t.start_s * 1e3,
-                time_ms: t.time_s * 1e3,
-            })
-            .collect();
         self.set_phase("main");
         Trace {
             label: label.into(),
@@ -296,8 +246,9 @@ impl GpuContext {
             phases: summarize_phases(self.launches(), self.transfers()),
             hotspots: crate::timeline::hotspots(self.launches(), &self.cost, HOTSPOT_TOP_K),
             memstats,
-            launches,
-            transfers,
+            launches: self.launches().to_vec(),
+            transfers: self.transfers().to_vec(),
+            samples: self.counter_samples().to_vec(),
         }
     }
 }
@@ -305,10 +256,7 @@ impl GpuContext {
 /// Groups launches and transfers into per-phase rollups. Phases appear in
 /// the order they first launched a kernel; phases that only performed
 /// transfers follow, in first-transfer order.
-fn summarize_phases(
-    launches: &[crate::cost::LaunchRecord],
-    transfers: &[TransferRecord],
-) -> Vec<PhaseSummary> {
+fn summarize_phases(launches: &[LaunchRecord], transfers: &[TransferRecord]) -> Vec<PhaseSummary> {
     let mut phases: Vec<PhaseSummary> = Vec::new();
     let find = |phases: &mut Vec<PhaseSummary>, name: &'static str| -> usize {
         if let Some(i) = phases.iter().position(|p| p.phase == name) {
@@ -364,6 +312,7 @@ fn summarize_phases(
 mod tests {
     use crate::exec::{GpuContext, LaunchConfig};
     use crate::{CostParams, SizeClass};
+    use serde::Value;
 
     fn traced_ctx() -> GpuContext {
         let mut c = GpuContext::new(CostParams::p100(), 1 << 20);
@@ -415,12 +364,10 @@ mod tests {
         assert_eq!(t.launches.len(), 3);
         assert_eq!(t.transfers.len(), 3); // 1 htod + 2 one-word dtoh
         let ev = &t.launches[0];
-        assert_eq!((ev.seq, ev.kernel, ev.phase), (0, "scan", "Scan"));
-        assert_eq!(ev.blocks, 4);
+        assert_eq!((ev.name, ev.phase), ("scan", "Scan"));
+        assert_eq!(ev.config.blocks, 4);
         let rl = &ev.roofline;
-        assert!(
-            (rl.launch_overhead_s + rl.compute_s.max(rl.mem_s) - ev.time_ms / 1e3).abs() < 1e-15
-        );
+        assert!((rl.launch_overhead_s + rl.compute_s.max(rl.mem_s) - ev.time_s).abs() < 1e-15);
         // per-block profiling was on: 4 blocks, deltas sum to the total
         let per = ev.block_counters.as_ref().unwrap();
         assert_eq!(per.len(), 4);
@@ -447,7 +394,8 @@ mod tests {
         };
         c.launch("nop", cfg, |_| Ok(())).unwrap();
         let t = c.trace("unit");
-        assert_eq!(t.launches[0].bound, "launch");
+        assert_eq!(t.launches[0].roofline.bound(), "launch");
+        assert!(c.trace("unit").to_json().contains("\"bound\": \"launch\""));
     }
 
     #[test]
@@ -481,6 +429,7 @@ mod tests {
     #[test]
     fn trace_serializes_to_json() {
         let mut c = traced_ctx();
+        c.sample_counter("frontier", 1.0);
         let json = c.trace("unit").to_json();
         assert!(json.starts_with("{\n  \"schema_version\": 5,\n  \"label\": \"unit\","));
         assert_eq!(json.matches("schema_version").count(), 1);
@@ -491,6 +440,37 @@ mod tests {
         assert!(json.contains("\"hotspots\""));
         assert!(json.contains("\"memstats\""));
         assert!(json.contains("\"peak_live_set\""));
+        // each record under the keys it has always been written with; the
+        // block cycles and the counter samples are the Perfetto rendering's
+        let v = serde_json::from_str(&json).unwrap();
+        let keys = |v: &Value| match v {
+            Value::Object(fields) => fields.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>(),
+            _ => panic!("not an object"),
+        };
+        let first = |key: &str| v.get(key).and_then(Value::as_array).unwrap()[0].clone();
+        let launch_keys = [
+            "seq",
+            "phase",
+            "kernel",
+            "blocks",
+            "threads_per_block",
+            "start_ms",
+            "time_ms",
+            "bound",
+            "roofline",
+            "max_block_cycles",
+            "sum_block_cycles",
+            "counters",
+            "block_counters",
+        ];
+        assert_eq!(keys(&first("launches")), launch_keys);
+        let transfer_keys = ["seq", "phase", "dir", "bytes", "start_ms", "time_ms"];
+        assert_eq!(keys(&first("transfers")), transfer_keys);
+        assert_eq!(
+            first("transfers").get("dir").and_then(Value::as_str),
+            Some("h2d")
+        );
+        assert!(!json.contains("\"block_cycles\"") && !json.contains("\"samples\""));
         // capturing twice yields byte-identical JSON (simulated time only)
         assert_eq!(json, c.trace("unit").to_json());
     }
@@ -501,10 +481,10 @@ mod tests {
         let t = c.trace("unit");
         // events are recorded in clock order: starts never decrease and each
         // launch begins exactly where the preceding activity left off
-        assert_eq!(t.transfers[0].start_ms, 0.0);
-        assert!((t.launches[0].start_ms - t.transfers[0].time_ms).abs() < 1e-12);
+        assert_eq!(t.transfers[0].start_s, 0.0);
+        assert!((t.launches[0].start_s - t.transfers[0].time_s).abs() < 1e-15);
         for w in t.launches.windows(2) {
-            assert!(w[1].start_ms >= w[0].start_ms + w[0].time_ms - 1e-12);
+            assert!(w[1].start_s >= w[0].start_s + w[0].time_s - 1e-15);
         }
     }
 

@@ -32,7 +32,7 @@ pub const CSR_BINARY_VERSION: u32 = 1;
 const MAGIC: [u8; 4] = *b"KCSR";
 const HEADER_LEN: usize = 32;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Errors from [`Csr::read_binary`] / [`Csr::write_binary`].
@@ -81,7 +81,8 @@ impl From<std::io::Error> for BinError {
     }
 }
 
-fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
+/// FNV-1a over `bytes`, continuing from `hash` (start at [`FNV_OFFSET`]).
+pub(crate) fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= b as u64;
         hash = hash.wrapping_mul(FNV_PRIME);

@@ -23,7 +23,7 @@
 //! failed write. Writes go through a temp file + rename so a crash
 //! mid-write leaves no half-written entry under the final name.
 
-use crate::binio::CSR_BINARY_VERSION;
+use crate::binio::{fnv1a, CSR_BINARY_VERSION, FNV_OFFSET};
 use crate::csr::Csr;
 use crate::datasets::Dataset;
 use std::path::{Path, PathBuf};
@@ -38,13 +38,6 @@ pub fn cache_dir() -> Option<PathBuf> {
     std::env::var_os(CACHE_ENV)
         .filter(|s| !s.is_empty())
         .map(PathBuf::from)
-}
-
-fn fnv1a_str(hash: u64, s: &str) -> u64 {
-    s.bytes().fold(hash, |mut h, b| {
-        h ^= b as u64;
-        h.wrapping_mul(0x0000_0100_0000_01b3)
-    })
 }
 
 /// Cache file name for a registry entry: a slug of the dataset name plus a
@@ -62,7 +55,7 @@ pub fn cache_file_name(d: &Dataset) -> String {
         crate::gen::GEN_VERSION,
         CSR_BINARY_VERSION,
     );
-    let hash = fnv1a_str(0xcbf2_9ce4_8422_2325, &descriptor);
+    let hash = fnv1a(FNV_OFFSET, descriptor.as_bytes());
     let slug: String = d
         .name
         .chars()
@@ -208,5 +201,15 @@ mod tests {
         let a = cache_file_name(&d);
         d.seed ^= 1;
         assert_ne!(a, cache_file_name(&d));
+    }
+
+    /// A changed key orphans every cached stand-in, so it must not pass
+    /// unseen: one registry entry's name is pinned.
+    #[test]
+    fn key_is_pinned() {
+        assert_eq!(
+            cache_file_name(&tiny_dataset()),
+            "amazon0601-6a7469f86fd09cb2.kcsr"
+        );
     }
 }

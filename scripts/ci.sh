@@ -184,17 +184,17 @@ done
 rm -rf "$scale_results"
 echo "table_scale smoke OK"
 
-echo "== inspect smoke (one trace and one timeline per engine, the fleet dumps) =="
+echo "== inspect smoke (one trace and one Perfetto document per engine, the fleet dumps) =="
 # inspect is the one binary that runs engines in its own contexts
 # (kcore_bench::capture_in, with block profiling armed on Ours) and the one
-# that writes traces. On amazon0601 with KCORE_TIMELINE and
-# KCORE_FLEET_TIMELINE it must write, for every engine it prints, one
-# non-empty trace and one non-empty single-device Perfetto timeline, named
-# by the engine's slug, and the sharded p=4 run's non-empty .fleet.json
-# ledger and merged Perfetto document. About 5 s; the timelines take about
-# 41 MB of the temporary directory (73 MB with the traces and fleet dumps).
+# that writes traces. On amazon0601 with KCORE_TIMELINE it must write, for
+# every engine it prints, one non-empty trace and one non-empty Perfetto
+# document rendered from it, named by the engine's slug, and the sharded
+# p=4 run's non-empty .fleet.json ledger and merged Perfetto document.
+# About 5 s; the engines' Perfetto documents take about 41 MB of the
+# temporary directory (73 MB with the traces and the fleet dumps).
 inspect_results="$(mktemp -d)"
-KCORE_TIMELINE=1 KCORE_FLEET_TIMELINE=1 KCORE_RESULTS_DIR="$inspect_results" \
+KCORE_TIMELINE=1 KCORE_RESULTS_DIR="$inspect_results" \
   ./target/release/inspect amazon0601 > "$inspect_results/stdout.txt" 2> /dev/null
 printed=0
 for name in $(awk '/ ms  launches=/ {print $1}' "$inspect_results/stdout.txt"); do
@@ -220,7 +220,7 @@ for f in amazon0601_fleet_p4.fleet.json amazon0601_fleet_p4.fleet.perfetto.json;
   fi
 done
 rm -rf "$inspect_results"
-echo "inspect smoke OK ($printed engine traces and timelines, and the fleet dumps)"
+echo "inspect smoke OK ($printed engine traces and Perfetto documents, and the fleet dumps)"
 
 echo "== dynamic maintenance smoke (batched engine vs BZ) =="
 # --check replays the CI-sized valid churn stream through the batched GPU

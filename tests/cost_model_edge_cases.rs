@@ -1,13 +1,14 @@
 //! Edge-case tests for the simulator's cost model and memory accounting:
 //! the degenerate inputs where a bug would silently skew every table in
 //! the evaluation (a free empty launch, an OOM that misreports its peak,
-//! counter aggregation that depends on merge order, a timeline that draws
-//! another schedule than the one the launch was priced on).
+//! counter aggregation that depends on merge order, a Perfetto document
+//! that draws another schedule than the one the launch was priced on).
 
 use kcore::gpu::{decompose_in, PeelConfig};
 use kcore::gpusim::{Counters, GpuContext, LaunchConfig, SimError, SimOptions, SizeClass};
 use kcore::graph::gen;
 use proptest::prelude::*;
+use serde::Value;
 
 fn ctx() -> GpuContext {
     SimOptions::default().context()
@@ -59,13 +60,14 @@ fn oom_reports_accurate_sizes_and_peak() {
     assert_eq!(c.report().peak_mem_bytes, 512);
 }
 
-/// The timeline draws every block where the priced schedule ran it, one
-/// block at a time per SM. On each compute-bound launch no two spans on one
-/// SM overlap, each span lasts its block's cycles / `clock_hz`, and the SMs'
-/// idle time inside the execution window is `sm_count ×` the launch's
-/// divergence term. A peel at the paper's 108 × 1024 geometry and a skewed
-/// 200-block launch both put more blocks than SMs on the device, where a
-/// second scheduler would place them differently.
+/// The trace's Perfetto document draws every block where the priced
+/// schedule ran it, one block at a time per SM. On each compute-bound
+/// launch no two SM spans on one SM overlap, each span lasts its block's
+/// cycles / `clock_hz`, and the SMs' idle time inside the execution window
+/// is `sm_count ×` the launch's divergence term. A peel at the paper's
+/// 108 × 1024 geometry and a skewed 200-block launch both put more blocks
+/// than SMs on the device, where a second scheduler would place them
+/// differently.
 #[test]
 fn timeline_spans_are_the_priced_block_schedule() {
     let mut c = ctx();
@@ -80,40 +82,55 @@ fn timeline_spans_are_the_priced_block_schedule() {
         Ok(())
     })
     .unwrap();
-    let tl = c.timeline("schedule");
+    // every SM span the document holds, as (sm, start ms, end ms, block),
+    // per launch: the "X" events of the GPU process (pid 0)
+    let doc = serde_json::from_str(&c.trace("schedule").to_chrome_json()).unwrap();
+    let mut drawn: Vec<Vec<(u64, f64, f64, u64)>> = vec![Vec::new(); c.launches().len()];
+    for e in doc.get("traceEvents").and_then(Value::as_array).unwrap() {
+        let field = |k: &str| e.get(k).unwrap();
+        if field("pid").as_u64() != Some(0) || field("ph").as_str() != Some("X") {
+            continue;
+        }
+        let arg = |k: &str| field("args").get(k).and_then(Value::as_u64).unwrap();
+        let (ts, dur) = (
+            field("ts").as_f64().unwrap(),
+            field("dur").as_f64().unwrap(),
+        );
+        let span = (
+            field("tid").as_u64().unwrap(),
+            ts / 1e3,
+            (ts + dur) / 1e3,
+            arg("block"),
+        );
+        drawn[arg("launch") as usize].push(span);
+    }
     let (sms, clock_hz) = (c.cost.sm_count as f64, c.cost.clock_hz);
     let mut crowded = Vec::new();
-    for (seq, l) in c.launches().iter().enumerate() {
+    for (seq, (l, spans)) in c.launches().iter().zip(&mut drawn).enumerate() {
+        assert_eq!(spans.len(), l.config.blocks as usize, "launch {seq}");
         let r = &l.roofline;
         if r.compute_s == 0.0 || r.compute_s < r.mem_s {
             continue;
         }
-        let mut spans: Vec<_> = tl.spans.iter().filter(|s| s.launch_seq == seq).collect();
-        spans.sort_by(|a, b| {
-            let key = |s: &&kcore::gpusim::TimelineSpan| (s.sm, s.start_ms, s.end_ms);
-            key(a).partial_cmp(&key(b)).unwrap()
-        });
+        let window_ms = (l.time_s - r.launch_overhead_s) * 1e3;
+        let eps_ms = 1e-9 * window_ms;
+        spans.sort_by(|a, b| (a.0, a.1, a.2).partial_cmp(&(b.0, b.1, b.2)).unwrap());
         for w in spans.windows(2) {
-            let (a, b) = (w[0], w[1]);
+            let ((sm_a, _, end_a, block_a), (sm_b, start_b, _, block_b)) = (w[0], w[1]);
             assert!(
-                a.sm != b.sm || a.end_ms <= b.start_ms,
-                "launch {seq} ({}): blocks {} and {} overlap on SM {}",
-                l.name,
-                a.block,
-                b.block,
-                a.sm
+                sm_a != sm_b || end_a <= start_b + eps_ms,
+                "launch {seq} ({}): blocks {block_a} and {block_b} overlap on SM {sm_a}",
+                l.name
             );
         }
-        let window_ms = (l.time_s - r.launch_overhead_s) * 1e3;
         let mut busy_ms = 0.0;
-        for s in &spans {
-            let (lasts, priced) = (s.end_ms - s.start_ms, l.block_cycles[s.block as usize]);
+        for &(_, start_ms, end_ms, block) in spans.iter() {
+            let (lasts, priced) = (end_ms - start_ms, l.block_cycles[block as usize]);
             let priced_ms = priced / clock_hz * 1e3;
             assert!(
-                (lasts - priced_ms).abs() <= 1e-9 * window_ms,
-                "launch {seq} ({}) block {}: drawn {lasts} ms, priced {priced_ms} ms",
-                l.name,
-                s.block
+                (lasts - priced_ms).abs() <= eps_ms,
+                "launch {seq} ({}) block {block}: drawn {lasts} ms, priced {priced_ms} ms",
+                l.name
             );
             busy_ms += lasts;
         }

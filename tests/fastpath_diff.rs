@@ -35,14 +35,19 @@ fn run_in(
     engine.run_in(ctx, g, &opts)
 }
 
-/// Runs one full decomposition and captures (core, rounds, trace JSON,
-/// Perfetto JSON).
+/// Runs one full decomposition and captures (core, rounds, and the trace's
+/// JSON and Perfetto renderings).
 fn run(engine: Engine, g: &Csr, cfg: &PeelConfig) -> (Vec<u32>, u64, String, String) {
     let mut ctx = SimOptions::default().context();
     ctx.set_block_profiling(true);
     let r = run_in(engine, &mut ctx, g, cfg).expect("decompose");
-    let timeline = ctx.timeline("diff").to_chrome_json();
-    (r.core, r.iterations, ctx.trace("diff").to_json(), timeline)
+    let trace = ctx.trace("diff");
+    (
+        r.core,
+        r.iterations,
+        trace.to_json(),
+        trace.to_chrome_json(),
+    )
 }
 
 fn assert_paths_identical(g: &Csr, cfg: &PeelConfig, what: &str) {

@@ -64,7 +64,7 @@ fn fleet_artifacts_match_golden_at_all_pool_sizes() {
     assert_eq!(fr.run.core, cpu::bz::Bz.run(&g));
 
     let base_json = fr.fleet.to_json(&fr.traces);
-    let base_perfetto = fr.fleet.merged_chrome_json(&fr.traces, &fr.timelines);
+    let base_perfetto = fr.fleet.merged_chrome_json(&fr.traces);
     let base_perfetto = base_perfetto.expect("the run's own traces merge");
 
     // Byte-identity across rayon pool sizes: both artifacts, not just the
@@ -81,7 +81,7 @@ fn fleet_artifacts_match_golden_at_all_pool_sizes() {
             "fleet trace diverged at pool {threads}"
         );
         assert_eq!(
-            fr2.fleet.merged_chrome_json(&fr2.traces, &fr2.timelines),
+            fr2.fleet.merged_chrome_json(&fr2.traces),
             Ok(base_perfetto.clone()),
             "merged Perfetto diverged at pool {threads}"
         );
@@ -151,7 +151,7 @@ proptest! {
         for t in &fr.traces {
             let all = Hotspot::sum(&t.hotspots);
             let bucket_sum: f64 = all.buckets().iter().map(|(_, ms)| ms).sum();
-            let worker_total: f64 = t.launches.iter().map(|l| l.time_ms).sum();
+            let worker_total: f64 = t.launches.iter().map(|l| l.time_s * 1e3).sum();
             prop_assert!(
                 (bucket_sum - all.total_ms).abs() <= 1e-9 * all.total_ms.max(1.0),
                 "buckets {} != summed kernel time {}", bucket_sum, all.total_ms

@@ -23,7 +23,7 @@
 
 use kcore_bench::assert_golden;
 use kcore_gpu::PeelConfig;
-use kcore_gpusim::{fnv1a_bytes, Counters, SimOptions, Timeline, Trace, SCHEMA_VERSION};
+use kcore_gpusim::{fnv1a_bytes, Counters, SimOptions, Trace, SCHEMA_VERSION};
 use kcore_graph::gen;
 use serde::Serialize;
 use std::path::PathBuf;
@@ -31,7 +31,7 @@ use std::path::PathBuf;
 /// One full peel of a small, seeded R-MAT graph with per-block counters on.
 /// A reduced grid keeps each simulated run fast; the launch geometry is part
 /// of the fingerprint, so the golden pins it too.
-fn capture_both(label: &str) -> (Trace, Timeline) {
+fn capture(label: &str) -> Trace {
     let g = gen::rmat(9, 2_000, gen::RmatParams::graph500(), 7);
     let cfg = PeelConfig::default().with_launch(kcore_gpusim::LaunchConfig {
         blocks: 16,
@@ -40,12 +40,7 @@ fn capture_both(label: &str) -> (Trace, Timeline) {
     let mut ctx = SimOptions::default().context();
     ctx.set_block_profiling(true);
     kcore_gpu::decompose_in(&mut ctx, &g, &cfg).unwrap();
-    let timeline = ctx.timeline(label);
-    (ctx.trace(label), timeline)
-}
-
-fn capture(label: &str) -> Trace {
-    capture_both(label).0
+    ctx.trace(label)
 }
 
 #[test]
@@ -160,13 +155,14 @@ fn memstats_matches_checked_in_golden() {
 }
 
 // ---------------------------------------------------------------------------
-// Timeline / Perfetto export determinism
+// Perfetto rendering determinism
 // ---------------------------------------------------------------------------
 
-/// The checked-in projection of the SM timeline: event population counts
-/// plus an FNV-1a hash of the exact Chrome trace-event JSON bytes, so the
-/// golden pins every byte of the export without checking in the (large)
-/// event stream itself.
+/// The checked-in projection of the trace's Perfetto rendering: the
+/// populations it draws (one SM span per block of every launch, one PCIe
+/// span per transfer, one counter point per sample) plus an FNV-1a hash of
+/// the exact Chrome trace-event JSON bytes, so the golden pins every byte
+/// of the document without checking in the (large) event stream itself.
 #[derive(Serialize)]
 struct GoldenTimeline {
     schema_version: u32,
@@ -177,28 +173,29 @@ struct GoldenTimeline {
     perfetto_json_fnv1a: String,
 }
 
-fn golden_timeline_of(tl: &Timeline) -> String {
+fn golden_timeline_of(trace: &Trace) -> String {
+    let perfetto = trace.to_chrome_json();
     let g = GoldenTimeline {
         schema_version: SCHEMA_VERSION,
-        sm_count: tl.sm_count,
-        spans: tl.spans.len(),
-        transfers: tl.transfers.len(),
-        counter_points: tl.counters.len(),
-        perfetto_json_fnv1a: format!("{:#018x}", fnv1a_bytes(tl.to_chrome_json().as_bytes())),
+        sm_count: trace.device.sm_count,
+        spans: trace.launches.iter().map(|l| l.block_cycles.len()).sum(),
+        transfers: trace.transfers.len(),
+        counter_points: trace.samples.len(),
+        perfetto_json_fnv1a: format!("{:#018x}", fnv1a_bytes(perfetto.as_bytes())),
     };
     serde_json::to_string_pretty(&g).unwrap()
 }
 
 #[test]
 fn perfetto_json_is_byte_identical_across_runs_and_pool_sizes() {
-    let reference = capture_both("timeline").1.to_chrome_json();
-    assert_eq!(reference, capture_both("timeline").1.to_chrome_json());
+    let reference = capture("timeline").to_chrome_json();
+    assert_eq!(reference, capture("timeline").to_chrome_json());
     for threads in [1usize, 2, 4] {
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
             .build()
             .unwrap();
-        let json = pool.install(|| capture_both("timeline").1.to_chrome_json());
+        let json = pool.install(|| capture("timeline").to_chrome_json());
         assert_eq!(
             json, reference,
             "Perfetto export diverged with {threads} rayon threads"
@@ -208,6 +205,6 @@ fn perfetto_json_is_byte_identical_across_runs_and_pool_sizes() {
 
 #[test]
 fn timeline_matches_checked_in_golden() {
-    let got = golden_timeline_of(&capture_both("timeline-golden").1);
+    let got = golden_timeline_of(&capture("timeline-golden"));
     assert_golden(&golden_path("peel_rmat9_timeline.json"), &got);
 }

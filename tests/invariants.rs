@@ -106,6 +106,62 @@ proptest! {
         }
     }
 
+    /// Work-bound certificates: counter identities every peel variant,
+    /// production and reference, meets whatever the cost constants are,
+    /// read from one trace per run and derived from the kernels, not from
+    /// the cost model. Setup uploads the narrowed offsets, the neighbours
+    /// and the degrees, 4·(2n + 1 + arcs) bytes, and nothing else uploads;
+    /// each round reads back the one-word `gpu_count` and the result reads
+    /// back `deg`, 4n bytes. The loop kernel's global atomics are its degree
+    /// decrements plus one `gpu_count` add per block per launch. Processing
+    /// v decrements u only while u is above v's level, so every arc (v, u)
+    /// into a higher core decrements once and an arc into a lower core
+    /// never. Within one core, whichever end is processed first may
+    /// decrement the other, which then sits at that level and takes no
+    /// decrement back: at most one per edge, so the count lies between the
+    /// arcs with core(u) > core(v) and those with core(u) ≥ core(v), and
+    /// below the first plus half the same-core arcs (arXiv 2502.08042
+    /// bounds peeling by O(n + m) work).
+    #[test]
+    fn peel_work_is_certified(g in graph_strategy(40, 160)) {
+        let truth = cpu::bz::Bz.run(&g);
+        let opts = engine_opts(&truth);
+        let (n, arcs) = (u64::from(g.num_vertices()), g.num_arcs());
+        let (mut above, mut level) = (0u64, 0u64);
+        for v in 0..g.num_vertices() {
+            for &u in g.neighbors(v) {
+                let (cu, cv) = (truth[u as usize], truth[v as usize]);
+                above += u64::from(cu > cv);
+                level += u64::from(cu >= cv);
+            }
+        }
+        // same-core arcs come in pairs, one per direction of an edge
+        let most = above + (level - above) / 2;
+        let peels = Engine::all().filter(|e| matches!(e, Engine::Peel(..) | Engine::Reference(..)));
+        for engine in peels {
+            let name = engine.name();
+            let mut ctx = SimOptions::default().context();
+            let rounds = engine.run_in(&mut ctx, &g, &opts).unwrap().iterations;
+            let t = ctx.trace("certificate");
+            let phase = |p: &str| t.phases.iter().find(|s| s.phase == p).unwrap();
+            prop_assert_eq!(phase("Setup").h2d_bytes, 4 * (2 * n + 1 + arcs), "{}", name);
+            prop_assert_eq!(t.totals.h2d_bytes, phase("Setup").h2d_bytes, "{}", name);
+            prop_assert_eq!(phase("Sync").d2h_bytes, 4 * rounds, "{}", name);
+            prop_assert_eq!(phase("Result").d2h_bytes, 4 * n, "{}", name);
+            prop_assert_eq!(t.totals.d2h_bytes, 4 * rounds + 4 * n, "{}", name);
+            let loops = || t.launches.iter().filter(|l| l.name == "loop");
+            let atomics: u64 = loops().map(|l| l.counters.global_atomics).sum();
+            let count_adds: u64 = loops().map(|l| u64::from(l.config.blocks)).sum();
+            prop_assert!(atomics >= count_adds, "{}: {} atomics", name, atomics);
+            let decrements = atomics - count_adds;
+            prop_assert!(
+                above <= decrements && decrements <= most,
+                "{}: {} decrements outside [{}, {}] (arcs at or above: {})",
+                name, decrements, above, most, level
+            );
+        }
+    }
+
     /// Parallel CPU algorithms are deterministic in their *result* despite
     /// scheduling nondeterminism.
     #[test]
