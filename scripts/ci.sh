@@ -222,6 +222,20 @@ done
 rm -rf "$inspect_results"
 echo "inspect smoke OK ($printed engine traces and Perfetto documents, and the fleet dumps)"
 
+echo "== exhaustive small-graph checks (release) =="
+# tests/exhaustive.rs with its ignored sweeps. Every DynamicCore batch that
+# toggles a set of vertex pairs of a graph, and toggles it back: every set
+# on 4 vertices at 1, 2 and 16 blocks in rayon pools of 1 and 2, every set
+# on 5 vertices at 1 block, and every set of at most 2 pairs on 6 vertices
+# at 2 blocks (10.0 M batches). After each batch the host cores, device
+# cores and device MCD equal BZ and the batch makes 3·G_I + G_D + 1
+# launches. Also every Engine::all() value on every graph on at most 6
+# vertices against BZ. Tier-1's debug run takes only the 4-vertex sweeps.
+# 68 s on a 2-core x86-64 box (two test threads).
+exhaustive_start=$(date +%s)
+cargo test --locked --release -q --test exhaustive -- --include-ignored
+echo "exhaustive checks took $(( $(date +%s) - exhaustive_start ))s"
+
 echo "== dynamic maintenance smoke (batched engine vs BZ) =="
 # --check replays the CI-sized valid churn stream through the batched GPU
 # maintenance engine, asserts that no run rejects an update, verifies
