@@ -175,6 +175,11 @@ const CAND: usize = 7;
 /// `(vertex, final core)` pair.
 const LIST: usize = 8;
 
+/// The `dyn.flag` word of an evicted insertion candidate. A claim counts a
+/// candidate's flag up from 1, to at most its degree plus one, so no claim
+/// reaches it.
+const EVICTED: u32 = u32::MAX;
+
 /// Smallest per-block frontier buffer, in words. A block's buffer holds
 /// `n.max(MIN_FRONTIER_WORDS)` words, which can never overflow because every
 /// frontier is deduplicated.
@@ -204,7 +209,6 @@ struct DynParams {
     d_core: BufferId,
     d_mcd: BufferId,
     d_flag: BufferId,
-    d_evic: BufferId,
     d_sup: BufferId,
     d_cand: BufferId,
     d_mark: BufferId,
@@ -261,7 +265,6 @@ impl DynamicCore {
         let d_core = ctx.htod("dyn.core", &core_padded, SizeClass::PerVertex)?;
         let d_mcd = ctx.alloc("dyn.mcd", pad, SizeClass::PerVertex)?;
         let d_flag = ctx.alloc("dyn.flag", pad, SizeClass::PerVertex)?;
-        let d_evic = ctx.alloc("dyn.evic", pad, SizeClass::PerVertex)?;
         let d_sup = ctx.alloc("dyn.sup", pad, SizeClass::PerVertex)?;
         let d_cand = ctx.alloc("dyn.cand", pad, SizeClass::PerVertex)?;
         let d_mark = ctx.alloc("dyn.mark", pad, SizeClass::PerVertex)?;
@@ -282,7 +285,6 @@ impl DynamicCore {
             d_core,
             d_mcd,
             d_flag,
-            d_evic,
             d_sup,
             d_cand,
             d_mark,
@@ -1303,15 +1305,17 @@ fn claim_roots(
 /// `sup[v] = |{x ∈ N(v) : core(x) > k ∨ (core(x) == k ∧ flag(x))}|` —
 /// supporters either already above `k` or fellow candidates of its level;
 /// a candidate of level `k − 1` rises at most to `k` — and evicts it at
-/// once if that is below the threshold `k + 1`, seeding this block's
-/// frontier with it. `flag` and `core` do not change in this launch, and
-/// each block writes only its own candidates' `sup`.
+/// once if that is below the threshold `k + 1`: its flag becomes
+/// [`EVICTED`], and it seeds this block's frontier. An eviction turns one
+/// nonzero flag into another and `core` does not change in this launch, so
+/// no count depends on block order; each block writes only its own
+/// candidates' `sup`.
 fn casc_init(blk: &mut BlockCtx<'_>, p: &DynParams) -> Result<TravState, KernelError> {
     let dev = blk.device;
     let cand = dev.buffer(p.d_cand);
     let core = dev.buffer(p.d_core);
     let sup = dev.buffer(p.d_sup);
-    let evic = dev.buffer(p.d_evic);
+    let flag = dev.buffer(p.d_flag);
     let cand_n = read_cand(blk, p);
     let mut e = 0u32;
     for i in striped(blk, 0, cand_n) {
@@ -1325,7 +1329,7 @@ fn casc_init(blk: &mut BlockCtx<'_>, p: &DynParams) -> Result<TravState, KernelE
         });
         blk.gwrite(&sup[v], m);
         if m <= k {
-            blk.gwrite(&evic[v], 1);
+            blk.gwrite(&flag[v], EVICTED);
             seed(blk, p, &mut e, v, "cascade")?;
         }
     }
@@ -1334,8 +1338,8 @@ fn casc_init(blk: &mut BlockCtx<'_>, p: &DynParams) -> Result<TravState, KernelE
 
 /// Eviction cascade, one wave: walks each evicted vertex's candidate
 /// neighbors (`flag`) and decrements the support of each un-evicted one of
-/// the evicted vertex's own level `k`; a decrement from exactly the
-/// threshold `k + 1` evicts it too. A candidate of level `k − 1` keeps its
+/// the evicted vertex's own level `k`, told apart by the flag word the walk
+/// gathered; a decrement from exactly the threshold `k + 1` evicts it too. A candidate of level `k − 1` keeps its
 /// support: the evicted vertex stays at `k`, above it. An un-evicted
 /// candidate always has `sup >= k + 1 >= 1`, so the decrement cannot
 /// underflow.
@@ -1347,7 +1351,7 @@ fn casc_step(
     let dev = blk.device;
     let core = dev.buffer(p.d_core);
     let sup = dev.buffer(p.d_sup);
-    let evic = dev.buffer(p.d_evic);
+    let flag = dev.buffer(p.d_flag);
     walk_wave(
         blk,
         st,
@@ -1357,8 +1361,8 @@ fn casc_step(
         "cascade",
         |blk, x| blk.gread(&core[x]),
         |_, f| f != 0,
-        |blk, k, y, _| {
-            if blk.gread(&core[y]) != k || blk.gread(&evic[y]) != 0 {
+        |blk, k, y, f| {
+            if f == EVICTED || blk.gread(&core[y]) != k {
                 return Ok(false);
             }
             let old = blk.atomic_sub(&sup[y], 1);
@@ -1366,7 +1370,7 @@ fn casc_step(
             if old != k + 1 {
                 return Ok(false);
             }
-            blk.gwrite(&evic[y], 1);
+            blk.gwrite(&flag[y], EVICTED);
             Ok(true)
         },
     )
@@ -1378,15 +1382,16 @@ fn casc_step(
 /// of core `> k` plus its surviving fellow candidates. It now counts for
 /// each neighbor that had core `k + 1` before the group and does not rise
 /// — a non-candidate, or a candidate of level `k + 1` the cascade evicted
-/// — which gains one MCD; no other MCD moves. Flags and eviction marks stay
-/// set until every block's init has run, so the test never mistakes a
+/// — which gains one MCD; no other MCD moves. The test reads the flag word
+/// the walk gathers: 0 or [`EVICTED`] stays, a claim count rises. Flags
+/// stay set until every block's init has run, so the test never mistakes a
 /// survivor risen in an earlier block for a vertex that stays. Block 0 adds
 /// the candidates to the work tally, and each block its risen vertices to
 /// the change count. Returns the candidate count for the clearing wave.
 fn rise_init(blk: &mut BlockCtx<'_>, p: &DynParams) -> Result<usize, KernelError> {
     let dev = blk.device;
     let cand = dev.buffer(p.d_cand);
-    let evic = dev.buffer(p.d_evic);
+    let flag = dev.buffer(p.d_flag);
     let sup = dev.buffer(p.d_sup);
     let core = dev.buffer(p.d_core);
     let mcd = dev.buffer(p.d_mcd);
@@ -1397,7 +1402,7 @@ fn rise_init(blk: &mut BlockCtx<'_>, p: &DynParams) -> Result<usize, KernelError
     let mut risen = 0u32;
     for i in striped(blk, 0, cand_n) {
         let v = blk.gread(&cand[i]) as usize;
-        if blk.gread(&evic[v]) != 0 {
+        if blk.gread(&flag[v]) == EVICTED {
             continue;
         }
         let k = blk.gread(&core[v]);
@@ -1408,7 +1413,7 @@ fn rise_init(blk: &mut BlockCtx<'_>, p: &DynParams) -> Result<usize, KernelError
         risen += 1;
         scan_neighbors(blk, p, v, &[p.d_core, p.d_flag], |blk, idxs, w| {
             for (t, &x) in idxs.iter().enumerate() {
-                if w[0][t] == k + 1 && (w[1][t] == 0 || blk.gread(&evic[x]) != 0) {
+                if w[0][t] == k + 1 && (w[1][t] == 0 || w[1][t] == EVICTED) {
                     blk.atomic_add(&mcd[x], 1);
                 }
             }
@@ -1421,19 +1426,17 @@ fn rise_init(blk: &mut BlockCtx<'_>, p: &DynParams) -> Result<usize, KernelError
 }
 
 /// Rise kernel, second wave (after every block's init): clears this
-/// block's candidates' flags and eviction marks for the next group.
+/// block's candidates' flags for the next group.
 /// `sup` needs no reset: the eviction cascade's init writes every
 /// candidate's before anything reads it.
 fn rise_clear(blk: &mut BlockCtx<'_>, p: &DynParams, cand_n: usize) -> Result<bool, KernelError> {
     let dev = blk.device;
     let cand = dev.buffer(p.d_cand);
     let flag = dev.buffer(p.d_flag);
-    let evic = dev.buffer(p.d_evic);
     blk.sync_threads();
     for i in striped(blk, 0, cand_n) {
         let v = blk.gread(&cand[i]) as usize;
         blk.gwrite(&flag[v], 0);
-        blk.gwrite(&evic[v], 0);
     }
     Ok(false)
 }
