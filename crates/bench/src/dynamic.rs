@@ -22,7 +22,7 @@ use kcore_gpu::{BatchPath, BatchReport, DynamicConfig, DynamicCore, PeelConfig};
 use kcore_gpusim::{LaunchConfig, SimOptions, TransferDir};
 use kcore_graph::{gen, EdgeSet, EdgeUpdate};
 use serde::Serialize;
-use std::collections::HashMap;
+use std::collections::HashSet;
 
 #[derive(Serialize, Default)]
 struct Row {
@@ -48,9 +48,6 @@ struct Table {
     /// Measured: net updates at which one full re-peel costs less than
     /// maintaining them (derived from the largest-batch run).
     crossover_updates: u64,
-    /// [`DynamicConfig::auto_crossover`] on the same measurements — what the
-    /// engine would pick as its fallback threshold if tuned from this run.
-    auto_crossover: usize,
     /// Configured: net-update count at which the engine falls back.
     configured_crossover: usize,
     rows: Vec<Row>,
@@ -62,12 +59,11 @@ struct Table {
 ///
 /// `check` additionally asserts that no run rejects an update, that every
 /// maintained batch reads its results back only at its end (at most two
-/// D2H copies, and no launch after them) and runs one traversal per
-/// matching (a launch bound in its updates), verifies the final core numbers
-/// of every run against a from-scratch BZ peel of the final graph, pins
-/// `auto_crossover` to the measured break-even, drives one pure-insert
-/// batch and one pure-delete batch checked against BZ after each, and at
-/// full scale asserts the ≥ 10x acceptance bar.
+/// D2H copies, and no launch after them) and makes exactly one traversal
+/// per matching (`apply_checked`), verifies the final core numbers of
+/// every run against a from-scratch BZ peel of the final graph, drives one
+/// pure-insert batch and one pure-delete batch checked against BZ after
+/// each, and at full scale asserts the ≥ 10x acceptance bar.
 pub fn table_dynamic(smoke: bool, check: bool) -> Vec<(String, String)> {
     let (scale, m, updates, samples) = if smoke {
         (9u32, 2_000u64, 256usize, 4usize)
@@ -124,13 +120,14 @@ pub fn table_dynamic(smoke: bool, check: bool) -> Vec<(String, String)> {
     for &bs in &batch_sizes {
         let mut dc = DynamicCore::from_csr(&SimOptions::default(), &g, dyn_cfg.clone())
             .expect("engine init");
+        let mut mirror = EdgeSet::from_csr(&g);
         let mut row = Row {
             batch_size: bs,
             ..Row::default()
         };
         let mut rejected = 0usize;
         for batch in ops.chunks(bs) {
-            let rep = apply_checked(&mut dc, batch, check);
+            let rep = apply_checked(&mut dc, batch, check.then_some(&mut mirror));
             rejected += rep.rejected;
             row.sim_ms += rep.sim_ms;
             row.batches += 1;
@@ -163,8 +160,6 @@ pub fn table_dynamic(smoke: bool, check: bool) -> Vec<(String, String)> {
     // largest-batch run (best amortization) vs one full re-peel.
     let per_update_ms = rows.last().expect("a batch size").sim_ms / updates as f64;
     let crossover_updates = (repeel_avg_ms / per_update_ms).ceil() as u64;
-    // The engine-side derivation of the same break-even point.
-    let auto_crossover = DynamicConfig::auto_crossover(repeel_avg_ms, per_update_ms);
     let table = Table {
         scale,
         num_vertices: n,
@@ -173,7 +168,6 @@ pub fn table_dynamic(smoke: bool, check: bool) -> Vec<(String, String)> {
         repeel_avg_ms,
         baseline_updates_per_sec: baseline_ups,
         crossover_updates,
-        auto_crossover,
         configured_crossover: dyn_cfg.crossover,
         rows,
     };
@@ -213,31 +207,13 @@ pub fn table_dynamic(smoke: bool, check: bool) -> Vec<(String, String)> {
     let text = format!(
         "{}\nbaseline: full re-peel avg {repeel_avg_ms:.2} ms over {} samples\n\
          crossover: one re-peel ≈ {crossover_updates} maintained updates \
-         (auto_crossover would set {auto_crossover}; engine falls back at \
-         {} net updates/batch)\n",
+         (engine falls back at {} net updates/batch)\n",
         titled(&title, &headers, &text),
         repeel_ms.len(),
         dyn_cfg.crossover
     );
 
     if check {
-        // The derived fallback threshold must sit exactly at the measured
-        // break-even point: re-peel pays off at `auto_crossover` updates
-        // and not one sooner.
-        assert!(
-            per_update_ms * auto_crossover as f64 >= repeel_avg_ms,
-            "auto_crossover {auto_crossover} below break-even \
-             (per-update {per_update_ms:.4} ms, re-peel {repeel_avg_ms:.4} ms)"
-        );
-        assert!(
-            per_update_ms * ((auto_crossover - 1) as f64) < repeel_avg_ms,
-            "auto_crossover {auto_crossover} is not minimal \
-             (per-update {per_update_ms:.4} ms, re-peel {repeel_avg_ms:.4} ms)"
-        );
-        assert_eq!(
-            auto_crossover as u64, crossover_updates,
-            "engine-derived crossover diverges from the table's measured one"
-        );
         // One pure-insert batch followed by one pure-delete batch of the
         // same edges, checked against BZ after each.
         let mut dc =
@@ -249,8 +225,7 @@ pub fn table_dynamic(smoke: bool, check: bool) -> Vec<(String, String)> {
             EdgeUpdate::Delete as fn(u32, u32) -> EdgeUpdate,
         ] {
             let batch: Vec<EdgeUpdate> = pairs.iter().map(|&(u, v)| mk(u, v)).collect();
-            apply_checked(&mut dc, &batch, true);
-            graph.apply(&graph.classify(&batch));
+            apply_checked(&mut dc, &batch, Some(&mut graph));
             assert_eq!(
                 dc.cores(),
                 &bz::Bz.run(&graph.to_csr())[..],
@@ -273,21 +248,27 @@ pub fn table_dynamic(smoke: bool, check: bool) -> Vec<(String, String)> {
     table_files("table_dynamic", (text, to_json(&table)))
 }
 
-/// Applies one batch. With `check`, a maintained batch must make no host
-/// round trip between its updates, as its transfer records show: at most
-/// two D2H copies (the counters with the head of the changed list, and the
-/// rest of a long list), and no launch after the first of them. It must
-/// also run one traversal per matching: at most `3·(2Δ_I − 1) +
-/// (2Δ_D − 1) + 1` launches, where `Δ` is the most net inserts (`Δ_I`) or
-/// net deletes (`Δ_D`) that share one vertex. First fit needs at most
-/// `2Δ − 1` matchings, a phase with no edges needs none, and a matching
-/// may split once per 1024-edge staging chunk past the first (three more
-/// launches at most). A valid stream nets nothing away, so `Δ` comes from
-/// the batch's own updates.
-fn apply_checked(dc: &mut DynamicCore, batch: &[EdgeUpdate], check: bool) -> BatchReport {
+/// Applies one batch. With the table's `mirror` (under `check`), it also
+/// classifies the batch there and checks a maintained batch's records. The
+/// batch makes no host round trip between its updates, as its transfer
+/// records show: at most two D2H copies (the counters with the head of the
+/// changed list, and the rest of a long list), and no launch after the
+/// first of them. And it runs one traversal per matching: exactly
+/// `3·G_I + G_D + 1` launches, `G_I` and `G_D` being the matchings that
+/// first fit makes of the mirror's net inserts and net deletes.
+fn apply_checked(
+    dc: &mut DynamicCore,
+    batch: &[EdgeUpdate],
+    mirror: Option<&mut EdgeSet>,
+) -> BatchReport {
     let (l0, x0) = (dc.ctx().launches().len(), dc.ctx().transfers().len());
     let rep = dc.apply_batch(batch).expect("apply_batch");
-    if check && rep.path == BatchPath::Maintained {
+    let Some(mirror) = mirror else {
+        return rep;
+    };
+    let net = mirror.classify(batch);
+    mirror.apply(&net);
+    if rep.path == BatchPath::Maintained {
         let ctx = dc.ctx();
         let mut reads = ctx.transfers()[x0..]
             .iter()
@@ -307,27 +288,29 @@ fn apply_checked(dc: &mut DynamicCore, batch: &[EdgeUpdate], check: bool) -> Bat
             "a maintained batch of {} updates launched after reading back",
             batch.len()
         );
-        let matchings = |insert: bool| {
-            let mut share: HashMap<u32, usize> = HashMap::new();
-            for (u, v) in batch
-                .iter()
-                .filter(|e| e.is_insert() == insert)
-                .map(|e| e.endpoints())
-            {
-                *share.entry(u).or_default() += 1;
-                *share.entry(v).or_default() += 1;
-            }
-            share.values().max().map_or(0, |&delta| 2 * delta - 1)
-        };
-        let splits = (rep.net_inserts + rep.net_deletes).div_ceil(1024) - 1;
-        let bound = 3 * matchings(true) + matchings(false) + 1 + 3 * splits;
-        let launches = ctx.launches().len() - l0;
-        assert!(
-            launches <= bound,
-            "a maintained batch of {} updates made {launches} launches, more than one \
-             traversal per matching allows ({bound})",
+        let (g_i, g_d) = (first_fit(&net.inserts), first_fit(&net.deletes));
+        assert_eq!(
+            ctx.launches().len() - l0,
+            3 * g_i + g_d + 1,
+            "a maintained batch of {} updates with G_I = {g_i}, G_D = {g_d}",
             batch.len()
         );
     }
     rep
+}
+
+/// How many matchings first fit makes of `edges` in list order: each edge
+/// joins the first matching that holds neither of its endpoints.
+fn first_fit(edges: &[(u32, u32)]) -> usize {
+    let mut matchings: Vec<HashSet<u32>> = Vec::new();
+    for &(u, v) in edges {
+        match matchings
+            .iter_mut()
+            .find(|m| !m.contains(&u) && !m.contains(&v))
+        {
+            Some(m) => m.extend([u, v]),
+            None => matchings.push(HashSet::from([u, v])),
+        }
+    }
+    matchings.len()
 }

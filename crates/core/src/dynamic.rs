@@ -33,13 +33,14 @@
 //! pool size. Past [`DynamicConfig::crossover`] net updates the engine
 //! falls back to a from-scratch [`peel::decompose_in`].
 //!
-//! A maintained batch makes no host round trip between its traversals: a
-//! matching of deletes makes one launch and a matching of inserts three.
+//! A maintained batch stages its edges with one H2D copy and makes no host
+//! round trip between its traversals: a matching of deletes makes one
+//! launch and a matching of inserts three, so `G_I` insert and `G_D`
+//! delete matchings make `3·G_I + G_D + 1` launches with the batch end.
 //! The batch's tallies and its changed vertices accumulate on the device,
 //! and one batch-end launch and one readback (two for a long list) bring
-//! them back. On `table_dynamic`'s rmat-16 stream an update costs 31.9 µs
-//! at batch 1, where every matching holds one edge, and 0.52 µs at batch
-//! 1024: 106–6432× the updates/sec of a re-peel per update.
+//! them back. EXPERIMENTS.md's `table_dynamic` entry quotes what a batch
+//! costs on an rmat-16 stream.
 
 use crate::config::PeelConfig;
 use crate::peel;
@@ -85,36 +86,6 @@ impl Default for DynamicConfig {
     }
 }
 
-impl DynamicConfig {
-    /// Derives the maintenance/re-peel crossover from measured costs: the
-    /// smallest net-update count at which one from-scratch peel
-    /// (`repeel_ms`) is no more expensive than maintenance at
-    /// `per_update_ms` per net update — i.e. `ceil(repeel_ms /
-    /// per_update_ms)`. Maintenance amortizes over each matching's edges, so
-    /// `per_update_ms` depends on the batch size it was measured at: on
-    /// `table_dynamic`'s rmat-16 stream, at batch 1024, it gives 6,432
-    /// updates against a 3.37 ms re-peel.
-    ///
-    /// Degenerate inputs keep the engine on a sane path: a non-positive
-    /// `per_update_ms` (maintenance is free or unmeasured) disables the
-    /// fallback (`usize::MAX`), a non-positive `repeel_ms` makes every
-    /// non-empty batch re-peel (`1`).
-    pub fn auto_crossover(repeel_ms: f64, per_update_ms: f64) -> usize {
-        if per_update_ms <= 0.0 || !per_update_ms.is_finite() {
-            return usize::MAX;
-        }
-        if repeel_ms <= 0.0 || !repeel_ms.is_finite() {
-            return 1;
-        }
-        let ratio = (repeel_ms / per_update_ms).ceil();
-        if ratio >= usize::MAX as f64 {
-            usize::MAX
-        } else {
-            (ratio as usize).max(1)
-        }
-    }
-}
-
 /// Which path [`DynamicCore::apply_batch`] took.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BatchPath {
@@ -147,8 +118,8 @@ pub struct BatchReport {
     /// counts its edges' core-`K` endpoints plus the MCD decrements its
     /// cascade issued, one per neighbor at the walked vertex's old core and
     /// not yet dropping. Each traversal sees the cores its matching's
-    /// edges leave together, so the tally depends on the batching: 15,302
-    /// to 15,361 on `table_dynamic`'s stream.
+    /// edges leave together, so the tally depends on the batching
+    /// (`table_dynamic`'s `cand` column).
     pub candidates: u64,
     /// Total vertices whose core number changed.
     pub changed: u64,
@@ -185,8 +156,8 @@ const EVICTED: u32 = u32::MAX;
 /// frontier is deduplicated.
 const MIN_FRONTIER_WORDS: usize = 64;
 
-/// Net updates staged per structural H2D copy (`dyn.batch` holds two words
-/// each); a larger batch is processed in chunks of this many.
+/// Net updates `dyn.batch` holds when the engine is built, two words each;
+/// a larger batch regrows it to the batch's size.
 const BATCH_CAPACITY: usize = 1024;
 
 /// Changed-list entries the batch's one readback brings with the counters.
@@ -315,10 +286,10 @@ impl DynamicCore {
     ///
     /// [`EdgeSet::classify`] checks and nets the batch on the host. The net
     /// deletes, then the net inserts, are split into matchings, staged to
-    /// the device in chunks of 1024 edges (one H2D copy each) and processed
-    /// with one theorem-backed traversal per matching — or, past
-    /// [`DynamicConfig::crossover`], by one from-scratch peel. A maintained
-    /// batch reads its results back once, at its end.
+    /// the device with one H2D copy and processed with one theorem-backed
+    /// traversal per matching — or, past [`DynamicConfig::crossover`], by
+    /// one from-scratch peel. A maintained batch reads its results back
+    /// once, at its end.
     ///
     /// A failed launch or copy (an OOM, a time-limit trip) returns its
     /// error and leaves the engine partly updated, its host and device
@@ -438,40 +409,35 @@ impl DynamicCore {
     /// cores and reads the batch's counters and list back in one copy (two
     /// for a list longer than the window).
     ///
-    /// The edges are staged in matching order, deletes first. A matching
-    /// that crosses a 1024-edge staging chunk runs as two groups, one per
-    /// chunk: a part of a matching is a matching, and every group's edges
-    /// then sit in the staging buffer its launches read.
+    /// The edges are staged in matching order, deletes first, with one H2D
+    /// copy. A batch that outgrows `dyn.batch` first frees it and allocates
+    /// one of its own size.
     fn maintain(&mut self, net: &NetBatch, rep: &mut BatchReport) -> Result<(), SimError> {
         let mut order = Vec::with_capacity(net.deletes.len() + net.inserts.len());
         let mut ends = Vec::new();
         self.matchings(&net.deletes, &mut order, &mut ends);
         let delete_matchings = ends.len();
         self.matchings(&net.inserts, &mut order, &mut ends);
-        let (mut m, mut lo) = (0, 0);
-        for (c, chunk) in order.chunks(BATCH_CAPACITY).enumerate() {
-            self.ctx.set_phase("DynStage");
-            let words: Vec<u32> = chunk.iter().flat_map(|&(u, v)| [u, v]).collect();
-            self.ctx.htod_into(self.p.d_batch, 0, &words)?;
-            let base = c * BATCH_CAPACITY;
-            let top = base + chunk.len();
-            while lo < top {
-                let hi = ends[m].min(top);
-                let grp = Group {
-                    lo: lo - base,
-                    hi: hi - base,
-                    first: lo == 0,
-                };
-                if m < delete_matchings {
-                    self.delete(grp, &order[lo..hi])?;
-                } else {
-                    self.insert(grp, &order[lo..hi])?;
-                }
-                if hi == ends[m] {
-                    m += 1;
-                }
-                lo = hi;
+        self.ctx.set_phase("DynStage");
+        let words: Vec<u32> = order.iter().flat_map(|&(u, v)| [u, v]).collect();
+        if words.len() > self.ctx.device.len(self.p.d_batch) {
+            self.ctx.device.free(self.p.d_batch);
+            self.p.d_batch = self.ctx.alloc("dyn.batch", words.len(), SizeClass::Batch)?;
+        }
+        self.ctx.htod_into(self.p.d_batch, 0, &words)?;
+        let mut lo = 0;
+        for (m, &hi) in ends.iter().enumerate() {
+            let grp = Group {
+                lo,
+                hi,
+                first: lo == 0,
+            };
+            if m < delete_matchings {
+                self.delete(grp, &order[lo..hi])?;
+            } else {
+                self.insert(grp, &order[lo..hi])?;
             }
+            lo = hi;
         }
         self.ctx.set_phase("DynResult");
         let p = self.p;
@@ -1476,43 +1442,6 @@ mod tests {
     }
 
     #[test]
-    fn auto_crossover_is_pinned_between_measured_bounds() {
-        // The derived crossover c is the break-even point: maintaining
-        // c-1 updates is strictly cheaper than a re-peel, maintaining c
-        // is not.
-        for &(repeel_ms, per_update_ms) in &[
-            (12.0, 3.0),
-            (12.5, 3.0),
-            (0.4, 3.0),
-            (5000.0, 0.07),
-            (1.0, 1.0),
-        ] {
-            let c = DynamicConfig::auto_crossover(repeel_ms, per_update_ms);
-            assert!(c >= 1);
-            assert!(
-                per_update_ms * c as f64 >= repeel_ms,
-                "re-peel must pay off at the crossover: {per_update_ms} * {c} < {repeel_ms}"
-            );
-            assert!(
-                per_update_ms * ((c - 1) as f64) < repeel_ms,
-                "crossover is not minimal: {per_update_ms} * {} >= {repeel_ms}",
-                c - 1
-            );
-        }
-    }
-
-    #[test]
-    fn auto_crossover_degenerate_inputs() {
-        assert_eq!(DynamicConfig::auto_crossover(10.0, 0.0), usize::MAX);
-        assert_eq!(DynamicConfig::auto_crossover(10.0, -1.0), usize::MAX);
-        assert_eq!(DynamicConfig::auto_crossover(10.0, f64::NAN), usize::MAX);
-        assert_eq!(DynamicConfig::auto_crossover(0.0, 1.0), 1);
-        assert_eq!(DynamicConfig::auto_crossover(-3.0, 1.0), 1);
-        assert_eq!(DynamicConfig::auto_crossover(f64::INFINITY, 1.0), 1);
-        assert_eq!(DynamicConfig::auto_crossover(12.0, 3.0), 4);
-    }
-
-    #[test]
     fn insert_and_delete_round_trip_on_fig1() {
         let mut dc =
             DynamicCore::from_csr(&SimOptions::default(), &fig1_graph(), small_cfg()).unwrap();
@@ -1717,10 +1646,10 @@ mod tests {
 
     /// A maintained batch's launches and copies as a formula in its insert
     /// and delete groups `G_I` and `G_D`: `3·G_I + G_D` launches plus the
-    /// batch-end `dyn_list`, one H2D copy per 1,024-edge chunk, and one D2H
-    /// copy, or two when the changed list outgrows the readback window.
-    /// Disjoint edges make one group per phase, or one per chunk when they
-    /// fill two; a star's edges share its center, so each is a group.
+    /// batch-end `dyn_list`, one H2D copy, also for a batch that outgrows
+    /// the staging buffer, and one D2H copy, or two when the changed list
+    /// outgrows the readback window. Disjoint edges make one group per
+    /// phase; a star's edges share its center, so each is a group.
     #[test]
     fn launches_and_copies_per_batch_follow_net_updates() {
         use kcore_gpusim::TransferDir;
@@ -1760,9 +1689,9 @@ mod tests {
                 2,
             ),
             (
-                "two chunks",
+                "past the staging buffer",
                 pairs(w / 2 + 6..big, ins),
-                (2, 0),
+                (1, 0),
                 2 * big - w - 12,
                 2,
             ),
@@ -1781,7 +1710,7 @@ mod tests {
                 .filter(|t| t.dir == TransferDir::HostToDevice)
                 .count();
             let got = (dc.ctx().launches().len() - l0, h2d, copies.len() - h2d);
-            let want = (3 * gi + gd + 1, batch.len().div_ceil(BATCH_CAPACITY), d2h);
+            let want = (3 * gi + gd + 1, 1, d2h);
             assert_eq!(
                 got, want,
                 "{label}: (launches, H2D, D2H) with G_I = {gi}, G_D = {gd}"
@@ -1853,6 +1782,35 @@ mod tests {
         let later = dc.apply_batch(&[EdgeUpdate::Insert(6, 7)]);
         assert_eq!(later.err(), Some(err));
         assert_eq!(dc.cores(), &[0; 12], "the host cores saw no change");
+    }
+
+    /// A batch that outgrows `dyn.batch` frees it and allocates one of its
+    /// own size. An OOM there is the typed error, which the engine keeps.
+    #[test]
+    fn an_oom_regrowing_the_staging_buffer_is_kept() {
+        let n = 4 * BATCH_CAPACITY;
+        let cfg = || {
+            let mut cfg = small_cfg();
+            cfg.peel = cfg.peel.with_launch(cfg.launch).with_buf_capacity(n);
+            cfg
+        };
+        let probe = DynamicCore::from_csr(&SimOptions::default(), &Csr::empty(n), cfg()).unwrap();
+        let dev = &probe.ctx().device;
+        // Room for the built engine and 1 KiB more: the 2,048 disjoint inserts
+        // need a 4,096-word buffer in place of the 2,048-word one.
+        let opts = SimOptions {
+            device_capacity_bytes: dev.used_bytes() + 1024,
+            ..SimOptions::default()
+        };
+        assert!(dev.peak_bytes() <= opts.device_capacity_bytes);
+        let mut dc = DynamicCore::from_csr(&opts, &Csr::empty(n), cfg()).unwrap();
+        let batch: Vec<EdgeUpdate> = (0..n as u32 / 2)
+            .map(|j| EdgeUpdate::Insert(2 * j, 2 * j + 1))
+            .collect();
+        let err = dc.apply_batch(&batch).unwrap_err();
+        assert!(matches!(err, SimError::Oom(_)), "{err:?}");
+        let later = dc.apply_batch(&[EdgeUpdate::Insert(0, 2)]);
+        assert_eq!(later.err(), Some(err));
     }
 
     /// A device adjacency that lacks an edge the mirror holds fails the
