@@ -120,14 +120,14 @@ pub fn table_dynamic(smoke: bool, check: bool) -> Vec<(String, String)> {
     for &bs in &batch_sizes {
         let mut dc = DynamicCore::from_csr(&SimOptions::default(), &g, dyn_cfg.clone())
             .expect("engine init");
-        let mut mirror = EdgeSet::from_csr(&g);
+        let mut mirror = check.then(|| EdgeSet::from_csr(&g));
         let mut row = Row {
             batch_size: bs,
             ..Row::default()
         };
         let mut rejected = 0usize;
         for batch in ops.chunks(bs) {
-            let rep = apply_checked(&mut dc, batch, check.then_some(&mut mirror));
+            let rep = apply_checked(&mut dc, batch, mirror.as_mut());
             rejected += rep.rejected;
             row.sim_ms += rep.sim_ms;
             row.batches += 1;

@@ -1305,10 +1305,10 @@ fn casc_init(blk: &mut BlockCtx<'_>, p: &DynParams) -> Result<TravState, KernelE
 /// Eviction cascade, one wave: walks each evicted vertex's candidate
 /// neighbors (`flag`) and decrements the support of each un-evicted one of
 /// the evicted vertex's own level `k`, told apart by the flag word the walk
-/// gathered; a decrement from exactly the threshold `k + 1` evicts it too. A candidate of level `k − 1` keeps its
-/// support: the evicted vertex stays at `k`, above it. An un-evicted
-/// candidate always has `sup >= k + 1 >= 1`, so the decrement cannot
-/// underflow.
+/// gathered; a decrement from exactly the threshold `k + 1` evicts it too.
+/// A candidate of level `k − 1` keeps its support: the evicted vertex stays
+/// at `k`, above it. An un-evicted candidate always has
+/// `sup >= k + 1 >= 1`, so the decrement cannot underflow.
 fn casc_step(
     blk: &mut BlockCtx<'_>,
     st: &mut TravState,

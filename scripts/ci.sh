@@ -231,7 +231,7 @@ echo "== exhaustive small-graph checks (release) =="
 # cores and device MCD equal BZ and the batch makes 3·G_I + G_D + 1
 # launches. Also every Engine::all() value on every graph on at most 6
 # vertices against BZ. Tier-1's debug run takes only the 4-vertex sweeps.
-# 68 s on a 2-core x86-64 box (two test threads).
+# 52 and 68 s in two runs on a 2-core x86-64 box (two test threads).
 exhaustive_start=$(date +%s)
 cargo test --locked --release -q --test exhaustive -- --include-ignored
 echo "exhaustive checks took $(( $(date +%s) - exhaustive_start ))s"
@@ -244,10 +244,10 @@ echo "== dynamic maintenance smoke (batched engine vs BZ) =="
 # each. From the transfer records it also asserts that every maintained
 # batch, at every batch size, makes no host round trip between its
 # traversals: at most two D2H copies, and no launch after the first of
-# them. From the launch records it asserts one traversal per matching: at
-# most 3·(2Δ_I − 1) + (2Δ_D − 1) + 1 launches a batch, where Δ is the most
-# net inserts (Δ_I) or net deletes (Δ_D) that share one vertex, plus three
-# per 1024-edge staging chunk past the first.
+# them. From the launch records it asserts one traversal per matching:
+# exactly 3·G_I + G_D + 1 launches a batch, where G_I and G_D are the
+# matchings a first fit makes of the net inserts and net deletes that the
+# table's own EdgeSet mirror classifies.
 # Results go to a throwaway dir so the full-scale
 # results/table_dynamic.{txt,json} are never overwritten.
 dyn_results="$(mktemp -d)"
