@@ -169,7 +169,10 @@ fn bench_warp_memops(c: &mut Criterion) {
 }
 
 /// Pure kernel-dispatch overhead of [`GpuContext::launch`] (no body work):
-/// the serial fast path at pool size 1, the rayon path otherwise.
+/// the serial fast path at pool size 1, the rayon path otherwise. Beside
+/// it, [`GpuContext::launch_stepped`] on the peel's 108 one-warp blocks, of
+/// which 0, 8 or 108 have work and step four times: the host cost of a
+/// block without work (charged, not run) and of a busy one, per launch.
 fn bench_launch_dispatch(c: &mut Criterion) {
     let mut group = c.benchmark_group("launch_dispatch");
     for blocks in [1u32, 16, 108] {
@@ -194,6 +197,32 @@ fn bench_launch_dispatch(c: &mut Criterion) {
                 })
             },
         );
+    }
+    let one_warp = LaunchConfig {
+        blocks: 108,
+        threads_per_block: 32,
+    };
+    for busy in [0u32, 8, 108] {
+        group.bench_with_input(BenchmarkId::new("stepped_busy", busy), &busy, |b, &busy| {
+            let mut ctx = GpuContext::new(CostParams::p100(), 1 << 16);
+            b.iter(|| {
+                ctx.launch_stepped(
+                    "steps",
+                    one_warp,
+                    |b| b < busy,
+                    |blk| {
+                        blk.sync_threads();
+                        Ok(0u32)
+                    },
+                    |blk, steps| {
+                        blk.sync_threads();
+                        *steps += 1;
+                        Ok(blk.block_idx < busy && *steps < 4)
+                    },
+                )
+                .unwrap();
+            })
+        });
     }
     group.finish();
 }

@@ -161,11 +161,12 @@ const MIN_FRONTIER_WORDS: usize = 64;
 const BATCH_CAPACITY: usize = 1024;
 
 /// Changed-list entries the batch's one readback brings with the counters.
-/// A 64-update batch of valid churn on rmat-16 makes a median of about 60
-/// core changes and 73 at the 90th percentile, so most batches need one
-/// copy; only a longer list needs a second. The spare bytes cost next to
-/// nothing beside the copy's PCIe latency (1 KiB at 12 GB/s is 0.09 µs
-/// against 8 µs).
+/// A 64-update `dyn-churn` batch usually changes fewer cores than this
+/// (DESIGN.md "Per-group launches and per-batch copies" states the
+/// measured median and how it was taken), so most batches need one copy;
+/// only a longer list needs a second. The spare bytes cost next to nothing
+/// beside the copy's PCIe latency (1 KiB at 12 GB/s is 0.09 µs against
+/// 8 µs).
 const WINDOW_ENTRIES: usize = 128;
 /// Words of `dyn.result` the batch's readback copies at once.
 const RESULT_WINDOW: usize = LIST + 2 * WINDOW_ENTRIES;
@@ -505,6 +506,7 @@ impl DynamicCore {
         self.ctx.launch_stepped(
             "dyn_drop",
             self.cfg.launch,
+            |_| true,
             |blk| drop_init(blk, &p, grp),
             |blk, st| drop_step(blk, st, &p),
         )
@@ -530,6 +532,7 @@ impl DynamicCore {
         self.ctx.launch_stepped(
             "dyn_subcore",
             launch,
+            |_| true,
             |blk| bfs_init(blk, &p, grp),
             |blk, st| bfs_step(blk, st, &p, grp),
         )?;
@@ -537,6 +540,7 @@ impl DynamicCore {
         self.ctx.launch_stepped(
             "dyn_cascade",
             launch,
+            |_| true,
             |blk| casc_init(blk, &p),
             |blk, st| casc_step(blk, st, &p),
         )?;
@@ -544,6 +548,7 @@ impl DynamicCore {
         self.ctx.launch_stepped(
             "dyn_rise",
             launch,
+            |_| true,
             |blk| rise_init(blk, &p),
             |blk, cand_n| rise_clear(blk, &p, *cand_n),
         )

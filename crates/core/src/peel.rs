@@ -19,7 +19,7 @@ use kcore_gpusim::scan::{
 };
 use kcore_gpusim::{
     narrow_offsets, BlockCtx, BufferId, Counters, GpuContext, KernelError, LaunchConfig,
-    SharedArray, SimError, SimOptions, SimReport, SizeClass,
+    SharedArray, SimError, SimOptions, SimReport, SizeClass, SHARED_CAPACITY_BYTES,
 };
 use kcore_graph::Csr;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -63,9 +63,10 @@ pub(crate) struct DeviceState {
     pub(crate) d_buf: BufferId,
     pub(crate) d_buf_e: BufferId,
     pub(crate) d_count: BufferId,
-    /// Each block's scan sweep charges, filled by the block's first scan
-    /// launch; every scan merges them (see [`scan_kernel_fast`]).
-    sweep: Vec<OnceLock<Counters>>,
+    /// Each block's scan charges when it finds no hit (prologue, sweep and
+    /// epilogue), filled by the block's first scan launch; every scan
+    /// merges them (see [`scan_kernel_fast`]).
+    empty_scan: Vec<OnceLock<Counters>>,
     /// Host scratch of the hit pass: the round's k-shell, ascending.
     shell: Vec<u32>,
     /// The frontier the next launch hands each block: the scan's k-shell,
@@ -76,7 +77,9 @@ pub(crate) struct DeviceState {
 /// Algorithm 1, lines 1–4: loads a CSR plus the working buffers onto
 /// `ctx`'s device, its offsets narrowed by [`narrow_offsets`]. Allocation
 /// names, order and size classes are part of the golden-trace contract —
-/// do not reorder.
+/// do not reorder. A `cfg` whose loop block needs more shared memory than
+/// a block has fails here, before any upload, with the error the first
+/// loop launch would return (see [`check_loop_shared_mem`]).
 pub(crate) fn load_device(
     ctx: &mut GpuContext,
     offsets: &[u64],
@@ -84,6 +87,7 @@ pub(crate) fn load_device(
     degrees: &[u32],
     cfg: &PeelConfig,
 ) -> Result<DeviceState, SimError> {
+    check_loop_shared_mem(cfg)?;
     let n = offsets.len() - 1;
     let offsets32 = narrow_offsets(offsets)?;
     // Algorithm 1, line 1: load G (offset / neighbors / deg) to the device.
@@ -110,7 +114,7 @@ pub(crate) fn load_device(
         d_buf,
         d_buf_e,
         d_count,
-        sweep: (0..blocks).map(|_| OnceLock::new()).collect(),
+        empty_scan: (0..blocks).map(|_| OnceLock::new()).collect(),
         shell: Vec::new(),
         buckets: BlockBuckets::default(),
     })
@@ -153,12 +157,17 @@ pub(crate) fn run_scan_loop(
 /// The loop kernel's blocks interact through `deg[]` while running
 /// (cascading k-shell discovery), so it is a stepped launch: every wave
 /// advances each live block by one barrier-delimited iteration, matching
-/// concurrent hardware blocks.
+/// concurrent hardware blocks. A block has work when its bucket does: the
+/// scan (or the sharded engine's seed launch) has just written the
+/// bucket's length to its `buf_e`, and a block whose buffer is empty only
+/// adds 0 to `gpu_count` and leaves (Algorithm 3, line 5), so the launch
+/// charges it without running it.
 pub(crate) fn run_loop_only(ctx: &mut GpuContext, k: u32, p: &DeviceState) -> Result<(), SimError> {
     ctx.set_phase("Loop");
     ctx.launch_stepped(
         "loop",
         p.cfg.launch,
+        |b| !p.buckets.block(b as usize).is_empty(),
         |blk| loop_init(blk, p),
         |blk, st| loop_step_fast(blk, st, k, p),
     )
@@ -197,8 +206,9 @@ pub fn decompose_in(
 }
 
 /// [`decompose_in`] on the per-lane reference kernels (the scan and loop
-/// kernels as first written, charging every access one lane at a time).
-/// It is the differential-testing oracle of the production kernels:
+/// kernels as first written, charging every access one lane at a time),
+/// which build and step every block of every launch. It is the
+/// differential-testing oracle of the production kernels:
 /// `tests/fastpath_diff.rs` requires the same core numbers, trace and
 /// timeline bytes, and errors.
 pub fn decompose_reference_in(
@@ -213,6 +223,7 @@ pub fn decompose_reference_in(
         ctx.launch_stepped(
             "loop",
             p.cfg.launch,
+            |_| true,
             |blk| loop_init(blk, p),
             |blk, st| loop_step(blk, st, k, p),
         )
@@ -603,22 +614,20 @@ impl BlockBuckets {
 /// ([`find_k_shell`]) and bucketed per block: the same buffer contents,
 /// counters and errors (DESIGN.md "Fast-path cost accounting"). Block `b`
 /// writes its `h` hits, ascending, to `buf[b][0..h]`, where every
-/// variant's reference leaves them, and fails as the reference does exactly
-/// when `h > cap`. It charges the sweep ([`charge_sweep`], computed on the
-/// block's first scan of `p` and cached), the batches, and the unchanged
-/// prologue and epilogue.
+/// variant's reference leaves them, and `h` to `buf_e[b]`, and fails as the
+/// reference does exactly when `h > cap`. It charges what the block costs
+/// with no hit ([`charge_empty_scan`], computed on the block's first scan
+/// of `p` and cached) plus the batches, so a block without hits merges one
+/// cached `Counters` and writes `buf_e[b] = 0`.
 fn scan_kernel_fast(blk: &mut BlockCtx<'_>, p: &DeviceState) -> Result<(), KernelError> {
     let dev = blk.device;
     let b = blk.block_idx as usize;
-    let e_arr = blk.shared_alloc(1)?;
-    blk.sh_write(e_arr, 0, 0);
-    blk.sync_threads();
-    let swept = *p.sweep[b].get_or_init(|| {
+    let empty = *p.empty_scan[b].get_or_init(|| {
         let outer = std::mem::take(&mut blk.counters);
-        charge_sweep(blk, p);
+        charge_empty_scan(blk, p);
         std::mem::replace(&mut blk.counters, outer)
     });
-    blk.counters.merge(&swept);
+    blk.counters.merge(&empty);
 
     let mine = p.buckets.block(b);
     let h = mine.len();
@@ -639,20 +648,21 @@ fn scan_kernel_fast(blk: &mut BlockCtx<'_>, p: &DeviceState) -> Result<(), Kerne
         Compaction::Ballot => charge_batches(blk, mine, 32),
         Compaction::Efficient => charge_batches(blk, mine, blk.cfg.threads_per_block),
     }
-
-    blk.sh_poke(e_arr, 0, h as u32);
-    blk.sync_threads();
-    let e = blk.sh_read(e_arr, 0);
-    blk.gwrite(&dev.buffer(p.d_buf_e)[b], e);
+    // The tail's back-up, charged with the epilogue.
+    dev.buffer(p.d_buf_e)[b].store(h as u32, Ordering::Relaxed);
     Ok(())
 }
 
-/// Charges what [`scan_kernel`]'s sweep over this block's chunks costs
-/// whatever `deg` holds: per chunk, the coalesced `deg` read and one
-/// compare per warp; under BC, per 32-lane window, the Fig. 8(a) arrays in
-/// shared memory and a ballot scan; under EC, per chunk, the same arrays
-/// and a two-stage scan.
-fn charge_sweep(blk: &mut BlockCtx<'_>, p: &DeviceState) {
+/// Charges what [`scan_kernel`] costs a block whatever `deg` holds, which
+/// is all it costs a block that finds no hit. The prologue: thread 0 zeroes
+/// the shared tail `e`, then a barrier. The sweep, per chunk: the coalesced
+/// `deg` read and one compare per warp; under BC, per 32-lane window, the
+/// Fig. 8(a) arrays in shared memory and a ballot scan; under EC, per
+/// chunk, the same arrays and a two-stage scan. The epilogue: a barrier,
+/// the read of `e` and its write to `buf_e`.
+fn charge_empty_scan(blk: &mut BlockCtx<'_>, p: &DeviceState) {
+    blk.counters.shared_accesses += 1;
+    blk.sync_threads();
     let blk_dim = blk.cfg.threads_per_block as usize;
     let num_threads = blk.cfg.num_threads() as usize;
     let mut lo = blk.block_idx as usize * blk_dim;
@@ -675,6 +685,9 @@ fn charge_sweep(blk: &mut BlockCtx<'_>, p: &DeviceState) {
         }
         lo += num_threads;
     }
+    blk.sync_threads();
+    blk.counters.shared_accesses += 1;
+    blk.charge_sector(1);
 }
 
 /// Charges one `atomicAdd(e, total)` and one coalesced batch write per run
@@ -700,6 +713,28 @@ struct LoopState {
     compute_warps: u64,
 }
 
+/// Words of VP's `pref[]`: one per fetch lane of warp 0.
+const PREF_WORDS: usize = 31;
+
+/// Fails, as the first loop block's [`loop_init`] would, when `cfg`'s loop
+/// block needs more than [`SHARED_CAPACITY_BYTES`] of shared memory: the
+/// two words of `s` and `e`, plus the SM buffer or VP's `pref[]`.
+fn check_loop_shared_mem(cfg: &PeelConfig) -> Result<(), SimError> {
+    let words = 2usize.saturating_add(match cfg.buffering {
+        Buffering::Global => 0,
+        Buffering::SharedMem => cfg.shared_buf_capacity,
+        Buffering::Prefetch => PREF_WORDS,
+    });
+    let bytes = (words as u64).saturating_mul(4);
+    if bytes > SHARED_CAPACITY_BYTES {
+        return Err(SimError::Kernel(KernelError::SharedMemExceeded {
+            requested_bytes: bytes - SHARED_CAPACITY_BYTES,
+            capacity_bytes: SHARED_CAPACITY_BYTES,
+        }));
+    }
+    Ok(())
+}
+
 /// Lines 1–2 of Algorithm 3: per-block setup (shared s/e, optional SM
 /// buffer, optional VP pref array).
 fn loop_init<'a>(blk: &mut BlockCtx<'a>, p: &DeviceState) -> Result<LoopState, KernelError> {
@@ -717,7 +752,7 @@ fn loop_init<'a>(blk: &mut BlockCtx<'a>, p: &DeviceState) -> Result<LoopState, K
     };
     // VP keeps a 31-slot pref[] in shared memory (capacity accounting).
     let _pref = match p.cfg.buffering {
-        Buffering::Prefetch => Some(blk.shared_alloc(31)?),
+        Buffering::Prefetch => Some(blk.shared_alloc(PREF_WORDS)?),
         _ => None,
     };
     let bc = BufCtx {

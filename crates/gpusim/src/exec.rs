@@ -22,8 +22,10 @@ use rayon::prelude::*;
 use std::ops::{Bound, RangeBounds};
 use std::sync::atomic::{AtomicU32, Ordering};
 
-/// Shared memory per thread block: the P100's 64 KiB.
-const SHARED_CAPACITY_BYTES: u64 = 64 * 1024;
+/// Shared memory per thread block: the P100's 64 KiB. A
+/// [`BlockCtx::shared_alloc`] past it fails with
+/// [`KernelError::SharedMemExceeded`].
+pub const SHARED_CAPACITY_BYTES: u64 = 64 * 1024;
 
 /// Simulation environment for a run: device cost constants, memory capacity,
 /// and an optional simulated-time budget.
@@ -510,15 +512,19 @@ impl<'a> BlockCtx<'a> {
 }
 
 /// Scratch reused across launches, so steady-state launches allocate
-/// nothing per dispatch: the wave orders and per-block liveness of stepped
+/// nothing per dispatch: the wave orders and per-block slots of stepped
 /// launches, and one shared-memory backing per block index, which every
 /// launch lends to its blocks and takes back.
 #[derive(Default)]
 struct LaunchScratch {
     waves: WaveTable,
-    alive: Vec<bool>,
+    slots: Vec<u32>,
     shared: Vec<Vec<u32>>,
 }
+
+/// The slot of a stepped launch's block that is not live: it had no work,
+/// or it retired.
+const DEAD: u32 = u32::MAX;
 
 /// Entries [`WaveTable`] holds at most: 1 MiB of block indices.
 const WAVE_TABLE_ENTRIES: usize = (1 << 20) / std::mem::size_of::<u32>();
@@ -597,21 +603,22 @@ fn shuffle(order: &mut [u32], rng: &mut u64) {
 }
 
 /// The wave loop of the stepped engine. Every wave reshuffles the previous
-/// wave's order, starting from the identity, with the xorshift stream
-/// seeded by `seed` (see [`GpuContext::set_schedule_seed`]), and then steps
-/// each live block on this thread, in that order, at every rayon width. A
-/// block retires when its step returns `false`. The orders come from
-/// `table`; waves past its budget reshuffle a working copy of its last row.
+/// wave's order of the whole grid, starting from the identity, with the
+/// xorshift stream seeded by `seed` (see [`GpuContext::set_schedule_seed`]),
+/// and then steps each live block on this thread, in that order, at every
+/// rayon width. `slots[b]` is block `b`'s entry in `blocks`, or [`DEAD`]
+/// for a block without work, which is dead from wave 0. A block retires,
+/// and its slot turns [`DEAD`], when its step returns `false`. The orders
+/// come from `table`; waves past its budget reshuffle a working copy of its
+/// last row.
 fn run_waves<S>(
     seed: u64,
     table: &mut WaveTable,
-    alive: &mut Vec<bool>,
+    slots: &mut [u32],
     blocks: &mut [(BlockCtx<'_>, S)],
     step: impl Fn(&mut BlockCtx<'_>, &mut S) -> Result<bool, KernelError>,
 ) -> Result<(), KernelError> {
-    table.key(seed, blocks.len());
-    alive.clear();
-    alive.resize(blocks.len(), true);
+    table.key(seed, slots.len());
     let mut live = blocks.len();
     let (mut spill, mut rng) = (Vec::new(), 0);
     let mut wave = 0;
@@ -625,14 +632,14 @@ fn run_waves<S>(
             shuffle(&mut spill, &mut rng);
             &spill
         };
-        for &i in order {
-            let i = i as usize;
-            if !alive[i] {
+        for &b in order {
+            let slot = &mut slots[b as usize];
+            if *slot == DEAD {
                 continue;
             }
-            let (blk, st) = &mut blocks[i];
+            let (blk, st) = &mut blocks[*slot as usize];
             if !step(blk, st)? {
-                alive[i] = false;
+                *slot = DEAD;
                 live -= 1;
             }
         }
@@ -995,22 +1002,36 @@ impl GpuContext {
     /// each block to completion, which would let early blocks consume work
     /// that concurrent hardware blocks would have shared.)
     ///
-    /// `init` builds each block's persistent state, in block order; `step`
-    /// performs one barrier-delimited super-step and returns `false` when
-    /// the block retires. Within a wave, blocks step one at a time on the
+    /// `has_work(b)` says whether block `b` has work. `init` builds each
+    /// busy block's persistent state, in block order; `step` performs one
+    /// barrier-delimited super-step and returns `false` when the block
+    /// retires. Within a wave, busy blocks step one at a time on the
     /// calling thread, at every rayon width, in a deterministic shuffled
-    /// order derived from [`GpuContext::set_schedule_seed`] — re-running
-    /// with a different seed models hardware scheduling nondeterminism (the
-    /// paper's observed up-to-30% run-to-run variance). Since no two blocks
-    /// ever run at once, blocks get exclusive-execution atomics.
-    pub fn launch_stepped<S, FI, FS>(
+    /// order of the whole grid derived from
+    /// [`GpuContext::set_schedule_seed`] — re-running with a different seed
+    /// models hardware scheduling nondeterminism (the paper's observed
+    /// up-to-30% run-to-run variance). Since no two blocks ever run at once,
+    /// blocks get exclusive-execution atomics.
+    ///
+    /// A block without work is dead from wave 0. The first one is built,
+    /// initialised in its place in block order and stepped until it
+    /// retires, on its own; every later one is charged that block's
+    /// counters without being built, initialised or stepped. So a block
+    /// `has_work` rejects must run alike whatever its index and whenever it
+    /// runs, and nothing another block reads may depend on its run: the
+    /// peel's loop kernel, whose block with an empty buffer only adds 0 to
+    /// `gpu_count` (Algorithm 3, line 5), passes the buffer's emptiness;
+    /// kernels without such a block pass `|_| true`.
+    pub fn launch_stepped<S, FW, FI, FS>(
         &mut self,
         name: &'static str,
         cfg: LaunchConfig,
+        has_work: FW,
         init: FI,
         step: FS,
     ) -> Result<(), SimError>
     where
+        FW: Fn(u32) -> bool,
         FI: Fn(&mut BlockCtx<'_>) -> Result<S, KernelError>,
         FS: Fn(&mut BlockCtx<'_>, &mut S) -> Result<bool, KernelError>,
     {
@@ -1018,29 +1039,53 @@ impl GpuContext {
         self.run_launch(name, cfg, |device, scratch, per_block| {
             let LaunchScratch {
                 waves,
-                alive,
+                slots,
                 shared,
             } = scratch;
+            slots.clear();
             let mut blocks = Vec::with_capacity(cfg.blocks as usize);
+            let mut idle: Option<Counters> = None;
             let mut result = Ok(());
-            for (b, backing) in (0..cfg.blocks).zip(shared.iter_mut()) {
+            for b in 0..cfg.blocks {
+                let busy = has_work(b);
+                if !busy && idle.is_some() {
+                    slots.push(DEAD);
+                    continue;
+                }
+                let backing = &mut shared[b as usize];
                 let mut blk = BlockCtx::new(device, b, cfg, std::mem::take(backing), true);
                 match init(&mut blk) {
-                    Ok(state) => blocks.push((blk, state)),
-                    Err(e) => {
-                        *backing = blk.shared;
-                        result = Err(e);
-                        break;
+                    Ok(state) if busy => {
+                        slots.push(blocks.len() as u32);
+                        blocks.push((blk, state));
+                        continue;
                     }
+                    Ok(mut state) => {
+                        result = (|| {
+                            while step(&mut blk, &mut state)? {}
+                            Ok(())
+                        })();
+                        slots.push(DEAD);
+                        idle = Some(blk.counters);
+                    }
+                    Err(e) => result = Err(e),
+                }
+                *backing = blk.shared;
+                if result.is_err() {
+                    break;
                 }
             }
             if result.is_ok() {
-                result = run_waves(seed, waves, alive, &mut blocks, step);
+                result = run_waves(seed, waves, slots, &mut blocks, step);
             }
-            for ((blk, _), backing) in blocks.into_iter().zip(shared.iter_mut()) {
+            let idle = idle.unwrap_or_default();
+            for (blk, _) in blocks {
+                let b = blk.block_idx as usize;
+                per_block.resize(b, idle);
                 per_block.push(blk.counters);
-                *backing = blk.shared;
+                shared[b] = blk.shared;
             }
+            per_block.resize(cfg.blocks as usize, idle);
             result
         })
     }
@@ -1148,6 +1193,7 @@ impl GpuContext {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
 
     fn ctx() -> GpuContext {
         GpuContext::new(CostParams::p100(), 1 << 20)
@@ -1321,6 +1367,7 @@ mod tests {
         c.launch_stepped(
             "drain",
             cfg,
+            |_| true,
             |_| Ok(()),
             |blk, _| {
                 let p = &blk.device.buffer(pool)[0];
@@ -1354,6 +1401,7 @@ mod tests {
         c.launch_stepped(
             "steps",
             cfg,
+            |_| true,
             |blk| Ok(blk.block_idx + 2), // block b steps b+2 times
             |blk, remaining| {
                 blk.charge_instr(10);
@@ -1381,6 +1429,7 @@ mod tests {
             .launch_stepped(
                 "boom",
                 cfg,
+                |_| true,
                 |_| Ok(0u32),
                 |blk, n| {
                     *n += 1;
@@ -1398,7 +1447,7 @@ mod tests {
     /// waves `0..lives[b]`. Returns each step as `(wave, block)`, in the
     /// order the engine ran them.
     fn stepped_waves(c: &mut GpuContext, lives: &[usize]) -> Vec<(usize, u32)> {
-        let log = std::cell::RefCell::new(Vec::new());
+        let log = RefCell::new(Vec::new());
         let cfg = LaunchConfig {
             blocks: lives.len() as u32,
             threads_per_block: 32,
@@ -1406,6 +1455,7 @@ mod tests {
         c.launch_stepped(
             "waves",
             cfg,
+            |_| true,
             |_| Ok(0usize),
             |blk, wave| {
                 log.borrow_mut().push((*wave, blk.block_idx));
@@ -1471,6 +1521,92 @@ mod tests {
         assert_eq!(stepped_waves(&mut c, &l), predicted_waves(8, &l));
     }
 
+    /// A stepped launch of `lives.len()` blocks in which block `b` has work
+    /// iff `lives[b] > 0`, and then steps in waves `0..lives[b]`; a block
+    /// without work retires at its first step. `init` charges `100 + b`
+    /// instructions and each step one instruction and one barrier. Returns
+    /// the blocks that ran `init` and the `(wave, block)` steps, in the
+    /// order the engine ran them.
+    fn mixed_launch(c: &mut GpuContext, lives: &[usize]) -> (Vec<u32>, Vec<(usize, u32)>) {
+        let (inits, steps) = (RefCell::new(Vec::new()), RefCell::new(Vec::new()));
+        let cfg = LaunchConfig {
+            blocks: lives.len() as u32,
+            threads_per_block: 32,
+        };
+        c.launch_stepped(
+            "mixed",
+            cfg,
+            |b| lives[b as usize] > 0,
+            |blk| {
+                inits.borrow_mut().push(blk.block_idx);
+                blk.charge_instr(100 + u64::from(blk.block_idx));
+                Ok(0usize)
+            },
+            |blk, wave| {
+                steps.borrow_mut().push((*wave, blk.block_idx));
+                blk.charge_instr(1);
+                blk.sync_threads();
+                *wave += 1;
+                Ok(*wave < lives[blk.block_idx as usize])
+            },
+        )
+        .unwrap();
+        (inits.into_inner(), steps.into_inner())
+    }
+
+    #[test]
+    fn blocks_without_work_are_charged_not_run() {
+        // Blocks 2, 3, 7 and 11 of 12 have work; block 0 is the first
+        // without.
+        let lives = [0, 0, 3, 1, 0, 0, 0, 5, 0, 0, 0, 2];
+        let mut c = ctx();
+        c.set_schedule_seed(3);
+        c.set_block_profiling(true);
+        let (inits, steps) = mixed_launch(&mut c, &lives);
+        assert_eq!(inits, [0, 2, 3, 7, 11]);
+        // Block 0 ran alone, at its init; the busy blocks step in the
+        // whole grid's wave orders, which a launch where every block has
+        // work (the idle ones retiring in wave 0) shows.
+        assert_eq!(steps[0], (0, 0));
+        let all: Vec<usize> = lives.iter().map(|&l| l.max(1)).collect();
+        let mut whole = ctx();
+        whole.set_schedule_seed(3);
+        let busy: Vec<(usize, u32)> = stepped_waves(&mut whole, &all)
+            .into_iter()
+            .filter(|&(_, b)| lives[b as usize] > 0)
+            .collect();
+        assert_eq!(steps[1..], busy);
+        // Every block without work is charged block 0's counters, though
+        // its own init would have charged other ones.
+        let per_block = c.launches()[0].block_counters.as_ref().unwrap();
+        assert_eq!(per_block.len(), 12);
+        for (b, counters) in per_block.iter().enumerate() {
+            let (instrs, barriers) = match lives[b] {
+                0 => (101, 1),
+                l => (100 + b as u64 + l as u64, l as u64),
+            };
+            assert_eq!(
+                (counters.warp_instrs, counters.barriers),
+                (instrs, barriers),
+                "block {b}"
+            );
+        }
+        assert_eq!(c.launches()[0].counters.warp_instrs, 8 * 101 + 434);
+    }
+
+    #[test]
+    fn an_all_idle_grid_runs_one_block() {
+        let mut c = ctx();
+        let (inits, steps) = mixed_launch(&mut c, &[0; 108]);
+        assert_eq!((inits, steps), (vec![0], vec![(0, 0)]));
+        let rec = &c.launches()[0];
+        assert_eq!(rec.block_cycles, vec![rec.block_cycles[0]; 108]);
+        assert_eq!(
+            (rec.counters.warp_instrs, rec.counters.barriers),
+            (108 * 101, 108)
+        );
+    }
+
     #[test]
     fn a_failed_launch_keeps_its_contexts_scratch() {
         // An 8-block stepped launch leaves one shared backing per block and
@@ -1481,7 +1617,10 @@ mod tests {
             blocks: 8,
             threads_per_block: 32,
         };
-        let kept = |c: &GpuContext| (c.scratch.shared.len(), c.scratch.waves.rows.len());
+        let kept = |c: &GpuContext| {
+            let backings = c.scratch.shared.iter().filter(|s| s.capacity() > 0);
+            (backings.count(), c.scratch.waves.rows.len())
+        };
         let fails_at = |blk: &BlockCtx<'_>, at: u32| {
             if blk.block_idx == at {
                 Err(KernelError::Other(format!("block {at} fails")))
@@ -1493,15 +1632,35 @@ mod tests {
             *wave += 1;
             Ok(*wave < 5)
         };
-        c.launch_stepped("five_waves", cfg, |_| Ok(0), five_waves)
+        let one_word = |blk: &mut BlockCtx<'_>| blk.shared_alloc(1).map(|_| 0);
+        c.launch_stepped("five_waves", cfg, |_| true, one_word, five_waves)
             .unwrap();
         assert_eq!(kept(&c), (8, 40));
-        let init = c.launch_stepped("init_fails", cfg, |blk| fails_at(blk, 3), |_, _| Ok(false));
+        let init = c.launch_stepped(
+            "init_fails",
+            cfg,
+            |_| true,
+            |blk| fails_at(blk, 3),
+            |_, _| Ok(false),
+        );
         assert!(matches!(init, Err(SimError::Kernel(_))), "{init:?}");
         assert_eq!(kept(&c), (8, 40), "after a failed init");
+        // Block 4, the first without work, runs its init after the busy
+        // blocks 0..4 have run theirs.
+        let idle = c.launch_stepped(
+            "idle_init_fails",
+            cfg,
+            |b| b != 4,
+            |blk| fails_at(blk, 4),
+            |_, _| Ok(false),
+        );
+        let want = SimError::Kernel(KernelError::Other("block 4 fails".into()));
+        assert_eq!(idle, Err(want));
+        assert_eq!(kept(&c), (8, 40), "after a failed idle init");
         let step = c.launch_stepped(
             "step_fails",
             cfg,
+            |_| true,
             |_| Ok(0),
             |blk, wave| {
                 if *wave == 1 {
@@ -1696,7 +1855,7 @@ mod tests {
                 .unwrap_err();
             assert_eq!(err, SimError::InvalidLaunch(empty), "width {threads}");
             let err = pool
-                .install(|| c.launch_stepped("k", empty, |_| Ok(()), |_, _| Ok(false)))
+                .install(|| c.launch_stepped("k", empty, |_| true, |_| Ok(()), |_, _| Ok(false)))
                 .unwrap_err();
             assert_eq!(err, SimError::InvalidLaunch(empty), "width {threads}");
             assert!(c.launches().is_empty());
@@ -1713,7 +1872,7 @@ mod tests {
             };
             let want = SimError::InvalidLaunch(bad);
             assert_eq!(c.launch("k", bad, |_| Ok(())), Err(want.clone()));
-            let stepped = c.launch_stepped("k", bad, |_| Ok(()), |_, _| Ok(false));
+            let stepped = c.launch_stepped("k", bad, |_| true, |_| Ok(()), |_, _| Ok(false));
             assert_eq!(stepped, Err(want));
         }
         assert!(c.launches().is_empty());

@@ -80,7 +80,7 @@ pub use cost::{
 pub use device::{BufferId, Device, LedgerEntry, OomError, SizeClass};
 pub use exec::{
     narrow_offsets, BlockCtx, Coalescing, GpuContext, KernelError, LaunchConfig, SharedArray,
-    SimError, SimOptions,
+    SimError, SimOptions, SHARED_CAPACITY_BYTES,
 };
 pub use fleet::{
     fnv1a_bytes, ExchangeTrace, FleetTrace, FlowEdge, MergeError, RoundCritical, RoundTrace,

@@ -83,6 +83,9 @@ host_gate() {
 echo "== peel host-time gate (kbench peel-deep host_ms_p50) =="
 # The benchmark's thin-round workload (375 peel rounds on 108 one-warp
 # blocks, one thread, 330 timed ops in 5 s), whose launches all run inline.
+# About 85% of its loop blocks have no work; each loop launch builds only
+# its busy blocks and one idle block, and charges the other idle blocks
+# that block's counters, so an op's host time follows its frontier.
 # The ceiling is 1.5x the slowest of five calibration runs of this stage's
 # command on a 2-core x86-64 box (19.99, 20.61, 22.05, 22.23 and 23.07 ms),
 # rounded up to a whole ms; an earlier set on the same box, in a calmer

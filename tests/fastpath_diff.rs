@@ -10,8 +10,10 @@
 //! identical Perfetto timeline bytes, and identical errors — across every
 //! Table II variant, on randomized graphs, at every rayon pool size.
 
-use kcore_gpu::{Compaction, PeelConfig};
-use kcore_gpusim::{GpuContext, LaunchConfig, SimOptions, Trace};
+use kcore_gpu::{Buffering, Compaction, DynamicConfig, DynamicCore, MultiGpuConfig, PeelConfig};
+use kcore_gpusim::{
+    GpuContext, KernelError, LaunchConfig, SimError, SimOptions, Trace, SHARED_CAPACITY_BYTES,
+};
 use kcore_graph::{gen, Csr, GraphBuilder};
 use kcore_systems::{Engine, EngineOptions};
 
@@ -121,6 +123,54 @@ fn all_variants_identical_on_random_graphs() {
             for cfg in small_cfg().all_variants() {
                 let what = format!("{shape} of degree {d} {}", cfg.variant_name());
                 assert_paths_identical(&g, &cfg, &what);
+            }
+        }
+    }
+}
+
+/// Loop blocks of a production run of Ours under `cfg` that had no work
+/// (no warp instruction), and all its loop blocks, per launch.
+fn idle_loop_blocks(g: &Csr, cfg: &PeelConfig) -> Vec<(usize, usize)> {
+    let mut ctx = SimOptions::default().context();
+    ctx.set_block_profiling(true);
+    run_in(Engine::OURS, &mut ctx, g, cfg).unwrap();
+    let loops = ctx.launches().iter().filter(|l| l.name == "loop");
+    let blocks = loops.map(|l| l.block_counters.clone().unwrap());
+    blocks
+        .map(|b| (b.iter().filter(|c| c.warp_instrs == 0).count(), b.len()))
+        .collect()
+}
+
+#[test]
+fn identical_when_most_blocks_have_no_work() {
+    // The paper's 108 blocks at one warp each. An R-MAT at scale 10 owns
+    // chunks in 32 of them, and a planted 40-clique makes many thin rounds;
+    // a cycle's rounds 0 and 1 find empty k-shells, so every block of
+    // those launches is idle.
+    let cfg = PeelConfig {
+        launch: LaunchConfig {
+            blocks: 108,
+            threads_per_block: 32,
+        },
+        ..small_cfg()
+    };
+    let rmat = gen::rmat(10, 4_000, gen::RmatParams::graph500(), 5);
+    let thin = gen::plant_clique(&rmat, 40, 9);
+    let idle = idle_loop_blocks(&thin, &cfg);
+    let (idle_blocks, all): (usize, usize) =
+        idle.iter().fold((0, 0), |s, b| (s.0 + b.0, s.1 + b.1));
+    assert!(idle.len() > 30 && 10 * idle_blocks > 9 * all, "{idle:?}");
+    let cycle = gen::cycle(5_000);
+    assert_eq!(idle_loop_blocks(&cycle, &cfg)[..2], [(108, 108); 2]);
+    for (g, shape) in [(thin, "rmat-10 with a 40-clique"), (cycle, "cycle")] {
+        for width in [1usize, 2] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(width)
+                .build()
+                .unwrap();
+            for cfg in cfg.all_variants() {
+                let what = format!("{shape} at width {width} {}", cfg.variant_name());
+                pool.install(|| assert_paths_identical(&g, &cfg, &what));
             }
         }
     }
@@ -251,4 +301,45 @@ fn overflow_errors_are_path_invariant() {
         );
         assert_eq!(err, reference, "{compaction:?}");
     }
+}
+
+#[test]
+fn shared_memory_need_is_checked_at_entry() {
+    // Under SM buffering a loop block holds `s`, `e` and the buffer:
+    // 2 + 16,382 words are exactly 64 KiB.
+    let g = gen::erdos_renyi_gnm(300, 900, 5);
+    let sm = |shared_buf_capacity| PeelConfig {
+        shared_buf_capacity,
+        ..small_cfg().with_buffering(Buffering::SharedMem)
+    };
+    assert_paths_identical(&g, &sm(16_382), "SM buffer of 16,382 words");
+    let over = sm(16_383);
+    let want = SimError::Kernel(KernelError::SharedMemExceeded {
+        requested_bytes: 4,
+        capacity_bytes: SHARED_CAPACITY_BYTES,
+    });
+    for engine in paths(&over) {
+        let mut ctx = SimOptions::default().context();
+        assert_eq!(
+            run_in(engine, &mut ctx, &g, &over).err(),
+            Some(want.clone())
+        );
+        // Before any upload or launch.
+        assert!(ctx.transfers().is_empty() && ctx.launches().is_empty());
+    }
+    let multi = MultiGpuConfig {
+        num_gpus: 2,
+        peel: over,
+        ..MultiGpuConfig::default()
+    };
+    let opts = SimOptions::default();
+    assert_eq!(
+        kcore_gpu::decompose_multi(&g, &multi, &opts).err(),
+        Some(want.clone())
+    );
+    let dynamic = DynamicConfig {
+        peel: over,
+        ..DynamicConfig::default()
+    };
+    assert_eq!(DynamicCore::from_csr(&opts, &g, dynamic).err(), Some(want));
 }
