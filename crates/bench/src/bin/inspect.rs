@@ -76,8 +76,8 @@ fn main() {
                 println!(
                     "      loop launch: {:>9.1} us, max-block {:>10.0} cyc, mean-block {:>10.0} cyc",
                     l.time_s * 1e3 * 1e3,
-                    l.max_block_cycles,
-                    l.sum_block_cycles / l.config.blocks as f64
+                    l.max_block_cycles(),
+                    l.sum_block_cycles() / l.config.blocks as f64
                 );
             }
         }

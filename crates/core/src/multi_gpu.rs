@@ -23,21 +23,23 @@
 //!   crosses `k + 1`, and never dips below the recover floor). After the
 //!   local loops drain, the host reads each slot's delta, resets it, and
 //!   ships `(vertex, delta)` packets through the master to the owners;
-//! * owners apply aggregated border decrements with a floor at `k`; a
-//!   vertex landing exactly on `k` is seeded into the owner's next
-//!   sub-round (the paper's "new border vertices in the k-shell") via a
-//!   seed launch that rebuilds the per-block frontier, followed by a
-//!   loop-only launch — never a re-scan;
+//! * owners apply border decrements with a floor at `k`; a vertex landing
+//!   exactly on `k` is seeded into the owner's next sub-round (the paper's
+//!   "new border vertices in the k-shell") via a seed launch that rebuilds
+//!   the per-block frontier, followed by a loop-only launch — never a
+//!   re-scan. The exchange is charged as the paper's master aggregation
+//!   (the second hop carries one packet per vertex reached), while the host
+//!   applies each packet at its owner as it drains: the floor makes a
+//!   vertex's deltas applied one at a time land where their sum lands;
 //! * sub-rounds repeat until the exchange produces no seeds. The fleet
 //!   clock charges each barrier sub-round the slowest device's own clock
 //!   delta (the workers run concurrently) and each exchange its pack
 //!   kernels, two link hops and apply kernels. At one device this is
 //!   exactly what [`peel::decompose`] charges.
 //!
-//! **Determinism.** The merge order is fixed: ghost drains happen in shard
-//! index order, the master merges the shards' ascending packet runs into
-//! one list by ascending global vertex ID, and owner lookup is the O(1)
-//! partition map. Worker kernels run on private contexts whose engine is
+//! **Determinism.** Ghost drains happen in shard index order, each ghost
+//! table ascending, and each owner's seeds are sorted ascending before its
+//! seed launch. Worker kernels run on private contexts whose engine is
 //! pool-size-independent, so traces, counters, `total_ms` and
 //! `exchanged_bytes` are bit-identical at any rayon pool size —
 //! `tests/multi_shard.rs` pins this.
@@ -48,9 +50,9 @@ use kcore_gpusim::{
     BlockCtx, BufferId, ExchangeTrace, FleetTrace, FlowEdge, GpuContext, KernelError, RoundTrace,
     SimError, SimOptions, SizeClass, SubRoundSlice, Trace, PACKET_BYTES,
 };
-use kcore_graph::{Csr, Partition, PartitionStats, PartitionStrategy, Shard};
+use kcore_graph::{Csr, Partition, PartitionStats, PartitionStrategy, VertexId};
 use rayon::prelude::*;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Sentinel base value for ghost `deg` slots. Large enough that a ghost can
 /// never equal the round's `k` (scan), cross `k + 1` (frontier append), or
@@ -63,9 +65,11 @@ const GHOST_BASE: u32 = 0x7FFF_FFFF;
 /// [`GHOST_BASE`] slots clear of every real degree and every `k`.
 const MAX_VERTICES: usize = 1 << 30;
 
-/// Device-count bound of a sharded run: [`Partition::build`] stores each
-/// vertex's owner shard as a `u16`.
-const MAX_DEVICES: usize = u16::MAX as usize;
+/// Device-count bound of a sharded run. Each worker is a whole simulated
+/// device, built before the first round, and every exchange records a seed
+/// count per device, so a count far beyond the paper's "a master GPU" and
+/// its workers is refused rather than built.
+const MAX_DEVICES: usize = 65_535;
 
 /// Configuration of a multi-GPU run.
 #[derive(Debug, Clone, Copy)]
@@ -144,13 +148,14 @@ pub struct FleetRun {
 struct Worker {
     ctx: GpuContext,
     st: peel::DeviceState,
-    n_owned: usize,
     /// Exchange staging buffer (ledger residency for update packets).
     d_xfer: Option<BufferId>,
     /// Cumulative `gpu_count` readback = owned vertices removed so far.
     count: u64,
-    /// Border seeds (local IDs, ascending) for the next sub-round.
+    /// Border seeds (local IDs) for the next sub-round, in arrival order.
     seeds: Vec<u32>,
+    /// One bit per owned vertex: a packet reached it in this exchange.
+    reached: Vec<u64>,
 }
 
 /// Runs the distributed decomposition. `opts.device_capacity_bytes` is the
@@ -209,7 +214,7 @@ fn check_config(g: &Csr, cfg: &MultiGpuConfig) -> Result<(), SimError> {
         return Err(SimError::InvalidConfig {
             what: "num_gpus",
             value: cfg.num_gpus as f64,
-            need: "at most 65535 for the u16 owner map",
+            need: "at most 65535",
         });
     }
     if !(cfg.link_latency_s.is_finite() && cfg.link_latency_s >= 0.0) {
@@ -277,7 +282,6 @@ fn decompose_multi_impl(
 
     let mut k = 0u32;
     let mut removed = 0u64;
-    let mut scratch = ExchangeScratch::default();
     // Fleet ledger: `round_log[k]` peels `k`. Every charged_ms below is the
     // addend folded into total_ms.
     let mut round_log: Vec<RoundTrace> = Vec::new();
@@ -297,7 +301,7 @@ fn decompose_multi_impl(
         // Border sub-rounds: exchange ghost decrements, seed owners, run
         // loop-only launches, until an exchange produces no seeds.
         loop {
-            let ledger = exchange(&mut workers, &part, k, cfg, &mut scratch)?;
+            let ledger = exchange(&mut workers, &part, k, cfg)?;
             total_ms += ledger.charged_ms;
             let seeded = ledger.seeds() > 0;
             exchanges.push(ledger);
@@ -308,7 +312,9 @@ fn decompose_multi_impl(
                 if w.seeds.is_empty() {
                     return Ok(());
                 }
-                let seeds = std::mem::take(&mut w.seeds);
+                // Ascending, the order the master's aggregated list gives.
+                let mut seeds = std::mem::take(&mut w.seeds);
+                seeds.sort_unstable();
                 seed_frontier(&mut w.ctx, &mut w.st, &seeds)?;
                 peel::run_loop_only(&mut w.ctx, k, &w.st)?;
                 sync_worker(w)
@@ -332,13 +338,11 @@ fn decompose_multi_impl(
     // the single-device run; ghost slots still hold the sentinel.
     let mut core = vec![0u32; n];
     let mut result_ms = 0.0f64;
-    for (wi, w) in workers.iter_mut().enumerate() {
+    for (w, shard) in workers.iter_mut().zip(&part.shards) {
         let before = w.ctx.elapsed_ms();
         w.ctx.set_phase("Result");
-        let owned_core = w.ctx.dtoh(w.st.d_deg, ..w.n_owned)?;
-        for (l, &v) in part.shards[wi].owned.iter().enumerate() {
-            core[v as usize] = owned_core[l];
-        }
+        let owned = shard.owned.start as usize..shard.owned.end as usize;
+        core[owned].copy_from_slice(&w.ctx.dtoh(w.st.d_deg, ..shard.num_owned())?);
         peel::free_device(&mut w.ctx, &w.st);
         if let Some(x) = w.d_xfer {
             w.ctx.device.free(x);
@@ -412,10 +416,10 @@ fn build_workers(
         workers.push(Worker {
             ctx,
             st,
-            n_owned: shard.num_owned(),
             d_xfer,
             count: 0,
             seeds: Vec::new(),
+            reached: vec![0; shard.num_owned().div_ceil(64)],
         });
     }
     Ok(workers)
@@ -470,36 +474,30 @@ fn sync_worker(w: &mut Worker) -> Result<(), SimError> {
     Ok(())
 }
 
-/// Host scratch of [`exchange`], reused across exchanges.
-#[derive(Default)]
-struct ExchangeScratch {
-    /// Drained `(global vertex, delta)` packets: one ascending run per
-    /// shard, in shard order.
-    packets: Vec<(u32, u32)>,
-    /// End offset in `packets` of each shard's run.
-    run_ends: Vec<usize>,
-    /// The runs merged by ascending vertex, equal vertices summed.
-    aggregated: Vec<(u32, u32)>,
-    /// `(from, to, packets)` shard-pair flow counts, ascending `(from, to)`.
-    flows: Vec<(usize, usize, u64)>,
-}
-
 /// Ghost slots per touched-slot bit mask of the drain (one `u64`).
 const DRAIN_CHUNK: usize = 64;
 
-/// One border exchange: drain every worker's ghost accumulator slots, ship
-/// the packets worker → master → owner, apply them with the floor-at-`k`
-/// rule, and seed owners whose vertices crossed into the k-shell. Returns
-/// the ledger: the [`ExchangeTrace`] records the shard-pair flows, the seeds
-/// and the cost of each stage, and its `charged_ms` is their sum
-/// `pack_ms + hop1_ms + hop2_ms + apply_ms`, the exchange's simulated wall
-/// time.
+/// One border exchange: drain every worker's ghost accumulator slots,
+/// applying each packet at its owner with the floor-at-`k` rule as it is
+/// drained, charge the packets' trip worker → master → owner, and seed
+/// owners whose vertices crossed into the k-shell. Returns the ledger: the
+/// [`ExchangeTrace`] records the shard-pair flows, the seeds and the cost of
+/// each stage, and its `charged_ms` is their sum `pack_ms + hop1_ms +
+/// hop2_ms + apply_ms`, the exchange's simulated wall time.
+///
+/// The master of the paper's sketch sums each vertex's deltas before the
+/// owner applies them. Applying them one at a time instead leaves the same
+/// `deg`: from `deg > k`, each step lands on `max(k, deg − delta)`, so the
+/// steps compose to `max(k, deg − Σ delta)`. A vertex thus lands on `k`
+/// exactly when the sum would take it there, and at most once, since from
+/// there every later step applies nothing. So the host never builds the
+/// master's list; hop 2 and each owner's apply kernel are charged on the
+/// vertices reached, the list's length.
 fn exchange(
     workers: &mut [Worker],
     part: &Partition,
     k: u32,
     cfg: &MultiGpuConfig,
-    scratch: &mut ExchangeScratch,
 ) -> Result<ExchangeTrace, SimError> {
     let num = workers.len();
     let mut ledger = ExchangeTrace {
@@ -514,90 +512,117 @@ fn exchange(
         seeds_per_device: vec![0; num],
         flows: Vec::new(),
     };
-    // Per-device launch-record indices backing the flow edges.
-    let mut pack_seq: Vec<Option<usize>> = vec![None; num];
-    let mut apply_seq: Vec<Option<usize>> = vec![None; num];
-    // ---- drain + pack, shard index order ---------------------------------
-    let ExchangeScratch {
-        packets,
-        run_ends,
-        aggregated,
-        flows,
-    } = scratch;
-    packets.clear();
-    run_ends.clear();
-    flows.clear();
-    for (wi, w) in workers.iter_mut().enumerate() {
-        let shard = &part.shards[wi];
-        let before = w.ctx.elapsed_ms();
-        let touched = drain_ghosts(w, shard, |gv, delta| {
-            packets.push((gv, delta));
+    // Packets each shard ships (hop 1), and packets the master forwards to
+    // each owner (hop 2): one per owned vertex that the shipped packets reach.
+    let mut shipped = vec![0u64; num];
+    let mut forwarded = vec![0u64; num];
+    // `(from, to, packets)` shard-pair flow counts, ascending `(from, to)`.
+    let mut flows: Vec<(usize, usize, u64)> = Vec::new();
+    // ---- drain and apply, shard index order ------------------------------
+    // Each owner's `deg`, reached bits and seed list, so a packet is applied
+    // at its owner while its shipper drains.
+    let mut owners: Vec<_> = workers
+        .iter_mut()
+        .map(|w| {
+            (
+                w.ctx.device.buffer(w.st.d_deg),
+                &mut w.reached,
+                &mut w.seeds,
+            )
+        })
+        .collect();
+    for (from, shard) in part.shards.iter().enumerate() {
+        let slots = &owners[from].0[shard.num_owned()..];
+        let mut to = 0;
+        shipped[from] = drain_ghosts(slots, &shard.ghosts, |gv, delta| {
             // Owners are ascending vertex ranges and the ghost table is
-            // ascending, so this shard meets its peers in ascending order
-            // and the flows stay sorted by (from, to).
-            let to = part.owner_of(gv);
+            // ascending, so walking forward finds each packet's owner,
+            // and this shard meets its peers in ascending order, so the
+            // flows stay sorted by (from, to).
+            while part.shards[to].owned.end <= gv {
+                to += 1;
+            }
             match flows.last_mut() {
-                Some((from, last_to, count)) if *from == wi && *last_to == to => *count += 1,
+                Some((f, last_to, count)) if *f == from && *last_to == to => *count += 1,
                 _ => {
-                    debug_assert!(flows.last().is_none_or(|&(f, t, _)| (f, t) < (wi, to)));
-                    flows.push((wi, to, 1));
+                    debug_assert!(flows.last().is_none_or(|&(f, t, _)| (f, t) < (from, to)));
+                    flows.push((from, to, 1));
+                }
+            }
+            let (deg, bits, seeds) = &mut owners[to];
+            let lv = (gv - part.shards[to].owned.start) as usize;
+            let bit = 1u64 << (lv % 64);
+            forwarded[to] += ((bits[lv / 64] & bit) == 0) as u64;
+            bits[lv / 64] |= bit;
+            let cur = deg[lv].load(Ordering::Relaxed);
+            // Floor at k (Fig. 6 Case-1 recovery, host side): removed
+            // vertices sit at their core (≤ k) and are untouched.
+            let applicable = cur.saturating_sub(k).min(delta);
+            if applicable > 0 {
+                deg[lv].store(cur - applicable, Ordering::Relaxed);
+                // Seed only on the crossing itself, so a vertex already
+                // waiting in a seed list is not re-seeded later.
+                if cur - applicable == k {
+                    seeds.push(lv as u32);
                 }
             }
         });
-        run_ends.push(packets.len());
-        if touched > 0 {
-            // Pack kernel: gather the touched (vertex, delta) pairs into
-            // the xfer staging buffer — sparse slot reads, coalesced
-            // packet writes.
-            w.ctx.set_phase("Exchange");
-            w.ctx.launch("mgpu_pack", cfg.peel.launch, move |blk| {
-                let share = touched / blk.cfg.blocks as u64 + 1;
-                blk.charge_sector(share);
-                blk.charge_tx(BlockCtx::coalesced_tx(2 * share));
-                Ok(())
-            })?;
-            pack_seq[wi] = Some(w.ctx.launches().len() - 1);
-            let delta = w.ctx.elapsed_ms() - before;
-            if delta > ledger.pack_ms {
-                ledger.pack_ms = delta;
-                ledger.pack_bounding_device = wi;
-            }
+    }
+    // Per-device launch-record indices backing the flow edges.
+    let mut pack_seq: Vec<Option<usize>> = vec![None; num];
+    let mut apply_seq: Vec<Option<usize>> = vec![None; num];
+    // ---- pack, shard index order ------------------------------------------
+    for (wi, w) in workers.iter_mut().enumerate() {
+        let touched = shipped[wi];
+        if touched == 0 {
+            continue;
+        }
+        // Pack kernel: gather the touched (vertex, delta) pairs into the
+        // xfer staging buffer — sparse slot reads, coalesced packet writes.
+        let before = w.ctx.elapsed_ms();
+        w.ctx.set_phase("Exchange");
+        w.ctx.launch("mgpu_pack", cfg.peel.launch, move |blk| {
+            let share = touched / blk.cfg.blocks as u64 + 1;
+            blk.charge_sector(share);
+            blk.charge_tx(BlockCtx::coalesced_tx(2 * share));
+            Ok(())
+        })?;
+        pack_seq[wi] = Some(w.ctx.launches().len() - 1);
+        let delta = w.ctx.elapsed_ms() - before;
+        if delta > ledger.pack_ms {
+            ledger.pack_ms = delta;
+            ledger.pack_bounding_device = wi;
         }
     }
-    if packets.is_empty() {
+    let packets_out: u64 = shipped.iter().sum();
+    if packets_out == 0 {
         return Ok(ledger);
     }
-    let packets_out = packets.len() as u64;
 
-    // ---- master aggregation, ascending global ID -------------------------
-    merge_runs(packets, run_ends, aggregated);
+    // ---- the two link hops -----------------------------------------------
     // Each packet is (vertex, delta), shipped worker → master → owner (two
     // hops, as the paper sketches); the master dedups, so the second hop
-    // carries the aggregated packets. Each hop costs the link latency plus
-    // its packets over the bandwidth.
+    // carries one packet per vertex reached. Each hop costs the link
+    // latency plus its packets over the bandwidth.
+    ledger.packets_aggregated = forwarded.iter().sum();
     let packet_bytes = PACKET_BYTES as f64;
     ledger.hop1_ms =
         (cfg.link_latency_s + packets_out as f64 * packet_bytes / cfg.link_bandwidth) * 1e3;
-    ledger.hop2_ms =
-        (cfg.link_latency_s + aggregated.len() as f64 * packet_bytes / cfg.link_bandwidth) * 1e3;
-    ledger.packets_aggregated = aggregated.len() as u64;
+    ledger.hop2_ms = (cfg.link_latency_s
+        + ledger.packets_aggregated as f64 * packet_bytes / cfg.link_bandwidth)
+        * 1e3;
 
-    // ---- owner-side apply, shard index order -----------------------------
-    // O(1) owner lookup through the partition map (the old prototype did a
-    // linear scan over worker ranges per update).
-    let mut start = 0usize;
-    while start < aggregated.len() {
-        // Owners hold ascending vertex ranges, so each owner's packets are
-        // one run of the ascending list.
-        let owner = part.owner_of(aggregated[start].0);
-        let last = part.shards[owner].owned[part.shards[owner].num_owned() - 1];
-        let end = start + aggregated[start..].partition_point(|&(v, _)| v <= last);
-        let bucket = &aggregated[start..end];
-        let w = &mut workers[owner];
-        let before = w.ctx.elapsed_ms();
+    // ---- apply kernels, shard index order ---------------------------------
+    for (owner, w) in workers.iter_mut().enumerate() {
+        let m = forwarded[owner];
+        if m == 0 {
+            continue;
+        }
+        w.reached.fill(0);
+        ledger.seeds_per_device[owner] = w.seeds.len() as u64;
         // Apply kernel: coalesced packet reads, random-access deg probes,
         // one atomic per applied decrement.
-        let m = bucket.len() as u64;
+        let before = w.ctx.elapsed_ms();
         w.ctx.set_phase("Exchange");
         w.ctx.launch("mgpu_apply", cfg.peel.launch, move |blk| {
             let share = m / blk.cfg.blocks as u64 + 1;
@@ -607,31 +632,11 @@ fn exchange(
             Ok(())
         })?;
         apply_seq[owner] = Some(w.ctx.launches().len() - 1);
-        {
-            let deg = w.ctx.device.buffer(w.st.d_deg);
-            for &(gv, cnt) in bucket {
-                let lv = part.local_id[gv as usize] as usize;
-                let cur = deg[lv].load(Ordering::Relaxed);
-                // Floor at k (Fig. 6 Case-1 recovery, host side): removed
-                // vertices sit at their core (≤ k) and are untouched.
-                let applicable = cur.saturating_sub(k).min(cnt);
-                if applicable > 0 {
-                    deg[lv].store(cur - applicable, Ordering::Relaxed);
-                    // Seed only on the crossing itself, so a vertex already
-                    // waiting in a seed list is not re-seeded later.
-                    if cur - applicable == k {
-                        w.seeds.push(lv as u32);
-                        ledger.seeds_per_device[owner] += 1;
-                    }
-                }
-            }
-        }
         let delta = w.ctx.elapsed_ms() - before;
         if delta > ledger.apply_ms {
             ledger.apply_ms = delta;
             ledger.apply_bounding_device = owner;
         }
-        start = end;
     }
     // Flow edges: every pair that shipped packets has a pack launch on the
     // shipper and — because the master forwards every aggregated vertex to
@@ -650,29 +655,30 @@ fn exchange(
     Ok(ledger)
 }
 
-/// Drains one worker's ghost accumulator slots `deg[n_owned..n_local]`: for
-/// each touched slot, in ascending ghost order, calls `emit(global vertex,
-/// delta)` with `delta = GHOST_BASE − slot` and resets the slot to the
-/// sentinel for the next sub-round. A host peek of device memory, free like
-/// any host inspection of the simulator. Returns the touched-slot count.
+/// Drains one worker's ghost accumulator slots, `slots[i]` holding ghost
+/// `ghosts[i]`: for each touched slot, in ascending ghost order, calls
+/// `emit(global vertex, delta)` with `delta = GHOST_BASE − slot` and resets
+/// the slot to the sentinel for the next sub-round. A host peek of device
+/// memory, free like any host inspection of the simulator. Returns the
+/// touched-slot count.
 ///
 /// The slots are copied out as plain words, [`DRAIN_CHUNK`] at a time, and
 /// compared into a branch-free touched-slot bit mask, as the peel's hit
 /// pass reads degrees; only the touched slots take the scalar path.
-fn drain_ghosts(w: &Worker, shard: &Shard, mut emit: impl FnMut(u32, u32)) -> u64 {
-    let slots = &w.ctx.device.buffer(w.st.d_deg)[w.n_owned..w.n_owned + shard.ghosts.len()];
+fn drain_ghosts(
+    slots: &[AtomicU32],
+    ghosts: &[VertexId],
+    mut emit: impl FnMut(VertexId, u32),
+) -> u64 {
     let mut touched = 0u64;
-    for (chunk, ghosts) in slots
-        .chunks(DRAIN_CHUNK)
-        .zip(shard.ghosts.chunks(DRAIN_CHUNK))
-    {
+    for (chunk, ghosts) in slots.chunks(DRAIN_CHUNK).zip(ghosts.chunks(DRAIN_CHUNK)) {
         // A short last chunk is padded with untouched slots, so the mask
         // loop always runs DRAIN_CHUNK times and vectorizes.
         let mut words = [GHOST_BASE; DRAIN_CHUNK];
         // SAFETY: `AtomicU32` has the layout of `u32`, and `chunk` holds at
         // most `DRAIN_CHUNK` words. No kernel runs while the host drains
-        // (launches complete under `&mut GpuContext`, and the caller holds
-        // the worker), so a bulk read equals per-word relaxed loads.
+        // (launches complete under `&mut GpuContext`, and the exchange
+        // holds every worker), so a bulk read equals per-word relaxed loads.
         unsafe {
             std::ptr::copy_nonoverlapping(
                 chunk.as_ptr() as *const u32,
@@ -693,49 +699,6 @@ fn drain_ghosts(w: &Worker, shard: &Shard, mut emit: impl FnMut(u32, u32)) -> u6
         }
     }
     touched
-}
-
-/// Merges ascending runs of `(vertex, delta)` packets into `out` by
-/// ascending vertex, summing the deltas of equal vertices. Run `i` is
-/// `packets[run_ends[i - 1]..run_ends[i]]` (from 0 for `i = 0`) and is
-/// strictly ascending in vertex; runs may be empty, and the last ends at
-/// `packets.len()`. Adjacent runs merge pairwise, level by level:
-/// O(packets · log runs). `packets` and `run_ends` serve as scratch and are
-/// left unspecified.
-fn merge_runs(packets: &mut Vec<(u32, u32)>, run_ends: &mut Vec<usize>, out: &mut Vec<(u32, u32)>) {
-    while run_ends.len() > 1 {
-        out.clear();
-        let mut start = 0;
-        let mut ends = 0;
-        for pair in (0..run_ends.len()).step_by(2) {
-            let mid = run_ends[pair];
-            let end = run_ends.get(pair + 1).copied().unwrap_or(mid);
-            merge_two(&packets[start..mid], &packets[mid..end], out);
-            run_ends[ends] = out.len();
-            ends += 1;
-            start = end;
-        }
-        run_ends.truncate(ends);
-        std::mem::swap(packets, out);
-    }
-    std::mem::swap(packets, out);
-}
-
-/// Appends the merge of two strictly ascending packet runs to `out`,
-/// summing the deltas of a vertex both carry.
-fn merge_two(a: &[(u32, u32)], b: &[(u32, u32)], out: &mut Vec<(u32, u32)>) {
-    out.reserve(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    // Branch-free step: take the smaller head, or both heads summed.
-    while i < a.len() && j < b.len() {
-        let ((va, da), (vb, db)) = (a[i], b[j]);
-        let (take_a, take_b) = (va <= vb, vb <= va);
-        out.push((va.min(vb), da * take_a as u32 + db * take_b as u32));
-        i += take_a as usize;
-        j += take_b as usize;
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
 }
 
 /// Injects border seeds (local IDs) into the per-block frontier buffers for
@@ -948,43 +911,6 @@ mod tests {
             .rounds
             .iter()
             .all(|r| r.exchanges.iter().all(|e| e.flows.is_empty())));
-    }
-
-    #[test]
-    fn merge_runs_matches_sort_and_sum() {
-        use rand::{rngs::SmallRng, Rng, SeedableRng};
-        let mut rng = SmallRng::seed_from_u64(19);
-        let mut out = Vec::new();
-        for case in 0..200 {
-            let runs = 1 + case % 64;
-            let mut packets: Vec<(u32, u32)> = Vec::new();
-            let mut run_ends = Vec::new();
-            for _ in 0..runs {
-                // A quarter of the runs are empty; the small ID range makes
-                // vertices repeat across runs.
-                if rng.gen_range(0u32..4) > 0 {
-                    let mut v = rng.gen_range(0u32..8);
-                    for _ in 0..rng.gen_range(1usize..40) {
-                        packets.push((v, rng.gen_range(1u32..1_000)));
-                        v += rng.gen_range(1u32..6);
-                    }
-                }
-                run_ends.push(packets.len());
-            }
-            let mut expect = packets.clone();
-            expect.sort_unstable();
-            let mut summed: Vec<(u32, u32)> = Vec::new();
-            for &(v, d) in &expect {
-                match summed.last_mut() {
-                    Some((lv, ld)) if *lv == v => *ld += d,
-                    _ => summed.push((v, d)),
-                }
-            }
-            merge_runs(&mut packets, &mut run_ends, &mut out);
-            assert_eq!(out, summed, "case {case}: {runs} runs");
-        }
-        merge_runs(&mut Vec::new(), &mut vec![0, 0], &mut out);
-        assert!(out.is_empty());
     }
 
     #[test]

@@ -370,16 +370,24 @@ pub struct LaunchRecord {
     pub counters: Counters,
     /// Roofline decomposition of `time_s` (launch / compute / bandwidth).
     pub roofline: Roofline,
-    /// Largest single-block cycle count (load-imbalance diagnostics).
-    pub max_block_cycles: f64,
-    /// Total cycle count across blocks.
-    pub sum_block_cycles: f64,
     /// Every block's priced cycle count, in dispatch order — the input the
     /// Perfetto rendering replays through [`makespan`] to place each block.
     pub block_cycles: Vec<f64>,
     /// Per-block counter deltas, recorded only when block profiling is on
     /// ([`crate::GpuContext::set_block_profiling`]) — `counters` is their sum.
     pub block_counters: Option<Vec<Counters>>,
+}
+
+impl LaunchRecord {
+    /// Largest single-block cycle count (load-imbalance diagnostics).
+    pub fn max_block_cycles(&self) -> f64 {
+        self.block_cycles.iter().copied().fold(0.0, f64::max)
+    }
+
+    /// Total cycle count across blocks, summed in dispatch order.
+    pub fn sum_block_cycles(&self) -> f64 {
+        self.block_cycles.iter().sum()
+    }
 }
 
 /// Direction of a recorded host↔device copy.

@@ -1,11 +1,11 @@
 //! Kernel execution: grids, blocks, shared memory, and charging.
 //!
 //! [`GpuContext::launch`] runs a kernel closure once per thread block, with
-//! blocks genuinely executing in parallel on host threads (blocks are
-//! independent on hardware too — §III: "different thread blocks are
-//! independent in their execution"). Cross-block communication goes through
-//! device buffers with real atomics, so any interleaving the simulator
-//! produces is an interleaving the hardware could produce.
+//! blocks executing in parallel on host threads at rayon widths above one
+//! (blocks are independent on hardware too — §III: "different thread
+//! blocks are independent in their execution"). Cross-block communication
+//! goes through device buffers with real atomics, so any interleaving the
+//! simulator produces is an interleaving the hardware could produce.
 //!
 //! The kernel closure receives a [`BlockCtx`] carrying the block's identity,
 //! its private shared memory, and the cost-model charging interface. Kernels
@@ -1124,8 +1124,6 @@ impl GpuContext {
         let t = roofline.total_s();
         let start_s = self.time_s;
         self.time_s += t;
-        let max_block_cycles = block_cycles.iter().copied().fold(0.0, f64::max);
-        let sum_block_cycles = block_cycles.iter().sum();
         // Without block profiling the vector stays, for the next launch.
         let block_counters = self
             .profile_blocks
@@ -1138,8 +1136,6 @@ impl GpuContext {
             time_s: t,
             counters: total,
             roofline,
-            max_block_cycles,
-            sum_block_cycles,
             block_cycles,
             block_counters,
         });
@@ -1414,8 +1410,8 @@ mod tests {
         assert_eq!(rec.name, "steps");
         // total steps = 2 + 3 + 4 = 9 → 90 instructions
         assert_eq!(rec.counters.warp_instrs, 90);
-        assert_eq!(rec.max_block_cycles, 40.0);
-        assert_eq!(rec.sum_block_cycles, 90.0);
+        assert_eq!(rec.max_block_cycles(), 40.0);
+        assert_eq!(rec.sum_block_cycles(), 90.0);
     }
 
     #[test]

@@ -128,28 +128,17 @@ pub fn ballot_scan_offsets(blk: &mut BlockCtx<'_>, bits: u32) -> ([u32; WARP_SIZ
 ///
 /// Block barriers separate the stages. Returns `(exclusive offsets, total)`.
 pub fn block_two_stage_scan(blk: &mut BlockCtx<'_>, values: &[u32]) -> (Vec<u32>, u32) {
-    let mut out = vec![0u32; values.len()];
-    let total = block_two_stage_scan_into(blk, values, &mut out);
-    (out, total)
-}
-
-/// [`block_two_stage_scan`] writing into a caller-provided slice — lets hot
-/// loops reuse one scratch buffer across chunks instead of allocating a
-/// fresh offsets `Vec` per call. Charges are identical to the allocating
-/// form. `out.len()` must equal `values.len()`. Returns the total.
-pub fn block_two_stage_scan_into(blk: &mut BlockCtx<'_>, values: &[u32], out: &mut [u32]) -> u32 {
-    let n = values.len();
-    assert_eq!(out.len(), n, "output slice must match value count");
-    block_two_stage_scan_charges(blk, n);
+    block_two_stage_scan_charges(blk, values.len());
+    let mut out = Vec::with_capacity(values.len());
     let mut acc = 0u32;
-    for (slot, &v) in out.iter_mut().zip(values) {
-        *slot = acc;
+    for &v in values {
+        out.push(acc);
         acc += v;
     }
-    acc
+    (out, acc)
 }
 
-/// Books exactly the charges [`block_two_stage_scan_into`] books for an
+/// Books exactly the charges [`block_two_stage_scan`] books for an
 /// `n`-value scan, without computing the scan. The three stages compose to
 /// a plain exclusive scan (warp-inclusive, minus own value, plus the
 /// exclusive warp offset), and every charge is a pure function of the
@@ -346,31 +335,6 @@ mod tests {
             assert_eq!(fast_total, total);
             assert_eq!(fast_cost, ref_cost, "identical charging");
         });
-    }
-
-    #[test]
-    fn block_scan_into_matches_allocating() {
-        for threads in [32u32, 256] {
-            with_block(threads, move |blk| {
-                let vals: Vec<u32> = (0..threads).map(|i| (i * 5 + 2) % 9).collect();
-                let before = blk.counters;
-                let (off, total) = block_two_stage_scan(blk, &vals);
-                let ref_counters = blk.counters;
-                let mut out = vec![0u32; vals.len()];
-                let fast_total = block_two_stage_scan_into(blk, &vals, &mut out);
-                assert_eq!(out, off);
-                assert_eq!(fast_total, total);
-                // both calls must charge the same deltas
-                assert_eq!(
-                    ref_counters.warp_instrs - before.warp_instrs,
-                    blk.counters.warp_instrs - ref_counters.warp_instrs
-                );
-                assert_eq!(
-                    ref_counters.shared_accesses - before.shared_accesses,
-                    blk.counters.shared_accesses - ref_counters.shared_accesses
-                );
-            });
-        }
     }
 
     #[test]

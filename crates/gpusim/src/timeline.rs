@@ -162,7 +162,7 @@ pub fn hotspots(launches: &[LaunchRecord], cost: &CostParams, top_k: usize) -> V
         h.mem_stall_ms += mem_stall_s * 1e3;
         // Divergence/imbalance exposure: makespan minus perfectly balanced
         // distribution of the summed cycles over the SMs.
-        let balanced_s = l.sum_block_cycles / cost.sm_count as f64 / cost.clock_hz;
+        let balanced_s = l.sum_block_cycles() / cost.sm_count as f64 / cost.clock_hz;
         let divergence_s = (l.roofline.compute_s - balanced_s).max(0.0);
         h.divergence_ms += divergence_s * 1e3;
         // The balanced share splits proportionally to the cycle terms the

@@ -134,8 +134,8 @@ impl Serialize for Trace {
                 ("time_ms", (l.time_s * 1e3).to_value()),
                 ("bound", l.roofline.bound().to_value()),
                 ("roofline", l.roofline.to_value()),
-                ("max_block_cycles", l.max_block_cycles.to_value()),
-                ("sum_block_cycles", l.sum_block_cycles.to_value()),
+                ("max_block_cycles", l.max_block_cycles().to_value()),
+                ("sum_block_cycles", l.sum_block_cycles().to_value()),
                 ("counters", l.counters.to_value()),
                 ("block_counters", l.block_counters.to_value()),
             ])

@@ -1,19 +1,21 @@
 //! Edge-partitioned sharding of a CSR graph for multi-device decomposition.
 //!
-//! A [`Partition`] splits the vertex set across `p` shards and gives every
-//! shard a **compact local-ID CSR**: the shard's own vertices are recoded to
-//! local IDs `0..num_owned`, the border vertices it can reach on other
-//! shards (**ghosts**) occupy `num_owned..num_local`, and the shard's
-//! adjacency rows are rewritten in local IDs. Ghost rows are empty — a
-//! ghost's adjacency lives on its owner — so a shard's device footprint is
-//! `O(owned vertices + ghosts + owned arcs)`, not `O(|V|)` per worker.
+//! A [`Partition`] splits the vertex set into `p` contiguous ranges, one
+//! per shard, and gives every shard a **compact local-ID CSR**: the shard's
+//! own range `owned` is recoded to local IDs `0..num_owned` (`v −
+//! owned.start`), the border vertices it can reach on other shards
+//! (**ghosts**) occupy `num_owned..num_local`, and the shard's adjacency
+//! rows are rewritten in local IDs. Ghost rows are empty — a ghost's
+//! adjacency lives on its owner — so a shard's device footprint is
+//! `O(owned vertices + ghosts + owned arcs)`, not `O(|V|)` per worker. The
+//! ranges tile `0..|V|` in shard order, so the partition stores no
+//! per-vertex table: [`Partition::owner_of`] searches the `p` ranges.
 //!
-//! The strategy, [`PartitionStrategy::BalancedArcs`], cuts contiguous
-//! vertex ranges so every shard holds ~`(|arcs| + |rows|) / p` of the
-//! per-round kernel work (prefix sums over the global offset array; rows
-//! weigh the scan, arcs weigh the loop). Contiguous ownership keeps border
-//! sets small on graphs with locality (meshes, paths, web crawls after BFS
-//! renumber).
+//! The strategy, [`PartitionStrategy::BalancedArcs`], cuts the ranges so
+//! every shard holds ~`(|arcs| + |rows|) / p` of the per-round kernel work
+//! (prefix sums over the global offset array; rows weigh the scan, arcs
+//! weigh the loop). Contiguous ownership keeps border sets small on graphs
+//! with locality (meshes, paths, web crawls after BFS renumber).
 //!
 //! A partition is a pure function of `(graph, p)` — no RNG, no thread
 //! timing — so it is bit-identical across runs and rayon pool sizes, which
@@ -29,6 +31,7 @@
 
 use crate::csr::{Csr, VertexId};
 use serde::Serialize;
+use std::ops::Range;
 
 /// How [`Partition::build`] assigns vertices to shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,11 +50,12 @@ impl PartitionStrategy {
 }
 
 /// One shard of a [`Partition`]: local-ID compacted CSR plus the recode
-/// tables back to global IDs.
+/// back to global IDs.
 #[derive(Debug, Clone)]
 pub struct Shard {
-    /// Global IDs of owned vertices, ascending; local ID = rank in this list.
-    pub owned: Vec<VertexId>,
+    /// Global IDs of the owned vertices, a non-empty range; the local ID of
+    /// owned vertex `v` is `v − owned.start`.
+    pub owned: Range<VertexId>,
     /// Global IDs of ghost vertices, ascending; local ID = `num_owned() +
     /// rank`. A ghost is a non-owned vertex adjacent to an owned one.
     pub ghosts: Vec<VertexId>,
@@ -73,16 +77,15 @@ impl Shard {
     /// Owned + ghost vertices — the shard's device-resident vertex count.
     #[inline]
     pub fn num_local(&self) -> usize {
-        self.owned.len() + self.ghosts.len()
+        self.num_owned() + self.ghosts.len()
     }
 
     /// Global ID of local vertex `l` (owned or ghost).
     #[inline]
     pub fn global_of(&self, l: usize) -> VertexId {
-        if l < self.owned.len() {
-            self.owned[l]
-        } else {
-            self.ghosts[l - self.owned.len()]
+        match l.checked_sub(self.num_owned()) {
+            None => self.owned.start + l as VertexId,
+            Some(i) => self.ghosts[i],
         }
     }
 }
@@ -92,11 +95,8 @@ impl Shard {
 pub struct Partition {
     /// Strategy that produced this partition.
     pub strategy: PartitionStrategy,
-    /// `owner[v]` = shard index owning global vertex `v` (O(1) lookup).
-    pub owner: Vec<u16>,
-    /// `local_id[v]` = local ID of `v` **within its owner shard**.
-    pub local_id: Vec<u32>,
-    /// The shards, in index order.
+    /// The shards, in index order; their owned ranges tile `0..|V|` in this
+    /// order.
     pub shards: Vec<Shard>,
 }
 
@@ -104,49 +104,23 @@ impl Partition {
     /// Builds a `p`-way partition of `g`. `p` is clamped to `[1, |V|]`
     /// (each shard must own at least one vertex); an empty graph yields an
     /// empty partition.
-    ///
-    /// # Panics
-    ///
-    /// If the clamped `p` exceeds 65,535: [`Partition::owner`] stores shard
-    /// indices as `u16`. The sharded engine rejects such a device count
-    /// with a typed error before it gets here.
     pub fn build(g: &Csr, p: usize, strategy: PartitionStrategy) -> Partition {
         let n = g.num_vertices() as usize;
         if n == 0 {
             return Partition {
                 strategy,
-                owner: Vec::new(),
-                local_id: Vec::new(),
                 shards: Vec::new(),
             };
         }
-        let p = p.clamp(1, n);
-        assert!(p <= u16::MAX as usize, "shard count exceeds u16 owner map");
-
-        let owner = match strategy {
-            PartitionStrategy::BalancedArcs => balanced_arcs_owner(g, p),
+        let bounds = match strategy {
+            PartitionStrategy::BalancedArcs => balanced_arcs_bounds(g, p.clamp(1, n)),
         };
-
-        // Owned lists in ascending global order; rank = local ID.
-        let mut owned: Vec<Vec<VertexId>> = vec![Vec::new(); p];
-        let mut local_id = vec![0u32; n];
-        for v in 0..n {
-            let s = owner[v] as usize;
-            local_id[v] = owned[s].len() as u32;
-            owned[s].push(v as VertexId);
-        }
-
         let mut slot = vec![UNSEEN; n];
-        let shards = owned
-            .into_iter()
-            .map(|owned| build_shard(g, &mut slot, owned))
+        let shards = bounds
+            .windows(2)
+            .map(|w| build_shard(g, &mut slot, w[0] as VertexId..w[1] as VertexId))
             .collect();
-        Partition {
-            strategy,
-            owner,
-            local_id,
-            shards,
-        }
+        Partition { strategy, shards }
     }
 
     /// Number of shards.
@@ -155,11 +129,11 @@ impl Partition {
         self.shards.len()
     }
 
-    /// Shard index owning global vertex `v` — the O(1) lookup the border
-    /// exchange routes update packets through.
-    #[inline]
+    /// Shard index owning global vertex `v`: a binary search over the `p`
+    /// owned ranges. The border exchange never calls it per packet; it walks
+    /// each ascending ghost table forward along the ranges instead.
     pub fn owner_of(&self, v: VertexId) -> usize {
-        self.owner[v as usize] as usize
+        self.shards.partition_point(|s| s.owned.end <= v)
     }
 
     /// Border structure rollup for observability: per-shard ghost/border-arc
@@ -270,25 +244,26 @@ pub struct PeerStats {
 /// A [`Partition::build`] scratch `slot` entry outside the shard being built.
 const UNSEEN: u32 = u32::MAX;
 
-/// Builds one shard: ghost discovery + local-ID CSR recode. `slot` is a
-/// `|V|`-sized scratch array shared by all shards, [`UNSEEN`] everywhere on
-/// entry and on return. While this shard is built it holds each owned and
-/// ghost vertex's local ID, so the shard costs O(owned + owned arcs +
-/// ghosts·log ghosts) and the whole partition O(|V| + arcs + Σ ghosts·log
-/// ghosts).
-fn build_shard(g: &Csr, slot: &mut [u32], owned: Vec<VertexId>) -> Shard {
-    for (l, &v) in owned.iter().enumerate() {
-        slot[v as usize] = l as u32;
+/// Builds the shard that owns `owned`: ghost discovery + local-ID CSR
+/// recode. `slot` is a `|V|`-sized scratch array shared by all shards,
+/// [`UNSEEN`] everywhere on entry and on return. While this shard is built
+/// it holds each owned and ghost vertex's local ID, so the shard costs
+/// O(owned + owned arcs + ghosts·log ghosts) and the whole partition O(|V| +
+/// arcs + Σ ghosts·log ghosts).
+fn build_shard(g: &Csr, slot: &mut [u32], owned: Range<VertexId>) -> Shard {
+    for v in owned.clone() {
+        slot[v as usize] = v - owned.start;
     }
+    // The owned rows are one slice of the global adjacency array.
+    let (lo, hi) = (owned.start as usize, owned.end as usize);
+    let arcs = &g.neighbor_array()[g.offsets()[lo] as usize..g.offsets()[hi] as usize];
     // Ghosts: every non-owned endpoint of an owned row, deduped, ascending.
     let mut ghosts: Vec<VertexId> = Vec::new();
-    for &v in &owned {
-        for &u in g.neighbors(v) {
-            if slot[u as usize] == UNSEEN {
-                // Any value but UNSEEN marks it found; its local ID follows.
-                slot[u as usize] = 0;
-                ghosts.push(u);
-            }
+    for &u in arcs {
+        if slot[u as usize] == UNSEEN {
+            // Any value but UNSEEN marks it found; its local ID follows.
+            slot[u as usize] = 0;
+            ghosts.push(u);
         }
     }
     ghosts.sort_unstable();
@@ -298,20 +273,14 @@ fn build_shard(g: &Csr, slot: &mut [u32], owned: Vec<VertexId>) -> Shard {
     }
 
     // Local CSR: owned rows recoded, ghost rows empty.
-    let num_local = num_owned + ghosts.len();
-    let mut offsets = Vec::with_capacity(num_local + 1);
-    let mut owned_arcs = 0u64;
-    offsets.push(0u64);
-    for &v in &owned {
-        owned_arcs += g.degree(v) as u64;
-        offsets.push(owned_arcs);
-    }
-    offsets.resize(num_local + 1, owned_arcs);
-    let mut neighbors = Vec::with_capacity(owned_arcs as usize);
-    for &v in &owned {
-        neighbors.extend(g.neighbors(v).iter().map(|&u| slot[u as usize]));
-    }
-    for &u in owned.iter().chain(&ghosts) {
+    let owned_arcs = arcs.len() as u64;
+    let mut offsets: Vec<u64> = g.offsets()[lo..=hi]
+        .iter()
+        .map(|&o| o - g.offsets()[lo])
+        .collect();
+    offsets.resize(num_owned + ghosts.len() + 1, owned_arcs);
+    let neighbors = arcs.iter().map(|&u| slot[u as usize]).collect();
+    for u in owned.clone().chain(ghosts.iter().copied()) {
         slot[u as usize] = UNSEEN;
     }
     Shard {
@@ -322,13 +291,14 @@ fn build_shard(g: &Csr, slot: &mut [u32], owned: Vec<VertexId>) -> Shard {
     }
 }
 
-/// Contiguous ranges cut at ~equal prefix sums of `arcs + rows`. The
-/// combined weight models a worker's per-round cost: the scan kernel walks
-/// every local row while the loop kernel's traffic follows arcs, so cutting
-/// on arcs alone leaves the low-degree tail shard with most of the rows and
+/// The `p + 1` bounds of contiguous ranges cut at ~equal prefix sums of
+/// `arcs + rows`; shard `s` owns `bounds[s]..bounds[s + 1]`. The combined
+/// weight models a worker's per-round cost: the scan kernel walks every
+/// local row while the loop kernel's traffic follows arcs, so cutting on
+/// arcs alone leaves the low-degree tail shard with most of the rows and
 /// the fleet's scan time pinned at the single-device value. Every shard
 /// gets at least one vertex (requires `p <= n`, guaranteed by the caller).
-fn balanced_arcs_owner(g: &Csr, p: usize) -> Vec<u16> {
+fn balanced_arcs_bounds(g: &Csr, p: usize) -> Vec<usize> {
     let n = g.num_vertices() as usize;
     let offsets = g.offsets();
     // weight(i) = arcs before vertex i + rows before vertex i, strictly
@@ -353,13 +323,7 @@ fn balanced_arcs_owner(g: &Csr, p: usize) -> Vec<u16> {
         bounds.push(lo.clamp(bounds[s - 1] + 1, n - (p - s)));
     }
     bounds.push(n);
-    let mut owner = vec![0u16; n];
-    for s in 0..p {
-        for o in owner.iter_mut().take(bounds[s + 1]).skip(bounds[s]) {
-            *o = s as u16;
-        }
-    }
-    owner
+    bounds
 }
 
 #[cfg(test)]
@@ -369,55 +333,61 @@ mod tests {
 
     const BALANCED: PartitionStrategy = PartitionStrategy::BalancedArcs;
 
-    /// Structural contract every partition must satisfy: owner map ↔ shard
-    /// membership, recode round-trips, ghost tables exact, arc conservation,
-    /// ghost rows empty.
+    /// Structural contract every partition must satisfy: the owned ranges
+    /// are non-empty and tile `0..|V|` in shard order, `owner_of` and the
+    /// local IDs agree with them, the recode round-trips, ghost tables are
+    /// exact, arcs are conserved and ghost rows are empty.
     fn verify(g: &Csr, part: &Partition) {
-        let n = g.num_vertices() as usize;
-        assert_eq!(part.owner.len(), n);
-        assert_eq!(part.local_id.len(), n);
-        let mut seen = vec![false; n];
+        let n = g.num_vertices();
+        let mut next = 0;
         let mut total_arcs = 0u64;
         for (s, shard) in part.shards.iter().enumerate() {
+            assert_eq!(
+                shard.owned.start, next,
+                "shard {s} does not start where the previous range ends"
+            );
             assert!(!shard.owned.is_empty(), "shard {s} owns no vertices");
-            assert!(shard.owned.windows(2).all(|w| w[0] < w[1]));
+            next = shard.owned.end;
             assert!(shard.ghosts.windows(2).all(|w| w[0] < w[1]));
             assert_eq!(shard.csr.num_vertices() as usize, shard.num_local());
             assert_eq!(shard.csr.num_arcs(), shard.owned_arcs);
             total_arcs += shard.owned_arcs;
-            for (l, &v) in shard.owned.iter().enumerate() {
-                assert!(!seen[v as usize], "vertex {v} owned twice");
-                seen[v as usize] = true;
-                assert_eq!(part.owner_of(v), s);
-                assert_eq!(part.local_id[v as usize] as usize, l);
-                // local row mirrors the global row through global_of
-                assert_eq!(shard.csr.degree(l as u32), g.degree(v));
-                let row: Vec<VertexId> = shard
-                    .csr
-                    .neighbors(l as u32)
-                    .iter()
-                    .map(|&lu| shard.global_of(lu as usize))
-                    .collect();
-                assert_eq!(row, g.neighbors(v));
-            }
             for (i, &u) in shard.ghosts.iter().enumerate() {
-                assert_ne!(part.owner_of(u), s, "ghost {u} owned by its shard");
+                assert!(!shard.owned.contains(&u), "ghost {u} owned by its shard");
                 // ghost rows are empty
                 assert_eq!(shard.csr.degree((shard.num_owned() + i) as u32), 0);
             }
             // ghost set is exactly the non-owned endpoints of owned rows
             let mut expect: Vec<VertexId> = shard
                 .owned
-                .iter()
-                .flat_map(|&v| g.neighbors(v).iter().copied())
-                .filter(|&u| part.owner_of(u) != s)
+                .clone()
+                .flat_map(|v| g.neighbors(v).iter().copied())
+                .filter(|u| !shard.owned.contains(u))
                 .collect();
             expect.sort_unstable();
             expect.dedup();
             assert_eq!(shard.ghosts, expect);
         }
-        assert!(seen.iter().all(|&b| b), "vertex owned by no shard");
+        assert_eq!(next, n, "the owned ranges do not reach |V|");
         assert_eq!(total_arcs, g.num_arcs(), "arcs not conserved");
+        for v in 0..n {
+            let s = part.owner_of(v);
+            let shard = &part.shards[s];
+            assert!(
+                shard.owned.contains(&v),
+                "owner_of({v}) = {s} does not own it"
+            );
+            // the local row mirrors the global row through global_of
+            let l = v - shard.owned.start;
+            assert_eq!(shard.global_of(l as usize), v);
+            let row: Vec<VertexId> = shard
+                .csr
+                .neighbors(l)
+                .iter()
+                .map(|&lu| shard.global_of(lu as usize))
+                .collect();
+            assert_eq!(row, g.neighbors(v));
+        }
     }
 
     #[test]
@@ -476,8 +446,7 @@ mod tests {
                 "arc loads {per:?} far from ideal {ideal}"
             );
         }
-        // contiguous ranges: owner is non-decreasing
-        assert!(part.owner.windows(2).all(|w| w[0] <= w[1]));
+        verify(&g, &part);
     }
 
     #[test]
@@ -529,8 +498,10 @@ mod tests {
         let g = gen::rmat(10, 5_000, gen::RmatParams::graph500(), 21);
         let a = Partition::build(&g, 4, BALANCED);
         let b = Partition::build(&g, 4, BALANCED);
-        assert_eq!(a.owner, b.owner);
+        verify(&g, &a);
+        assert_eq!((a.num_shards(), b.num_shards()), (4, 4));
         for (x, y) in a.shards.iter().zip(&b.shards) {
+            assert_eq!(x.owned, y.owned);
             assert_eq!(x.csr, y.csr);
             assert_eq!(x.ghosts, y.ghosts);
         }

@@ -104,6 +104,19 @@ echo "== fan-out host-time gate (kbench peel-hub host_ms_p50) =="
 # whole ms.
 host_gate peel-hub 24
 
+echo "== sharded host-time gate (kbench shard-p4 host_ms_p50) =="
+# The benchmark's only sharded workload (amazon0601 stand-in on four
+# simulated devices), so it guards the sharded engine's host path, which
+# neither peel gate takes: the partition build, the worker loads, each
+# border exchange's one pass over the drained ghost slots, which applies
+# every packet at its owner as it drains, and the seed launches. The
+# ceiling is 1.5x the slowest of five calibration runs of this stage's
+# command on a 2-core x86-64 box (22.99, 23.12, 23.42, 23.63 and
+# 24.18 ms), rounded up to a whole ms. It passes the earlier exchange,
+# which built the master's merged packet list on the host (about 29 ms on
+# that box), and flags a regression of half an op's host time or more.
+host_gate shard-p4 37
+
 echo "== dataset cache smoke (KCORE_CACHE_DIR) =="
 # Cold run populates the cache; warm run must serve from it without
 # rewriting any entry (byte-identical output is pinned by the test suite;

@@ -135,7 +135,7 @@ fn timeline_spans_are_the_priced_block_schedule() {
             busy_ms += lasts;
         }
         let idle_ms = sms * window_ms - busy_ms;
-        let divergence_ms = (r.compute_s - l.sum_block_cycles / (sms * clock_hz)) * 1e3;
+        let divergence_ms = (r.compute_s - l.sum_block_cycles() / (sms * clock_hz)) * 1e3;
         assert!(
             (idle_ms - sms * divergence_ms).abs() <= 1e-9 * sms * window_ms,
             "launch {seq} ({}): {idle_ms} SM·ms idle, divergence {divergence_ms} ms",

@@ -188,7 +188,7 @@ fn zero_devices_is_a_typed_error() {
 }
 
 /// Link constants that would charge a NaN, infinite or negative time, and
-/// more devices than the owner map can index, are typed errors from both
+/// more devices than a sharded run builds, are typed errors from both
 /// sharded entry points rather than a nonsense total or a panic.
 #[test]
 fn bad_link_constants_and_device_counts_are_typed_errors() {
