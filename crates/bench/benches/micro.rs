@@ -168,8 +168,8 @@ fn bench_warp_memops(c: &mut Criterion) {
     group.finish();
 }
 
-/// Pure kernel-dispatch overhead of [`GpuContext::launch`] (no body work):
-/// the serial fast path at pool size 1, the rayon path otherwise. Beside
+/// Pure kernel-dispatch overhead of [`GpuContext::launch`] (no body work),
+/// whose blocks run in block order on the calling thread. Beside
 /// it, [`GpuContext::launch_stepped`] on the peel's 108 one-warp blocks, of
 /// which 0, 8 or 108 have work and step four times: the host cost of a
 /// block without work (charged, not run) and of a busy one, per launch.

@@ -32,7 +32,8 @@
 //! [`fig10_case_study`] and [`extensions`] render the other results. Each
 //! report returns its results files as `(name, contents)`, text and JSON
 //! from one set of row values, and every table binary writes them through
-//! [`write_files`].
+//! [`write_files`]. The sweep's and the extensions' independent captures
+//! run side by side through [`run_jobs`], one thread per rayon thread.
 
 mod capture;
 mod dynamic;
@@ -54,7 +55,9 @@ use kcore_graph::{Csr, EdgeUpdate, GraphStats};
 use kcore_systems::{EngineOptions, FrameworkCosts};
 use serde::Serialize;
 use std::collections::{HashMap, HashSet};
+use std::panic::resume_unwind;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Everything a table binary needs for one dataset.
 pub struct Env {
@@ -186,6 +189,38 @@ pub fn runs() -> usize {
         .and_then(|s| s.parse().ok())
         .unwrap_or(3)
         .max(1)
+}
+
+/// Runs `f` on every job and returns the results in job order. The jobs run
+/// on [`rayon::current_num_threads`] scoped threads, each at rayon width 1,
+/// which claim them one at a time from a shared cursor, so a long job holds
+/// up only its own thread. A job's panic reaches the caller once the other
+/// threads run out of jobs.
+pub fn run_jobs<J: Sync, R: Send>(jobs: &[J], f: impl Fn(&J) -> R + Sync) -> Vec<R> {
+    let next = AtomicUsize::new(0);
+    let claim = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(job) = jobs.get(i) else {
+                return done;
+            };
+            done.push((i, f(job)));
+        }
+    };
+    let width_one = || rayon::ThreadPoolBuilder::new().num_threads(1).build();
+    let threads = rayon::current_num_threads().min(jobs.len());
+    let mut results: Vec<(usize, R)> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| s.spawn(|| width_one().expect("a pool builds").install(claim)))
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap_or_else(|panic| resume_unwind(panic)))
+            .collect()
+    });
+    results.sort_by_key(|&(i, _)| i);
+    results.into_iter().map(|(_, r)| r).collect()
 }
 
 /// One table cell: a time, or one of the paper's special outcomes.
@@ -564,6 +599,48 @@ mod tests {
             (ins as f64 / total - 0.5).abs() < 0.1,
             "{ins} inserts, {del} deletes"
         );
+    }
+
+    #[test]
+    fn run_jobs_returns_results_in_job_order_at_every_width() {
+        // Job costs fall and rise, so later jobs finish before earlier ones.
+        let jobs: Vec<u64> = (0..40).collect();
+        let want: Vec<(u64, usize)> = jobs.iter().map(|&j| (j * j, 1)).collect();
+        for threads in [1, 2, 8] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            let got = pool.install(|| {
+                run_jobs(&jobs, |&j| {
+                    std::thread::sleep(std::time::Duration::from_micros((j * 7 % 11) * 300));
+                    (j * j, rayon::current_num_threads())
+                })
+            });
+            assert_eq!(got, want, "width {threads}");
+        }
+    }
+
+    #[test]
+    fn run_jobs_takes_an_empty_job_list() {
+        assert_eq!(run_jobs(&[] as &[u32], |&j| j), Vec::<u32>::new());
+    }
+
+    #[test]
+    fn a_panicking_job_reaches_the_caller() {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(2)
+            .build()
+            .unwrap();
+        let msg = panic_message(|| {
+            pool.install(|| {
+                run_jobs(&[1, 2, 3], |&j| {
+                    assert_ne!(j, 2, "job 2 fails");
+                    j
+                })
+            });
+        });
+        assert!(msg.contains("job 2 fails"), "{msg}");
     }
 
     #[test]

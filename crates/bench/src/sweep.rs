@@ -16,14 +16,15 @@
 //! seed, as the paper's GPU timings varied by up to 30%.
 
 use crate::{
-    capture, check_round_trip, mark_best, table_files, titled, to_json, Cell, Env, Outcome,
-    RunCapture,
+    capture, check_round_trip, mark_best, run_jobs, table_files, titled, to_json, Cell, Env,
+    Outcome, RunCapture,
 };
 use kcore_gpu::{Buffering, Compaction};
 use kcore_gpusim::{CapacityForecast, SimOptions, SizeClass, P100_DEVICE_BYTES};
 use kcore_graph::datasets::Dataset;
 use kcore_systems::Engine;
 use serde::Serialize;
+use std::ops::RangeInclusive;
 
 /// One dataset's captures.
 pub struct DatasetSweep {
@@ -97,29 +98,43 @@ const TABLE5: [Engine; 10] = [
 ];
 
 impl Sweep {
-    /// Runs every cell once.
+    /// Runs every cell once, one [`run_jobs`] job per (dataset, program):
+    /// a peel variant's runs at seeds `1..=runs`, or a Table III program's
+    /// run at seed 0.
     pub fn run(envs: &[Env], runs: usize) -> Sweep {
-        let mut datasets = Vec::new();
-        for e in envs {
-            let (name, edges) = (e.dataset.name, e.stats.num_edges);
-            eprintln!("[sweep] {name} (|E|={edges}, {runs} seeded runs)");
-            let mut seeded = Vec::new();
-            for engine in Engine::peel_variants() {
-                let mut caps: Vec<RunCapture> = Vec::new();
-                for seed in 1..=runs as u64 {
-                    if caps.last().is_some_and(|c| c.outcome != Outcome::Ok) {
-                        break;
-                    }
-                    caps.push(capture(e, engine, seed, false));
-                }
-                seeded.push(caps);
+        let jobs: Vec<(&Env, Engine, RangeInclusive<u64>)> = envs
+            .iter()
+            .flat_map(|e| {
+                let seeded = Engine::peel_variants().map(move |p| (e, p, 1..=runs as u64));
+                seeded.chain(Engine::TABLE3.map(|p| (e, p, 0..=0)))
+            })
+            .collect();
+        let mut per_job = run_jobs(&jobs, |(e, engine, seeds)| {
+            if (*engine, *seeds.start()) == (Engine::OURS, 1) {
+                let (name, edges) = (e.dataset.name, e.stats.num_edges);
+                eprintln!("[sweep] {name} (|E|={edges}, {runs} seeded runs)");
             }
-            datasets.push(DatasetSweep {
+            let mut caps: Vec<RunCapture> = Vec::new();
+            for seed in seeds.clone() {
+                if caps.last().is_some_and(|c| c.outcome != Outcome::Ok) {
+                    break;
+                }
+                caps.push(capture(e, *engine, seed, false));
+            }
+            caps
+        })
+        .into_iter();
+        let datasets = envs
+            .iter()
+            .map(|e| DatasetSweep {
                 dataset: e.dataset.clone(),
-                seeded,
-                seed0: Engine::TABLE3.map(|engine| capture(e, engine, 0, false)),
-            });
-        }
+                seeded: per_job
+                    .by_ref()
+                    .take(Engine::peel_variants().count())
+                    .collect(),
+                seed0: Engine::TABLE3.map(|_| per_job.next().and_then(|mut c| c.pop()).unwrap()),
+            })
+            .collect();
         Sweep { runs, datasets }
     }
 

@@ -4,7 +4,9 @@
 //! row values.
 
 use crate::sweep::time_table;
-use crate::{capture, prepare, render_table, runs, table_files, titled, to_json, Cell, Env};
+use crate::{
+    capture, prepare, render_table, run_jobs, runs, table_files, titled, to_json, Cell, Env,
+};
 use kcore_cpu::{bz, mpm, naive, park, pkc, CoreAlgorithm};
 use kcore_gpu::{decompose, PeelConfig, SimOptions};
 use kcore_gpusim::{KernelError, SimError};
@@ -272,20 +274,22 @@ struct Extensions {
 ///    slot recycling is what keeps the frontier footprint bounded.
 /// 2. **Direct GPU-MPM vs peeling vs Medusa-MPM**: the total-workload
 ///    trade-off the introduction discusses, measured.
+///
+/// Each dataset is one [`run_jobs`] job.
 pub fn extensions() -> Vec<(String, String)> {
-    let mut out = Extensions::default();
-    let (mut ring_rows, mut mpm_rows) = (Vec::new(), Vec::new());
-    for name in ["amazon0601", "web-BerkStan", "soc-LiveJournal1"] {
+    // The slowest dataset's job first, so it starts at once; the tables
+    // list the rows the other way round.
+    let names = ["soc-LiveJournal1", "web-BerkStan", "amazon0601"];
+    let rows = run_jobs(&names, |&name| {
         let e = prepare(datasets::by_name(name).expect("a registry dataset"));
         let ring = min_buf_capacity(&e, true);
         let flat = min_buf_capacity(&e, false);
-        ring_rows.push(vec![
+        let ring_row = vec![
             name.to_string(),
             ring.to_string(),
             flat.to_string(),
             format!("{:.1}x", flat as f64 / ring as f64),
-        ]);
-        out.ring_ablation.push((name.into(), ring, flat));
+        ];
 
         let run = |engine: Engine| engine.run(&e.graph, &e.sim, &e.opts);
         let peel_ms = run(Engine::OURS)
@@ -296,13 +300,25 @@ pub fn extensions() -> Vec<(String, String)> {
         assert_eq!(gpu_mpm.core, e.truth);
         let med = run(Engine::MedusaMpm).map_or(f64::NAN, |r| r.report.total_ms);
         let mpm_ms = gpu_mpm.report.total_ms;
-        mpm_rows.push(vec![
+        let mpm_row = vec![
             name.to_string(),
             format!("{peel_ms:.2}"),
             format!("{mpm_ms:.2} ({} sweeps)", gpu_mpm.iterations),
             format!("{med:.2}"),
-        ]);
-        out.mpm_vs_peel.push((name.into(), peel_ms, mpm_ms, med));
+        ];
+        let cells = (
+            (name.into(), ring, flat),
+            (name.into(), peel_ms, mpm_ms, med),
+        );
+        (ring_row, mpm_row, cells)
+    });
+    let mut out = Extensions::default();
+    let (mut ring_rows, mut mpm_rows) = (Vec::new(), Vec::new());
+    for (ring_row, mpm_row, (ring, mpm)) in rows.into_iter().rev() {
+        ring_rows.push(ring_row);
+        mpm_rows.push(mpm_row);
+        out.ring_ablation.push(ring);
+        out.mpm_vs_peel.push(mpm);
     }
     let ring_headers = ["Dataset", "ring buffer", "flat buffer", "ring advantage"];
     let mpm_headers = ["Dataset", "Peel (Ours)", "GPU-MPM (direct)", "Medusa-MPM"];

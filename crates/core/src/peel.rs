@@ -22,8 +22,8 @@ use kcore_gpusim::{
     SharedArray, SimError, SimOptions, SimReport, SizeClass, SHARED_CAPACITY_BYTES,
 };
 use kcore_graph::Csr;
+use std::cell::OnceCell;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::OnceLock;
 
 /// Result of a single-device decomposition run, whichever engine ran it.
 #[derive(Debug, Clone)]
@@ -66,7 +66,7 @@ pub(crate) struct DeviceState {
     /// Each block's scan charges when it finds no hit (prologue, sweep and
     /// epilogue), filled by the block's first scan launch; every scan
     /// merges them (see [`scan_kernel_fast`]).
-    empty_scan: Vec<OnceLock<Counters>>,
+    empty_scan: Vec<OnceCell<Counters>>,
     /// Host scratch of the hit pass: the round's k-shell, ascending.
     shell: Vec<u32>,
     /// The frontier the next launch hands each block: the scan's k-shell,
@@ -114,7 +114,7 @@ pub(crate) fn load_device(
         d_buf,
         d_buf_e,
         d_count,
-        empty_scan: (0..blocks).map(|_| OnceLock::new()).collect(),
+        empty_scan: (0..blocks).map(|_| OnceCell::new()).collect(),
         shell: Vec::new(),
         buckets: BlockBuckets::default(),
     })

@@ -1,11 +1,12 @@
 //! Kernel execution: grids, blocks, shared memory, and charging.
 //!
-//! [`GpuContext::launch`] runs a kernel closure once per thread block, with
-//! blocks executing in parallel on host threads at rayon widths above one
-//! (blocks are independent on hardware too — §III: "different thread
-//! blocks are independent in their execution"). Cross-block communication
-//! goes through device buffers with real atomics, so any interleaving the
-//! simulator produces is an interleaving the hardware could produce.
+//! [`GpuContext::launch`] runs a kernel closure once per thread block, the
+//! blocks one after another in block order on the calling thread at every
+//! rayon width. Blocks are independent on hardware (§III: "different
+//! thread blocks are independent in their execution"), so block order is
+//! a schedule the hardware could run. Cross-block communication goes
+//! through device buffers with atomics, so a kernel whose blocks race on
+//! a cursor or a degree array sees that one interleaving, at every width.
 //!
 //! The kernel closure receives a [`BlockCtx`] carrying the block's identity,
 //! its private shared memory, and the cost-model charging interface. Kernels
@@ -18,7 +19,6 @@ use crate::cost::{
     CostParams, CounterSample, Counters, LaunchRecord, SimReport, TransferDir, TransferRecord,
 };
 use crate::device::{BufferId, Device, OomError, SizeClass};
-use rayon::prelude::*;
 use std::ops::{Bound, RangeBounds};
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -255,24 +255,12 @@ pub struct BlockCtx<'a> {
     /// Event counters for this block.
     pub counters: Counters,
     shared: Vec<u32>,
-    /// True when the engine guarantees no other block is executing
-    /// concurrently on this device (the inline path of one-shot launches
-    /// and every stepped wave). Lets the global-atomic helpers use
-    /// plain load/store instead of lock-prefixed RMWs — same values, same
-    /// charges, less host time.
-    exclusive: bool,
 }
 
 impl<'a> BlockCtx<'a> {
     /// Builds a context on a reused shared-memory backing vector (its
     /// capacity survives across launches).
-    fn new(
-        device: &'a Device,
-        block_idx: u32,
-        cfg: LaunchConfig,
-        mut shared: Vec<u32>,
-        exclusive: bool,
-    ) -> Self {
+    fn new(device: &'a Device, block_idx: u32, cfg: LaunchConfig, mut shared: Vec<u32>) -> Self {
         shared.clear();
         BlockCtx {
             device,
@@ -280,7 +268,6 @@ impl<'a> BlockCtx<'a> {
             cfg,
             counters: Counters::default(),
             shared,
-            exclusive,
         }
     }
 
@@ -360,43 +347,25 @@ impl<'a> BlockCtx<'a> {
         cell.load(Ordering::Relaxed)
     }
 
-    /// Global `atomicAdd`; returns the old value.
+    /// Global `atomicAdd`; returns the old value. No other block runs on
+    /// this device while this one does, so a plain load and store give the
+    /// read-modify-write's value without a lock-prefixed instruction.
     #[inline]
     pub fn atomic_add(&mut self, cell: &AtomicU32, delta: u32) -> u32 {
         self.counters.global_atomics += 1;
-        self.raw_atomic_add(cell, delta)
+        let old = cell.load(Ordering::Relaxed);
+        cell.store(old.wrapping_add(delta), Ordering::Relaxed);
+        old
     }
 
-    /// Global `atomicSub`; returns the old value.
+    /// Global `atomicSub`; returns the old value (see
+    /// [`BlockCtx::atomic_add`]).
     #[inline]
     pub fn atomic_sub(&mut self, cell: &AtomicU32, delta: u32) -> u32 {
         self.counters.global_atomics += 1;
-        self.raw_atomic_sub(cell, delta)
-    }
-
-    /// *Uncharged* global `atomicAdd`: the caller adds the matching
-    /// `global_atomics` count. Exclusive-execution aware.
-    #[inline]
-    fn raw_atomic_add(&self, cell: &AtomicU32, delta: u32) -> u32 {
-        if self.exclusive {
-            let old = cell.load(Ordering::Relaxed);
-            cell.store(old.wrapping_add(delta), Ordering::Relaxed);
-            old
-        } else {
-            cell.fetch_add(delta, Ordering::AcqRel)
-        }
-    }
-
-    /// *Uncharged* global `atomicSub`; see [`BlockCtx::raw_atomic_add`].
-    #[inline]
-    fn raw_atomic_sub(&self, cell: &AtomicU32, delta: u32) -> u32 {
-        if self.exclusive {
-            let old = cell.load(Ordering::Relaxed);
-            cell.store(old.wrapping_sub(delta), Ordering::Relaxed);
-            old
-        } else {
-            cell.fetch_sub(delta, Ordering::AcqRel)
-        }
+        let old = cell.load(Ordering::Relaxed);
+        cell.store(old.wrapping_sub(delta), Ordering::Relaxed);
+        old
     }
 
     /// *Uncharged* shared-memory write for bulk-charged fast paths (caller
@@ -649,50 +618,24 @@ fn run_waves<S>(
 }
 
 /// The block runner of a plain launch: runs `kernel` once per block of
-/// `cfg`, each on its backing from `shared`, which it hands back, and
-/// appends every block's counters to `per_block` in block order. Returns
-/// the first error in block order. At a rayon width of one, or on a
-/// one-block grid, the blocks run inline in index order, with
-/// exclusive-execution atomics; otherwise they fan out.
-fn run_blocks<F>(
+/// `cfg`, in block order on this thread, each on its backing from
+/// `shared`, which it hands back, and appends every block's counters to
+/// `per_block`. Stops at the first block that fails.
+fn run_blocks(
     device: &Device,
     cfg: LaunchConfig,
-    shared: &mut Vec<Vec<u32>>,
+    shared: &mut [Vec<u32>],
     per_block: &mut Vec<Counters>,
-    kernel: &F,
-) -> Result<(), KernelError>
-where
-    F: Fn(&mut BlockCtx<'_>) -> Result<(), KernelError> + Sync,
-{
-    let threads = rayon::current_num_threads() as u32;
-    if threads <= 1 || cfg.blocks == 1 {
-        for (b, backing) in (0..cfg.blocks).zip(shared.iter_mut()) {
-            let mut blk = BlockCtx::new(device, b, cfg, std::mem::take(backing), true);
-            let r = kernel(&mut blk);
-            *backing = blk.shared;
-            per_block.push(blk.counters);
-            r?;
-        }
-        return Ok(());
+    kernel: impl Fn(&mut BlockCtx<'_>) -> Result<(), KernelError>,
+) -> Result<(), KernelError> {
+    for (b, backing) in (0..cfg.blocks).zip(shared) {
+        let mut blk = BlockCtx::new(device, b, cfg, std::mem::take(backing));
+        let r = kernel(&mut blk);
+        *backing = blk.shared;
+        per_block.push(blk.counters);
+        r?;
     }
-    let inputs: Vec<(u32, Vec<u32>)> = (0..cfg.blocks)
-        .zip(shared.drain(..cfg.blocks as usize))
-        .collect();
-    let results: Vec<(Result<(), KernelError>, Counters, Vec<u32>)> = inputs
-        .into_par_iter()
-        .map(|(b, backing)| {
-            let mut blk = BlockCtx::new(device, b, cfg, backing, false);
-            let r = kernel(&mut blk);
-            (r, blk.counters, blk.shared)
-        })
-        .collect();
-    let mut first = Ok(());
-    for (r, counters, backing) in results {
-        shared.push(backing);
-        per_block.push(counters);
-        first = first.and(r);
-    }
-    first
+    Ok(())
 }
 
 /// The simulated GPU program context: device + cost model + simulated clock.
@@ -968,18 +911,16 @@ impl GpuContext {
         Ok(out)
     }
 
-    /// Launches a kernel: runs `kernel` once per block (in parallel),
-    /// aggregates the counters, and advances the simulated clock.
+    /// Launches a kernel: runs `kernel` once per block, aggregates the
+    /// counters, and advances the simulated clock.
     ///
-    /// When the effective rayon fan-out is one thread (or the grid has one
-    /// block) the blocks run inline on this thread, in index order, with
-    /// exclusive-execution atomics and no parallel-map machinery. The
-    /// order-preserving parallel path and the inline path produce
-    /// bit-identical counters for any kernel that is deterministic under
-    /// block concurrency (the golden pool-size tests pin this). A kernel
-    /// whose blocks read device memory that other blocks write during the
-    /// launch is not: call it inside a one-thread `install`, or use
-    /// [`GpuContext::launch_stepped`].
+    /// The blocks run to completion one after another, in block order, on
+    /// the calling thread, at every rayon width; a failing block ends the
+    /// launch. A kernel whose blocks race on device memory (a frontier
+    /// cursor, a degree array) therefore sees one interleaving, the same
+    /// at every width. A kernel whose blocks must share work as concurrent
+    /// hardware blocks would, rather than the first blocks draining it,
+    /// uses [`GpuContext::launch_stepped`].
     pub fn launch<F>(
         &mut self,
         name: &'static str,
@@ -987,10 +928,10 @@ impl GpuContext {
         kernel: F,
     ) -> Result<(), SimError>
     where
-        F: Fn(&mut BlockCtx<'_>) -> Result<(), KernelError> + Sync,
+        F: Fn(&mut BlockCtx<'_>) -> Result<(), KernelError>,
     {
         self.run_launch(name, cfg, |device, scratch, per_block| {
-            run_blocks(device, cfg, &mut scratch.shared, per_block, &kernel)
+            run_blocks(device, cfg, &mut scratch.shared, per_block, kernel)
         })
     }
 
@@ -1010,8 +951,7 @@ impl GpuContext {
     /// order of the whole grid derived from
     /// [`GpuContext::set_schedule_seed`] — re-running with a different seed
     /// models hardware scheduling nondeterminism (the paper's observed
-    /// up-to-30% run-to-run variance). Since no two blocks ever run at once,
-    /// blocks get exclusive-execution atomics.
+    /// up-to-30% run-to-run variance).
     ///
     /// A block without work is dead from wave 0. The first one is built,
     /// initialised in its place in block order and stepped until it
@@ -1053,7 +993,7 @@ impl GpuContext {
                     continue;
                 }
                 let backing = &mut shared[b as usize];
-                let mut blk = BlockCtx::new(device, b, cfg, std::mem::take(backing), true);
+                let mut blk = BlockCtx::new(device, b, cfg, std::mem::take(backing));
                 match init(&mut blk) {
                     Ok(state) if busy => {
                         slots.push(blocks.len() as u32);
@@ -1189,7 +1129,7 @@ impl GpuContext {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::RefCell;
+    use std::cell::{Cell, RefCell};
 
     fn ctx() -> GpuContext {
         GpuContext::new(CostParams::p100(), 1 << 20)
@@ -1325,26 +1265,38 @@ mod tests {
 
     #[test]
     fn kernel_error_propagates() {
-        let mut c = ctx();
+        // The launch stops at its first failing block, at every width.
         let cfg = LaunchConfig {
             blocks: 4,
             threads_per_block: 32,
         };
-        let err = c
-            .launch("boom", cfg, |blk| {
-                if blk.block_idx == 2 {
-                    Err(KernelError::BufferOverflow {
-                        what: "buf[2]".into(),
+        for threads in [1, 2, 8] {
+            let mut c = ctx();
+            let ran = Cell::new(0);
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            let err = pool
+                .install(|| {
+                    c.launch("boom", cfg, |blk| {
+                        ran.set(ran.get() + 1);
+                        if blk.block_idx == 2 {
+                            Err(KernelError::BufferOverflow {
+                                what: "buf[2]".into(),
+                            })
+                        } else {
+                            Ok(())
+                        }
                     })
-                } else {
-                    Ok(())
-                }
-            })
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            SimError::Kernel(KernelError::BufferOverflow { .. })
-        ));
+                })
+                .unwrap_err();
+            assert!(matches!(
+                err,
+                SimError::Kernel(KernelError::BufferOverflow { .. })
+            ));
+            assert_eq!(ran.get(), 3, "width {threads}");
+        }
     }
 
     #[test]
@@ -1832,6 +1784,48 @@ mod tests {
         assert_eq!(rep.h2d_bytes, 256);
         assert!(rep.total_ms > 0.0);
         assert_eq!(rep.peak_mem_bytes, 256);
+    }
+
+    #[test]
+    fn a_plain_launch_runs_its_blocks_in_block_order_at_every_width() {
+        // Each of 108 blocks works for a while, then claims the next slot
+        // of a device cursor and stores its index there: blocks that ran at
+        // once would claim slots out of block order.
+        let cfg = LaunchConfig::paper();
+        let run = |threads: usize| {
+            let mut c = ctx();
+            c.set_block_profiling(true);
+            let cursor = c.alloc("cursor", 1, SizeClass::Fixed).unwrap();
+            let slots = c.alloc("slots", 108, SizeClass::Fixed).unwrap();
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            pool.install(|| {
+                c.launch("claim", cfg, |blk| {
+                    let mut x = u64::from(blk.block_idx);
+                    for _ in 0..20_000 {
+                        x = std::hint::black_box(x.wrapping_mul(0x5851_f42d_4c95_7f2d) + 1);
+                    }
+                    blk.charge_instr(x % 7);
+                    let slot = blk.atomic_add(&blk.device.buffer(cursor)[0], 1);
+                    blk.gwrite(&blk.device.buffer(slots)[slot as usize], blk.block_idx);
+                    Ok(())
+                })
+            })
+            .unwrap();
+            (c.dtoh(slots, ..).unwrap(), format!("{:?}", c.launches()))
+        };
+        let (order, records) = run(1);
+        assert_eq!(order, (0..108).collect::<Vec<u32>>());
+        for threads in [2, 8] {
+            let (got, got_records) = run(threads);
+            assert_eq!(got, order, "width {threads}");
+            assert!(
+                got_records == records,
+                "width {threads}: the launch records differ"
+            );
+        }
     }
 
     #[test]

@@ -11,11 +11,11 @@
 //!    snapshot-consistent visibility; global-memory atomics
 //!    (`atomicAdd`/`atomicSub`); `__ballot_sync`, and warp scans that fuse
 //!    their `__shfl_up_sync` and `__popc` steps. A plain launch's blocks run
-//!    in parallel on host threads when the rayon pool is wider than one
-//!    thread (inline, in block order, otherwise); a stepped launch's blocks
-//!    never do, and step one at a time in a seeded wave order. Within a
-//!    block, barrier-delimited phases execute warp-by-warp with the
-//!    visibility the barriers guarantee on hardware.
+//!    to completion one after another, in block order, on the calling
+//!    thread, at every rayon width; a stepped launch's blocks step one at a
+//!    time in a seeded wave order. Within a block, barrier-delimited phases
+//!    execute warp-by-warp with the visibility the barriers guarantee on
+//!    hardware.
 //! 2. **A cost model** — every kernel accumulates per-block counters
 //!    (coalesced global transactions, atomics, shared-memory traffic, warp
 //!    instructions, barriers). Kernel time is a roofline:

@@ -199,7 +199,7 @@ mod tests {
     use super::*;
     use crate::{CostParams, GpuContext, LaunchConfig};
 
-    fn with_block(threads: u32, f: impl Fn(&mut BlockCtx<'_>) + Sync) {
+    fn with_block(threads: u32, f: impl Fn(&mut BlockCtx<'_>)) {
         let mut c = GpuContext::new(CostParams::p100(), 1 << 16);
         let cfg = LaunchConfig {
             blocks: 1,

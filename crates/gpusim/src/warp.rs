@@ -34,23 +34,23 @@ pub fn lane_mask_lt(lane: usize) -> u32 {
 mod tests {
     use super::*;
     use crate::{CostParams, GpuContext, LaunchConfig};
-    use std::sync::atomic::{AtomicU32, Ordering};
+    use std::cell::Cell;
 
     /// Runs `f` inside a one-block kernel and returns the instruction count.
-    fn in_block(f: impl Fn(&mut BlockCtx<'_>) + Sync) -> u64 {
+    fn in_block(f: impl Fn(&mut BlockCtx<'_>)) -> u64 {
         let mut c = GpuContext::new(CostParams::p100(), 1 << 16);
         let cfg = LaunchConfig {
             blocks: 1,
             threads_per_block: 32,
         };
-        let instrs = AtomicU32::new(0);
+        let instrs = Cell::new(0);
         c.launch("t", cfg, |blk| {
             f(blk);
-            instrs.store(blk.counters.warp_instrs as u32, Ordering::Relaxed);
+            instrs.set(blk.counters.warp_instrs);
             Ok(())
         })
         .unwrap();
-        instrs.load(Ordering::Relaxed) as u64
+        instrs.get()
     }
 
     #[test]

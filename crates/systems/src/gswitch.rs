@@ -16,7 +16,7 @@
 //! ([`EngineOptions::k_max`](crate::EngineOptions::k_max)) instead of
 //! tracking a removal count.
 
-use crate::{in_block_order, FrameworkCosts};
+use crate::FrameworkCosts;
 use kcore_gpusim::warp::WARP_SIZE;
 use kcore_gpusim::{
     narrow_offsets, BlockCtx, Coalescing, GpuContext, LaunchConfig, SimError, SizeClass,
@@ -143,8 +143,7 @@ pub(crate) fn peel_in(
                 }
                 Ok(())
             };
-            // blocks race on `deg` and `removed` while running
-            in_block_order(|| ctx.launch("gswitch_fused", launch, fused))?;
+            ctx.launch("gswitch_fused", launch, fused)?;
             ctx.add_overhead_s(costs.gswitch_subiter_s)?;
             ctx.set_phase("Sync");
             let processed = ctx.dtoh(d_len, 0..1)?[0];

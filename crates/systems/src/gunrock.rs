@@ -14,7 +14,7 @@
 //! edge-capacity frontier scratch that inflates the memory footprint
 //! (Table V).
 
-use crate::{in_block_order, FrameworkCosts};
+use crate::FrameworkCosts;
 use kcore_gpusim::warp::WARP_SIZE;
 use kcore_gpusim::{
     narrow_offsets, BlockCtx, Coalescing, GpuContext, KernelError, LaunchConfig, SimError,
@@ -93,8 +93,7 @@ pub(crate) fn peel_in(
             }
             Ok(())
         };
-        // blocks race on the frontier cursor while running
-        in_block_order(|| ctx.launch("gunrock_filter_init", launch, filter_init))?;
+        ctx.launch("gunrock_filter_init", launch, filter_init)?;
         ctx.set_phase("Sync");
         let mut flen = ctx.dtoh(d_len, 0..1)?[0] as u64;
         // Observability: post-filter frontier length (free — charges nothing).
@@ -182,8 +181,7 @@ pub(crate) fn peel_in(
                 }
                 Ok(())
             };
-            // blocks race on `deg` and the frontier cursor while running
-            in_block_order(|| ctx.launch("gunrock_advance", launch, advance))?;
+            ctx.launch("gunrock_advance", launch, advance)?;
             ctx.set_phase("Sync");
             let out_len = ctx.dtoh(d_len, 0..1)?[0] as u64;
             ctx.sample_counter("frontier", out_len as f64);

@@ -49,20 +49,6 @@ pub mod vetga;
 
 pub use engine::{Engine, EngineOptions};
 
-/// Runs `f` at a rayon width of one, so every launch inside it runs its
-/// blocks in index order on the calling thread. For kernels whose blocks
-/// race on device memory while they run (a degree array, a frontier
-/// cursor), which the [`GpuContext::launch`](kcore_gpusim::GpuContext::launch)
-/// contract does not allow: in index order their results and charges are
-/// the same at every rayon width.
-pub(crate) fn in_block_order<R>(f: impl FnOnce() -> R) -> R {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(1)
-        .build()
-        .expect("a one-thread pool always builds")
-        .install(f)
-}
-
 /// Calibrated framework-overhead constants (see DESIGN.md; these model the
 /// system-level costs a tailor-made kernel avoids).
 #[derive(Debug, Clone, Copy)]

@@ -82,10 +82,10 @@ host_gate() {
 
 echo "== peel host-time gate (kbench peel-deep host_ms_p50) =="
 # The benchmark's thin-round workload (375 peel rounds on 108 one-warp
-# blocks, one thread, 330 timed ops in 5 s), whose launches all run inline.
-# About 85% of its loop blocks have no work; each loop launch builds only
-# its busy blocks and one idle block, and charges the other idle blocks
-# that block's counters, so an op's host time follows its frontier.
+# blocks, one thread, 330 timed ops in 5 s). About 85% of its loop blocks
+# have no work; each loop launch builds only its busy blocks and one idle
+# block, and charges the other idle blocks that block's counters, so an
+# op's host time follows its frontier.
 # The ceiling is 1.5x the slowest of five calibration runs of this stage's
 # command on a 2-core x86-64 box (19.99, 20.61, 22.05, 22.23 and 23.07 ms),
 # rounded up to a whole ms; an earlier set on the same box, in a calmer
@@ -95,14 +95,14 @@ echo "== peel host-time gate (kbench peel-deep host_ms_p50) =="
 # by lane again, not noise.
 host_gate peel-deep 35
 
-echo "== fan-out host-time gate (kbench peel-hub host_ms_p50) =="
-# The benchmark's only workload whose plain launches fan out (wiki-Talk
-# stand-in at two rayon threads), so it guards the parallel block path of
-# the launch driver, which peel-deep never takes. The ceiling is 1.5x the
-# slowest of five calibration runs of this stage's command on a 2-core
-# x86-64 box (14.28, 14.71, 14.76, 15.26 and 15.34 ms), rounded up to a
-# whole ms.
-host_gate peel-hub 24
+echo "== hub host-time gate (kbench peel-hub host_ms_p50) =="
+# The benchmark's hub-heavy peel (wiki-Talk stand-in at two rayon threads,
+# 34 rounds): hub adjacency walks and atomics on a few vertices, where
+# peel-deep has hundreds of thin rounds. The ceiling is 1.5x the slowest
+# of five calibration runs of this stage's command on a 2-core x86-64 box
+# (12.39, 13.15, 13.68, 14.65 and 15.17 ms), rounded up to a whole ms; an
+# earlier set on the same box, in a calmer phase, read 12.26-12.90 ms.
+host_gate peel-hub 23
 
 echo "== sharded host-time gate (kbench shard-p4 host_ms_p50) =="
 # The benchmark's only sharded workload (amazon0601 stand-in on four
@@ -278,17 +278,19 @@ done
 rm -rf "$dyn_results"
 echo "dynamic smoke OK"
 
-echo "== full-size drift check (table1, table_dynamic, fig10, extensions) =="
-# The four simulated tables that regenerate in about 30 s together run at
-# full size into a throwaway dir, and each text and JSON file must equal the
-# one committed under results/ byte for byte. No dataset cache: it would hold
-# about 290 MB of full-size stand-ins. sweep, table_scale and the
-# wall-clock table4 stay in scripts/run_all_experiments.sh.
+echo "== full-size drift check (every simulated table) =="
+# Every table binary but the wall-clock table4 runs at full size into a
+# throwaway dir, and each of their twenty text and JSON files must equal
+# the one committed under results/ byte for byte. No dataset cache: it
+# would hold about 290 MB of full-size stand-ins. The six binaries took
+# 127 s in all on a 2-core x86-64 box, sweep 97 s and table_scale 18 s of
+# it.
 drift_results="$(mktemp -d)"
-for t in table1 table_dynamic fig10_case_study extensions; do
+for t in table1 table_dynamic fig10_case_study extensions sweep table_scale; do
   KCORE_RESULTS_DIR="$drift_results" ./target/release/$t > /dev/null
 done
-for f in table1 table_dynamic fig10 extensions; do
+for f in table1 table_dynamic fig10 extensions table2 table3 table5 table_mem \
+  table_scale table_fleet; do
   for ext in txt json; do
     if ! cmp "$drift_results/$f.$ext" "results/$f.$ext"; then
       echo "ERROR: results/$f.$ext is stale; regenerate it with scripts/run_all_experiments.sh" >&2

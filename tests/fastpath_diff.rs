@@ -209,9 +209,9 @@ fn identical_on_randomized_geometries() {
 
 #[test]
 fn identical_across_rayon_pool_sizes() {
-    // Pool size sets the fan-out of plain launches such as the scan (waves
-    // are serial at every width): the counters and fingerprints
-    // must not notice.
+    // Launches run their blocks in block order and waves are serial at
+    // every width, so the counters and fingerprints must not notice the
+    // pool size.
     let g = gen::rmat(9, 2_000, gen::RmatParams::graph500(), 7);
     let cfg = small_cfg();
     let reference = run(paths(&cfg)[1], &g, &cfg);

@@ -3,9 +3,10 @@
 //!
 //! The simulator is deterministic by construction: every quantity in a
 //! trace is *simulated* (no wall-clock reads), the peeling loop's wave
-//! shuffle is seeded, and the rayon shim's parallel map is order-preserving
-//! regardless of thread count. These tests pin that property down three
-//! ways:
+//! shuffle is seeded, every launch runs its blocks in block order on the
+//! calling thread, and the rayon shim's parallel map (graph generation) is
+//! order-preserving regardless of thread count. These tests pin that
+//! property down three ways:
 //!
 //! 1. the same program on the same graph yields a **bit-identical** trace
 //!    JSON across two captures in one process;

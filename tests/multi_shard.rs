@@ -318,12 +318,15 @@ struct GoldenShardCount {
 }
 
 /// The border exchange beyond four devices: uneven shard counts, shards of a
-/// few dozen vertices, and a path whose one shell crosses every border.
+/// few dozen vertices, a path whose one shell crosses every border, and a
+/// random graph whose border seeds a shard receives out of order, so the
+/// ascending seed order shows in its worker fingerprints at p = 3, 8 and 16.
 #[test]
 fn shard_counts_match_checked_in_golden() {
     let graphs = [
         ("rmat9", gen::rmat(9, 2_000, gen::RmatParams::graph500(), 7)),
         ("path600", gen::path(600)),
+        ("er3000", gen::erdos_renyi_gnm(3_000, 12_000, 5)),
     ];
     let mut cells = Vec::new();
     for (name, g) in &graphs {

@@ -3,9 +3,10 @@
 //! Each engine runs once at width 1 and three times each at widths 2 and 8.
 //! Every run must reproduce the width-1 core numbers, iteration count,
 //! simulated total time (to the bit), launch count and grand-total
-//! counters. A kernel whose blocks race on device memory while they run
-//! breaks this at widths above 1 — the run-to-run drift a plain launch's
-//! contract rules out.
+//! counters. Gunrock's filter and advance and GSwitch's fused sweep have
+//! blocks that race on a frontier cursor or on `deg[]` while they run; a
+//! launch that ran its blocks at once would give them run-to-run drift at
+//! widths above 1, and every launch runs its blocks in block order instead.
 //!
 //! `every_engine_is_width_invariant` loops over `Engine::all()`; the
 //! engines that the golden pool-size sweeps do not already pin (the four
